@@ -52,8 +52,7 @@ Commands mirror the library's main flows:
 Parallelism flag convention (backed by :mod:`repro.jobs`): every command
 spells the worker-process count ``-w/--workers`` — an execution detail
 that never changes results — and work *splitting* ``--shards`` (also
-result-invariant: any shard count merges to identical output).  The old
-``-j/--jobs`` spelling survives as a deprecated alias for ``--workers``.
+result-invariant: any shard count merges to identical output).
 
 Expected user errors (unknown workload names, missing files) exit with a
 clean one-line message and status 2; programming errors still traceback.
@@ -78,25 +77,6 @@ from .workloads import SUITE_NAMES, all_workloads, get_suite, get_workload
 
 class CliError(Exception):
     """A user-facing error: printed cleanly, exit status 2."""
-
-
-class _DeprecatedAlias(argparse.Action):
-    """Accept an old flag spelling, warn on stderr, store to ``dest``.
-
-    Declare the canonical flag *first* (its default wins; argparse only
-    seeds a default for a dest the namespace doesn't already have).
-    """
-
-    def __init__(self, *args, canonical: str = "", **kwargs):
-        self.canonical = canonical
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(
-            f"warning: {option_string} is deprecated; use {self.canonical}",
-            file=sys.stderr,
-        )
-        setattr(namespace, self.dest, values)
 
 
 def _get_workload(name: str):
@@ -711,8 +691,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print(
         f"sim[{budget.name}]: {s['stepped_cycles']:,} cycles in "
-        f"{s['wall_seconds']:.2f}s ({s['cycles_per_second']:,.0f} cycles/s), "
-        f"memo hit {s['memo_speedup']:.0f}x faster than miss"
+        f"{s['wall_seconds']:.2f}s ({s['cycles_per_second']:,.0f} cycles/s)"
     )
     print(
         f"tracer overhead: disabled/no-tracer ratio {o['ratio']:.3f} "
@@ -922,7 +901,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .engine import MetricsLogger
-    from .serve import OverlayServer, ServeConfig, serve_until_shutdown
+    from .serve import OverlayServer, ServeConfig, run_until_shutdown
 
     if not args.designs and not args.registry:
         raise CliError(
@@ -954,7 +933,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.registry:
             print(f"registry attached: {args.registry}")
         started = asyncio.get_running_loop().create_task(
-            serve_until_shutdown(server)
+            run_until_shutdown(server)
         )
         while server.endpoint is None and not started.done():
             await asyncio.sleep(0.01)
@@ -1330,11 +1309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for multi-seed runs",
     )
     dse.add_argument(
-        "-j", "--jobs", type=int, dest="workers", action=_DeprecatedAlias,
-        canonical="-w/--workers",
-        help="deprecated alias for -w/--workers",
-    )
-    dse.add_argument(
         "--cache-dir", default=None,
         help="persistent artifact store (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro-overgen)",
@@ -1547,11 +1521,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument(
         "-w", "--workers", type=int, default=None, dest="workers",
         help="worker processes (default: min(shards, cpu count))",
-    )
-    soak.add_argument(
-        "-j", "--jobs", type=int, dest="workers", action=_DeprecatedAlias,
-        canonical="-w/--workers",
-        help="deprecated alias for -w/--workers",
     )
     soak.add_argument(
         "--state", default=None,

@@ -45,7 +45,6 @@ _LAZY = {
     "ClusterRouter": "router",
     "RouterConfig": "router",
     "BackendState": "router",
-    "route_until_shutdown": "router",
     "ClusterLauncher": "launcher",
     "LauncherConfig": "launcher",
 }
@@ -65,7 +64,6 @@ __all__ = [
     "Topology",
     "route_shard",
     "route_slot",
-    "route_until_shutdown",
     "shard_of_slot",
     "split_spec",
     "version_key",

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-from .router import ClusterRouter, RouterConfig, route_until_shutdown
+from ..serve.endpoint import run_until_shutdown
+from .router import ClusterRouter, RouterConfig
 from .topology import BackendSpec
 
 
@@ -159,7 +160,7 @@ class ClusterLauncher:
             metrics=MetricsLogger(self.config.metrics_path),
         )
         try:
-            await route_until_shutdown(self.router)
+            await run_until_shutdown(self.router)
         finally:
             self.wait(timeout_s=self.config.startup_timeout_s)
 

@@ -44,15 +44,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine.metrics import MetricsLogger
 from ..serve.client import ServeClient, ServeConnectionError
-from ..serve.errors import BadRequestError, InternalError, ServeError
+from ..serve.endpoint import JsonLinesEndpoint
+from ..serve.errors import InternalError, ShuttingDownError
 from ..serve.protocol import (
     COMPUTE_OPS,
-    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     Request,
-    decode_line,
-    encode_line,
-    parse_request,
     response_doc,
 )
 from ..serve.ops import workload_fp
@@ -146,38 +143,21 @@ class ClusterRouter:
         self._overlay_fps: Dict[str, str] = {}
         self._workload_fps: Dict[str, str] = {}
         self._rr = 0
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._wire = JsonLinesEndpoint(self._dispatch, self.counters)
         self._health_task: Optional["asyncio.Task[None]"] = None
         self._draining = False
         self._closed: Optional[asyncio.Event] = None
-        self._conn_tasks: "set[asyncio.Task[Any]]" = set()
-        self._writers: "set[asyncio.StreamWriter]" = set()
-        self.endpoint: Optional[Tuple[str, Any]] = None
+
+    @property
+    def endpoint(self) -> Optional[Tuple[str, Any]]:
+        """``("unix", path)`` / ``("tcp", (host, port))`` once started."""
+        return self._wire.address
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
-        import os
-
         self._closed = asyncio.Event()
         cfg = self.config
-        if cfg.socket_path:
-            if os.path.exists(cfg.socket_path):
-                os.unlink(cfg.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection,
-                path=cfg.socket_path,
-                limit=MAX_LINE_BYTES,
-            )
-            self.endpoint = ("unix", cfg.socket_path)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                host=cfg.host,
-                port=cfg.port,
-                limit=MAX_LINE_BYTES,
-            )
-            sock = self._server.sockets[0]
-            self.endpoint = ("tcp", sock.getsockname()[:2])
+        await self._wire.listen(cfg.socket_path, cfg.host, cfg.port)
         await self._health_sweep()
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop()
@@ -196,8 +176,6 @@ class ClusterRouter:
 
     async def shutdown(self, drain_backends: bool = True) -> None:
         """Drain: stop listening, optionally drain every shard, close."""
-        import os
-
         if self._closed is None or self._closed.is_set():
             return
         if self._draining:
@@ -206,15 +184,7 @@ class ClusterRouter:
         self._draining = True
         if self._health_task is not None:
             self._health_task.cancel()
-        if self._server is not None:
-            self._server.close()
-        pending = [t for t in self._conn_tasks if not t.done()]
-        if pending:
-            done, late = await asyncio.wait(
-                pending, timeout=self.config.admin_timeout_s
-            )
-            for task in late:
-                task.cancel()
+        await self._wire.stop(self.config.admin_timeout_s)
         if drain_backends:
             await asyncio.gather(
                 *(self._shutdown_backend(s) for s in self.backends),
@@ -222,16 +192,8 @@ class ClusterRouter:
             )
         for state in self.backends:
             await state.drop_client()
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
         self.metrics.emit("router_summary", **self.stats_doc())
-        if self.config.socket_path and os.path.exists(
-            self.config.socket_path
-        ):
-            os.unlink(self.config.socket_path)
+        self._wire.close()
         self._closed.set()
 
     async def _shutdown_backend(self, state: BackendState) -> None:
@@ -345,8 +307,6 @@ class ClusterRouter:
         if request.op == "load_overlay":
             return await self._broadcast_load_overlay(request, doc)
         if self._draining:
-            from ..serve.errors import ShuttingDownError
-
             raise ShuttingDownError("router is draining; no new work")
         if request.op in COMPUTE_OPS:
             assert request.workload is not None
@@ -505,110 +465,3 @@ class ClusterRouter:
                     aggregate[key] = aggregate.get(key, 0) + value
         doc["aggregate"] = {"counters": aggregate}
         return doc
-
-    # -- connection plumbing (same shape as OverlayServer) --------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        request_tasks: "set[asyncio.Task[Any]]" = set()
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, asyncio.LimitOverrunError):
-                    await self._write(
-                        writer,
-                        write_lock,
-                        response_doc(
-                            "?",
-                            error=BadRequestError(
-                                f"request line exceeds {MAX_LINE_BYTES} bytes"
-                            ).to_doc(),
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.get_running_loop().create_task(
-                    self._serve_line(line, writer, write_lock)
-                )
-                request_tasks.add(task)
-                self._conn_tasks.add(task)
-                task.add_done_callback(request_tasks.discard)
-                task.add_done_callback(self._conn_tasks.discard)
-            if request_tasks:
-                await asyncio.gather(*request_tasks, return_exceptions=True)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        doc: Dict[str, Any],
-    ) -> None:
-        async with lock:
-            writer.write(encode_line(doc))
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        req_id = "?"
-        try:
-            doc = decode_line(line)
-            req_id = str(doc.get("id", "?"))
-            request = parse_request(doc)
-            response = await self._dispatch(request, doc)
-        except ServeError as exc:
-            self.counters["responses_error"] += 1
-            response = response_doc(req_id, error=exc.to_doc())
-        except Exception as exc:  # never kill the connection loop
-            self.counters["responses_error"] += 1
-            response = response_doc(
-                req_id,
-                error=InternalError(
-                    f"{type(exc).__name__}: {exc}"
-                ).to_doc(),
-            )
-        await self._write(writer, write_lock, response)
-
-
-async def route_until_shutdown(
-    router: ClusterRouter, signals: Optional[List[int]] = None
-) -> None:
-    """Start, install signal-driven drain, and block until closed."""
-    import signal as _signal
-
-    await router.start()
-    loop = asyncio.get_running_loop()
-    installed: List[int] = []
-    for sig in signals or [_signal.SIGINT, _signal.SIGTERM]:
-        try:
-            loop.add_signal_handler(
-                sig, lambda: loop.create_task(router.shutdown())
-            )
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-    try:
-        await router.wait_closed()
-    finally:
-        for sig in installed:
-            loop.remove_signal_handler(sig)

@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..adg import (
     ADG,
-    NodeKind,
     SysADG,
     SystemParams,
     adg_from_dict,
@@ -36,21 +35,21 @@ from ..adg import (
 )
 from ..compiler import VariantSet, generate_variants
 from ..ir import Workload
-from ..model.resource import AnalyticEstimator, Resources, usable_budget
+from ..model.resource import AnalyticEstimator, usable_budget
 from ..profile.memo import ResultMemo, memo_for_config
 from ..profile.tracer import add_counter, span
 from ..scheduler import (
     Schedule,
     repair_schedule,
     revalidate_schedule,
-    schedule_mdfg,
     schedule_workload,
 )
-from .system import SystemChoice, system_dse
+from .system import SystemChoice, max_tiles_that_fit, system_dse
 from .transforms import (
     TransformFailed,
     apply_random_transform,
     collapse_random_switch,
+    pad_for_generality,
     prune_capabilities,
 )
 
@@ -107,6 +106,9 @@ class DseStats:
 #: perf-vs-resources trajectory.
 AcceptedPoint = Tuple[int, float, float, float, float, float, float]
 
+#: One surviving proposal: ``(iteration, ADG*, its repaired schedules)``.
+Candidate = Tuple[int, ADG, Dict[str, Schedule]]
+
 
 @dataclass
 class ExplorerState:
@@ -157,7 +159,14 @@ class DseResult:
 
 
 class Explorer:
-    """Simulated-annealing explorer over (tile ADG x system parameters)."""
+    """Simulated-annealing explorer over (tile ADG x system parameters).
+
+    The one annealing loop, as steps: :meth:`begin` seeds (or restores)
+    ``variant_sets``, the accepted ``best = (adg, schedules, choice)`` and
+    ``iteration``; :meth:`propose` / :meth:`decide` advance them one
+    candidate at a time; :meth:`finish` polishes, pads and returns the
+    :class:`DseResult`.  :meth:`run` drives the steps in-process.
+    """
 
     def __init__(
         self,
@@ -180,9 +189,9 @@ class Explorer:
         self.modeled_seconds = 0.0
         self.history: List[Tuple[int, float, float]] = []
         self.points: List[AcceptedPoint] = []
-        # Schedule/simulation results memo, shared by every explorer run
-        # over this exact config (wall-clock only: modeled seconds and
-        # stats still charge as if recomputed, so resume is bit-identical).
+        # Schedule results memo, shared by every explorer run over this
+        # exact config (wall-clock only: modeled seconds and stats still
+        # charge as if recomputed, so resume is bit-identical).
         self.memo = self._memo_for_config()
 
     def _memo_for_config(self) -> ResultMemo:
@@ -195,7 +204,107 @@ class Explorer:
 
         return adg_fingerprint(adg)
 
-    # ------------------------------------------------------------------
+    # -- the step API (:class:`repro.search.AnnealStrategy` drives the
+    # same steps with the system sweep shipped to the search evaluator) --
+    def begin(self, resume: Optional[ExplorerState] = None) -> None:
+        """Seed the accepted state, or restore it from a checkpoint."""
+        cfg = self.config
+        self.variant_sets = {
+            w.name: generate_variants(w) for w in self.workloads
+        }
+        if resume is not None:
+            self.best = self._restore(resume)
+            self.iteration = resume.iteration
+            return
+        self.modeled_seconds += cfg.time_model.full_compile * len(
+            self.workloads
+        )
+        adg = self._initial_adg()
+        schedules = self._schedule_all(self.variant_sets, adg)
+        if schedules is None:
+            raise RuntimeError("seed ADG cannot schedule all workloads")
+        choice = self._system_dse(adg, schedules)
+        if choice is None:
+            raise RuntimeError("seed ADG does not fit the FPGA")
+        self.best = (adg, schedules, choice)
+        self.iteration = 0
+        self._record_accept(0, choice)
+
+    def propose(
+        self, on_skip: Optional[Callable[[], None]] = None
+    ) -> Optional[Candidate]:
+        """Advance to the next iteration whose proposal survives.
+
+        Returns None once the iteration budget is spent.  ``on_skip`` is
+        called at the boundary of every iteration that yields no candidate
+        (inapplicable transform, unrepairable schedule) — the only
+        boundaries the caller cannot see for itself.
+        """
+        cfg = self.config
+        while self.iteration < cfg.iterations:
+            self.iteration += 1
+            iteration = self.iteration
+            self.stats.iterations = iteration
+            add_counter("dse.candidates")
+            with span("dse.propose", iteration=iteration):
+                candidate = self._propose(self.best[0], self.best[1])
+            if candidate is None:
+                if on_skip is not None:
+                    on_skip()
+                continue
+            cand_adg, cand_schedules = candidate
+            if iteration % cfg.upgrade_every == 0:
+                with span("dse.upgrade", iteration=iteration):
+                    cand_schedules = self._upgrade_variants(
+                        self.variant_sets, cand_adg, cand_schedules
+                    )
+            return iteration, cand_adg, cand_schedules
+        return None
+
+    def decide(
+        self, candidate: Candidate, choice: Optional[SystemChoice]
+    ) -> None:
+        """Accept or reject ``candidate`` given its system-sweep result."""
+        iteration, cand_adg, cand_schedules = candidate
+        self.modeled_seconds += self.config.time_model.model_eval * 60
+        if choice is None:
+            self.stats.rejected_unschedulable += 1
+            add_counter("dse.rejected")
+        elif self._accept(choice, self.best[2], iteration):
+            self.best = (cand_adg, cand_schedules, choice)
+            self.stats.accepted += 1
+            add_counter("dse.accepted")
+            self._record_accept(iteration, choice)
+        else:
+            self.stats.rejected_annealing += 1
+            add_counter("dse.rejected")
+
+    def finish(self) -> DseResult:
+        """Polish and pad the accepted design; charge synthesis."""
+        # Final polish: full variant re-scheduling on the winning ADG.
+        adg, schedules, choice = self.best
+        schedules = self._upgrade_variants(self.variant_sets, adg, schedules)
+        choice = self._system_dse(adg, schedules) or choice
+        # Generality padding: the DSE "greedily consumes as many resources
+        # as possible, even if there is no parallelism" (Q4) so future
+        # workloads in the domain have headroom.  Grow capabilities, widths,
+        # and capacities as long as the chosen tile count still fits.
+        self._pad_for_generality(adg, choice)
+        schedules = self._upgrade_variants(self.variant_sets, adg, schedules)
+        choice = self._system_dse(adg, schedules) or choice
+        self.modeled_seconds += self.config.time_model.synthesis_hours * 3600.0
+        sysadg = SysADG(adg=adg, params=choice.params, name=self.name)
+        return DseResult(
+            sysadg=sysadg,
+            schedules=schedules,
+            choice=choice,
+            history=self.history,
+            stats=self.stats,
+            variant_sets=self.variant_sets,
+            modeled_seconds=self.modeled_seconds,
+            points=self.points,
+        )
+
     def run(
         self,
         *,
@@ -211,88 +320,26 @@ class Explorer:
         bit-identical to one that never stopped.  Every ``checkpoint_every``
         iterations the accepted state is passed to ``checkpoint_sink``.
         ``on_iteration(iteration, best_objective)`` streams progress.
+        Both fire at every iteration boundary, including iterations whose
+        proposal failed.
         """
-        cfg = self.config
-        variant_sets = {
-            w.name: generate_variants(w) for w in self.workloads
-        }
-        if resume is not None:
-            best = self._restore(resume)
-            start = resume.iteration + 1
-        else:
-            self.modeled_seconds += cfg.time_model.full_compile * len(
-                self.workloads
-            )
-            adg = self._initial_adg()
-            schedules = self._schedule_all(variant_sets, adg)
-            if schedules is None:
-                raise RuntimeError("seed ADG cannot schedule all workloads")
-            choice = self._system_dse(adg, schedules)
-            if choice is None:
-                raise RuntimeError("seed ADG does not fit the FPGA")
-            best = (adg, schedules, choice)
-            self._record_accept(0, choice)
-            start = 1
 
-        for iteration in range(start, cfg.iterations + 1):
-            self.stats.iterations = iteration
-            add_counter("dse.candidates")
-            with span("dse.propose", iteration=iteration):
-                candidate = self._propose(best[0], best[1])
-            if candidate is None:
-                continue
-            cand_adg, cand_schedules = candidate
-            if iteration % cfg.upgrade_every == 0:
-                with span("dse.upgrade", iteration=iteration):
-                    cand_schedules = self._upgrade_variants(
-                        variant_sets, cand_adg, cand_schedules
-                    )
-            with span("dse.system", iteration=iteration):
-                cand_choice = self._system_dse(cand_adg, cand_schedules)
-            if cand_choice is None:
-                self.stats.rejected_unschedulable += 1
-                add_counter("dse.rejected")
-                continue
-            if self._accept(cand_choice, best[2], iteration):
-                best = (cand_adg, cand_schedules, cand_choice)
-                self.stats.accepted += 1
-                add_counter("dse.accepted")
-                self._record_accept(iteration, cand_choice)
-            else:
-                self.stats.rejected_annealing += 1
-                add_counter("dse.rejected")
+        def boundary() -> None:
             if on_iteration is not None:
-                on_iteration(iteration, best[2].objective)
+                on_iteration(self.iteration, self.best[2].objective)
             if (
                 checkpoint_every
                 and checkpoint_sink is not None
-                and iteration % checkpoint_every == 0
+                and self.iteration % checkpoint_every == 0
             ):
-                checkpoint_sink(self.snapshot(iteration, best))
+                checkpoint_sink(self.snapshot())
 
-        # Final polish: full variant re-scheduling on the winning ADG.
-        adg, schedules, choice = best
-        schedules = self._upgrade_variants(variant_sets, adg, schedules)
-        choice = self._system_dse(adg, schedules) or choice
-        # Generality padding: the DSE "greedily consumes as many resources
-        # as possible, even if there is no parallelism" (Q4) so future
-        # workloads in the domain have headroom.  Grow capabilities, widths,
-        # and capacities as long as the chosen tile count still fits.
-        self._pad_for_generality(adg, choice)
-        schedules = self._upgrade_variants(variant_sets, adg, schedules)
-        choice = self._system_dse(adg, schedules) or choice
-        self.modeled_seconds += self.config.time_model.synthesis_hours * 3600.0
-        sysadg = SysADG(adg=adg, params=choice.params, name=self.name)
-        return DseResult(
-            sysadg=sysadg,
-            schedules=schedules,
-            choice=choice,
-            history=self.history,
-            stats=self.stats,
-            variant_sets=variant_sets,
-            modeled_seconds=self.modeled_seconds,
-            points=self.points,
-        )
+        self.begin(resume)
+        while (candidate := self.propose(boundary)) is not None:
+            _, adg, schedules = candidate
+            self.decide(candidate, self._sweep(adg, schedules))
+            boundary()
+        return self.finish()
 
     # ------------------------------------------------------------------
     def _record_accept(self, iteration: int, choice: SystemChoice) -> None:
@@ -313,16 +360,11 @@ class Explorer:
         )
 
     # ------------------------------------------------------------------
-    def snapshot(
-        self,
-        iteration: int,
-        best: Tuple[ADG, Dict[str, Schedule], SystemChoice],
-        config_fingerprint: str = "",
-    ) -> ExplorerState:
+    def snapshot(self, config_fingerprint: str = "") -> ExplorerState:
         """Freeze the accepted state into a self-contained checkpoint."""
-        adg, schedules, choice = best
+        adg, schedules, choice = self.best
         return ExplorerState(
-            iteration=iteration,
+            iteration=self.iteration,
             adg_doc=adg_to_dict(adg),
             adg_next_id=adg._next_id,
             adg_version=adg.version,
@@ -476,274 +518,29 @@ class Explorer:
         return out
 
     def _pad_for_generality(self, adg: ADG, choice: SystemChoice) -> int:
-        """Grow the tile with spare FPGA budget without losing tiles.
-
-        Only monotone *additions* are applied, so every existing schedule
-        stays valid.  Repair steps (re-attaching ports, restoring PE fan-in,
-        adding missing capabilities) run before pure growth (wider ports,
-        bigger scratchpads, extra PEs), so cross-workload flexibility is
-        restored before bandwidth is gold-plated.  Returns the step count.
-        """
-        from .system import max_tiles_that_fit
-        from .transforms import PE_WIDTHS, PORT_WIDTHS, SPAD_CAPACITIES
-
+        """Grow the tile with spare FPGA budget without losing tiles."""
         params = choice.params
-        tiles = params.num_tiles
-
-        def still_fits() -> bool:
-            tile = self.estimator.tile(adg)
-            return (
-                max_tiles_that_fit(
-                    tile, params, self.full_budget, cap=self.config.max_tiles
-                )
-                >= tiles
+        return pad_for_generality(
+            adg,
+            lambda: max_tiles_that_fit(
+                self.estimator.tile(adg),
+                params,
+                self.full_budget,
+                cap=self.config.max_tiles,
             )
-
-        def attempt(do, undo) -> bool:
-            do()
-            if still_fits():
-                return True
-            undo()
-            return False
-
-        def step_reattach_ports() -> bool:
-            switches = adg.switches
-            if not switches:
-                return False
-            for port in adg.in_ports:
-                if not any(
-                    adg.node(n).kind is NodeKind.SWITCH
-                    for n in adg.successors(port.node_id)
-                ):
-                    sw = switches[port.node_id % len(switches)].node_id
-                    if attempt(
-                        lambda: adg.add_link(port.node_id, sw),
-                        lambda: adg.remove_link(port.node_id, sw),
-                    ):
-                        return True
-            for port in adg.out_ports:
-                feeders = [
-                    n
-                    for n in adg.predecessors(port.node_id)
-                    if adg.node(n).kind is NodeKind.SWITCH
-                ]
-                if len(feeders) < 2:
-                    candidates = [
-                        sw for sw in switches if sw.node_id not in feeders
-                    ]
-                    if candidates:
-                        sw = candidates[port.node_id % len(candidates)].node_id
-                        if attempt(
-                            lambda: adg.add_link(sw, port.node_id),
-                            lambda: adg.remove_link(sw, port.node_id),
-                        ):
-                            return True
-            return False
-
-        def step_switch_ring() -> bool:
-            ring = sorted(sw.node_id for sw in adg.switches)
-            if len(ring) < 2:
-                return False
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                if not adg.has_link(a, b):
-                    if attempt(
-                        lambda: adg.add_link(a, b),
-                        lambda: adg.remove_link(a, b),
-                    ):
-                        return True
-            return False
-
-        def step_pe_fan() -> bool:
-            switches = adg.switches
-            if not switches:
-                return False
-            for pe in adg.pes:
-                sw_in = [
-                    p
-                    for p in adg.predecessors(pe.node_id)
-                    if adg.node(p).kind is NodeKind.SWITCH
-                ]
-                sw_out = [
-                    p
-                    for p in adg.successors(pe.node_id)
-                    if adg.node(p).kind is NodeKind.SWITCH
-                ]
-                if len(sw_in) < 3:
-                    candidates = [
-                        sw for sw in switches if sw.node_id not in sw_in
-                    ]
-                    if candidates:
-                        sw = candidates[pe.node_id % len(candidates)].node_id
-                        if attempt(
-                            lambda: adg.add_link(sw, pe.node_id),
-                            lambda: adg.remove_link(sw, pe.node_id),
-                        ):
-                            return True
-                if not sw_out:
-                    sw = switches[pe.node_id % len(switches)].node_id
-                    if attempt(
-                        lambda: adg.add_link(pe.node_id, sw),
-                        lambda: adg.remove_link(pe.node_id, sw),
-                    ):
-                        return True
-            return False
-
-        def step_missing_caps() -> bool:
-            pool = set()
-            for pe in adg.pes:
-                pool |= set(pe.caps)
-            for pe in sorted(adg.pes, key=lambda p: (len(p.caps), p.node_id)):
-                missing = sorted(pool - set(pe.caps), key=lambda c: c.name)
-                if missing:
-                    old = pe.caps
-                    if attempt(
-                        lambda: adg.replace_node(
-                            pe.node_id, caps=old | {missing[0]}
-                        ),
-                        lambda: adg.replace_node(pe.node_id, caps=old),
-                    ):
-                        return True
-                    return False
-            return False
-
-        def step_memory_links() -> bool:
-            for engine in adg.engines:
-                for port in adg.in_ports:
-                    if not adg.has_link(engine.node_id, port.node_id):
-                        if attempt(
-                            lambda: adg.add_link(engine.node_id, port.node_id),
-                            lambda: adg.remove_link(
-                                engine.node_id, port.node_id
-                            ),
-                        ):
-                            return True
-                        return False
-                for port in adg.out_ports:
-                    if not adg.has_link(port.node_id, engine.node_id):
-                        if attempt(
-                            lambda: adg.add_link(port.node_id, engine.node_id),
-                            lambda: adg.remove_link(
-                                port.node_id, engine.node_id
-                            ),
-                        ):
-                            return True
-                        return False
-            return False
-
-        def step_add_ports() -> bool:
-            switches = adg.switches
-            if not switches:
-                return False
-            if len(adg.in_ports) < 12:
-                port = adg.add_in_port(
-                    width_bytes=8, supports_padding=True, supports_meta=True
-                )
-                adg.add_link(port, switches[0].node_id)
-                for engine in adg.engines:
-                    adg.add_link(engine.node_id, port)
-                if still_fits():
-                    return True
-                adg.remove_node(port)
-            if len(adg.out_ports) < 6:
-                port = adg.add_out_port(width_bytes=8)
-                adg.add_link(switches[-1].node_id, port)
-                for engine in adg.engines:
-                    adg.add_link(port, engine.node_id)
-                if still_fits():
-                    return True
-                adg.remove_node(port)
-            return False
-
-        def step_widen_ports() -> bool:
-            for port in sorted(
-                adg.in_ports + adg.out_ports,
-                key=lambda p: (p.width_bytes, p.node_id),
-            ):
-                wider = [w for w in PORT_WIDTHS if w > port.width_bytes]
-                if not wider:
-                    continue
-                old = port.width_bytes
-                if attempt(
-                    lambda: adg.replace_node(port.node_id, width_bytes=wider[0]),
-                    lambda: adg.replace_node(port.node_id, width_bytes=old),
-                ):
-                    return True
-                return False
-            return False
-
-        def step_widen_pes() -> bool:
-            for pe in sorted(adg.pes, key=lambda p: (p.width_bits, p.node_id)):
-                wider = [w for w in PE_WIDTHS if w > pe.width_bits]
-                if not wider:
-                    continue
-                old = pe.width_bits
-                if attempt(
-                    lambda: adg.replace_node(pe.node_id, width_bits=wider[0]),
-                    lambda: adg.replace_node(pe.node_id, width_bits=old),
-                ):
-                    return True
-                return False
-            return False
-
-        def step_grow_spad() -> bool:
-            for spad in sorted(
-                adg.spads, key=lambda sp: (sp.capacity_bytes, sp.node_id)
-            ):
-                bigger = [c for c in SPAD_CAPACITIES if c > spad.capacity_bytes]
-                if not bigger:
-                    continue
-                old = spad.capacity_bytes
-                if attempt(
-                    lambda: adg.replace_node(
-                        spad.node_id, capacity_bytes=bigger[0]
-                    ),
-                    lambda: adg.replace_node(spad.node_id, capacity_bytes=old),
-                ):
-                    return True
-                return False
-            return False
-
-        def step_add_pe() -> bool:
-            switches = adg.switches
-            if not switches or not adg.pes:
-                return False
-            donor = max(adg.pes, key=lambda p: (len(p.caps), p.node_id))
-            pe_id = adg.add_pe(caps=donor.caps, width_bits=donor.width_bits)
-            sw = switches[pe_id % len(switches)]
-            adg.add_link(sw.node_id, pe_id)
-            adg.add_link(pe_id, sw.node_id)
-            if still_fits():
-                return True
-            adg.remove_node(pe_id)
-            return False
-
-        ordered_steps = (
-            step_reattach_ports,
-            step_switch_ring,
-            step_pe_fan,
-            step_missing_caps,
-            step_memory_links,
-            step_add_ports,
-            step_add_pe,
-            step_widen_ports,
-            step_widen_pes,
-            step_grow_spad,
+            >= params.num_tiles,
         )
-        steps = 0
-        progress = True
-        while progress and steps < 1000:
-            progress = False
-            for step in ordered_steps:
-                if step():
-                    steps += 1
-                    progress = True
-                    break
-        return steps
 
     def _system_dse(
         self, adg: ADG, schedules: Dict[str, Schedule]
     ) -> Optional[SystemChoice]:
         self.modeled_seconds += self.config.time_model.model_eval * 60
+        return self._sweep(adg, schedules)
+
+    def _sweep(
+        self, adg: ADG, schedules: Dict[str, Schedule]
+    ) -> Optional[SystemChoice]:
+        """The nested system sweep; ``decide`` charges its modeled cost."""
         return system_dse(
             adg,
             list(schedules.values()),

@@ -22,6 +22,7 @@ from ..model.resource import (
     noc_resources,
     usable_budget,
 )
+from ..profile.tracer import span
 from ..scheduler import Schedule
 
 
@@ -66,45 +67,48 @@ def system_dse(
 ) -> Optional[SystemChoice]:
     """Exhaustive sweep of the system grid for one candidate ADG.
 
-    Returns None when no grid point fits even one tile.
+    Returns None when no grid point fits even one tile.  This is the one
+    ``dse.system`` span site, so every caller (explorer loop, seed and
+    polish sweeps, ``search.evaluate``) is attributed.
     """
     estimator = estimator or AnalyticEstimator()
     budget = budget or usable_budget()
-    tile = estimator.tile(adg)
     best: Optional[SystemChoice] = None
-    for l2_banks, l2_kib, noc_bytes in system_param_space():
-        params = SystemParams(
-            num_tiles=1,
-            l2_banks=l2_banks,
-            l2_kib=l2_kib,
-            noc_bytes_per_cycle=noc_bytes,
-        )
-        tiles = max_tiles_that_fit(tile, params, budget, cap=max_tiles)
-        if tiles == 0:
-            continue
-        params = replace(params, num_tiles=tiles)
-        estimates = {}
-        for schedule in schedules:
-            est = estimate_ipc(
-                schedule.mdfg, schedule.binding(), adg, params
+    with span("dse.system"):
+        tile = estimator.tile(adg)
+        for l2_banks, l2_kib, noc_bytes in system_param_space():
+            params = SystemParams(
+                num_tiles=1,
+                l2_banks=l2_banks,
+                l2_kib=l2_kib,
+                noc_bytes_per_cycle=noc_bytes,
             )
-            estimates[schedule.mdfg.workload] = est
-        objective = geomean_ipc(list(estimates.values()), weights)
-        core = control_core_resources()
-        total = (
-            (tile + core) * tiles
-            + l2_resources(l2_kib, l2_banks)
-            + noc_resources(tiles, noc_bytes)
-        )
-        candidate = SystemChoice(
-            params=params,
-            objective=objective,
-            tile_resources=tile,
-            system_total=total,
-            estimates=estimates,
-        )
-        if best is None or _better(candidate, best):
-            best = candidate
+            tiles = max_tiles_that_fit(tile, params, budget, cap=max_tiles)
+            if tiles == 0:
+                continue
+            params = replace(params, num_tiles=tiles)
+            estimates = {}
+            for schedule in schedules:
+                est = estimate_ipc(
+                    schedule.mdfg, schedule.binding(), adg, params
+                )
+                estimates[schedule.mdfg.workload] = est
+            objective = geomean_ipc(list(estimates.values()), weights)
+            core = control_core_resources()
+            total = (
+                (tile + core) * tiles
+                + l2_resources(l2_kib, l2_banks)
+                + noc_resources(tiles, noc_bytes)
+            )
+            candidate = SystemChoice(
+                params=params,
+                objective=objective,
+                tile_resources=tile,
+                system_total=total,
+                estimates=estimates,
+            )
+            if best is None or _better(candidate, best):
+                best = candidate
     return best
 
 

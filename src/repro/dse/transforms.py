@@ -19,7 +19,16 @@ Two families:
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..adg import (
     ADG,
@@ -466,3 +475,199 @@ def collapse_random_switch(
             preserve_edge_delays(adg, schedules)
             return f"collapse_switch({sw.node_id})"
     return None
+
+
+# ----------------------------------------------------------------------
+# Generality padding (monotone growth after the anneal)
+# ----------------------------------------------------------------------
+#: ``fits()`` answers "does the chosen tile count still fit the FPGA?" for
+#: the ADG as it stands; every padding step keeps a change only if it does.
+Fits = Callable[[], bool]
+
+
+def _try_link(adg: ADG, src: int, dst: int, fits: Fits) -> bool:
+    adg.add_link(src, dst)
+    if fits():
+        return True
+    adg.remove_link(src, dst)
+    return False
+
+
+def _try_replace(adg: ADG, node, fits: Fits, **fields) -> bool:
+    old = {name: getattr(node, name) for name in fields}
+    adg.replace_node(node.node_id, **fields)
+    if fits():
+        return True
+    adg.replace_node(node.node_id, **old)
+    return False
+
+
+def _try_next_rung(
+    adg: ADG, nodes: Iterable, attr: str, ladder: Sequence[int], fits: Fits
+) -> bool:
+    """Move the smallest node not yet at the top of ``ladder`` up one rung."""
+    for node in sorted(nodes, key=lambda n: (getattr(n, attr), n.node_id)):
+        higher = [v for v in ladder if v > getattr(node, attr)]
+        if higher:
+            return _try_replace(adg, node, fits, **{attr: higher[0]})
+    return False
+
+
+def _switch_neighbours(adg: ADG, node_ids: Iterable[int]) -> List[int]:
+    return [n for n in node_ids if adg.node(n).kind is NodeKind.SWITCH]
+
+
+def pad_reattach_ports(adg: ADG, fits: Fits) -> bool:
+    switches = adg.switches
+    if not switches:
+        return False
+    for port in adg.in_ports:
+        if not _switch_neighbours(adg, adg.successors(port.node_id)):
+            sw = switches[port.node_id % len(switches)].node_id
+            if _try_link(adg, port.node_id, sw, fits):
+                return True
+    for port in adg.out_ports:
+        feeders = _switch_neighbours(adg, adg.predecessors(port.node_id))
+        if len(feeders) < 2:
+            candidates = [sw for sw in switches if sw.node_id not in feeders]
+            if candidates:
+                sw = candidates[port.node_id % len(candidates)].node_id
+                if _try_link(adg, sw, port.node_id, fits):
+                    return True
+    return False
+
+
+def pad_switch_ring(adg: ADG, fits: Fits) -> bool:
+    ring = sorted(sw.node_id for sw in adg.switches)
+    if len(ring) < 2:
+        return False
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        if not adg.has_link(a, b) and _try_link(adg, a, b, fits):
+            return True
+    return False
+
+
+def pad_pe_fan(adg: ADG, fits: Fits) -> bool:
+    switches = adg.switches
+    if not switches:
+        return False
+    for pe in adg.pes:
+        sw_in = _switch_neighbours(adg, adg.predecessors(pe.node_id))
+        sw_out = _switch_neighbours(adg, adg.successors(pe.node_id))
+        if len(sw_in) < 3:
+            candidates = [sw for sw in switches if sw.node_id not in sw_in]
+            if candidates:
+                sw = candidates[pe.node_id % len(candidates)].node_id
+                if _try_link(adg, sw, pe.node_id, fits):
+                    return True
+        if not sw_out:
+            sw = switches[pe.node_id % len(switches)].node_id
+            if _try_link(adg, pe.node_id, sw, fits):
+                return True
+    return False
+
+
+def pad_missing_caps(adg: ADG, fits: Fits) -> bool:
+    pool: Set[FuCap] = set().union(*(pe.caps for pe in adg.pes))
+    for pe in sorted(adg.pes, key=lambda p: (len(p.caps), p.node_id)):
+        missing = sorted(pool - pe.caps, key=lambda c: c.name)
+        if missing:
+            return _try_replace(adg, pe, fits, caps=pe.caps | {missing[0]})
+    return False
+
+
+def pad_memory_links(adg: ADG, fits: Fits) -> bool:
+    for engine in adg.engines:
+        for port in adg.in_ports:
+            if not adg.has_link(engine.node_id, port.node_id):
+                return _try_link(adg, engine.node_id, port.node_id, fits)
+        for port in adg.out_ports:
+            if not adg.has_link(port.node_id, engine.node_id):
+                return _try_link(adg, port.node_id, engine.node_id, fits)
+    return False
+
+
+def pad_add_ports(adg: ADG, fits: Fits) -> bool:
+    switches = adg.switches
+    if not switches:
+        return False
+    if len(adg.in_ports) < 12:
+        port = adg.add_in_port(
+            width_bytes=8, supports_padding=True, supports_meta=True
+        )
+        adg.add_link(port, switches[0].node_id)
+        for engine in adg.engines:
+            adg.add_link(engine.node_id, port)
+        if fits():
+            return True
+        adg.remove_node(port)
+    if len(adg.out_ports) < 6:
+        port = adg.add_out_port(width_bytes=8)
+        adg.add_link(switches[-1].node_id, port)
+        for engine in adg.engines:
+            adg.add_link(port, engine.node_id)
+        if fits():
+            return True
+        adg.remove_node(port)
+    return False
+
+
+def pad_add_pe(adg: ADG, fits: Fits) -> bool:
+    switches = adg.switches
+    if not switches or not adg.pes:
+        return False
+    donor = max(adg.pes, key=lambda p: (len(p.caps), p.node_id))
+    pe_id = adg.add_pe(caps=donor.caps, width_bits=donor.width_bits)
+    sw = switches[pe_id % len(switches)]
+    adg.add_link(sw.node_id, pe_id)
+    adg.add_link(pe_id, sw.node_id)
+    if fits():
+        return True
+    adg.remove_node(pe_id)
+    return False
+
+
+def pad_widen_ports(adg: ADG, fits: Fits) -> bool:
+    ports = adg.in_ports + adg.out_ports
+    return _try_next_rung(adg, ports, "width_bytes", PORT_WIDTHS, fits)
+
+
+def pad_widen_pes(adg: ADG, fits: Fits) -> bool:
+    return _try_next_rung(adg, adg.pes, "width_bits", PE_WIDTHS, fits)
+
+
+def pad_grow_spad(adg: ADG, fits: Fits) -> bool:
+    return _try_next_rung(
+        adg, adg.spads, "capacity_bytes", SPAD_CAPACITIES, fits
+    )
+
+
+#: Repair steps (re-attaching ports, restoring PE fan-in, adding missing
+#: capabilities) run before pure growth (extra ports and PEs, wider ports,
+#: bigger scratchpads), so cross-workload flexibility is restored before
+#: bandwidth is gold-plated.
+PADDING_STEPS = (
+    pad_reattach_ports,
+    pad_switch_ring,
+    pad_pe_fan,
+    pad_missing_caps,
+    pad_memory_links,
+    pad_add_ports,
+    pad_add_pe,
+    pad_widen_ports,
+    pad_widen_pes,
+    pad_grow_spad,
+)
+
+
+def pad_for_generality(adg: ADG, fits: Fits) -> int:
+    """Grow ``adg`` into spare FPGA budget; returns the step count.
+
+    Only monotone *additions* are applied, so every existing schedule
+    stays valid.  After each successful step the scan restarts from the
+    first step, so a repair that growth made possible runs first.
+    """
+    steps = 0
+    while steps < 1000 and any(step(adg, fits) for step in PADDING_STEPS):
+        steps += 1
+    return steps

@@ -122,17 +122,14 @@ class DseEngine:
     def __init__(
         self,
         cache_dir: Optional[str] = None,
-        jobs: int = 1,
+        workers: int = 1,
         memory_cache: Optional[MemoryCache] = None,
         metrics: Optional[MetricsLogger] = None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         seed_timeout: Optional[float] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self.cache_dir = cache_dir
-        # ``workers`` is the canonical name (CLI convention); ``jobs``
-        # survives as the legacy keyword.
-        self.jobs = max(1, int(workers if workers is not None else jobs))
+        self.workers = max(1, int(workers))
         #: Per-seed wall-clock budget (seconds), enforced through future
         #: deadlines on the worker-pool path: a seed that exceeds it is
         #: recorded as a failure and the job degrades to the best of the
@@ -174,7 +171,7 @@ class DseEngine:
             key=key,
             name=name,
             seeds=list(seed_list),
-            jobs=self.jobs,
+            jobs=self.workers,
             cache_hit=cached is not None,
             cache_tier=tier,
         )
@@ -192,7 +189,7 @@ class DseEngine:
 
         self.metrics.emit(
             "run_start", key=key, name=name, seeds=list(seed_list),
-            jobs=self.jobs, iterations=config.iterations,
+            jobs=self.workers, iterations=config.iterations,
             schema=CODE_SCHEMA_VERSION,
         )
         started = perf_counter()
@@ -311,7 +308,7 @@ class DseEngine:
             workloads, config, name, seeds, key, resume, crash_seeds,
             hang_seeds,
         )
-        executor = ProcessPoolJobExecutor(self.jobs)
+        executor = ProcessPoolJobExecutor(self.workers)
         runner = JobRunner(
             executor=executor,
             # all_failed_raises=False: explore() owns the all-failed

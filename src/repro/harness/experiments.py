@@ -98,7 +98,7 @@ def get_engine():
         )
         _ENGINE = DseEngine(
             cache_dir=cache_dir or None,
-            jobs=int(os.environ.get("REPRO_DSE_JOBS", "1")),
+            workers=int(os.environ.get("REPRO_DSE_JOBS", "1")),
             memory_cache=default_cache(),
         )
     return _ENGINE

@@ -550,7 +550,7 @@ def _soak_section(budget: int = 48, seed: int = 3, shards: int = 4) -> str:
         ),
         shrink_budget=40,
     )
-    report = soak_run(config, jobs=1)
+    report = soak_run(config, workers=1)
     lines = ["## Soak campaign — sharded differential fuzzing", ""]
     lines.append(
         f"`repro soak --budget {budget} --seed {seed} --shards {shards} "

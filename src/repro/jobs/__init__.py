@@ -21,8 +21,7 @@ Layout:
 Parallelism flag convention (mirrored by the CLI): ``--workers`` is how
 many OS processes execute jobs (an execution detail — never changes
 results); ``--shards`` is how work is split (also result-invariant by
-the ShardPlan contract).  ``--jobs``/``-j`` survives as a deprecated
-alias for ``--workers``.
+the ShardPlan contract).
 """
 
 from .executors import (

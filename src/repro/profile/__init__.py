@@ -3,8 +3,8 @@
 * :mod:`repro.profile.tracer` — hierarchical span tracer with a
   context-manager API, Chrome-trace export, and ``engine.metrics``
   integration; near-zero overhead when no tracer is installed.
-* :mod:`repro.profile.memo` — config-scoped memoization of schedule and
-  simulation results keyed by ADG content fingerprints.
+* :mod:`repro.profile.memo` — config-scoped memoization of schedule
+  results keyed by ADG content fingerprints.
 * :mod:`repro.profile.bench` — the ``repro bench`` workloads: fixed-seed
   DSE + simulation benchmarks emitting ``BENCH_dse.json`` /
   ``BENCH_sim.json`` with a ``--compare`` regression mode.  Imported
@@ -18,8 +18,6 @@ from .memo import (
     clear_memos,
     drop_memo,
     memo_for_config,
-    sim_key,
-    simulate_memoized,
 )
 from .tracer import (
     NULL_SPAN,
@@ -47,8 +45,6 @@ __all__ = [
     "drop_memo",
     "install",
     "memo_for_config",
-    "sim_key",
-    "simulate_memoized",
     "span",
     "tracing",
     "uninstall",

@@ -9,7 +9,7 @@ Two benchmark workloads run under one :class:`~repro.profile.Tracer`:
   repair path (``scheduler.repair``), and the warm-memo speedup.
 * **Simulation** — cycle-level simulation of a workload set on the
   deterministic general overlay.  Reports cycles stepped per wall
-  second and the memoized-rerun speedup.
+  second, serially and through ``simulate_batch``.
 
 Results are written as ``BENCH_dse.json`` / ``BENCH_sim.json``
 (schema documented in README).  ``compare_reports`` implements the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
 
-from .memo import ResultMemo, drop_memo, simulate_memoized
+from .memo import drop_memo
 from .tracer import Tracer, current, install, span, tracing, uninstall
 
 #: Version of the BENCH_*.json document layout.
@@ -36,10 +36,6 @@ BENCH_SCHEMA = 1
 #: raw wall seconds are machine-dependent and deliberately excluded).
 COMPARED_METRICS: Dict[str, Tuple[str, ...]] = {
     "dse": ("candidates_per_second", "fast_path_speedup", "memo_speedup"),
-    # sim memo_speedup (miss/hit wall ratio) is still *emitted* but no
-    # longer compared: the vectorized core shrank the miss wall (its
-    # denominator driver) ~100x, so the ratio collapses toward 1 without
-    # any memo regression — it measures the sim, not the memo.
     "sim": ("cycles_per_second", "batch_cycles_per_second"),
     # The strategy shootout compares solution quality, which is
     # deterministic per (budget, seed) — regressions here mean a search
@@ -225,13 +221,10 @@ def bench_sim(budget: BenchBudget, seed: int) -> Dict[str, Any]:
     from ..workloads import get_workload
 
     sysadg = general_overlay()
-    memo = ResultMemo(scope=f"bench-sim-{budget.name}")
     rows = []
     pairs = []
     total_stepped = 0
     total_wall = 0.0
-    miss_wall_total = 0.0
-    hit_wall_total = 0.0
     for name in budget.sim_workloads:
         schedule = schedule_workload(
             generate_variants(get_workload(name)), sysadg.adg, sysadg.params
@@ -243,16 +236,8 @@ def bench_sim(budget: BenchBudget, seed: int) -> Dict[str, Any]:
         t0 = perf_counter()
         result = simulate_schedule(schedule, sysadg)
         wall = perf_counter() - t0
-        t0 = perf_counter()
-        simulate_memoized(schedule, sysadg, memo)  # miss: fingerprint + sim
-        miss_wall = perf_counter() - t0
-        t0 = perf_counter()
-        simulate_memoized(schedule, sysadg, memo)  # hit: lookup only
-        hit_wall = perf_counter() - t0
         total_stepped += result.stepped_cycles
         total_wall += wall
-        miss_wall_total += miss_wall
-        hit_wall_total += hit_wall
         rows.append(
             {
                 "workload": name,
@@ -264,8 +249,6 @@ def bench_sim(budget: BenchBudget, seed: int) -> Dict[str, Any]:
                 "cycles_per_second": (
                     result.stepped_cycles / wall if wall > 0 else 0.0
                 ),
-                "memo_miss_s": miss_wall,
-                "memo_hit_s": hit_wall,
             }
         )
     # Batched pass: the same regions stepped through simulate_batch in one
@@ -305,10 +288,6 @@ def bench_sim(budget: BenchBudget, seed: int) -> Dict[str, Any]:
         "batch_cycles_per_second": (
             batch_stepped / batch_wall if batch_wall > 0 else 0.0
         ),
-        "memo_speedup": (
-            miss_wall_total / hit_wall_total if hit_wall_total > 0 else 0.0
-        ),
-        "memo": memo.stats.as_dict(),
     }
 
 

@@ -1,19 +1,18 @@
-"""Config-scoped memoization of schedule and simulation results.
+"""Config-scoped memoization of full-variant schedule results.
 
-The DSE inner loop recomputes two expensive, *deterministic* functions:
+The DSE inner loop recomputes one expensive, *deterministic* function:
+full variant scheduling (``schedule_workload``) — re-run by the
+explorer's periodic variant upgrade and final polish, frequently against
+an ADG fingerprint it has already scheduled.
 
-* full variant scheduling (``schedule_workload``) — re-run by the
-  explorer's periodic variant upgrade and final polish, frequently
-  against an ADG fingerprint it has already scheduled;
-* cycle-level simulation (``simulate_schedule``) — re-run by benchmarks
-  and validation over identical (design, workload, variant) triples.
-
-:class:`ResultMemo` caches both, keyed by the content fingerprint of the
-ADG (via :mod:`repro.engine.hashing`) plus the workload/variant identity,
-so a hit is guaranteed to be byte-equivalent to recomputing.  Memos are
-scoped per :class:`~repro.dse.DseConfig` fingerprint through
+:class:`ResultMemo` caches it, keyed by the content fingerprint of the
+ADG (via :mod:`repro.engine.hashing`) plus the workload name, so a hit is
+guaranteed to be byte-equivalent to recomputing.  Memos are scoped per
+:class:`~repro.dse.DseConfig` fingerprint through
 :func:`memo_for_config`, so two explorer runs over the same config share
-results while different configs can never alias.
+results while different configs can never alias.  (Simulation results
+are not memoized: since the vectorized core, fingerprinting a schedule
+costs more than re-simulating it.)
 
 Memoization is a **wall-clock optimization only**: the explorer still
 charges the full *modeled* toolchain cost and bumps the same
@@ -27,8 +26,8 @@ accounting lives here, in :class:`MemoStats`, and is reported by
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
 
 @dataclass
@@ -37,8 +36,6 @@ class MemoStats:
 
     schedule_hits: int = 0
     schedule_misses: int = 0
-    sim_hits: int = 0
-    sim_misses: int = 0
 
     @property
     def schedule_hit_rate(self) -> float:
@@ -50,22 +47,18 @@ class MemoStats:
             "schedule_hits": self.schedule_hits,
             "schedule_misses": self.schedule_misses,
             "schedule_hit_rate": self.schedule_hit_rate,
-            "sim_hits": self.sim_hits,
-            "sim_misses": self.sim_misses,
         }
 
 
 class ResultMemo:
-    """Thread-safe schedule/simulation result cache for one scope."""
+    """Thread-safe schedule result cache for one scope."""
 
     def __init__(self, scope: str = "") -> None:
         self.scope = scope
         self.stats = MemoStats()
         self._schedules: Dict[Tuple[str, str], Any] = {}
-        self._sims: Dict[str, Any] = {}
         self._lock = threading.Lock()
 
-    # -- schedules -----------------------------------------------------
     def lookup_schedule(self, adg_fp: str, workload: str) -> Tuple[bool, Any]:
         """``(hit, schedule-or-None)``; unschedulable results memoize too.
 
@@ -86,58 +79,9 @@ class ResultMemo:
                 schedule.clone() if schedule is not None else None
             )
 
-    # -- simulations ---------------------------------------------------
-    def lookup_sim(self, key: str) -> Tuple[bool, Any]:
-        with self._lock:
-            if key in self._sims:
-                self.stats.sim_hits += 1
-                return True, self._sims[key]
-            self.stats.sim_misses += 1
-            return False, None
-
-    def store_sim(self, key: str, result: Any) -> None:
-        with self._lock:
-            self._sims[key] = result
-
     def __len__(self) -> int:
         with self._lock:
-            return len(self._schedules) + len(self._sims)
-
-
-def sim_key(schedule: Any, sysadg: Any, **sim_kwargs: Any) -> str:
-    """Content key of one simulation call: design + variant + options."""
-    from ..engine.hashing import adg_fingerprint, fingerprint
-
-    return fingerprint(
-        {
-            "adg": adg_fingerprint(sysadg.adg),
-            "params": fingerprint(sysadg.params),
-            "workload": schedule.mdfg.workload,
-            "variant": schedule.mdfg.variant,
-            "options": sorted(sim_kwargs.items()),
-        }
-    )
-
-
-def simulate_memoized(schedule: Any, sysadg: Any, memo: ResultMemo, **kwargs: Any):
-    """``simulate_schedule`` behind ``memo``; hits skip the cycle loop.
-
-    Returns a shallow copy on a hit so callers cannot corrupt the cache
-    through the result's dict fields.
-    """
-    from ..sim import simulate_schedule
-
-    key = sim_key(schedule, sysadg, **kwargs)
-    hit, result = memo.lookup_sim(key)
-    if hit:
-        return replace(
-            result,
-            engine_busy=dict(result.engine_busy),
-            pool_bytes=dict(result.pool_bytes),
-        )
-    result = simulate_schedule(schedule, sysadg, **kwargs)
-    memo.store_sim(key, result)
-    return result
+            return len(self._schedules)
 
 
 # ----------------------------------------------------------------------

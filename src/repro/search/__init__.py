@@ -3,8 +3,8 @@
 The annealer becomes one strategy among several behind a batched
 ``ask(n)/tell(trials)/snapshot()`` protocol (serial is just batch=1):
 
-* :mod:`~repro.search.anneal` — the legacy simulated-annealing loop
-  re-based onto the interface, byte-identical to ``Explorer.run``;
+* :mod:`~repro.search.anneal` — a driver over the step API of
+  :class:`repro.dse.Explorer`, byte-identical to ``Explorer.run``;
 * :mod:`~repro.search.bottleneck` — greedy repair guided by the perf
   model's dominant bottleneck class;
 * :mod:`~repro.search.evolutionary` — mutation + crossover over ADG

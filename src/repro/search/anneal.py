@@ -1,13 +1,12 @@
-"""The legacy annealer re-based onto the strategy protocol.
+"""The annealer behind the strategy protocol.
 
-This is *the same loop* as :meth:`repro.dse.Explorer.run`, cut at the
-evaluation boundary: ``ask(1)`` runs the propose/upgrade half of one
-iteration, the runner evaluates the candidate's nested system sweep
-(possibly in a worker process), and ``tell`` replays the accept/reject
-half.  RNG draws, stats, modeled-seconds charges and trajectory bookings
-happen in exactly the legacy order, so :meth:`finish` returns a
-``DseResult`` byte-identical to the legacy path for the same seed and
-config — the golden test pickles both and compares bytes.
+:class:`repro.dse.Explorer` is the one annealing loop; this strategy
+drives its steps with the evaluation shipped out: ``ask(1)`` is
+``propose`` plus serialization of the candidate, the runner evaluates the
+candidate's nested system sweep (possibly in a worker process), and
+``tell`` is ``decide`` on the sweep's result.  :meth:`finish` therefore
+returns a ``DseResult`` byte-identical to ``Explorer.run`` for the same
+seed and config — the golden test pickles both and compares bytes.
 
 Annealing is inherently sequential (each proposal mutates the last
 accepted design), so ``max_batch = 1``; batching still pays off for the
@@ -16,12 +15,11 @@ population strategies sharing the runner.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, List, Optional, Sequence
 
-from ..adg import ADG, SysADG, adg_to_dict
-from ..compiler import generate_variants
-from ..dse.explorer import DseResult, Explorer, ExplorerState
-from ..profile.tracer import add_counter, span
+from ..adg import adg_to_dict
+from ..dse.explorer import Candidate, DseResult, Explorer, ExplorerState
 from .strategy import Proposal, SearchContext, SearchError, Strategy, register
 from .study import Trial
 
@@ -35,32 +33,10 @@ class AnnealStrategy(Strategy):
 
     def __init__(self, ctx: SearchContext, state: Any = None) -> None:
         super().__init__(ctx)
-        from dataclasses import replace
-
         config = replace(ctx.config, seed=ctx.seed)
         self.explorer = Explorer(ctx.workloads, config, name=ctx.name)
-        self.variant_sets = {
-            w.name: generate_variants(w) for w in ctx.workloads
-        }
-        self.pending: Optional[Tuple[int, ADG, dict]] = None
-        if state is not None:
-            self._restore_state(state)
-            return
-        # Pre-loop, verbatim from Explorer.run(): charge the full compile,
-        # schedule the seed ADG, sweep the system grid, book iteration 0.
-        ex = self.explorer
-        cfg = ex.config
-        ex.modeled_seconds += cfg.time_model.full_compile * len(ex.workloads)
-        adg = ex._initial_adg()
-        schedules = ex._schedule_all(self.variant_sets, adg)
-        if schedules is None:
-            raise SearchError("seed ADG cannot schedule all workloads")
-        choice = ex._system_dse(adg, schedules)
-        if choice is None:
-            raise SearchError("seed ADG does not fit the FPGA")
-        self.best = (adg, schedules, choice)
-        ex._record_accept(0, choice)
-        self.iteration = 0
+        self.pending: Optional[Candidate] = None
+        self.explorer.begin(resume=state)
 
     @classmethod
     def create(cls, ctx: SearchContext, state: Any = None) -> "AnnealStrategy":
@@ -69,46 +45,29 @@ class AnnealStrategy(Strategy):
     # ------------------------------------------------------------------
     @property
     def exhausted(self) -> bool:
-        return (
-            self.iteration >= self.explorer.config.iterations
-            and self.pending is None
-        )
+        ex = self.explorer
+        return ex.iteration >= ex.config.iterations and self.pending is None
 
     def ask(self, n: int) -> List[Proposal]:
         if self.pending is not None:
             raise SearchError("anneal: previous proposal not yet told")
-        ex = self.explorer
-        cfg = ex.config
-        while self.iteration < cfg.iterations:
-            iteration = self.iteration + 1
-            self.iteration = iteration
-            ex.stats.iterations = iteration
-            add_counter("dse.candidates")
-            with span("dse.propose", iteration=iteration):
-                candidate = ex._propose(self.best[0], self.best[1])
-            if candidate is None:
-                continue
-            cand_adg, cand_schedules = candidate
-            if iteration % cfg.upgrade_every == 0:
-                with span("dse.upgrade", iteration=iteration):
-                    cand_schedules = ex._upgrade_variants(
-                        self.variant_sets, cand_adg, cand_schedules
-                    )
-            self.pending = (iteration, cand_adg, cand_schedules)
-            payload = {
-                "adg_doc": adg_to_dict(cand_adg),
-                "adg_next_id": cand_adg._next_id,
-                "adg_version": cand_adg.version,
-                "schedules": cand_schedules,
-            }
-            return [
-                Proposal(
-                    kind="candidate",
-                    payload=payload,
-                    lineage={"iteration": iteration},
-                )
-            ]
-        return []
+        self.pending = self.explorer.propose()
+        if self.pending is None:
+            return []
+        iteration, adg, schedules = self.pending
+        payload = {
+            "adg_doc": adg_to_dict(adg),
+            "adg_next_id": adg._next_id,
+            "adg_version": adg.version,
+            "schedules": schedules,
+        }
+        return [
+            Proposal(
+                kind="candidate",
+                payload=payload,
+                lineage={"iteration": iteration},
+            )
+        ]
 
     def tell(self, trials: Sequence[Trial]) -> None:
         if self.pending is None:
@@ -117,57 +76,18 @@ class AnnealStrategy(Strategy):
             return
         if len(trials) != 1:
             raise SearchError(f"anneal: expected 1 trial, got {len(trials)}")
-        iteration, cand_adg, cand_schedules = self.pending
-        self.pending = None
-        ex = self.explorer
-        # The modeled charge _system_dse would have made in-process.
-        ex.modeled_seconds += ex.config.time_model.model_eval * 60
-        choice = trials[0].choice
-        if choice is None:
-            ex.stats.rejected_unschedulable += 1
-            add_counter("dse.rejected")
-            return
-        if ex._accept(choice, self.best[2], iteration):
-            self.best = (cand_adg, cand_schedules, choice)
-            ex.stats.accepted += 1
-            add_counter("dse.accepted")
-            ex._record_accept(iteration, choice)
-        else:
-            ex.stats.rejected_annealing += 1
-            add_counter("dse.rejected")
+        candidate, self.pending = self.pending, None
+        self.explorer.decide(candidate, trials[0].choice)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> ExplorerState:
         if self.pending is not None:
             raise SearchError("anneal: cannot snapshot mid-proposal")
-        return self.explorer.snapshot(self.iteration, self.best)
+        return self.explorer.snapshot()
 
     def restore(self, state: ExplorerState) -> None:
-        self._restore_state(state)
-
-    def _restore_state(self, state: ExplorerState) -> None:
-        self.best = self.explorer._restore(state)
-        self.iteration = state.iteration
         self.pending = None
+        self.explorer.begin(resume=state)
 
     def finish(self) -> DseResult:
-        """The legacy post-loop polish, verbatim — yields the DseResult."""
-        ex = self.explorer
-        adg, schedules, choice = self.best
-        schedules = ex._upgrade_variants(self.variant_sets, adg, schedules)
-        choice = ex._system_dse(adg, schedules) or choice
-        ex._pad_for_generality(adg, choice)
-        schedules = ex._upgrade_variants(self.variant_sets, adg, schedules)
-        choice = ex._system_dse(adg, schedules) or choice
-        ex.modeled_seconds += ex.config.time_model.synthesis_hours * 3600.0
-        sysadg = SysADG(adg=adg, params=choice.params, name=ex.name)
-        return DseResult(
-            sysadg=sysadg,
-            schedules=schedules,
-            choice=choice,
-            history=ex.history,
-            stats=ex.stats,
-            variant_sets=self.variant_sets,
-            modeled_seconds=ex.modeled_seconds,
-            points=ex.points,
-        )
+        return self.explorer.finish()

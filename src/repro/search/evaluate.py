@@ -68,8 +68,8 @@ def evaluate_proposal(
 
     if proposal.kind == "candidate":
         # The annealer already built and repaired the schedules; this is
-        # exactly the nested system sweep the legacy loop runs in-process
-        # (the strategy charges the modeled model_eval cost itself).
+        # exactly the nested system sweep ``Explorer.run`` does in-process
+        # (``Explorer.decide`` charges the modeled model_eval cost).
         adg = adg_from_dict(proposal.payload["adg_doc"])
         adg.restore_counters(
             proposal.payload["adg_next_id"], proposal.payload["adg_version"]

@@ -62,12 +62,8 @@ from .protocol import (
     parse_request,
     response_doc,
 )
-from .server import (
-    OverlayEntry,
-    OverlayServer,
-    ServeConfig,
-    serve_until_shutdown,
-)
+from .endpoint import JsonLinesEndpoint, run_until_shutdown
+from .server import OverlayEntry, OverlayServer, ServeConfig
 
 __all__ = [
     "ADMIN_OPS",
@@ -79,6 +75,7 @@ __all__ = [
     "FlightStats",
     "InternalError",
     "JOB_OPS",
+    "JsonLinesEndpoint",
     "LatencyReservoir",
     "LoadReport",
     "MAX_LINE_BYTES",
@@ -112,7 +109,7 @@ __all__ = [
     "run_load",
     "run_load_sharded",
     "run_op",
-    "serve_until_shutdown",
+    "run_until_shutdown",
     "simulate_batch_doc",
     "simulate_batch_op",
     "simulate_op",

@@ -40,11 +40,10 @@ waits for in-flight requests up to ``drain_timeout_s``, then resolves
 from __future__ import annotations
 
 import asyncio
-import os
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..adg import SysADG, load_sysadg, sysadg_from_dict, sysadg_to_dict
 from ..cluster.registry import OverlayRegistry, RegistryError
@@ -53,6 +52,7 @@ from ..engine.store import ArtifactStore
 from ..jobs import make_worker_pool
 from ..profile import tracer
 from .batcher import AdmissionGate, LatencyReservoir, SingleFlight
+from .endpoint import JsonLinesEndpoint
 from .errors import (
     BadRequestError,
     DeadlineError,
@@ -68,15 +68,7 @@ from .ops import (
     run_job_payload,
     workload_fp,
 )
-from .protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    Request,
-    decode_line,
-    encode_line,
-    parse_request,
-    response_doc,
-)
+from .protocol import PROTOCOL_VERSION, Request, response_doc
 
 
 @dataclass
@@ -164,14 +156,16 @@ class OverlayServer:
         #: result key -> how the last remap compute resolved
         #: (preserved / recompiled / cold), reported in ``served``.
         self._remap_paths: Dict[str, str] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._wire = JsonLinesEndpoint(self._dispatch, self.counters)
         self._executor: Optional[Executor] = None
         self._executor_kind = "none"
         self._draining = False
         self._closed: Optional[asyncio.Event] = None
-        self._conn_tasks: "set[asyncio.Task[Any]]" = set()
-        self._writers: "set[asyncio.StreamWriter]" = set()
-        self.endpoint: Optional[Tuple[str, Any]] = None
+
+    @property
+    def endpoint(self) -> Optional[Tuple[str, Any]]:
+        """``("unix", path)`` / ``("tcp", (host, port))`` once started."""
+        return self._wire.address
 
     # -- overlay registry ----------------------------------------------
     def add_overlay(self, sysadg: SysADG, name: Optional[str] = None) -> str:
@@ -265,24 +259,7 @@ class OverlayServer:
         self._closed = asyncio.Event()
         self._make_executor()
         cfg = self.config
-        if cfg.socket_path:
-            if os.path.exists(cfg.socket_path):
-                os.unlink(cfg.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection,
-                path=cfg.socket_path,
-                limit=MAX_LINE_BYTES,
-            )
-            self.endpoint = ("unix", cfg.socket_path)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                host=cfg.host,
-                port=cfg.port,
-                limit=MAX_LINE_BYTES,
-            )
-            sock = self._server.sockets[0]
-            self.endpoint = ("tcp", sock.getsockname()[:2])
+        await self._wire.listen(cfg.socket_path, cfg.host, cfg.port)
         self.metrics.emit(
             "serve_start",
             protocol=PROTOCOL_VERSION,
@@ -316,124 +293,20 @@ class OverlayServer:
             await self._closed.wait()
             return
         self._draining = True
-        if self._server is not None:
-            # close() only — on 3.12+ wait_closed() also waits for every
-            # connection handler, which deadlocks against clients holding
-            # their connection open while they await the drain.
-            self._server.close()
-        pending = [t for t in self._conn_tasks if not t.done()]
-        if pending:
-            done, late = await asyncio.wait(
-                pending, timeout=self.config.drain_timeout_s
-            )
-            for task in late:
-                task.cancel()
+        await self._wire.stop(self.config.drain_timeout_s)
         await asyncio.wait_for(
             self.flights.drain(), timeout=self.config.drain_timeout_s
         )
-        # Close lingering client transports so their handler coroutines
-        # exit through EOF rather than being cancelled at loop teardown.
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
         self.metrics.emit("serve_summary", **self.stats_doc())
-        if self.config.socket_path and os.path.exists(self.config.socket_path):
-            os.unlink(self.config.socket_path)
+        self._wire.close()
         self._closed.set()
 
-    # -- connection handling -------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        request_tasks: "set[asyncio.Task[Any]]" = set()
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, asyncio.LimitOverrunError):
-                    await self._write(
-                        writer,
-                        write_lock,
-                        response_doc(
-                            "?",
-                            error=BadRequestError(
-                                f"request line exceeds {MAX_LINE_BYTES} bytes"
-                            ).to_doc(),
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.get_running_loop().create_task(
-                    self._serve_line(line, writer, write_lock)
-                )
-                request_tasks.add(task)
-                self._conn_tasks.add(task)
-                task.add_done_callback(request_tasks.discard)
-                task.add_done_callback(self._conn_tasks.discard)
-            if request_tasks:
-                await asyncio.gather(*request_tasks, return_exceptions=True)
-        except asyncio.CancelledError:
-            # Exit quietly: asyncio owns this task, and on 3.11 its
-            # StreamReaderProtocol done-callback calls task.exception()
-            # on a cancelled handler, logging a spurious "Exception in
-            # callback" traceback per connection if we propagate.
-            pass
-        finally:
-            self._writers.discard(writer)
-            # close() without awaiting wait_closed(): this task may be
-            # cancelled at loop teardown, and an await here would surface
-            # as a spurious CancelledError in asyncio's protocol callback.
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        doc: Dict[str, Any],
-    ) -> None:
-        async with lock:
-            writer.write(encode_line(doc))
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        req_id = "?"
-        try:
-            doc = decode_line(line)
-            req_id = str(doc.get("id", "?"))
-            request = parse_request(doc)
-            response = await self._dispatch(request)
-        except ServeError as exc:
-            self.counters["responses_error"] += 1
-            response = response_doc(req_id, error=exc.to_doc())
-        except Exception as exc:  # never kill the connection loop
-            self.counters["responses_error"] += 1
-            response = response_doc(
-                req_id, error=InternalError(f"{type(exc).__name__}: {exc}").to_doc()
-            )
-        await self._write(writer, write_lock, response)
-
     # -- request dispatch ----------------------------------------------
-    async def _dispatch(self, request: Request) -> Dict[str, Any]:
+    async def _dispatch(
+        self, request: Request, doc: Dict[str, Any]
+    ) -> Dict[str, Any]:
         self.counters["requests"] += 1
         if request.op == "ping":
             return response_doc(
@@ -744,27 +617,3 @@ class OverlayServer:
                 "names": self.registry.names(),
             }
         return doc
-
-
-async def serve_until_shutdown(
-    server: OverlayServer, signals: Optional[List[int]] = None
-) -> None:
-    """Start, install signal-driven drain, and block until closed."""
-    import signal as _signal
-
-    await server.start()
-    loop = asyncio.get_running_loop()
-    installed: List[int] = []
-    for sig in signals or [_signal.SIGINT, _signal.SIGTERM]:
-        try:
-            loop.add_signal_handler(
-                sig, lambda: loop.create_task(server.shutdown())
-            )
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-    try:
-        await server.wait_closed()
-    finally:
-        for sig in installed:
-            loop.remove_signal_handler(sig)

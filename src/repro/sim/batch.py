@@ -48,6 +48,21 @@ def _options(
     }
 
 
+def sim_key(schedule: Any, sysadg: Any, **sim_kwargs: Any) -> str:
+    """Content key of one simulation call: design + variant + options."""
+    from ..engine.hashing import adg_fingerprint, fingerprint
+
+    return fingerprint(
+        {
+            "adg": adg_fingerprint(sysadg.adg),
+            "params": fingerprint(sysadg.params),
+            "workload": schedule.mdfg.workload,
+            "variant": schedule.mdfg.variant,
+            "options": sorted(sim_kwargs.items()),
+        }
+    )
+
+
 def simulate_batch(
     items: Sequence[Tuple[Any, Any]],
     onehot_bypass: bool = True,
@@ -65,7 +80,6 @@ def simulate_batch(
     the first stepped instance.
     """
     from ..sim.ckernel import load_kernel
-    from ..profile.memo import sim_key
 
     opts = _options(
         onehot_bypass, exact, max_exact_cycles, measure_window, core

@@ -267,19 +267,14 @@ def soak_run(
     config: CampaignConfig,
     state_dir: Optional[str] = None,
     corpus_dir: Optional[str] = None,
-    jobs: Optional[int] = None,
+    workers: Optional[int] = None,
     resume: bool = False,
     metrics: Optional[MetricsLogger] = None,
     promote_dir: Optional[str] = None,
     promote_dry_run: bool = False,
     inject_crash_shards: Sequence[int] = (),
-    workers: Optional[int] = None,
 ) -> SoakReport:
-    """Run one campaign: shard, execute, merge, record, promote.
-
-    ``workers`` is the canonical name for the worker-process count (CLI
-    convention); ``jobs`` survives as the legacy keyword.
-    """
+    """Run one campaign: shard, execute, merge, record, promote."""
     metrics = metrics or MetricsLogger()
     campaign_key = config.campaign_key()
     store = (
@@ -287,8 +282,6 @@ def soak_run(
     )
     ranges = config.shard_ranges()
     crash_shards = set(inject_crash_shards)
-    if workers is None:
-        workers = jobs
     workers_n = (
         workers if workers is not None
         else min(len(ranges), os.cpu_count() or 1)

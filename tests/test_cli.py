@@ -209,7 +209,7 @@ def _fake_bench_report(tmp_path):
     }
     sim = {
         "schema": 1, "kind": "sim", "stepped_cycles": 1000,
-        "wall_seconds": 0.01, "cycles_per_second": 1e5, "memo_speedup": 10.0,
+        "wall_seconds": 0.01, "cycles_per_second": 1e5,
     }
     overhead = {
         "ratio": 1.01, "calls": 100, "repeats": 2,
@@ -367,12 +367,14 @@ class TestDseCommand:
         assert args.checkpoint_every == 25
         assert not args.resume and not args.no_cache
 
-    def test_deprecated_jobs_alias_maps_to_workers(self, capsys):
-        args = build_parser().parse_args(["dse", "dsp", "--jobs", "3"])
-        assert args.workers == 3
-        assert "deprecated" in capsys.readouterr().err
-        args = build_parser().parse_args(["soak", "-j", "2"])
-        assert args.workers == 2
+    @pytest.mark.parametrize(
+        "argv", [["dse", "dsp", "--jobs", "3"], ["soak", "-j", "2"]]
+    )
+    def test_jobs_spelling_is_rejected(self, argv, capsys):
+        """``--workers`` is the only spelling of the worker count."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
 
     def test_cold_then_warm_cache(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -539,7 +541,7 @@ class TestExitCodes:
     def test_soak_follows_same_contract(self, tmp_path, capsys):
         argv = [
             "soak", "--budget", "8", "--seed", "3", "--shards", "2",
-            "--jobs", "1", "--rel-tol", "0", "--abs-floor", "0",
+            "--workers", "1", "--rel-tol", "0", "--abs-floor", "0",
             "--shrink-budget", "20", "--corpus", str(tmp_path / "corpus"),
         ]
         assert main(argv) == 1

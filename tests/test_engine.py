@@ -145,8 +145,8 @@ class TestEngine:
         assert multi.metrics.best_seed in (2, 3, 4)
 
     def test_parallel_matches_serial(self, tmp_path):
-        serial = DseEngine(jobs=1)
-        parallel = DseEngine(jobs=2, cache_dir=str(tmp_path))
+        serial = DseEngine(workers=1)
+        parallel = DseEngine(workers=2, cache_dir=str(tmp_path))
         a = serial.explore(FIR, FAST, name="fir", seeds=[2, 3])
         b = parallel.explore(FIR, FAST, name="fir", seeds=[2, 3])
         assert a.objective == b.objective
@@ -166,7 +166,7 @@ class TestEngine:
         assert res.objective == baseline.choice.objective
 
     def test_crashed_seed_in_pool_degrades_to_survivors(self, tmp_path):
-        eng = DseEngine(jobs=2, cache_dir=str(tmp_path))
+        eng = DseEngine(workers=2, cache_dir=str(tmp_path))
         res = eng.explore(
             FIR, FAST, name="fir", seeds=[2, 3], inject_crash_seeds=[3]
         )
@@ -206,7 +206,7 @@ class TestEngine:
     def test_seed_timeout_degrades_to_survivors(self, tmp_path):
         """A hung worker no longer blocks the job: the timed-out seed is
         recorded as a failure and the best survivor wins (satellite)."""
-        eng = DseEngine(jobs=2, cache_dir=str(tmp_path), seed_timeout=0.5)
+        eng = DseEngine(workers=2, cache_dir=str(tmp_path), seed_timeout=0.5)
         res = eng.explore(
             FIR, FAST, name="fir", seeds=[2, 3],
             inject_hang={3: 15.0},
@@ -221,7 +221,7 @@ class TestEngine:
         assert res.objective == baseline.choice.objective
 
     def test_all_seeds_timing_out_raises(self, tmp_path):
-        eng = DseEngine(jobs=2, cache_dir=str(tmp_path), seed_timeout=0.2)
+        eng = DseEngine(workers=2, cache_dir=str(tmp_path), seed_timeout=0.2)
         with pytest.raises(EngineError, match="timed out"):
             eng.explore(
                 FIR, FAST, name="fir", seeds=[2, 3],
@@ -229,11 +229,11 @@ class TestEngine:
             )
 
     def test_no_timeout_when_seeds_finish_in_time(self, tmp_path):
-        eng = DseEngine(jobs=2, cache_dir=str(tmp_path), seed_timeout=120.0)
+        eng = DseEngine(workers=2, cache_dir=str(tmp_path), seed_timeout=120.0)
         res = eng.explore(FIR, FAST, name="fir", seeds=[2, 3])
         assert res.metrics.timed_out_seeds == []
         assert res.metrics.crashed_seeds == []
-        ref = DseEngine(jobs=2).explore(FIR, FAST, name="fir", seeds=[2, 3])
+        ref = DseEngine(workers=2).explore(FIR, FAST, name="fir", seeds=[2, 3])
         assert res.objective == ref.objective
 
     def test_shared_memory_cache(self, tmp_path):
@@ -279,11 +279,11 @@ class TestHarnessIntegration:
         cfg = DseConfig(iterations=20, seed=DSE_SEED)
         workloads = get_suite("dsp")
         baseline = explore(workloads, cfg, name="dsp")
-        eng = DseEngine(jobs=4)
+        eng = DseEngine(workers=4)
         multi = eng.explore(
             workloads, cfg, name="dsp", seeds=DSE_RESTART_SEEDS
         )
-        rerun = DseEngine(jobs=4).explore(
+        rerun = DseEngine(workers=4).explore(
             workloads, cfg, name="dsp", seeds=DSE_RESTART_SEEDS
         )
         assert multi.objective >= baseline.choice.objective

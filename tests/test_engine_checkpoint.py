@@ -67,11 +67,36 @@ class TestExplorerResume:
         Explorer(FIR, CFG, name="fir").run(
             on_iteration=lambda i, obj: seen.append((i, obj))
         )
-        # Fires once per evaluated candidate (abandoned proposals skip it).
-        indices = [i for i, _ in seen]
-        assert indices == sorted(set(indices))
-        assert indices and 1 <= indices[0] and indices[-1] <= CFG.iterations
+        # Fires at every iteration boundary, abandoned proposals included.
+        assert [i for i, _ in seen] == list(range(1, CFG.iterations + 1))
         assert all(obj > 0 for _, obj in seen)
+
+    def test_failed_proposal_still_checkpoints(self, monkeypatch):
+        """An iteration whose proposal fails is still an iteration
+        boundary: the checkpoint due there is written (not deferred to the
+        next multiple), and resuming from it is bit-identical."""
+        real = Explorer._propose
+
+        def fail_on_2(self, adg, schedules):
+            out = real(self, adg, schedules)
+            return None if self.stats.iterations == 2 else out
+
+        monkeypatch.setattr(Explorer, "_propose", fail_on_2)
+        straight = Explorer(FIR, CFG, name="fir").run()
+
+        snaps, seen = [], []
+        Explorer(FIR, CFG, name="fir").run(
+            checkpoint_every=2,
+            checkpoint_sink=snaps.append,
+            on_iteration=lambda i, obj: seen.append(i),
+        )
+        assert [s.iteration for s in snaps] == list(
+            range(2, CFG.iterations + 1, 2)
+        )
+        assert 2 in seen
+
+        resumed = Explorer(FIR, CFG, name="fir").run(resume=snaps[0])
+        assert_results_equal(resumed, straight)
 
 
 class TestCheckpointFiles:

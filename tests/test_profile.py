@@ -5,8 +5,6 @@ import threading
 
 import pytest
 
-from repro.adg import general_overlay
-from repro.compiler import generate_variants, lower
 from repro.profile import (
     NULL_SPAN,
     ResultMemo,
@@ -17,7 +15,6 @@ from repro.profile import (
     drop_memo,
     install,
     memo_for_config,
-    simulate_memoized,
     span,
     tracing,
     uninstall,
@@ -28,8 +25,6 @@ from repro.profile.bench import (
     measure_overhead,
     run_bench,
 )
-from repro.scheduler import schedule_mdfg
-from repro.workloads import get_workload
 
 
 @pytest.fixture(autouse=True)
@@ -204,31 +199,6 @@ class TestResultMemo:
         assert memo_for_config("cfg-a") is not a
         clear_memos()
 
-    def test_simulate_memoized_hit_matches_and_is_isolated(self):
-        overlay = general_overlay()
-        mdfg = lower(get_workload("mm"), unroll=2)
-        schedule = schedule_mdfg(mdfg, overlay.adg, overlay.params)
-        assert schedule is not None
-        memo = ResultMemo()
-        first = simulate_memoized(
-            schedule, overlay, memo, max_exact_cycles=600
-        )
-        second = simulate_memoized(
-            schedule, overlay, memo, max_exact_cycles=600
-        )
-        assert memo.stats.sim_misses == 1
-        assert memo.stats.sim_hits == 1
-        assert second.cycles == first.cycles
-        # Mutating a hit's dict fields must not corrupt the cache.
-        second.engine_busy.clear()
-        third = simulate_memoized(
-            schedule, overlay, memo, max_exact_cycles=600
-        )
-        assert third.engine_busy == first.engine_busy
-        # Different sim options are different cache keys.
-        simulate_memoized(schedule, overlay, memo, max_exact_cycles=700)
-        assert memo.stats.sim_misses == 2
-
 
 class TestCompareReports:
     BASE = {"kind": "dse", "candidates_per_second": 100.0,
@@ -295,10 +265,6 @@ class TestBench:
         assert dse["overhead"]["ratio"] > 0
         assert sim["stepped_cycles"] > 0
         assert sim["cycles_per_second"] > 0
-        # The vector core made a cold simulation nearly as cheap as a memo
-        # lookup at tiny budgets, so "hit beats miss" is no longer a law;
-        # the memo path just has to work and report a sane ratio.
-        assert sim["memo_speedup"] > 0
         assert report.dse == dse and report.sim == sim
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert trace["traceEvents"]

@@ -89,7 +89,10 @@ class TestStableRng:
 
 class TestGoldenAnneal:
     def test_anneal_strategy_matches_legacy_explorer_bytes(self, vecmax):
-        """The re-based annealer is byte-identical to ``Explorer.run``.
+        """Driving ``Explorer``'s steps through the strategy (candidate
+        serialized, system sweep in the evaluator) is byte-identical to
+        ``Explorer.run`` sweeping in-process; absolute drift is pinned by
+        ``test_dse_golden.py``.
 
         The config-scoped schedule memo is process-global; clearing it
         before each run keeps the two in-process runs' pickle

@@ -38,7 +38,7 @@ def _config(shards, budget=12, seed=3):
 
 @pytest.fixture(scope="module")
 def serial_report():
-    return soak_run(_config(shards=1), jobs=1)
+    return soak_run(_config(shards=1), workers=1)
 
 
 class TestShardDeterminism:
@@ -53,7 +53,7 @@ class TestShardDeterminism:
             assert s1 == s0 + c0
 
     def test_sharded_report_is_byte_identical_to_serial(self, serial_report):
-        sharded = soak_run(_config(shards=4), jobs=1)
+        sharded = soak_run(_config(shards=4), workers=1)
         assert sharded.render() == serial_report.render()
         assert [f.failure_key for f in sharded.failures] == [
             f.failure_key for f in serial_report.failures
@@ -68,13 +68,13 @@ class TestShardDeterminism:
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_pool_path_matches_serial(self, serial_report):
-        pooled = soak_run(_config(shards=3), jobs=2)
+        pooled = soak_run(_config(shards=3), workers=2)
         assert pooled.render() == serial_report.render()
 
 
 class TestFaultIsolation:
     def test_killed_shard_degrades_not_fails(self, serial_report):
-        report = soak_run(_config(shards=3), jobs=1, inject_crash_shards=[1])
+        report = soak_run(_config(shards=3), workers=1, inject_crash_shards=[1])
         assert report.crashed_shards == [1]
         assert not report.complete and not report.ok
         assert report.cases_run < serial_report.cases_run
@@ -83,7 +83,7 @@ class TestFaultIsolation:
     def test_all_shards_crashed_raises(self):
         with pytest.raises(SoakError):
             soak_run(
-                _config(shards=2), jobs=1, inject_crash_shards=[0, 1]
+                _config(shards=2), workers=1, inject_crash_shards=[0, 1]
             )
 
     def test_crash_then_resume_reaches_full_coverage(
@@ -92,10 +92,10 @@ class TestFaultIsolation:
         state = str(tmp_path / "state")
         config = _config(shards=3)
         crashed = soak_run(
-            config, state_dir=state, jobs=1, inject_crash_shards=[1]
+            config, state_dir=state, workers=1, inject_crash_shards=[1]
         )
         assert crashed.crashed_shards == [1]
-        resumed = soak_run(config, state_dir=state, jobs=1, resume=True)
+        resumed = soak_run(config, state_dir=state, workers=1, resume=True)
         assert resumed.cached_shards == [0, 2]   # only shard 1 recomputed
         assert resumed.crashed_shards == []
         assert resumed.render() == serial_report.render()
@@ -110,10 +110,10 @@ class TestFaultIsolation:
                 events.append(event)
                 super().emit(event, **fields)
 
-        first = soak_run(config, state_dir=state, jobs=1)
+        first = soak_run(config, state_dir=state, workers=1)
         events.clear()
         second = soak_run(
-            config, state_dir=state, jobs=1, resume=True, metrics=Recorder()
+            config, state_dir=state, workers=1, resume=True, metrics=Recorder()
         )
         assert second.cached_shards == [0, 1]
         assert events.count("shard_cached") == 2
@@ -191,7 +191,7 @@ class TestSoakCli:
             report = tmp_path / f"triage-{shards}.txt"
             rc = main(
                 ["soak", "--budget", "12", "--seed", "3",
-                 "--shards", shards, "--jobs", "1",
+                 "--shards", shards, "--workers", "1",
                  "--rel-tol", "0", "--abs-floor", "0",
                  "--shrink-budget", "20",
                  "--corpus", str(tmp_path / f"corpus-{shards}"),
@@ -205,7 +205,7 @@ class TestSoakCli:
     def test_resume_exits_zero_on_known_failures(self, tmp_path, capsys):
         argv = [
             "soak", "--budget", "8", "--seed", "3", "--shards", "2",
-            "--jobs", "1", "--rel-tol", "0", "--abs-floor", "0",
+            "--workers", "1", "--rel-tol", "0", "--abs-floor", "0",
             "--shrink-budget", "20",
             "--state", str(tmp_path / "state"),
             "--corpus", str(tmp_path / "corpus"),
@@ -222,7 +222,7 @@ class TestSoakCli:
         dest = str(tmp_path / "regression")
         rc = main(
             ["soak", "--budget", "8", "--seed", "3", "--shards", "2",
-             "--jobs", "1", "--rel-tol", "0", "--abs-floor", "0",
+             "--workers", "1", "--rel-tol", "0", "--abs-floor", "0",
              "--shrink-budget", "20",
              "--corpus", str(tmp_path / "corpus"),
              "--promote", dest]
@@ -239,7 +239,7 @@ class TestSoakCli:
         dest = str(tmp_path / "regression")
         main(
             ["soak", "--budget", "8", "--seed", "3", "--shards", "2",
-             "--jobs", "1", "--rel-tol", "0", "--abs-floor", "0",
+             "--workers", "1", "--rel-tol", "0", "--abs-floor", "0",
              "--shrink-budget", "20", "--promote", dest, "--dry-run"]
         )
         out = capsys.readouterr().out
@@ -250,7 +250,7 @@ class TestSoakCli:
         metrics = tmp_path / "events.jsonl"
         main(
             ["soak", "--budget", "8", "--seed", "3", "--shards", "2",
-             "--jobs", "1", "--rel-tol", "0", "--abs-floor", "0",
+             "--workers", "1", "--rel-tol", "0", "--abs-floor", "0",
              "--shrink-budget", "20", "--metrics", str(metrics)]
         )
         capsys.readouterr()
