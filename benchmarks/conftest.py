@@ -33,13 +33,12 @@ def once(benchmark):
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print engine + cache hit/miss accounting at session end."""
-    from repro.harness.cache import default_cache
-    from repro.harness.experiments import peek_engine
+    from repro.harness.experiments import CACHE, peek_engine
 
-    mem = default_cache().stats()
+    mem = CACHE.stats()
     terminalreporter.write_line(
         f"repro cache (memory): {mem['entries']} entries, "
-        f"{mem['hits']} hits / {mem['misses']} misses"
+        f"{mem['memory']} hits / {mem['miss']} misses"
     )
     engine = peek_engine()
     if engine is not None:

@@ -11,7 +11,6 @@ from repro.harness import (
     FIG18_ORDER,
     fig18_generality_cost,
     fig18_incremental,
-    memoized,
     render_table,
 )
 

@@ -27,7 +27,7 @@ from .orchestrator import (
     SeedOutcome,
     run_seed_job,
 )
-from .store import ArtifactStore, StoreStats
+from .store import ArtifactStore, StoreStats, TieredCache
 
 __all__ = [
     "ArtifactStore",
@@ -43,6 +43,7 @@ __all__ = [
     "SeedJob",
     "SeedOutcome",
     "StoreStats",
+    "TieredCache",
     "canonicalize",
     "config_fingerprint",
     "fingerprint",

@@ -1,10 +1,13 @@
 """Structured event/metrics stream for engine runs.
 
-Every engine job emits typed events — ``run_start``, ``seed_done``,
-``seed_crashed``, ``cache_hit``, ``run_end`` — through a
-:class:`MetricsLogger`.  Events are kept in memory for programmatic
-inspection and, when a path is given, appended as JSON Lines so external
-tooling can tail a long DSE.
+Every engine job emits typed events — ``run_start``, ``cache_hit``,
+``dse_point``, ``run_end`` / ``run_failed`` — through a
+:class:`MetricsLogger`; per-seed completion, timeout and failure are the
+:mod:`repro.jobs` runtime's ``job_done`` / ``job_cached`` /
+``job_timeout`` / ``job_failed`` events with ``runner="engine.seeds"``
+(soak shards: ``runner="soak.shards"``).  Events are kept in memory for
+programmatic inspection and, when a path is given, appended as JSON
+Lines so external tooling can tail a long DSE.
 
 :class:`EngineStats` aggregates across jobs (cache hits/misses, DSE
 iterations actually executed, worker crashes, wall vs modeled time); the

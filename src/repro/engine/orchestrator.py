@@ -3,8 +3,9 @@
 One engine *job* is "the best overlay for this workload set under this
 config, annealed from each of these seeds".  The engine:
 
-* answers from its in-memory cache, then the persistent artifact store
-  (key = content hash of workloads + config + seeds + schema version);
+* answers from its :class:`~repro.engine.store.TieredCache` — memory,
+  then the persistent artifact store (key = content hash of workloads +
+  config + seeds + schema version);
 * on a miss, runs one annealer per seed through the shared
   :mod:`repro.jobs` runtime — a worker-process pool when ``workers > 1``
   (the :class:`~repro.jobs.ProcessPoolJobExecutor` serial-fallback rule
@@ -31,11 +32,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dse import DseConfig, DseResult, Explorer
 from ..jobs import FaultPolicy, JobOutcome, JobRunner, ProcessPoolJobExecutor
-from ..harness.cache import MemoryCache
 from ..ir import Workload
 from .checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
 from .hashing import CODE_SCHEMA_VERSION, config_fingerprint, job_key
 from .metrics import EngineStats, MetricsLogger, RunMetrics
+from .store import ArtifactStore, TieredCache
 
 #: Default checkpoint cadence (annealer iterations between snapshots).
 DEFAULT_CHECKPOINT_EVERY = 25
@@ -123,7 +124,6 @@ class DseEngine:
         self,
         cache_dir: Optional[str] = None,
         workers: int = 1,
-        memory_cache: Optional[MemoryCache] = None,
         metrics: Optional[MetricsLogger] = None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         seed_timeout: Optional[float] = None,
@@ -136,20 +136,17 @@ class DseEngine:
         #: survivors.  ``None`` disables; the serial in-process path
         #: cannot preempt a running annealer and ignores it.
         self.seed_timeout = seed_timeout
-        self.memory = memory_cache if memory_cache is not None else MemoryCache()
         self.metrics = metrics if metrics is not None else MetricsLogger()
         self.checkpoint_every = checkpoint_every
         self.stats = EngineStats()
+        self.store: Optional[ArtifactStore] = None
+        self.checkpoints: Optional[CheckpointManager] = None
         if cache_dir:
-            from .store import ArtifactStore
-
-            self.store: Optional["ArtifactStore"] = ArtifactStore(cache_dir)
-            self.checkpoints: Optional[CheckpointManager] = CheckpointManager(
+            self.store = ArtifactStore(cache_dir)
+            self.checkpoints = CheckpointManager(
                 os.path.join(cache_dir, "checkpoints")
             )
-        else:
-            self.store = None
-            self.checkpoints = None
+        self.cache = TieredCache(self.store)
 
     # ------------------------------------------------------------------
     def explore(
@@ -166,16 +163,16 @@ class DseEngine:
         config = config or DseConfig()
         seed_list = sorted(set(seeds)) if seeds else [config.seed]
         key = job_key(workloads, config, seed_list)
-        cached, tier = self._lookup(key)
+        cached, tier = self.cache.get(key)
         metrics = RunMetrics(
             key=key,
             name=name,
             seeds=list(seed_list),
             jobs=self.workers,
-            cache_hit=cached is not None,
+            cache_hit=tier != "miss",
             cache_tier=tier,
         )
-        if cached is not None:
+        if tier != "miss":
             metrics.objective = cached.choice.objective
             metrics.modeled_seconds = cached.modeled_seconds
             self.metrics.emit(
@@ -220,21 +217,19 @@ class DseEngine:
         self.stats.absorb(metrics)
         self.metrics.emit("run_end", **metrics.as_dict())
 
-        self.memory.put(("engine", key), best.result)
-        if self.store is not None:
-            self.store.put(
-                key,
-                best.result,
-                meta={
-                    "name": name,
-                    "workloads": [w.name for w in workloads],
-                    "seeds": list(seed_list),
-                    "best_seed": best.seed,
-                    "objective": best.result.choice.objective,
-                    "iterations": config.iterations,
-                    "schema": CODE_SCHEMA_VERSION,
-                },
-            )
+        self.cache.put(
+            key,
+            best.result,
+            meta={
+                "name": name,
+                "workloads": [w.name for w in workloads],
+                "seeds": list(seed_list),
+                "best_seed": best.seed,
+                "objective": best.result.choice.objective,
+                "iterations": config.iterations,
+                "schema": CODE_SCHEMA_VERSION,
+            },
+        )
         if self.checkpoints is not None:
             self.checkpoints.discard(key)
         return EngineResult(
@@ -246,17 +241,6 @@ class DseEngine:
         )
 
     # ------------------------------------------------------------------
-    def _lookup(self, key: str) -> Tuple[Optional[DseResult], str]:
-        hit = self.memory.get(("engine", key))
-        if hit is not None:
-            return hit, "memory"
-        if self.store is not None:
-            hit = self.store.get(key)
-            if hit is not None:
-                self.memory.put(("engine", key), hit)
-                return hit, "disk"
-        return None, "miss"
-
     def _make_jobs(
         self,
         workloads: Sequence[Workload],
@@ -323,35 +307,16 @@ class DseEngine:
             run_seed_job,
             jobs,
             label_fn=lambda job: job.seed,
-            on_outcome=self._emit_seed_event,
         )
         if executor.last_mode == "serial-fallback":
             self.metrics.emit("pool_unavailable", key=key)
-        return [self._to_seed_outcome(out) for out in results]
-
-    def _emit_seed_event(self, out: JobOutcome) -> None:
-        """Legacy per-seed event stream, rebuilt from runtime outcomes."""
-        if out.timed_out:
-            self.metrics.emit(
-                "seed_timeout",
-                seed=out.payload.seed,
-                seed_timeout=self.seed_timeout,
-            )
-        elif out.error is not None:
-            self.metrics.emit(
-                "seed_crashed", seed=out.payload.seed, error=out.error
-            )
-        else:
-            outcome = out.result
-            self.metrics.emit(
-                "seed_done",
-                seed=outcome.seed,
-                objective=outcome.result.choice.objective,
-                resumed=outcome.resumed,
-            )
-            # Full resource vector for every accepted point, not just the
-            # final best — the search-study importer and bench attribution
-            # both read these back out of the JSONL stream.
+        outcomes = [self._to_seed_outcome(out) for out in results]
+        # Full resource vector for every accepted point, not just the
+        # final best — the search-study importer and bench attribution
+        # both read these back out of the JSONL stream.
+        for outcome in outcomes:
+            if outcome.result is None:
+                continue
             for it, modeled_h, objective, lut, ff, bram, dsp in (
                 outcome.result.points
             ):
@@ -366,6 +331,7 @@ class DseEngine:
                     bram=bram,
                     dsp=dsp,
                 )
+        return outcomes
 
     def _to_seed_outcome(self, out: JobOutcome) -> SeedOutcome:
         if out.timed_out:

@@ -9,6 +9,11 @@ produces a different key and the old artifact is never consulted again.
 Writes are atomic (temp file + rename) so a killed process never leaves a
 half-written artifact behind; unreadable or corrupt entries are treated as
 misses and dropped.
+
+:class:`TieredCache` is the one memory → disk ladder in the repo: a
+process-local dict over an *optional* :class:`ArtifactStore`.  The DSE
+engine, the serve tier and the experiment harness (store-less) all reach
+their caches through it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
+
+
+_MISSING = object()
 
 
 @dataclass
@@ -42,8 +50,6 @@ class StoreStats:
 
 class ArtifactStore:
     """On-disk pickle store addressed by content hash."""
-
-    _MISSING = object()
 
     def __init__(self, root: os.PathLike) -> None:
         self.root = Path(root)
@@ -139,3 +145,58 @@ class ArtifactStore:
     def clear(self) -> None:
         for key in list(self.keys()):
             self.discard(key)
+
+
+class TieredCache:
+    """Memory dict over an optional :class:`ArtifactStore`.
+
+    ``get`` answers ``(value, tier)`` with tier ``"memory"``, ``"disk"``
+    (promoted into memory on the way out) or ``"miss"``; any picklable
+    value — ``None`` included — is a legitimate cached value, so callers
+    branch on the tier, not on the value.
+    """
+
+    def __init__(self, store: Optional[ArtifactStore] = None) -> None:
+        self.store = store
+        self._memory: Dict[Hashable, Any] = {}
+        self._lookups = {"memory": 0, "disk": 0, "miss": 0}
+
+    def get(self, key: Hashable) -> Tuple[Any, str]:
+        value, tier = None, "miss"
+        if key in self._memory:
+            value, tier = self._memory[key], "memory"
+        elif self.store is not None:
+            stored = self.store.get(key, _MISSING)
+            if stored is not _MISSING:
+                value, tier = stored, "disk"
+                self._memory[key] = stored
+        self._lookups[tier] += 1
+        return value, tier
+
+    def put(
+        self,
+        key: Hashable,
+        value: Any,
+        meta: Optional[Dict[str, Any]] = None,
+        persist: bool = True,
+    ) -> None:
+        """Cache ``value``; ``persist=False`` keeps it out of the store."""
+        self._memory[key] = value
+        if persist and self.store is not None:
+            self.store.put(key, value, meta=meta)
+
+    def memoized(self, key: Hashable, builder: Callable[[], Any]) -> Any:
+        """Return the cached value for ``key``, building it on first use."""
+        value, tier = self.get(key)
+        if tier == "miss":
+            value = builder()
+            self.put(key, value)
+        return value
+
+    def clear(self) -> None:
+        """Empty the memory tier (the store, if any, is left alone)."""
+        self._memory.clear()
+
+    def stats(self) -> Dict[str, int]:
+        """Entries held in memory plus lookups answered per tier."""
+        return {"entries": len(self._memory), **self._lookups}

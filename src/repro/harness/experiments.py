@@ -4,11 +4,12 @@ Each ``figXX_*`` / ``tableX_*`` function returns plain data (lists of rows)
 plus helpers to render them; the benchmark suite under ``benchmarks/``
 wraps these, and ``repro.harness.report`` assembles EXPERIMENTS.md.
 
-DSE runs go through the :mod:`repro.engine` orchestrator, which layers a
-persistent on-disk artifact store (``REPRO_CACHE_DIR``) over the in-process
-:mod:`repro.harness.cache`, so suite overlays are reused across pytest/CLI
-sessions and recomputed only when workloads, config, or seeds change.
-Cheaper artifacts (simulations, variant sets) stay memoized in process.
+DSE runs go through the :mod:`repro.engine` orchestrator, whose
+:class:`~repro.engine.store.TieredCache` sits over a persistent on-disk
+artifact store (``REPRO_CACHE_DIR``), so suite overlays are reused across
+pytest/CLI sessions and recomputed only when workloads, config, or seeds
+change.  Cheaper artifacts (simulations, variant sets) stay memoized in
+process, in the store-less :data:`CACHE`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..adg import SysADG, general_overlay
 from ..compiler import generate_variants
 from ..dse import DseConfig, DseResult
+from ..engine.store import TieredCache
 from ..hls import (
     AutoDseResult,
     KERNEL_INFO,
@@ -38,7 +40,6 @@ from ..model.resource import (
 from ..scheduler import Schedule, schedule_workload
 from ..sim import SimResult, simulate_schedule
 from ..workloads import PAPER_SUITE_NAMES, get_suite, get_workload
-from .cache import default_cache, memoized
 from .tables import geomean
 
 
@@ -78,6 +79,10 @@ DSE_RESTART_SEEDS = (DSE_SEED, DSE_SEED + 1)
 
 _ENGINE = None
 
+#: In-process cache of everything the drivers share besides DSE results
+#: (simulations, variant sets, AutoDSE runs); no disk tier.
+CACHE = TieredCache()
+
 
 def get_engine():
     """The shared DSE engine behind every overlay driver.
@@ -85,8 +90,6 @@ def get_engine():
     Configured from the environment: ``REPRO_CACHE_DIR`` points the
     persistent artifact store somewhere else (set it empty to disable
     persistence entirely), ``REPRO_DSE_JOBS`` sets the worker-pool width.
-    The engine shares :func:`repro.harness.cache.default_cache`, so
-    ``clear_cache()`` still empties the in-process tier.
     """
     global _ENGINE
     if _ENGINE is None:
@@ -99,7 +102,6 @@ def get_engine():
         _ENGINE = DseEngine(
             cache_dir=cache_dir or None,
             workers=int(os.environ.get("REPRO_DSE_JOBS", "1")),
-            memory_cache=default_cache(),
         )
     return _ENGINE
 
@@ -148,7 +150,7 @@ def workload_overlay(
 
 
 def autodse(name: str, tuned: bool, dram_channels: int = 1) -> AutoDseResult:
-    return memoized(
+    return CACHE.memoized(
         ("autodse", name, tuned, dram_channels),
         lambda: run_autodse(
             get_workload(name), tuned=tuned, dram_channels=dram_channels
@@ -157,11 +159,11 @@ def autodse(name: str, tuned: bool, dram_channels: int = 1) -> AutoDseResult:
 
 
 def general_sysadg() -> SysADG:
-    return memoized(("general-og",), general_overlay)
+    return CACHE.memoized(("general-og",), general_overlay)
 
 
 def _simulate(key_prefix: str, schedule: Schedule, sysadg: SysADG) -> SimResult:
-    return memoized(
+    return CACHE.memoized(
         (
             "sim",
             key_prefix,
@@ -190,7 +192,7 @@ def og_seconds_general(name: str) -> Optional[float]:
 
     def build():
         sysadg = general_sysadg()
-        variants = memoized(
+        variants = CACHE.memoized(
             ("variants", name), lambda: generate_variants(get_workload(name))
         )
         schedule = schedule_workload(variants, sysadg.adg, sysadg.params)
@@ -199,7 +201,7 @@ def og_seconds_general(name: str) -> Optional[float]:
         sim = simulate_schedule(schedule, sysadg)
         return sim.seconds(sysadg.params.frequency_mhz)
 
-    return memoized(("general-sec", name), build)
+    return CACHE.memoized(("general-sec", name), build)
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +422,7 @@ def fig17_leave_one_out(suite: str = "machsuite") -> List[Fig17Row]:
     rows = []
     for w in get_suite(suite):
         loo = leave_one_out_overlay(suite, w.name)
-        variants = memoized(
+        variants = CACHE.memoized(
             ("variants", w.name), lambda: generate_variants(get_workload(w.name))
         )
         schedule = schedule_workload(variants, loo.sysadg.adg, loo.sysadg.params)
@@ -527,7 +529,7 @@ def fig19_dram_channels(channel_counts=(1, 2, 4)) -> List[Fig19Row]:
         base_cycles = None
         for channels in channel_counts:
             sysadg = res.sysadg.with_params(dram_channels=channels)
-            sim = memoized(
+            sim = CACHE.memoized(
                 ("fig19-sim", w.name, channels),
                 lambda s=sysadg: simulate_schedule(
                     res.schedules[w.name], s
@@ -603,7 +605,7 @@ def table2_workload_specs() -> List[Dict]:
 
     rows = []
     for w in paper_workloads():
-        variants = memoized(
+        variants = CACHE.memoized(
             ("variants", w.name), lambda w=w: generate_variants(w)
         )
         best = variants.best
@@ -742,7 +744,7 @@ def families_end_to_end() -> List[Dict]:
         }
         plan = make_floorplan(seed)
         for w in workloads:
-            variants = memoized(
+            variants = CACHE.memoized(
                 ("variants", w.name), lambda w=w: generate_variants(w)
             )
             schedule = schedule_workload(variants, sysadg.adg, sysadg.params)

@@ -154,14 +154,11 @@ class JobRunner:
         checkpoint: Optional[Checkpointing] = None,
         resume: bool = False,
         label_fn: Optional[Callable[[Any], Any]] = None,
-        on_outcome: Optional[Callable[[JobOutcome], None]] = None,
     ) -> List[JobOutcome]:
         """Execute ``fn(job)`` for every job; one outcome per job, in order.
 
         ``label_fn(job)`` names a job in metrics events (defaults to its
-        index).  ``on_outcome`` is called for every outcome — cached,
-        succeeded, or failed — in submission order, before any policy
-        raise; consumers use it to emit their legacy domain events.
+        index).
         """
         jobs = list(jobs)
         label = label_fn or (lambda job: None)
@@ -180,16 +177,13 @@ class JobRunner:
                     if cached is None:
                         pending.append((index, job))
                         continue
-                    outcome = JobOutcome(
+                    outcomes[index] = JobOutcome(
                         index=index, payload=job, result=cached, cached=True
                     )
-                    outcomes[index] = outcome
                     self._emit(
                         "job_cached", runner=self.name, job=label(job),
                         index=index,
                     )
-                    if on_outcome is not None:
-                        on_outcome(outcome)
             else:
                 pending = list(enumerate(jobs))
 
@@ -222,8 +216,6 @@ class JobRunner:
                         "job_failed", runner=self.name, job=job_name,
                         index=outcome.index, error=outcome.error,
                     )
-                if on_outcome is not None:
-                    on_outcome(outcome)
 
         ordered = [outcomes[i] for i in sorted(outcomes)]
         wall_s = perf_counter() - started

@@ -255,11 +255,7 @@ def bench_sim(budget: BenchBudget, seed: int) -> Dict[str, Any]:
     # call (the shape serve/soak consume), compared for byte-identity.
     serial = {name: row for row in rows for name in [row.get("workload")]}
     t0 = perf_counter()
-    # dedupe=False: the bench set has no duplicate regions, so content-key
-    # fingerprinting would only dilute the stepping-throughput number.
-    batch_results = simulate_batch(
-        [(s, sysadg) for s, _ in pairs], dedupe=False
-    )
+    batch_results = simulate_batch([(s, sysadg) for s, _ in pairs])
     batch_wall = perf_counter() - t0
     batch_stepped = sum(r.stepped_cycles for r in batch_results)
     identical = all(

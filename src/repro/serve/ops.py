@@ -156,9 +156,9 @@ def simulate_batch_op(
 
     Returns one document per input name (field-identical to the doc
     :func:`simulate_op` would serve for that name) in input order, with
-    ``None`` for workloads that do not map onto the overlay.  Shares the
-    compiled stepping kernel warm-up and content-key dedupe of
-    :func:`repro.sim.simulate_batch`.
+    ``None`` for workloads that do not map onto the overlay.  A name
+    listed twice is stepped once (:func:`repro.sim.simulate_batch`'s
+    identity dedupe: same overlay object, workload and variant).
     """
     schedules: List[Optional[Any]] = []
     for name in workload_names:

@@ -14,9 +14,10 @@ localhost TCP.  The serving pipeline per compute request:
    workload fingerprint, op)``; concurrent identical requests join a
    single in-flight compute via
    :class:`~repro.serve.batcher.SingleFlight`.
-4. **Cache tiers** — in-process memory map, then the persistent
+4. **Cache tiers** — one :class:`~repro.engine.store.TieredCache`:
+   in-process memory, then the persistent
    :class:`~repro.engine.store.ArtifactStore` (shared with the DSE
-   engine, so results survive restarts), then a worker-pool process
+   engine, so results survive restarts); on a miss a worker-pool process
    from :func:`repro.jobs.make_worker_pool` running
    :func:`repro.serve.ops.compute_op` (thread-pool fallback when the
    sandbox forbids subprocesses).
@@ -48,7 +49,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..adg import SysADG, load_sysadg, sysadg_from_dict, sysadg_to_dict
 from ..cluster.registry import OverlayRegistry, RegistryError
 from ..engine.metrics import MetricsLogger
-from ..engine.store import ArtifactStore
+from ..engine.store import ArtifactStore, TieredCache
 from ..jobs import make_worker_pool
 from ..profile import tracer
 from .batcher import AdmissionGate, LatencyReservoir, SingleFlight
@@ -138,7 +139,9 @@ class OverlayServer:
             "remap_recompiled": 0,
             "remap_cold": 0,
         }
-        self.store: Optional[ArtifactStore] = (
+        #: result key -> result document, or the ``ServeError`` a
+        #: deterministic negative answer raised (memory tier only).
+        self.cache = TieredCache(
             ArtifactStore(self.config.cache_dir)
             if self.config.cache_dir
             else None
@@ -148,7 +151,6 @@ class OverlayServer:
             if self.config.registry_dir
             else None
         )
-        self._memory: Dict[str, Tuple[str, Dict[str, Any]]] = {}
         self._workload_fps: Dict[str, str] = {}
         #: (base name, workload fp) -> (overlay fp, schedule): the live
         #: schedule ``remap`` tries to preserve across overlay versions.
@@ -351,7 +353,7 @@ class OverlayServer:
                 if not is_leader:
                     self.counters["coalesced"] += 1
                 try:
-                    payload, tier, queue_wait = await asyncio.wait_for(
+                    result, tier, queue_wait = await asyncio.wait_for(
                         asyncio.shield(task), timeout=timeout
                     )
                 except asyncio.TimeoutError:
@@ -374,41 +376,38 @@ class OverlayServer:
             # How the schedule was obtained lives out-of-band: result
             # documents stay byte-identical across serving histories.
             served["remap"] = self._remap_paths.get(key, "cache")
-        kind, payload_doc = payload
+        failed = isinstance(result, ServeError)
         self.metrics.emit(
             "request",
             op=request.op,
             overlay=entry.name,
             workload=request.workload,
-            ok=kind == "ok",
+            ok=not failed,
             cache=tier,
             coalesced=not is_leader,
             latency_s=latency,
             in_service=self.gate.in_service,
         )
-        if kind == "error":
+        if failed:
             self.counters["responses_error"] += 1
-            return response_doc(request.id, error=payload_doc, served=served)
+            return response_doc(
+                request.id, error=result.to_doc(), served=served
+            )
         self.counters["responses_ok"] += 1
-        return response_doc(request.id, result=payload_doc, served=served)
+        return response_doc(request.id, result=result, served=served)
 
     async def _compute(
         self, key: str, entry: OverlayEntry, request: Request
-    ) -> Tuple[Tuple[str, Dict[str, Any]], str, float]:
-        """Leader body: memory tier → store tier → worker pool."""
+    ) -> Tuple[Any, str, float]:
+        """Leader body: cache tiers → worker pool.
+
+        Answers ``(result document or ServeError, tier, queue wait)``.
+        """
         t_start = perf_counter()
-        cached = self._memory.get(key)
-        if cached is not None:
-            self.counters["cache_memory"] += 1
-            return cached, "memory", 0.0
-        # remap results depend on server-side schedule history, so they
-        # are memoized in memory only, never in the shared disk store.
-        if self.store is not None and request.op != "remap":
-            stored = self.store.get(key)
-            if stored is not None:
-                self.counters["cache_disk"] += 1
-                self._memory[key] = ("ok", stored)
-                return ("ok", stored), "disk", 0.0
+        cached, tier = self.cache.get(key)
+        if tier != "miss":
+            self.counters[f"cache_{tier}"] += 1
+            return cached, tier, 0.0
         loop = asyncio.get_running_loop()
         assert self._executor is not None, "server not started"
         with tracer.span(
@@ -441,24 +440,27 @@ class OverlayServer:
                     )
             except ServeError as exc:
                 # Deterministic negative answers (unmappable, bad
-                # workload) coalesce and memoize like positive ones.
-                outcome = ("error", exc.to_doc())
-                self._memory[key] = outcome
-                return outcome, "compute", queue_wait
-        self._memory[key] = ("ok", doc)
-        if self.store is not None and request.op != "remap":
-            self.store.put(
-                key,
-                doc,
-                meta={
-                    "kind": "serve_result",
-                    "op": request.op,
-                    "overlay": entry.name,
-                    "overlay_fp": entry.fingerprint,
-                    "workload": request.workload,
-                },
-            )
-        return ("ok", doc), "compute", queue_wait
+                # workload) coalesce and memoize like positive ones,
+                # in memory only (traceback dropped: a cached error
+                # must not pin this coroutine's frames).
+                failure = exc.with_traceback(None)
+                self.cache.put(key, failure, persist=False)
+                return failure, "compute", queue_wait
+        self.cache.put(
+            key,
+            doc,
+            meta={
+                "kind": "serve_result",
+                "op": request.op,
+                "overlay": entry.name,
+                "overlay_fp": entry.fingerprint,
+                "workload": request.workload,
+            },
+            # remap results depend on server-side schedule history, so
+            # they never reach the shared disk store.
+            persist=request.op != "remap",
+        )
+        return doc, "compute", queue_wait
 
     async def _dispatch_job(self, request: Request) -> Dict[str, Any]:
         """Run an opaque pickled closure on the worker pool.
@@ -609,8 +611,8 @@ class OverlayServer:
             "latency": self.latency.as_dict(),
             "schedules": len(self._schedules),
         }
-        if self.store is not None:
-            doc["store"] = self.store.stats.as_dict()
+        if self.cache.store is not None:
+            doc["store"] = self.cache.store.stats.as_dict()
         if self.registry is not None:
             doc["registry"] = {
                 "root": str(self.registry.store.root),

@@ -42,7 +42,6 @@ from ..engine.store import ArtifactStore
 from ..jobs import (
     Checkpointing,
     FaultPolicy,
-    JobOutcome,
     JobRunner,
     ProcessPoolJobExecutor,
     ShardPlan,
@@ -329,25 +328,6 @@ def soak_run(
             validate_fn=lambda cached: isinstance(cached, FuzzStats),
         )
 
-    def emit_shard_event(out: JobOutcome) -> None:
-        """Legacy per-shard event stream, rebuilt from runtime outcomes."""
-        job = out.payload
-        if out.cached:
-            metrics.emit(
-                "shard_cached", shard=job.index, start=job.start,
-                count=job.count,
-            )
-        elif out.ok:
-            metrics.emit(
-                "shard_done",
-                shard=job.index,
-                start=job.start,
-                count=job.count,
-                failures=len(out.result.failures),
-            )
-        else:
-            metrics.emit("shard_crashed", shard=job.index, error=out.error)
-
     executor = ProcessPoolJobExecutor(workers_n)
     runner = JobRunner(
         executor=executor,
@@ -363,7 +343,6 @@ def soak_run(
         checkpoint=checkpoint,
         resume=resume,
         label_fn=lambda job: job.index,
-        on_outcome=emit_shard_event,
     )
     if executor.last_mode == "serial-fallback":
         metrics.emit("pool_unavailable", campaign=campaign_key)

@@ -17,7 +17,6 @@ from repro.engine import (
     job_key,
     workload_fingerprint,
 )
-from repro.harness.cache import MemoryCache
 from repro.workloads import get_suite, get_workload
 
 
@@ -194,7 +193,12 @@ class TestEngine:
         eng.explore(FIR, FAST, name="fir")
         events = [e["event"] for e in eng.metrics.events]
         assert events.count("run_start") == 1
-        assert events.count("seed_done") == 1
+        seeds_done = [
+            e for e in eng.metrics.of_type("job_done")
+            if e["runner"] == "engine.seeds"
+        ]
+        assert [e["job"] for e in seeds_done] == [FAST.seed]
+        assert not eng.metrics.of_type("seed_done")  # job_* is the schema
         assert events.count("run_end") == 1
         assert events.count("cache_hit") == 1
         run_end = eng.metrics.of_type("run_end")[0]
@@ -216,7 +220,11 @@ class TestEngine:
         assert res.metrics.best_seed == 2
         hung = [o for o in res.outcomes if o.seed == 3][0]
         assert hung.timed_out and "seed_timeout" in (hung.error or "")
-        assert eng.metrics.of_type("seed_timeout")
+        timeouts = [
+            e for e in eng.metrics.of_type("job_timeout")
+            if e["runner"] == "engine.seeds"
+        ]
+        assert [e["job"] for e in timeouts] == [3]
         baseline = explore(FIR, dataclasses.replace(FAST, seed=2), name="fir")
         assert res.objective == baseline.choice.objective
 
@@ -236,12 +244,11 @@ class TestEngine:
         ref = DseEngine(workers=2).explore(FIR, FAST, name="fir", seeds=[2, 3])
         assert res.objective == ref.objective
 
-    def test_shared_memory_cache(self, tmp_path):
-        shared = MemoryCache()
-        eng = DseEngine(memory_cache=shared)
+    def test_cleared_memory_tier_without_store_recomputes(self):
+        eng = DseEngine()
         eng.explore(FIR, FAST, name="fir")
-        assert shared.size() == 1
-        shared.clear()
+        assert eng.cache.stats()["entries"] == 1
+        eng.cache.clear()
         res = eng.explore(FIR, FAST, name="fir")
         assert not res.from_cache  # no disk tier: cleared means recompute
 

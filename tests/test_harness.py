@@ -5,36 +5,12 @@ import pytest
 
 from repro.harness import (
     autodse,
-    cache_size,
-    clear_cache,
     geomean,
-    memoized,
     render_series,
     render_table,
     table2_workload_specs,
     table4_hls_ii,
 )
-
-
-class TestCache:
-    def test_memoized_builds_once(self):
-        clear_cache()
-        calls = []
-
-        def builder():
-            calls.append(1)
-            return 42
-
-        assert memoized(("k",), builder) == 42
-        assert memoized(("k",), builder) == 42
-        assert len(calls) == 1
-        assert cache_size() >= 1
-
-    def test_distinct_keys_distinct_builds(self):
-        clear_cache()
-        assert memoized(("a",), lambda: 1) == 1
-        assert memoized(("b",), lambda: 2) == 2
-        assert cache_size() == 2
 
 
 class TestRendering:

@@ -165,6 +165,35 @@ class TestComputeOps:
         serve_test(server2, body2)
         assert server2.counters["computes"] == 0
 
+    def test_bare_store_artifact_is_served_from_disk(self, sysadg, tmp_path):
+        """A ``cache_dir`` written before ``TieredCache`` existed (a bare
+        ``ArtifactStore.put`` of the result document under
+        ``result_key``) is answered from disk without recomputing."""
+        from repro.engine import ArtifactStore
+        from repro.serve.ops import (
+            overlay_fingerprint, result_key, workload_fp,
+        )
+
+        doc = single_shot("map", sysadg, "vecmax")
+        key = result_key(
+            overlay_fingerprint(sysadg), workload_fp("vecmax"), "map"
+        )
+        store_dir = tmp_path / "store"
+        ArtifactStore(store_dir).put(key, doc, meta={"kind": "serve_result"})
+        server = make_server(sysadg, tmp_path, cache_dir=str(store_dir))
+
+        async def body():
+            async with client_for(server) as client:
+                first = await client.request_raw(
+                    {"op": "map", "workload": "vecmax"}
+                )
+                assert first["served"]["cache"] == "disk"
+                assert first["result"] == doc
+
+        serve_test(server, body)
+        assert server.counters["cache_disk"] == 1
+        assert server.counters["computes"] == 0
+
     def test_unmappable_is_structured_and_consistent(self, sysadg, tmp_path):
         ref = single_shot("map", sysadg, "cholesky")
         server = make_server(sysadg, tmp_path)

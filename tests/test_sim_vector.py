@@ -226,6 +226,26 @@ class TestCoreSelection:
         assert result.cycles > 0
 
 
+def test_batch_honours_env_object_core_without_loading_kernel(
+    overlay, monkeypatch
+):
+    """``REPRO_SIM_CORE=object`` opts out of the C kernel: the batch must
+    not compile/``dlopen`` it behind the caller's back (nor for an empty
+    batch)."""
+    from repro.sim import ckernel, vector
+
+    def forbidden():
+        raise AssertionError("load_kernel called under REPRO_SIM_CORE=object")
+
+    monkeypatch.setenv("REPRO_SIM_CORE", "object")
+    monkeypatch.setattr(ckernel, "load_kernel", forbidden)
+    monkeypatch.setattr(vector, "load_kernel", forbidden)
+    pair = (scheduled("mm", overlay), overlay)
+    assert simulate_batch([]) == []
+    (result,) = simulate_batch([pair])
+    assert_identical(result, simulate_schedule(*pair, core="object"))
+
+
 @needs_kernel
 class TestBatch:
     def test_batch_identical_to_serial(self, overlay):
@@ -240,7 +260,7 @@ class TestBatch:
     def test_batch_dedupes_duplicates(self, overlay):
         pair = (scheduled("mm", overlay), overlay)
         first, second = simulate_batch([pair, pair])
-        assert first is second  # answered from the content key
+        assert first is second  # answered from the identity key
         no_dedupe = simulate_batch([pair, pair], dedupe=False)
         assert no_dedupe[0] is not no_dedupe[1]
         assert_identical(first, no_dedupe[0])

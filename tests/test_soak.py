@@ -103,21 +103,17 @@ class TestFaultIsolation:
     def test_resume_skips_all_finished_shards(self, tmp_path):
         state = str(tmp_path / "state")
         config = _config(shards=2, budget=8)
-        events = []
-
-        class Recorder(MetricsLogger):
-            def emit(self, event, **fields):
-                events.append(event)
-                super().emit(event, **fields)
-
         first = soak_run(config, state_dir=state, workers=1)
-        events.clear()
+        metrics = MetricsLogger()
         second = soak_run(
-            config, state_dir=state, workers=1, resume=True, metrics=Recorder()
+            config, state_dir=state, workers=1, resume=True, metrics=metrics
         )
         assert second.cached_shards == [0, 1]
-        assert events.count("shard_cached") == 2
-        assert "shard_done" not in events
+        cached = metrics.of_type("job_cached")
+        assert [(e["runner"], e["job"]) for e in cached] == [
+            ("soak.shards", 0), ("soak.shards", 1),
+        ]
+        assert not metrics.of_type("job_done")
         assert second.render() == first.render()
 
 
@@ -254,11 +250,16 @@ class TestSoakCli:
              "--shrink-budget", "20", "--metrics", str(metrics)]
         )
         capsys.readouterr()
-        events = [
-            json.loads(line)["event"]
+        records = [
+            json.loads(line)
             for line in metrics.read_text().strip().splitlines()
         ]
+        events = [r["event"] for r in records]
         assert events[0] == "soak_start"
         assert events[-1] == "soak_done"
-        assert events.count("shard_done") == 2
+        shards_done = [
+            r["job"] for r in records
+            if r["event"] == "job_done" and r["runner"] == "soak.shards"
+        ]
+        assert shards_done == [0, 1]
         assert "soak_merged" in events
