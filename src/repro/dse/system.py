@@ -9,11 +9,11 @@ favors estimated performance first, then fewer resources per accelerator
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..adg import ADG, SysADG, SystemParams, system_param_space
-from ..model.perf import PerfEstimate, estimate_ipc, geomean_ipc
+from ..model.perf import PerfEstimate, bottleneck_profile, geomean_ipc
 from ..model.resource import (
     AnalyticEstimator,
     Resources,
@@ -44,17 +44,32 @@ def max_tiles_that_fit(
     cap: int = 16,
 ) -> int:
     """Largest tile count whose full system fits ``budget`` (0 if none)."""
-    core = control_core_resources()
-    l2 = l2_resources(params.l2_kib, params.l2_banks)
+    tiles, _total = _largest_fit(
+        tile + control_core_resources(),
+        l2_resources(params.l2_kib, params.l2_banks),
+        params.noc_bytes_per_cycle,
+        budget,
+        cap,
+    )
+    return tiles
+
+
+def _largest_fit(
+    per_tile: Resources,
+    l2: Resources,
+    noc_bytes: int,
+    budget: Resources,
+    cap: int,
+) -> Tuple[int, Optional[Resources]]:
+    """``(tiles, system total)`` at the largest fitting count, or (0, None).
+
+    ``per_tile`` is one accelerator tile plus its control core.
+    """
     for tiles in range(cap, 0, -1):
-        total = (
-            (tile + core) * tiles
-            + l2
-            + noc_resources(tiles, params.noc_bytes_per_cycle)
-        )
+        total = per_tile * tiles + l2 + noc_resources(tiles, noc_bytes)
         if total.fits_in(budget):
-            return tiles
-    return 0
+            return tiles, total
+    return 0, None
 
 
 def system_dse(
@@ -67,6 +82,10 @@ def system_dse(
 ) -> Optional[SystemChoice]:
     """Exhaustive sweep of the system grid for one candidate ADG.
 
+    Each schedule's stream classification (:func:`bottleneck_profile`)
+    does not depend on the grid point, so it is built once and only the
+    NoC/L2/DRAM levels are re-evaluated per point.
+
     Returns None when no grid point fits even one tile.  This is the one
     ``dse.system`` span site, so every caller (explorer loop, seed and
     polish sweeps, ``search.evaluate``) is attributed.
@@ -76,33 +95,33 @@ def system_dse(
     best: Optional[SystemChoice] = None
     with span("dse.system"):
         tile = estimator.tile(adg)
+        per_tile = tile + control_core_resources()
+        profiles = [
+            (s.mdfg.workload, bottleneck_profile(s.mdfg, s.binding(), adg))
+            for s in schedules
+        ]
         for l2_banks, l2_kib, noc_bytes in system_param_space():
+            tiles, total = _largest_fit(
+                per_tile,
+                l2_resources(l2_kib, l2_banks),
+                noc_bytes,
+                budget,
+                max_tiles,
+            )
+            if tiles == 0:
+                continue
             params = SystemParams(
-                num_tiles=1,
+                num_tiles=tiles,
                 l2_banks=l2_banks,
                 l2_kib=l2_kib,
                 noc_bytes_per_cycle=noc_bytes,
             )
-            tiles = max_tiles_that_fit(tile, params, budget, cap=max_tiles)
-            if tiles == 0:
-                continue
-            params = replace(params, num_tiles=tiles)
-            estimates = {}
-            for schedule in schedules:
-                est = estimate_ipc(
-                    schedule.mdfg, schedule.binding(), adg, params
-                )
-                estimates[schedule.mdfg.workload] = est
-            objective = geomean_ipc(list(estimates.values()), weights)
-            core = control_core_resources()
-            total = (
-                (tile + core) * tiles
-                + l2_resources(l2_kib, l2_banks)
-                + noc_resources(tiles, noc_bytes)
-            )
+            estimates = {
+                workload: profile.at(params) for workload, profile in profiles
+            }
             candidate = SystemChoice(
                 params=params,
-                objective=objective,
+                objective=geomean_ipc(list(estimates.values()), weights),
                 tile_resources=tile,
                 system_total=total,
                 estimates=estimates,

@@ -13,11 +13,12 @@ scratchpad or hits in L2 stops consuming downstream bandwidth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..adg import ADG, NodeKind, SpadEngine, SysADG, SystemParams
-from ..dfg import MDFG, ArrayPlacement, StreamKind, StreamNode
+from ..dfg import MDFG, ArrayNode, ArrayPlacement, StreamKind, StreamNode
 
 
 @dataclass(frozen=True)
@@ -68,22 +69,6 @@ def stream_demand_bytes(
         return stream.lanes * stream.dtype.bytes
     held = max(1.0, stream.stationary_reuse / max(1, unroll))
     return stream.lanes * stream.dtype.bytes / held
-
-
-def total_l2_footprint(
-    mdfg: MDFG, stream: StreamNode, num_tiles: int
-) -> float:
-    """Bytes of the stream's array competing for L2 across all tiles.
-
-    Partitionable arrays split across tiles (total = one copy); arrays
-    shared by every tile are effectively replicated in the working set.
-    """
-    array = next((a for a in mdfg.arrays if a.array == stream.array), None)
-    if array is None:
-        return 0.0
-    if array.partitionable:
-        return float(array.footprint_bytes)
-    return float(array.footprint_bytes) * max(1, num_tiles)
 
 
 def preferred_binding(mdfg: MDFG, adg: ADG) -> MemoryBinding:
@@ -143,30 +128,92 @@ def _spad_indirect(adg: ADG, spad_id: int) -> bool:
     return isinstance(node, SpadEngine) and node.indirect
 
 
-def estimate_ipc(
+@dataclass(frozen=True)
+class BottleneckProfile:
+    """The half of Eq. 1-2 that does not read :class:`SystemParams`.
+
+    Built once per (mDFG, binding, ADG) by :func:`bottleneck_profile`;
+    :meth:`at` adds the grid-dependent levels (NoC, L2, DRAM) for one
+    system point, so a sweep pays for stream classification once.
+    """
+
+    insts_per_cycle: float
+    tile_parallelism: float
+    #: Scratchpad read, scratchpad write and DMA-issue factors, in the
+    #: order :attr:`PerfEstimate.factors` lists them (before noc/l2/dram).
+    engine_factors: Tuple[Tuple[str, float], ...]
+    #: Recurrence/generate engine factors (after noc/l2/dram).
+    aux_factors: Tuple[Tuple[str, float], ...]
+    #: Bytes/cycle one tile's DMA-bound streams pull past the tile.
+    dma_demand: float
+    #: Per DMA-bound stream: (demand, array footprint bytes, partitionable,
+    #: L2-reuse divisor).  The divisor is ``max(1, array reuse)``, or 1.0
+    #: in a reuse-blind profile, where a stream that fits L2 still pays.
+    dma_streams: Tuple[Tuple[float, float, bool, float], ...]
+
+    def at(
+        self, params: SystemParams, num_tiles: Optional[int] = None
+    ) -> PerfEstimate:
+        """The estimate at one system point (``num_tiles`` overrides)."""
+        tiles = params.num_tiles if num_tiles is None else num_tiles
+        tiles_used = min(float(tiles), self.tile_parallelism)
+        factors: Dict[str, float] = dict(self.engine_factors)
+        dma_demand = self.dma_demand
+        if dma_demand > 0:
+            # NoC: each tile's crossbar link bounds its own L2 traffic.
+            factors["noc"] = params.noc_bytes_per_cycle / dma_demand
+            # L2: shared across tiles; banks multiply production (Eq. 2).
+            production = params.l2_bank_bandwidth * params.l2_banks
+            factors["l2"] = production / (dma_demand * tiles_used)
+
+        # DRAM: streams whose working set misses in L2 keep their demand;
+        # those whose footprint fits are filtered by L2 reuse.  Arrays
+        # shared by every tile are replicated in the working set;
+        # partitionable ones split across tiles (one copy in total).
+        l2_bytes = params.l2_bytes
+        copies = max(1, int(tiles_used))
+        dram_demand_tile = 0.0
+        for demand, footprint, partitionable, reuse in self.dma_streams:
+            if not partitionable:
+                footprint = footprint * copies
+            if footprint <= l2_bytes:
+                demand /= reuse
+            dram_demand_tile += demand
+        if dram_demand_tile > 0:
+            factors["dram"] = params.dram_bytes_per_cycle / (
+                dram_demand_tile * tiles_used
+            )
+
+        factors.update(self.aux_factors)
+        bottleneck = min(factors.values()) if factors else 1.0
+        return PerfEstimate(
+            ipc=self.insts_per_cycle * tiles_used * min(1.0, bottleneck),
+            tiles_used=tiles_used,
+            insts_per_cycle=self.insts_per_cycle,
+            factors=factors,
+        )
+
+
+def bottleneck_profile(
     mdfg: MDFG,
     binding: MemoryBinding,
     adg: ADG,
-    params: SystemParams,
-    num_tiles: Optional[int] = None,
     reuse_aware: bool = True,
-) -> PerfEstimate:
-    """Equations 1-2: bottleneck-limited IPC of ``mdfg`` on the overlay.
+) -> BottleneckProfile:
+    """Classify every stream by its engine and sum per-engine demand.
 
-    ``reuse_aware=False`` runs the ablated model: no stationary-port
+    ``reuse_aware=False`` builds the ablated model: no stationary-port
     discount and no L2-reuse filtering of DRAM demand (every stream pays
     full bandwidth at every level).
     """
-    tiles = params.num_tiles if num_tiles is None else num_tiles
-    tiles_used = min(float(tiles), mdfg.tile_parallelism)
-    factors: Dict[str, float] = {}
+    arrays: Dict[str, ArrayNode] = {}
+    for array in mdfg.arrays:
+        arrays.setdefault(array.array, array)
 
-    # ------------------------------------------------------------------
     # L1: per-scratchpad read/write bandwidth (private per tile, banks=1).
-    # ------------------------------------------------------------------
     spad_read: Dict[int, float] = {}
     spad_write: Dict[int, float] = {}
-    dma_streams: List[StreamNode] = []
+    dma_streams: List[Tuple[float, float, bool, float]] = []
     rec_demand = 0.0
     gen_demand = 0.0
     for stream in mdfg.streams:
@@ -181,95 +228,76 @@ def estimate_ipc(
             else:
                 spad_write[engine_id] = spad_write.get(engine_id, 0.0) + demand
         elif kind is NodeKind.DMA:
-            dma_streams.append(stream)
+            demand *= stream.stride_overfetch
+            array = arrays.get(stream.array)
+            if array is None:
+                dma_streams.append((demand, 0.0, True, 1.0))
+            else:
+                reuse = max(1.0, array.memory_reuse) if reuse_aware else 1.0
+                footprint = float(array.footprint_bytes)
+                dma_streams.append(
+                    (demand, footprint, array.partitionable, reuse)
+                )
         elif kind is NodeKind.RECURRENCE:
             rec_demand += demand
         elif kind is NodeKind.GENERATE:
             gen_demand += demand
         # register engine bandwidth is negligible (scalar collection)
+    engine_factors: List[Tuple[str, float]] = []
     for engine_id, demand in spad_read.items():
-        spad = adg.node(engine_id)
         if demand > 0:
-            factors[f"spad{engine_id}.read"] = spad.read_bandwidth / demand
+            bandwidth = adg.node(engine_id).read_bandwidth
+            engine_factors.append((f"spad{engine_id}.read", bandwidth / demand))
     for engine_id, demand in spad_write.items():
-        spad = adg.node(engine_id)
         if demand > 0:
-            factors[f"spad{engine_id}.write"] = spad.write_bandwidth / demand
+            bandwidth = adg.node(engine_id).write_bandwidth
+            engine_factors.append((f"spad{engine_id}.write", bandwidth / demand))
 
-    # ------------------------------------------------------------------
     # DMA engine issue bandwidth (per tile).
-    # ------------------------------------------------------------------
-    dma_demand = sum(
-        stream_demand_bytes(s, mdfg.unroll, reuse_aware) * s.stride_overfetch
-        for s in dma_streams
-    )
-    if dma_streams and dma_demand > 0:
+    dma_demand = sum((stream[0] for stream in dma_streams), 0.0)
+    if dma_demand > 0:
         dma_bw = max((d.bandwidth_bytes for d in adg.dmas), default=0)
         if dma_bw:
-            factors["dma"] = dma_bw / dma_demand
+            engine_factors.append(("dma", dma_bw / dma_demand))
 
-    # ------------------------------------------------------------------
-    # NoC: each tile's crossbar link bounds its own L2 traffic.
-    # ------------------------------------------------------------------
-    if dma_demand > 0:
-        factors["noc"] = params.noc_bytes_per_cycle / dma_demand
-
-    # ------------------------------------------------------------------
-    # L2: shared across tiles; banks multiply production (Eq. 2).
-    # ------------------------------------------------------------------
-    if dma_demand > 0:
-        production = params.l2_bank_bandwidth * params.l2_banks
-        consumption = dma_demand * tiles_used
-        factors["l2"] = production / consumption
-
-    # ------------------------------------------------------------------
-    # DRAM: streams whose working set misses in L2 keep their demand;
-    # workloads whose footprint fits are filtered by L2 reuse.
-    # ------------------------------------------------------------------
-    dram_demand_tile = 0.0
-    for stream in dma_streams:
-        demand = (
-            stream_demand_bytes(stream, mdfg.unroll, reuse_aware)
-            * stream.stride_overfetch
-        )
-        footprint = total_l2_footprint(mdfg, stream, max(1, int(tiles_used)))
-        if reuse_aware and footprint <= params.l2_bytes:
-            array = next(
-                (a for a in mdfg.arrays if a.array == stream.array), None
-            )
-            reuse = array.memory_reuse if array is not None else 1.0
-            demand /= max(1.0, reuse)
-        dram_demand_tile += demand
-    if dram_demand_tile > 0:
-        factors["dram"] = params.dram_bytes_per_cycle / (
-            dram_demand_tile * tiles_used
-        )
-
-    # ------------------------------------------------------------------
     # Auxiliary engines.
-    # ------------------------------------------------------------------
-    if rec_demand > 0:
-        rec_bw = max(
-            (e.bandwidth_bytes for e in adg.of_kind(NodeKind.RECURRENCE)),
-            default=0,
-        )
-        if rec_bw:
-            factors["rec"] = rec_bw / rec_demand
-    if gen_demand > 0:
-        gen_bw = max(
-            (e.bandwidth_bytes for e in adg.of_kind(NodeKind.GENERATE)),
-            default=0,
-        )
-        if gen_bw:
-            factors["gen"] = gen_bw / gen_demand
+    aux_factors: List[Tuple[str, float]] = []
+    for key, kind, demand in (
+        ("rec", NodeKind.RECURRENCE, rec_demand),
+        ("gen", NodeKind.GENERATE, gen_demand),
+    ):
+        if demand > 0:
+            bandwidth = max(
+                (e.bandwidth_bytes for e in adg.of_kind(kind)), default=0
+            )
+            if bandwidth:
+                aux_factors.append((key, bandwidth / demand))
 
-    bottleneck = min(factors.values()) if factors else 1.0
-    ipc = mdfg.insts_per_cycle * tiles_used * min(1.0, bottleneck)
-    return PerfEstimate(
-        ipc=ipc,
-        tiles_used=tiles_used,
+    return BottleneckProfile(
         insts_per_cycle=mdfg.insts_per_cycle,
-        factors=factors,
+        tile_parallelism=mdfg.tile_parallelism,
+        engine_factors=tuple(engine_factors),
+        aux_factors=tuple(aux_factors),
+        dma_demand=dma_demand,
+        dma_streams=tuple(dma_streams),
+    )
+
+
+def estimate_ipc(
+    mdfg: MDFG,
+    binding: MemoryBinding,
+    adg: ADG,
+    params: SystemParams,
+    num_tiles: Optional[int] = None,
+    reuse_aware: bool = True,
+) -> PerfEstimate:
+    """Equations 1-2: bottleneck-limited IPC of ``mdfg`` on the overlay.
+
+    ``reuse_aware=False`` runs the ablated model (see
+    :func:`bottleneck_profile`).
+    """
+    return bottleneck_profile(mdfg, binding, adg, reuse_aware).at(
+        params, num_tiles
     )
 
 
@@ -292,10 +320,12 @@ def geomean_ipc(estimates: List[PerfEstimate], weights=None) -> float:
         return 0.0
     if weights is None:
         weights = [1.0] * len(estimates)
+    elif len(weights) != len(estimates):
+        raise ValueError(
+            f"{len(weights)} weights for {len(estimates)} estimates"
+        )
     total_w = sum(weights)
     log_sum = 0.0
-    import math
-
     for est, w in zip(estimates, weights):
         log_sum += w * math.log(max(est.ipc, 1e-9))
     return math.exp(log_sum / total_w)

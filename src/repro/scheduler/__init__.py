@@ -2,7 +2,7 @@
 
 from .binder import bind_memory
 from .placer import place_and_route, topo_compute_order
-from .router import RoutingState, find_route, route_distance
+from .router import RoutingState, find_route, route_distances
 from .schedule import (
     EdgeKey,
     Schedule,
@@ -32,7 +32,7 @@ __all__ = [
     "place_and_route",
     "repair_schedule",
     "revalidate_schedule",
-    "route_distance",
+    "route_distances",
     "schedule_mdfg",
     "schedule_workload",
     "semantic_ok",

@@ -19,7 +19,7 @@ from ..dfg import (
     MDFG,
     OutputPortNode,
 )
-from .router import RoutingState, find_route
+from .router import RoutingState, find_route, route_distances
 from .schedule import EdgeKey, Schedule, ScheduleError
 
 
@@ -135,19 +135,15 @@ def _candidate_pes(
 
 def _rank_candidates(mdfg, adg, schedule, state, compute, candidates):
     """Candidates sorted by total route distance from placed sources."""
+    reach = [
+        route_distances(adg, state, src_hw, src_dfg, width)
+        for src_hw, src_dfg, width in _operand_sources(mdfg, schedule, compute)
+    ]
     scored = []
-    sources = _operand_sources(mdfg, schedule, compute)
     for pe in candidates:
-        total = 0
-        feasible = True
-        for src_hw, src_dfg, width in sources:
-            path = find_route(adg, state, src_hw, pe.node_id, src_dfg, width)
-            if path is None:
-                feasible = False
-                break
-            total += len(path) - 1
-        if feasible:
-            scored.append((pe.node_id, total))
+        hops = [hops_from.get(pe.node_id) for hops_from in reach]
+        if None not in hops:
+            scored.append((pe.node_id, sum(hops)))
     scored.sort(key=lambda item: (item[1], item[0]))
     return scored
 

@@ -98,14 +98,32 @@ def find_route(
     return None
 
 
-def route_distance(
+def route_distances(
     adg: ADG,
     state: RoutingState,
     src_hw: int,
-    dst_hw: int,
     source_dfg: int,
     width_bits: int,
-) -> Optional[int]:
-    """Hop count of the route :func:`find_route` would take (None if none)."""
-    path = find_route(adg, state, src_hw, dst_hw, source_dfg, width_bits)
-    return None if path is None else len(path) - 1
+    max_hops: int = 24,
+) -> Dict[int, int]:
+    """Hop count of :func:`find_route` from ``src_hw`` to every endpoint.
+
+    One BFS with the same rules: links must be free or already carry
+    ``source_dfg``, only wide-enough switches are expanded, any node may
+    end a route, and nodes ``max_hops`` away are reached but not expanded.
+    ``dst`` is absent exactly when ``find_route(..., dst, ...)`` is None.
+    """
+    hops = {src_hw: 0}
+    queue = deque([src_hw])
+    while queue:
+        here = queue.popleft()
+        depth = hops[here] + 1
+        if depth > max_hops:
+            break
+        for nxt in adg.successors(here):
+            if nxt in hops or not state.link_free_for((here, nxt), source_dfg):
+                continue
+            hops[nxt] = depth
+            if _hop_allowed(adg, nxt, width_bits):
+                queue.append(nxt)
+    return hops

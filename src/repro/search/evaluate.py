@@ -11,10 +11,10 @@ every proposal identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adg import SystemParams, adg_from_dict
-from ..compiler import generate_variants
+from ..compiler import VariantSet, generate_variants
 from ..dse import DseConfig
 from ..dse.system import SystemChoice, system_dse
 from ..ir import Workload
@@ -52,15 +52,26 @@ class EvalOut:
 
 
 def evaluate_shard(shard: EvalShard) -> List[EvalOut]:
-    """Evaluate every proposal in the shard, in global index order."""
+    """Evaluate every proposal in the shard, in global index order.
+
+    Variant sets depend on the workload only, so each workload is lowered
+    once per shard — and not at all when every proposal is an annealer
+    candidate, which arrives already scheduled.
+    """
+    variant_sets: List[VariantSet] = []
+    if any(proposal.kind != "candidate" for _index, proposal in shard.items):
+        variant_sets = [generate_variants(w) for w in shard.workloads]
     return [
-        evaluate_proposal(index, proposal, shard)
+        evaluate_proposal(index, proposal, shard, variant_sets)
         for index, proposal in shard.items
     ]
 
 
 def evaluate_proposal(
-    index: int, proposal: Proposal, shard: EvalShard
+    index: int,
+    proposal: Proposal,
+    shard: EvalShard,
+    variant_sets: Sequence[VariantSet],
 ) -> EvalOut:
     cfg = shard.config
     estimator = AnalyticEstimator()
@@ -109,8 +120,7 @@ def evaluate_proposal(
     try:
         from ..scheduler import schedule_workload
 
-        for workload in shard.workloads:
-            variants = generate_variants(workload)
+        for workload, variants in zip(shard.workloads, variant_sets):
             total_variants += len(variants.variants)
             schedule = schedule_workload(variants, adg, params)
             if schedule is None:

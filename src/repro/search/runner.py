@@ -26,7 +26,7 @@ from ..ir import Workload
 from ..jobs import FaultPolicy, JobRunner, ProcessPoolJobExecutor, ShardPlan
 from ..profile.tracer import span
 from .anneal import AnnealStrategy
-from .evaluate import EvalOut, EvalShard, evaluate_proposal, evaluate_shard
+from .evaluate import EvalOut, EvalShard, evaluate_shard
 from .strategy import (
     Proposal,
     SearchContext,
@@ -274,13 +274,13 @@ def _rebuild_best(trial: Trial, ctx: SearchContext):
     else:
         return None, None
     shard = EvalShard(
-        items=[],
+        items=[(trial.index, proposal)],
         workloads=tuple(ctx.workloads),
         config=ctx.config,
         seed=ctx.seed,
         include_adg=True,
     )
-    out = evaluate_proposal(trial.index, proposal, shard)
+    (out,) = evaluate_shard(shard)
     if out.choice is None or out.adg_doc is None:
         return None, None
     adg = adg_from_dict(out.adg_doc)

@@ -140,3 +140,15 @@ class TestCyclesAndGeomean:
         ]
         heavy_first = geomean_ipc(ests, weights=[3, 1])
         assert heavy_first < 8.0
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0]])
+    def test_geomean_rejects_mismatched_weights(self, weights):
+        from repro.model.perf import PerfEstimate
+
+        ests = [
+            PerfEstimate(ipc=4.0, tiles_used=1, insts_per_cycle=1, factors={}),
+            PerfEstimate(ipc=16.0, tiles_used=1, insts_per_cycle=1, factors={}),
+        ]
+        # zip() used to drop the extra term while total_w summed them all.
+        with pytest.raises(ValueError, match="weights for 2 estimates"):
+            geomean_ipc(ests, weights=weights)

@@ -4,6 +4,7 @@ These pin down the contracts the subsystems rely on:
 
 * reuse analysis agrees with brute-force enumeration of small loop nests;
 * scheduler routes are link-contiguous, switch-interior, and exclusive;
+* single-source route distances agree with per-destination ``find_route``;
 * the performance model is monotone in every provisioned resource;
 * simulator accounting conserves stream totals.
 """
@@ -14,11 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adg import SystemParams, general_overlay
+from repro.adg import SystemParams, general_overlay, mesh_adg, universal_caps
 from repro.compiler import affine_span, generate_variants, lower
 from repro.ir import Affine, F64, I16, WorkloadBuilder
 from repro.model.perf import estimate_ipc, preferred_binding
-from repro.scheduler import schedule_mdfg, schedule_workload
+from repro.scheduler import (
+    RoutingState,
+    find_route,
+    route_distances,
+    schedule_mdfg,
+    schedule_workload,
+)
 from repro.workloads import get_workload
 
 
@@ -106,6 +113,52 @@ def test_dedicated_pe_exclusivity(overlay, name):
         if overlay.adg.node(hw).kind.value == "pe"
     ]
     assert len(pes) == len(set(pes))
+
+
+@st.composite
+def congested_fabric(draw):
+    """A small mesh with links dropped, switch widths mixed, links owned."""
+    rng = draw(st.randoms(use_true_random=False))
+    adg = mesh_adg(
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)),
+        caps=universal_caps(),
+        width_bits=64,
+    )
+    for link in adg.links():
+        if rng.random() < 0.15:
+            adg.remove_link(*link)
+    for switch in adg.switches:
+        adg.replace_node(switch.node_id, width_bits=rng.choice((32, 64, 128)))
+    state = RoutingState(adg)
+    for link in adg.links():
+        if rng.random() < 0.3:
+            state.link_owner[link] = rng.choice((1, 2, 3))
+    return adg, state
+
+
+@given(
+    congested_fabric(),
+    st.integers(1, 3),
+    st.sampled_from([0, 1, 2, 3, 5, 24]),
+)
+@settings(max_examples=40, deadline=None)
+def test_route_distances_agree_with_find_route(fabric, source_dfg, max_hops):
+    """One BFS per source reports exactly ``find_route``'s hop counts,
+    reachability and ``max_hops`` cut-off, for every endpoint."""
+    adg, state = fabric
+    for src in adg.node_ids():
+        for width in (32, 64, 128):
+            hops = route_distances(
+                adg, state, src, source_dfg, width, max_hops=max_hops
+            )
+            for dst in adg.node_ids():
+                path = find_route(
+                    adg, state, src, dst, source_dfg, width, max_hops=max_hops
+                )
+                want = None if path is None else len(path) - 1
+                assert hops.get(dst) == want, (src, dst, width)
+            assert set(hops) <= set(adg.node_ids())
 
 
 # ----------------------------------------------------------------------

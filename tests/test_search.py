@@ -168,6 +168,46 @@ def test_rebuild_best_realizes_design(vecmax):
     assert outcome.choice.objective == outcome.best_trial.objective
 
 
+@pytest.mark.parametrize(
+    "strategy, lowered", [("tpe", 2), ("evolutionary", 2), ("anneal", 0)]
+)
+def test_shard_lowers_each_workload_once(strategy, lowered, monkeypatch):
+    """Variant sets depend on the workload, not the proposal: a shard of
+    genome/params proposals lowers each workload once, and a shard of
+    pre-scheduled annealer candidates not at all."""
+    from repro.search import evaluate
+
+    generate_variants = evaluate.generate_variants
+    calls = []
+
+    def counting(workload):
+        calls.append(workload.name)
+        return generate_variants(workload)
+
+    workloads = [get_workload("vecmax"), get_workload("fir")]
+    ctx = SearchContext(workloads=workloads, config=CFG, seed=2, name="t")
+    proposals = make_strategy(strategy, ctx).ask(3)
+    assert proposals
+    monkeypatch.setattr(evaluate, "generate_variants", counting)
+    outs = evaluate.evaluate_shard(
+        evaluate.EvalShard(
+            items=list(enumerate(proposals)),
+            workloads=tuple(workloads),
+            config=CFG,
+            seed=2,
+        )
+    )
+    assert [out.index for out in outs] == list(range(len(proposals)))
+    assert calls == ["vecmax", "fir"][:lowered]
+    if lowered:
+        # The modeled cost still charges every variant of every workload.
+        variants = sum(len(generate_variants(w).variants) for w in workloads)
+        tm = CFG.time_model
+        assert {out.modeled_seconds for out in outs} == {
+            tm.full_schedule * variants + tm.model_eval * 60.0
+        }
+
+
 class TestWorkerInvariance:
     def test_tpe_pool_study_is_byte_identical_to_serial(
         self, vecmax, tmp_path
