@@ -71,7 +71,6 @@ from .dse import DseConfig, explore
 from .model.resource import XCVU9P, system_resources
 from .rtl import emit_system, estimated_frequency, floorplan
 from .scheduler import schedule_workload
-from .sim import simulate_schedule
 from .workloads import SUITE_NAMES, all_workloads, get_suite, get_workload
 
 
@@ -102,7 +101,12 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_workloads(spec: str):
+def _resolve_workloads(spec: Optional[str]):
+    if not spec:
+        raise CliError(
+            "missing workloads argument (suite name, 'all', or "
+            "comma-separated names)"
+        )
     if spec in SUITE_NAMES:
         return get_suite(spec)
     if spec == "all":
@@ -524,36 +528,18 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    """``repro simulate <design> w1[,w2,...]`` — one batched stepping pass."""
     if args.json:
         if "," in args.workload:
             raise CliError("--json takes a single workload, not a list")
         return _single_shot_json("simulate", args.design, args.workload)
-    if "," in args.workload:
-        return _simulate_many(args.design, args.workload)
-    sysadg, schedule = _map_workload(args.design, args.workload)
-    if schedule is None:
-        print(f"{args.workload} does NOT map onto {sysadg.name}")
-        return 1
-    result = simulate_schedule(schedule, sysadg)
-    seconds = result.seconds(sysadg.params.frequency_mhz)
-    print(
-        f"{args.workload} on {sysadg.name}: {result.cycles:,.0f} cycles "
-        f"({seconds * 1e6:,.1f} us), IPC {result.ipc:.1f}, "
-        f"{result.tiles_used} tiles used"
-    )
-    return 0
-
-
-def _simulate_many(design: str, workloads: str) -> int:
-    """``repro simulate <design> w1,w2,...`` — one batched stepping pass."""
     from .serve import simulate_batch_op
     from .serve.errors import BadRequestError
+    from .serve.ops import split_workloads
 
-    sysadg = _load_design(design)
-    names = [n.strip() for n in workloads.split(",") if n.strip()]
-    if not names:
-        raise CliError("empty workload list")
+    sysadg = _load_design(args.design)
     try:
+        names = split_workloads(args.workload)
         docs = simulate_batch_op(sysadg, names)
     except BadRequestError as exc:
         raise CliError(str(exc)) from exc
@@ -638,13 +624,17 @@ def _bands(args: argparse.Namespace):
     return bands
 
 
+#: What each ``repro bench <what>`` selects from ``profile.bench.BENCHES``.
+_BENCH_KINDS = {"core": ("dse", "sim"), "sim": ("sim",), "search": ("search",)}
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
     from .engine import MetricsLogger
-    from .profile.bench import BUDGETS, compare_reports, run_bench
+    from .profile import bench
 
-    budget = BUDGETS[args.budget]
+    kinds = _BENCH_KINDS[args.what]
     baseline = None
     if args.compare:
         try:
@@ -656,164 +646,118 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise CliError(
                 f"cannot read baseline {args.compare}: {exc}"
             ) from exc
-        if baseline.get("kind") not in ("dse", "sim", "search"):
+        kind = baseline.get("kind")
+        if kind not in bench.BENCHES:
             raise CliError(
                 f"{args.compare}: not a BENCH report (missing/unknown 'kind')"
             )
-
-    metrics = MetricsLogger(args.metrics) if args.metrics else None
-    if args.what == "search":
-        return _bench_search(args, baseline, metrics)
-    if args.what == "sim":
-        return _bench_sim(args, baseline, metrics)
-    if baseline is not None and baseline.get("kind") == "search":
+        if kind not in kinds:
+            raise CliError(
+                f"{args.compare}: kind {kind!r} baseline does not apply to "
+                f"`repro bench {args.what}`; run `repro bench "
+                f"{'core' if kind == 'dse' else kind}`"
+            )
+    if args.max_overhead is not None and "dse" not in kinds:
         raise CliError(
-            f"{args.compare} is a search baseline; run `repro bench search`"
+            "--max-overhead gates the tracer overhead the dse bench "
+            f"measures; `repro bench {args.what}` does not run it"
         )
-    report = run_bench(
-        budget,
+
+    docs = bench.run_bench(
+        kinds,
+        bench.BUDGETS[args.budget],
         seed=args.seed,
         out_dir=args.out_dir,
         trace_path=args.trace,
-        metrics=metrics,
+        metrics=MetricsLogger(args.metrics) if args.metrics else None,
     )
-    d, s, o = report.dse, report.sim, report.overhead
-    print(
-        f"dse[{budget.name}]: {d['iterations']} candidates in "
-        f"{d['wall_seconds']:.2f}s ({d['candidates_per_second']:.0f}/s), "
-        f"preserved-hit rate {d['preserved_hit_rate']:.0%}"
-    )
-    print(
-        f"  fast path {d['fast_path_mean_s'] * 1e3:.3f} ms vs repair "
-        f"{d['repair_path_mean_s'] * 1e3:.3f} ms "
-        f"({d['fast_path_speedup']:.1f}x), warm-memo rerun "
-        f"{d['memo_speedup']:.1f}x faster"
-    )
-    print(
-        f"sim[{budget.name}]: {s['stepped_cycles']:,} cycles in "
-        f"{s['wall_seconds']:.2f}s ({s['cycles_per_second']:,.0f} cycles/s)"
-    )
-    print(
-        f"tracer overhead: disabled/no-tracer ratio {o['ratio']:.3f} "
-        f"({o['calls']} span calls, min of {o['repeats']})"
-    )
-    print(f"wrote {report.dse_path} and {report.sim_path}")
-    if args.trace:
-        print(f"wrote Chrome trace to {args.trace}")
-
-    rc = 0
-    if args.max_overhead is not None and o["ratio"] > args.max_overhead:
-        print(
-            f"FAIL: tracer overhead ratio {o['ratio']:.3f} exceeds "
-            f"--max-overhead {args.max_overhead}"
-        )
-        rc = 1
-    if baseline is not None:
-        tolerance = _compare_tolerance(args)
-        current_doc = report.dse if baseline["kind"] == "dse" else report.sim
-        cmp = compare_reports(current_doc, baseline, tolerance=tolerance)
-        rc = max(rc, _print_compare(cmp, args.compare, tolerance))
-    return rc
-
-
-def _compare_tolerance(args: argparse.Namespace) -> float:
-    """--max-regression (the explicit CI gate) overrides --tolerance."""
-    if getattr(args, "max_regression", None) is not None:
-        return args.max_regression
-    return args.tolerance
-
-
-def _print_compare(cmp, compare_path: str, tolerance: float) -> int:
-    """Render one compare_reports result; 1 when it regressed."""
-    for row in cmp["rows"]:
-        ratio = (
-            f"{row['ratio']:.2f}x" if row["ratio"] is not None else "n/a"
-        )
-        print(
-            f"  {row['status']:12s} {row['metric']}: "
-            f"{row['current']} vs baseline {row['baseline']} ({ratio})"
-        )
-    if cmp["ok"]:
-        print(f"compare vs {compare_path}: OK (tolerance {tolerance})")
-        return 0
-    print(
-        f"FAIL: regression vs {compare_path} in "
-        f"{', '.join(cmp['regressions'])}"
-    )
-    return 1
-
-
-def _bench_search(args: argparse.Namespace, baseline, metrics) -> int:
-    """The ``repro bench search`` strategy shootout."""
-    from .profile.bench import BUDGETS, compare_reports, run_search_bench
-
-    if baseline is not None and baseline.get("kind") != "search":
-        raise CliError(
-            f"{args.compare}: kind {baseline.get('kind')!r} baseline does "
-            "not apply to `bench search`"
-        )
-    budget = BUDGETS[args.budget]
-    doc, path = run_search_bench(
-        budget,
-        seed=args.seed,
-        out_dir=args.out_dir,
-        trace_path=args.trace,
-        metrics=metrics,
-    )
-    for strat in sorted(doc["strategies"]):
-        row = doc["strategies"][strat]
-        print(
-            f"search[{budget.name}] {strat:12s}: best objective "
-            f"{row['best_objective']:.2f}, hypervolume "
-            f"{row['hypervolume']:.4g}, {row['feasible']}/{row['trials']} "
-            f"feasible, {row['wall_seconds']:.2f}s"
-        )
-    print(f"best strategy: {doc['best_strategy']}")
-    print(f"wrote {path}")
+    _print_bench(docs, args.budget)
+    paths = [bench.bench_path(args.out_dir, kind) for kind in docs]
+    print("wrote " + " and ".join(paths))
     if args.trace:
         print(f"wrote Chrome trace to {args.trace}")
     rc = 0
-    if baseline is not None:
-        tolerance = _compare_tolerance(args)
-        cmp = compare_reports(doc, baseline, tolerance=tolerance)
-        rc = _print_compare(cmp, args.compare, tolerance)
-    return rc
-
-
-def _bench_sim(args: argparse.Namespace, baseline, metrics) -> int:
-    """The ``repro bench sim`` sim-only benchmark + perf gate."""
-    from .profile.bench import BUDGETS, compare_reports, run_bench_sim
-
-    if baseline is not None and baseline.get("kind") != "sim":
-        raise CliError(
-            f"{args.compare}: kind {baseline.get('kind')!r} baseline does "
-            "not apply to `bench sim`"
-        )
-    budget = BUDGETS[args.budget]
-    doc, path = run_bench_sim(
-        budget, seed=args.seed, out_dir=args.out_dir, metrics=metrics
-    )
-    batch = doc["batch"]
-    print(
-        f"sim[{budget.name}] core={doc['core']}: {doc['stepped_cycles']:,} "
-        f"cycles in {doc['wall_seconds']:.2f}s "
-        f"({doc['cycles_per_second']:,.0f} cycles/s)"
-    )
-    print(
-        f"  batch: {batch['pairs']} regions, "
-        f"{doc['batch_cycles_per_second']:,.0f} cycles/s, "
-        f"identical to serial: {batch['identical_to_serial']}"
-    )
-    print(f"wrote {path}")
-    rc = 0
-    if not batch["identical_to_serial"]:
+    if "sim" in docs and not docs["sim"]["batch"]["identical_to_serial"]:
         print("FAIL: batched results diverged from serial simulation")
         rc = 1
+    if args.max_overhead is not None:
+        ratio = docs["dse"]["overhead"]["ratio"]
+        if ratio > args.max_overhead:
+            print(
+                f"FAIL: tracer overhead ratio {ratio:.3f} exceeds "
+                f"--max-overhead {args.max_overhead}"
+            )
+            rc = 1
     if baseline is not None:
-        tolerance = _compare_tolerance(args)
-        cmp = compare_reports(doc, baseline, tolerance=tolerance)
-        rc = max(rc, _print_compare(cmp, args.compare, tolerance))
+        cmp = bench.compare_reports(
+            docs[baseline["kind"]], baseline, tolerance=args.max_regression
+        )
+        for row in cmp["rows"]:
+            ratio = (
+                f"{row['ratio']:.2f}x" if row["ratio"] is not None else "n/a"
+            )
+            print(
+                f"  {row['status']:12s} {row['metric']}: "
+                f"{row['current']} vs baseline {row['baseline']} ({ratio})"
+            )
+        if cmp["ok"]:
+            print(
+                f"compare vs {args.compare}: OK "
+                f"(tolerance {args.max_regression})"
+            )
+        else:
+            print(
+                f"FAIL: regression vs {args.compare} in "
+                f"{', '.join(cmp['regressions'])}"
+            )
+            rc = 1
     return rc
+
+
+def _print_bench(docs, budget: str) -> None:
+    """One summary block per bench document."""
+    if "dse" in docs:
+        d = docs["dse"]
+        o = d["overhead"]
+        print(
+            f"dse[{budget}]: {d['iterations']} candidates in "
+            f"{d['wall_seconds']:.2f}s ({d['candidates_per_second']:.0f}/s), "
+            f"preserved-hit rate {d['preserved_hit_rate']:.0%}"
+        )
+        print(
+            f"  fast path {d['fast_path_mean_s'] * 1e3:.3f} ms vs repair "
+            f"{d['repair_path_mean_s'] * 1e3:.3f} ms "
+            f"({d['fast_path_speedup']:.1f}x), warm-memo rerun "
+            f"{d['memo_speedup']:.1f}x faster"
+        )
+        print(
+            f"tracer overhead: disabled/no-tracer ratio {o['ratio']:.3f} "
+            f"({o['calls']} span calls, min of {o['repeats']})"
+        )
+    if "sim" in docs:
+        s = docs["sim"]
+        batch = s["batch"]
+        print(
+            f"sim[{budget}] core={s['core']}: {s['stepped_cycles']:,} "
+            f"cycles in {s['wall_seconds']:.2f}s "
+            f"({s['cycles_per_second']:,.0f} cycles/s)"
+        )
+        print(
+            f"  batch: {batch['pairs']} regions, "
+            f"{s['batch_cycles_per_second']:,.0f} cycles/s, "
+            f"identical to serial: {batch['identical_to_serial']}"
+        )
+    if "search" in docs:
+        doc = docs["search"]
+        for strat in sorted(doc["strategies"]):
+            row = doc["strategies"][strat]
+            print(
+                f"search[{budget}] {strat:12s}: best objective "
+                f"{row['best_objective']:.2f}, hypervolume "
+                f"{row['hypervolume']:.4g}, {row['feasible']}/{row['trials']} "
+                f"feasible, {row['wall_seconds']:.2f}s"
+            )
+        print(f"best strategy: {doc['best_strategy']}")
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -971,7 +915,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         ServeConnectionError,
         ServeError,
         canonical_dumps,
-        run_load,
         run_load_sharded,
     )
 
@@ -996,45 +939,19 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         if args.shards < 1:
             raise CliError("--shards must be >= 1")
 
-        async def _load():
-            return await run_load(
-                factory,
+        try:
+            report = run_load_sharded(
+                {"socket": args.socket, "host": args.host, "port": args.port},
                 ops=ops,
                 workloads=workloads,
                 requests=args.requests,
                 concurrency=args.concurrency,
+                load_shards=args.shards,
                 overlays=overlays,
                 timeout_s=args.timeout,
                 expect_errors=args.expect_errors,
                 cluster=args.cluster,
             )
-
-        try:
-            if args.shards > 1:
-                report = run_load_sharded(
-                    {
-                        "socket": args.socket,
-                        "host": args.host,
-                        "port": args.port,
-                    },
-                    ops=ops,
-                    workloads=workloads,
-                    requests=args.requests,
-                    concurrency=args.concurrency,
-                    load_shards=args.shards,
-                    overlays=overlays,
-                    timeout_s=args.timeout,
-                    expect_errors=args.expect_errors,
-                    cluster=args.cluster,
-                )
-
-                async def _stats():
-                    async with factory() as client:
-                        return await client.stats()
-
-                report.server_stats = asyncio.run(_stats())
-            else:
-                report = asyncio.run(_load())
         except ServeConnectionError as exc:
             raise CliError(str(exc)) from exc
         except ServeError as exc:
@@ -1243,32 +1160,94 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Option groups shared by several commands, each declared once.
+    def group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    dse_run = group()
+    dse_run.add_argument(
+        "workloads", nargs="?", default=None,
+        help="suite name (dsp/machsuite/vision), 'all', or comma-separated names",
+    )
+    dse_run.add_argument("-o", "--output", default="overlay.json")
+    dse_run.add_argument("-n", "--iterations", type=int, default=150)
+    dse_run.add_argument("-s", "--seed", type=int, default=2)
+    dse_run.add_argument("--name", default=None)
+
+    bands = group()
+    bands.add_argument(
+        "--rel-tol", type=float, default=None,
+        help="override every per-class relative tolerance (0 flags any "
+             "model/sim gap beyond the absolute floor)",
+    )
+    bands.add_argument(
+        "--abs-floor", type=float, default=None,
+        help="absolute cycle gap always forgiven (default 64; 0 disables)",
+    )
+
+    fuzzing = group()
+    fuzzing.add_argument(
+        "--corpus", default=None,
+        help="divergence-corpus directory (minimal repros persist here)",
+    )
+    fuzzing.add_argument(
+        "--max-mutations", type=int, default=6,
+        help="max random ADG mutations per case",
+    )
+
+    endpoint = group()
+    endpoint.add_argument(
+        "--socket", default=None,
+        help="endpoint unix socket path (overrides --host/--port)",
+    )
+    endpoint.add_argument("--host", default="127.0.0.1")
+    endpoint.add_argument(
+        "--port", type=int, default=0,
+        help="TCP port (listeners: 0 picks a free one, printed at startup)",
+    )
+
+    shard = group()
+    shard.add_argument(
+        "--workers", type=int, default=2,
+        help="compile worker processes per shard (0 = in-process threads)",
+    )
+    shard.add_argument(
+        "--queue-limit", type=int, default=64,
+        help="requests in service per shard before admission control "
+             "sheds load with 'overloaded' (default 64)",
+    )
+    shard.add_argument(
+        "--default-timeout", type=float, default=30.0,
+        help="deadline for requests that carry no timeout_s (seconds)",
+    )
+    shard.add_argument(
+        "--cache-dir", default=None,
+        help="persist served results in this artifact store directory",
+    )
+    shard.add_argument(
+        "--registry", default=None, metavar="DIR",
+        help="overlay registry root; name@version specs resolve from it",
+    )
+    shard.add_argument(
+        "--metrics", default=None,
+        help="append serve events to this JSONL file (cluster: the "
+             "router's; shards get per-shard files in --run-dir)",
+    )
+
     sub.add_parser("workloads", help="list the Table-II workloads").set_defaults(
         func=_cmd_workloads
     )
 
-    gen = sub.add_parser("generate", help="run the overlay DSE and save it")
-    gen.add_argument(
-        "workloads",
-        help="suite name (dsp/machsuite/vision), 'all', or comma-separated names",
+    gen = sub.add_parser(
+        "generate", parents=[dse_run], help="run the overlay DSE and save it"
     )
-    gen.add_argument("-o", "--output", default="overlay.json")
-    gen.add_argument("-n", "--iterations", type=int, default=150)
-    gen.add_argument("-s", "--seed", type=int, default=2)
-    gen.add_argument("--name", default=None)
     gen.set_defaults(func=_cmd_generate)
 
     dse = sub.add_parser(
         "dse",
+        parents=[dse_run],
         help="engine DSE: parallel multi-seed, cached, checkpoint/resume",
     )
-    dse.add_argument(
-        "workloads", nargs="?", default=None,
-        help="suite name (dsp/machsuite/vision), 'all', or comma-separated names",
-    )
-    dse.add_argument("-o", "--output", default="overlay.json")
-    dse.add_argument("-n", "--iterations", type=int, default=150)
-    dse.add_argument("-s", "--seed", type=int, default=2)
     dse.add_argument(
         "--strategy", default=None,
         help="run the pluggable search runtime with this strategy "
@@ -1335,7 +1314,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", default=None,
         help="append engine events to this JSONL file",
     )
-    dse.add_argument("--name", default=None)
     dse.set_defaults(func=_cmd_dse)
 
     ins = sub.add_parser("inspect", help="render a saved design")
@@ -1457,22 +1435,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="regression-check against a stored BENCH_*.json baseline",
     )
     bench.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed relative drop before --compare fails (default 0.25)",
-    )
-    bench.add_argument(
         "--max-overhead", type=float, default=None,
-        help="fail if disabled-tracer/no-tracer span ratio exceeds this",
+        help="fail if disabled-tracer/no-tracer span ratio exceeds this "
+             "(needs the dse bench: `bench core`)",
     )
     bench.add_argument(
-        "--max-regression", type=float, default=None,
-        help="override --tolerance for the --compare check (CI perf "
-             "gates: a named, explicit regression budget)",
+        "--max-regression", type=float, default=0.25,
+        help="allowed relative drop before --compare fails (default 0.25)",
     )
     bench.set_defaults(func=_cmd_bench)
 
     fuzz = sub.add_parser(
         "fuzz",
+        parents=[bands, fuzzing],
         help="differential model-vs-simulator fuzzing (generate, check, "
              "shrink, record)",
     )
@@ -1481,23 +1456,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument("-s", "--seed", type=int, default=0)
     fuzz.add_argument(
-        "--corpus", default=None,
-        help="divergence-corpus directory (minimal repros persist here)",
-    )
-    fuzz.add_argument(
-        "--rel-tol", type=float, default=None,
-        help="override every per-class relative tolerance (0 flags any "
-             "model/sim gap beyond the absolute floor)",
-    )
-    fuzz.add_argument(
-        "--abs-floor", type=float, default=None,
-        help="absolute cycle gap always forgiven (default 64; 0 disables)",
-    )
-    fuzz.add_argument(
-        "--max-mutations", type=int, default=6,
-        help="max random ADG mutations per case",
-    )
-    fuzz.add_argument(
         "--metrics", default=None,
         help="append fuzz events to this JSONL file",
     )
@@ -1505,6 +1463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     soak = sub.add_parser(
         "soak",
+        parents=[bands, fuzzing],
         help="sharded resumable fuzz campaign: checkpointed shards, "
              "deterministic merged triage report, regression promotion",
     )
@@ -1532,10 +1491,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer already-finished shards from --state checkpoints",
     )
     soak.add_argument(
-        "--corpus", default=None,
-        help="divergence-corpus directory (minimal repros persist here)",
-    )
-    soak.add_argument(
         "--promote", default=None, metavar="DIR",
         help="freeze each deduped minimal repro as a committed regression "
              "case (JSON + generated pytest module) under DIR",
@@ -1550,18 +1505,6 @@ def build_parser() -> argparse.ArgumentParser:
              "identical campaigns)",
     )
     soak.add_argument(
-        "--rel-tol", type=float, default=None,
-        help="override every per-class relative tolerance",
-    )
-    soak.add_argument(
-        "--abs-floor", type=float, default=None,
-        help="absolute cycle gap always forgiven (default 64; 0 disables)",
-    )
-    soak.add_argument(
-        "--max-mutations", type=int, default=6,
-        help="max random ADG mutations per case",
-    )
-    soak.add_argument(
         "--shrink-budget", type=int, default=120,
         help="max oracle evaluations per shrink (default 120)",
     )
@@ -1573,6 +1516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
+        parents=[endpoint, shard],
         help="serve map/estimate/simulate requests over loaded overlays "
              "(JSON-lines, coalescing, admission control, graceful drain)",
     )
@@ -1581,48 +1525,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="design JSON file(s) to serve (may be empty with --registry)",
     )
     srv.add_argument(
-        "--socket", default=None,
-        help="unix socket path to listen on (overrides --host/--port)",
-    )
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (0 picks a free one, printed at startup)",
-    )
-    srv.add_argument(
-        "--queue-limit", type=int, default=64,
-        help="max requests in service before admission control sheds "
-             "load with 'overloaded' (default 64)",
-    )
-    srv.add_argument(
-        "--workers", type=int, default=2,
-        help="compile worker processes (0 = in-process threads)",
-    )
-    srv.add_argument(
-        "--default-timeout", type=float, default=30.0,
-        help="deadline for requests that carry no timeout_s (seconds)",
-    )
-    srv.add_argument(
         "--drain-timeout", type=float, default=30.0,
         help="max seconds graceful drain waits for in-flight requests",
-    )
-    srv.add_argument(
-        "--cache-dir", default=None,
-        help="persist served results in this artifact store directory",
-    )
-    srv.add_argument(
-        "--metrics", default=None,
-        help="append serve events to this JSONL file",
-    )
-    srv.add_argument(
-        "--registry", default=None, metavar="DIR",
-        help="overlay registry root; serve resolves name@version specs "
-             "from it on demand",
     )
     srv.set_defaults(func=_cmd_serve)
 
     sb = sub.add_parser(
         "submit",
+        parents=[endpoint],
         help="submit requests to a running 'repro serve' (one-shot or load)",
     )
     sb.add_argument(
@@ -1631,9 +1541,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "ping", "stats", "topology", "shutdown", "load"),
     )
     sb.add_argument("workload", nargs="?", default=None)
-    sb.add_argument("--socket", default=None, help="server unix socket path")
-    sb.add_argument("--host", default="127.0.0.1")
-    sb.add_argument("--port", type=int, default=0)
     sb.add_argument(
         "--overlay", default=None,
         help="overlay name (optional when the server holds exactly one)",
@@ -1729,7 +1636,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     clusub = clu.add_subparsers(dest="cluster_op", required=True)
     cserve = clusub.add_parser(
-        "serve", help="spawn shards and route until shutdown"
+        "serve",
+        parents=[endpoint, shard],
+        help="spawn shards and route until shutdown",
     )
     cserve.add_argument(
         "designs", nargs="*",
@@ -1745,35 +1654,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="backend serve shard processes (default 2)",
     )
     cserve.add_argument(
-        "--socket", default=None,
-        help="router unix socket path (overrides --host/--port)",
-    )
-    cserve.add_argument("--host", default="127.0.0.1")
-    cserve.add_argument(
-        "--port", type=int, default=0,
-        help="router TCP port (0 picks a free one)",
-    )
-    cserve.add_argument(
-        "--registry", default=None, metavar="DIR",
-        help="shared overlay registry root for every shard + the router",
-    )
-    cserve.add_argument(
-        "--cache-dir", default=None,
-        help="shared artifact store for served results",
-    )
-    cserve.add_argument(
-        "--workers", type=int, default=2,
-        help="compile worker processes per shard (default 2)",
-    )
-    cserve.add_argument(
-        "--queue-limit", type=int, default=64,
-        help="per-shard admission limit (default 64)",
-    )
-    cserve.add_argument(
-        "--default-timeout", type=float, default=30.0,
-        help="per-shard default request deadline (seconds)",
-    )
-    cserve.add_argument(
         "--health-interval", type=float, default=2.0,
         help="seconds between router health sweeps (default 2)",
     )
@@ -1781,28 +1661,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--failover-retries", type=int, default=2,
         help="bounded retries on overloaded/unreachable shards",
     )
-    cserve.add_argument(
-        "--metrics", default=None,
-        help="router metrics JSONL (shards get per-shard files in "
-             "--run-dir)",
-    )
     cserve.set_defaults(func=_cmd_cluster)
 
     val = sub.add_parser(
         "validate",
+        parents=[bands],
         help="structural invariants on the built-in suite + corpus replay",
     )
     val.add_argument(
         "--corpus", default=None,
         help="divergence-corpus directory to replay",
-    )
-    val.add_argument(
-        "--rel-tol", type=float, default=None,
-        help="tolerance override used when replaying corpus entries",
-    )
-    val.add_argument(
-        "--abs-floor", type=float, default=None,
-        help="absolute cycle gap always forgiven during replay",
     )
     val.add_argument(
         "--regression", default=None, metavar="DIR",

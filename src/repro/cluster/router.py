@@ -2,8 +2,8 @@
 
 ``ClusterRouter`` speaks the exact :mod:`repro.serve.protocol` a single
 ``OverlayServer`` speaks, so every existing client (``repro submit``,
-``SocketJobExecutor``, the load generator) points at a cluster without
-changing a line.  Per request:
+the load generator) points at a cluster without changing a line.  Per
+request:
 
 * **Route** — compute ops hash ``(overlay fingerprint, workload
   fingerprint)`` into the fixed slot space and pick the owning shard
@@ -12,8 +12,7 @@ changing a line.  Per request:
   single-flight coalescing + memory cache see all duplicates).
   ``remap`` routes on the registry *base name* instead of the
   fingerprint so a new published version inherits the shard — and
-  therefore the preserved schedule — of the previous one.  ``job`` ops
-  round-robin over healthy shards.
+  therefore the preserved schedule — of the previous one.
 * **Failover** — a shard answering ``overloaded`` (or failing at the
   connection level) gets a bounded number of retries against the next
   healthy shards; any shard computes the identical result document, so
@@ -46,12 +45,7 @@ from ..engine.metrics import MetricsLogger
 from ..serve.client import ServeClient, ServeConnectionError
 from ..serve.endpoint import JsonLinesEndpoint
 from ..serve.errors import InternalError, ShuttingDownError
-from ..serve.protocol import (
-    COMPUTE_OPS,
-    PROTOCOL_VERSION,
-    Request,
-    response_doc,
-)
+from ..serve.protocol import PROTOCOL_VERSION, Request, response_doc
 from ..serve.ops import workload_fp
 from .registry import OverlayRegistry, RegistryError, split_spec
 from .topology import BackendSpec, Topology, route_shard
@@ -142,7 +136,6 @@ class ClusterRouter:
         #: immutable so they cache forever, bare names resolve live.
         self._overlay_fps: Dict[str, str] = {}
         self._workload_fps: Dict[str, str] = {}
-        self._rr = 0
         self._wire = JsonLinesEndpoint(self._dispatch, self.counters)
         self._health_task: Optional["asyncio.Task[None]"] = None
         self._draining = False
@@ -308,15 +301,13 @@ class ClusterRouter:
             return await self._broadcast_load_overlay(request, doc)
         if self._draining:
             raise ShuttingDownError("router is draining; no new work")
-        if request.op in COMPUTE_OPS:
-            assert request.workload is not None
-            owner = route_shard(
-                self._overlay_key(request.overlay, request.op),
-                self._workload_key(request.workload),
-                len(self.backends),
-            )
-        else:  # job: no content key, spread round-robin
-            owner = self._rr = (self._rr + 1) % len(self.backends)
+        # Everything that is not an admin op is a compute op.
+        assert request.workload is not None
+        owner = route_shard(
+            self._overlay_key(request.overlay, request.op),
+            self._workload_key(request.workload),
+            len(self.backends),
+        )
         return await self._forward(request, doc, owner)
 
     async def _forward(

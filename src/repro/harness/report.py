@@ -206,7 +206,7 @@ def _fig20_section() -> str:
         f"Paper: 1.09x estimated IPC, ~15% DSE-time reduction; measured "
         f"geomean IPC ratio {mean_ratio:.2f}x."
     )
-    bench = _bench_dse_doc()
+    bench = _bench_doc("dse")
     if bench is not None:
         lines.append("")
         lines.append(
@@ -220,7 +220,7 @@ def _fig20_section() -> str:
             f"({bench['fast_path_speedup']:.1f}x faster), "
             f"{bench['candidates_per_second']:.0f} candidates/s overall."
         )
-    sim = _bench_sim_doc()
+    sim = _bench_doc("sim")
     if sim is not None:
         lines.append("")
         line = (
@@ -297,34 +297,18 @@ def _pareto_section(trials: int = 24, seed: int = 3) -> str:
     return "\n".join(lines)
 
 
-def _bench_dse_doc():
-    """BENCH_dse.json from a `repro bench` run at the repo root, if any."""
+def _bench_doc(kind: str):
+    """BENCH_<kind>.json from a `repro bench` run at the repo root, if any."""
     import json
     import os
 
-    path = os.path.join(os.getcwd(), "BENCH_dse.json")
+    path = os.path.join(os.getcwd(), f"BENCH_{kind}.json")
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError):
         return None
-    if doc.get("kind") != "dse" or doc.get("schema") != 1:
-        return None
-    return doc
-
-
-def _bench_sim_doc():
-    """BENCH_sim.json from a `repro bench` run at the repo root, if any."""
-    import json
-    import os
-
-    path = os.path.join(os.getcwd(), "BENCH_sim.json")
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if doc.get("kind") != "sim" or doc.get("schema") != 1:
+    if doc.get("kind") != kind or doc.get("schema") != 1:
         return None
     return doc
 

@@ -15,8 +15,7 @@ Layout:
   metrics / ``jobs.*`` span plumbing.
 * :mod:`~repro.jobs.executors` — :class:`InProcessExecutor`,
   :class:`ProcessPoolJobExecutor` (owner of the one serial-fallback
-  rule), :class:`SocketJobExecutor` (remote ``repro serve`` dispatch),
-  and :func:`make_worker_pool` for long-lived pools.
+  rule), and :func:`make_worker_pool` for long-lived pools.
 
 Parallelism flag convention (mirrored by the CLI): ``--workers`` is how
 many OS processes execute jobs (an execution detail — never changes
@@ -27,7 +26,6 @@ the ShardPlan contract).
 from .executors import (
     InProcessExecutor,
     ProcessPoolJobExecutor,
-    SocketJobExecutor,
     make_worker_pool,
 )
 from .plan import Shard, ShardPlan
@@ -51,6 +49,5 @@ __all__ = [
     "ProcessPoolJobExecutor",
     "Shard",
     "ShardPlan",
-    "SocketJobExecutor",
     "make_worker_pool",
 ]

@@ -7,7 +7,7 @@ failure, never an exception out of the loop).  Yielding in submission
 order — not completion order — keeps every downstream event stream and
 merge deterministic regardless of worker scheduling.
 
-Three executors plus a pool factory:
+Two executors plus a pool factory:
 
 * :class:`InProcessExecutor` — serial, in the calling process.  No
   pickling, no preemption: ``timeout_s`` cannot interrupt a running job
@@ -18,12 +18,6 @@ Three executors plus a pool factory:
   engine and soak previously each hand-rolled, and degrades to the
   serial path when the sandbox offers no multiprocessing primitives
   (``OSError``).
-* :class:`SocketJobExecutor` — dispatches each job as a request to a
-  remote ``repro serve`` worker (or cluster router) over the JSON-lines
-  protocol.  With a ``request_fn`` it speaks the typed compute ops
-  (map/estimate/simulate/remap); without one it ships the ``fn(job)``
-  closure itself through the serve-side generic ``job`` op, which is
-  what multi-node soak and distributed DSE fan out over.
 
 :func:`make_worker_pool` is the same process-else-thread fallback for
 subsystems that need a long-lived ``concurrent.futures`` executor (the
@@ -35,7 +29,7 @@ from __future__ import annotations
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from time import perf_counter
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
 from ..profile.tracer import span
 from .runner import JobOutcome
@@ -197,128 +191,6 @@ class ProcessPoolJobExecutor:
             # still queued and let the orphaned process die on its own.
             abandon = timed_out_any or cancel_rest
             pool.shutdown(wait=not abandon, cancel_futures=abandon)
-
-
-class SocketJobExecutor:
-    """Dispatch jobs to a remote ``repro serve`` worker over its socket.
-
-    Two modes share the connection/fault plumbing:
-
-    * ``request_fn(payload)`` adapts one job to the keyword arguments
-      of :meth:`repro.serve.client.ServeClient.request` (``op``,
-      ``workload``, ``overlay``, ``timeout_s``) — the typed compute
-      path.
-    * Without ``request_fn``, the executor ships ``fn(payload)``
-      itself: the pair is pickled through the serve-side generic
-      ``job`` op and the unpickled return value lands in
-      ``JobOutcome.result`` — byte-for-byte what a local executor
-      would have produced.  ``fn`` must be an importable module-level
-      callable (the standard process-pool constraint), and the target
-      must be a trusted server (the job op executes pickled closures).
-
-    All jobs are fired concurrently (bounded by ``concurrency``) over
-    one pipelined connection; outcomes come back in submission order.
-    A structured serve error (bad request, overloaded, deadline) is a
-    recorded per-job failure, never an exception — the same fault
-    isolation the local executors give.  Remote ``deadline`` errors map
-    onto ``timed_out`` so :class:`~repro.jobs.runner.FaultPolicy`
-    treats local and remote expiry identically.
-    """
-
-    kind = "socket"
-
-    def __init__(
-        self,
-        socket_path: Optional[str] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        request_fn: Optional[Callable[[Any], dict]] = None,
-        concurrency: int = 8,
-    ) -> None:
-        self.socket_path = socket_path
-        self.host = host
-        self.port = port
-        self.request_fn = request_fn
-        self.concurrency = max(1, int(concurrency))
-        self.last_mode = "socket"
-
-    def execute(
-        self,
-        fn: Callable[[Any], Any],
-        pending: PendingJobs,
-        *,
-        timeout_s: Optional[float] = None,
-        fail_fast: bool = False,
-    ) -> Iterator[JobOutcome]:
-        # Jobs are all in flight before the first outcome is observed,
-        # so fail-fast cannot cancel siblings; the policy still raises.
-        import asyncio
-
-        if self.request_fn is None and not callable(fn):
-            raise ValueError(
-                "SocketJobExecutor without a request_fn ships fn itself "
-                "through the generic job op; fn must be callable"
-            )
-        self.last_mode = "socket" if self.request_fn else "socket-job"
-        yield from asyncio.run(self._dispatch(fn, list(pending), timeout_s))
-
-    async def _dispatch(
-        self,
-        fn: Callable[[Any], Any],
-        items: List[Tuple[int, Any]],
-        timeout_s: Optional[float],
-    ) -> List[JobOutcome]:
-        import asyncio
-
-        from ..serve.client import ServeClient
-        from ..serve.errors import ServeError
-        from ..serve.ops import pack_job, unpack_job_result
-
-        limit = asyncio.Semaphore(self.concurrency)
-
-        async def one(client: ServeClient, index: int, payload: Any) -> JobOutcome:
-            if self.request_fn is not None:
-                kwargs = dict(self.request_fn(payload))
-                generic = False
-            else:
-                kwargs = {
-                    "op": "job",
-                    "options": {"payload": pack_job(fn, payload)},
-                }
-                generic = True
-            if timeout_s is not None:
-                kwargs.setdefault("timeout_s", timeout_s)
-            t0 = perf_counter()
-            async with limit:
-                try:
-                    result = await client.request(**kwargs)
-                    if generic:
-                        result = unpack_job_result(result["payload"])
-                except ServeError as exc:
-                    return JobOutcome(
-                        index=index, payload=payload, result=None,
-                        error=str(exc),
-                        timed_out=getattr(exc, "code", "") == "deadline",
-                        wall_s=perf_counter() - t0,
-                    )
-                except Exception as exc:
-                    return JobOutcome(
-                        index=index, payload=payload, result=None,
-                        error=str(exc), wall_s=perf_counter() - t0,
-                    )
-            return JobOutcome(
-                index=index, payload=payload, result=result,
-                wall_s=perf_counter() - t0,
-            )
-
-        async with ServeClient(
-            socket_path=self.socket_path, host=self.host, port=self.port
-        ) as client:
-            return list(
-                await asyncio.gather(
-                    *(one(client, index, payload) for index, payload in items)
-                )
-            )
 
 
 def make_worker_pool(

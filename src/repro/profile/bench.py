@@ -1,6 +1,7 @@
-"""Fixed-seed DSE + simulation benchmarks: the ``repro bench`` command.
+"""Fixed-seed DSE, simulation and search benchmarks: ``repro bench``.
 
-Two benchmark workloads run under one :class:`~repro.profile.Tracer`:
+:func:`run_bench` runs any subset of the :data:`BENCHES` kinds under one
+:class:`~repro.profile.Tracer` and writes one ``BENCH_<kind>.json`` each:
 
 * **DSE** — a fixed-seed annealing run (cold memo), then the identical
   run again (warm memo).  Reports wall seconds, candidates/sec, the
@@ -10,8 +11,10 @@ Two benchmark workloads run under one :class:`~repro.profile.Tracer`:
 * **Simulation** — cycle-level simulation of a workload set on the
   deterministic general overlay.  Reports cycles stepped per wall
   second, serially and through ``simulate_batch``.
+* **Search** — every registered strategy on the same trial budget;
+  solution quality is deterministic per (budget, seed).
 
-Results are written as ``BENCH_dse.json`` / ``BENCH_sim.json``
+Every document carries ``schema``, ``kind`` and its own ``spans``
 (schema documented in README).  ``compare_reports`` implements the
 ``--compare BASELINE.json`` regression mode, and ``measure_overhead``
 times the disabled-tracer ``span()`` fast path against a no-tracer run
@@ -24,10 +27,18 @@ import json
 import os
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .memo import drop_memo
-from .tracer import Tracer, current, install, span, tracing, uninstall
+from .tracer import (
+    SpanStat,
+    Tracer,
+    current,
+    install,
+    span,
+    tracing,
+    uninstall,
+)
 
 #: Version of the BENCH_*.json document layout.
 BENCH_SCHEMA = 1
@@ -101,18 +112,6 @@ BUDGETS: Dict[str, BenchBudget] = {
 }
 
 
-@dataclass
-class BenchReport:
-    """Everything one ``repro bench`` invocation produced."""
-
-    dse: Dict[str, Any]
-    sim: Dict[str, Any]
-    overhead: Dict[str, Any]
-    dse_path: str
-    sim_path: str
-    tracer: Tracer
-
-
 def measure_overhead(calls: int, repeats: int = 5) -> Dict[str, Any]:
     """Time the ``span()`` no-op path with no tracer vs a disabled tracer.
 
@@ -156,12 +155,26 @@ def measure_overhead(calls: int, repeats: int = 5) -> Dict[str, Any]:
     }
 
 
+def _span_stats(tracer: Tracer, mark: int) -> Dict[str, Dict[str, float]]:
+    """Per-name aggregates of the spans recorded after the first ``mark``.
+
+    ``Tracer.spans`` is in start order and the bench kinds run one after
+    another, so the tail is exactly one kind's share of the run's tracer.
+    """
+    stats: Dict[str, SpanStat] = {}
+    for s in tracer.spans()[mark:]:
+        stats.setdefault(s.name, SpanStat()).absorb(s.duration)
+    return {name: st.as_dict() for name, st in stats.items()}
+
+
 def bench_dse(budget: BenchBudget, seed: int, tracer: Tracer) -> Dict[str, Any]:
     """Fixed-seed DSE benchmark: cold run, then warm (memoized) rerun."""
     from ..dse import DseConfig, Explorer
     from ..engine.hashing import config_fingerprint
     from ..workloads import get_workload
 
+    overhead = measure_overhead(budget.overhead_calls)
+    mark = len(tracer.spans())
     workloads = [get_workload(n) for n in budget.dse_workloads]
     config = DseConfig(iterations=budget.dse_iterations, seed=seed)
     drop_memo(config_fingerprint(config))  # guarantee a cold first run
@@ -176,7 +189,7 @@ def bench_dse(budget: BenchBudget, seed: int, tracer: Tracer) -> Dict[str, Any]:
     wall_warm = perf_counter() - t0
 
     stats = cold.stats
-    spans = {name: st.as_dict() for name, st in tracer.summarize().items()}
+    spans = _span_stats(tracer, mark)
     fast_mean = spans.get("scheduler.revalidate", {}).get("mean_s", 0.0)
     repair_mean = spans.get("scheduler.repair", {}).get("mean_s", 0.0)
     inner_total = stats.preserved_hits + stats.repairs
@@ -207,12 +220,13 @@ def bench_dse(budget: BenchBudget, seed: int, tracer: Tracer) -> Dict[str, Any]:
             repair_mean / fast_mean if fast_mean > 0 and repair_mean > 0 else 0.0
         ),
         "memo": warm_explorer.memo.stats.as_dict(),
+        "overhead": overhead,
         "spans": spans,
         "counters": tracer.counters(),
     }
 
 
-def bench_sim(budget: BenchBudget, seed: int) -> Dict[str, Any]:
+def bench_sim(budget: BenchBudget, seed: int, tracer: Tracer) -> Dict[str, Any]:
     """Simulation benchmark on the deterministic general overlay."""
     from ..adg import general_overlay
     from ..compiler import generate_variants
@@ -220,6 +234,7 @@ def bench_sim(budget: BenchBudget, seed: int) -> Dict[str, Any]:
     from ..sim import simulate_batch, simulate_schedule, vector_core_available
     from ..workloads import get_workload
 
+    mark = len(tracer.spans())
     sysadg = general_overlay()
     rows = []
     pairs = []
@@ -284,11 +299,12 @@ def bench_sim(budget: BenchBudget, seed: int) -> Dict[str, Any]:
         "batch_cycles_per_second": (
             batch_stepped / batch_wall if batch_wall > 0 else 0.0
         ),
+        "spans": _span_stats(tracer, mark),
     }
 
 
 def bench_search(
-    budget: BenchBudget, seed: int
+    budget: BenchBudget, seed: int, tracer: Tracer
 ) -> Dict[str, Any]:
     """Strategy shootout: every registered strategy, same trial budget.
 
@@ -300,6 +316,7 @@ def bench_search(
     from ..search import SearchSettings, frontier_doc, run_search
     from ..workloads import get_workload
 
+    mark = len(tracer.spans())
     workloads = [get_workload(n) for n in budget.dse_workloads]
     trials = budget.search_trials
     config = DseConfig(iterations=trials, seed=seed)
@@ -346,6 +363,7 @@ def bench_search(
         "trials": trials,
         "strategies": rows,
         "best_strategy": best_strategy,
+        "spans": _span_stats(tracer, mark),
     }
     # Flattened copies of the compared metrics (compare_reports reads
     # top-level keys only).
@@ -355,112 +373,54 @@ def bench_search(
     return doc
 
 
-def run_search_bench(
-    budget: BenchBudget,
-    seed: int = 2,
-    out_dir: str = ".",
-    trace_path: Optional[str] = None,
-    metrics: Optional[Any] = None,
-) -> Tuple[Dict[str, Any], str]:
-    """Run the strategy shootout; write ``BENCH_search.json``."""
-    os.makedirs(out_dir, exist_ok=True)
-    tracer = Tracer()
-    with tracing(tracer):
-        doc = bench_search(budget, seed)
-    doc["spans"] = {
-        name: st.as_dict() for name, st in tracer.summarize().items()
-    }
-    path = os.path.join(out_dir, "BENCH_search.json")
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    if trace_path:
-        tracer.write_chrome_trace(trace_path)
-    if metrics is not None:
-        tracer.flush_to_metrics(metrics)
-        metrics.emit(
-            "bench_search",
-            **{
-                k: v
-                for k, v in doc.items()
-                if k not in ("spans", "strategies")
-            },
-        )
-    return doc, path
+#: The bench kinds, in the order a multi-kind run executes them.
+BENCHES: Dict[str, Callable[[BenchBudget, int, Tracer], Dict[str, Any]]] = {
+    "dse": bench_dse,
+    "sim": bench_sim,
+    "search": bench_search,
+}
+
+#: Bulky per-kind fields kept out of the ``bench_<kind>`` metrics event.
+_EVENT_OMITS = ("spans", "counters", "regions", "strategies")
+
+
+def bench_path(out_dir: str, kind: str) -> str:
+    return os.path.join(out_dir, f"BENCH_{kind}.json")
 
 
 def run_bench(
+    kinds: Sequence[str],
     budget: BenchBudget,
     seed: int = 2,
     out_dir: str = ".",
     trace_path: Optional[str] = None,
     metrics: Optional[Any] = None,
-) -> BenchReport:
-    """Run both benchmark workloads; write ``BENCH_dse.json``/``BENCH_sim.json``.
+) -> Dict[str, Dict[str, Any]]:
+    """Run the named bench kinds; write one ``BENCH_<kind>.json`` each.
 
-    ``metrics`` is an ``engine.metrics.MetricsLogger``-compatible object
-    (anything with ``emit``); the tracer's aggregate lands there as one
-    ``trace_summary`` event alongside ``bench_dse``/``bench_sim`` events.
+    Returns ``{kind: document}``.  ``metrics`` is an
+    ``engine.metrics.MetricsLogger``-compatible object (anything with
+    ``emit``); the tracer's aggregate lands there as one
+    ``trace_summary`` event alongside one ``bench_<kind>`` event per kind.
     """
     os.makedirs(out_dir, exist_ok=True)
-    overhead = measure_overhead(budget.overhead_calls)
     tracer = Tracer()
     with tracing(tracer):
-        dse_doc = bench_dse(budget, seed, tracer)
-        sim_doc = bench_sim(budget, seed)
-    dse_doc["overhead"] = overhead
-
-    dse_path = os.path.join(out_dir, "BENCH_dse.json")
-    sim_path = os.path.join(out_dir, "BENCH_sim.json")
-    for path, doc in ((dse_path, dse_doc), (sim_path, sim_doc)):
-        with open(path, "w") as f:
+        docs = {kind: BENCHES[kind](budget, seed, tracer) for kind in kinds}
+    for kind, doc in docs.items():
+        with open(bench_path(out_dir, kind), "w") as f:
             json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
     if trace_path:
         tracer.write_chrome_trace(trace_path)
     if metrics is not None:
         tracer.flush_to_metrics(metrics)
-        metrics.emit(
-            "bench_dse",
-            **{k: v for k, v in dse_doc.items() if k not in ("spans", "counters")},
-        )
-        metrics.emit(
-            "bench_sim",
-            **{k: v for k, v in sim_doc.items() if k != "regions"},
-        )
-    return BenchReport(
-        dse=dse_doc,
-        sim=sim_doc,
-        overhead=overhead,
-        dse_path=dse_path,
-        sim_path=sim_path,
-        tracer=tracer,
-    )
-
-
-def run_bench_sim(
-    budget: BenchBudget,
-    seed: int = 2,
-    out_dir: str = ".",
-    metrics: Optional[Any] = None,
-) -> Tuple[Dict[str, Any], str]:
-    """Run only the sim benchmark; write ``BENCH_sim.json``.
-
-    The sim-only entry (``repro bench sim``) exists so the simulator perf
-    gate can run in CI without paying for the DSE benchmark.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    sim_doc = bench_sim(budget, seed)
-    sim_path = os.path.join(out_dir, "BENCH_sim.json")
-    with open(sim_path, "w") as f:
-        json.dump(sim_doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    if metrics is not None:
-        metrics.emit(
-            "bench_sim",
-            **{k: v for k, v in sim_doc.items() if k != "regions"},
-        )
-    return sim_doc, sim_path
+        for kind, doc in docs.items():
+            metrics.emit(
+                f"bench_{kind}",
+                **{k: v for k, v in doc.items() if k not in _EVENT_OMITS},
+            )
+    return docs
 
 
 def compare_reports(
@@ -473,8 +433,9 @@ def compare_reports(
     Compares the rate/ratio metrics for the baseline's ``kind``; a metric
     whose current/baseline ratio drops below ``1 - tolerance`` is a
     regression, above ``1 + tolerance`` an improvement, else unchanged.
-    Metrics absent (or zero) on either side are reported as ``missing``
-    and never fail the check.
+    A metric the baseline has but the current run lacks (or reports as
+    zero) has ratio 0 and is a regression; a metric absent (or zero) in
+    the *baseline* is reported as ``missing`` and never fails the check.
     """
     kind = baseline.get("kind")
     if kind not in COMPARED_METRICS:
@@ -489,19 +450,10 @@ def compare_reports(
     for metric in COMPARED_METRICS[kind]:
         base = baseline.get(metric)
         cur = current_doc.get(metric)
-        if not base or not cur:
-            rows.append(
-                {
-                    "metric": metric,
-                    "baseline": base,
-                    "current": cur,
-                    "ratio": None,
-                    "status": "missing",
-                }
-            )
-            continue
-        ratio = cur / base
-        if ratio <= 1 - tolerance:
+        ratio = (cur or 0.0) / base if base else None
+        if ratio is None:
+            status = "missing"
+        elif ratio <= 1 - tolerance:
             status = "regression"
             regressions.append(metric)
         elif ratio >= 1 + tolerance:

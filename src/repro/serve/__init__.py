@@ -36,19 +36,15 @@ from .ops import (
     estimate_op,
     map_op,
     overlay_fingerprint,
-    pack_job,
     remap_op,
     result_key,
-    run_job_payload,
     run_op,
     simulate_batch_doc,
     simulate_batch_op,
     simulate_op,
     single_shot,
-    unpack_job_result,
     workload_fp,
 )
-from .protocol import JOB_OPS
 from .protocol import (
     ADMIN_OPS,
     ALL_OPS,
@@ -74,7 +70,6 @@ __all__ = [
     "DeadlineError",
     "FlightStats",
     "InternalError",
-    "JOB_OPS",
     "JsonLinesEndpoint",
     "LatencyReservoir",
     "LoadReport",
@@ -100,12 +95,10 @@ __all__ = [
     "estimate_op",
     "map_op",
     "overlay_fingerprint",
-    "pack_job",
     "parse_request",
     "remap_op",
     "response_doc",
     "result_key",
-    "run_job_payload",
     "run_load",
     "run_load_sharded",
     "run_op",
@@ -114,7 +107,6 @@ __all__ = [
     "simulate_batch_op",
     "simulate_op",
     "single_shot",
-    "unpack_job_result",
     "wait_for_server",
     "workload_fp",
 ]

@@ -520,16 +520,24 @@ async def run_load(
     return report
 
 
+def _endpoint_client(endpoint: Dict[str, Any]) -> ServeClient:
+    return ServeClient(
+        socket_path=endpoint.get("socket"),
+        host=endpoint.get("host", "127.0.0.1"),
+        port=endpoint.get("port", 0),
+    )
+
+
+async def _fetch_stats(endpoint: Dict[str, Any]) -> Dict[str, Any]:
+    async with _endpoint_client(endpoint) as client:
+        return await client.stats()
+
+
 def _load_shard_worker(config: Dict[str, Any]) -> LoadReport:
     """One load-generator process: run its slice of the shared plan."""
-    factory = lambda: ServeClient(  # noqa: E731 - trivial local factory
-        socket_path=config.get("socket"),
-        host=config.get("host", "127.0.0.1"),
-        port=config.get("port", 0),
-    )
     return asyncio.run(
         run_load(
-            factory,
+            lambda: _endpoint_client(config),
             requests=len(config["plan"]),
             concurrency=config["concurrency"],
             timeout_s=config.get("timeout_s"),
@@ -558,8 +566,10 @@ def run_load_sharded(
     One asyncio loop tops out far below what a multi-shard cluster can
     serve, so the generator itself must scale out to measure it.  The
     deterministic plan is built once, split contiguously with
-    :class:`~repro.jobs.ShardPlan`, and each process runs its slice;
-    reports merge with cross-process byte-identity checks.
+    :class:`~repro.jobs.ShardPlan`, and each process runs its slice
+    (one slice runs in this process, by the pool executor's
+    serial-fallback rule); reports merge with cross-process
+    byte-identity checks and carry the server's final stats.
     """
     from ..jobs import ProcessPoolJobExecutor, ShardPlan
 
@@ -592,4 +602,5 @@ def run_load_sharded(
         raise ServeError(
             f"load run hit {merged.errors} errors ({codes}); see report"
         )
+    merged.server_stats = asyncio.run(_fetch_stats(endpoint))
     return merged

@@ -17,9 +17,7 @@ are rendered with :func:`~repro.serve.protocol.canonical_dumps`, so
 
 from __future__ import annotations
 
-import base64
-import pickle
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adg import SysADG, sysadg_from_dict, sysadg_to_dict
 from ..compiler import generate_variants
@@ -214,7 +212,7 @@ def _remap_schedule(
     The OverGen Fig. 18 story as an op: when the caller holds the
     schedule served for a *previous version* of this overlay,
     :func:`~repro.scheduler.revalidate_schedule` keeps it wholesale
-    (no placement, no routing — the 6.8× fast path measured in
+    (no placement, no routing — the ``fast_path_speedup`` measured in
     BENCH_dse.json) and only a failed revalidation pays for a full
     recompile.
     """
@@ -253,29 +251,6 @@ def remap_compute(
     sysadg = sysadg_from_dict(design_doc)
     schedule, path = _remap_schedule(sysadg, workload_name, prior_schedule)
     return _schedule_doc("remap", sysadg, workload_name, schedule), path, schedule
-
-
-def pack_job(fn: Callable[[Any], Any], payload: Any) -> str:
-    """Encode one ``fn(payload)`` closure for the wire ``job`` op.
-
-    The closure is pickled, so ``fn`` must be an importable module-level
-    callable on the server side too — the same constraint every process
-    pool imposes.  The server executes jobs on its worker pool with no
-    further validation: the job op is for trusted transports
-    (``SocketJobExecutor`` talking to shards it launched), not for
-    exposure to untrusted clients.
-    """
-    return base64.b64encode(pickle.dumps((fn, payload))).decode("ascii")
-
-
-def run_job_payload(payload_b64: str) -> str:
-    """Worker-pool entry for ``job``: decode, call, re-encode the result."""
-    fn, arg = pickle.loads(base64.b64decode(payload_b64))
-    return base64.b64encode(pickle.dumps(fn(arg))).decode("ascii")
-
-
-def unpack_job_result(result_b64: str) -> Any:
-    return pickle.loads(base64.b64decode(result_b64))
 
 
 def _simulate_batch_entry(

@@ -12,15 +12,13 @@ Request document::
 ``op`` is one of :data:`COMPUTE_OPS` (CPU-bound, admission-controlled,
 coalesced — ``map``/``estimate``/``simulate``, the multi-workload
 ``simulate_batch`` whose ``workload`` is a comma-separated list, and
-``remap``, the schedule-preserving incremental recompile), the generic
-:data:`JOB_OPS` ``job`` (an opaque pickled closure in
-``options.payload``, executed on the worker pool — the transport
-``SocketJobExecutor`` ships shard work over), or :data:`ADMIN_OPS`
-(served inline: ``ping``, ``stats``, ``shutdown``, ``load_overlay``,
-``topology``).  ``overlay`` may be omitted when the server holds
-exactly one design and may be a registry spec (``name@v2``) when the
-server has a registry attached.  ``id`` is echoed back verbatim so
-clients may pipeline many requests over one connection.
+``remap``, the schedule-preserving incremental recompile) or
+:data:`ADMIN_OPS` (served inline: ``ping``, ``stats``, ``shutdown``,
+``load_overlay``, ``topology``).  Every op is typed: the server never
+unpickles or executes bytes a client sent.  ``overlay`` may be omitted
+when the server holds exactly one design and may be a registry spec
+(``name@v2``) when the server has a registry attached.  ``id`` is echoed
+back verbatim so clients may pipeline many requests over one connection.
 
 Response document::
 
@@ -38,6 +36,7 @@ On failure ``ok`` is false and ``error`` carries a structured code from
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -51,9 +50,8 @@ PROTOCOL_VERSION = 1
 MAX_LINE_BYTES = 1 << 20
 
 COMPUTE_OPS = ("map", "estimate", "simulate", "simulate_batch", "remap")
-JOB_OPS = ("job",)
 ADMIN_OPS = ("ping", "stats", "shutdown", "load_overlay", "topology")
-ALL_OPS = COMPUTE_OPS + JOB_OPS + ADMIN_OPS
+ALL_OPS = COMPUTE_OPS + ADMIN_OPS
 
 
 def canonical_dumps(doc: Any) -> str:
@@ -126,21 +124,19 @@ def parse_request(doc: Dict[str, Any]) -> Request:
         raise BadRequestError("'workload' must be a string when present")
     timeout_s = doc.get("timeout_s")
     if timeout_s is not None:
+        # bool is an int subclass and json.loads accepts NaN/Infinity:
+        # neither is a deadline asyncio.wait_for can enforce.
+        if isinstance(timeout_s, bool):
+            raise BadRequestError("'timeout_s' must be a number")
         try:
             timeout_s = float(timeout_s)
         except (TypeError, ValueError) as exc:
             raise BadRequestError("'timeout_s' must be a number") from exc
-        if timeout_s <= 0:
-            raise BadRequestError("'timeout_s' must be positive")
+        if not math.isfinite(timeout_s) or timeout_s <= 0:
+            raise BadRequestError("'timeout_s' must be positive and finite")
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise BadRequestError("'options' must be an object when present")
-    if op in JOB_OPS:
-        payload = options.get("payload")
-        if not isinstance(payload, str) or not payload:
-            raise BadRequestError(
-                "op 'job' requires a non-empty string 'options.payload'"
-            )
     return Request(
         id=req_id,
         op=op,

@@ -66,7 +66,6 @@ from .ops import (
     overlay_fingerprint,
     remap_compute,
     result_key,
-    run_job_payload,
     workload_fp,
 )
 from .protocol import PROTOCOL_VERSION, Request, response_doc
@@ -133,7 +132,6 @@ class OverlayServer:
             "cache_memory": 0,
             "cache_disk": 0,
             "coalesced": 0,
-            "jobs": 0,
             "registry_loads": 0,
             "remap_preserved": 0,
             "remap_recompiled": 0,
@@ -328,8 +326,6 @@ class OverlayServer:
             return response_doc(
                 request.id, result=self._op_load_overlay(request)
             )
-        if request.op == "job":
-            return await self._dispatch_job(request)
         return await self._dispatch_compute(request)
 
     async def _dispatch_compute(self, request: Request) -> Dict[str, Any]:
@@ -461,65 +457,6 @@ class OverlayServer:
             persist=request.op != "remap",
         )
         return doc, "compute", queue_wait
-
-    async def _dispatch_job(self, request: Request) -> Dict[str, Any]:
-        """Run an opaque pickled closure on the worker pool.
-
-        Jobs are neither coalesced nor cached (two identical payloads
-        may close over different state), but they share the admission
-        gate and deadline machinery with compute ops, so a shard under
-        compile load sheds job work the same way.
-        """
-        t_arrival = perf_counter()
-        if self._draining:
-            raise ShuttingDownError("server is draining; no new work")
-        payload = request.options["payload"]  # parse_request enforced it
-        timeout = request.timeout_s or self.config.default_timeout_s
-        self.gate.admit()
-        try:
-            with tracer.span("serve.job"):
-                loop = asyncio.get_running_loop()
-                assert self._executor is not None, "server not started"
-                try:
-                    out = await asyncio.wait_for(
-                        loop.run_in_executor(
-                            self._executor, run_job_payload, payload
-                        ),
-                        timeout=timeout,
-                    )
-                except asyncio.TimeoutError:
-                    raise DeadlineError(
-                        f"deadline of {timeout:.3f}s expired for job"
-                    ) from None
-                except ServeError:
-                    raise
-                except Exception as exc:
-                    raise InternalError(
-                        f"job failed: {type(exc).__name__}: {exc}"
-                    ) from exc
-        finally:
-            self.gate.release()
-        latency = perf_counter() - t_arrival
-        self.latency.record(latency)
-        self.counters["jobs"] += 1
-        self.counters["responses_ok"] += 1
-        self.metrics.emit(
-            "request",
-            op="job",
-            ok=True,
-            latency_s=latency,
-            in_service=self.gate.in_service,
-        )
-        return response_doc(
-            request.id,
-            result={"op": "job", "payload": out},
-            served={
-                "cache": "none",
-                "coalesced": False,
-                "latency_s": latency,
-                "queue_wait_s": 0.0,
-            },
-        )
 
     def _op_load_overlay(self, request: Request) -> Dict[str, Any]:
         """Admin op: pull a design into the serving set.

@@ -15,7 +15,7 @@ from .dispatcher import (
     StreamCommand,
     StreamDispatcher,
 )
-from .batch import simulate_batch, simulate_workloads_jobs
+from .batch import simulate_batch
 from .multiplex import (
     MultiplexResult,
     reconfiguration_cycles,
@@ -53,6 +53,5 @@ __all__ = [
     "critical_path_depth",
     "simulate_batch",
     "simulate_schedule",
-    "simulate_workloads_jobs",
     "vector_core_available",
 ]

@@ -16,38 +16,18 @@ many candidates against the same workload list.  One batch call
   calls (golden-tested), so callers can swap loops for batches without
   re-validating anything.
 
-``simulate_workloads_jobs`` lifts the same API onto :mod:`repro.jobs`:
-(overlay, workload-name) pairs are sharded with the deterministic
-:class:`~repro.jobs.ShardPlan` and each shard worker rebuilds the
-design once, schedules its names, and steps them with one
-``simulate_batch`` call — the kernel build and design deserialization
-amortize per shard instead of per region.
+``simulate_batch`` is the one batched-sim entry point: a batch of one is
+the serial case, and a caller that wants processes shards its own work
+through :mod:`repro.jobs` and calls this inside each job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .simulator import SimResult, simulate_schedule
 
-__all__ = ["simulate_batch", "simulate_workloads_jobs"]
-
-
-def _options(
-    onehot_bypass: bool,
-    exact: bool,
-    max_exact_cycles: int,
-    measure_window: int,
-    core: Optional[str],
-) -> Dict[str, Any]:
-    return {
-        "onehot_bypass": onehot_bypass,
-        "exact": exact,
-        "max_exact_cycles": max_exact_cycles,
-        "measure_window": measure_window,
-        "core": core,
-    }
+__all__ = ["simulate_batch"]
 
 
 def simulate_batch(
@@ -66,9 +46,6 @@ def simulate_batch(
     answers a repeated (same ``sysadg`` object, workload, variant) pair
     with the first stepped instance's result object.
     """
-    opts = _options(
-        onehot_bypass, exact, max_exact_cycles, measure_window, core
-    )
     results: List[SimResult] = []
     seen: Dict[Tuple[int, str, str], SimResult] = {}
     for schedule, sysadg in items:
@@ -77,112 +54,14 @@ def simulate_batch(
         key = (id(sysadg), schedule.mdfg.workload, schedule.mdfg.variant)
         result = seen.get(key) if dedupe else None
         if result is None:
-            result = seen[key] = simulate_schedule(schedule, sysadg, **opts)
+            result = seen[key] = simulate_schedule(
+                schedule,
+                sysadg,
+                onehot_bypass=onehot_bypass,
+                exact=exact,
+                max_exact_cycles=max_exact_cycles,
+                measure_window=measure_window,
+                core=core,
+            )
         results.append(result)
-    return results
-
-
-@dataclass(frozen=True)
-class _BatchShard:
-    """One shard of a jobs-backed batch (module-level: pickles cleanly)."""
-
-    index: int
-    design_doc: Dict[str, Any]
-    workloads: Tuple[str, ...]
-    options: Tuple[Tuple[str, Any], ...]
-
-
-def _run_batch_shard(job: _BatchShard) -> List[Optional[SimResult]]:
-    """Worker entry: rebuild the design once, batch-step the shard."""
-    from ..adg import sysadg_from_dict
-    from ..compiler import generate_variants
-    from ..scheduler import schedule_workload
-    from ..workloads import get_workload
-
-    sysadg = sysadg_from_dict(job.design_doc)
-    opts = dict(job.options)
-    items = []
-    slots: List[Optional[int]] = []
-    for name in job.workloads:
-        schedule = schedule_workload(
-            generate_variants(get_workload(name)), sysadg.adg, sysadg.params
-        )
-        if schedule is None:
-            slots.append(None)
-        else:
-            slots.append(len(items))
-            items.append((schedule, sysadg))
-    stepped = simulate_batch(items, **opts)
-    return [None if s is None else stepped[s] for s in slots]
-
-
-def simulate_workloads_jobs(
-    sysadg: Any,
-    workloads: Sequence[str],
-    workers: int = 1,
-    shards: Optional[int] = None,
-    onehot_bypass: bool = True,
-    exact: bool = False,
-    max_exact_cycles: int = 200_000,
-    measure_window: int = 4_000,
-    core: Optional[str] = None,
-) -> List[Optional[SimResult]]:
-    """Batch-simulate named workloads on one overlay via ``repro.jobs``.
-
-    The workload list is split with the shard-count-invariant
-    :class:`~repro.jobs.ShardPlan`; each shard runs as one job (serial
-    in-process for ``workers=1``, else on the process pool with its
-    serial-fallback rule) and amortizes design rebuild + kernel warm-up
-    across its shard.  Returns one entry per input name, in input
-    order; unmappable workloads yield ``None``.  Results are
-    byte-identical for any (workers, shards) split.
-    """
-    from ..adg import sysadg_to_dict
-    from ..jobs import (
-        FaultPolicy,
-        InProcessExecutor,
-        JobRunner,
-        ProcessPoolJobExecutor,
-        ShardPlan,
-    )
-
-    names = list(workloads)
-    if not names:
-        return []
-    shards_n = shards if shards is not None else max(1, int(workers))
-    plan = ShardPlan(total=len(names), shards=min(shards_n, len(names)))
-    design_doc = sysadg_to_dict(sysadg)
-    options = tuple(
-        sorted(
-            _options(
-                onehot_bypass, exact, max_exact_cycles, measure_window, core
-            ).items()
-        )
-    )
-    jobs = [
-        _BatchShard(
-            index=i,
-            design_doc=design_doc,
-            workloads=tuple(chunk),
-            options=options,
-        )
-        for i, chunk in enumerate(plan.scatter(names))
-        if chunk
-    ]
-    executor = (
-        InProcessExecutor()
-        if int(workers) <= 1
-        else ProcessPoolJobExecutor(int(workers))
-    )
-    runner = JobRunner(
-        executor=executor,
-        policy=FaultPolicy(mode="fail"),
-        name="sim.batch",
-    )
-    outcomes = runner.run(
-        _run_batch_shard, jobs, label_fn=lambda job: job.index
-    )
-    results: List[Optional[SimResult]] = []
-    for outcome in sorted(outcomes, key=lambda o: o.payload.index):
-        results.extend(outcome.result)
     return results

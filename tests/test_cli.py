@@ -75,6 +75,16 @@ class TestCommands:
         assert len(lines) == 2
         assert lines[0] == lines[1]  # duplicate answered identically
 
+    def test_simulate_one_name_is_a_list_of_one(self, design_path, capsys):
+        assert main(["simulate", design_path, "vecmax"]) == 0
+        (single,) = capsys.readouterr().out.strip().splitlines()
+        assert main(["simulate", design_path, "vecmax,vecmax"]) == 0
+        assert capsys.readouterr().out.strip().splitlines() == [single] * 2
+        # Same exit code for an unmappable name either way.
+        assert main(["simulate", design_path, "cholesky"]) == main(
+            ["simulate", design_path, "cholesky,cholesky"]
+        )
+
     def test_simulate_batch_rejects_json(self, design_path, capsys):
         rc = main(["simulate", design_path, "vecmax,fir", "--json"])
         assert rc == 2
@@ -197,30 +207,26 @@ class TestVersion:
         assert 'version = "0.' not in text
 
 
-def _fake_bench_report(tmp_path):
-    from repro.profile import Tracer
-    from repro.profile.bench import BenchReport
-
-    dse = {
-        "schema": 1, "kind": "dse", "iterations": 8, "wall_seconds": 0.1,
-        "candidates_per_second": 80.0, "preserved_hit_rate": 0.9,
-        "fast_path_mean_s": 1e-4, "repair_path_mean_s": 5e-4,
-        "fast_path_speedup": 5.0, "memo_speedup": 2.0,
+def _fake_bench_docs():
+    """What ``run_bench(("dse", "sim"), ...)`` returns, minus the work."""
+    return {
+        "dse": {
+            "schema": 1, "kind": "dse", "iterations": 8, "wall_seconds": 0.1,
+            "candidates_per_second": 80.0, "preserved_hit_rate": 0.9,
+            "fast_path_mean_s": 1e-4, "repair_path_mean_s": 5e-4,
+            "fast_path_speedup": 5.0, "memo_speedup": 2.0,
+            "overhead": {
+                "ratio": 1.01, "calls": 100, "repeats": 2,
+                "no_tracer_s": 0.001, "disabled_tracer_s": 0.00101,
+            },
+        },
+        "sim": {
+            "schema": 1, "kind": "sim", "core": "vector",
+            "stepped_cycles": 1000, "wall_seconds": 0.01,
+            "cycles_per_second": 1e5, "batch_cycles_per_second": 1e5,
+            "batch": {"pairs": 1, "identical_to_serial": True},
+        },
     }
-    sim = {
-        "schema": 1, "kind": "sim", "stepped_cycles": 1000,
-        "wall_seconds": 0.01, "cycles_per_second": 1e5,
-    }
-    overhead = {
-        "ratio": 1.01, "calls": 100, "repeats": 2,
-        "no_tracer_s": 0.001, "disabled_tracer_s": 0.00101,
-    }
-    return BenchReport(
-        dse=dse, sim=sim, overhead=overhead,
-        dse_path=str(tmp_path / "BENCH_dse.json"),
-        sim_path=str(tmp_path / "BENCH_sim.json"),
-        tracer=Tracer(),
-    )
 
 
 class TestBenchCommand:
@@ -228,20 +234,23 @@ class TestBenchCommand:
     test_profile; these monkeypatch it so exit-code paths stay fast)."""
 
     @pytest.fixture
-    def fake_run(self, tmp_path, monkeypatch):
+    def fake_run(self, monkeypatch):
         import repro.profile.bench as bench_mod
 
-        report = _fake_bench_report(tmp_path)
+        docs = _fake_bench_docs()
         monkeypatch.setattr(
-            bench_mod, "run_bench", lambda *a, **k: report
+            bench_mod, "run_bench",
+            lambda kinds, *a, **k: {kind: docs[kind] for kind in kinds},
         )
-        return report
+        return docs
 
     def test_bench_defaults(self):
         args = build_parser().parse_args(["bench"])
         assert args.budget == "small"
-        assert args.tolerance == 0.25
+        assert args.max_regression == 0.25
         assert args.max_overhead is None
+        with pytest.raises(SystemExit):  # one value, one flag
+            build_parser().parse_args(["bench", "--tolerance", "0.1"])
 
     def test_bench_ok(self, fake_run, capsys):
         assert main(["bench", "--budget", "smoke"]) == 0
@@ -250,7 +259,7 @@ class TestBenchCommand:
         assert "fast path" in out and "repair" in out
 
     def test_compare_improvement(self, fake_run, tmp_path, capsys):
-        baseline = dict(fake_run.dse, candidates_per_second=10.0)
+        baseline = dict(fake_run["dse"], candidates_per_second=10.0)
         path = tmp_path / "base.json"
         path.write_text(json.dumps(baseline))
         assert main(["bench", "--compare", str(path)]) == 0
@@ -258,7 +267,7 @@ class TestBenchCommand:
         assert "improvement" in out and "OK" in out
 
     def test_compare_regression_fails(self, fake_run, tmp_path, capsys):
-        baseline = dict(fake_run.dse, fast_path_speedup=50.0)
+        baseline = dict(fake_run["dse"], fast_path_speedup=50.0)
         path = tmp_path / "base.json"
         path.write_text(json.dumps(baseline))
         assert main(["bench", "--compare", str(path)]) == 1
@@ -266,7 +275,7 @@ class TestBenchCommand:
         assert "regression" in out and "FAIL" in out
 
     def test_compare_sim_baseline(self, fake_run, tmp_path, capsys):
-        baseline = dict(fake_run.sim, cycles_per_second=2e4)
+        baseline = dict(fake_run["sim"], cycles_per_second=2e4)
         path = tmp_path / "base.json"
         path.write_text(json.dumps(baseline))
         assert main(["bench", "--compare", str(path)]) == 0
@@ -294,6 +303,10 @@ class TestBenchCommand:
         assert main(["bench", "--max-overhead", "1.005"]) == 1
         assert "overhead ratio" in capsys.readouterr().out
         assert main(["bench", "--max-overhead", "1.05"]) == 0
+
+    def test_overhead_gate_needs_the_dse_bench(self, fake_run, capsys):
+        assert main(["bench", "sim", "--max-overhead", "1.05"]) == 2
+        assert "--max-overhead" in capsys.readouterr().err
 
     def test_bench_search_writes_report_and_self_compares(
         self, tmp_path, capsys
@@ -328,16 +341,18 @@ class TestBenchCommand:
     def test_bench_sim_parser_defaults(self):
         args = build_parser().parse_args(["bench", "sim"])
         assert args.what == "sim"
-        assert args.max_regression is None
+        assert args.max_regression == 0.25
 
     def test_bench_sim_writes_report_and_self_compares(
         self, tmp_path, capsys
     ):
         argv = ["bench", "sim", "--budget", "smoke",
-                "--out-dir", str(tmp_path)]
+                "--out-dir", str(tmp_path),
+                "--trace", str(tmp_path / "trace.json")]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "identical to serial: True" in out
+        assert json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
         doc = json.loads((tmp_path / "BENCH_sim.json").read_text())
         assert doc["kind"] == "sim"
         assert doc["batch"]["identical_to_serial"] is True

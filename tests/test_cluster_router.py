@@ -40,6 +40,8 @@ from repro.serve import (
 )
 from repro.workloads import get_workload
 
+from .test_serve_server import assert_job_op_rejected
+
 
 class TestRoutingMath:
     def test_route_slot_is_deterministic_and_bounded(self):
@@ -160,6 +162,12 @@ WLS = ("vecmax", "fir")
 
 
 class TestRouterServing:
+    def test_job_op_is_an_unknown_op(self, live_cluster):
+        router, router_sock, shards, *_ = live_cluster
+        asyncio.run(assert_job_op_rejected(router_sock))
+        assert router.counters["routed"] == 0
+        assert all(s.counters["computes"] == 0 for s in shards)
+
     def test_routed_results_byte_identical_to_single_shot(
         self, live_cluster, sysadg
     ):

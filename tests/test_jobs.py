@@ -2,8 +2,6 @@
 fault policies, checkpoint/resume, and the golden serial-vs-pool
 comparisons that pin the consumers' byte-identity contract."""
 
-import asyncio
-import threading
 import time
 
 import pytest
@@ -17,7 +15,6 @@ from repro.jobs import (
     JobsFailedError,
     ProcessPoolJobExecutor,
     ShardPlan,
-    SocketJobExecutor,
     make_worker_pool,
 )
 from repro.profile.tracer import tracing
@@ -444,80 +441,3 @@ class TestConsumerGoldens:
                 res.metrics.best_seed,
             )
         assert docs[1] == docs[2]
-
-
-# ----------------------------------------------------------------------
-# Socket executor against a live serve worker
-# ----------------------------------------------------------------------
-class TestSocketExecutor:
-    def test_generic_mode_requires_callable_fn(self):
-        # Without a request_fn the executor ships fn itself through the
-        # serve-side job op — so fn must actually be callable.
-        with pytest.raises(ValueError):
-            list(SocketJobExecutor().execute(None, [(0, "x")]))
-
-    def test_dispatches_shards_to_serve_worker(self, tmp_path):
-        from repro.dse import DseConfig, explore
-        from repro.engine import MetricsLogger
-        from repro.serve import (
-            OverlayServer,
-            ServeClient,
-            ServeConfig,
-            canonical_dumps,
-            single_shot,
-        )
-        from repro.workloads import get_workload
-
-        sysadg = explore(
-            [get_workload("vecmax")], DseConfig(iterations=10, seed=4),
-            name="vecmax",
-        ).sysadg
-        sock = str(tmp_path / "serve.sock")
-        config = ServeConfig(
-            socket_path=sock, workers=0, queue_limit=16,
-            default_timeout_s=30.0, drain_timeout_s=10.0,
-        )
-        server = OverlayServer(config, metrics=MetricsLogger())
-        server.add_overlay(sysadg)
-        started = threading.Event()
-
-        def serve_forever():
-            # The executor owns its own event loop (asyncio.run), so the
-            # server must live on a different thread's loop.
-            async def run():
-                await server.start()
-                started.set()
-                await server.wait_closed()
-
-            asyncio.run(run())
-
-        thread = threading.Thread(target=serve_forever, daemon=True)
-        thread.start()
-        assert started.wait(timeout=10)
-        try:
-            executor = SocketJobExecutor(
-                socket_path=sock,
-                request_fn=lambda job: {"op": job[0], "workload": job[1]},
-            )
-            runner = JobRunner(executor=executor)
-            outs = runner.run(
-                None,
-                [("map", "vecmax"), ("estimate", "vecmax"),
-                 ("map", "no-such-workload")],
-            )
-            assert executor.last_mode == "socket"
-            for out, op in zip(outs[:2], ("map", "estimate")):
-                assert out.ok
-                assert canonical_dumps(out.result) == canonical_dumps(
-                    single_shot(op, sysadg, "vecmax")
-                )
-            # A structured serve error degrades, never raises.
-            assert not outs[2].ok and outs[2].error
-        finally:
-            async def stop():
-                async with ServeClient(socket_path=sock) as client:
-                    await client.shutdown()
-
-            asyncio.run(stop())
-            thread.join(timeout=10)
-        assert not thread.is_alive()

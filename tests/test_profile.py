@@ -219,14 +219,24 @@ class TestCompareReports:
         assert cmp["regressions"] == ["memo_speedup"]
 
     def test_missing_metric_never_fails(self):
-        cur = dict(self.BASE)
-        del cur["fast_path_speedup"]
+        """Absent or zero in the *baseline*: nothing to compare against."""
         baseline = dict(self.BASE, memo_speedup=0.0)
-        cmp = compare_reports(cur, baseline, tolerance=0.25)
+        del baseline["fast_path_speedup"]
+        cmp = compare_reports(self.BASE, baseline, tolerance=0.25)
         assert cmp["ok"]
         statuses = {r["metric"]: r["status"] for r in cmp["rows"]}
         assert statuses["fast_path_speedup"] == "missing"
         assert statuses["memo_speedup"] == "missing"
+
+    def test_metric_lost_by_current_run_is_a_regression(self):
+        """A rate the baseline has that drops to zero (or vanishes) must
+        fail the gate, not slip through as ``missing``."""
+        cur = dict(self.BASE, memo_speedup=0.0)
+        del cur["fast_path_speedup"]
+        cmp = compare_reports(cur, self.BASE, tolerance=0.25)
+        assert not cmp["ok"]
+        assert cmp["regressions"] == ["fast_path_speedup", "memo_speedup"]
+        assert {r["ratio"] for r in cmp["rows"][1:]} == {0.0}
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -245,18 +255,38 @@ TINY = BenchBudget(
 
 
 class TestBench:
-    def test_run_bench_writes_reports(self, tmp_path):
-        report = run_bench(
+    @pytest.mark.parametrize(
+        "kinds", [("dse", "sim"), ("sim",), ("search",)], ids="+".join
+    )
+    def test_run_bench_writes_one_report_per_kind(self, kinds, tmp_path):
+        docs = run_bench(
+            kinds,
             TINY,
             seed=5,
             out_dir=str(tmp_path),
             trace_path=str(tmp_path / "trace.json"),
         )
+        assert tuple(docs) == kinds
+        assert sorted(p.name for p in tmp_path.glob("BENCH_*.json")) == sorted(
+            f"BENCH_{kind}.json" for kind in kinds
+        )
+        for kind in kinds:
+            doc = json.loads((tmp_path / f"BENCH_{kind}.json").read_text())
+            assert doc == docs[kind]
+            assert doc["schema"] == 1 and doc["kind"] == kind
+            assert doc["seed"] == 5 and doc["spans"]
+        # Each document's spans are its own kind's, not the whole run's.
+        if kinds == ("dse", "sim"):
+            assert "dse.system" in docs["dse"]["spans"]
+            assert "dse.system" not in docs["sim"]["spans"]
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert trace["traceEvents"]  # --trace is honoured for every kind
+        assert current() is None  # bench must not leak its tracer
+
+    def test_run_bench_writes_reports(self, tmp_path):
+        report = run_bench(("dse", "sim"), TINY, seed=5, out_dir=str(tmp_path))
         dse = json.loads((tmp_path / "BENCH_dse.json").read_text())
         sim = json.loads((tmp_path / "BENCH_sim.json").read_text())
-        assert dse["schema"] == 1 and dse["kind"] == "dse"
-        assert sim["schema"] == 1 and sim["kind"] == "sim"
-        assert dse["seed"] == 5
         assert dse["iterations"] == TINY.dse_iterations
         assert dse["wall_seconds"] > 0
         assert 0.0 <= dse["preserved_hit_rate"] <= 1.0
@@ -265,16 +295,14 @@ class TestBench:
         assert dse["overhead"]["ratio"] > 0
         assert sim["stepped_cycles"] > 0
         assert sim["cycles_per_second"] > 0
-        assert report.dse == dse and report.sim == sim
-        trace = json.loads((tmp_path / "trace.json").read_text())
-        assert trace["traceEvents"]
-        assert current() is None  # bench must not leak its tracer
+        assert sim["batch"]["identical_to_serial"] is True
+        assert report == {"dse": dse, "sim": sim}
 
     def test_warm_rerun_hits_schedule_memo(self, tmp_path):
         drop_memo_all = clear_memos
         drop_memo_all()
-        report = run_bench(TINY, seed=6, out_dir=str(tmp_path))
-        memo = report.dse["memo"]
+        report = run_bench(("dse",), TINY, seed=6, out_dir=str(tmp_path))
+        memo = report["dse"]["memo"]
         assert memo["schedule_hits"] > 0  # warm rerun reused cold schedules
         assert memo["schedule_hit_rate"] > 0
 

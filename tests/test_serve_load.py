@@ -136,6 +136,29 @@ class TestLoadAcceptance:
         doc = capsys.readouterr().out.strip()
         assert doc.startswith("{") and '"op":"map"' in doc
 
+    def test_submit_load_shards_1_and_2_agree(self, live_server, capsys):
+        """One path for any ``--shards``: a single slice runs in-process
+        by the pool executor's serial-fallback rule."""
+        import json
+
+        _, sock = live_server
+        reports = {}
+        for shards in ("1", "2"):
+            rc = main(
+                [
+                    "submit", "load", "--socket", sock, "--shards", shards,
+                    "--requests", "24", "--concurrency", "4",
+                    "--workloads", "vecmax", "--json",
+                ]
+            )
+            out = capsys.readouterr().out
+            assert rc == 0, out
+            assert "compiles for 24 requests" in out  # final server stats
+            reports[shards] = json.loads(out.strip().splitlines()[-1])
+        for key in ("requests", "ok", "errors", "computes", "mismatches"):
+            assert reports["1"][key] == reports["2"][key], key
+        assert reports["1"]["ok"] == 24 and reports["1"]["mismatches"] == []
+
     def test_submit_connection_error_is_clean(self, tmp_path, capsys):
         rc = main(
             ["submit", "ping", "--socket", str(tmp_path / "nowhere.sock")]

@@ -64,6 +64,13 @@ class TestParseRequest:
             {"id": "a", "op": "map", "workload": "fir", "timeout_s": "x"},
             {"id": "a", "op": "map", "workload": "fir", "options": []},
             {"id": "a", "op": "map", "workload": "fir", "overlay": 7},
+            # json.loads parses NaN/Infinity and bool is an int: none of
+            # them is a deadline asyncio.wait_for can enforce.
+            decode_line(b'{"id":"a","op":"map","workload":"fir","timeout_s":NaN}'),
+            decode_line(
+                b'{"id":"a","op":"map","workload":"fir","timeout_s":Infinity}'
+            ),
+            {"id": "a", "op": "map", "workload": "fir", "timeout_s": True},
         ],
     )
     def test_rejects_malformed(self, doc):

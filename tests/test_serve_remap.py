@@ -1,4 +1,4 @@
-"""Remap, simulate_batch, job op, and registry-backed serving.
+"""Remap, simulate_batch, and registry-backed serving.
 
 The remap acceptance criteria: a param-only new version rides the
 schedule-preserving fast path (``revalidate_schedule`` returns the same
@@ -17,17 +17,13 @@ from repro.adg import sysadg_to_dict
 from repro.cluster import OverlayRegistry
 from repro.dse import DseConfig, explore
 from repro.engine import MetricsLogger
-from repro.jobs import SocketJobExecutor
 from repro.serve import (
     OverlayServer,
     ServeClient,
     ServeConfig,
     ServeError,
     canonical_dumps,
-    pack_job,
-    run_job_payload,
     single_shot,
-    unpack_job_result,
     wait_for_server,
 )
 from repro.workloads import get_workload
@@ -223,44 +219,3 @@ class TestSimulateBatchWire:
             asyncio.run(_request(sock, "simulate_batch", workload=",,",
                                  overlay="fam@v1"))
         assert err.value.code == "bad_request"
-
-
-class TestJobOp:
-    def test_pack_run_unpack_roundtrip(self):
-        result = run_job_payload(pack_job(sorted, [3, 1, 2]))
-        assert unpack_job_result(result) == [1, 2, 3]
-
-    def test_job_over_the_wire(self, live_server):
-        server, sock = live_server
-        doc = asyncio.run(
-            _request(sock, "job",
-                     options={"payload": pack_job(len, [10, 20, 30])})
-        )
-        assert unpack_job_result(doc["payload"]) == 3
-        assert server.counters["jobs"] == 1
-
-    def test_job_requires_payload(self, live_server):
-        _server, sock = live_server
-        with pytest.raises(ServeError) as err:
-            asyncio.run(_request(sock, "job"))
-        assert err.value.code == "bad_request"
-
-    def test_job_failure_is_structured(self, live_server):
-        _server, sock = live_server
-        with pytest.raises(ServeError) as err:
-            asyncio.run(
-                _request(sock, "job",
-                         options={"payload": pack_job(len, 42)})
-            )
-        assert err.value.code == "internal"
-
-    def test_socket_executor_generic_mode(self, live_server):
-        """SocketJobExecutor with no request_fn ships the closure."""
-        _server, sock = live_server
-        executor = SocketJobExecutor(socket_path=sock)
-        outcomes = list(
-            executor.execute(abs, [(0, -5), (1, 7), (2, -1)])
-        )
-        assert executor.last_mode == "socket-job"
-        assert [o.result for o in outcomes] == [5, 7, 1]
-        assert all(o.ok for o in outcomes)

@@ -8,6 +8,7 @@ patch is visible to the worker.
 """
 
 import asyncio
+import json
 import time
 
 import pytest
@@ -215,7 +216,44 @@ class TestComputeOps:
         serve_test(server, body)
 
 
+#: The request ``SocketJobExecutor`` used to send: a base64 pickle for
+#: the server to execute.  The op is gone, so it is just an unknown op.
+JOB_LINE = (
+    b'{"id": "x", "op": "job", "options": {"payload": "gASVCg=="}}\n'
+)
+
+
+async def assert_job_op_rejected(path):
+    """One typed ``bad_request`` for the ``job`` line — then the same
+    connection still answers ``ping`` (a second ``job`` response would
+    arrive in the pong's place)."""
+    reader, writer = await asyncio.open_unix_connection(path)
+    try:
+        writer.write(JOB_LINE)
+        await writer.drain()
+        first = json.loads(await asyncio.wait_for(reader.readline(), 5))
+        writer.write(b'{"id": "p", "op": "ping"}\n')
+        await writer.drain()
+        second = json.loads(await asyncio.wait_for(reader.readline(), 5))
+    finally:
+        writer.close()
+    assert first["id"] == "x" and first["ok"] is False
+    assert first["error"]["code"] == "bad_request"
+    assert "unknown op 'job'" in first["error"]["message"]
+    assert second["id"] == "p" and second["result"]["pong"] is True
+
+
 class TestBadRequests:
+    def test_job_op_is_an_unknown_op(self, sysadg, tmp_path):
+        server = make_server(sysadg, tmp_path)
+
+        async def body():
+            await assert_job_op_rejected(server.endpoint[1])
+            assert server.counters["responses_error"] == 1
+            assert server.counters["computes"] == 0
+
+        serve_test(server, body)
+
     def test_unknown_workload_and_overlay(self, sysadg, tmp_path):
         server = make_server(sysadg, tmp_path)
 
@@ -240,8 +278,6 @@ class TestBadRequests:
             reader, writer = await asyncio.open_unix_connection(path)
             writer.write(b"this is not json\n")
             await writer.drain()
-            import json
-
             line = await asyncio.wait_for(reader.readline(), timeout=5)
             doc = json.loads(line)
             assert doc["ok"] is False

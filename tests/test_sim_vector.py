@@ -24,7 +24,6 @@ from repro.sim import (
     build_tile,
     simulate_batch,
     simulate_schedule,
-    simulate_workloads_jobs,
     vector_core_available,
 )
 from repro.sim.simulator import _resolve_core
@@ -270,29 +269,6 @@ class TestBatch:
         ref = simulate_schedule(pairs[0][0], overlay, exact=True)
         batched = simulate_batch(pairs, exact=True)
         assert_identical(ref, batched[0])
-
-    def test_jobs_sharded_parity(self, overlay):
-        names = ["fir", "mm", "bgr2grey", "vecmax"]
-        serial = [
-            simulate_schedule(scheduled(n, overlay), overlay) for n in names
-        ]
-        for shards in (1, 2, 4):
-            out = simulate_workloads_jobs(overlay, names, shards=shards)
-            assert len(out) == len(names)
-            for a, b in zip(serial, out):
-                assert_identical(a, b)
-
-    def test_jobs_process_pool_parity(self, overlay):
-        names = ["mm", "vecmax"]
-        serial = [
-            simulate_schedule(scheduled(n, overlay), overlay) for n in names
-        ]
-        out = simulate_workloads_jobs(overlay, names, workers=2)
-        for a, b in zip(serial, out):
-            assert_identical(a, b)
-
-    def test_jobs_empty(self, overlay):
-        assert simulate_workloads_jobs(overlay, []) == []
 
 
 @needs_kernel
