@@ -4,7 +4,6 @@ from .capability import (
     FuCap,
     cap_for,
     caps_for_dtype,
-    summarize_caps,
     universal_caps,
 )
 from .graph import ADG, AdgError
@@ -70,7 +69,6 @@ __all__ = [
     "seed_for_workloads",
     "sysadg_from_dict",
     "sysadg_to_dict",
-    "summarize_caps",
     "system_param_space",
     "universal_caps",
 ]

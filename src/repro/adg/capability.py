@@ -10,7 +10,7 @@ DSE adds and prunes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Set, Tuple
+from typing import FrozenSet, Iterable, Set
 
 from ..ir import (
     DType,
@@ -82,11 +82,3 @@ def universal_caps() -> FrozenSet[FuCap]:
             if op not in INT_ONLY_OPS and bits in (32, 64):
                 caps.add(FuCap(op, True, bits))
     return frozenset(caps)
-
-
-def summarize_caps(caps: Iterable[FuCap]) -> Tuple[Tuple[str, int], ...]:
-    """Histogram of capabilities as (name, count) pairs, sorted."""
-    counts = {}
-    for cap in caps:
-        counts[cap.name] = counts.get(cap.name, 0) + 1
-    return tuple(sorted(counts.items()))

@@ -16,7 +16,6 @@ from .nodes import (
     AdgNode,
     DmaEngine,
     ENGINE_KINDS,
-    FABRIC_KINDS,
     GenerateEngine,
     InputPortHW,
     NodeKind,
@@ -236,13 +235,6 @@ class ADG:
         return sorted(
             (n for n in self._nodes.values() if n.kind in ENGINE_KINDS),
             key=lambda n: n.node_id,
-        )
-
-    def fabric_ids(self) -> List[int]:
-        """Node ids routable on the fabric side (ports, PEs, switches)."""
-        routable = FABRIC_KINDS | {NodeKind.IN_PORT, NodeKind.OUT_PORT}
-        return sorted(
-            i for i, n in self._nodes.items() if n.kind in routable
         )
 
     def radix(self, node_id: int) -> int:

@@ -88,11 +88,6 @@ class ProcessingElement(AdgNode):
             return False
         return lanes * dtype.bits <= self.width_bits
 
-    @property
-    def simd_lanes(self) -> int:
-        """Maximum subword lanes at 64-bit granularity."""
-        return max(1, self.width_bits // 64)
-
 
 @dataclass(frozen=True)
 class Switch(AdgNode):
@@ -211,7 +206,3 @@ class RegisterEngine(AdgNode):
     @property
     def kind(self) -> NodeKind:
         return NodeKind.REGISTER
-
-
-#: Convenience alias used across the scheduler/DSE.
-MemoryEngine = (DmaEngine, SpadEngine)

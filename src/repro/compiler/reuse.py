@@ -183,10 +183,6 @@ class WorkloadReuse:
     def array_traffic(self, array: str) -> int:
         return sum(a.traffic for a in self.for_array(array))
 
-    def array_footprint(self, array: str) -> int:
-        infos = self.for_array(array)
-        return max((a.footprint for a in infos), default=0)
-
     def recurrence_for(self, array: str) -> Optional[RecurrenceInfo]:
         for rec in self.recurrences:
             if rec.array == array:

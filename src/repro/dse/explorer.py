@@ -154,9 +154,6 @@ class DseResult:
     def modeled_hours(self) -> float:
         return self.modeled_seconds / 3600.0
 
-    def estimate_for(self, workload: str):
-        return self.choice.estimates[workload]
-
 
 class Explorer:
     """Simulated-annealing explorer over (tile ADG x system parameters).

@@ -8,7 +8,6 @@ interrupted run resumes where it stopped, and instrumented with a
 structured metrics stream.
 """
 
-from .checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
 from .hashing import (
     CODE_SCHEMA_VERSION,
     canonicalize,
@@ -25,6 +24,8 @@ from .orchestrator import (
     EngineResult,
     SeedJob,
     SeedOutcome,
+    checkpoint_key,
+    load_checkpoint,
     run_seed_job,
 )
 from .store import ArtifactStore, StoreStats, TieredCache
@@ -32,7 +33,6 @@ from .store import ArtifactStore, StoreStats, TieredCache
 __all__ = [
     "ArtifactStore",
     "CODE_SCHEMA_VERSION",
-    "CheckpointManager",
     "DEFAULT_CHECKPOINT_EVERY",
     "DseEngine",
     "EngineError",
@@ -45,11 +45,11 @@ __all__ = [
     "StoreStats",
     "TieredCache",
     "canonicalize",
+    "checkpoint_key",
     "config_fingerprint",
     "fingerprint",
     "job_key",
     "load_checkpoint",
     "run_seed_job",
-    "save_checkpoint",
     "workload_fingerprint",
 ]

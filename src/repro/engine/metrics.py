@@ -5,8 +5,9 @@ Every engine job emits typed events — ``run_start``, ``cache_hit``,
 :class:`MetricsLogger`; per-seed completion, timeout and failure are the
 :mod:`repro.jobs` runtime's ``job_done`` / ``job_cached`` /
 ``job_timeout`` / ``job_failed`` events with ``runner="engine.seeds"``
-(soak shards: ``runner="soak.shards"``).  Events are kept in memory for
-programmatic inspection and, when a path is given, appended as JSON
+(soak shards: ``runner="soak.shards"``).  The most recent
+:data:`EVENT_BUFFER` events are kept in memory for programmatic
+inspection and, when a path is given, every event is appended as JSON
 Lines so external tooling can tail a long DSE.
 
 :class:`EngineStats` aggregates across jobs (cache hits/misses, DSE
@@ -19,8 +20,13 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
+
+#: In-memory events a logger retains: a server emits one per request for
+#: as long as it lives, so the buffer keeps only the most recent ones.
+EVENT_BUFFER = 16384
 
 
 class MetricsLogger:
@@ -28,7 +34,7 @@ class MetricsLogger:
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self.events: List[Dict[str, Any]] = []
+        self.events: Deque[Dict[str, Any]] = deque(maxlen=EVENT_BUFFER)
 
     def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
         record = {"event": event, "time": time.time(), **fields}

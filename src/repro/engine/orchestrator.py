@@ -30,11 +30,15 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter, sleep
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dse import DseConfig, DseResult, Explorer
+from ..dse import DseConfig, DseResult, Explorer, ExplorerState
 from ..jobs import FaultPolicy, JobOutcome, JobRunner, ProcessPoolJobExecutor
 from ..ir import Workload
-from .checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
-from .hashing import CODE_SCHEMA_VERSION, config_fingerprint, job_key
+from .hashing import (
+    CODE_SCHEMA_VERSION,
+    config_fingerprint,
+    fingerprint,
+    job_key,
+)
 from .metrics import EngineStats, MetricsLogger, RunMetrics
 from .store import ArtifactStore, TieredCache
 
@@ -46,6 +50,25 @@ class EngineError(RuntimeError):
     """Every seed of a job failed; there is no survivor to return."""
 
 
+def checkpoint_key(job_key: str, seed: int) -> str:
+    """Store key of one seed's snapshot.  The job key already encodes
+    workloads + config + seeds, so changed inputs look under another key."""
+    return fingerprint({"checkpoint": job_key, "seed": seed})
+
+
+def load_checkpoint(
+    store: ArtifactStore, key: str, expect_fingerprint: str = ""
+) -> Optional[ExplorerState]:
+    """The snapshot under ``key``, or None if absent, unreadable, not a
+    snapshot, or written under another config fingerprint."""
+    state = store.get(key)
+    if not isinstance(state, ExplorerState):
+        return None
+    if expect_fingerprint and state.config_fingerprint != expect_fingerprint:
+        return None
+    return state
+
+
 @dataclass
 class SeedJob:
     """Self-contained unit of work shipped to a worker process."""
@@ -54,9 +77,10 @@ class SeedJob:
     config: DseConfig
     name: str
     seed: int
-    checkpoint_path: Optional[str] = None
+    checkpoint_dir: Optional[str] = None   # ArtifactStore root, or None
     checkpoint_every: int = 0
     resume: bool = False
+    job_key: str = ""
     config_key: str = ""
     inject_crash: bool = False   # fault-injection hook for tests
     inject_hang_s: float = 0.0   # hang-injection hook for timeout tests
@@ -81,16 +105,16 @@ def run_seed_job(job: SeedJob) -> SeedOutcome:
     explorer = Explorer(list(job.workloads), config, name=job.name)
     resume_state = None
     sink = None
-    if job.checkpoint_path:
+    if job.checkpoint_dir:
+        store = ArtifactStore(job.checkpoint_dir)
+        key = checkpoint_key(job.job_key, job.seed)
         if job.resume:
-            resume_state = load_checkpoint(job.checkpoint_path, job.config_key)
+            resume_state = load_checkpoint(store, key, job.config_key)
         if job.checkpoint_every:
-            path = job.checkpoint_path
-            key = job.config_key
 
-            def sink(state, _path=path, _key=key):
-                state.config_fingerprint = _key
-                save_checkpoint(_path, state)
+            def sink(state):
+                state.config_fingerprint = job.config_key
+                store.put(key, state)
 
     result = explorer.run(
         resume=resume_state,
@@ -140,10 +164,12 @@ class DseEngine:
         self.checkpoint_every = checkpoint_every
         self.stats = EngineStats()
         self.store: Optional[ArtifactStore] = None
-        self.checkpoints: Optional[CheckpointManager] = None
+        #: Per-seed annealer snapshots, in a store of their own so scans
+        #: of ``store.keys()`` (studies, corpus) never see them.
+        self.checkpoints: Optional[ArtifactStore] = None
         if cache_dir:
             self.store = ArtifactStore(cache_dir)
-            self.checkpoints = CheckpointManager(
+            self.checkpoints = ArtifactStore(
                 os.path.join(cache_dir, "checkpoints")
             )
         self.cache = TieredCache(self.store)
@@ -231,7 +257,8 @@ class DseEngine:
             },
         )
         if self.checkpoints is not None:
-            self.checkpoints.discard(key)
+            for seed in seed_list:
+                self.checkpoints.discard(checkpoint_key(key, seed))
         return EngineResult(
             result=best.result,
             key=key,
@@ -241,42 +268,6 @@ class DseEngine:
         )
 
     # ------------------------------------------------------------------
-    def _make_jobs(
-        self,
-        workloads: Sequence[Workload],
-        config: DseConfig,
-        name: str,
-        seeds: Sequence[int],
-        key: str,
-        resume: bool,
-        crash_seeds: set,
-        hang_seeds: Optional[Dict[int, float]] = None,
-    ) -> List[SeedJob]:
-        cfg_key = config_fingerprint(config)
-        hang_seeds = hang_seeds or {}
-        jobs = []
-        for seed in seeds:
-            ckpt = (
-                str(self.checkpoints.path_for(key, seed))
-                if self.checkpoints is not None
-                else None
-            )
-            jobs.append(
-                SeedJob(
-                    workloads=tuple(workloads),
-                    config=config,
-                    name=name,
-                    seed=seed,
-                    checkpoint_path=ckpt,
-                    checkpoint_every=self.checkpoint_every if ckpt else 0,
-                    resume=resume,
-                    config_key=cfg_key,
-                    inject_crash=seed in crash_seeds,
-                    inject_hang_s=hang_seeds.get(seed, 0.0),
-                )
-            )
-        return jobs
-
     def _run_seeds(
         self,
         workloads: Sequence[Workload],
@@ -286,12 +277,26 @@ class DseEngine:
         key: str,
         resume: bool,
         crash_seeds: set,
-        hang_seeds: Optional[Dict[int, float]] = None,
+        hang_seeds: Dict[int, float],
     ) -> List[SeedOutcome]:
-        jobs = self._make_jobs(
-            workloads, config, name, seeds, key, resume, crash_seeds,
-            hang_seeds,
-        )
+        cfg_key = config_fingerprint(config)
+        ckpt_dir = str(self.checkpoints.root) if self.checkpoints else None
+        jobs = [
+            SeedJob(
+                workloads=tuple(workloads),
+                config=config,
+                name=name,
+                seed=seed,
+                checkpoint_dir=ckpt_dir,
+                checkpoint_every=self.checkpoint_every if ckpt_dir else 0,
+                resume=resume,
+                job_key=key,
+                config_key=cfg_key,
+                inject_crash=seed in crash_seeds,
+                inject_hang_s=hang_seeds.get(seed, 0.0),
+            )
+            for seed in seeds
+        ]
         executor = ProcessPoolJobExecutor(self.workers)
         runner = JobRunner(
             executor=executor,

@@ -4,7 +4,6 @@ from .autodse import (
     AutoDseResult,
     HLS_BUDGET_FRACTION,
     run_autodse,
-    run_autodse_suite,
 )
 from .kernels import (
     HlsKernelInfo,
@@ -34,6 +33,5 @@ __all__ = [
     "hls_dram_bytes_per_cycle",
     "kernel_info",
     "run_autodse",
-    "run_autodse_suite",
     "unroll_cap",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..ir import Workload
 from ..model.resource import Resources, XCVU9P
@@ -90,15 +90,3 @@ def run_autodse(
         dse_hours=dse_hours,
         synth_hours=synth_hours,
     )
-
-
-def run_autodse_suite(
-    workloads: Sequence[Workload],
-    tuned: bool = False,
-    dram_channels: int = 1,
-) -> Dict[str, AutoDseResult]:
-    """AutoDSE for every kernel of a suite (each is a separate design)."""
-    return {
-        w.name: run_autodse(w, tuned=tuned, dram_channels=dram_channels)
-        for w in workloads
-    }

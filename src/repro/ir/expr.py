@@ -258,10 +258,6 @@ def sqrt(value: ExprLike) -> UnOp:
     return UnOp(Op.SQRT, as_expr(value))
 
 
-def vabs(value: ExprLike) -> UnOp:
-    return UnOp(Op.ABS, as_expr(value))
-
-
 def vmax(a: ExprLike, b: ExprLike) -> BinOp:
     return BinOp(Op.MAX, as_expr(a), as_expr(b))
 

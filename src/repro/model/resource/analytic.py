@@ -57,9 +57,6 @@ _FP_SHARED: Dict[Tuple[str, int], float] = {
     ("sqrt", 64): 2400.0,
 }
 
-_ADD_CLASS = {Op.ADD, Op.SUB, Op.MAX, Op.MIN, Op.CMP, Op.ABS, Op.SELECT}
-_LOGIC_CLASS = {Op.SHL, Op.SHR, Op.AND, Op.OR, Op.XOR}
-
 
 def _fu_cost(caps: Iterable[FuCap], width_bits: int) -> Resources:
     """Cost of a PE's functional units under subword-SIMD and unit sharing.

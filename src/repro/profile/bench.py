@@ -16,7 +16,8 @@
 
 Every document carries ``schema``, ``kind`` and its own ``spans``
 (schema documented in README).  ``compare_reports`` implements the
-``--compare BASELINE.json`` regression mode, and ``measure_overhead``
+``--compare BASELINE.json`` regression mode (``render_comparison`` and
+``render_bench`` are the text the CLI prints), and ``measure_overhead``
 times the disabled-tracer ``span()`` fast path against a no-tracer run
 (the CI gate asserts the ratio stays near 1.0).
 """
@@ -476,3 +477,66 @@ def compare_reports(
         "regressions": regressions,
         "ok": not regressions,
     }
+
+
+def render_comparison(cmp: Dict[str, Any], baseline_path: str) -> str:
+    """One line per compared metric plus the OK / FAIL verdict line."""
+    lines = []
+    for row in cmp["rows"]:
+        ratio = f"{row['ratio']:.2f}x" if row["ratio"] is not None else "n/a"
+        lines.append(
+            f"  {row['status']:12s} {row['metric']}: "
+            f"{row['current']} vs baseline {row['baseline']} ({ratio})"
+        )
+    if cmp["ok"]:
+        lines.append(
+            f"compare vs {baseline_path}: OK (tolerance {cmp['tolerance']})"
+        )
+    else:
+        lines.append(
+            f"FAIL: regression vs {baseline_path} in "
+            f"{', '.join(cmp['regressions'])}"
+        )
+    return "\n".join(lines)
+
+
+def render_bench(docs: Dict[str, Dict[str, Any]], budget: str) -> str:
+    """One summary block per bench document, in ``BENCHES`` order."""
+    lines = []
+    if "dse" in docs:
+        d = docs["dse"]
+        o = d["overhead"]
+        lines += [
+            f"dse[{budget}]: {d['iterations']} candidates in "
+            f"{d['wall_seconds']:.2f}s ({d['candidates_per_second']:.0f}/s), "
+            f"preserved-hit rate {d['preserved_hit_rate']:.0%}",
+            f"  fast path {d['fast_path_mean_s'] * 1e3:.3f} ms vs repair "
+            f"{d['repair_path_mean_s'] * 1e3:.3f} ms "
+            f"({d['fast_path_speedup']:.1f}x), warm-memo rerun "
+            f"{d['memo_speedup']:.1f}x faster",
+            f"tracer overhead: disabled/no-tracer ratio {o['ratio']:.3f} "
+            f"({o['calls']} span calls, min of {o['repeats']})",
+        ]
+    if "sim" in docs:
+        s = docs["sim"]
+        batch = s["batch"]
+        lines += [
+            f"sim[{budget}] core={s['core']}: {s['stepped_cycles']:,} "
+            f"cycles in {s['wall_seconds']:.2f}s "
+            f"({s['cycles_per_second']:,.0f} cycles/s)",
+            f"  batch: {batch['pairs']} regions, "
+            f"{s['batch_cycles_per_second']:,.0f} cycles/s, "
+            f"identical to serial: {batch['identical_to_serial']}",
+        ]
+    if "search" in docs:
+        doc = docs["search"]
+        for strat in sorted(doc["strategies"]):
+            row = doc["strategies"][strat]
+            lines.append(
+                f"search[{budget}] {strat:12s}: best objective "
+                f"{row['best_objective']:.2f}, hypervolume "
+                f"{row['hypervolume']:.4g}, {row['feasible']}/{row['trials']} "
+                f"feasible, {row['wall_seconds']:.2f}s"
+            )
+        lines.append(f"best strategy: {doc['best_strategy']}")
+    return "\n".join(lines)

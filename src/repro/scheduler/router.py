@@ -39,18 +39,6 @@ class RoutingState:
         for link in zip(nodes, nodes[1:]):
             self.link_owner[link] = source
 
-    def release_source(self, source: int) -> None:
-        """Free every link owned by ``source`` (used by repair)."""
-        self.link_owner = {
-            link: owner
-            for link, owner in self.link_owner.items()
-            if owner != source
-        }
-
-    def release_links(self, links: Iterable[Link]) -> None:
-        for link in links:
-            self.link_owner.pop(link, None)
-
 
 def _hop_allowed(adg: ADG, node_id: int, width_bits: int) -> bool:
     """May a route pass *through* this node (not as an endpoint)?"""

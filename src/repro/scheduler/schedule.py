@@ -67,12 +67,6 @@ class Schedule:
             used.update(path)
         return used
 
-    def links_in_use(self) -> Set[Tuple[int, int]]:
-        links: Set[Tuple[int, int]] = set()
-        for path in self.routes.values():
-            links.update(zip(path, path[1:]))
-        return links
-
     def routes_through(self, adg_node: int) -> List[EdgeKey]:
         """Routed edges whose path passes through ``adg_node``."""
         return [
@@ -80,9 +74,6 @@ class Schedule:
             for key, path in self.routes.items()
             if adg_node in path
         ]
-
-    def pe_of(self, compute_id: int) -> Optional[int]:
-        return self.placement.get(compute_id)
 
     # ------------------------------------------------------------------
     def is_valid_for(self, adg: ADG) -> bool:

@@ -14,7 +14,7 @@ The annealer becomes one strategy among several behind a batched
 
 Every evaluated point lands in a persistent, resumable
 :class:`~repro.search.study.Study` (content-addressed in the engine
-store); :mod:`~repro.search.pareto` supplies non-dominated sorting and
+store); :mod:`~repro.search.pareto` supplies the non-dominated frontier and
 hypervolume on top, and :mod:`~repro.search.report` renders the
 self-contained HTML report.  Proposals fan out through
 :mod:`repro.jobs`, so pool and serial runs produce identical studies.
@@ -27,7 +27,6 @@ from .pareto import (
     dominates,
     hypervolume,
     non_dominated,
-    non_dominated_sort,
     parse_axis,
 )
 from .report import render_html
@@ -48,11 +47,11 @@ from .study import (
     export_frontier,
     export_study,
     frontier_doc,
-    import_dse_points,
     list_studies,
     load_study,
     merge_studies,
     save_study,
+    study_from_metrics,
     study_from_points,
     study_key,
 )
@@ -86,13 +85,11 @@ __all__ = [
     "export_study",
     "frontier_doc",
     "hypervolume",
-    "import_dse_points",
     "list_studies",
     "load_study",
     "make_strategy",
     "merge_studies",
     "non_dominated",
-    "non_dominated_sort",
     "parse_axis",
     "register",
     "render_html",
@@ -100,6 +97,7 @@ __all__ = [
     "save_study",
     "stable_rng",
     "strategy_names",
+    "study_from_metrics",
     "study_from_points",
     "study_key",
 ]

@@ -1,4 +1,4 @@
-"""Multi-objective frontier math: dominance, sorting, hypervolume.
+"""Multi-objective frontier math: dominance, frontier, hypervolume.
 
 Pure functions over plain numeric vectors so the property-based tests can
 hammer them without any DSE machinery.  Every routine is deterministic:
@@ -91,22 +91,6 @@ def non_dominated(
         ):
             keep.append(i)
     return keep
-
-
-def non_dominated_sort(
-    points: Sequence[Sequence[float]], senses: Sequence[str]
-) -> List[List[int]]:
-    """Peel successive non-dominated layers; concatenation covers all points."""
-    remaining = list(range(len(points)))
-    layers: List[List[int]] = []
-    while remaining:
-        subset = [points[i] for i in remaining]
-        front_local = non_dominated(subset, senses)
-        front = sorted(remaining[i] for i in front_local)
-        layers.append(front)
-        taken = set(front)
-        remaining = [i for i in remaining if i not in taken]
-    return layers
 
 
 def default_reference(

@@ -340,20 +340,27 @@ def study_from_points(
     )
 
 
-def import_dse_points(
-    result: Any,
-    *,
-    workloads: Sequence[str],
-    config_fingerprint: str = "",
-    seed: int = 0,
-) -> Study:
-    """Convert a :class:`~repro.dse.DseResult`'s accepted-point trajectory
-    into a study (the engine records the same rows as ``dse_point`` JSONL
-    events; both roads lead here)."""
+def study_from_metrics(path: str) -> Study:
+    """Build a study from an engine metrics JSONL stream: every
+    ``dse_point`` event becomes a trial, ``run_start`` events name the
+    workloads.  Raises :class:`ValueError` when the file holds no point."""
+    points: List[Dict[str, Any]] = []
+    workloads = set()
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            if record.get("event") == "dse_point":
+                points.append(record)
+            elif record.get("event") == "run_start":
+                names = record.get("workloads") or (
+                    [record["name"]] if record.get("name") else []
+                )
+                workloads.update(names)
+    if not points:
+        raise ValueError(f"{path}: no dse_point events to import")
     return study_from_points(
-        result.points,
-        workloads=workloads,
-        config_fingerprint=config_fingerprint,
-        seed=seed,
-        strategy="anneal-import",
+        points, workloads=sorted(workloads), strategy="import"
     )

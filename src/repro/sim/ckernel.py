@@ -567,10 +567,6 @@ def load_kernel() -> Optional[Kernel]:
         return _kernel
 
 
-def kernel_available() -> bool:
-    return load_kernel() is not None
-
-
 def load_error() -> Optional[str]:
     """Why the kernel failed to load (None when loaded or untried)."""
     return _load_error

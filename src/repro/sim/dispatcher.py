@@ -31,9 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-#: Parameters describing one stream in the register file.
-PARAM_FIELDS = ("address", "length", "stride", "dimension", "port", "engine")
-
 #: Cycles from the finalize command to dispatch when no hazard exists
 #: (one cycle instantiation + one cycle dispatch).
 MIN_DISPATCH_LATENCY = 2

@@ -1,10 +1,47 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SURFACE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_surface.json"
+
+
+def cli_surface(parser):
+    """Every action of every (sub)parser, keyed by command path.
+
+    The top-level command *set* is recorded sorted: ``repro --help`` lists
+    commands in module order, which is not part of the pinned surface.
+    """
+    surface = {}
+
+    def walk(p, path, help_text):
+        rows = []
+        for action in p._actions:
+            choices = action.choices
+            if isinstance(action, argparse._SubParsersAction):
+                helps = {c.dest: c.help for c in action._choices_actions}
+                for name, child in action.choices.items():
+                    walk(child, f"{path} {name}", helps.get(name))
+                choices = sorted(choices)
+            rows.append({
+                "option_strings": list(action.option_strings),
+                "dest": action.dest,
+                "default": action.default,
+                "type": action.type.__name__ if action.type else None,
+                "choices": list(choices) if choices is not None else None,
+                "nargs": action.nargs,
+                "required": action.required,
+                "help": action.help,
+            })
+        surface[path] = {"help": help_text, "actions": rows}
+
+    walk(parser, parser.prog, parser.description)
+    return surface
 
 
 @pytest.fixture(scope="module")
@@ -17,10 +54,36 @@ def design_path(tmp_path_factory):
     return str(path)
 
 
+SUBCOMMANDS = sorted(
+    path.split(" ", 1)[1]
+    for path in json.loads(SURFACE_GOLDEN.read_text())
+    if " " in path
+)
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_surface_matches_the_pinned_golden(self):
+        """Every option string, dest, default, type, choices, nargs,
+        required flag and help text of every (sub)parser, as captured
+        before ``repro.cli`` became a package."""
+        golden = json.loads(SURFACE_GOLDEN.read_text())
+        surface = json.loads(json.dumps(cli_surface(build_parser())))
+        assert sorted(surface) == sorted(golden)
+        for path in golden:
+            assert surface[path] == golden[path], path
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_exits_0(self, command, capsys):
+        """Parsing ``--help`` imports the command's module and builds its
+        parser; a broken lazy import or parents= group fails here."""
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--help"])
+        assert exc.value.code == 0
+        assert f"usage: repro {command}" in capsys.readouterr().out
 
     def test_generate_defaults(self):
         args = build_parser().parse_args(["generate", "dsp"])
@@ -55,6 +118,19 @@ class TestCommands:
         assert main(["map", design_path, "vecmax"]) == 0
         out = capsys.readouterr().out
         assert "projected IPC" in out
+
+    def test_map_human_form_renders_the_json_document(
+        self, design_path, capsys
+    ):
+        assert main(["map", design_path, "vecmax", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(["map", design_path, "vecmax"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            doc["summary"],
+            f"projected IPC {doc['estimate']['ipc']:.1f}, "
+            f"bottleneck {doc['estimate']['bottleneck']}",
+            f"configuration: {doc['config_words']} words",
+        ]
 
     def test_map_failure_is_nonzero(self, design_path, capsys):
         # A vecmax-specialized (i16) overlay cannot host f64 cholesky.
@@ -390,6 +466,28 @@ class TestDseCommand:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--pareto", "p.json"], "--pareto"),
+        (["--pareto"], "--pareto"),
+        (["--trials", "4"], "--trials"),
+        (["--html", "r.html"], "--html"),
+        (["--batch", "2"], "--batch"),
+        (["--strategy", "tpe", "--seeds", "2,3"], "--seeds"),
+        (["--strategy", "tpe", "--resume"], "--resume"),
+        (["--strategy", "tpe", "--seed-timeout", "5"], "--seed-timeout"),
+    ])
+    def test_flag_of_the_path_not_taken_is_an_error(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        """Each of these was silently ignored: exit 0, nothing written."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["dse", "vecmax", "--no-cache"] + argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {flag} is only read by the ")
+        assert ("search path" in line) == ("--strategy" not in argv)
+        assert captured.out == "" and not list(tmp_path.iterdir())
 
     def test_cold_then_warm_cache(self, tmp_path, capsys):
         cache = tmp_path / "cache"

@@ -1,6 +1,7 @@
 """Tests for the parallel DSE engine: hashing, store, orchestration."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -206,6 +207,24 @@ class TestEngine:
         assert 0.0 <= run_end["acceptance_rate"] <= 1.0
         assert log_path.exists()
         assert len(log_path.read_text().strip().splitlines()) == len(events)
+
+    def test_event_buffer_is_bounded_but_the_file_is_not(self, tmp_path):
+        """A server emits one event per request for as long as it lives:
+        memory keeps the most recent EVENT_BUFFER, the JSONL mirror all."""
+        from repro.engine.metrics import EVENT_BUFFER
+
+        log_path = tmp_path / "events.jsonl"
+        logger = MetricsLogger(str(log_path))
+        total = EVENT_BUFFER + 1000
+        for i in range(total):
+            logger.emit("request", index=i)
+        assert len(logger.events) == EVENT_BUFFER
+        assert logger.events[0]["index"] == 1000
+        assert len(logger.of_type("request")) == EVENT_BUFFER
+        with open(log_path) as f:
+            assert [json.loads(line)["index"] for line in f] == list(
+                range(total)
+            )
 
     def test_seed_timeout_degrades_to_survivors(self, tmp_path):
         """A hung worker no longer blocks the job: the timed-out seed is

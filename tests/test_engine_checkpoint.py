@@ -7,18 +7,19 @@ import pytest
 from repro.adg import adg_to_dict
 from repro.dse import DseConfig, Explorer
 from repro.engine import (
-    CheckpointManager,
+    ArtifactStore,
     DseEngine,
+    checkpoint_key,
     config_fingerprint,
     job_key,
     load_checkpoint,
-    save_checkpoint,
 )
 from repro.workloads import get_workload
 
 
 FIR = [get_workload("fir")]
 CFG = DseConfig(iterations=36, seed=2)
+KEY = checkpoint_key("k" * 64, 2)
 
 
 def assert_results_equal(a, b):
@@ -54,9 +55,9 @@ class TestExplorerResume:
         Explorer(FIR, CFG, name="fir").run(
             checkpoint_every=12, checkpoint_sink=snaps.append
         )
-        path = tmp_path / "seed-2.ckpt"
-        save_checkpoint(path, snaps[-1])
-        loaded = load_checkpoint(path)
+        store = ArtifactStore(tmp_path)
+        store.put(KEY, snaps[-1])
+        loaded = load_checkpoint(ArtifactStore(tmp_path), KEY)
         assert loaded is not None and loaded.iteration == snaps[-1].iteration
 
         resumed = Explorer(FIR, CFG, name="fir").run(resume=loaded)
@@ -100,20 +101,42 @@ class TestExplorerResume:
 
 
 class TestCheckpointFiles:
+    """Snapshots live in an ArtifactStore: its atomic write and
+    corrupt-is-a-miss read, plus the snapshot-type and fingerprint guards."""
+
     def test_missing_file_is_none(self, tmp_path):
-        assert load_checkpoint(tmp_path / "nope.ckpt") is None
+        assert load_checkpoint(ArtifactStore(tmp_path), KEY) is None
 
     def test_corrupt_file_is_none(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"garbage")
-        assert load_checkpoint(path) is None
+        store = ArtifactStore(tmp_path)
+        store.put(KEY, "placeholder")
+        store._path(KEY).write_bytes(b"garbage")
+        assert load_checkpoint(store, KEY) is None
+        assert store.stats.corrupt == 1 and KEY not in store
 
     def test_wrong_type_is_none(self, tmp_path):
-        import pickle
+        store = ArtifactStore(tmp_path)
+        store.put(KEY, {"not": "a checkpoint"})
+        assert load_checkpoint(store, KEY) is None
 
-        path = tmp_path / "weird.ckpt"
-        path.write_bytes(pickle.dumps({"not": "a checkpoint"}))
-        assert load_checkpoint(path) is None
+    def test_write_is_atomic(self, tmp_path):
+        """A write that dies mid-pickle leaves the previous snapshot (and
+        no temp file) behind."""
+        store = ArtifactStore(tmp_path)
+        snaps = []
+        Explorer(FIR, CFG, name="fir").run(
+            checkpoint_every=18, checkpoint_sink=snaps.append
+        )
+        store.put(KEY, snaps[0])
+
+        class Unpicklable:
+            def __reduce__(self):
+                raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError):
+            store.put(KEY, Unpicklable())
+        assert load_checkpoint(store, KEY).iteration == snaps[0].iteration
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_stale_config_fingerprint_rejected(self, tmp_path):
         snaps = []
@@ -122,23 +145,24 @@ class TestCheckpointFiles:
         )
         state = snaps[0]
         state.config_fingerprint = config_fingerprint(CFG)
-        path = tmp_path / "seed-2.ckpt"
-        save_checkpoint(path, state)
-        assert load_checkpoint(path, config_fingerprint(CFG)) is not None
+        store = ArtifactStore(tmp_path)
+        store.put(KEY, state)
+        assert load_checkpoint(store, KEY, config_fingerprint(CFG)) is not None
         other = config_fingerprint(dataclasses.replace(CFG, iterations=99))
-        assert load_checkpoint(path, other) is None
+        assert load_checkpoint(store, KEY, other) is None
 
     def test_manager_round_trip_and_discard(self, tmp_path):
-        mgr = CheckpointManager(tmp_path)
+        store = ArtifactStore(tmp_path)
         snaps = []
         Explorer(FIR, CFG, name="fir").run(
             checkpoint_every=18, checkpoint_sink=snaps.append
         )
-        mgr.save("k" * 64, 2, snaps[0])
-        assert mgr.load("k" * 64, 2) is not None
-        assert mgr.load("k" * 64, 3) is None
-        mgr.discard("k" * 64)
-        assert mgr.load("k" * 64, 2) is None
+        store.put(KEY, snaps[0])
+        assert load_checkpoint(store, KEY) is not None
+        assert load_checkpoint(store, checkpoint_key("k" * 64, 3)) is None
+        assert checkpoint_key("j" * 64, 2) != KEY
+        store.discard(KEY)
+        assert load_checkpoint(store, KEY) is None
 
 
 class TestEngineResume:
@@ -154,9 +178,11 @@ class TestEngineResume:
         class Killed(RuntimeError):
             pass
 
+        ckpt = checkpoint_key(key, CFG.seed)
+
         def killing_sink(state):
             state.config_fingerprint = cfg_key
-            eng.checkpoints.save(key, CFG.seed, state)
+            eng.checkpoints.put(ckpt, state)
             if state.iteration >= 24:
                 raise Killed("simulated kill -9")
 
@@ -164,7 +190,7 @@ class TestEngineResume:
             Explorer(FIR, CFG, name="fir").run(
                 checkpoint_every=12, checkpoint_sink=killing_sink
             )
-        assert eng.checkpoints.load(key, CFG.seed, cfg_key) is not None
+        assert load_checkpoint(eng.checkpoints, ckpt, cfg_key) is not None
 
         res = eng.explore(FIR, CFG, name="fir", resume=True)
         assert not res.from_cache
@@ -179,8 +205,9 @@ class TestEngineResume:
         res = eng.explore(FIR, CFG, name="fir")
         assert not res.from_cache
         # run_seed_job checkpointed along the way; success cleaned them up.
-        assert eng.checkpoints.load(res.key, CFG.seed) is None
-        assert not (eng.checkpoints.root / res.key).exists()
+        # (the key's shard directory is what the puts left behind)
+        assert any(eng.checkpoints.root.iterdir())
+        assert eng.checkpoints.size() == 0
 
     def test_resume_flag_without_checkpoint_is_fresh_run(self, tmp_path):
         eng = DseEngine(cache_dir=str(tmp_path))

@@ -10,7 +10,6 @@ from repro.hls import (
     hls_dram_bytes_per_cycle,
     kernel_info,
     run_autodse,
-    run_autodse_suite,
     unroll_cap,
 )
 from repro.model.resource import XCVU9P
@@ -119,10 +118,6 @@ class TestAutoDse:
             untuned = run_autodse(w, tuned=False).design
             tuned = run_autodse(w, tuned=True).design
             assert tuned.cycles <= untuned.cycles * 1.01, w.name
-
-    def test_suite_runner(self):
-        results = run_autodse_suite(get_suite("dsp"))
-        assert set(results) == {w.name for w in get_suite("dsp")}
 
     def test_prebuilt_db_shortens_exploration(self):
         gemm_tuned = run_autodse(get_workload("gemm"), tuned=True)

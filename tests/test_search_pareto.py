@@ -21,7 +21,6 @@ from repro.search import (
     frontier_doc,
     hypervolume,
     non_dominated,
-    non_dominated_sort,
     parse_axis,
 )
 from repro.search.study import Study, Trial
@@ -102,23 +101,6 @@ class TestNonDominated:
                 for j, q in enumerate(points)
                 if j != i
             )
-
-    @given(cloud())
-    @settings(max_examples=60, deadline=None)
-    def test_sort_layers_partition_and_lead_with_frontier(self, c):
-        points, _, senses = c
-        layers = non_dominated_sort(points, senses)
-        flat = [i for layer in layers for i in layer]
-        assert sorted(flat) == list(range(len(points)))
-        assert len(set(flat)) == len(flat)
-        assert layers[0] == non_dominated(points, senses)
-        # Every later-layer point is dominated by someone in an earlier layer.
-        for depth, layer in enumerate(layers[1:], start=1):
-            earlier = [i for previous in layers[:depth] for i in previous]
-            for i in layer:
-                assert any(
-                    dominates(points[j], points[i], senses) for j in earlier
-                )
 
 
 class TestHypervolume:

@@ -5,20 +5,20 @@ import json
 
 import pytest
 
-from repro.dse import DseConfig, Explorer
-from repro.engine.store import ArtifactStore
+from repro.dse import DseConfig
+from repro.engine import ArtifactStore, DseEngine, MetricsLogger
 from repro.search import (
     SEARCH_SCHEMA,
     Study,
     Trial,
     export_study,
     frontier_doc,
-    import_dse_points,
     list_studies,
     load_study,
     merge_studies,
     render_html,
     save_study,
+    study_from_metrics,
     study_from_points,
     study_key,
 )
@@ -164,20 +164,33 @@ class TestImport:
         assert study.trials[0].objective == 9.0
         assert study.trials[0].modeled_seconds == 1800.0
 
-    def test_import_real_dse_result(self):
-        result = Explorer(
+    def test_import_real_dse_result(self, tmp_path):
+        """An engine run's metrics JSONL imports as one trial per accepted
+        point, named after the run's workloads."""
+        log_path = tmp_path / "events.jsonl"
+        res = DseEngine(metrics=MetricsLogger(str(log_path))).explore(
             [get_workload("vecmax")],
             DseConfig(iterations=6, seed=3),
-            name="import-test",
-        ).run()
-        study = import_dse_points(
-            result, workloads=["vecmax"], seed=3
+            name="vecmax",
         )
-        assert study.strategy == "anneal-import"
-        assert len(study.trials) == len(result.points)
-        assert study.best_trial().objective == pytest.approx(
-            max(p[2] for p in result.points)
-        )
+        study = study_from_metrics(str(log_path))
+        points = res.result.points
+        assert study.strategy == "import" and study.workloads == ["vecmax"]
+        assert [t.seed for t in study.trials] == [3] * len(points)
+        assert [t.objective for t in study.trials] == [p[2] for p in points]
+        assert study.key == study_from_points(
+            [dict(zip(("iteration", "modeled_hours", "objective", "lut",
+                       "ff", "bram", "dsp"), p), seed=3) for p in points],
+            workloads=["vecmax"],
+        ).key
+
+    def test_metrics_without_points_is_an_error(self, tmp_path):
+        log_path = tmp_path / "events.jsonl"
+        log_path.write_text('{"event": "run_start", "name": "fir"}\n\n')
+        with pytest.raises(ValueError, match="no dse_point events"):
+            study_from_metrics(str(log_path))
+        with pytest.raises(FileNotFoundError):
+            study_from_metrics(str(tmp_path / "absent.jsonl"))
 
 
 class TestExportAndReport:

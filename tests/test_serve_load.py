@@ -234,7 +234,7 @@ class TestClusterCliParser:
              "--registry", "/tmp/r", "--shards", "3"]
         )
         assert args.shards == 3 and args.designs == []
-        assert args.func.__name__ == "_cmd_cluster"
+        assert args.func.__name__ == "run_cluster"
 
     def test_cluster_serve_needs_overlay_source(self, tmp_path, capsys):
         rc = main(
