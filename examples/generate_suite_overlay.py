@@ -11,7 +11,7 @@ Run:  python examples/generate_suite_overlay.py [dsp|machsuite|vision]
 import sys
 
 from repro.dse import DseConfig, explore
-from repro.model.resource import XCVU9P, system_breakdown, system_resources
+from repro.model.resource import XCVU9P, AnalyticEstimator
 from repro.rtl import emit_system, estimated_frequency, floorplan, rtl_stats
 from repro.sim import simulate_schedule
 from repro.workloads import get_suite
@@ -33,11 +33,12 @@ def main(suite: str = "dsp") -> None:
           f"{result.stats.iterations} iterations, "
           f"{result.stats.preserved_hits} schedules preserved)")
 
-    util = system_resources(result.sysadg).utilization(XCVU9P)
+    est = AnalyticEstimator()
+    util = est.system(result.sysadg).utilization(XCVU9P)
     print("\nFPGA utilization: "
           + "  ".join(f"{k.upper()} {v:.0%}" for k, v in util.items()))
     print("per-category LUT share:")
-    for cat, res in system_breakdown(result.sysadg).items():
+    for cat, res in est.system_breakdown(result.sysadg).items():
         print(f"  {cat:5s} {res.lut / XCVU9P.lut:6.1%}")
 
     print("\nper-workload performance on the overlay:")

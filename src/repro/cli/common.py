@@ -9,7 +9,7 @@ import os
 from typing import Optional
 
 from ..adg import load_sysadg, save_sysadg
-from ..model.resource import XCVU9P, system_resources
+from ..model.resource import XCVU9P, AnalyticEstimator
 from ..workloads import SUITE_NAMES, all_workloads, get_suite, get_workload
 
 
@@ -61,7 +61,7 @@ def print_design(sysadg, text=None, *, note=None, output=None) -> None:
     (``text``, default its one-line summary), its XCVU9P utilization, an
     optional ``note`` line, and — with ``output`` — the saved file."""
     print(sysadg.summary() if text is None else text)
-    util = system_resources(sysadg).utilization(XCVU9P)
+    util = AnalyticEstimator().system(sysadg).utilization(XCVU9P)
     print("utilization: " + "  ".join(f"{k}={v:.0%}" for k, v in util.items()))
     if note:
         print(note)

@@ -36,6 +36,7 @@ from .topology import (
     SLOTS,
     BackendSpec,
     Topology,
+    overlay_route_key,
     route_shard,
     route_slot,
     shard_of_slot,
@@ -62,6 +63,7 @@ __all__ = [
     "RouterConfig",
     "SLOTS",
     "Topology",
+    "overlay_route_key",
     "route_shard",
     "route_slot",
     "shard_of_slot",

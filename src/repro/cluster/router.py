@@ -48,7 +48,7 @@ from ..serve.errors import InternalError, ShuttingDownError
 from ..serve.protocol import PROTOCOL_VERSION, Request, response_doc
 from ..serve.ops import workload_fp
 from .registry import OverlayRegistry, RegistryError, split_spec
-from .topology import BackendSpec, Topology, route_shard
+from .topology import BackendSpec, Topology, overlay_route_key, route_shard
 
 
 @dataclass
@@ -244,26 +244,18 @@ class ClusterRouter:
             await state.drop_client()
 
     # -- routing keys ---------------------------------------------------
-    def _overlay_key(self, overlay: Optional[str], op: str) -> str:
-        if overlay is None:
-            return ""
-        if op == "remap":
-            # Version continuity: every version of one registry name
-            # must land on the same shard to reuse its live schedule.
-            return split_spec(overlay)[0]
+    def _overlay_fp(self, overlay: str) -> Optional[str]:
         fp = self._overlay_fps.get(overlay)
-        if fp is not None:
-            return fp
-        if self.registry is not None:
+        if fp is None and self.registry is not None:
             try:
                 version = self.registry.lookup(overlay)
             except RegistryError:
-                return overlay
+                return None
+            fp = version.fingerprint
             if split_spec(overlay)[1] is not None:
                 # Explicit name@vN never changes meaning; cache it.
-                self._overlay_fps[overlay] = version.fingerprint
-            return version.fingerprint
-        return overlay
+                self._overlay_fps[overlay] = fp
+        return fp
 
     def _workload_key(self, workload: str) -> str:
         fp = self._workload_fps.get(workload)
@@ -304,7 +296,9 @@ class ClusterRouter:
         # Everything that is not an admin op is a compute op.
         assert request.workload is not None
         owner = route_shard(
-            self._overlay_key(request.overlay, request.op),
+            overlay_route_key(
+                request.op, request.overlay, self._overlay_fp
+            ),
             self._workload_key(request.workload),
             len(self.backends),
         )
@@ -402,9 +396,23 @@ class ClusterRouter:
 
     # -- introspection --------------------------------------------------
     def topology_doc(self) -> Dict[str, Any]:
+        # Everything ``_overlay_fp`` can answer, so a client holding the
+        # document derives the router's key: registry specs (bare names
+        # as they resolve right now), then the live table on top.
+        overlays: Dict[str, str] = {}
+        if self.registry is not None:
+            for name in self.registry.names():
+                overlays.update(
+                    (v.spec, v.fingerprint)
+                    for v in self.registry.versions(name)
+                )
+                try:
+                    overlays[name] = self.registry.lookup(name).fingerprint
+                except RegistryError:
+                    pass  # unresolvable names route on their own text
+        overlays.update(self._overlay_fps)
         topology = Topology(
-            shards=[s.spec for s in self.backends],
-            overlays=dict(self._overlay_fps),
+            shards=[s.spec for s in self.backends], overlays=overlays
         )
         doc = topology.as_doc()
         doc["role"] = "router"

@@ -20,15 +20,20 @@ Two routing keys exist:
   schedule being preserved lives on the shard that served the previous
   version, so version continuity (the whole point of remap) requires
   name-keyed routing.
+
+:func:`overlay_route_key` is that rule's one implementation; the router
+and the ``--cluster`` load client differ only in where they look a
+fingerprint up.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..jobs import ShardPlan
+from .registry import split_spec
 
 #: Fixed slot-space size all routers and clients share.  Large enough
 #: that the contiguous ShardPlan split balances well for any sane shard
@@ -42,6 +47,24 @@ def route_slot(overlay_key: str, workload_key: str) -> int:
     return int.from_bytes(
         hashlib.sha256(blob).digest()[:8], "big"
     ) % SLOTS
+
+
+def overlay_route_key(
+    op: str,
+    overlay: Optional[str],
+    fingerprint_of: Callable[[str], Optional[str]],
+) -> str:
+    """The overlay half of one request's routing key.
+
+    ``fingerprint_of`` maps a served overlay spec to its fingerprint (the
+    router's live table, a client's :attr:`Topology.overlays`); a spec it
+    does not know routes on its own text.
+    """
+    if overlay is None:
+        return ""
+    if op == "remap":
+        return split_spec(overlay)[0]
+    return fingerprint_of(overlay) or overlay
 
 
 def shard_of_slot(slot: int, shards: int) -> int:

@@ -36,7 +36,6 @@ from ..adg import (
 from ..compiler import VariantSet, generate_variants
 from ..ir import Workload
 from ..model.resource import AnalyticEstimator, usable_budget
-from ..profile.memo import ResultMemo, memo_for_config
 from ..profile.tracer import add_counter, span
 from ..scheduler import (
     Schedule,
@@ -179,27 +178,10 @@ class Explorer:
         self.rng = random.Random(self.config.seed)
         self.estimator = AnalyticEstimator()
         self.full_budget = usable_budget()
-        # The DSE sizes tile counts against a reduced budget; padding then
-        # grows the chosen design into the reserve.
-        self.budget = self.full_budget * (1.0 - self.config.generality_reserve)
         self.stats = DseStats()
         self.modeled_seconds = 0.0
         self.history: List[Tuple[int, float, float]] = []
         self.points: List[AcceptedPoint] = []
-        # Schedule results memo, shared by every explorer run over this
-        # exact config (wall-clock only: modeled seconds and stats still
-        # charge as if recomputed, so resume is bit-identical).
-        self.memo = self._memo_for_config()
-
-    def _memo_for_config(self) -> ResultMemo:
-        from ..engine.hashing import config_fingerprint
-
-        return memo_for_config(config_fingerprint(self.config))
-
-    def _adg_fingerprint(self, adg: ADG) -> str:
-        from ..engine.hashing import adg_fingerprint
-
-        return adg_fingerprint(adg)
 
     # -- the step API (:class:`repro.search.AnnealStrategy` drives the
     # same steps with the system sweep shipped to the search evaluator) --
@@ -308,22 +290,18 @@ class Explorer:
         resume: Optional[ExplorerState] = None,
         checkpoint_every: int = 0,
         checkpoint_sink: Optional[Callable[[ExplorerState], None]] = None,
-        on_iteration: Optional[Callable[[int, float], None]] = None,
     ) -> DseResult:
         """Run the annealing loop, optionally checkpointing/resuming.
 
         ``resume`` restores a prior :class:`ExplorerState` (same workloads
         and config) and continues from its iteration; the completed run is
         bit-identical to one that never stopped.  Every ``checkpoint_every``
-        iterations the accepted state is passed to ``checkpoint_sink``.
-        ``on_iteration(iteration, best_objective)`` streams progress.
-        Both fire at every iteration boundary, including iterations whose
-        proposal failed.
+        iterations the accepted state is passed to ``checkpoint_sink``,
+        at the iteration boundary — including iterations whose proposal
+        failed.
         """
 
         def boundary() -> None:
-            if on_iteration is not None:
-                on_iteration(self.iteration, self.best[2].objective)
             if (
                 checkpoint_every
                 and checkpoint_sink is not None
@@ -395,39 +373,14 @@ class Explorer:
             self.workloads, width_bits=self.config.seed_width_bits
         )
 
-    def _memoized_schedule(
-        self,
-        adg_fp: str,
-        name: str,
-        variants: VariantSet,
-        adg: ADG,
-        params: SystemParams,
-    ) -> Optional[Schedule]:
-        """``schedule_workload`` behind the config-scoped memo.
-
-        A hit skips the wall-clock work only; the caller still charges the
-        modeled toolchain cost and bumps ``full_schedules`` so checkpointed
-        runs resume bit-identically regardless of memo warmth.
-        """
-        hit, schedule = self.memo.lookup_schedule(adg_fp, name)
-        if hit:
-            add_counter("dse.schedule_memo_hits")
-            return schedule
-        with span("dse.full_schedule", workload=name):
-            schedule = schedule_workload(variants, adg, params)
-        self.memo.store_schedule(adg_fp, name, schedule)
-        return schedule
-
     def _schedule_all(
         self, variant_sets: Dict[str, VariantSet], adg: ADG
     ) -> Optional[Dict[str, Schedule]]:
         params = SystemParams()
-        adg_fp = self._adg_fingerprint(adg)
         schedules: Dict[str, Schedule] = {}
         for name, variants in variant_sets.items():
-            schedule = self._memoized_schedule(
-                adg_fp, name, variants, adg, params
-            )
+            with span("dse.full_schedule", workload=name):
+                schedule = schedule_workload(variants, adg, params)
             self.stats.full_schedules += len(variants.variants)
             self.modeled_seconds += self.config.time_model.full_schedule * len(
                 variants.variants
@@ -489,10 +442,10 @@ class Explorer:
     ) -> Dict[str, Schedule]:
         """Periodically retry better variants (they may now fit)."""
         params = SystemParams()
-        adg_fp = self._adg_fingerprint(adg)
         out = dict(schedules)
         for name, variants in variant_sets.items():
-            best = self._memoized_schedule(adg_fp, name, variants, adg, params)
+            with span("dse.full_schedule", workload=name):
+                best = schedule_workload(variants, adg, params)
             self.stats.full_schedules += len(variants.variants)
             self.modeled_seconds += (
                 self.config.time_model.full_schedule * len(variants.variants) * 0.4
@@ -538,13 +491,7 @@ class Explorer:
         self, adg: ADG, schedules: Dict[str, Schedule]
     ) -> Optional[SystemChoice]:
         """The nested system sweep; ``decide`` charges its modeled cost."""
-        return system_dse(
-            adg,
-            list(schedules.values()),
-            estimator=self.estimator,
-            budget=self.budget,
-            max_tiles=self.config.max_tiles,
-        )
+        return sweep_candidate(self.config, adg, schedules, self.estimator)
 
     def _accept(
         self, candidate: SystemChoice, incumbent: SystemChoice, iteration: int
@@ -562,6 +509,28 @@ class Explorer:
             return True
         rel_drop = (incumbent.objective - candidate.objective) / incumbent.objective
         return self.rng.random() < math.exp(-rel_drop / temperature)
+
+
+def sweep_candidate(
+    config: DseConfig,
+    adg: ADG,
+    schedules: Dict[str, Schedule],
+    estimator: Optional[AnalyticEstimator] = None,
+) -> Optional[SystemChoice]:
+    """The nested system sweep for one candidate ADG and its schedules.
+
+    Tile counts are sized against the budget less
+    ``config.generality_reserve``; padding then grows the chosen design
+    into the reserve.  The explorer's loop and ``search.evaluate`` both
+    score a candidate through this one call.
+    """
+    return system_dse(
+        adg,
+        list(schedules.values()),
+        estimator=estimator,
+        budget=usable_budget() * (1.0 - config.generality_reserve),
+        max_tiles=config.max_tiles,
+    )
 
 
 def explore(

@@ -19,7 +19,7 @@ from ..model.resource import (
     Resources,
     control_core_resources,
     l2_resources,
-    noc_resources,
+    system_total,
     usable_budget,
 )
 from ..profile.tracer import span
@@ -66,7 +66,7 @@ def _largest_fit(
     ``per_tile`` is one accelerator tile plus its control core.
     """
     for tiles in range(cap, 0, -1):
-        total = per_tile * tiles + l2 + noc_resources(tiles, noc_bytes)
+        total = system_total(per_tile, tiles, l2, noc_bytes)
         if total.fits_in(budget):
             return tiles, total
     return 0, None

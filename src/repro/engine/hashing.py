@@ -70,18 +70,6 @@ def fingerprint(obj: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def adg_fingerprint(adg: Any) -> str:
-    """Digest of an ADG's full serialized structure (nodes, links, params).
-
-    Keys the :mod:`repro.profile.memo` schedule/simulation caches: two
-    ADGs with the same fingerprint are guaranteed to schedule and
-    simulate identically.
-    """
-    from ..adg import adg_to_dict
-
-    return fingerprint(adg_to_dict(adg))
-
-
 def workload_fingerprint(workload: Workload) -> str:
     """Digest of one workload's full body (loops, arrays, statements)."""
     return fingerprint(workload)

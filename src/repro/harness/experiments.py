@@ -34,11 +34,10 @@ from ..model.resource import (
     CATEGORIES,
     AnalyticEstimator,
     XCVU9P,
-    system_breakdown,
-    system_resources,
 )
 from ..scheduler import Schedule, schedule_workload
-from ..sim import SimResult, simulate_schedule
+from ..sim import SimResult, reconfiguration_cycles, simulate_schedule
+from ..sim.multiplex import FPGA_REFLASH_SECONDS
 from ..workloads import PAPER_SUITE_NAMES, get_suite, get_workload
 from .tables import geomean
 
@@ -65,9 +64,6 @@ DSE_SEED = 2
 #: compile plus spatial scheduling, modeled in seconds.
 OVERLAY_COMPILE_BASE_S = 2.0
 OVERLAY_COMPILE_PER_VARIANT_S = 0.5
-
-#: Full-FPGA bitstream reflash time (paper: over a second on the VCU118).
-FPGA_REFLASH_S = 1.3
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +349,9 @@ class Fig16Row:
 
 
 def _overlay_resource_row(label: str, res: DseResult) -> Fig16Row:
-    breakdown = AnalyticEstimator().system_breakdown(res.sysadg)
-    total = system_resources(res.sysadg)
+    est = AnalyticEstimator()
+    breakdown = est.system_breakdown(res.sysadg)
+    total = est.system(res.sysadg)
     util = total.utilization(XCVU9P)
     return Fig16Row(
         label=label,
@@ -438,17 +435,16 @@ def fig17_leave_one_out(suite: str = "machsuite") -> List[Fig17Row]:
             + OVERLAY_COMPILE_PER_VARIANT_S * len(variants.variants)
         )
         hls_s = autodse(w.name, tuned=False).total_hours * 3600.0
-        # Reconfiguration: the bitstream reloads through the D-cache (one
-        # 64-bit word per ~4 cycles) plus stream-dispatcher drain/restart.
-        reconfig_cycles = 1000 + 4 * schedule.mdfg.config_words
-        reconfig_s = reconfig_cycles / (loo.sysadg.params.frequency_mhz * 1e6)
+        reconfig_s = reconfiguration_cycles(schedule) / (
+            loo.sysadg.params.frequency_mhz * 1e6
+        )
         rows.append(
             Fig17Row(
                 workload=w.name,
                 mapped=True,
                 relative_performance=full_seconds / seconds,
                 compile_speedup=hls_s / compile_s,
-                reconfig_speedup=FPGA_REFLASH_S / reconfig_s,
+                reconfig_speedup=FPGA_REFLASH_SECONDS / reconfig_s,
             )
         )
     return rows

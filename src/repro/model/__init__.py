@@ -14,10 +14,6 @@ from .resource import (
     MlEstimator,
     Resources,
     XCVU9P,
-    system_breakdown,
-    system_resources,
-    tile_breakdown,
-    tile_resources,
     usable_budget,
 )
 
@@ -33,9 +29,5 @@ __all__ = [
     "geomean_ipc",
     "preferred_binding",
     "stream_demand_bytes",
-    "system_breakdown",
-    "system_resources",
-    "tile_breakdown",
-    "tile_resources",
     "usable_budget",
 ]

@@ -13,10 +13,7 @@ from .analytic import (
     pe_resources,
     spad_resources,
     switch_resources,
-    system_breakdown,
-    system_resources,
-    tile_breakdown,
-    tile_resources,
+    system_total,
 )
 from .dataset import (
     ComponentDataset,
@@ -52,9 +49,6 @@ __all__ = [
     "pe_resources",
     "spad_resources",
     "switch_resources",
-    "system_breakdown",
-    "system_resources",
-    "tile_breakdown",
-    "tile_resources",
+    "system_total",
     "usable_budget",
 ]

@@ -31,7 +31,6 @@ from ...adg import (
     RegisterEngine,
     SpadEngine,
     Switch,
-    SysADG,
 )
 from ...ir import Op
 from .device import Resources
@@ -250,6 +249,18 @@ def noc_resources(num_tiles: int, noc_bytes: int) -> Resources:
     return Resources(lut=lut, ff=lut * 1.1)
 
 
+def system_total(
+    per_tile: Resources, num_tiles: int, l2: Resources, noc_bytes: int
+) -> Resources:
+    """THE footprint of a full overlay: ``(tile + core) * tiles + l2 + noc``.
+
+    ``per_tile`` is one accelerator tile plus its control core.  The DSE's
+    fit decision and every reported system total go through this one
+    expression, so a design has exactly one footprint, bit for bit.
+    """
+    return per_tile * num_tiles + l2 + noc_resources(num_tiles, noc_bytes)
+
+
 def node_resources(adg: ADG, node: AdgNode) -> Resources:
     """Dispatch to the per-kind cost function."""
     if isinstance(node, ProcessingElement):
@@ -303,38 +314,3 @@ def _category(node: AdgNode) -> str:
     if isinstance(node, (DmaEngine, GenerateEngine, RecurrenceEngine, RegisterEngine)):
         return "dma"
     raise TypeError(f"no category for {type(node).__name__}")
-
-
-def tile_breakdown(adg: ADG) -> Dict[str, Resources]:
-    """Per-category resources of one accelerator tile (no core/noc/l2)."""
-    breakdown = {cat: Resources() for cat in CATEGORIES}
-    for node in adg.nodes():
-        breakdown[_category(node)] = breakdown[_category(node)] + node_resources(
-            adg, node
-        )
-    breakdown["dma"] = breakdown["dma"] + dispatcher_resources(
-        len(adg.engines), len(adg.in_ports) + len(adg.out_ports)
-    )
-    return breakdown
-
-
-def tile_resources(adg: ADG) -> Resources:
-    """Total resources of one accelerator tile (without its control core)."""
-    return Resources.total(tile_breakdown(adg).values())
-
-
-def system_breakdown(sysadg: SysADG) -> Dict[str, Resources]:
-    """Per-category resources of the full overlay (Fig. 16a categories)."""
-    p = sysadg.params
-    breakdown = {
-        cat: res * p.num_tiles for cat, res in tile_breakdown(sysadg.adg).items()
-    }
-    breakdown["core"] = control_core_resources() * p.num_tiles
-    breakdown["noc"] = noc_resources(p.num_tiles, p.noc_bytes_per_cycle) + l2_resources(
-        p.l2_kib, p.l2_banks
-    )
-    return breakdown
-
-
-def system_resources(sysadg: SysADG) -> Resources:
-    return Resources.total(system_breakdown(sysadg).values())

@@ -33,6 +33,7 @@ from .analytic import (
     l2_resources,
     noc_resources,
     node_resources,
+    system_total,
 )
 from .dataset import (
     generate_all,
@@ -73,11 +74,12 @@ class AnalyticEstimator:
 
     def system(self, sysadg: SysADG) -> Resources:
         p = sysadg.params
-        total = self.tile(sysadg.adg) * p.num_tiles
-        total = total + control_core_resources() * p.num_tiles
-        total = total + noc_resources(p.num_tiles, p.noc_bytes_per_cycle)
-        total = total + l2_resources(p.l2_kib, p.l2_banks)
-        return total
+        return system_total(
+            self.tile(sysadg.adg) + control_core_resources(),
+            p.num_tiles,
+            l2_resources(p.l2_kib, p.l2_banks),
+            p.noc_bytes_per_cycle,
+        )
 
     def system_breakdown(self, sysadg: SysADG) -> Dict[str, Resources]:
         p = sysadg.params

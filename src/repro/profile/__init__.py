@@ -1,24 +1,15 @@
-"""Profiling layer: span tracing, result memoization, benchmarking.
+"""Profiling layer: span tracing and benchmarking.
 
 * :mod:`repro.profile.tracer` — hierarchical span tracer with a
   context-manager API, Chrome-trace export, and ``engine.metrics``
   integration; near-zero overhead when no tracer is installed.
-* :mod:`repro.profile.memo` — config-scoped memoization of schedule
-  results keyed by ADG content fingerprints.
 * :mod:`repro.profile.bench` — the ``repro bench`` workloads: fixed-seed
-  DSE + simulation benchmarks emitting ``BENCH_dse.json`` /
-  ``BENCH_sim.json`` with a ``--compare`` regression mode.  Imported
-  lazily by the CLI (it pulls in the DSE stack); import it as
+  DSE, simulation and search benchmarks emitting one
+  ``BENCH_<kind>.json`` each, with a ``--compare`` regression mode.
+  Imported lazily by the CLI (it pulls in the DSE stack); import it as
   ``repro.profile.bench`` explicitly.
 """
 
-from .memo import (
-    MemoStats,
-    ResultMemo,
-    clear_memos,
-    drop_memo,
-    memo_for_config,
-)
 from .tracer import (
     NULL_SPAN,
     Span,
@@ -32,19 +23,24 @@ from .tracer import (
     uninstall,
 )
 
+
+def drop_memo(config_key: str) -> None:
+    """No-op: an explorer holds no cross-run state to drop.
+
+    Its one caller is ``bench/worker.py`` (before every study), which is
+    frozen; the name goes with ROADMAP item 4's ``bench/`` debt list.
+    """
+
+
 __all__ = [
-    "MemoStats",
     "NULL_SPAN",
-    "ResultMemo",
     "Span",
     "SpanStat",
     "Tracer",
     "add_counter",
-    "clear_memos",
     "current",
     "drop_memo",
     "install",
-    "memo_for_config",
     "span",
     "tracing",
     "uninstall",

@@ -3,11 +3,10 @@
 :func:`run_bench` runs any subset of the :data:`BENCHES` kinds under one
 :class:`~repro.profile.Tracer` and writes one ``BENCH_<kind>.json`` each:
 
-* **DSE** — a fixed-seed annealing run (cold memo), then the identical
-  run again (warm memo).  Reports wall seconds, candidates/sec, the
-  preserved-hit rate, the measured mean wall time of the
-  schedule-preserving fast path (``scheduler.revalidate``) versus the
-  repair path (``scheduler.repair``), and the warm-memo speedup.
+* **DSE** — one fixed-seed annealing run.  Reports wall seconds,
+  candidates/sec, the preserved-hit rate, and the measured mean wall
+  time of the schedule-preserving fast path (``scheduler.revalidate``)
+  versus the repair path (``scheduler.repair``).
 * **Simulation** — cycle-level simulation of a workload set on the
   deterministic general overlay.  Reports cycles stepped per wall
   second, serially and through ``simulate_batch``.
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from .memo import drop_memo
 from .tracer import (
     SpanStat,
     Tracer,
@@ -47,7 +45,7 @@ BENCH_SCHEMA = 1
 #: Metrics compared by ``--compare`` (all higher-is-better rates/ratios;
 #: raw wall seconds are machine-dependent and deliberately excluded).
 COMPARED_METRICS: Dict[str, Tuple[str, ...]] = {
-    "dse": ("candidates_per_second", "fast_path_speedup", "memo_speedup"),
+    "dse": ("candidates_per_second", "fast_path_speedup"),
     "sim": ("cycles_per_second", "batch_cycles_per_second"),
     # The strategy shootout compares solution quality, which is
     # deterministic per (budget, seed) — regressions here mean a search
@@ -169,27 +167,20 @@ def _span_stats(tracer: Tracer, mark: int) -> Dict[str, Dict[str, float]]:
 
 
 def bench_dse(budget: BenchBudget, seed: int, tracer: Tracer) -> Dict[str, Any]:
-    """Fixed-seed DSE benchmark: cold run, then warm (memoized) rerun."""
+    """Fixed-seed DSE benchmark: one in-process annealing run."""
     from ..dse import DseConfig, Explorer
-    from ..engine.hashing import config_fingerprint
     from ..workloads import get_workload
 
     overhead = measure_overhead(budget.overhead_calls)
     mark = len(tracer.spans())
     workloads = [get_workload(n) for n in budget.dse_workloads]
     config = DseConfig(iterations=budget.dse_iterations, seed=seed)
-    drop_memo(config_fingerprint(config))  # guarantee a cold first run
 
     t0 = perf_counter()
-    cold = Explorer(workloads, config, name=f"bench-{budget.name}").run()
-    wall_cold = perf_counter() - t0
+    result = Explorer(workloads, config, name=f"bench-{budget.name}").run()
+    wall = perf_counter() - t0
 
-    t0 = perf_counter()
-    warm_explorer = Explorer(workloads, config, name=f"bench-{budget.name}")
-    warm_explorer.run()
-    wall_warm = perf_counter() - t0
-
-    stats = cold.stats
+    stats = result.stats
     spans = _span_stats(tracer, mark)
     fast_mean = spans.get("scheduler.revalidate", {}).get("mean_s", 0.0)
     repair_mean = spans.get("scheduler.repair", {}).get("mean_s", 0.0)
@@ -202,13 +193,11 @@ def bench_dse(budget: BenchBudget, seed: int, tracer: Tracer) -> Dict[str, Any]:
         "workloads": list(budget.dse_workloads),
         "iterations": stats.iterations,
         "accepted": stats.accepted,
-        "objective": cold.choice.objective,
-        "modeled_hours": cold.modeled_hours,
-        "wall_seconds": wall_cold,
-        "wall_seconds_warm": wall_warm,
-        "memo_speedup": wall_cold / wall_warm if wall_warm > 0 else 0.0,
+        "objective": result.choice.objective,
+        "modeled_hours": result.modeled_hours,
+        "wall_seconds": wall,
         "candidates_per_second": (
-            stats.iterations / wall_cold if wall_cold > 0 else 0.0
+            stats.iterations / wall if wall > 0 else 0.0
         ),
         "preserved_hits": stats.preserved_hits,
         "repairs": stats.repairs,
@@ -220,7 +209,6 @@ def bench_dse(budget: BenchBudget, seed: int, tracer: Tracer) -> Dict[str, Any]:
         "fast_path_speedup": (
             repair_mean / fast_mean if fast_mean > 0 and repair_mean > 0 else 0.0
         ),
-        "memo": warm_explorer.memo.stats.as_dict(),
         "overhead": overhead,
         "spans": spans,
         "counters": tracer.counters(),
@@ -512,8 +500,7 @@ def render_bench(docs: Dict[str, Dict[str, Any]], budget: str) -> str:
             f"preserved-hit rate {d['preserved_hit_rate']:.0%}",
             f"  fast path {d['fast_path_mean_s'] * 1e3:.3f} ms vs repair "
             f"{d['repair_path_mean_s'] * 1e3:.3f} ms "
-            f"({d['fast_path_speedup']:.1f}x), warm-memo rerun "
-            f"{d['memo_speedup']:.1f}x faster",
+            f"({d['fast_path_speedup']:.1f}x)",
             f"tracer overhead: disabled/no-tracer ratio {o['ratio']:.3f} "
             f"({o['calls']} span calls, min of {o['repeats']})",
         ]

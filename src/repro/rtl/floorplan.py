@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..adg import SysADG
-from ..model.resource import AnalyticEstimator, XCVU9P
+from ..model.resource import AnalyticEstimator, XCVU9P, control_core_resources
 
 #: XCVU9P geometry: 3 super-logic regions, each about a third of the LUTs.
 NUM_SLRS = 3
@@ -83,7 +83,7 @@ def floorplan(sysadg: SysADG, strict: bool = False) -> Floorplan:
     100%), or, with ``strict=True``, a :class:`FloorplanError` is raised.
     """
     est = AnalyticEstimator()
-    tile_lut = est.tile(sysadg.adg).lut + 24_000  # + control core
+    tile_lut = est.tile(sysadg.adg).lut + control_core_resources().lut
     n = sysadg.params.num_tiles
     capacity = NUM_SLRS * SLR_LUTS
     feasible = n * tile_lut <= capacity

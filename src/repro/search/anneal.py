@@ -1,16 +1,16 @@
 """The annealer behind the strategy protocol.
 
 :class:`repro.dse.Explorer` is the one annealing loop; this strategy
-drives its steps with the evaluation shipped out: ``ask(1)`` is
-``propose`` plus serialization of the candidate, the runner evaluates the
-candidate's nested system sweep (possibly in a worker process), and
-``tell`` is ``decide`` on the sweep's result.  :meth:`finish` therefore
-returns a ``DseResult`` byte-identical to ``Explorer.run`` for the same
-seed and config — the golden test pickles both and compares bytes.
+drives its steps through the runner: ``ask(1)`` is ``propose``, the
+runner evaluates the candidate's nested system sweep, and ``tell`` is
+``decide`` on the sweep's result.  :meth:`finish` therefore returns a
+``DseResult`` byte-identical to ``Explorer.run`` for the same seed and
+config — the golden test pickles both and compares bytes.
 
 Annealing is inherently sequential (each proposal mutates the last
-accepted design), so ``max_batch = 1``; batching still pays off for the
-population strategies sharing the runner.
+accepted design), so ``max_batch = 1``; a batch of one never leaves the
+process (the pool's serial rule), so the payload is the live candidate.
+Batching still pays off for the population strategies sharing the runner.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, List, Optional, Sequence
 
-from ..adg import adg_to_dict
 from ..dse.explorer import Candidate, DseResult, Explorer, ExplorerState
 from .strategy import Proposal, SearchContext, SearchError, Strategy, register
 from .study import Trial
@@ -55,16 +54,10 @@ class AnnealStrategy(Strategy):
         if self.pending is None:
             return []
         iteration, adg, schedules = self.pending
-        payload = {
-            "adg_doc": adg_to_dict(adg),
-            "adg_next_id": adg._next_id,
-            "adg_version": adg.version,
-            "schedules": schedules,
-        }
         return [
             Proposal(
                 kind="candidate",
-                payload=payload,
+                payload={"adg": adg, "schedules": schedules},
                 lineage={"iteration": iteration},
             )
         ]

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..adg import SystemParams, adg_from_dict
+from ..adg import SystemParams
 from ..compiler import VariantSet, generate_variants
 from ..dse import DseConfig
-from ..dse.system import SystemChoice, system_dse
+from ..dse.explorer import sweep_candidate
+from ..dse.system import SystemChoice
 from ..ir import Workload
-from ..model.resource import AnalyticEstimator, usable_budget
 from .space import genome_adg, params_adg
 from .strategy import Proposal
 
@@ -74,24 +74,12 @@ def evaluate_proposal(
     variant_sets: Sequence[VariantSet],
 ) -> EvalOut:
     cfg = shard.config
-    estimator = AnalyticEstimator()
-    budget = usable_budget() * (1.0 - cfg.generality_reserve)
-
     if proposal.kind == "candidate":
         # The annealer already built and repaired the schedules; this is
         # exactly the nested system sweep ``Explorer.run`` does in-process
         # (``Explorer.decide`` charges the modeled model_eval cost).
-        adg = adg_from_dict(proposal.payload["adg_doc"])
-        adg.restore_counters(
-            proposal.payload["adg_next_id"], proposal.payload["adg_version"]
-        )
-        schedules = proposal.payload["schedules"]
-        choice = system_dse(
-            adg,
-            list(schedules.values()),
-            estimator=estimator,
-            budget=budget,
-            max_tiles=cfg.max_tiles,
+        choice = sweep_candidate(
+            cfg, proposal.payload["adg"], proposal.payload["schedules"]
         )
         return _out(index, choice, modeled_seconds=0.0)
 
@@ -128,13 +116,7 @@ def evaluate_proposal(
                 break
             schedules[workload.name] = schedule
         if feasible:
-            choice = system_dse(
-                adg,
-                list(schedules.values()),
-                estimator=estimator,
-                budget=budget,
-                max_tiles=cfg.max_tiles,
-            )
+            choice = sweep_candidate(cfg, adg, schedules)
     except Exception:
         # A mutated design the toolchain rejects outright is just an
         # infeasible point — the strategy learns from it like any other.

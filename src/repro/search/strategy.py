@@ -47,10 +47,11 @@ def stable_rng(seed: int, *tags: str) -> random.Random:
 class Proposal:
     """One candidate design the strategy wants evaluated.
 
-    ``kind`` selects the evaluator (``candidate``: a concrete ADG +
-    schedules from the annealer; ``genome``: a transform-sequence genome;
-    ``params``: a point in the TPE parameter space).  ``payload`` is the
-    picklable evaluation input; ``lineage`` is its JSON-able provenance,
+    ``kind`` selects the evaluator (``candidate``: the annealer's live
+    ADG + schedules, a batch of one that is evaluated in process;
+    ``genome``: a transform-sequence genome; ``params``: a point in the
+    TPE parameter space).  ``payload`` is the evaluation input (picklable
+    for the batched kinds); ``lineage`` is its JSON-able provenance,
     recorded verbatim on the resulting trial.
     """
 

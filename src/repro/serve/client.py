@@ -416,7 +416,7 @@ async def run_load(
 
     topology = None
     if cluster:
-        from ..cluster.topology import Topology
+        from ..cluster.topology import Topology, overlay_route_key
 
         async with client_factory() as client:
             topology = Topology.from_doc(await client.request("topology"))
@@ -428,21 +428,14 @@ async def run_load(
     def shard_for(op: str, wl: str, ov: Optional[str]) -> Optional[int]:
         if topology is None:
             return None
-        from ..cluster.registry import split_spec
         from .ops import workload_fp
 
-        if ov is None:
-            overlay_key = ""
-        elif op == "remap":
-            # remap routes on the registry base name: every version of
-            # a family must land where the prior schedule lives.
-            overlay_key = split_spec(ov)[0]
-        else:
-            overlay_key = topology.overlays.get(ov, ov)
         cached = _wfp_cache.get(wl)
         if cached is None:
             cached = _wfp_cache[wl] = workload_fp(wl)
-        return topology.shard_for(overlay_key, cached).index
+        return topology.shard_for(
+            overlay_route_key(op, ov, topology.overlays.get), cached
+        ).index
 
     def make_client(shard: Optional[int]) -> ServeClient:
         if shard is None or topology is None:

@@ -23,7 +23,6 @@ from .multiplex import (
 )
 from .vector import vector_core_available
 from .simulator import (
-    DISPATCH_LATENCY,
     SimResult,
     SimulationError,
     build_tile,
@@ -41,7 +40,6 @@ __all__ = [
     "StreamDispatcher",
     "reconfiguration_cycles",
     "run_sequence",
-    "DISPATCH_LATENCY",
     "EngineSim",
     "FabricConfig",
     "FabricSim",

@@ -23,7 +23,7 @@ through :mod:`repro.jobs` and calls this inside each job.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .simulator import SimResult, simulate_schedule
 
@@ -32,17 +32,15 @@ __all__ = ["simulate_batch"]
 
 def simulate_batch(
     items: Sequence[Tuple[Any, Any]],
-    onehot_bypass: bool = True,
-    exact: bool = False,
-    max_exact_cycles: int = 200_000,
-    measure_window: int = 4_000,
-    core: Optional[str] = None,
+    *,
     dedupe: bool = True,
+    **options: Any,
 ) -> List[SimResult]:
     """Simulate ``[(schedule, sysadg), ...]`` pairs in one batched pass.
 
-    Results are byte-identical to calling :func:`simulate_schedule` on
-    each pair serially with the same options; ``dedupe=True`` (default)
+    ``options`` are :func:`simulate_schedule`'s keywords (its defaults
+    are the only defaults); results are byte-identical to calling it on
+    each pair serially with the same options.  ``dedupe=True`` (default)
     answers a repeated (same ``sysadg`` object, workload, variant) pair
     with the first stepped instance's result object.
     """
@@ -55,13 +53,7 @@ def simulate_batch(
         result = seen.get(key) if dedupe else None
         if result is None:
             result = seen[key] = simulate_schedule(
-                schedule,
-                sysadg,
-                onehot_bypass=onehot_bypass,
-                exact=exact,
-                max_exact_cycles=max_exact_cycles,
-                measure_window=measure_window,
-                core=core,
+                schedule, sysadg, **options
             )
         results.append(result)
     return results

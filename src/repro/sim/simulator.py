@@ -43,9 +43,7 @@ from .components import (
     PortFifo,
     StreamState,
 )
-
-#: Dispatcher pipeline: parameter config + dispatch (Section VI-B).
-DISPATCH_LATENCY = 2
+from .dispatcher import MIN_DISPATCH_LATENCY
 
 #: Port FIFO depth in vector lines (elements = depth x port lanes).
 PORT_FIFO_LINES = 8
@@ -226,7 +224,7 @@ def build_tile(
                 port=out_fifo,
                 is_read=False,
                 element_bytes=stream.dtype.bytes,
-                dispatched_at=DISPATCH_LATENCY + dispatch_order,
+                dispatched_at=MIN_DISPATCH_LATENCY + dispatch_order,
             )
             state.forward_to = in_fifo  # type: ignore[attr-defined]
             engine_for(engine_id).add_stream(state)
@@ -263,7 +261,7 @@ def build_tile(
                 element_bytes=stream.dtype.bytes,
                 l2_fraction=l2_frac,
                 dram_fraction=dram_frac,
-                dispatched_at=DISPATCH_LATENCY + dispatch_order,
+                dispatched_at=MIN_DISPATCH_LATENCY + dispatch_order,
             )
         )
         dispatch_order += 1

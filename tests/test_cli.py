@@ -290,7 +290,7 @@ def _fake_bench_docs():
             "schema": 1, "kind": "dse", "iterations": 8, "wall_seconds": 0.1,
             "candidates_per_second": 80.0, "preserved_hit_rate": 0.9,
             "fast_path_mean_s": 1e-4, "repair_path_mean_s": 5e-4,
-            "fast_path_speedup": 5.0, "memo_speedup": 2.0,
+            "fast_path_speedup": 5.0,
             "overhead": {
                 "ratio": 1.01, "calls": 100, "repeats": 2,
                 "no_tracer_s": 0.001, "disabled_tracer_s": 0.00101,

@@ -21,6 +21,7 @@ from repro.cluster import (
     OverlayRegistry,
     RouterConfig,
     Topology,
+    overlay_route_key,
     route_shard,
     route_slot,
     shard_of_slot,
@@ -259,10 +260,42 @@ class TestRouterServing:
         # Direct-routed requests hit the same shard the router would
         # pick: re-deriving the owner per key matches the observation.
         topo = Topology.from_doc(asyncio.run(_request(sock, "topology")))
-        for (_op, wl, ov), _blob in report.results.items():
-            overlay_key = topo.overlays.get(ov, ov)
+        for (op, wl, ov), _blob in report.results.items():
+            overlay_key = overlay_route_key(op, ov, topo.overlays.get)
             owner = topo.shard_for(overlay_key, workload_fp(wl)).index
             assert owner in report.shard_requests
+
+    def test_router_and_cluster_client_pick_the_same_shard(
+        self, live_cluster
+    ):
+        """One routing rule: for every op × spec form, the shard the
+        router forwards to is the shard a ``--cluster`` client dials."""
+        router, sock, *_ = live_cluster
+        for op in ("map", "simulate", "remap"):
+            for overlay in ("fam", "fam@v1"):
+                for wl in WLS:
+                    before = [s.routed for s in router.backends]
+                    asyncio.run(
+                        _request(sock, op, workload=wl, overlay=overlay)
+                    )
+                    (owner,) = [
+                        i
+                        for i, s in enumerate(router.backends)
+                        if s.routed != before[i]
+                    ]
+                    report = asyncio.run(
+                        run_load(
+                            lambda: ServeClient(socket_path=sock),
+                            plan=[(op, wl, overlay)],
+                            concurrency=1,
+                            fetch_stats=False,
+                            cluster=True,
+                        )
+                    )
+                    assert report.errors == 0
+                    assert report.shard_requests == {owner: 1}, (
+                        op, overlay, wl,
+                    )
 
     def test_dead_shard_fails_over(self, live_cluster):
         router, sock, shards, shard_socks, _reg = live_cluster

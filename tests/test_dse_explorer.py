@@ -8,8 +8,6 @@ from repro.model.resource import (
     AnalyticEstimator,
     Resources,
     XCVU9P,
-    system_resources,
-    tile_resources,
     usable_budget,
 )
 from repro.workloads import get_suite, get_workload
@@ -49,7 +47,7 @@ class TestSystemDse:
 
     def test_general_overlay_system_fits(self):
         g = general_overlay()
-        assert system_resources(g).fits_in(usable_budget())
+        assert AnalyticEstimator().system(g).fits_in(usable_budget())
 
 
 class TestExplorer:
@@ -92,8 +90,14 @@ class TestExplorer:
         assert s.accepted + s.rejected_annealing <= s.iterations
         assert s.preserved_hits + s.repairs > 0
 
+    def test_reported_footprint_is_the_dse_total(self, dsp_result):
+        """One definition: what ``inspect`` / Fig. 16 print IS the number
+        the DSE decided "fits" with — ``==``, no tolerance."""
+        total = AnalyticEstimator().system(dsp_result.sysadg)
+        assert total == dsp_result.choice.system_total
+
     def test_final_design_fills_fpga(self, dsp_result):
-        util = system_resources(dsp_result.sysadg).utilization(XCVU9P)
+        util = AnalyticEstimator().system(dsp_result.sysadg).utilization(XCVU9P)
         assert util["lut"] > 0.6  # generality padding consumes the device
         assert util["lut"] <= 1.0
 
@@ -113,12 +117,10 @@ class TestExplorer:
         """A no-op transform must take revalidation, never repair (V-B)."""
         from repro.dse import explorer as mod
         from repro.compiler import generate_variants
-        from repro.profile import ResultMemo
 
         workloads = [get_workload("vecmax"), get_workload("accumulate")]
         cfg = DseConfig(iterations=1, seed=3, preserving_prob=1.0)
         ex = mod.Explorer(workloads, cfg)
-        ex.memo = ResultMemo()
         adg = ex._initial_adg()
         variant_sets = {w.name: generate_variants(w) for w in workloads}
         schedules = ex._schedule_all(variant_sets, adg)
@@ -153,12 +155,10 @@ class TestExplorer:
         """When revalidation fails, repair runs and is charged in full."""
         from repro.dse import explorer as mod
         from repro.compiler import generate_variants
-        from repro.profile import ResultMemo
 
         workloads = [get_workload("vecmax")]
         cfg = DseConfig(iterations=1, seed=3, preserving_prob=1.0)
         ex = mod.Explorer(workloads, cfg)
-        ex.memo = ResultMemo()
         adg = ex._initial_adg()
         variant_sets = {w.name: generate_variants(w) for w in workloads}
         schedules = ex._schedule_all(variant_sets, adg)
@@ -183,7 +183,6 @@ class TestExplorer:
         from repro.adg import SystemParams
         from repro.dse import explorer as mod
         from repro.compiler import generate_variants
-        from repro.profile import ResultMemo
         from repro.scheduler import schedule_workload
 
         w = get_workload("vecmax")
@@ -195,7 +194,6 @@ class TestExplorer:
 
         broken = baseline.clone()
         broken.estimate = None
-        ex.memo = ResultMemo()  # force the monkeypatched path to run
         monkeypatch.setattr(
             mod, "schedule_workload", lambda *a, **k: broken
         )
@@ -205,28 +203,6 @@ class TestExplorer:
         # (mapping validity matters more than comparability).
         out2 = ex._upgrade_variants(variant_sets, adg, {})
         assert out2[w.name].estimate is None
-
-    def test_schedule_memo_reuses_results_across_runs(self):
-        """Two explorer runs over one config share schedule results."""
-        from repro.dse import explorer as mod
-        from repro.engine.hashing import config_fingerprint
-        from repro.profile import drop_memo
-
-        cfg = DseConfig(iterations=6, seed=9)
-        drop_memo(config_fingerprint(cfg))
-        w = [get_workload("vecmax")]
-        cold = mod.Explorer(w, cfg)
-        a = cold.run()
-        assert cold.memo.stats.schedule_misses > 0
-        warm = mod.Explorer(w, cfg)
-        b = warm.run()
-        assert warm.memo is cold.memo
-        assert warm.memo.stats.schedule_hits > 0
-        # Memoization is wall-clock only: results stay bit-identical.
-        assert a.choice.objective == b.choice.objective
-        assert a.stats == b.stats
-        assert a.modeled_seconds == b.modeled_seconds
-        drop_memo(config_fingerprint(cfg))
 
     def test_simulation_agrees_with_model_direction(self, dsp_result):
         # The analytical model is an upper-bound-style estimate; simulated

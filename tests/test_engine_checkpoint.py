@@ -66,7 +66,10 @@ class TestExplorerResume:
     def test_on_iteration_streams_progress(self):
         seen = []
         Explorer(FIR, CFG, name="fir").run(
-            on_iteration=lambda i, obj: seen.append((i, obj))
+            checkpoint_every=1,
+            checkpoint_sink=lambda s: seen.append(
+                (s.iteration, s.choice.objective)
+            ),
         )
         # Fires at every iteration boundary, abandoned proposals included.
         assert [i for i, _ in seen] == list(range(1, CFG.iterations + 1))
@@ -85,16 +88,13 @@ class TestExplorerResume:
         monkeypatch.setattr(Explorer, "_propose", fail_on_2)
         straight = Explorer(FIR, CFG, name="fir").run()
 
-        snaps, seen = [], []
+        snaps = []
         Explorer(FIR, CFG, name="fir").run(
-            checkpoint_every=2,
-            checkpoint_sink=snaps.append,
-            on_iteration=lambda i, obj: seen.append(i),
+            checkpoint_every=2, checkpoint_sink=snaps.append
         )
         assert [s.iteration for s in snaps] == list(
             range(2, CFG.iterations + 1, 2)
         )
-        assert 2 in seen
 
         resumed = Explorer(FIR, CFG, name="fir").run(resume=snaps[0])
         assert_results_equal(resumed, straight)

@@ -59,3 +59,38 @@ class TestCheapDrivers:
         a = autodse("fir", tuned=False)
         b = autodse("fir", tuned=False)
         assert a is b
+
+    def test_fig17_reconfig_is_the_multiplexer_model(self, monkeypatch):
+        """One definition: Fig. 17's reconfiguration time is
+        ``sim.reconfiguration_cycles`` against ``FPGA_REFLASH_SECONDS`` —
+        ``==``, no tolerance (the overlays are stubbed, so no DSE runs)."""
+        from types import SimpleNamespace
+
+        from repro.adg import general_overlay
+        from repro.compiler import generate_variants
+        from repro.harness import experiments
+        from repro.scheduler import schedule_workload
+        from repro.sim import reconfiguration_cycles
+        from repro.sim.multiplex import FPGA_REFLASH_SECONDS
+        from repro.workloads import get_workload
+
+        fir = get_workload("fir")
+        general = general_overlay()
+        monkeypatch.setattr(experiments, "get_suite", lambda suite: [fir])
+        monkeypatch.setattr(
+            experiments,
+            "leave_one_out_overlay",
+            lambda suite, excluded: SimpleNamespace(sysadg=general),
+        )
+        monkeypatch.setattr(
+            experiments, "og_seconds_suite", lambda suite, name: 1.0
+        )
+        (row,) = experiments.fig17_leave_one_out("stub")
+        schedule = schedule_workload(
+            generate_variants(fir), general.adg, general.params
+        )
+        reconfig_s = reconfiguration_cycles(schedule) / (
+            general.params.frequency_mhz * 1e6
+        )
+        assert row.mapped
+        assert row.reconfig_speedup == FPGA_REFLASH_SECONDS / reconfig_s

@@ -20,7 +20,7 @@ from repro import (
     simulate_schedule,
 )
 from repro.adg import sysadg_from_dict, sysadg_to_dict
-from repro.model.resource import XCVU9P, system_resources, usable_budget
+from repro.model.resource import XCVU9P, AnalyticEstimator, usable_budget
 from repro.rtl import emit_system, floorplan, rtl_stats
 from repro.scheduler import schedule_mdfg
 from repro.sim import simulate_schedule as sim
@@ -54,7 +54,9 @@ class TestDseToRtl:
         )
 
     def test_design_fits_budget(self, result):
-        assert system_resources(result.sysadg).fits_in(usable_budget())
+        assert AnalyticEstimator().system(result.sysadg).fits_in(
+            usable_budget()
+        )
 
     def test_design_simulates_every_workload(self, result):
         for name, schedule in result.schedules.items():

@@ -12,6 +12,7 @@ from repro.adg import (
     ProcessingElement,
     Switch,
     general_overlay,
+    load_sysadg,
 )
 from repro.ir import Op
 from repro.model.resource import (
@@ -19,12 +20,11 @@ from repro.model.resource import (
     MlEstimator,
     Resources,
     XCVU9P,
+    control_core_resources,
     generate_all,
+    l2_resources,
     pe_resources,
     switch_resources,
-    system_breakdown,
-    system_resources,
-    tile_resources,
     usable_budget,
 )
 from repro.model.resource.dataset import TABLE1_COUNTS
@@ -106,28 +106,29 @@ class TestCalibration:
 
     def test_four_general_tiles_fit(self):
         g = general_overlay(num_tiles=4)
-        assert system_resources(g).fits_in(usable_budget())
+        assert AnalyticEstimator().system(g).fits_in(usable_budget())
 
     def test_five_general_tiles_do_not_fit(self):
         g = general_overlay(num_tiles=5)
-        assert not system_resources(g).fits_in(usable_budget())
+        assert not AnalyticEstimator().system(g).fits_in(usable_budget())
 
     def test_lut_is_limiting_resource(self):
         g = general_overlay(num_tiles=4)
-        util = system_resources(g).utilization(XCVU9P)
+        util = AnalyticEstimator().system(g).utilization(XCVU9P)
         assert util["lut"] == max(util.values())
         assert util["lut"] > 0.8  # Fig. 16a: overlays consume 81-97% LUT
 
     def test_breakdown_sums_to_total(self):
         g = general_overlay()
-        total = system_resources(g)
-        parts = Resources.total(system_breakdown(g).values())
+        est = AnalyticEstimator()
+        total = est.system(g)
+        parts = Resources.total(est.system_breakdown(g).values())
         assert parts.lut == pytest.approx(total.lut)
         assert parts.bram == pytest.approx(total.bram)
 
     def test_l2_dominates_bram(self):
         g = general_overlay()
-        breakdown = system_breakdown(g)
+        breakdown = AnalyticEstimator().system_breakdown(g)
         assert breakdown["noc"].bram > 100  # 512 KiB of L2 data
 
 
@@ -235,10 +236,26 @@ class TestMlp:
 
 class TestEstimators:
     def test_analytic_matches_functions(self):
-        g = general_overlay()
+        """One definition of a footprint: ``system()`` IS the total the
+        DSE's tile-count search decided "fits" with — ``==``, no tolerance."""
+        from repro.dse.system import _largest_fit
+
         est = AnalyticEstimator()
-        assert est.tile(g.adg).lut == pytest.approx(tile_resources(g.adg).lut)
-        assert est.system(g).lut == pytest.approx(system_resources(g).lut)
+        designs = os.path.join(
+            os.path.dirname(__file__), "..", "bench", "designs"
+        )
+        for name in sorted(os.listdir(designs)):
+            sysadg = load_sysadg(os.path.join(designs, name))
+            p = sysadg.params
+            tiles, total = _largest_fit(
+                est.tile(sysadg.adg) + control_core_resources(),
+                l2_resources(p.l2_kib, p.l2_banks),
+                p.noc_bytes_per_cycle,
+                usable_budget(),
+                cap=p.num_tiles,
+            )
+            assert tiles == p.num_tiles, name
+            assert est.system(sysadg) == total, name
 
     def test_ml_estimator_tracks_analytic(self):
         g = general_overlay()

@@ -15,7 +15,6 @@ import repro
 from repro.dse import DseConfig, Explorer
 from repro.engine import DseEngine, MetricsLogger
 from repro.engine.store import ArtifactStore
-from repro.profile.memo import clear_memos
 from repro.search import (
     SearchContext,
     SearchError,
@@ -89,19 +88,12 @@ class TestStableRng:
 
 class TestGoldenAnneal:
     def test_anneal_strategy_matches_legacy_explorer_bytes(self, vecmax):
-        """Driving ``Explorer``'s steps through the strategy (candidate
-        serialized, system sweep in the evaluator) is byte-identical to
-        ``Explorer.run`` sweeping in-process; absolute drift is pinned by
+        """Driving ``Explorer``'s steps through the strategy (system
+        sweep in the evaluator) is byte-identical to ``Explorer.run``
+        sweeping in-process; absolute drift is pinned by
         ``test_dse_golden.py``.
-
-        The config-scoped schedule memo is process-global; clearing it
-        before each run keeps the two in-process runs' pickle
-        object-sharing graphs comparable (separate processes need no
-        clearing).
         """
-        clear_memos()
         legacy = Explorer(vecmax, CFG, name="golden").run()
-        clear_memos()
         outcome = run_search(
             vecmax,
             CFG,
