@@ -85,7 +85,8 @@ dse_run.add_argument("-n", "--iterations", type=int, default=150)
 dse_run.add_argument("-s", "--seed", type=int, default=2)
 dse_run.add_argument("--name", default=None)
 
-#: --rel-tol/--abs-floor for fuzz + soak + validate.
+#: --rel-tol/--abs-floor for fuzz + soak (a stored repro replays under the
+#: bands recorded with it, so validate takes none).
 bands = _group()
 bands.add_argument(
     "--rel-tol", type=float, default=None,

@@ -132,11 +132,9 @@ def run_advise(args: argparse.Namespace) -> int:
 
 
 def run_report(args: argparse.Namespace) -> int:
-    from ..harness.report import generate_report
+    from ..harness.report import write_report
 
-    report = generate_report()
-    with open(args.output, "w") as f:
-        f.write(report)
+    write_report(args.output)
     print(f"wrote {args.output}")
     return 0
 

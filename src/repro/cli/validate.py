@@ -19,63 +19,41 @@ def _bands(args: argparse.Namespace):
     return bands
 
 
-def run_fuzz(args: argparse.Namespace) -> int:
-    from ..engine import MetricsLogger
-    from ..validate import fuzz_run
+def _config(args: argparse.Namespace, **split):
+    from ..validate.soak import CampaignConfig
 
-    stats = fuzz_run(
+    return CampaignConfig(
         budget=args.budget,
         seed=args.seed,
-        corpus_dir=args.corpus,
-        bands=_bands(args),
-        metrics=MetricsLogger(args.metrics),
         max_mutations=args.max_mutations,
+        bands=_bands(args),
+        **split,
     )
-    print(stats.render())
-    # A failure is "new" when this run added it to the corpus; without a
-    # corpus there is no memory, so every failure counts as new.
-    new_failures = (
-        sum(1 for f in stats.failures if f.was_new)
-        if args.corpus
-        else len(stats.failures)
-    )
-    if new_failures:
-        print(f"new failures: {new_failures}")
-    return 1 if (stats.invariant_violations or new_failures) else 0
 
 
-def run_soak(args: argparse.Namespace) -> int:
+def _campaign(
+    args: argparse.Namespace, config, report_path=None, **run
+) -> int:
+    """Run one campaign and print its triage report."""
     from ..engine import MetricsLogger
-    from ..validate.soak import CampaignConfig, SoakError, soak_run
+    from ..validate.soak import SoakError, soak_run
 
-    config = CampaignConfig(
-        budget=args.budget,
-        seed=args.seed,
-        shards=args.shards,
-        max_mutations=args.max_mutations,
-        shrink_budget=args.shrink_budget,
-        bands=_bands(args),
-    )
     try:
         report = soak_run(
             config,
-            state_dir=args.state,
             corpus_dir=args.corpus,
-            workers=args.workers,
-            resume=args.resume,
             metrics=MetricsLogger(args.metrics),
-            promote_dir=args.promote,
-            promote_dry_run=args.dry_run,
+            **run,
         )
     except SoakError as exc:
         print(f"soak failed: {exc}", file=sys.stderr)
         return 1
     text = report.render()
     print(text)
-    if args.report:
-        with open(args.report, "w") as f:
+    if report_path:
+        with open(report_path, "w") as f:
             f.write(text + "\n")
-        print(f"wrote triage report to {args.report}")
+        print(f"wrote triage report to {report_path}")
     # Execution detail (how the split went) stays out of the triage
     # report so it is shard-count independent; surface it here instead.
     if report.cached_shards:
@@ -85,11 +63,6 @@ def run_soak(args: argparse.Namespace) -> int:
         )
     if report.crashed_shards:
         print(f"DEGRADED: shard(s) {report.crashed_shards} crashed")
-    if report.corpus_migrated:
-        print(
-            f"corpus migration dropped {report.corpus_migrated} "
-            f"redundant entr{'y' if report.corpus_migrated == 1 else 'ies'}"
-        )
     if report.promoted:
         verb = "would promote" if report.promote_dry_run else "promoted"
         print(
@@ -100,26 +73,30 @@ def run_soak(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def run_fuzz(args: argparse.Namespace) -> int:
+    # The campaign with one shard, one worker and no state.
+    return _campaign(args, _config(args), workers=1)
+
+
+def run_soak(args: argparse.Namespace) -> int:
+    return _campaign(
+        args,
+        _config(args, shards=args.shards, shrink_budget=args.shrink_budget),
+        report_path=args.report,
+        workers=args.workers,
+        state_dir=args.state,
+        resume=args.resume,
+        promote_dir=args.promote,
+        promote_dry_run=args.dry_run,
+    )
+
+
 def run_validate(args: argparse.Namespace) -> int:
     from ..validate import validate_run
 
-    report = validate_run(corpus_dir=args.corpus, bands=_bands(args))
+    report = validate_run(corpus_dir=args.corpus)
     print(report.render())
-    rc = 0 if report.ok else 1
-    if args.regression:
-        from ..validate import replay_promoted_dir
-
-        rows = replay_promoted_dir(args.regression)
-        changed = [(n, e, a) for n, e, a in rows if a != e]
-        print(
-            f"promoted regression cases: {len(rows) - len(changed)}/"
-            f"{len(rows)} reproduce their recorded failure key"
-        )
-        for name, expected, actual in changed:
-            print(f"  CHANGED {name}: expected {expected!r}, got {actual!r}")
-        if changed:
-            rc = 1
-    return rc
+    return 0 if report.ok else 1
 
 
 def add_parsers(sub) -> None:
@@ -194,16 +171,10 @@ def add_parsers(sub) -> None:
 
     val = sub.add_parser(
         "validate",
-        parents=[common.bands],
         help="structural invariants on the built-in suite + corpus replay",
     )
     val.add_argument(
         "--corpus", default=None,
         help="divergence-corpus directory to replay",
-    )
-    val.add_argument(
-        "--regression", default=None, metavar="DIR",
-        help="also replay promoted regression cases under DIR (from "
-             "'repro soak --promote'); exits 1 on behaviour changes",
     )
     val.set_defaults(func=run_validate)

@@ -362,8 +362,7 @@ class Explorer:
         self.rng.setstate(state.rng_state)
         self.stats = replace(state.stats)
         self.history = list(state.history)
-        # Pre-points checkpoints (schema < 3) restore with an empty list.
-        self.points = list(getattr(state, "points", []))
+        self.points = list(state.points)
         self.modeled_seconds = state.modeled_seconds
         schedules = {k: s.clone() for k, s in state.schedules.items()}
         return adg, schedules, state.choice

@@ -165,7 +165,7 @@ class DseEngine:
         self.stats = EngineStats()
         self.store: Optional[ArtifactStore] = None
         #: Per-seed annealer snapshots, in a store of their own so scans
-        #: of ``store.keys()`` (studies, corpus) never see them.
+        #: of ``store.keys()`` (studies) never see them.
         self.checkpoints: Optional[ArtifactStore] = None
         if cache_dir:
             self.store = ArtifactStore(cache_dir)

@@ -1,13 +1,12 @@
 """EXPERIMENTS.md generation: paper-vs-measured for every table/figure.
 
-Run ``python -m repro.harness.report [output-path]`` to regenerate the
-report (several minutes: it runs every DSE and simulation in the suite).
+Run ``python -m repro report [-o output-path]`` to regenerate the report
+(it runs every DSE and simulation in the suite: about a minute cold).
 """
 
 from __future__ import annotations
 
-import sys
-from typing import List
+import os
 
 from ..model.resource import MlEstimator, TABLE1_COUNTS
 from ..rtl import estimated_frequency, floorplan
@@ -458,7 +457,7 @@ def _engine_section() -> str:
 
 HEADER = """# EXPERIMENTS — paper vs measured
 
-Generated by `python -m repro.harness.report`.  Every number below is
+Generated by `python -m repro report`.  Every number below is
 recomputed from scratch by this repository (DSE runs, cycle-level
 simulation, analytical baselines); nothing is hard-coded except the paper's
 reference values and the HLS initiation intervals of Table IV (measured
@@ -538,7 +537,8 @@ def _soak_section(budget: int = 48, seed: int = 3, shards: int = 4) -> str:
     lines = ["## Soak campaign — sharded differential fuzzing", ""]
     lines.append(
         f"`repro soak --budget {budget} --seed {seed} --shards {shards} "
-        f"--rel-tol 0 --abs-floor 0`: every model/sim gap is flagged, so "
+        f"--rel-tol 0 --abs-floor 0 --shrink-budget {config.shrink_budget}`: "
+        f"every model/sim gap is flagged, so "
         f"the campaign reduces {report.raw_failures} raw failures to "
         f"{len(report.failures)} unique minimal repros (one per failure "
         f"signature).  The triage report below is byte-identical for any "
@@ -696,36 +696,40 @@ def _families_section() -> str:
     return "\n".join(lines)
 
 
-def generate_report() -> str:
-    sections = [
-        HEADER,
-        _tables_section(),
-        _fig11_12_section(),
-        _fig13_section(),
-        _fig14_section(),
-        _fig15_section(),
-        _fig16_section(),
-        _fig17_section(),
-        _fig18_section(),
-        _fig19_section(),
-        _fig20_section(),
-        _families_section(),
-        _pareto_section(),
-        _model_fidelity_section(),
-        _soak_section(),
-        _engine_section(),
-        _serve_section(),
-    ]
-    return "\n\n".join(sections) + "\n"
+#: Sections with no generator start at this line of the report file;
+#: :func:`write_report` carries everything from it onward over unchanged.
+HAND_MARKER = "<!-- hand-maintained below: not regenerated -->"
+
+SECTIONS = (
+    _tables_section,
+    _fig11_12_section,
+    _fig13_section,
+    _fig14_section,
+    _fig15_section,
+    _fig16_section,
+    _fig17_section,
+    _fig18_section,
+    _fig19_section,
+    _fig20_section,
+    _families_section,
+    _pareto_section,
+    _model_fidelity_section,
+    _soak_section,
+    _engine_section,
+    _serve_section,
+)
 
 
-def main(argv: List[str]) -> None:
-    path = argv[1] if len(argv) > 1 else "EXPERIMENTS.md"
-    report = generate_report()
-    with open(path, "w") as f:
-        f.write(report)
-    print(f"wrote {path} ({report.count(chr(10))} lines)")
-
-
-if __name__ == "__main__":
-    main(sys.argv)
+def write_report(path: str) -> None:
+    """Regenerate the report at ``path``, keeping what only a human can
+    write: the tail of the existing file from :data:`HAND_MARKER` on."""
+    kept = ""
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as f:
+            old = f.read()
+        at = old.find(HAND_MARKER)
+        if at >= 0:
+            kept = "\n" + old[at:]
+    report = "\n\n".join([HEADER] + [section() for section in SECTIONS])
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(report + "\n" + kept)

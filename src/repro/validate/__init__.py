@@ -10,13 +10,18 @@ one-off validation into a regression-tested property:
 * :mod:`oracle` — the model-vs-simulator differential comparison with
   per-bottleneck-class tolerance bands,
 * :mod:`shrinker` — greedy minimization of failing cases,
-* :mod:`corpus` — content-addressed storage of minimal repros,
-* :mod:`runner` — the ``repro fuzz`` / ``repro validate`` drivers,
-* :mod:`soak` — sharded, resumable fuzz campaigns (``repro soak``),
-* :mod:`promote` — freezing minimal repros as committed regression tests.
+* :mod:`corpus` — the one repro store: a JSON document per minimal repro
+  (case + the bands it failed under), its smallest-witness order, its
+  replay,
+* :mod:`runner` — the pure shard body (``fuzz_run``) and the ``repro
+  validate`` driver,
+* :mod:`soak` — the one campaign loop: sharded, resumable (``repro soak``;
+  ``repro fuzz`` is its one-shard, stateless case),
+* :mod:`promote` — the store plus a generated pytest module
+  (``--promote``).
 """
 
-from .corpus import DivergenceCorpus, case_key
+from .corpus import DivergenceCorpus, case_key, replay_promoted
 from .generators import (
     PROGRAM_FAMILIES,
     FuzzCase,
@@ -42,11 +47,7 @@ from .oracle import (
     classify_bottleneck,
     run_oracle,
 )
-from .promote import (
-    promote_failures,
-    replay_promoted,
-    replay_promoted_dir,
-)
+from .promote import promote_failures
 from .runner import (
     CaseRecord,
     Failure,
@@ -94,7 +95,6 @@ __all__ = [
     "random_case",
     "random_program",
     "replay_promoted",
-    "replay_promoted_dir",
     "run_oracle",
     "shrink",
     "soak_run",

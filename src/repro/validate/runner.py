@@ -1,27 +1,26 @@
-"""Fuzz and validation drivers behind ``repro fuzz`` / ``repro validate``.
+"""The shard body of a fuzz campaign, and the ``repro validate`` driver.
 
 :func:`fuzz_run` draws ``budget`` cases from a seed, pushes each through
 the differential oracle and the invariant checkers, shrinks every failure
-to a minimal repro, records it in the divergence corpus, and aggregates
-:class:`FuzzStats` (max/mean relative error and pass rate per bottleneck
-class).  All randomness derives from the seed; the rendered report
-contains no wall-clock values, so identical seeds reproduce identical
-output byte for byte.
+to a minimal repro, and aggregates :class:`FuzzStats` (max/mean relative
+error and pass rate per bottleneck class).  It is pure — no store, no
+events: :mod:`repro.validate.soak` runs it once per shard (``repro fuzz``
+is the one-shard campaign), merges, and records.  All randomness derives
+from the seed and nothing it returns holds a wall-clock value, so
+identical seeds reproduce identical reports byte for byte.
 
 :func:`validate_run` is the regression side: structural invariants over
-the built-in workload suite mapped on the shared overlay, plus a replay
-of every corpus entry (reporting which minimal repros still reproduce).
+the built-in workload suite mapped on the shared overlay, plus the
+store's replay of every minimal repro under its recorded bands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..engine.metrics import MetricsLogger
 from ..profile.tracer import span
-from .corpus import DivergenceCorpus
 from .generators import FuzzCase, GeneratorError, random_case
 from .invariants import Violation, check_case
 from .oracle import OracleResult, ToleranceBands, run_oracle
@@ -68,8 +67,6 @@ class Failure:
 
     failure_key: str
     case: FuzzCase
-    corpus_key: str = ""
-    was_new: bool = False
     shrink_steps: int = 0
     violations: List[str] = field(default_factory=list)
     summary: Dict = field(default_factory=dict)
@@ -103,7 +100,6 @@ class FuzzStats:
     by_class: Dict[str, ClassStats] = field(default_factory=dict)
     invariant_violations: int = 0
     failures: List[Failure] = field(default_factory=list)
-    keep_records: bool = False
     records: List[CaseRecord] = field(default_factory=list)
 
     def count(self, outcome: str) -> None:
@@ -117,24 +113,24 @@ class FuzzStats:
         rel_error: float,
         violations: int,
     ) -> None:
-        """Fold one case verdict into the aggregates (the single code
-        path shared by the live fuzz loop and the soak shard merge)."""
+        """Fold one case verdict into the aggregates and keep its record
+        (the single code path shared by the live fuzz loop and the soak
+        shard merge)."""
         self.count(outcome)
         self.invariant_violations += violations
         if outcome in _CLASSED_OUTCOMES:
             self.by_class.setdefault(klass, ClassStats()).record(
                 rel_error, outcome == "ok"
             )
-        if self.keep_records:
-            self.records.append(
-                CaseRecord(
-                    index=index,
-                    outcome=outcome,
-                    klass=klass,
-                    rel_error=rel_error,
-                    violations=violations,
-                )
+        self.records.append(
+            CaseRecord(
+                index=index,
+                outcome=outcome,
+                klass=klass,
+                rel_error=rel_error,
+                violations=violations,
             )
+        )
 
     @property
     def compared(self) -> int:
@@ -147,9 +143,6 @@ class FuzzStats:
             "start": self.start,
             "outcomes": dict(sorted(self.outcomes.items())),
             "invariant_violations": self.invariant_violations,
-            "divergences": len(
-                [f for f in self.failures if f.failure_key.startswith("divergence")]
-            ),
             "by_class": {
                 name: {
                     "cases": s.cases,
@@ -161,32 +154,6 @@ class FuzzStats:
                 for name, s in sorted(self.by_class.items())
             },
         }
-
-    def render(self) -> str:
-        """Human-readable, timestamp-free report."""
-        lines = [
-            f"fuzz: {self.budget} cases, seed {self.seed}",
-            "outcomes: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(self.outcomes.items())),
-            f"invariant violations: {self.invariant_violations}",
-        ]
-        if self.by_class:
-            lines.append(
-                f"{'class':10s} {'cases':>5s} {'pass':>6s} "
-                f"{'max err':>8s} {'mean err':>8s}"
-            )
-            for name, s in sorted(self.by_class.items()):
-                lines.append(
-                    f"{name:10s} {s.cases:5d} {s.pass_rate:6.0%} "
-                    f"{s.max_rel_error:8.3f} {s.mean_rel_error:8.3f}"
-                )
-        for fail in self.failures:
-            new = "new" if fail.was_new else "known"
-            lines.append(
-                f"  {fail.failure_key}: corpus {fail.corpus_key[:16]} ({new}, "
-                f"{fail.shrink_steps} shrink steps)"
-            )
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -238,37 +205,20 @@ def make_failure_key(bands: ToleranceBands):
 def fuzz_run(
     budget: int,
     seed: int,
-    corpus_dir: Optional[str] = None,
     bands: Optional[ToleranceBands] = None,
-    metrics: Optional[MetricsLogger] = None,
     max_mutations: int = 6,
     shrink_budget: int = 120,
     start: int = 0,
-    keep_records: bool = False,
 ) -> FuzzStats:
-    """Generate/check/shrink/record ``budget`` cases from ``seed``.
+    """Generate/check/shrink ``budget`` cases from ``seed``.
 
     ``start`` offsets the global case index: case ``i`` always derives
     from the seed string ``"{seed}:{i}"``, so a sharded campaign running
     ``(start=0, budget=5)`` and ``(start=5, budget=5)`` draws exactly the
-    cases a serial ``(start=0, budget=10)`` run would.  ``keep_records``
-    additionally retains one :class:`CaseRecord` per case for the soak
-    merge.
+    cases a serial ``(start=0, budget=10)`` run would.
     """
     bands = bands or ToleranceBands()
-    metrics = metrics or MetricsLogger()
-    corpus = DivergenceCorpus(corpus_dir) if corpus_dir else None
-    if corpus is not None:
-        migrated = corpus.migrate()
-        if migrated:
-            metrics.emit("corpus_migrated", dropped=migrated)
-    stats = FuzzStats(
-        budget=budget, seed=seed, start=start, keep_records=keep_records
-    )
-    metrics.emit(
-        "fuzz_start", budget=budget, seed=seed, start=start,
-        bands=bands.to_dict(),
-    )
+    stats = FuzzStats(budget=budget, seed=seed, start=start)
     predicate = make_failure_key(bands)
 
     for i in range(start, start + budget):
@@ -291,45 +241,46 @@ def fuzz_run(
             continue
         with span("fuzz.shrink", failure_key=key):
             shrunk = shrink(case, predicate, max_evaluations=shrink_budget)
-        failure = Failure(
-            failure_key=key,
-            case=shrunk.case,
-            shrink_steps=shrunk.steps,
-            violations=[str(v) for v in violations],
-            summary=result.stats_doc(),
-        )
-        if corpus is not None:
-            failure.corpus_key, failure.was_new = corpus.add(
-                shrunk.case, key, summary=result.stats_doc()
+        stats.failures.append(
+            Failure(
+                failure_key=key,
+                case=shrunk.case,
+                shrink_steps=shrunk.steps,
+                violations=[str(v) for v in violations],
+                summary=result.stats_doc(),
             )
-        stats.failures.append(failure)
-        metrics.emit(
-            "fuzz_failure",
-            case_index=i,
-            failure_key=key,
-            corpus_key=failure.corpus_key,
-            shrink_steps=shrunk.steps,
         )
-
-    metrics.emit("fuzz_done", **stats.stats_doc())
     return stats
 
 
 # ----------------------------------------------------------------------
 # Validation driver (invariants + corpus replay)
 # ----------------------------------------------------------------------
+#: One replay verdict of the repro store, ``(file name, expected,
+#: actual)``.  ``expected`` is None for a file that could not be read
+#: (``actual`` then says why); otherwise the repro still reproduces iff
+#: ``actual == expected``.
+ReplayRow = Tuple[str, Optional[str], Optional[str]]
+
+
 @dataclass
 class ValidateReport:
     workloads_checked: int = 0
     schedules_checked: int = 0
     invariant_violations: List[str] = field(default_factory=list)
-    corpus_total: int = 0
-    corpus_reproduced: int = 0
-    corpus_stale: List[str] = field(default_factory=list)
+    replay: List[ReplayRow] = field(default_factory=list)
+
+    @property
+    def changed(self) -> List[ReplayRow]:
+        """Repros that no longer yield their recorded key, and files
+        that could not be read."""
+        return [
+            row for row in self.replay if row[1] is None or row[1] != row[2]
+        ]
 
     @property
     def ok(self) -> bool:
-        return not self.invariant_violations
+        return not self.invariant_violations and not self.changed
 
     def render(self) -> str:
         lines = [
@@ -338,28 +289,30 @@ class ValidateReport:
             f"invariant violations: {len(self.invariant_violations)}",
         ]
         lines += [f"  {v}" for v in self.invariant_violations[:20]]
-        if self.corpus_total:
+        if self.replay:
             lines.append(
-                f"corpus replay: {self.corpus_reproduced}/{self.corpus_total} "
-                f"minimal repros still reproduce"
+                f"corpus replay: {len(self.replay) - len(self.changed)}/"
+                f"{len(self.replay)} minimal repros still reproduce"
             )
-            lines += [f"  stale: {k[:16]}" for k in self.corpus_stale]
+            for name, expected, actual in self.changed:
+                lines.append(
+                    f"  UNREADABLE {name}: {actual}" if expected is None
+                    else f"  CHANGED {name}: expected {expected!r}, "
+                         f"got {actual!r}"
+                )
         else:
             lines.append("corpus replay: no corpus entries")
         return "\n".join(lines)
 
 
-def validate_run(
-    corpus_dir: Optional[str] = None,
-    bands: Optional[ToleranceBands] = None,
-) -> ValidateReport:
+def validate_run(corpus_dir: Optional[str] = None) -> ValidateReport:
     """Structural invariants on the built-in suite + corpus replay."""
     from ..adg import general_overlay
     from ..compiler import generate_variants
     from ..scheduler import schedule_workload
     from ..workloads import all_workloads
+    from .corpus import DivergenceCorpus    # corpus imports this module
 
-    bands = bands or ToleranceBands()
     report = ValidateReport()
     overlay = general_overlay()
     report.invariant_violations += [
@@ -382,14 +335,5 @@ def validate_run(
         ]
 
     if corpus_dir:
-        corpus = DivergenceCorpus(corpus_dir)
-        predicate = make_failure_key(bands)
-        for key, case, meta in corpus.entries():
-            report.corpus_total += 1
-            expected = meta.get("failure_key")
-            actual = predicate(case)
-            if actual is not None and (expected is None or actual == expected):
-                report.corpus_reproduced += 1
-            else:
-                report.corpus_stale.append(key)
+        report.replay = DivergenceCorpus(corpus_dir).replay()
     return report

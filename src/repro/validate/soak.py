@@ -1,4 +1,5 @@
-"""Sharded, resumable differential fuzz campaigns (``repro soak``).
+"""Sharded, resumable differential fuzz campaigns (``repro soak``, and
+``repro fuzz`` — the same campaign with one shard and no state).
 
 A *campaign* is one contract — "draw cases ``start..budget`` from this
 seed under these tolerance bands" — executed as ``shards`` independent
@@ -18,12 +19,14 @@ execute in isolation; the campaign layer then:
   shards from disk without recomputing them;
 * merges shard results deterministically: per-case records replay in
   global index order (bit-identical float accumulation), and failures
-  dedupe across shards by ``failure_key`` keeping the smallest repro —
-  so ``--shards 4`` and ``--shards 1`` render byte-identical triage
-  reports for the same seed set;
-* records the deduped minimal repros in the divergence corpus and, with
-  ``--promote``, freezes each one as a committed regression case through
-  :mod:`repro.validate.promote`.
+  dedupe across shards by ``failure_key`` keeping the least witness by
+  the store's :func:`~repro.validate.corpus.witness_order` — so
+  ``--shards 4`` and ``--shards 1`` render byte-identical triage reports
+  and leave byte-identical stores for the same seed set;
+* records the deduped minimal repros, with the campaign's bands, in the
+  repro store (``--corpus``) and, with ``--promote``, in a second store
+  that also gets the generated pytest module
+  (:mod:`repro.validate.promote`).
 
 The campaign fingerprint deliberately excludes the shard count and
 worker count: how the range was split is an execution detail, not part
@@ -47,7 +50,7 @@ from ..jobs import (
     ShardPlan,
 )
 from ..profile.tracer import span
-from .corpus import DivergenceCorpus, case_key
+from .corpus import DivergenceCorpus, case_key, witness_order
 from .generators import case_size
 from .oracle import ToleranceBands
 from .promote import promote_failures
@@ -55,7 +58,7 @@ from .runner import Failure, FuzzStats, fuzz_run
 
 #: Bump when the meaning of a stored shard result changes (FuzzStats
 #: layout, generator stream, oracle outcomes) so stale checkpoints miss.
-SOAK_SCHEMA_VERSION = 1
+SOAK_SCHEMA_VERSION = 2
 
 
 class SoakError(RuntimeError):
@@ -128,7 +131,6 @@ def run_shard_job(job: ShardJob) -> FuzzStats:
         max_mutations=job.max_mutations,
         shrink_budget=job.shrink_budget,
         start=job.start,
-        keep_records=True,
     )
 
 
@@ -156,7 +158,6 @@ class SoakReport:
     crashed_shards: List[int] = field(default_factory=list)
     cached_shards: List[int] = field(default_factory=list)
     new_failures: int = 0
-    corpus_migrated: int = 0
     promoted: List[str] = field(default_factory=list)
     promote_dry_run: bool = False
 
@@ -183,7 +184,6 @@ class SoakReport:
             "unique_failures": len(self.failures),
             "raw_failures": self.raw_failures,
             "new_failures": self.new_failures,
-            "corpus_migrated": self.corpus_migrated,
             "promoted": list(self.promoted),
             "promote_dry_run": self.promote_dry_run,
             **self.stats.stats_doc(),
@@ -235,7 +235,7 @@ def _merge_outcomes(
     config: CampaignConfig, survivors: Sequence[ShardOutcome]
 ) -> Tuple[FuzzStats, List[Failure], int]:
     """Rebuild the serial-run aggregate from shard records and dedupe
-    failures by signature (smallest repro wins, ties by case key)."""
+    failures by signature (least by the store's ``witness_order``)."""
     merged = FuzzStats(budget=config.budget, seed=config.seed)
     records = sorted(
         (r for o in survivors for r in o.stats.records),
@@ -251,12 +251,9 @@ def _merge_outcomes(
         )
     raw = [f for o in survivors for f in o.stats.failures]
     best: Dict[str, Failure] = {}
-    for failure in raw:
-        incumbent = best.get(failure.failure_key)
-        if incumbent is None or (
-            case_size(failure.case), case_key(failure.case)
-        ) < (case_size(incumbent.case), case_key(incumbent.case)):
-            best[failure.failure_key] = failure
+    # Stable sort: equal witnesses keep global case-index order.
+    for failure in sorted(raw, key=lambda f: witness_order(f.case)):
+        best.setdefault(failure.failure_key, failure)
     deduped = [best[key] for key in sorted(best)]
     merged.failures = deduped
     return merged, deduped, len(raw)
@@ -373,18 +370,13 @@ def soak_run(
         raw_failures=raw_count,
     )
 
-    corpus_migrated = 0
-    new_failures = 0
+    # Without a corpus there is no memory: every failure counts as new.
+    new_failures = len(failures)
     if corpus_dir:
         corpus = DivergenceCorpus(corpus_dir)
-        corpus_migrated = corpus.migrate()
-        for failure in failures:
-            failure.corpus_key, failure.was_new = corpus.add(
-                failure.case, failure.failure_key, summary=failure.summary
-            )
-            new_failures += int(failure.was_new)
-    else:
-        new_failures = len(failures)
+        new_failures = sum(
+            corpus.add(failure, config.bands)[1] for failure in failures
+        )
 
     promoted: List[str] = []
     if promote_dir is not None:
@@ -409,7 +401,6 @@ def soak_run(
         crashed_shards=[o.index for o in ordered if o.stats is None],
         cached_shards=[o.index for o in ordered if o.cached],
         new_failures=new_failures,
-        corpus_migrated=corpus_migrated,
         promoted=promoted,
         promote_dry_run=promote_dry_run,
     )

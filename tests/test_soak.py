@@ -1,6 +1,7 @@
 """Tests for repro.validate.soak / promote: sharded campaigns, resume,
 fault isolation, regression promotion, and the ``repro soak`` CLI."""
 
+import glob
 import json
 import os
 import subprocess
@@ -11,22 +12,35 @@ import pytest
 from repro.cli import main
 from repro.engine import MetricsLogger
 from repro.validate import ToleranceBands
-from repro.validate.corpus import case_key
-from repro.validate.promote import (
+from repro.validate.corpus import (
+    DivergenceCorpus,
+    case_key,
     load_promoted,
-    promote_failures,
     replay_promoted,
-    replay_promoted_dir,
 )
+from repro.validate.promote import _TEST_MODULE, promote_failures
 from repro.validate.soak import (
     CampaignConfig,
     SoakError,
     soak_run,
 )
 
+from .test_validate import tree_bytes
+
 #: Flag every model/sim gap: guarantees the fixed seeds below produce
 #: divergences to dedupe, promote, and replay.
 ZERO_TOL = ToleranceBands(compute=0.0, memory=0.0, aux=0.0, abs_floor=0.0)
+
+
+def _pytest(path):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(path)],
+        capture_output=True, text=True, env=env,
+    )
 
 
 def _config(shards, budget=12, seed=3):
@@ -152,9 +166,15 @@ class TestPromotion:
             assert open(os.path.join(cases_dir, name), "rb").read() == content
 
     def test_replay_matches_expected_key(self, promoted_dir):
-        rows = replay_promoted_dir(promoted_dir)
+        rows = DivergenceCorpus(promoted_dir).replay()
         assert rows
         assert all(actual == expected for _, expected, actual in rows)
+
+    def test_generated_module_is_the_committed_one(self):
+        committed = os.path.join(
+            os.path.dirname(__file__), "regression", "test_promoted_cases.py"
+        )
+        assert open(committed, encoding="utf-8").read() == _TEST_MODULE
 
     def test_replay_detects_behaviour_change(self, promoted_dir):
         cases_dir = os.path.join(promoted_dir, "cases")
@@ -169,34 +189,37 @@ class TestPromotion:
         assert replay_promoted(doc) is None
 
     def test_promoted_cases_collected_by_pytest(self, promoted_dir):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", promoted_dir],
-            capture_output=True, text=True, env=env,
-        )
+        proc = _pytest(promoted_dir)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "passed" in proc.stdout
 
 
 class TestSoakCli:
     def test_reports_byte_identical_across_shard_counts(self, tmp_path, capsys):
-        paths = []
-        for shards in ("1", "4"):
-            report = tmp_path / f"triage-{shards}.txt"
-            rc = main(
-                ["soak", "--budget", "12", "--seed", "3",
-                 "--shards", shards, "--workers", "1",
-                 "--rel-tol", "0", "--abs-floor", "0",
-                 "--shrink-budget", "20",
-                 "--corpus", str(tmp_path / f"corpus-{shards}"),
-                 "--report", str(report)]
-            )
-            capsys.readouterr()
+        # ``fuzz`` is the same loop: the campaign of one shard.
+        runs = []
+        for n, command in enumerate((
+            ["fuzz"],
+            ["soak", "--shards", "1", "--workers", "1"],
+            ["soak", "--shards", "4", "--workers", "1"],
+        )):
+            corpus = tmp_path / f"corpus-{n}"
+            argv = command + [
+                "--budget", "5", "--seed", "3", "--rel-tol", "0",
+                "--abs-floor", "0", "--corpus", str(corpus),
+            ]
+            report = tmp_path / f"triage-{n}.txt"
+            if command[0] == "soak":
+                argv += ["--report", str(report)]
+            rc = main(argv)
+            out = capsys.readouterr().out
             assert rc == 1          # fresh corpus: failures are new
-            paths.append(report)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+            if command[0] == "soak":
+                assert out.startswith(report.read_text())
+                out = out.replace(f"wrote triage report to {report}\n", "")
+            runs.append((out, tree_bytes(corpus)))
+        assert runs[0] == runs[1] == runs[2]
+        assert "new failures: 2" in runs[0][0] and len(runs[0][1]) == 2
 
     def test_resume_exits_zero_on_known_failures(self, tmp_path, capsys):
         argv = [
@@ -226,10 +249,48 @@ class TestSoakCli:
         out = capsys.readouterr().out
         assert rc == 1
         assert "promoted" in out
-        rc = main(["validate", "--regression", dest])
+        rc = main(["validate", "--corpus", dest])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "reproduce their recorded failure key" in out
+        assert "2/2 minimal repros still reproduce" in out
+        # One policy: a repro that stops yielding its recorded key is
+        # listed and fails the command.
+        path = sorted(glob.glob(os.path.join(dest, "cases", "*.json")))[0]
+        doc = load_promoted(path)
+        doc["expected"] = "divergence:other"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["validate", "--corpus", dest]) == 1
+        out = capsys.readouterr().out
+        assert "1/2 minimal repros" in out
+        assert f"CHANGED {os.path.basename(path)}" in out
+
+    def test_corpus_and_promote_write_one_format(self, tmp_path, capsys):
+        # What ``fuzz --corpus D`` writes IS the promoted form: validate
+        # replays it with no band flags, promoting the same campaign over
+        # it adds only the pytest module, and pytest then collects it.
+        dest = tmp_path / "d"
+        campaign = ["--budget", "8", "--seed", "3", "--rel-tol", "0",
+                    "--abs-floor", "0"]
+        assert main(["fuzz"] + campaign + ["--corpus", str(dest)]) == 1
+        before = tree_bytes(dest)
+        assert before and all(
+            name.startswith("cases" + os.sep) and name.endswith(".json")
+            for name in before
+        )
+        assert main(["validate", "--corpus", str(dest)]) == 0
+        rc = main(["soak", "--shards", "2", "--workers", "1"] + campaign
+                  + ["--promote", str(dest)])
+        assert rc == 1              # no --corpus: no memory of the failures
+        capsys.readouterr()
+        after = tree_bytes(dest)
+        assert set(after) - set(before) == {
+            "__init__.py", "test_promoted_cases.py"
+        }
+        assert all(after[name] == content for name, content in before.items())
+        proc = _pytest(dest)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "2 passed" in proc.stdout
 
     def test_promote_dry_run_writes_nothing(self, tmp_path, capsys):
         dest = str(tmp_path / "regression")

@@ -1,6 +1,8 @@
 """Tests for repro.validate: generators, invariants, oracle, shrinker,
 corpus, and the fuzz/validate CLI entry points."""
 
+import itertools
+import os
 import random
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from repro.cli import main
 from repro.validate import (
     DivergenceCorpus,
+    Failure,
     FuzzCase,
     ProgramSpec,
     ToleranceBands,
@@ -309,20 +312,41 @@ class TestShrinker:
         result.case.program.build()
 
 
+def _failure(case, key="divergence:memory", **summary):
+    return Failure(failure_key=key, case=case, summary=summary)
+
+
+def tree_bytes(root):
+    """{relative path: bytes} of every file under ``root``."""
+    return {
+        os.path.relpath(os.path.join(d, name), root):
+            open(os.path.join(d, name), "rb").read()
+        for d, _, names in os.walk(root)
+        for name in names
+    }
+
+
 class TestCorpus:
     def test_add_dedups_and_replays(self, tmp_path):
         corpus = DivergenceCorpus(tmp_path / "corpus")
         case = random_case("5:1")
-        key, new = corpus.add(case, "divergence:compute", {"rel_error": 1.0})
+        name, new = corpus.add(
+            _failure(case, "divergence:compute", rel_error=1.0), ZERO_TOL
+        )
         assert new
-        key2, new2 = corpus.add(case, "divergence:compute")
-        assert key2 == key and not new2
-        entries = list(corpus.entries())
-        assert len(entries) == 1
-        stored_key, stored_case, meta = entries[0]
-        assert stored_key == key
-        assert stored_case == case
-        assert meta["failure_key"] == "divergence:compute"
+        name2, new2 = corpus.add(
+            _failure(case, "divergence:compute"), ZERO_TOL
+        )
+        assert name2 == name and not new2
+        [(stored_name, doc, error)] = corpus.entries()
+        assert stored_name == name and not error
+        assert name == f"divergence_compute__{case_key(case)[:12]}.json"
+        assert FuzzCase.from_dict(doc["case"]) == case
+        assert doc["failure_key"] == doc["expected"] == "divergence:compute"
+        assert doc["bands"] == ZERO_TOL.to_dict()
+        assert doc["summary"] == {"rel_error": 1.0}    # the incumbent's
+        # random_case("5:1") does not diverge, so its replay says "changed".
+        assert corpus.replay() == [(name, "divergence:compute", None)]
 
     def test_key_ignores_origin(self):
         case = random_case("5:1")
@@ -346,41 +370,60 @@ class TestCorpus:
         # per case.  One failure signature must keep one minimal repro.
         small, large = self._two_cases_sized()
         corpus = DivergenceCorpus(tmp_path / "corpus")
-        key_l, new_l = corpus.add(large, "divergence:memory")
+        name_l, new_l = corpus.add(_failure(large), ZERO_TOL)
         assert new_l
-        # A bigger witness of a known signature is not stored.
-        key_s, new_s = corpus.add(small, "divergence:memory")
-        assert new_s and key_s != key_l
-        assert len(corpus) == 1
-        assert corpus.failure_keys() == ["divergence:memory"]
+        # A smaller witness of a known signature displaces the stored one.
+        name_s, new_s = corpus.add(_failure(small), ZERO_TOL)
+        assert new_s and name_s != name_l
+        assert [name for name, _, _ in corpus.entries()] == [name_s]
         # Re-adding the displaced larger case now points at the smaller.
-        key_again, new_again = corpus.add(large, "divergence:memory")
-        assert key_again == key_s and not new_again
-        assert len(corpus) == 1
-        # A different signature coexists.
-        _, new_other = corpus.add(large, "divergence:compute")
-        assert new_other
-        assert len(corpus) == 2
+        name_again, new_again = corpus.add(_failure(large), ZERO_TOL)
+        assert name_again == name_s and not new_again
+        # A different signature coexists, and so does the same signature
+        # under other bands: what reproduces depends on the bands.
+        assert corpus.add(_failure(large, "divergence:compute"), ZERO_TOL)[1]
+        assert corpus.add(_failure(large), ToleranceBands())[1]
+        assert len(list(corpus.entries())) == 3
 
-    def test_migrate_collapses_predeup_corpus(self, tmp_path):
-        from repro.validate.corpus import CORPUS_VERSION
-
+    def test_survivor_is_independent_of_add_order(self, tmp_path):
+        # Two distinct witnesses of EQUAL size: the tie falls to the case
+        # key, not to whoever arrived first.
+        by_size = {}
+        for i in range(200):
+            case = random_case(f"7:{i}")
+            twin = by_size.setdefault(case_size(case), case)
+            if case_key(twin) != case_key(case):
+                break
+        else:
+            pytest.fail("no equal-size pair among random_case('7:0..199')")
         small, large = self._two_cases_sized()
+        for failures in (
+            [_failure(twin), _failure(case)],
+            [_failure(twin), _failure(case), _failure(small),
+             _failure(large, "divergence:compute")],
+        ):
+            trees = []
+            for n, order in enumerate(itertools.permutations(failures)):
+                root = tmp_path / f"{len(failures)}-{n}"
+                for failure in order:
+                    DivergenceCorpus(root).add(failure, ZERO_TOL)
+                trees.append(tree_bytes(root))
+            assert all(tree == trees[0] for tree in trees)
+            assert len(trees[0]) == {2: 1, 4: 2}[len(failures)]
+
+    def test_torn_file_is_listed_and_is_nobodys_incumbent(self, tmp_path):
         corpus = DivergenceCorpus(tmp_path / "corpus")
-        # Simulate a pre-dedup corpus: two entries, same failure key.
-        for case in (small, large):
-            corpus.store.put(
-                case_key(case),
-                {"corpus_version": CORPUS_VERSION, "case": case.to_dict()},
-                meta={"kind": "divergence-case",
-                      "failure_key": "divergence:memory", "summary": {}},
-            )
-        assert len(corpus) == 2
-        assert corpus.migrate() == 1
-        entries = list(corpus.entries())
-        assert len(entries) == 1
-        assert entries[0][1] == small          # smallest witness survives
-        assert corpus.migrate() == 0           # idempotent
+        failure = _failure(random_case("5:1"))
+        name, _ = corpus.add(failure, ZERO_TOL)
+        path = os.path.join(corpus.cases_dir, name)
+        whole = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(whole[: len(whole) // 2])
+        [(row_name, expected, actual)] = corpus.replay()
+        assert row_name == name and expected is None and actual
+        # Not "known": the add rewrites it whole.
+        assert corpus.add(failure, ZERO_TOL) == (name, True)
+        assert open(path, "rb").read() == whole
 
 
 class TestFuzzRun:
@@ -393,28 +436,29 @@ class TestFuzzRun:
     def test_run_is_deterministic(self):
         a = fuzz_run(budget=15, seed=3)
         b = fuzz_run(budget=15, seed=3)
-        assert a.render() == b.render()
         assert a.stats_doc() == b.stats_doc()
+        assert a.records == b.records
 
     def test_failures_recorded_and_shrunk(self, tmp_path):
-        stats = fuzz_run(
-            budget=5, seed=0, corpus_dir=str(tmp_path / "c"), bands=ZERO_TOL
-        )
+        stats = fuzz_run(budget=5, seed=0, bands=ZERO_TOL)
         assert stats.failures
         for failure in stats.failures:
-            assert failure.corpus_key
             assert failure.failure_key.startswith("divergence")
-        corpus = DivergenceCorpus(tmp_path / "c")
-        assert len(corpus) >= 1
+            assert failure.shrink_steps > 0
+            # fuzz_run is pure: recording is the campaign's job.
+            assert DivergenceCorpus(tmp_path / "c").add(failure, ZERO_TOL)[0]
+        assert list(DivergenceCorpus(tmp_path / "c").entries())
 
     def test_corpus_replay_through_validate_run(self, tmp_path):
-        corpus_dir = str(tmp_path / "c")
-        stats = fuzz_run(budget=5, seed=0, corpus_dir=corpus_dir, bands=ZERO_TOL)
+        corpus = DivergenceCorpus(tmp_path / "c")
+        stats = fuzz_run(budget=5, seed=0, bands=ZERO_TOL)
         assert stats.failures
-        report = validate_run(corpus_dir=corpus_dir, bands=ZERO_TOL)
+        for failure in stats.failures:
+            corpus.add(failure, ZERO_TOL)
+        # No bands passed: each repro replays under the ones it recorded.
+        report = validate_run(corpus_dir=str(tmp_path / "c"))
         assert report.ok
-        assert report.corpus_total >= 1
-        assert report.corpus_reproduced == report.corpus_total
+        assert report.replay and not report.changed
 
     def test_validate_run_clean_without_corpus(self):
         report = validate_run()
@@ -444,20 +488,22 @@ class TestFuzzRun:
         monkeypatch.setattr(
             oracle_mod, "estimate_cycles", lambda *a, **k: float("inf")
         )
-        corpus_dir = str(tmp_path / "c")
-        stats = fuzz_run(budget=4, seed=0, corpus_dir=corpus_dir)
+        stats = fuzz_run(budget=4, seed=0)
         assert stats.outcomes.get("nonfinite", 0) > 0
         keys = {f.failure_key for f in stats.failures}
         assert any(k.startswith("nonfinite:") for k in keys)
-        # The whole stats document stays strict JSON.
+        # The whole stats document stays strict JSON, and so does the
+        # stored repro (its summary holds the non-finite estimate).
         json.dumps(stats.stats_doc(), allow_nan=False)
         for klass_doc in stats.stats_doc()["by_class"].values():
             assert klass_doc["nonfinite"] >= 0
+        for failure in stats.failures:
+            DivergenceCorpus(tmp_path / "c").add(failure, ToleranceBands())
 
     def test_fuzz_run_start_offset_matches_serial_draw(self):
-        serial = fuzz_run(budget=6, seed=7, keep_records=True)
-        lo = fuzz_run(budget=3, seed=7, start=0, keep_records=True)
-        hi = fuzz_run(budget=3, seed=7, start=3, keep_records=True)
+        serial = fuzz_run(budget=6, seed=7)
+        lo = fuzz_run(budget=3, seed=7, start=0)
+        hi = fuzz_run(budget=3, seed=7, start=3)
         assert [r.index for r in lo.records + hi.records] == [
             r.index for r in serial.records
         ]
@@ -493,14 +539,37 @@ class TestCliIntegration:
         rc = main(argv)
         out = capsys.readouterr().out
         assert rc == 0
-        assert "new failures:" not in out
-        rc = main(
-            ["validate", "--corpus", corpus, "--rel-tol", "0",
-             "--abs-floor", "0"]
-        )
+        assert "new failures: 0" in out
+        # No band flags: the repros carry the bands they failed under.
+        rc = main(["validate", "--corpus", corpus])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "still reproduce" in out
+        assert "still reproduce" in out and "0/" not in out
+
+    def test_torn_case_file_fails_validate_without_a_traceback(
+        self, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus"
+        argv = [
+            "fuzz", "--budget", "4", "--seed", "0", "--corpus", str(corpus),
+            "--rel-tol", "0", "--abs-floor", "0",
+        ]
+        assert main(argv) == 1
+        torn = sorted((corpus / "cases").iterdir())[0]
+        whole = torn.read_bytes()
+        torn.write_bytes(whole[: len(whole) // 2])
+        capsys.readouterr()
+        assert main(["validate", "--corpus", str(corpus)]) == 1
+        captured = capsys.readouterr()
+        assert f"UNREADABLE {torn.name}" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        # The campaign does not take the torn file for a known failure:
+        # it reports the repro as new again and rewrites it whole.
+        assert main(argv) == 1
+        assert "new failures: 1" in capsys.readouterr().out
+        assert torn.read_bytes() == whole
+        assert main(["validate", "--corpus", str(corpus)]) == 0
+        capsys.readouterr()
 
     def test_validate_cli_without_corpus(self, capsys):
         assert main(["validate"]) == 0
@@ -516,9 +585,11 @@ class TestCliIntegration:
              "--metrics", str(metrics)]
         ) == 0
         capsys.readouterr()
-        events = [
-            json.loads(line)["event"]
+        records = [
+            json.loads(line)
             for line in metrics.read_text().strip().splitlines()
         ]
-        assert events[0] == "fuzz_start"
-        assert events[-1] == "fuzz_done"
+        # The one campaign stream: fuzz is a campaign of one shard.
+        assert records[0]["event"] == "soak_start"
+        assert records[0]["shards"] == 1
+        assert records[-1]["event"] == "soak_done"
