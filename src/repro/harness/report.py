@@ -237,6 +237,15 @@ def _fig20_section() -> str:
                 f"{sim['batch_cycles_per_second']:,.0f} cycles/s with "
                 f"results byte-identical to the serial loop"
             )
+        short = sim.get("short")
+        if short:
+            line += (
+                f"; the {short['regions']} regions that do not extrapolate "
+                f"run at {sim['short_regions_per_second']:,.0f} regions/s "
+                f"one call each and "
+                f"{sim['batch_short_regions_per_second']:,.0f} regions/s "
+                f"through one `simulate_batch` call (best of 5)"
+            )
         lines.append(line + ".")
     return "\n".join(lines)
 

@@ -9,7 +9,9 @@
   versus the repair path (``scheduler.repair``).
 * **Simulation** — cycle-level simulation of a workload set on the
   deterministic general overlay.  Reports cycles stepped per wall
-  second, serially and through ``simulate_batch``.
+  second, serially and through ``simulate_batch``, and — because that
+  figure is dominated by the one long region — regions per second over
+  the regions that do not extrapolate, serially and through one batch.
 * **Search** — every registered strategy on the same trial budget;
   solution quality is deterministic per (budget, seed).
 
@@ -46,7 +48,12 @@ BENCH_SCHEMA = 1
 #: raw wall seconds are machine-dependent and deliberately excluded).
 COMPARED_METRICS: Dict[str, Tuple[str, ...]] = {
     "dse": ("candidates_per_second", "fast_path_speedup"),
-    "sim": ("cycles_per_second", "batch_cycles_per_second"),
+    "sim": (
+        "cycles_per_second",
+        "batch_cycles_per_second",
+        "short_regions_per_second",
+        "batch_short_regions_per_second",
+    ),
     # The strategy shootout compares solution quality, which is
     # deterministic per (budget, seed) — regressions here mean a search
     # code change, not machine noise.
@@ -267,6 +274,21 @@ def bench_sim(budget: BenchBudget, seed: int, tracer: Tracer) -> Dict[str, Any]:
         and r.stepped_cycles == serial[name]["stepped_cycles"]
         for r, (_, name) in zip(batch_results, pairs)
     )
+    # What batching itself buys: the regions that do not extrapolate
+    # (per-call cost is a real share of their time), serial loop vs one
+    # batch, best of 5 each.
+    short = [
+        (s, sysadg) for s, name in pairs if not serial[name]["extrapolated"]
+    ]
+    short_serial_wall = short_batch_wall = float("inf")
+    for _ in range(5):
+        t0 = perf_counter()
+        for schedule, _ in short:
+            simulate_schedule(schedule, sysadg)
+        short_serial_wall = min(short_serial_wall, perf_counter() - t0)
+        t0 = perf_counter()
+        simulate_batch(short)
+        short_batch_wall = min(short_batch_wall, perf_counter() - t0)
     return {
         "schema": BENCH_SCHEMA,
         "kind": "sim",
@@ -287,6 +309,17 @@ def bench_sim(budget: BenchBudget, seed: int, tracer: Tracer) -> Dict[str, Any]:
         },
         "batch_cycles_per_second": (
             batch_stepped / batch_wall if batch_wall > 0 else 0.0
+        ),
+        "short": {
+            "regions": len(short),
+            "serial_wall_seconds": short_serial_wall,
+            "batch_wall_seconds": short_batch_wall,
+        },
+        "short_regions_per_second": (
+            len(short) / short_serial_wall if short_serial_wall > 0 else 0.0
+        ),
+        "batch_short_regions_per_second": (
+            len(short) / short_batch_wall if short_batch_wall > 0 else 0.0
         ),
         "spans": _span_stats(tracer, mark),
     }
@@ -514,6 +547,9 @@ def render_bench(docs: Dict[str, Dict[str, Any]], budget: str) -> str:
             f"  batch: {batch['pairs']} regions, "
             f"{s['batch_cycles_per_second']:,.0f} cycles/s, "
             f"identical to serial: {batch['identical_to_serial']}",
+            f"  short: {s['short']['regions']} regions, "
+            f"{s['short_regions_per_second']:,.0f} regions/s serial, "
+            f"{s['batch_short_regions_per_second']:,.0f} regions/s batched",
         ]
     if "search" in docs:
         doc = docs["search"]

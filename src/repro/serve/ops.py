@@ -156,7 +156,7 @@ def simulate_batch_op(
     :func:`simulate_op` would serve for that name) in input order, with
     ``None`` for workloads that do not map onto the overlay.  A name
     listed twice is stepped once (:func:`repro.sim.simulate_batch`'s
-    identity dedupe: same overlay object, workload and variant).
+    dedupe: same overlay object, workload and variant, equal schedule).
     """
     schedules: List[Optional[Any]] = []
     for name in workload_names:

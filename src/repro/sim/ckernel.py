@@ -1,27 +1,42 @@
 """Compiled stepping kernel for the vectorized simulator core.
 
-:mod:`repro.sim.vector` packs one tile's simulation state into numpy
-struct-of-arrays; this module owns the C stepping kernel that advances
-that packed state.  The kernel is an *exact transliteration* of the
-object-model inner loop (``components.py`` + the ``simulate_schedule``
-driver): every floating-point operation appears in the same order as
-the Python source, so IEEE-754 double results — and therefore cycle
-counts — are bit-identical to the reference simulator.  That contract
-is load-bearing (the differential-fuzz oracle and the memo both key on
-exact cycle counts) and is enforced by ``tests/test_sim_vector.py``.
+:mod:`repro.sim.vector` packs a batch of tiles' simulation state into
+batch-major numpy struct-of-arrays; this module owns the C stepping
+kernel that advances that packed state.  Its one entry point,
+``repro_step_batch(BatchState*, n)``, takes one struct of array
+pointers (built once per call), points a stack ``TileState`` at each
+region's slices and steps the regions one after another to completion,
+writing ``status[r]`` — a whole batch costs one ctypes call.  There are
+no lock-step lanes: short regions are stepped cycle by cycle (the event
+skip almost never fires on them) and the loop is data-dependent scalar
+code bound by FP divides, so the win is the per-call cost; no threads
+either, process-level sharding (``repro.jobs``, soak shards, the serve
+pool) already owns the CPUs.
+
+The kernel is an *exact transliteration* of the object-model inner loop
+(``components.py`` + ``Region.step_object``, the reference driver
+loop): every floating-point operation appears in the same order as the
+Python source, so IEEE-754 double results — and therefore cycle counts —
+are bit-identical to the reference simulator.  Integer index arithmetic
+is free to differ (ring and round-robin wraps compare instead of
+dividing).  That contract is load-bearing (the differential-fuzz oracle
+keys on exact cycle counts) and is enforced by
+``tests/test_sim_vector.py``.
 
 Why C and not numpy ufuncs: the inner loop is a chain of data-dependent
 scalar ``min``/compare/accumulate steps across *heterogeneous* coupled
 components (engines arbitrating shared bandwidth pools, FIFOs feeding a
 retiring pipeline).  There is no per-cycle data parallelism to
 vectorize across — the win is removing interpreter dispatch from the
-~10^5-cycle regions, plus event-driven skip-ahead over idle cycles.
+stepping loop, plus event-driven skip-ahead over idle cycles.
 The packed numpy arrays are the data plane; the C kernel is the only
 consumer of their raw buffers.
 
 Toolchain policy: the kernel is built once per process from the
-in-repo source string with the *system* C compiler (``cc``), cached on
-disk keyed by a source digest.  No new Python dependency is introduced;
+in-repo source string with the *system* C compiler (``cc``, source on
+stdin, output renamed into place), cached on disk keyed by a source
+digest; a cached object that does not load or lacks the entry point is
+discarded and rebuilt once.  No new Python dependency is introduced;
 when no compiler is available :func:`load_kernel` returns ``None`` and
 the simulator transparently falls back to the object core.
 
@@ -39,13 +54,13 @@ import os
 import subprocess
 import tempfile
 import threading
-from typing import Optional
+from typing import Dict, Optional
 
 #: Incremented whenever KERNEL_SOURCE changes semantics; part of the
 #: on-disk cache key so stale shared objects are never reused.
-KERNEL_VERSION = 1
+KERNEL_VERSION = 2
 
-#: Statuses returned by ``repro_step_region`` (must match the C enum).
+#: Per-region statuses ``repro_step_batch`` writes (must match the C enum).
 STATUS_DONE = 0
 STATUS_HARD_CAP = 1
 STATUS_DEADLOCK = 2
@@ -53,10 +68,12 @@ STATUS_STUCK = 3
 
 KERNEL_SOURCE = r"""
 /* Exact C transliteration of repro/sim/components.py stepping +
- * the simulate_schedule driver loop.  See repro/sim/ckernel.py for
- * the bit-identity contract.  Compiled with -ffp-contract=off. */
+ * the per-region driver loop (Region.step_object).  See
+ * repro/sim/ckernel.py for the bit-identity contract.  Compiled with
+ * -ffp-contract=off. */
 #include <stdint.h>
 
+/* One region: pointers into its slices of the BatchState arrays. */
 typedef struct {
     /* streams (flattened engine-by-engine, add_stream order) */
     int64_t n_streams;
@@ -113,12 +130,48 @@ typedef struct {
     int64_t exact;
     int64_t hard_cap;
     int64_t measure_window;
-    int64_t *now;           /* [1] in/out */
-    int64_t *last_progress; /* [1] in/out */
-    double *last_firings;   /* [1] in/out */
+    int64_t *now;           /* [1] out */
     double *window_firings; /* [1] out */
     int64_t *window_cycle;  /* [1] out */
 } TileState;
+
+/* A whole batch, one array per field.  Region r owns the slice
+ * [off[r], off[r + 1]) of every array of a component class (s_off for
+ * the s_* stream arrays and cand, f_off, e_off, p_off, in_off, out_off,
+ * pipe_off likewise) and element r of the per-region arrays.  All
+ * indices stored in the arrays (s_fifo, s_fwd, e_start, e_end, e_last,
+ * in_fifo, out_fifo) are relative to the region's own slices.  Field
+ * order must match ckernel.BATCH_ARRAYS. */
+typedef struct {
+    int64_t *s_off, *f_off, *e_off, *p_off, *in_off, *out_off, *pipe_off;
+    double *s_total, *s_cap, *s_eb, *s_l2f, *s_dramf, *s_moved, *s_done_tol;
+    int64_t *s_disp, *s_is_read, *s_fifo, *s_fwd;
+    double *f_cap, *f_level;
+    int64_t *e_start, *e_end;
+    double *e_bw;
+    int64_t *e_onehot, *e_has_pools, *e_rr, *e_last, *e_issued, *e_busy;
+    double *p_rate, *p_avail, *p_consumed;
+    int64_t *in_fifo;
+    double *in_rate;
+    int64_t *out_fifo;
+    double *out_rate;
+    int64_t *pipe_due;
+    double *pipe_count;
+    /* one element per region */
+    double *fab_total, *fab_done_tol;
+    int64_t *fab_depth;
+    double *fab_firings;
+    int64_t *fab_stalls, *pipe_head, *pipe_len;
+    int64_t *now;
+    double *window_firings;
+    int64_t *window_cycle, *status;
+    /* candidate-index scratch, sliced like the stream arrays */
+    int64_t *cand;
+    /* driver parameters, constant across the batch */
+    int64_t exact;
+    int64_t hard_cap;
+    int64_t measure_window;
+} BatchState;
 
 enum {
     STATUS_DONE = 0,
@@ -231,14 +284,20 @@ static int engine_step(TileState *st, int64_t ei, int64_t now,
     double budget = st->e_bw[ei];
     double moved = 0.0;
     int64_t rr = st->e_rr[ei];
+    /* candidates[(rr + off) % n] by wrap-compare: rr is below the
+     * previous cycle's candidate count, so it needs reducing only when
+     * that count shrank. */
+    int64_t at = rr;
+    if (at >= n) at %= n;
+    int64_t rr_new = (at + 1 == n) ? 0 : at + 1;  /* (rr + 1) % n */
     for (int64_t off = 0; off < n; off++) {
-        int64_t s = cand[(rr + off) % n];
+        int64_t s = cand[at];
+        if (++at == n) at = 0;
         double got = serve(st, ei, s, budget / st->s_eb[s]);
         moved += got;
         budget -= got * st->s_eb[s];
         if (budget <= 1e-12) break;
     }
-    int64_t rr_new = (rr + 1) % n;
     st->e_rr[ei] = rr_new;
     int64_t last_new;
     if (moved > 0.0) {
@@ -275,7 +334,7 @@ static int fabric_step(TileState *st, int64_t now) {
             fifo_push(st, st->out_fifo[i], can_push * st->out_rate[i]);
         changed = 1;
         if (can_push >= count - 1e-12) {
-            head = (head + 1) % st->pipe_cap;
+            if (++head == st->pipe_cap) head = 0;
             len -= 1;
         } else {
             st->pipe_count[head] = count - can_push;
@@ -305,7 +364,8 @@ static int fabric_step(TileState *st, int64_t now) {
     }
     for (int64_t i = 0; i < st->n_in; i++)
         fifo_pop(st, st->in_fifo[i], can * st->in_rate[i]);
-    int64_t tail = (head + len) % st->pipe_cap;
+    int64_t tail = head + len;  /* head < pipe_cap, len <= pipe_cap */
+    if (tail >= st->pipe_cap) tail -= st->pipe_cap;
     st->pipe_due[tail] = now + st->fab_depth;
     st->pipe_count[tail] = can;
     *st->pipe_len = len + 1;
@@ -320,19 +380,21 @@ static int fabric_done(const TileState *st) {
     return remaining <= 0.0 && *st->pipe_len == 0;
 }
 
-/* The simulate_schedule driver loop.  `cand` is caller-provided
- * scratch of n_streams int64s.  Event-skip invariant: a cycle whose
+/* The per-region driver loop.  `cand` is caller-provided scratch of
+ * n_streams int64s.  Event-skip invariant: a cycle whose
  * step changed no persistent state (stream/fifo/pool/pipeline/rr/
  * last_issued/firings) except possibly stall_cycles is "frozen"; all
  * following cycles are identical until the next event — the earliest
  * of: a stream's dispatched_at, the pipeline head's due cycle, the
  * hard cap, and the no-progress deadline.  Skipped cycles replay
  * stall_cycles increments analytically. */
-int64_t repro_step_region(TileState *st, int64_t *cand) {
-    int64_t now = *st->now;
-    int64_t last_progress = *st->last_progress;
-    double last_firings = *st->last_firings;
+static int64_t step_region(TileState *st, int64_t *cand) {
+    int64_t now = 0;
+    int64_t last_progress = 0;
+    double last_firings = -1.0;
     int64_t status;
+    *st->window_firings = 0.0;
+    *st->window_cycle = 0;
     for (;;) {
         if (fabric_done(st)) {
             /* Residual read elements terminate with the region. */
@@ -417,73 +479,95 @@ int64_t repro_step_region(TileState *st, int64_t *cand) {
         }
     }
     *st->now = now;
-    *st->last_progress = last_progress;
-    *st->last_firings = last_firings;
     return status;
+}
+
+/* Step regions [0, n) of the batch one after another, each to
+ * completion; status[r] says how region r ended. */
+#define SLICE(field, first) st.field = b->field + (first)
+void repro_step_batch(const BatchState *b, int64_t n) {
+    for (int64_t r = 0; r < n; r++) {
+        TileState st;
+        int64_t s0 = b->s_off[r], f0 = b->f_off[r], e0 = b->e_off[r];
+        int64_t p0 = b->p_off[r], in0 = b->in_off[r], out0 = b->out_off[r];
+        int64_t pipe0 = b->pipe_off[r];
+        st.n_streams = b->s_off[r + 1] - s0;
+        SLICE(s_total, s0); SLICE(s_cap, s0); SLICE(s_eb, s0);
+        SLICE(s_l2f, s0); SLICE(s_dramf, s0); SLICE(s_moved, s0);
+        SLICE(s_done_tol, s0); SLICE(s_disp, s0); SLICE(s_is_read, s0);
+        SLICE(s_fifo, s0); SLICE(s_fwd, s0);
+        st.n_fifos = b->f_off[r + 1] - f0;
+        SLICE(f_cap, f0); SLICE(f_level, f0);
+        st.n_engines = b->e_off[r + 1] - e0;
+        SLICE(e_start, e0); SLICE(e_end, e0); SLICE(e_bw, e0);
+        SLICE(e_onehot, e0); SLICE(e_has_pools, e0); SLICE(e_rr, e0);
+        SLICE(e_last, e0); SLICE(e_issued, e0); SLICE(e_busy, e0);
+        st.n_pools = b->p_off[r + 1] - p0;
+        SLICE(p_rate, p0); SLICE(p_avail, p0); SLICE(p_consumed, p0);
+        st.n_in = b->in_off[r + 1] - in0;
+        SLICE(in_fifo, in0); SLICE(in_rate, in0);
+        st.n_out = b->out_off[r + 1] - out0;
+        SLICE(out_fifo, out0); SLICE(out_rate, out0);
+        st.pipe_cap = b->pipe_off[r + 1] - pipe0;
+        SLICE(pipe_due, pipe0); SLICE(pipe_count, pipe0);
+        /* one element per region: [1] views and plain values */
+        SLICE(fab_firings, r); SLICE(fab_stalls, r); SLICE(pipe_head, r);
+        SLICE(pipe_len, r); SLICE(now, r); SLICE(window_firings, r);
+        SLICE(window_cycle, r);
+        st.fab_total = b->fab_total[r];
+        st.fab_done_tol = b->fab_done_tol[r];
+        st.fab_depth = b->fab_depth[r];
+        st.exact = b->exact;
+        st.hard_cap = b->hard_cap;
+        st.measure_window = b->measure_window;
+        b->status[r] = step_region(&st, b->cand + s0);
+    }
 }
 """
 
-_P_DOUBLE = ctypes.POINTER(ctypes.c_double)
-_P_INT64 = ctypes.POINTER(ctypes.c_int64)
+_F8, _I8 = "f8", "i8"
+
+#: ``BatchState``'s arrays in C field order -> numpy dtype.  This is the
+#: batch layout contract between :func:`repro.sim.vector.pack_batch`
+#: (which fills one array per name) and the C struct (whose pointer
+#: fields are declared in exactly this order).
+BATCH_ARRAYS: Dict[str, str] = {
+    # region r owns [off[r], off[r + 1]) of its component class's arrays
+    "s_off": _I8, "f_off": _I8, "e_off": _I8, "p_off": _I8,
+    "in_off": _I8, "out_off": _I8, "pipe_off": _I8,
+    # streams
+    "s_total": _F8, "s_cap": _F8, "s_eb": _F8, "s_l2f": _F8,
+    "s_dramf": _F8, "s_moved": _F8, "s_done_tol": _F8,
+    "s_disp": _I8, "s_is_read": _I8, "s_fifo": _I8, "s_fwd": _I8,
+    # port FIFOs
+    "f_cap": _F8, "f_level": _F8,
+    # engines
+    "e_start": _I8, "e_end": _I8, "e_bw": _F8, "e_onehot": _I8,
+    "e_has_pools": _I8, "e_rr": _I8, "e_last": _I8, "e_issued": _I8,
+    "e_busy": _I8,
+    # bandwidth pools
+    "p_rate": _F8, "p_avail": _F8, "p_consumed": _F8,
+    # fabric ports and the pipeline ring
+    "in_fifo": _I8, "in_rate": _F8, "out_fifo": _I8, "out_rate": _F8,
+    "pipe_due": _I8, "pipe_count": _F8,
+    # one element per region
+    "fab_total": _F8, "fab_done_tol": _F8, "fab_depth": _I8,
+    "fab_firings": _F8, "fab_stalls": _I8, "pipe_head": _I8,
+    "pipe_len": _I8, "now": _I8, "window_firings": _F8,
+    "window_cycle": _I8, "status": _I8,
+    # candidate-index scratch, sliced like the stream arrays
+    "cand": _I8,
+}
 
 
-class TileStateStruct(ctypes.Structure):
-    """ctypes mirror of the C ``TileState`` (field order must match)."""
+class BatchStateStruct(ctypes.Structure):
+    """ctypes mirror of the C ``BatchState``: one address per array of
+    :data:`BATCH_ARRAYS`, then the batch-wide driver parameters."""
 
-    _fields_ = [
-        ("n_streams", ctypes.c_int64),
-        ("s_total", _P_DOUBLE),
-        ("s_cap", _P_DOUBLE),
-        ("s_eb", _P_DOUBLE),
-        ("s_l2f", _P_DOUBLE),
-        ("s_dramf", _P_DOUBLE),
-        ("s_moved", _P_DOUBLE),
-        ("s_done_tol", _P_DOUBLE),
-        ("s_disp", _P_INT64),
-        ("s_is_read", _P_INT64),
-        ("s_fifo", _P_INT64),
-        ("s_fwd", _P_INT64),
-        ("n_fifos", ctypes.c_int64),
-        ("f_cap", _P_DOUBLE),
-        ("f_level", _P_DOUBLE),
-        ("n_engines", ctypes.c_int64),
-        ("e_start", _P_INT64),
-        ("e_end", _P_INT64),
-        ("e_bw", _P_DOUBLE),
-        ("e_onehot", _P_INT64),
-        ("e_has_pools", _P_INT64),
-        ("e_rr", _P_INT64),
-        ("e_last", _P_INT64),
-        ("e_issued", _P_INT64),
-        ("e_busy", _P_INT64),
-        ("n_pools", ctypes.c_int64),
-        ("p_rate", _P_DOUBLE),
-        ("p_avail", _P_DOUBLE),
-        ("p_consumed", _P_DOUBLE),
-        ("n_in", ctypes.c_int64),
-        ("in_fifo", _P_INT64),
-        ("in_rate", _P_DOUBLE),
-        ("n_out", ctypes.c_int64),
-        ("out_fifo", _P_INT64),
-        ("out_rate", _P_DOUBLE),
-        ("fab_total", ctypes.c_double),
-        ("fab_done_tol", ctypes.c_double),
-        ("fab_depth", ctypes.c_int64),
-        ("fab_firings", _P_DOUBLE),
-        ("fab_stalls", _P_INT64),
-        ("pipe_cap", ctypes.c_int64),
-        ("pipe_due", _P_INT64),
-        ("pipe_count", _P_DOUBLE),
-        ("pipe_head", _P_INT64),
-        ("pipe_len", _P_INT64),
+    _fields_ = [(name, ctypes.c_void_p) for name in BATCH_ARRAYS] + [
         ("exact", ctypes.c_int64),
         ("hard_cap", ctypes.c_int64),
         ("measure_window", ctypes.c_int64),
-        ("now", _P_INT64),
-        ("last_progress", _P_INT64),
-        ("last_firings", _P_DOUBLE),
-        ("window_firings", _P_DOUBLE),
-        ("window_cycle", _P_INT64),
     ]
 
 
@@ -503,12 +587,12 @@ class Kernel:
     def __init__(self, lib: ctypes.CDLL, path: str):
         self.lib = lib
         self.path = path
-        self.step_region = lib.repro_step_region
-        self.step_region.argtypes = [
-            ctypes.POINTER(TileStateStruct),
-            _P_INT64,
+        self.step_batch = lib.repro_step_batch
+        self.step_batch.argtypes = [
+            ctypes.POINTER(BatchStateStruct),
+            ctypes.c_int64,
         ]
-        self.step_region.restype = ctypes.c_int64
+        self.step_batch.restype = None
 
 
 def _cache_dir() -> str:
@@ -525,25 +609,61 @@ def _source_digest() -> str:
 
 
 def _compile(cache_dir: str) -> str:
-    """Compile the kernel into the cache; returns the .so path."""
+    """Compile the kernel into the cache; returns the .so path.
+
+    Nothing shared is ever written in place: the source goes to ``cc``
+    on stdin and the object to a private temp name that is renamed over
+    the digest name, so concurrent cold builders cannot install a
+    truncated library for each other.
+    """
     os.makedirs(cache_dir, exist_ok=True)
-    digest = _source_digest()
-    so_path = os.path.join(cache_dir, f"repro_sim_kernel_{digest}.so")
+    so_path = os.path.join(
+        cache_dir, f"repro_sim_kernel_{_source_digest()}.so"
+    )
     if os.path.exists(so_path):
         return so_path
     cc = os.environ.get("CC", "cc")
-    src_path = os.path.join(cache_dir, f"repro_sim_kernel_{digest}.c")
-    tmp_so = f"{so_path}.tmp.{os.getpid()}"
-    with open(src_path, "w") as f:
-        f.write(KERNEL_SOURCE)
-    subprocess.run(
-        [cc, *CFLAGS, "-o", tmp_so, src_path],
-        check=True,
-        capture_output=True,
-        timeout=120,
-    )
-    os.replace(tmp_so, so_path)  # atomic: concurrent builders race safely
+    fd, tmp_so = tempfile.mkstemp(dir=cache_dir, suffix=".so.tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *CFLAGS, "-x", "c", "-o", tmp_so, "-"],
+            input=KERNEL_SOURCE.encode(),
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        os.replace(tmp_so, so_path)  # atomic: concurrent builders race safely
+    finally:
+        if os.path.exists(tmp_so):
+            os.unlink(tmp_so)
     return so_path
+
+
+def _load(cache_dir: str) -> Kernel:
+    """Build-or-reuse the cached library and bind its entry point.
+
+    A cached object that does not load, or loads without the entry
+    point (a build interrupted or poisoned by an older writer), is
+    corrupt: it is unlinked and rebuilt once; a second failure raises.
+    """
+    so_path = _compile(cache_dir)
+    try:
+        lib = ctypes.CDLL(so_path)
+    except OSError:
+        lib = None
+    if lib is not None:
+        try:
+            return Kernel(lib, so_path)
+        except AttributeError:
+            # dlopen answers a path it already holds from its own table:
+            # close the stale handle or the rebuilt file is never read.
+            import _ctypes
+
+            _ctypes.dlclose(lib._handle)
+    os.unlink(so_path)
+    so_path = _compile(cache_dir)
+    return Kernel(ctypes.CDLL(so_path), so_path)
 
 
 def load_kernel() -> Optional[Kernel]:
@@ -559,8 +679,7 @@ def load_kernel() -> Optional[Kernel]:
             return _kernel
         _load_attempted = True
         try:
-            so_path = _compile(_cache_dir())
-            _kernel = Kernel(ctypes.CDLL(so_path), so_path)
+            _kernel = _load(_cache_dir())
         except Exception as exc:  # noqa: BLE001 - any toolchain failure
             _load_error = f"{type(exc).__name__}: {exc}"
             _kernel = None

@@ -77,8 +77,7 @@ def run_sequence(
     Consecutive runs of the *same* configuration skip the reconfiguration
     (the overlay is already programmed).  The unique configurations in the
     sequence are stepped as one :func:`~repro.sim.batch.simulate_batch`
-    pass (first-appearance order), so the compiled stepping kernel warms
-    once for the whole sequence.
+    pass (first-appearance order): one kernel call for the whole sequence.
     """
     from .batch import simulate_batch
 

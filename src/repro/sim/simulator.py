@@ -1,11 +1,17 @@
 """Tile/system simulation of a scheduled mDFG on an overlay.
 
-`simulate_schedule` builds one tile's worth of engines/ports/fabric from a
-:class:`~repro.scheduler.Schedule`, shares L2/NoC/DRAM bandwidth pools with
-the other (homogeneous) tiles, and steps cycles until the region drains.
+A :class:`Region` is one tile's worth of engines/ports/fabric built from a
+:class:`~repro.scheduler.Schedule`; it shares L2/NoC/DRAM bandwidth pools
+with the other (homogeneous) tiles and is stepped until it drains.
 Because every tile runs the same kernel on its slice of the outer parallel
 loop, one simulated tile against 1/N of the shared bandwidth reproduces the
 full-system behavior at a fraction of the cost.
+
+This module owns everything about *one* region: building it
+(:func:`build_tile`), the reference per-cycle loop
+(:meth:`Region.step_object`) and result assembly (:meth:`Region.result`).
+Stepping is always driven by :func:`repro.sim.batch.simulate_batch`;
+:func:`simulate_schedule` is that call with a batch of one.
 
 Modeling notes (substitutions documented in DESIGN.md):
 
@@ -21,7 +27,7 @@ Modeling notes (substitutions documented in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..adg import ADG, NodeKind, SysADG
 from ..dfg import (
@@ -33,7 +39,6 @@ from ..dfg import (
     StreamNode,
 )
 from ..ir import op_latency
-from ..profile.tracer import add_counter, span
 from ..scheduler import Schedule
 from .components import (
     BandwidthPool,
@@ -84,16 +89,18 @@ class SimulationError(RuntimeError):
 def critical_path_depth(mdfg: MDFG, schedule: Schedule) -> int:
     """Pipeline depth: longest (route hops + op latency) path to an output."""
     depth: Dict[int, int] = {}
+    #: destination node -> (source node, route hops) of every routed edge
+    into: Dict[int, List[Tuple[int, int]]] = {}
+    for (src, dst, _slot), path in schedule.routes.items():
+        into.setdefault(dst, []).append((src, len(path) - 1))
 
     def node_depth(nid: int) -> int:
         if nid in depth:
             return depth[nid]
         node = mdfg.node(nid)
         best = 0
-        for edge_key, path in schedule.routes.items():
-            src, dst, _slot = edge_key
-            if dst == nid:
-                best = max(best, node_depth(src) + len(path) - 1)
+        for src, hops in into.get(nid, ()):
+            best = max(best, node_depth(src) + hops)
         if isinstance(node, ComputeNode):
             best += op_latency(node.op, node.dtype.is_float)
         depth[nid] = best
@@ -128,6 +135,14 @@ def build_tile(
     mdfg = schedule.mdfg
     adg = sysadg.adg
     params = sysadg.params
+    # Each of these is a scan over every mDFG node: read them once.
+    streams = mdfg.streams
+    input_ports = mdfg.input_ports
+    output_ports = mdfg.output_ports
+    arrays = mdfg.arrays
+    eps_of = {
+        s.node_id: _stream_elements_per_firing(mdfg, s) for s in streams
+    }
 
     # Shared bandwidth: each tile sees its NoC link and a 1/N share of the
     # L2 banks and DRAM channels.
@@ -144,7 +159,7 @@ def build_tile(
 
     # Port FIFOs.
     fifos: Dict[int, PortFifo] = {}
-    for port_node in mdfg.input_ports + mdfg.output_ports:
+    for port_node in input_ports + output_ports:
         hw_id = schedule.placement.get(port_node.node_id)
         if hw_id is None:
             raise SimulationError(f"port {port_node.node_id} unplaced")
@@ -189,14 +204,13 @@ def build_tile(
     # Streams.
     dispatch_order = 0
     rec_handled: set = set()
-    for stream in sorted(mdfg.streams, key=lambda s: s.node_id):
+    for stream in sorted(streams, key=lambda s: s.node_id):
         engine_id = schedule.placement.get(stream.node_id)
         if engine_id is None:
             raise SimulationError(f"stream {stream.node_id} unbound")
         hw = adg.node(engine_id)
         port_fifo = fifos[stream.port]
-        eps = _stream_elements_per_firing(mdfg, stream)
-        total = eps * firings_total
+        total = eps_of[stream.node_id] * firings_total
         if total <= 0:
             continue
         if stream.kind is StreamKind.RECURRENCE:
@@ -238,7 +252,7 @@ def build_tile(
         if hw.kind is NodeKind.DMA:
             l2_frac = stream.stride_overfetch
             array = next(
-                (a for a in mdfg.arrays if a.array == stream.array), None
+                (a for a in arrays if a.array == stream.array), None
             )
             footprint_bytes = stream.footprint * stream.dtype.bytes
             if array is None or not array.partitionable:
@@ -266,17 +280,13 @@ def build_tile(
         )
         dispatch_order += 1
 
-    # Fabric configuration.
-    inputs = []
-    for port_node in mdfg.input_ports:
-        streams = [s for s in mdfg.streams if s.port == port_node.node_id]
-        eps = sum(_stream_elements_per_firing(mdfg, s) for s in streams)
-        inputs.append((fifos[port_node.node_id], eps))
-    outputs = []
-    for port_node in mdfg.output_ports:
-        streams = [s for s in mdfg.streams if s.port == port_node.node_id]
-        eps = sum(_stream_elements_per_firing(mdfg, s) for s in streams)
-        outputs.append((fifos[port_node.node_id], eps))
+    # Fabric configuration: per port, its streams' rates summed in
+    # mdfg.streams order.
+    port_eps = dict.fromkeys(fifos, 0)
+    for stream in streams:
+        port_eps[stream.port] += eps_of[stream.node_id]
+    inputs = [(fifos[p.node_id], port_eps[p.node_id]) for p in input_ports]
+    outputs = [(fifos[p.node_id], port_eps[p.node_id]) for p in output_ports]
     fabric = FabricSim(
         FabricConfig(
             inputs=inputs,
@@ -302,102 +312,66 @@ def _resolve_core(core: Optional[str]) -> str:
     return name
 
 
-def simulate_schedule(
-    schedule: Schedule,
-    sysadg: SysADG,
-    onehot_bypass: bool = True,
-    exact: bool = False,
-    max_exact_cycles: int = 200_000,
-    measure_window: int = 4_000,
-    core: Optional[str] = None,
-) -> SimResult:
-    """Simulate one scheduled region on the overlay; returns cycles/IPC.
+@dataclass
+class Region:
+    """One schedule's tile, built and ready to step, plus what the
+    stepping loop (either core) leaves behind for :meth:`result`."""
 
-    ``core`` selects the stepping implementation: ``"object"`` is the
-    reference per-cycle Python model, ``"vector"`` the packed-array
-    compiled core (bit-identical cycle counts, 10-100x faster), and
-    ``"auto"`` (default, also via ``$REPRO_SIM_CORE``) uses the vector
-    core when a C compiler is available and falls back to objects.
-    """
-    mdfg = schedule.mdfg
-    params = sysadg.params
-    core_name = _resolve_core(core)
-    if not exact and max_exact_cycles <= 1:
-        raise SimulationError(
-            f"{mdfg.workload}/{mdfg.variant}: max_exact_cycles="
-            f"{max_exact_cycles} leaves no room to measure a steady-state "
-            "rate (need at least 2 cycles)"
+    mdfg: MDFG
+    tiles_used: int
+    engines: List[EngineSim]
+    fabric: FabricSim
+    pools: List[BandwidthPool]
+    #: cycles stepped by the driver loop
+    now: int = 0
+    #: the loop stopped at the exact-cycle cap, not at the drain
+    extrapolated: bool = False
+    #: firings / cycle when the steady-state measurement window opened
+    window_firings: float = 0.0
+    window_cycle: int = 0
+    #: why stepping gave up on this region, if it did
+    error: Optional[SimulationError] = None
+
+    @classmethod
+    def build(
+        cls, schedule: Schedule, sysadg: SysADG, onehot_bypass: bool
+    ) -> "Region":
+        mdfg = schedule.mdfg
+        tiles_used = max(
+            1, min(sysadg.params.num_tiles, int(mdfg.tile_parallelism))
         )
-    if not exact and measure_window >= max_exact_cycles:
-        # The steady-state window must open before the exact-cycle cap, or
-        # the extrapolation rate would be measured from cycle 0 and include
-        # the dispatch/config warm-up transient.  Clamp the window start to
-        # half the cap: the first half absorbs warm-up, the second half is
-        # the measurement.
-        measure_window = max(1, max_exact_cycles // 2)
-    tiles_used = max(1, min(params.num_tiles, int(mdfg.tile_parallelism)))
-    engines, fabric, pools = build_tile(
-        schedule, sysadg, tiles_used, onehot_bypass=onehot_bypass
-    )
+        engines, fabric, pools = build_tile(
+            schedule, sysadg, tiles_used, onehot_bypass=onehot_bypass
+        )
+        return cls(mdfg, tiles_used, engines, fabric, pools)
 
-    config_cycles = mdfg.config_words  # 1 word/cycle reconfiguration reload
-    now = 0
-    window_start_firings = 0.0
-    window_start_cycle = 0
-    extrapolated = False
-    last_progress_cycle = 0
-    last_firings = -1.0
+    @property
+    def name(self) -> str:
+        return f"{self.mdfg.workload}/{self.mdfg.variant}"
 
-    hard_cap = max_exact_cycles if not exact else 1 << 62
-    use_vector = False
-    if core_name in ("auto", "vector"):
-        from .vector import (
-            pack_tile,
-            run_packed_region,
-            vector_core_available,
+    @property
+    def tile(self) -> Tuple[List[EngineSim], FabricSim, List[BandwidthPool]]:
+        """What :func:`build_tile` returned (the packer's input)."""
+        return self.engines, self.fabric, self.pools
+
+    def no_progress(self) -> SimulationError:
+        fabric = self.fabric
+        return SimulationError(
+            f"{self.name}: no progress for 20k cycles at cycle {self.now} "
+            f"(firings={fabric.firings:.1f}/"
+            f"{fabric.config.total_firings:.1f})"
         )
 
-        pack = None
-        if vector_core_available():
-            pack = pack_tile(engines, fabric, pools)
-        use_vector = pack is not None
-        if not use_vector and core_name == "vector":
-            from .ckernel import load_error
-
-            reason = (
-                load_error() or "tile shape outside the packed model"
-            )
-            raise SimulationError(
-                f"{mdfg.workload}/{mdfg.variant}: vector core "
-                f"unavailable ({reason}); use core='auto' or 'object'"
-            )
-    with span("sim.region", workload=mdfg.workload, variant=mdfg.variant):
-        if use_vector:
-            out = run_packed_region(pack, exact, hard_cap, measure_window)
-            if out is None:  # compiler vanished between probe and run
-                use_vector = False
-            else:
-                if out.deadlocked:
-                    raise SimulationError(
-                        f"{mdfg.workload}/{mdfg.variant}: no progress "
-                        f"for 20k cycles at cycle {out.now} "
-                        f"(firings={fabric.firings:.1f}/"
-                        f"{fabric.config.total_firings:.1f})"
-                    )
-                if out.stuck:
-                    # The object loop would spin forever here (fabric
-                    # drained, write streams starved, no future event);
-                    # the vector core surfaces it instead of hanging.
-                    raise SimulationError(
-                        f"{mdfg.workload}/{mdfg.variant}: stalled with "
-                        f"drained fabric and no future event at cycle "
-                        f"{out.now}"
-                    )
-                now = out.now
-                extrapolated = out.hard_capped
-                window_start_firings = out.window_firings
-                window_start_cycle = out.window_cycle
-        while not use_vector:
+    def step_object(
+        self, exact: bool, hard_cap: int, measure_window: int
+    ) -> None:
+        """The reference per-cycle loop over the component objects; the
+        C kernel is its transliteration.  Raises on deadlock."""
+        engines, fabric, pools = self.engines, self.fabric, self.pools
+        now = 0
+        last_progress_cycle = 0
+        last_firings = -1.0
+        while True:
             if fabric.done:
                 # Residual read elements (rounding of stationary hold
                 # factors) are terminated with the region: streams end when
@@ -409,7 +383,7 @@ def simulate_schedule(
             if fabric.done and all(e.done for e in engines):
                 break
             if not exact and now >= hard_cap:
-                extrapolated = True
+                self.extrapolated = True
                 break
             for pool in pools:
                 pool.refill()
@@ -420,42 +394,56 @@ def simulate_schedule(
                 last_firings = fabric.firings
                 last_progress_cycle = now
             if now - last_progress_cycle > 20_000 and not fabric.done:
-                raise SimulationError(
-                    f"{mdfg.workload}/{mdfg.variant}: no progress for 20k "
-                    f"cycles at cycle {now} (firings={fabric.firings:.1f}/"
-                    f"{fabric.config.total_firings:.1f})"
-                )
+                self.now = now
+                raise self.no_progress()
             now += 1
             if now == measure_window:
-                window_start_firings = fabric.firings
-                window_start_cycle = now
-    add_counter("sim.regions")
-    add_counter("sim.cycles_stepped", now)
+                self.window_firings = fabric.firings
+                self.window_cycle = now
+        self.now = now
 
-    if extrapolated:
-        rate = (fabric.firings - window_start_firings) / max(
-            1, now - window_start_cycle
-        )
-        if rate <= 0:
-            raise SimulationError(
-                f"{mdfg.workload}/{mdfg.variant}: zero steady-state rate"
+    def result(self) -> SimResult:
+        """Extrapolate if the loop stopped at the cap; assemble the result."""
+        mdfg, fabric, now = self.mdfg, self.fabric, self.now
+        if self.extrapolated:
+            rate = (fabric.firings - self.window_firings) / max(
+                1, now - self.window_cycle
             )
-        remaining = fabric.config.total_firings - fabric.firings
-        total_cycles = now + remaining / rate
-    else:
-        total_cycles = float(now)
+            if rate <= 0:
+                raise SimulationError(
+                    f"{self.name}: zero steady-state rate"
+                )
+            remaining = fabric.config.total_firings - fabric.firings
+            total_cycles = now + remaining / rate
+        else:
+            total_cycles = float(now)
+        # 1 word/cycle reconfiguration reload
+        total_cycles += mdfg.config_words
+        return SimResult(
+            workload=mdfg.workload,
+            variant=mdfg.variant,
+            cycles=total_cycles,
+            instructions=mdfg.total_instructions,
+            tiles_used=self.tiles_used,
+            extrapolated=self.extrapolated,
+            stepped_cycles=now,
+            engine_busy={e.name: e.busy_cycles for e in self.engines},
+            pool_bytes={p.name: p.consumed_total for p in self.pools},
+            fabric_stalls=fabric.stall_cycles,
+        )
 
-    total_cycles += config_cycles
-    instructions = mdfg.total_instructions
-    return SimResult(
-        workload=mdfg.workload,
-        variant=mdfg.variant,
-        cycles=total_cycles,
-        instructions=instructions,
-        tiles_used=tiles_used,
-        extrapolated=extrapolated,
-        stepped_cycles=now,
-        engine_busy={e.name: e.busy_cycles for e in engines},
-        pool_bytes={p.name: p.consumed_total for p in pools},
-        fabric_stalls=fabric.stall_cycles,
-    )
+
+def simulate_schedule(
+    schedule: Schedule, sysadg: SysADG, **options: Any
+) -> SimResult:
+    """Simulate one scheduled region on the overlay; returns cycles/IPC.
+
+    The batch of one: ``options`` are
+    :func:`~repro.sim.batch.simulate_batch`'s keywords
+    (``onehot_bypass``, ``exact``, ``max_exact_cycles``,
+    ``measure_window``, ``core``) and its defaults are the only
+    defaults.
+    """
+    from .batch import simulate_batch
+
+    return simulate_batch([(schedule, sysadg)], dedupe=False, **options)[0]

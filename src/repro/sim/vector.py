@@ -1,26 +1,36 @@
-"""Array-form state packing for the vectorized simulator core.
+"""Batch-major state packing for the vectorized simulator core.
 
 The object model in :mod:`repro.sim.components` stays the reference
-implementation; this module packs one built tile (engines, fabric,
-pools) into numpy struct-of-arrays grouped per component class —
-streams, port FIFOs, engines, bandwidth pools, and the fabric pipeline
-as a fixed ring buffer — and steps the whole region in one call to the
-compiled kernel (:mod:`repro.sim.ckernel`).  After the run the packed
-state is written back into the original objects, so result assembly
-and all introspection (engine busy counters, pool bytes, FIFO levels,
-pipeline contents) are identical between cores.
+implementation; this module packs a *batch* of built tiles (engines,
+fabric, pools) into numpy struct-of-arrays and steps all of them in one
+call to the compiled kernel (:mod:`repro.sim.ckernel`).  After the run
+the packed state is written back into the original objects, so result
+assembly and all introspection (engine busy counters, pool bytes, FIFO
+levels, pipeline contents) are identical between cores.  One tile is
+the batch of one: there is no per-region packing path.
 
-State layout (documented in DESIGN.md's sim-core row):
+Batch layout (``ckernel.BATCH_ARRAYS`` names every array; documented in
+DESIGN.md's sim-core row).  Each component class is one set of parallel
+arrays holding every region's members back to back, plus an offset array
+of ``regions + 1`` entries — region ``r`` owns ``[off[r], off[r + 1])``:
 
-* streams: parallel float64/int64 arrays, flattened engine-by-engine in
-  the driver's step order; per-stream FIFO and forward-FIFO indices.
-* FIFOs: capacity/level arrays; every FIFO referenced by any stream or
-  fabric port gets one slot (identity-deduplicated).
-* engines: ``[start, end)`` stream ranges plus bandwidth, bypass flag,
-  round-robin pointer, last-issued stream index (-1 = None).
-* pools: fixed slots 0 = l2, 1 = dram (the only shape ``build_tile``
-  produces; anything else falls back to the object core).
-* pipeline: (due, count) ring buffer of at most depth+1 live entries.
+* streams (``s_off``): flattened engine-by-engine in the driver's step
+  order; per-stream FIFO and forward-FIFO indices.
+* FIFOs (``f_off``): capacity/level; every FIFO referenced by any stream
+  or fabric port of the region gets one slot (identity-deduplicated).
+* engines (``e_off``): ``[start, end)`` stream ranges plus bandwidth,
+  bypass flag, round-robin pointer, last-issued stream (-1 = None).
+* pools (``p_off``): slots 0 = l2, 1 = dram (the only shape
+  ``build_tile`` produces; :func:`packable` rejects anything else).
+* fabric ports (``in_off`` / ``out_off``) and the pipeline as a
+  (due, count) ring of ``depth + 8`` slots per region (``pipe_off``).
+* one element per region: firings, stalls, ring head/length, and the
+  outcome (``status``, ``now``, the measurement-window snapshot).
+
+Indices stored *in* the arrays are relative to the region's own slices,
+so the kernel's per-region code never sees the batch.  Columns are
+filled as Python tuples across the whole batch and converted with one
+``np.array`` per field per batch.
 
 The kernel is an exact transliteration of the object stepping order, so
 all synced-back floats are bit-identical to an object-core run.
@@ -28,30 +38,32 @@ all synced-back floats are bit-identical to an object-core run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
 import ctypes
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .ckernel import (
-    STATUS_DEADLOCK,
-    STATUS_DONE,
-    STATUS_HARD_CAP,
-    STATUS_STUCK,
-    TileStateStruct,
-    load_kernel,
+from ..profile.tracer import add_counter
+from .ckernel import BATCH_ARRAYS, BatchStateStruct, load_kernel
+from .components import (
+    BandwidthPool,
+    EngineSim,
+    FabricSim,
+    PortFifo,
+    StreamState,
 )
-from .components import BandwidthPool, EngineSim, FabricSim, StreamState
 
 __all__ = [
-    "TilePack",
-    "VectorOutcome",
-    "pack_tile",
-    "run_packed_region",
+    "BatchPack",
+    "pack_batch",
+    "packable",
+    "step_batch",
     "vector_core_available",
 ]
+
+#: What ``build_tile`` returns: one region's engines, fabric and pools.
+Tile = Tuple[Sequence[EngineSim], FabricSim, Sequence[BandwidthPool]]
 
 
 def vector_core_available() -> bool:
@@ -60,335 +72,254 @@ def vector_core_available() -> bool:
 
 
 @dataclass
-class TilePack:
-    """One tile's simulation state as numpy struct-of-arrays."""
+class BatchPack:
+    """A batch of tiles as batch-major struct-of-arrays.
 
+    The object lists are batch-flat, region by region, in the order of
+    the arrays they were packed into (``fabrics`` has one per region).
+    """
+
+    fabrics: List[FabricSim]
     engines: List[EngineSim]
-    fabric: FabricSim
-    pools: List[BandwidthPool]
     streams: List[StreamState]
-    fifos: List[object]  # PortFifo, identity-ordered
+    fifos: List[PortFifo]
+    pools: List[BandwidthPool]
     arrays: Dict[str, np.ndarray]
-    scratch: np.ndarray  # candidate-index scratch for the kernel
 
 
-@dataclass
-class VectorOutcome:
-    """Driver-loop outcome of one kernel region run."""
-
-    status: int
-    now: int
-    window_firings: float
-    window_cycle: int
-    done: bool
-    hard_capped: bool
-    deadlocked: bool
-    stuck: bool
-
-
-def pack_tile(
+def packable(
     engines: Sequence[EngineSim],
     fabric: FabricSim,
     pools: Sequence[BandwidthPool],
-) -> Optional[TilePack]:
-    """Pack a freshly built tile into arrays; None if the shape is
-    outside what the kernel models (caller falls back to objects)."""
-    pools = list(pools)
+) -> bool:
+    """False if the tile's shape is outside what the kernel models
+    (the caller steps it on the object core)."""
     for engine in engines:
-        if not engine.pools:
-            continue
         # The kernel hard-codes pool slots (0=l2, 1=dram) in build_tile's
         # engine order; any other pool wiring is not representable.
-        if len(pools) != 2 or len(engine.pools) != 2:
-            return None
-        if engine.pools[0] is not pools[0] or engine.pools[1] is not pools[1]:
-            return None
+        if engine.pools and (
+            len(pools) != 2
+            or len(engine.pools) != 2
+            or engine.pools[0] is not pools[0]
+            or engine.pools[1] is not pools[1]
+        ):
+            return False
+        last = engine._last_issued
+        if last is not None and not any(s is last for s in engine.streams):
+            return False
+    return True
 
-    fifo_ids: Dict[int, int] = {}
-    fifos: List[object] = []
 
-    def fifo_index(fifo) -> int:
-        key = id(fifo)
-        if key not in fifo_ids:
-            fifo_ids[key] = len(fifos)
-            fifos.append(fifo)
-        return fifo_ids[key]
+#: Offset array -> the parallel arrays of that component class, in the
+#: order :func:`pack_batch` builds each member's row.
+_CLASS_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "s_off": (
+        "s_total", "s_cap", "s_eb", "s_l2f", "s_dramf", "s_moved",
+        "s_done_tol", "s_disp", "s_is_read", "s_fifo", "s_fwd",
+    ),
+    "f_off": ("f_cap", "f_level"),
+    "e_off": (
+        "e_start", "e_end", "e_bw", "e_onehot", "e_has_pools", "e_rr",
+        "e_last", "e_issued", "e_busy",
+    ),
+    "p_off": ("p_rate", "p_avail", "p_consumed"),
+    "in_off": ("in_fifo", "in_rate"),
+    "out_off": ("out_fifo", "out_rate"),
+}
+#: One row per region: fabric scalars, ring state, then where the
+#: region's slice of every class (and of the pipeline ring) starts.
+_REGION_FIELDS = (
+    "fab_total", "fab_done_tol", "fab_depth", "fab_firings", "fab_stalls",
+    "pipe_head", "pipe_len", "pipe_off", *_CLASS_FIELDS,
+)
+#: Per-region arrays the kernel only writes: how each region ended.
+_OUTCOME_FIELDS = ("status", "now", "window_firings", "window_cycle")
 
-    streams: List[StreamState] = []
-    e_start: List[int] = []
-    e_end: List[int] = []
-    for engine in engines:
-        e_start.append(len(streams))
-        streams.extend(engine.streams)
-        e_end.append(len(streams))
 
-    n_s = len(streams)
-    arr: Dict[str, np.ndarray] = {
-        "s_total": np.empty(n_s, dtype=np.float64),
-        "s_cap": np.empty(n_s, dtype=np.float64),
-        "s_eb": np.empty(n_s, dtype=np.float64),
-        "s_l2f": np.empty(n_s, dtype=np.float64),
-        "s_dramf": np.empty(n_s, dtype=np.float64),
-        "s_moved": np.empty(n_s, dtype=np.float64),
-        "s_done_tol": np.empty(n_s, dtype=np.float64),
-        "s_disp": np.empty(n_s, dtype=np.int64),
-        "s_is_read": np.empty(n_s, dtype=np.int64),
-        "s_fifo": np.empty(n_s, dtype=np.int64),
-        "s_fwd": np.empty(n_s, dtype=np.int64),
+def pack_batch(tiles: Sequence[Tile]) -> BatchPack:
+    """Pack :func:`packable` tiles batch-major (layout: module docstring)."""
+    pack = BatchPack([], [], [], [], [], {})
+    rows: Dict[str, List[tuple]] = {name: [] for name in _CLASS_FIELDS}
+    stream_rows, fifo_rows, engine_rows = (
+        rows["s_off"], rows["f_off"], rows["e_off"]
+    )
+    region_rows: List[tuple] = []
+    pipe_due: List[int] = []
+    pipe_count: List[float] = []
+    for engines, fabric, pools in tiles:
+        offsets = [len(members) for members in rows.values()]
+        s_base, f_base = len(stream_rows), len(fifo_rows)
+        fifo_ids: Dict[int, int] = {}
+
+        def fifo_index(fifo: PortFifo) -> int:
+            index = fifo_ids.get(id(fifo))
+            if index is None:
+                index = fifo_ids[id(fifo)] = len(fifo_ids)
+                pack.fifos.append(fifo)
+            return index
+
+        for engine in engines:
+            start = len(stream_rows) - s_base
+            last = -1
+            for s in engine.streams:
+                if s is engine._last_issued:
+                    last = len(stream_rows) - s_base
+                forward = getattr(s, "forward_to", None)
+                stream_rows.append((
+                    s.total_elements,
+                    s.elements_per_cycle_cap,
+                    s.element_bytes,
+                    s.l2_fraction,
+                    s.dram_fraction,
+                    s.moved,
+                    # Same product the done property computes every call.
+                    1e-6 * max(1.0, s.total_elements),
+                    s.dispatched_at,
+                    1 if s.is_read else 0,
+                    fifo_index(s.port),
+                    -1 if forward is None else fifo_index(forward),
+                ))
+            engine_rows.append((
+                start,
+                len(stream_rows) - s_base,
+                engine.bandwidth_bytes,
+                1 if engine.onehot_bypass else 0,
+                1 if engine.pools else 0,
+                engine._rr,
+                last,
+                engine.issued_cycles,
+                engine.busy_cycles,
+            ))
+            pack.streams.extend(engine.streams)
+        pack.engines.extend(engines)
+
+        cfg = fabric.config
+        rows["in_off"] += [(fifo_index(f), rate) for f, rate in cfg.inputs]
+        rows["out_off"] += [(fifo_index(f), rate) for f, rate in cfg.outputs]
+        fifo_rows += [(f.capacity, f.level) for f in pack.fifos[f_base:]]
+        rows["p_off"] += [
+            (p.bytes_per_cycle, p.available, p.consumed_total) for p in pools
+        ]
+        pack.pools.extend(pools)
+
+        total = cfg.total_firings
+        depth = int(cfg.pipeline_depth)
+        live = fabric._pipeline
+        region_rows.append((
+            total,
+            # Same product FabricSim.remaining computes every call.
+            1e-6 * max(1.0, total),
+            depth,
+            fabric.firings,
+            fabric.stall_cycles,
+            0,
+            len(live),
+            len(pipe_due),
+            *offsets,
+        ))
+        # The ring: live entries first (head at slot 0), then free slots.
+        free = depth + 8 - len(live)
+        pipe_due += [due for due, _ in live] + [0] * free
+        pipe_count += [count for _, count in live] + [0.0] * free
+        pack.fabrics.append(fabric)
+
+    # One column per field across the whole batch; the offset columns
+    # close with the class totals (region r's slice ends where r + 1's
+    # starts).
+    columns: Dict[str, Sequence] = {
+        "pipe_due": pipe_due, "pipe_count": pipe_count,
     }
-    for i, s in enumerate(streams):
-        arr["s_total"][i] = s.total_elements
-        arr["s_cap"][i] = s.elements_per_cycle_cap
-        arr["s_eb"][i] = s.element_bytes
-        arr["s_l2f"][i] = s.l2_fraction
-        arr["s_dramf"][i] = s.dram_fraction
-        arr["s_moved"][i] = s.moved
-        # Same product the done property computes every call.
-        arr["s_done_tol"][i] = 1e-6 * max(1.0, s.total_elements)
-        arr["s_disp"][i] = s.dispatched_at
-        arr["s_is_read"][i] = 1 if s.is_read else 0
-        arr["s_fifo"][i] = fifo_index(s.port)
-        forward = getattr(s, "forward_to", None)
-        arr["s_fwd"][i] = -1 if forward is None else fifo_index(forward)
 
-    for fifo, _rate in fabric.config.inputs:
-        fifo_index(fifo)
-    for fifo, _rate in fabric.config.outputs:
-        fifo_index(fifo)
-
-    n_f = len(fifos)
-    arr["f_cap"] = np.array([f.capacity for f in fifos], dtype=np.float64)
-    arr["f_level"] = np.array([f.level for f in fifos], dtype=np.float64)
-    if n_f == 0:  # keep pointers valid for the kernel
-        arr["f_cap"] = np.zeros(1, dtype=np.float64)
-        arr["f_level"] = np.zeros(1, dtype=np.float64)
-
-    n_e = len(engines)
-    arr["e_start"] = np.array(e_start, dtype=np.int64)
-    arr["e_end"] = np.array(e_end, dtype=np.int64)
-    arr["e_bw"] = np.array(
-        [e.bandwidth_bytes for e in engines], dtype=np.float64
-    )
-    arr["e_onehot"] = np.array(
-        [1 if e.onehot_bypass else 0 for e in engines], dtype=np.int64
-    )
-    arr["e_has_pools"] = np.array(
-        [1 if e.pools else 0 for e in engines], dtype=np.int64
-    )
-    arr["e_rr"] = np.array([e._rr for e in engines], dtype=np.int64)
-    last: List[int] = []
-    for ei, engine in enumerate(engines):
-        if engine._last_issued is None:
-            last.append(-1)
-            continue
-        idx = next(
-            (
-                k
-                for k, s in enumerate(engine.streams)
-                if s is engine._last_issued
-            ),
-            None,
+    def transpose(names: Sequence[str], members: List[tuple]) -> None:
+        columns.update(
+            zip(names, zip(*members) if members else [()] * len(names))
         )
-        if idx is None:
-            return None
-        last.append(e_start[ei] + idx)
-    arr["e_last"] = np.array(last, dtype=np.int64)
-    arr["e_issued"] = np.array(
-        [e.issued_cycles for e in engines], dtype=np.int64
-    )
-    arr["e_busy"] = np.array(
-        [e.busy_cycles for e in engines], dtype=np.int64
-    )
 
-    arr["p_rate"] = np.array(
-        [p.bytes_per_cycle for p in pools], dtype=np.float64
-    )
-    arr["p_avail"] = np.array([p.available for p in pools], dtype=np.float64)
-    arr["p_consumed"] = np.array(
-        [p.consumed_total for p in pools], dtype=np.float64
-    )
-    if not pools:
-        arr["p_rate"] = np.zeros(1, dtype=np.float64)
-        arr["p_avail"] = np.zeros(1, dtype=np.float64)
-        arr["p_consumed"] = np.zeros(1, dtype=np.float64)
+    transpose(_REGION_FIELDS, region_rows)
+    for off, members in rows.items():
+        transpose(_CLASS_FIELDS[off], members)
+        columns[off] += (len(members),)
+    columns["pipe_off"] += (len(pipe_due),)
 
-    cfg = fabric.config
-    arr["in_fifo"] = np.array(
-        [fifo_index(f) for f, _r in cfg.inputs] or [0], dtype=np.int64
-    )
-    arr["in_rate"] = np.array(
-        [r for _f, r in cfg.inputs] or [0.0], dtype=np.float64
-    )
-    arr["out_fifo"] = np.array(
-        [fifo_index(f) for f, _r in cfg.outputs] or [0], dtype=np.int64
-    )
-    arr["out_rate"] = np.array(
-        [r for _f, r in cfg.outputs] or [0.0], dtype=np.float64
-    )
-
-    pipe_cap = int(cfg.pipeline_depth) + 8
-    arr["pipe_due"] = np.zeros(pipe_cap, dtype=np.int64)
-    arr["pipe_count"] = np.zeros(pipe_cap, dtype=np.float64)
-    for i, (due, count) in enumerate(fabric._pipeline):
-        arr["pipe_due"][i] = due
-        arr["pipe_count"][i] = count
-    arr["pipe_head"] = np.zeros(1, dtype=np.int64)
-    arr["pipe_len"] = np.array([len(fabric._pipeline)], dtype=np.int64)
-
-    arr["fab_firings"] = np.array([fabric.firings], dtype=np.float64)
-    arr["fab_stalls"] = np.array([fabric.stall_cycles], dtype=np.int64)
-
-    arr["now"] = np.zeros(1, dtype=np.int64)
-    arr["last_progress"] = np.zeros(1, dtype=np.int64)
-    arr["last_firings"] = np.array([-1.0], dtype=np.float64)
-    arr["window_firings"] = np.zeros(1, dtype=np.float64)
-    arr["window_cycle"] = np.zeros(1, dtype=np.int64)
-
-    scratch = np.zeros(max(1, n_s), dtype=np.int64)
-    assert n_e == len(e_start) and n_f == len(fifos)
-    return TilePack(
-        engines=list(engines),
-        fabric=fabric,
-        pools=pools,
-        streams=streams,
-        fifos=fifos,
-        arrays=arr,
-        scratch=scratch,
-    )
+    # What the kernel only writes is allocated, not filled.
+    unfilled = dict.fromkeys(_OUTCOME_FIELDS, len(region_rows))
+    unfilled["cand"] = len(stream_rows)
+    for name, dtype in BATCH_ARRAYS.items():
+        pack.arrays[name] = (
+            np.array(columns[name], dtype=dtype)
+            if name in columns
+            else np.empty(unfilled[name], dtype=dtype)
+        )
+    return pack
 
 
-def _dptr(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-
-def _iptr(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-
-
-def _build_struct(
-    pack: TilePack, exact: bool, hard_cap: int, measure_window: int
-) -> TileStateStruct:
-    a = pack.arrays
-    cfg = pack.fabric.config
-    total = cfg.total_firings
-    st = TileStateStruct()
-    st.n_streams = len(pack.streams)
-    st.s_total = _dptr(a["s_total"])
-    st.s_cap = _dptr(a["s_cap"])
-    st.s_eb = _dptr(a["s_eb"])
-    st.s_l2f = _dptr(a["s_l2f"])
-    st.s_dramf = _dptr(a["s_dramf"])
-    st.s_moved = _dptr(a["s_moved"])
-    st.s_done_tol = _dptr(a["s_done_tol"])
-    st.s_disp = _iptr(a["s_disp"])
-    st.s_is_read = _iptr(a["s_is_read"])
-    st.s_fifo = _iptr(a["s_fifo"])
-    st.s_fwd = _iptr(a["s_fwd"])
-    st.n_fifos = len(pack.fifos)
-    st.f_cap = _dptr(a["f_cap"])
-    st.f_level = _dptr(a["f_level"])
-    st.n_engines = len(pack.engines)
-    st.e_start = _iptr(a["e_start"])
-    st.e_end = _iptr(a["e_end"])
-    st.e_bw = _dptr(a["e_bw"])
-    st.e_onehot = _iptr(a["e_onehot"])
-    st.e_has_pools = _iptr(a["e_has_pools"])
-    st.e_rr = _iptr(a["e_rr"])
-    st.e_last = _iptr(a["e_last"])
-    st.e_issued = _iptr(a["e_issued"])
-    st.e_busy = _iptr(a["e_busy"])
-    st.n_pools = len(pack.pools)
-    st.p_rate = _dptr(a["p_rate"])
-    st.p_avail = _dptr(a["p_avail"])
-    st.p_consumed = _dptr(a["p_consumed"])
-    st.n_in = len(cfg.inputs)
-    st.in_fifo = _iptr(a["in_fifo"])
-    st.in_rate = _dptr(a["in_rate"])
-    st.n_out = len(cfg.outputs)
-    st.out_fifo = _iptr(a["out_fifo"])
-    st.out_rate = _dptr(a["out_rate"])
-    st.fab_total = total
-    # Same product FabricSim.remaining computes every call.
-    st.fab_done_tol = 1e-6 * max(1.0, total)
-    st.fab_depth = int(cfg.pipeline_depth)
-    st.fab_firings = _dptr(a["fab_firings"])
-    st.fab_stalls = _iptr(a["fab_stalls"])
-    st.pipe_cap = len(a["pipe_due"])
-    st.pipe_due = _iptr(a["pipe_due"])
-    st.pipe_count = _dptr(a["pipe_count"])
-    st.pipe_head = _iptr(a["pipe_head"])
-    st.pipe_len = _iptr(a["pipe_len"])
-    st.exact = 1 if exact else 0
-    st.hard_cap = hard_cap
-    st.measure_window = measure_window
-    st.now = _iptr(a["now"])
-    st.last_progress = _iptr(a["last_progress"])
-    st.last_firings = _dptr(a["last_firings"])
-    st.window_firings = _dptr(a["window_firings"])
-    st.window_cycle = _iptr(a["window_cycle"])
-    return st
-
-
-def _sync_back(pack: TilePack) -> None:
+def _sync_back(pack: BatchPack) -> None:
     """Write the packed state back into the component objects."""
-    a = pack.arrays
-    for i, stream in enumerate(pack.streams):
-        stream.moved = float(a["s_moved"][i])
-    for i, fifo in enumerate(pack.fifos):
-        fifo.level = float(a["f_level"][i])
-    for i, engine in enumerate(pack.engines):
-        engine._rr = int(a["e_rr"][i])
-        last = int(a["e_last"][i])
-        engine._last_issued = None if last < 0 else pack.streams[last]
-        engine.issued_cycles = int(a["e_issued"][i])
-        engine.busy_cycles = int(a["e_busy"][i])
-    for i, pool in enumerate(pack.pools):
-        pool.available = float(a["p_avail"][i])
-        pool.consumed_total = float(a["p_consumed"][i])
-    fabric = pack.fabric
-    fabric.firings = float(a["fab_firings"][0])
-    fabric.stall_cycles = int(a["fab_stalls"][0])
-    head = int(a["pipe_head"][0])
-    length = int(a["pipe_len"][0])
-    cap = len(a["pipe_due"])
-    fabric._pipeline = [
-        (
-            int(a["pipe_due"][(head + k) % cap]),
-            float(a["pipe_count"][(head + k) % cap]),
+    a = {
+        name: pack.arrays[name].tolist()
+        for name in (
+            "s_moved", "f_level", "e_rr", "e_last", "e_issued", "e_busy",
+            "p_avail", "p_consumed", "fab_firings", "fab_stalls",
+            "pipe_head", "pipe_len", "pipe_due", "pipe_count",
+            "s_off", "e_off", "pipe_off",
         )
-        for k in range(length)
-    ]
+    }
+    for stream, moved in zip(pack.streams, a["s_moved"]):
+        stream.moved = moved
+    for fifo, level in zip(pack.fifos, a["f_level"]):
+        fifo.level = level
+    for pool, available, consumed in zip(
+        pack.pools, a["p_avail"], a["p_consumed"]
+    ):
+        pool.available = available
+        pool.consumed_total = consumed
+    for r, fabric in enumerate(pack.fabrics):
+        s_base = a["s_off"][r]
+        for e in range(a["e_off"][r], a["e_off"][r + 1]):
+            engine = pack.engines[e]
+            engine._rr = a["e_rr"][e]
+            last = a["e_last"][e]
+            engine._last_issued = (
+                None if last < 0 else pack.streams[s_base + last]
+            )
+            engine.issued_cycles = a["e_issued"][e]
+            engine.busy_cycles = a["e_busy"][e]
+        fabric.firings = a["fab_firings"][r]
+        fabric.stall_cycles = a["fab_stalls"][r]
+        base = a["pipe_off"][r]
+        cap = a["pipe_off"][r + 1] - base
+        head = a["pipe_head"][r]
+        fabric._pipeline = [
+            (
+                a["pipe_due"][base + (head + k) % cap],
+                a["pipe_count"][base + (head + k) % cap],
+            )
+            for k in range(a["pipe_len"][r])
+        ]
 
 
-def run_packed_region(
-    pack: TilePack,
+def step_batch(
+    pack: BatchPack,
     exact: bool,
     hard_cap: int,
     measure_window: int,
-) -> Optional[VectorOutcome]:
-    """Step one packed tile to completion in the compiled kernel.
+) -> List[Tuple[int, int, float, int]]:
+    """Step every packed region to completion in ONE kernel call.
 
-    Returns ``None`` when the kernel is unavailable.  On return the
-    component objects hold the same state an object-core run would
-    have left (bit-identical floats), and the outcome carries the
-    driver-loop fields the caller needs for extrapolation/raising.
+    Needs :func:`vector_core_available`.  On return the component
+    objects hold the same state an object-core run would have left
+    (bit-identical floats); the result is one ``(status, now,
+    window_firings, window_cycle)`` row per region — the driver-loop
+    fields the caller needs for extrapolation/raising.
     """
-    kernel = load_kernel()
-    if kernel is None:
-        return None
-    st = _build_struct(pack, exact, hard_cap, measure_window)
-    status = int(
-        kernel.step_region(ctypes.byref(st), _iptr(pack.scratch))
-    )
-    _sync_back(pack)
     a = pack.arrays
-    return VectorOutcome(
-        status=status,
-        now=int(a["now"][0]),
-        window_firings=float(a["window_firings"][0]),
-        window_cycle=int(a["window_cycle"][0]),
-        done=status == STATUS_DONE,
-        hard_capped=status == STATUS_HARD_CAP,
-        deadlocked=status == STATUS_DEADLOCK,
-        stuck=status == STATUS_STUCK,
-    )
+    state = BatchStateStruct()
+    for name in BATCH_ARRAYS:
+        setattr(state, name, a[name].ctypes.data)
+    state.exact = 1 if exact else 0
+    state.hard_cap = hard_cap
+    state.measure_window = measure_window
+    load_kernel().step_batch(ctypes.byref(state), len(pack.fabrics))
+    add_counter("sim.kernel_calls")
+    _sync_back(pack)
+    return list(zip(*(a[name].tolist() for name in _OUTCOME_FIELDS)))

@@ -301,6 +301,9 @@ def _fake_bench_docs():
             "stepped_cycles": 1000, "wall_seconds": 0.01,
             "cycles_per_second": 1e5, "batch_cycles_per_second": 1e5,
             "batch": {"pairs": 1, "identical_to_serial": True},
+            "short": {"regions": 1},
+            "short_regions_per_second": 1e3,
+            "batch_short_regions_per_second": 1e3,
         },
     }
 

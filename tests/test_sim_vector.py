@@ -17,18 +17,21 @@ from hypothesis import strategies as st
 from repro.adg import SysADG, general_overlay
 from repro.compiler import generate_variants, lower
 from repro.dfg import StreamKind
+from repro.profile import Tracer, tracing
 from repro.scheduler import schedule_mdfg, schedule_workload
 from repro.sim import (
+    BandwidthPool,
     SimResult,
     SimulationError,
     build_tile,
+    critical_path_depth,
     simulate_batch,
     simulate_schedule,
     vector_core_available,
 )
 from repro.sim.simulator import _resolve_core
 from repro.validate.generators import random_case
-from repro.workloads import get_workload
+from repro.workloads import all_workloads, get_workload
 
 needs_kernel = pytest.mark.skipif(
     not vector_core_available(),
@@ -269,6 +272,326 @@ class TestBatch:
         ref = simulate_schedule(pairs[0][0], overlay, exact=True)
         batched = simulate_batch(pairs, exact=True)
         assert_identical(ref, batched[0])
+
+    def test_dedupe_tells_schedules_of_one_variant_apart(self, overlay):
+        # Two *different* schedules of one variant on one overlay object
+        # share the (overlay, workload, variant) key; a hit must also
+        # need equal placement and routes.
+        import copy
+
+        first = scheduled("mm", overlay)
+        longer = copy.deepcopy(first)
+        depth = critical_path_depth(first.mdfg, first)
+        for key, path in first.routes.items():
+            longer.routes[key] = path + (path[-1],) * 6
+            if critical_path_depth(longer.mdfg, longer) == depth + 6:
+                break
+            longer.routes[key] = path
+        pairs = [(first, overlay), (longer, overlay)]
+        serial = [simulate_schedule(s, d) for s, d in pairs]
+        assert serial[1].cycles == serial[0].cycles + 6
+        batched = simulate_batch(pairs)
+        assert batched[0] is not batched[1]
+        for a, b in zip(serial, batched):
+            assert_identical(a, b)
+        # an *equal* schedule (serve's twice-listed name) still steps once
+        twin = copy.deepcopy(first)
+        same = simulate_batch([(first, overlay), (twin, overlay)])
+        assert same[0] is same[1]
+
+
+def mapped_pairs(overlay):
+    """Every registered workload that maps on the overlay, scheduled."""
+    pairs = []
+    for workload in all_workloads():
+        schedule = schedule_workload(
+            generate_variants(workload), overlay.adg, overlay.params
+        )
+        if schedule is not None:
+            pairs.append((schedule, overlay))
+    return pairs
+
+
+def fuzz_pairs(count):
+    """The first ``count`` generator cases that map, as batch items."""
+    pairs = []
+    for i in range(40):
+        case = random_case(f"batch-parity:{i}")
+        adg, params = case.adg(), case.system_params()
+        schedule = schedule_workload(
+            generate_variants(case.program.build()), adg, params
+        )
+        if schedule is not None:
+            pairs.append(
+                (schedule, SysADG(adg=adg, params=params, name="fuzz"))
+            )
+        if len(pairs) == count:
+            break
+    assert len(pairs) == count
+    return pairs
+
+
+def serial_outcomes(pairs, **options):
+    """What N serial calls give: a result or an error message each."""
+    outcomes = []
+    for schedule, sysadg in pairs:
+        try:
+            outcomes.append(simulate_schedule(schedule, sysadg, **options))
+        except SimulationError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@needs_kernel
+class TestBatchParity:
+    """One kernel call over the whole batch == N serial calls == the
+    object core, field-exact, errors included."""
+
+    def test_every_workload_and_recurrence_variants(self, overlay):
+        pairs = mapped_pairs(overlay)
+        assert len(pairs) >= 20
+        pairs += [
+            (scheduled_recurrence(name, overlay), overlay)
+            for name in ("fir", "gemm")
+        ]
+        options = {"max_exact_cycles": 20_000}  # long regions extrapolate
+        batched = simulate_batch(pairs, **options)
+        assert {r.extrapolated for r in batched} == {True, False}
+        for (schedule, sysadg), got in zip(pairs, batched):
+            assert_identical(
+                simulate_schedule(schedule, sysadg, **options), got
+            )
+            assert_identical(
+                simulate_schedule(schedule, sysadg, core="object", **options),
+                got,
+            )
+
+    def test_fuzz_regions_identical_to_serial(self):
+        pairs = fuzz_pairs(8)
+        serial = serial_outcomes(pairs)
+        assert all(isinstance(o, SimResult) for o in serial)
+        for a, b in zip(serial, simulate_batch(pairs)):
+            assert_identical(a, b)
+
+    def test_fuzz_regions_raise_the_first_serial_error(self):
+        # A 6-cycle cap ends most regions before their first firing: the
+        # batch must raise what the first failing *item* raises alone.
+        pairs = fuzz_pairs(8)
+        serial = serial_outcomes(pairs, max_exact_cycles=6)
+        errors = [o for o in serial if isinstance(o, str)]
+        assert errors and "zero steady-state rate" in errors[0]
+        for core in ("object", "vector"):
+            with pytest.raises(SimulationError) as exc:
+                simulate_batch(pairs, max_exact_cycles=6, core=core)
+            assert str(exc.value) == errors[0]
+
+    def test_starved_region_mid_batch_raises_serial_message(
+        self, overlay, monkeypatch
+    ):
+        import repro.sim.simulator as simmod
+
+        real_build = simmod.build_tile
+        victim = scheduled("mm", overlay)
+
+        def starve_victim(schedule, *args, **kwargs):
+            engines, fabric, pools = real_build(schedule, *args, **kwargs)
+            if schedule is victim:
+                for engine in engines:
+                    for stream in engine.streams:
+                        stream.dispatched_at = 10**9
+            return engines, fabric, pools
+
+        monkeypatch.setattr(simmod, "build_tile", starve_victim)
+        pairs = [
+            (scheduled("vecmax", overlay), overlay),
+            (victim, overlay),
+            (scheduled("bgr2grey", overlay), overlay),
+        ]
+        with pytest.raises(SimulationError) as alone:
+            simulate_schedule(victim, overlay)
+        assert "no progress for 20k cycles at cycle 20001" in str(alone.value)
+        for core in ("object", "vector"):
+            with pytest.raises(SimulationError) as exc:
+                simulate_batch(pairs, core=core)
+            assert str(exc.value) == str(alone.value)
+
+    def test_unpackable_tile_falls_back_or_raises(self, overlay, monkeypatch):
+        # A third pool is outside the kernel's (l2, dram) slots: "auto"
+        # steps that region on the object core, "vector" refuses it.
+        import repro.sim.simulator as simmod
+
+        real_build = simmod.build_tile
+        victim = scheduled("mm", overlay)
+
+        def third_pool(schedule, *args, **kwargs):
+            engines, fabric, pools = real_build(schedule, *args, **kwargs)
+            if schedule is victim:
+                pools = pools + [BandwidthPool("spare", 1.0)]
+            return engines, fabric, pools
+
+        monkeypatch.setattr(simmod, "build_tile", third_pool)
+        pairs = [
+            (scheduled("vecmax", overlay), overlay),
+            (victim, overlay),
+        ]
+        with tracing(Tracer()) as tracer:
+            auto = simulate_batch(pairs)
+        assert tracer.counters()["sim.kernel_calls"] == 1  # vecmax only
+        for got, want in zip(auto, simulate_batch(pairs, core="object")):
+            assert_identical(got, want)
+        assert "spare" in auto[1].pool_bytes
+        with pytest.raises(SimulationError) as exc:
+            simulate_batch(pairs, core="vector")
+        assert str(exc.value) == (
+            f"mm/{victim.mdfg.variant}: vector core unavailable (tile "
+            "shape outside the packed model); use core='auto' or 'object'"
+        )
+
+    def test_synced_back_state_matches_object_core(self, overlay):
+        # Stop mid-run (pipeline in flight, FIFOs part full) and compare
+        # every mutable quantity the kernel writes back, on the batch's
+        # *second* region so every slice starts at a non-zero offset.
+        from repro.sim.ckernel import STATUS_HARD_CAP
+        from repro.sim.simulator import Region
+        from repro.sim.vector import pack_batch, step_batch
+
+        def snapshot(region):
+            return (
+                [
+                    (
+                        e.name,
+                        e._rr,
+                        e.issued_cycles,
+                        e.busy_cycles,
+                        [s is e._last_issued for s in e.streams],
+                        [(s.moved, s.port.level) for s in e.streams],
+                    )
+                    for e in region.engines
+                ],
+                [(f.level, rate) for f, rate in region.fabric.config.inputs],
+                [(f.level, rate) for f, rate in region.fabric.config.outputs],
+                region.fabric.firings,
+                region.fabric.stall_cycles,
+                region.fabric._pipeline,
+                [(p.available, p.consumed_total) for p in region.pools],
+            )
+
+        schedule = scheduled("fir", overlay)
+        obj = Region.build(schedule, overlay, True)
+        obj.step_object(False, 3_000, 1_000)
+        assert obj.extrapolated and obj.fabric._pipeline
+        regions = [
+            Region.build(scheduled("vecmax", overlay), overlay, True),
+            Region.build(schedule, overlay, True),
+        ]
+        outcomes = step_batch(
+            pack_batch([r.tile for r in regions]),
+            False,
+            3_000,
+            1_000,
+        )
+        assert outcomes[1] == (
+            STATUS_HARD_CAP, obj.now, obj.window_firings, obj.window_cycle
+        )
+        assert snapshot(regions[1]) == snapshot(obj)
+
+    def test_one_kernel_call_per_batch(self, overlay):
+        pairs = mapped_pairs(overlay)[:25]
+        assert len(pairs) == 25
+        with tracing(Tracer()) as tracer:
+            batched = simulate_batch(pairs)
+        assert tracer.counters()["sim.kernel_calls"] == 1
+        assert tracer.counters()["sim.regions"] == 25
+        assert tracer.counters()["sim.cycles_stepped"] == sum(
+            r.stepped_cycles for r in batched
+        )
+        (region_span,) = [s for s in tracer.spans() if s.name == "sim.region"]
+        assert region_span.attrs == {"regions": 25}
+        with tracing(Tracer()) as tracer:
+            for schedule, sysadg in pairs:
+                simulate_schedule(schedule, sysadg)
+        assert tracer.counters()["sim.kernel_calls"] == 25
+        assert tracer.counters()["sim.regions"] == 25
+        mdfg = pairs[-1][0].mdfg
+        assert tracer.spans()[-1].attrs == {
+            "regions": 1,
+            "workload": mdfg.workload,
+            "variant": mdfg.variant,
+        }
+
+
+def test_batch_arrays_mirror_the_c_struct():
+    """``BatchStateStruct`` is built from ``BATCH_ARRAYS``; its order and
+    element types must be the C ``BatchState`` declaration's."""
+    import re
+
+    from repro.sim.ckernel import BATCH_ARRAYS, KERNEL_SOURCE
+
+    body = re.search(
+        r"typedef struct \{([^}]*)\} BatchState;", KERNEL_SOURCE
+    ).group(1)
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+    declared = [
+        (name.strip()[1:], {"double": "f8", "int64_t": "i8"}[ctype])
+        for ctype, names in re.findall(r"(double|int64_t) ([^;]+);", body)
+        for name in names.split(",")
+        if name.strip().startswith("*")
+    ]
+    assert declared == list(BATCH_ARRAYS.items())
+
+
+@needs_kernel
+class TestKernelCache:
+    """The on-disk kernel cache must survive corrupt entries and
+    concurrent cold builders."""
+
+    @pytest.fixture
+    def cold(self, tmp_path, monkeypatch):
+        """A fresh cache dir and an unloaded kernel, for one test."""
+        from repro.sim import ckernel
+
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        monkeypatch.setattr(ckernel, "_kernel", None)
+        monkeypatch.setattr(ckernel, "_load_attempted", False)
+        monkeypatch.setattr(ckernel, "_load_error", None)
+        return ckernel
+
+    def test_symbolless_cached_library_is_rebuilt(
+        self, cold, tmp_path, overlay
+    ):
+        import subprocess
+
+        planted = tmp_path / f"repro_sim_kernel_{cold._source_digest()}.so"
+        subprocess.run(
+            ["cc", "-shared", "-fPIC", "-x", "c", "-o", str(planted), "-"],
+            input=b"int unrelated(void) { return 0; }\n",
+            check=True,
+        )
+        before = planted.read_bytes()
+        assert cold._compile(str(tmp_path)) == str(planted)  # a cache hit
+        kernel = cold.load_kernel()
+        assert kernel is not None and cold.load_error() is None
+        assert planted.read_bytes() != before
+        schedule = scheduled("mm", overlay)
+        assert_identical(
+            simulate_schedule(schedule, overlay, core="vector"),
+            simulate_schedule(schedule, overlay, core="object"),
+        )
+
+    def test_concurrent_cold_compiles_all_load(self, cold, tmp_path):
+        import ctypes
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(4) as pool:
+            paths = list(
+                pool.map(lambda _: cold._compile(str(tmp_path)), range(4))
+            )
+        assert len(set(paths)) == 1
+        for path in paths:
+            cold.Kernel(ctypes.CDLL(path), path)  # has the entry point
+        assert [p.name for p in tmp_path.iterdir()] == [
+            paths[0].rsplit("/", 1)[1]
+        ]  # no temp files or sources left behind
 
 
 @needs_kernel
