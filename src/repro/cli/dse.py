@@ -1,10 +1,10 @@
-"""Commands that produce designs and studies: ``generate``, ``dse``
-(multi-seed engine, or ``--strategy`` for the search runtime), ``study``."""
+"""Commands that produce designs and studies: ``generate``, ``dse`` (one
+path: the engine runs one search study per seed, ``--strategy`` picks
+what searches), ``study``."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -17,23 +17,35 @@ def _dse_config(args: argparse.Namespace) -> DseConfig:
     return DseConfig(iterations=args.iterations, seed=args.seed)
 
 
-def _explore(args, workloads, engine, seeds, resume=False, terse=False) -> int:
-    """Best-of-``seeds`` DSE through ``engine``, then save the design."""
-    res = engine.explore(
+def _explore(args, workloads, engine, seeds, settings=None, resume=False):
+    """Best-of-``seeds`` DSE through ``engine``: the one body ``generate``
+    and ``dse`` share."""
+    return engine.explore(
         workloads,
         _dse_config(args),
         name=args.name or args.workloads,
         seeds=seeds,
         resume=resume,
+        settings=settings,
     )
-    hours = res.result.modeled_hours
+
+
+def _save_design(args, res, terse=False) -> int:
+    """Print and save the best seed's design; 1 when the run found none."""
+    if res.outcome.sysadg is None:
+        print("no feasible trials; no design written", file=sys.stderr)
+        return 1
+    # Only a strategy that returns a DseResult (the annealer, which is
+    # all ``generate`` runs) models toolchain time.
+    hours = res.result.modeled_hours if res.result is not None else None
     if terse:
         note = f"modeled DSE time: {hours:.1f} h"
     else:
-        _print_engine_run(res)
-        note = (f"objective {res.objective:.2f}, modeled DSE time "
-                f"{hours:.1f} h (wall {res.metrics.wall_seconds:.1f} s)")
-    print_design(res.result.sysadg, note=note, output=args.output)
+        note = f"objective {res.objective:.2f}"
+        if hours is not None:
+            note += f", modeled DSE time {hours:.1f} h"
+        note += f" (wall {res.metrics.wall_seconds:.1f} s)"
+    print_design(res.outcome.sysadg, note=note, output=args.output)
     return 0
 
 
@@ -42,22 +54,40 @@ def _print_engine_run(res) -> None:
     if res.from_cache:
         print(f"cache hit ({m.cache_tier}): artifact {res.key[:16]} reused, "
               f"0 DSE iterations run")
-        return
-    per_seed = ", ".join(
-        f"seed {o.seed}: "
-        + (f"{o.result.choice.objective:.2f}"
-           + (" (resumed)" if o.resumed else "")
-           if o.result is not None else f"CRASHED ({o.error})")
-        for o in res.outcomes
-    )
-    print(f"seed outcomes: {per_seed}")
+    else:
+        print("seed outcomes: " + ", ".join(
+            f"seed {o.seed}: " + _seed_cell(o) for o in res.outcomes
+        ))
+        print(
+            f"ran {m.iterations} iterations in {m.wall_seconds:.1f}s "
+            f"({m.iterations_per_second:.0f} it/s), acceptance "
+            f"{m.acceptance_rate:.0%}, best seed {m.best_seed}"
+        )
+        if m.crashed_seeds:
+            print(f"degraded to best-of-survivors (crashed: {m.crashed_seeds})")
+    study = res.outcome.study
     print(
-        f"ran {m.iterations} iterations in {m.wall_seconds:.1f}s "
-        f"({m.iterations_per_second:.0f} it/s), acceptance "
-        f"{m.acceptance_rate:.0%}, best seed {m.best_seed}"
+        f"study {res.outcome.key[:16]}: {len(study.trials)} trial(s), "
+        f"{len(study.feasible_trials())} feasible"
     )
-    if m.crashed_seeds:
-        print(f"degraded to best-of-survivors (crashed: {m.crashed_seeds})")
+    _print_best_trial(study)
+
+
+def _print_best_trial(study) -> None:
+    best = study.best_trial()
+    if best is not None:
+        print(
+            f"best trial #{best.index}: objective {best.objective:.2f}, "
+            f"lut {best.lut:.3f}, bram {best.bram:.3f}, dsp {best.dsp:.3f}"
+        )
+
+
+def _seed_cell(o) -> str:
+    if o.outcome is None:
+        return f"CRASHED ({o.error})"
+    objective = o.outcome.objective
+    cell = "infeasible" if objective is None else f"{objective:.2f}"
+    return cell + (" (resumed)" if o.outcome.resumed else "")
 
 
 def run_generate(args: argparse.Namespace) -> int:
@@ -69,35 +99,20 @@ def run_generate(args: argparse.Namespace) -> int:
         f"running DSE for {len(workloads)} workload(s): "
         f"{', '.join(w.name for w in workloads)}"
     )
-    return _explore(args, workloads, DseEngine(), [args.seed], terse=True)
-
-
-def _reject_unread_flags(args: argparse.Namespace) -> None:
-    """A flag of the path ``dse`` does not take is an error, not a no-op."""
-    if args.strategy is not None:
-        owner = "the multi-seed engine path (no --strategy)"
-        unread = {
-            "--seeds": args.seeds is not None,
-            "--resume": args.resume,
-            "--seed-timeout": args.seed_timeout is not None,
-        }
-    else:
-        owner = "the search path (--strategy NAME)"
-        unread = {
-            "--trials": args.trials is not None,
-            "--pareto": args.pareto is not None,
-            "--html": args.html is not None,
-            "--batch": args.batch != 1,
-        }
-    for flag, given in unread.items():
-        if given:
-            raise CliError(f"{flag} is only read by {owner}")
+    res = _explore(args, workloads, DseEngine(), [args.seed])
+    return _save_design(args, res, terse=True)
 
 
 def run_dse(args: argparse.Namespace) -> int:
-    if args.list_strategies:
-        from ..search import strategy_names
+    from ..engine import DseEngine, MetricsLogger
+    from ..search import (
+        SearchSettings,
+        export_frontier,
+        render_html,
+        strategy_names,
+    )
 
+    if args.list_strategies:
         for name in strategy_names():
             print(name)
         return 0
@@ -106,16 +121,26 @@ def run_dse(args: argparse.Namespace) -> int:
             "missing workloads argument (suite name, 'all', or "
             "comma-separated names); or use --list-strategies"
         )
-    _reject_unread_flags(args)
-    rc = _run_search(args) if args.strategy is not None else _run_engine(args)
-    if args.metrics:
-        print(f"metrics stream appended to {args.metrics}")
-    return rc
-
-
-def _run_engine(args: argparse.Namespace) -> int:
-    from ..engine import DseEngine, MetricsLogger
-
+    if args.strategy not in strategy_names():
+        raise CliError(
+            f"unknown strategy {args.strategy!r}; available: "
+            + ", ".join(strategy_names())
+        )
+    # The annealer walks the iteration schedule, so its natural trial
+    # budget is --iterations; the samplers default to SearchSettings'.
+    trials = args.trials
+    if trials is None:
+        trials = (
+            args.iterations
+            if args.strategy == "anneal"
+            else SearchSettings().trials
+        )
+    for flag, value in (("--trials", trials), ("--batch", args.batch)):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1 (got {value})")
+    settings = SearchSettings(
+        strategy=args.strategy, trials=trials, batch=args.batch
+    )
     workloads = resolve_workloads(args.workloads)
     try:
         seeds = (
@@ -137,89 +162,26 @@ def _run_engine(args: argparse.Namespace) -> int:
         seed_timeout=args.seed_timeout,
     )
     print(
-        f"engine DSE for {len(workloads)} workload(s), seeds "
-        f"{seeds}, {args.workers} worker(s), cache "
-        f"{cache_dir or 'disabled'}"
+        f"engine DSE [{args.strategy}] for {len(workloads)} workload(s), "
+        f"seeds {seeds}, {trials} trial(s), batch {args.batch}, "
+        f"{args.workers} worker(s), cache {cache_dir or 'disabled'}"
     )
-    return _explore(args, workloads, engine, seeds, resume=args.resume)
-
-
-def _run_search(args: argparse.Namespace) -> int:
-    """The pluggable-strategy path of ``repro dse`` (``--strategy``)."""
-    from ..engine import MetricsLogger
-    from ..engine.store import ArtifactStore
-    from ..search import (
-        SearchSettings,
-        export_frontier,
-        render_html,
-        run_search,
-        strategy_names,
+    res = _explore(
+        args, workloads, engine, seeds, settings, resume=args.resume
     )
-
-    if args.strategy not in strategy_names():
-        raise CliError(
-            f"unknown strategy {args.strategy!r}; available: "
-            + ", ".join(strategy_names())
-        )
-    workloads = resolve_workloads(args.workloads)
-    cache_dir = cache_dir_for(args)
-    store = ArtifactStore(cache_dir) if cache_dir else None
-    # The anneal strategy walks the legacy iteration schedule, so its
-    # natural trial budget is --iterations; samplers default to 16.
-    trials = args.trials
-    if trials is None:
-        trials = args.iterations if args.strategy == "anneal" else 16
-    settings = SearchSettings(
-        strategy=args.strategy,
-        trials=trials,
-        batch=args.batch,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    print(
-        f"search[{args.strategy}] for {len(workloads)} workload(s): "
-        f"{', '.join(w.name for w in workloads)} — {trials} trial(s), "
-        f"batch {args.batch}, {args.workers} worker(s), store "
-        f"{cache_dir or 'disabled'}"
-    )
-    outcome = run_search(
-        workloads,
-        _dse_config(args),
-        settings,
-        store=store,
-        metrics=MetricsLogger(args.metrics),
-        rebuild_best=True,
-        name=args.name or args.workloads,
-    )
-    study = outcome.study
-    resumed = " (resumed from store)" if outcome.resumed else ""
-    print(
-        f"study {outcome.key[:16]}: {len(study.trials)} trial(s), "
-        f"{len(study.feasible_trials())} feasible{resumed}"
-    )
-    best = outcome.best_trial
-    if best is None:
-        print("no feasible trials")
-    else:
-        print(
-            f"best trial #{best.index}: objective {best.objective:.2f}, "
-            f"lut {best.lut:.3f}, bram {best.bram:.3f}, dsp {best.dsp:.3f}"
-        )
-    if outcome.sysadg is not None:
-        print_design(outcome.sysadg, output=args.output)
-    if outcome.dse_result is not None:
-        print(
-            f"modeled DSE time: {outcome.dse_result.modeled_hours:.1f} h"
-        )
+    _print_engine_run(res)
+    rc = _save_design(args, res)
     if args.pareto:
         with open(args.pareto, "w") as f:
-            f.write(export_frontier(study))
+            f.write(export_frontier(res.outcome.study))
         print(f"wrote Pareto frontier to {args.pareto}")
     if args.html:
         with open(args.html, "w") as f:
-            f.write(render_html(study))
+            f.write(render_html(res.outcome.study))
         print(f"wrote HTML report to {args.html}")
-    return 0
+    if args.metrics:
+        print(f"metrics stream appended to {args.metrics}")
+    return rc
 
 
 def _study_axes(spec: Optional[str]):
@@ -258,7 +220,6 @@ def run_study(args: argparse.Namespace) -> int:
         merge_studies,
         render_html,
         save_study,
-        study_from_metrics,
     )
 
     store = ArtifactStore(args.study_dir or cache_dir_for(args))
@@ -302,13 +263,7 @@ def run_study(args: argparse.Namespace) -> int:
             f"frontier {len(front['points'])} point(s), "
             f"hypervolume {front['hypervolume']:.6g}"
         )
-        best = study.best_trial()
-        if best is not None:
-            print(
-                f"best trial #{best.index}: objective "
-                f"{best.objective:.2f}, lut {best.lut:.3f}, "
-                f"bram {best.bram:.3f}, dsp {best.dsp:.3f}"
-            )
+        _print_best_trial(study)
         for point in front["points"]:
             cells = "  ".join(
                 f"{axis.name}={point[axis.name]:.4g}" for axis in axes
@@ -342,23 +297,6 @@ def run_study(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if args.action == "import":
-        path = args.keys[0]
-        try:
-            study = study_from_metrics(path)
-        except FileNotFoundError as exc:
-            raise CliError(f"no such metrics file: {path}") from exc
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read metrics {path}: {exc}") from exc
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        save_study(store, study)
-        print(
-            f"imported {len(study.trials)} dse_point event(s) -> study "
-            f"{study.key[:16]}"
-        )
-        return 0
-
     raise CliError(f"unknown study action {args.action!r}")
 
 
@@ -374,10 +312,9 @@ def add_parsers(sub) -> None:
         help="engine DSE: parallel multi-seed, cached, checkpoint/resume",
     )
     dse.add_argument(
-        "--strategy", default=None,
-        help="run the pluggable search runtime with this strategy "
-             "(anneal | bottleneck | evolutionary | tpe) instead of the "
-             "multi-seed engine",
+        "--strategy", default="anneal",
+        help="what searches each seed "
+             "(anneal | bottleneck | evolutionary | tpe)",
     )
     dse.add_argument(
         "--list-strategies", action="store_true",
@@ -390,8 +327,8 @@ def add_parsers(sub) -> None:
     )
     dse.add_argument(
         "--batch", type=int, default=1,
-        help="proposals per ask/tell round (search path only; results "
-             "are identical for any --workers)",
+        help="proposals per ask/tell round (results are identical for "
+             "any --workers)",
     )
     dse.add_argument(
         "--pareto", nargs="?", const="pareto.json", default=None,
@@ -406,11 +343,12 @@ def add_parsers(sub) -> None:
     dse.add_argument(
         "--seeds",
         default=None,
-        help="comma-separated annealing seeds (best-of-N); default: --seed",
+        help="comma-separated search seeds (best-of-N); default: --seed",
     )
     dse.add_argument(
         "-w", "--workers", type=int, default=1, dest="workers",
-        help="worker processes for multi-seed runs",
+        help="worker processes: across seeds when there are several, "
+             "else across one study's batch",
     )
     dse.add_argument(
         "--cache-dir", default=None,
@@ -427,7 +365,8 @@ def add_parsers(sub) -> None:
     )
     dse.add_argument(
         "--checkpoint-every", type=int, default=25,
-        help="annealer iterations between checkpoints (0 disables)",
+        help="trials between saves of a seed's study (0: only the "
+             "finished study)",
     )
     dse.add_argument(
         "--seed-timeout", type=float, default=None,
@@ -443,18 +382,15 @@ def add_parsers(sub) -> None:
 
     study = sub.add_parser(
         "study",
-        help="inspect, export, merge, and import persistent search studies",
+        help="inspect, export, and merge persistent search studies",
     )
     study.add_argument(
         "action",
-        choices=("list", "show", "export", "merge", "import"),
+        choices=("list", "show", "export", "merge"),
         help="list studies; show/export one; merge several into a new "
-             "study; import dse_point metrics JSONL as a study",
+             "study",
     )
-    study.add_argument(
-        "keys", nargs="*",
-        help="study key prefixes (or, for import, a metrics JSONL path)",
-    )
+    study.add_argument("keys", nargs="*", help="study key prefixes")
     study.add_argument(
         "--study-dir", default=None,
         help="store directory (default: $REPRO_CACHE_DIR or "

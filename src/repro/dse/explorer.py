@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adg import (
     ADG,
@@ -100,9 +100,7 @@ class DseStats:
 #: ``(iteration, modeled_hours, objective, lut, ff, bram, dsp)``.  The
 #: resources are the *system total* of the accepted :class:`SystemChoice`
 #: (the "does it fit this FPGA budget" number), recorded for every accept
-#: — not just the final best — so the engine metrics stream and the
-#: :mod:`repro.search` study importer can reconstruct the whole
-#: perf-vs-resources trajectory.
+#: — not just the final best.
 AcceptedPoint = Tuple[int, float, float, float, float, float, float]
 
 #: One surviving proposal: ``(iteration, ADG*, its repaired schedules)``.
@@ -130,7 +128,6 @@ class ExplorerState:
     stats: DseStats
     history: List[Tuple[int, float, float]]
     modeled_seconds: float
-    config_fingerprint: str = ""
     points: List[AcceptedPoint] = field(default_factory=list)
 
 
@@ -209,16 +206,10 @@ class Explorer:
         self.iteration = 0
         self._record_accept(0, choice)
 
-    def propose(
-        self, on_skip: Optional[Callable[[], None]] = None
-    ) -> Optional[Candidate]:
-        """Advance to the next iteration whose proposal survives.
-
-        Returns None once the iteration budget is spent.  ``on_skip`` is
-        called at the boundary of every iteration that yields no candidate
-        (inapplicable transform, unrepairable schedule) — the only
-        boundaries the caller cannot see for itself.
-        """
+    def propose(self) -> Optional[Candidate]:
+        """Advance to the next iteration whose proposal survives
+        (inapplicable transforms and unrepairable schedules are skipped).
+        Returns None once the iteration budget is spent."""
         cfg = self.config
         while self.iteration < cfg.iterations:
             self.iteration += 1
@@ -228,8 +219,6 @@ class Explorer:
             with span("dse.propose", iteration=iteration):
                 candidate = self._propose(self.best[0], self.best[1])
             if candidate is None:
-                if on_skip is not None:
-                    on_skip()
                 continue
             cand_adg, cand_schedules = candidate
             if iteration % cfg.upgrade_every == 0:
@@ -284,36 +273,12 @@ class Explorer:
             points=self.points,
         )
 
-    def run(
-        self,
-        *,
-        resume: Optional[ExplorerState] = None,
-        checkpoint_every: int = 0,
-        checkpoint_sink: Optional[Callable[[ExplorerState], None]] = None,
-    ) -> DseResult:
-        """Run the annealing loop, optionally checkpointing/resuming.
-
-        ``resume`` restores a prior :class:`ExplorerState` (same workloads
-        and config) and continues from its iteration; the completed run is
-        bit-identical to one that never stopped.  Every ``checkpoint_every``
-        iterations the accepted state is passed to ``checkpoint_sink``,
-        at the iteration boundary — including iterations whose proposal
-        failed.
-        """
-
-        def boundary() -> None:
-            if (
-                checkpoint_every
-                and checkpoint_sink is not None
-                and self.iteration % checkpoint_every == 0
-            ):
-                checkpoint_sink(self.snapshot())
-
-        self.begin(resume)
-        while (candidate := self.propose(boundary)) is not None:
+    def run(self) -> DseResult:
+        """Drive the steps in-process: the whole annealing loop."""
+        self.begin()
+        while (candidate := self.propose()) is not None:
             _, adg, schedules = candidate
             self.decide(candidate, self._sweep(adg, schedules))
-            boundary()
         return self.finish()
 
     # ------------------------------------------------------------------
@@ -335,7 +300,7 @@ class Explorer:
         )
 
     # ------------------------------------------------------------------
-    def snapshot(self, config_fingerprint: str = "") -> ExplorerState:
+    def snapshot(self) -> ExplorerState:
         """Freeze the accepted state into a self-contained checkpoint."""
         adg, schedules, choice = self.best
         return ExplorerState(
@@ -349,7 +314,6 @@ class Explorer:
             stats=replace(self.stats),
             history=list(self.history),
             modeled_seconds=self.modeled_seconds,
-            config_fingerprint=config_fingerprint,
             points=list(self.points),
         )
 

@@ -1,11 +1,12 @@
 """Parallel DSE orchestration with persistent caching and checkpointing.
 
-The headline results all funnel through the simulated-annealing explorer;
-this package turns those explorations into *jobs*: run in parallel across
-seeds with per-worker fault isolation, answered from a content-addressed
-on-disk artifact store when the inputs are unchanged, checkpointed so an
-interrupted run resumes where it stopped, and instrumented with a
-structured metrics stream.
+The headline results all funnel through one search driver
+(:func:`repro.search.run_search`, the annealer by default); this package
+turns those searches into *jobs*: one study per seed, run in parallel
+across seeds with per-worker fault isolation, answered from a
+content-addressed on-disk artifact store when the inputs are unchanged,
+resumable from the per-seed studies kept in that same store, and
+instrumented with a structured metrics stream.
 """
 
 from .hashing import (
@@ -24,8 +25,6 @@ from .orchestrator import (
     EngineResult,
     SeedJob,
     SeedOutcome,
-    checkpoint_key,
-    load_checkpoint,
     run_seed_job,
 )
 from .store import ArtifactStore, StoreStats, TieredCache
@@ -45,11 +44,9 @@ __all__ = [
     "StoreStats",
     "TieredCache",
     "canonicalize",
-    "checkpoint_key",
     "config_fingerprint",
     "fingerprint",
     "job_key",
-    "load_checkpoint",
     "run_seed_job",
     "workload_fingerprint",
 ]

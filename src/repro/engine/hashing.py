@@ -2,9 +2,10 @@
 
 The persistent artifact store keys every overlay by *what produced it*: the
 exact workload bodies, the full :class:`~repro.dse.DseConfig`, the seed
-list, and a code-schema version.  Any change to any of those yields a new
-key, so stale artifacts can never be returned — they are simply never
-looked up again.
+list, the search strategy with its trial budget and batch, and a
+code-schema version.  Any change to any of those yields a new key, so
+stale artifacts can never be returned — they are simply never looked up
+again.
 
 Fingerprints are SHA-256 over a canonical JSON form.  Canonicalization
 recurses through dataclasses (field order is definition order, which is
@@ -19,7 +20,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from ..dse import DseConfig
 from ..ir import Workload
@@ -31,9 +32,8 @@ from ..ir import Workload
 #: ``TimeModel.revalidate``, so modeled seconds / stats in old artifacts
 #: are stale.
 #: v3: ``DseResult``/``ExplorerState`` grew ``points`` — the full
-#: LUT/FF/BRAM/DSP resource vector for every accepted DSE point — so
-#: pre-v3 artifacts would deserialize without the trajectory the
-#: ``repro.search`` study importer and ``dse_point`` metrics rely on.
+#: LUT/FF/BRAM/DSP resource vector for every accepted DSE point — which
+#: the ``DseResult`` goldens hash; pre-v3 artifacts lack it.
 CODE_SCHEMA_VERSION = 3
 
 
@@ -84,8 +84,12 @@ def job_key(
     workloads: Sequence[Workload],
     config: DseConfig,
     seeds: Iterable[int],
+    strategy: str = "anneal",
+    trials: Optional[int] = None,
+    batch: int = 1,
 ) -> str:
-    """Content address of one engine job: workload set + config + seeds.
+    """Content address of one engine job: workload set + config + seeds
+    + what searches them (default: the annealer for ``config.iterations``).
 
     The display name is deliberately excluded — two runs over identical
     inputs share an artifact regardless of what they were called.
@@ -96,5 +100,10 @@ def job_key(
             "workloads": [canonicalize(w) for w in workloads],
             "config": canonicalize(config),
             "seeds": sorted(int(s) for s in seeds),
+            "search": [
+                strategy,
+                config.iterations if trials is None else int(trials),
+                int(batch),
+            ],
         }
     )

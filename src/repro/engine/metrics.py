@@ -1,11 +1,13 @@
 """Structured event/metrics stream for engine runs.
 
 Every engine job emits typed events — ``run_start``, ``cache_hit``,
-``dse_point``, ``run_end`` / ``run_failed`` — through a
-:class:`MetricsLogger`; per-seed completion, timeout and failure are the
-:mod:`repro.jobs` runtime's ``job_done`` / ``job_cached`` /
-``job_timeout`` / ``job_failed`` events with ``runner="engine.seeds"``
-(soak shards: ``runner="soak.shards"``).  The most recent
+``run_end`` / ``run_failed`` — through a :class:`MetricsLogger`;
+per-seed completion, timeout and failure are the :mod:`repro.jobs`
+runtime's ``job_done`` / ``job_cached`` / ``job_timeout`` /
+``job_failed`` events with ``runner="engine.seeds"`` (soak shards:
+``runner="soak.shards"``), and each seed's study adds ``study_start`` /
+``study_batch`` / ``study_end`` to the JSONL file (every evaluated point
+itself is a ``Trial`` in the stored study).  The most recent
 :data:`EVENT_BUFFER` events are kept in memory for programmatic
 inspection and, when a path is given, every event is appended as JSON
 Lines so external tooling can tail a long DSE.

@@ -1,72 +1,55 @@
-"""The DSE engine: parallel multi-seed orchestration over the explorer.
+"""The DSE engine: parallel multi-seed orchestration over the study runner.
 
 One engine *job* is "the best overlay for this workload set under this
-config, annealed from each of these seeds".  The engine:
+config, searched from each of these seeds".  Which strategy searches is
+data (:class:`~repro.search.SearchSettings`; default: the annealer for
+``config.iterations`` trials) — there is one driver.  The engine:
 
 * answers from its :class:`~repro.engine.store.TieredCache` — memory,
   then the persistent artifact store (key = content hash of workloads +
-  config + seeds + schema version);
-* on a miss, runs one annealer per seed through the shared
-  :mod:`repro.jobs` runtime — a worker-process pool when ``workers > 1``
-  (the :class:`~repro.jobs.ProcessPoolJobExecutor` serial-fallback rule
-  applies), serially otherwise — and keeps the best objective (ties
-  broken toward the lowest seed, so the winner is independent of
-  completion order);
+  config + seeds + strategy/trials/batch + schema version);
+* on a miss, runs one :func:`repro.search.run_search` study per seed
+  through the shared :mod:`repro.jobs` runtime — a worker-process pool
+  when ``workers > 1`` and there are several seeds (the
+  :class:`~repro.jobs.ProcessPoolJobExecutor` serial-fallback rule
+  applies; one seed hands ``workers`` to its study's batch evaluation
+  instead) — and keeps the best objective (ties broken toward the lowest
+  seed, so the winner is independent of completion order);
 * isolates faults per seed via the runtime's
   :class:`~repro.jobs.FaultPolicy`: a crashed worker is recorded and
   the job degrades to the best of the survivors (it only fails when
   *every* seed fails);
-* checkpoints each seed's annealer every ``checkpoint_every`` iterations
-  and, with ``resume=True``, restarts interrupted seeds from their last
-  snapshot — bit-identical to a run that never stopped;
+* keeps no checkpoint store of its own: each seed's study, saved to the
+  engine's artifact store every ``checkpoint_every`` trials, *is* the
+  resumable state (``repro study list`` shows it), and ``resume=True``
+  continues interrupted seeds from it — bit-identical to a run that
+  never stopped;
 * emits structured events/metrics (iterations/sec, acceptance rate,
   cache tier, wall vs modeled time) through :class:`MetricsLogger`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from time import perf_counter, sleep
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..dse import DseConfig, DseResult, Explorer, ExplorerState
+from ..dse import DseConfig, DseResult
 from ..jobs import FaultPolicy, JobOutcome, JobRunner, ProcessPoolJobExecutor
 from ..ir import Workload
-from .hashing import (
-    CODE_SCHEMA_VERSION,
-    config_fingerprint,
-    fingerprint,
-    job_key,
-)
+from .hashing import CODE_SCHEMA_VERSION, job_key
 from .metrics import EngineStats, MetricsLogger, RunMetrics
 from .store import ArtifactStore, TieredCache
 
-#: Default checkpoint cadence (annealer iterations between snapshots).
+if TYPE_CHECKING:  # repro.search sits on this package; import it lazily
+    from ..search import SearchOutcome, SearchSettings
+
+#: Default checkpoint cadence (trials between saves of a seed's study).
 DEFAULT_CHECKPOINT_EVERY = 25
 
 
 class EngineError(RuntimeError):
     """Every seed of a job failed; there is no survivor to return."""
-
-
-def checkpoint_key(job_key: str, seed: int) -> str:
-    """Store key of one seed's snapshot.  The job key already encodes
-    workloads + config + seeds, so changed inputs look under another key."""
-    return fingerprint({"checkpoint": job_key, "seed": seed})
-
-
-def load_checkpoint(
-    store: ArtifactStore, key: str, expect_fingerprint: str = ""
-) -> Optional[ExplorerState]:
-    """The snapshot under ``key``, or None if absent, unreadable, not a
-    snapshot, or written under another config fingerprint."""
-    state = store.get(key)
-    if not isinstance(state, ExplorerState):
-        return None
-    if expect_fingerprint and state.config_fingerprint != expect_fingerprint:
-        return None
-    return state
 
 
 @dataclass
@@ -77,11 +60,11 @@ class SeedJob:
     config: DseConfig
     name: str
     seed: int
-    checkpoint_dir: Optional[str] = None   # ArtifactStore root, or None
+    settings: "SearchSettings"
+    store_dir: Optional[str] = None        # ArtifactStore root, or None
     checkpoint_every: int = 0
     resume: bool = False
-    job_key: str = ""
-    config_key: str = ""
+    metrics_path: Optional[str] = None     # the study's events go here
     inject_crash: bool = False   # fault-injection hook for tests
     inject_hang_s: float = 0.0   # hang-injection hook for timeout tests
 
@@ -89,40 +72,46 @@ class SeedJob:
 @dataclass
 class SeedOutcome:
     seed: int
-    result: Optional[DseResult]
+    outcome: Optional["SearchOutcome"]       # None: crashed or timed out
     error: Optional[str] = None
-    resumed: bool = False
     timed_out: bool = False
 
 
-def run_seed_job(job: SeedJob) -> SeedOutcome:
-    """Run one seed's annealer (module-level so it pickles to workers)."""
+def run_seed_job(job: SeedJob) -> "SearchOutcome":
+    """Run one seed's study (module-level so it pickles to workers)."""
+    from ..search import run_search
+
     if job.inject_hang_s:
         sleep(job.inject_hang_s)
     if job.inject_crash:
         raise RuntimeError(f"injected crash (seed {job.seed})")
-    config = replace(job.config, seed=job.seed)
-    explorer = Explorer(list(job.workloads), config, name=job.name)
-    resume_state = None
-    sink = None
-    if job.checkpoint_dir:
-        store = ArtifactStore(job.checkpoint_dir)
-        key = checkpoint_key(job.job_key, job.seed)
-        if job.resume:
-            resume_state = load_checkpoint(store, key, job.config_key)
-        if job.checkpoint_every:
-
-            def sink(state):
-                state.config_fingerprint = job.config_key
-                store.put(key, state)
-
-    result = explorer.run(
-        resume=resume_state,
+    return run_search(
+        job.workloads,
+        replace(job.config, seed=job.seed),
+        replace(job.settings, seed=job.seed),
+        store=ArtifactStore(job.store_dir) if job.store_dir else None,
+        metrics=MetricsLogger(job.metrics_path) if job.metrics_path else None,
+        resume=job.resume,
+        rebuild_best=True,
+        name=job.name,
         checkpoint_every=job.checkpoint_every,
-        checkpoint_sink=sink,
     )
-    return SeedOutcome(
-        seed=job.seed, result=result, resumed=resume_state is not None
+
+
+def _progress(outcome: "SearchOutcome") -> Tuple[int, int, float]:
+    """``(iterations, accepted, modeled seconds)`` of one seed's study:
+    the strategy's own accounting when it returns a ``DseResult``, else
+    trials evaluated / feasible / their summed modeled cost."""
+    if outcome.dse_result is not None:
+        stats = outcome.dse_result.stats
+        return (
+            stats.iterations, stats.accepted, outcome.dse_result.modeled_seconds
+        )
+    trials = outcome.study.trials
+    return (
+        len(trials),
+        len(outcome.study.feasible_trials()),
+        sum(t.modeled_seconds for t in trials),
     )
 
 
@@ -130,15 +119,20 @@ def run_seed_job(job: SeedJob) -> SeedOutcome:
 class EngineResult:
     """Best-of-seeds outcome of one engine job."""
 
-    result: DseResult
+    outcome: "SearchOutcome"     # the best seed's study, design and all
     key: str
     from_cache: bool
     metrics: RunMetrics
     outcomes: List[SeedOutcome] = field(default_factory=list)
 
     @property
-    def objective(self) -> float:
-        return self.result.choice.objective
+    def result(self) -> Optional[DseResult]:
+        """The annealer's ``DseResult`` (None for the other strategies)."""
+        return self.outcome.dse_result
+
+    @property
+    def objective(self) -> Optional[float]:
+        return self.outcome.objective
 
 
 class DseEngine:
@@ -158,20 +152,13 @@ class DseEngine:
         #: deadlines on the worker-pool path: a seed that exceeds it is
         #: recorded as a failure and the job degrades to the best of the
         #: survivors.  ``None`` disables; the serial in-process path
-        #: cannot preempt a running annealer and ignores it.
+        #: cannot preempt a running study and ignores it.
         self.seed_timeout = seed_timeout
         self.metrics = metrics if metrics is not None else MetricsLogger()
         self.checkpoint_every = checkpoint_every
         self.stats = EngineStats()
-        self.store: Optional[ArtifactStore] = None
-        #: Per-seed annealer snapshots, in a store of their own so scans
-        #: of ``store.keys()`` (studies) never see them.
-        self.checkpoints: Optional[ArtifactStore] = None
-        if cache_dir:
-            self.store = ArtifactStore(cache_dir)
-            self.checkpoints = ArtifactStore(
-                os.path.join(cache_dir, "checkpoints")
-            )
+        #: The one store: job results *and* the per-seed studies.
+        self.store = ArtifactStore(cache_dir) if cache_dir else None
         self.cache = TieredCache(self.store)
 
     # ------------------------------------------------------------------
@@ -182,13 +169,25 @@ class DseEngine:
         name: str = "overlay",
         seeds: Optional[Sequence[int]] = None,
         resume: bool = False,
+        settings: Optional["SearchSettings"] = None,
         inject_crash_seeds: Sequence[int] = (),
         inject_hang: Optional[Dict[int, float]] = None,
     ) -> EngineResult:
-        """Best-of-seeds DSE for ``workloads``, cached and fault-isolated."""
+        """Best-of-seeds DSE for ``workloads``, cached and fault-isolated.
+
+        ``settings`` picks the strategy, trial budget and batch (its
+        ``seed`` / ``workers`` are set per seed job); default: the
+        annealer for ``config.iterations`` trials.
+        """
+        from ..search import SearchSettings
+
         config = config or DseConfig()
+        settings = settings or SearchSettings(trials=config.iterations)
         seed_list = sorted(set(seeds)) if seeds else [config.seed]
-        key = job_key(workloads, config, seed_list)
+        key = job_key(
+            workloads, config, seed_list,
+            settings.strategy, settings.trials, settings.batch,
+        )
         cached, tier = self.cache.get(key)
         metrics = RunMetrics(
             key=key,
@@ -199,68 +198,71 @@ class DseEngine:
             cache_tier=tier,
         )
         if tier != "miss":
-            metrics.objective = cached.choice.objective
-            metrics.modeled_seconds = cached.modeled_seconds
+            metrics.objective = cached.objective or 0.0
+            metrics.modeled_seconds = _progress(cached)[2]
             self.metrics.emit(
                 "cache_hit", key=key, name=name, tier=tier,
-                objective=cached.choice.objective,
+                objective=cached.objective,
             )
             self.stats.absorb(metrics)
             return EngineResult(
-                result=cached, key=key, from_cache=True, metrics=metrics
+                outcome=cached, key=key, from_cache=True, metrics=metrics
             )
 
         self.metrics.emit(
             "run_start", key=key, name=name, seeds=list(seed_list),
             jobs=self.workers, iterations=config.iterations,
+            strategy=settings.strategy, trials=settings.trials,
             schema=CODE_SCHEMA_VERSION,
         )
         started = perf_counter()
         outcomes = self._run_seeds(
-            workloads, config, name, seed_list, key, resume,
+            workloads, config, name, seed_list, key, resume, settings,
             set(inject_crash_seeds), inject_hang or {},
         )
         wall = perf_counter() - started
 
-        survivors = [o for o in outcomes if o.result is not None]
+        survivors = [o for o in outcomes if o.outcome is not None]
         if not survivors:
             errors = "; ".join(f"seed {o.seed}: {o.error}" for o in outcomes)
             self.metrics.emit("run_failed", key=key, name=name, errors=errors)
             raise EngineError(f"all {len(outcomes)} seed workers failed: {errors}")
-        best = max(survivors, key=lambda o: (o.result.choice.objective, -o.seed))
-
-        metrics.wall_seconds = wall
-        metrics.iterations = sum(
-            o.result.stats.iterations for o in survivors
+        # (a seed whose study found no feasible design loses to any other)
+        best = max(
+            survivors,
+            key=lambda o: (o.outcome.objective or float("-inf"), -o.seed),
         )
-        metrics.accepted = sum(o.result.stats.accepted for o in survivors)
-        metrics.modeled_seconds = best.result.modeled_seconds
-        metrics.objective = best.result.choice.objective
+
+        progress = [_progress(o.outcome) for o in survivors]
+        metrics.wall_seconds = wall
+        metrics.iterations = sum(p[0] for p in progress)
+        metrics.accepted = sum(p[1] for p in progress)
+        metrics.modeled_seconds = _progress(best.outcome)[2]
+        metrics.objective = best.outcome.objective or 0.0
         metrics.best_seed = best.seed
-        metrics.crashed_seeds = [o.seed for o in outcomes if o.result is None]
+        metrics.crashed_seeds = [o.seed for o in outcomes if o.outcome is None]
         metrics.timed_out_seeds = [o.seed for o in outcomes if o.timed_out]
-        metrics.resumed_seeds = [o.seed for o in survivors if o.resumed]
+        metrics.resumed_seeds = [o.seed for o in survivors if o.outcome.resumed]
         self.stats.absorb(metrics)
         self.metrics.emit("run_end", **metrics.as_dict())
 
         self.cache.put(
             key,
-            best.result,
+            best.outcome,
             meta={
                 "name": name,
                 "workloads": [w.name for w in workloads],
                 "seeds": list(seed_list),
                 "best_seed": best.seed,
-                "objective": best.result.choice.objective,
+                "objective": best.outcome.objective,
                 "iterations": config.iterations,
+                "strategy": settings.strategy,
+                "trials": settings.trials,
                 "schema": CODE_SCHEMA_VERSION,
             },
         )
-        if self.checkpoints is not None:
-            for seed in seed_list:
-                self.checkpoints.discard(checkpoint_key(key, seed))
         return EngineResult(
-            result=best.result,
+            outcome=best.outcome,
             key=key,
             from_cache=False,
             metrics=metrics,
@@ -276,22 +278,26 @@ class DseEngine:
         seeds: Sequence[int],
         key: str,
         resume: bool,
+        settings: "SearchSettings",
         crash_seeds: set,
         hang_seeds: Dict[int, float],
     ) -> List[SeedOutcome]:
-        cfg_key = config_fingerprint(config)
-        ckpt_dir = str(self.checkpoints.root) if self.checkpoints else None
+        # Several seeds: the pool runs seeds side by side, each study
+        # serial.  One seed: its study's batch evaluation gets the workers.
+        settings = replace(
+            settings, workers=self.workers if len(seeds) == 1 else 1
+        )
         jobs = [
             SeedJob(
                 workloads=tuple(workloads),
                 config=config,
                 name=name,
                 seed=seed,
-                checkpoint_dir=ckpt_dir,
-                checkpoint_every=self.checkpoint_every if ckpt_dir else 0,
+                settings=settings,
+                store_dir=self.cache_dir,
+                checkpoint_every=self.checkpoint_every,
                 resume=resume,
-                job_key=key,
-                config_key=cfg_key,
+                metrics_path=self.metrics.path,
                 inject_crash=seed in crash_seeds,
                 inject_hang_s=hang_seeds.get(seed, 0.0),
             )
@@ -315,39 +321,15 @@ class DseEngine:
         )
         if executor.last_mode == "serial-fallback":
             self.metrics.emit("pool_unavailable", key=key)
-        outcomes = [self._to_seed_outcome(out) for out in results]
-        # Full resource vector for every accepted point, not just the
-        # final best — the search-study importer and bench attribution
-        # both read these back out of the JSONL stream.
-        for outcome in outcomes:
-            if outcome.result is None:
-                continue
-            for it, modeled_h, objective, lut, ff, bram, dsp in (
-                outcome.result.points
-            ):
-                self.metrics.emit(
-                    "dse_point",
-                    seed=outcome.seed,
-                    iteration=it,
-                    modeled_hours=modeled_h,
-                    objective=objective,
-                    lut=lut,
-                    ff=ff,
-                    bram=bram,
-                    dsp=dsp,
-                )
-        return outcomes
+        return [self._to_seed_outcome(out) for out in results]
 
     def _to_seed_outcome(self, out: JobOutcome) -> SeedOutcome:
+        error = out.error
         if out.timed_out:
-            return SeedOutcome(
-                seed=out.payload.seed,
-                result=None,
-                error=f"timed out after {self.seed_timeout}s (seed_timeout)",
-                timed_out=True,
-            )
-        if out.error is not None:
-            return SeedOutcome(
-                seed=out.payload.seed, result=None, error=out.error
-            )
-        return out.result
+            error = f"timed out after {self.seed_timeout}s (seed_timeout)"
+        return SeedOutcome(
+            seed=out.payload.seed,
+            outcome=out.result if out.ok else None,
+            error=error,
+            timed_out=out.timed_out,
+        )

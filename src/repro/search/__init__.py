@@ -51,8 +51,6 @@ from .study import (
     load_study,
     merge_studies,
     save_study,
-    study_from_metrics,
-    study_from_points,
     study_key,
 )
 
@@ -97,7 +95,5 @@ __all__ = [
     "save_study",
     "stable_rng",
     "strategy_names",
-    "study_from_metrics",
-    "study_from_points",
     "study_key",
 ]

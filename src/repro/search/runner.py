@@ -1,14 +1,17 @@
 """The study runner: ask -> evaluate (via repro.jobs) -> tell -> persist.
 
-One loop drives every strategy.  Proposals fan out through a
-:class:`~repro.jobs.ShardPlan` and :class:`~repro.jobs.JobRunner` — zero
-new executor code — and results are re-assembled in global index order
-and normalized through one pickle round-trip, so a ``--workers 4`` run
-produces a study byte-identical to ``--workers 1``.  After every batch
-the study plus the strategy snapshot are persisted to the engine store;
-re-running the same (workloads, config, strategy, seed, batch) resumes
-from disk and the finished study is bit-identical to an uninterrupted
-run.
+One loop drives every strategy, and it is the one DSE driver:
+:class:`repro.engine.DseEngine` runs one :func:`run_search` per seed.
+Proposals fan out through a :class:`~repro.jobs.ShardPlan` and
+:class:`~repro.jobs.JobRunner` — zero new executor code — and results are
+re-assembled in global index order and normalized through one pickle
+round-trip, so a ``--workers 4`` run produces a study byte-identical to
+``--workers 1``.  Whenever the trial count crosses a multiple of
+``checkpoint_every`` (default 1: every batch) and after the last batch,
+the study plus the strategy snapshot are persisted to the engine store —
+the only checkpoint a DSE run has; re-running the same (workloads,
+config, strategy, seed, batch) with ``resume`` continues from disk and
+the finished study is bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -25,15 +28,8 @@ from ..engine.metrics import MetricsLogger
 from ..ir import Workload
 from ..jobs import FaultPolicy, JobRunner, ProcessPoolJobExecutor, ShardPlan
 from ..profile.tracer import span
-from .anneal import AnnealStrategy
 from .evaluate import EvalOut, EvalShard, evaluate_shard
-from .strategy import (
-    Proposal,
-    SearchContext,
-    SearchError,
-    make_strategy,
-    strategy_names,
-)
+from .strategy import Proposal, SearchContext, SearchError, make_strategy
 from .study import Study, Trial, load_study, save_study, study_key
 
 
@@ -55,11 +51,17 @@ class SearchOutcome:
     study: Study
     key: str
     resumed: bool = False
-    #: Populated by the anneal strategy only (its legacy-identical result).
+    #: The strategy's own final artifact (``Strategy.finish``): the
+    #: annealer's ``DseResult``, byte-identical to ``Explorer.run``.
     dse_result: Optional[DseResult] = None
     best_trial: Optional[Trial] = None
     sysadg: Optional[SysADG] = None
     choice: Optional[SystemChoice] = None
+
+    @property
+    def objective(self) -> Optional[float]:
+        """Objective of the realized design; None when there is none."""
+        return self.choice.objective if self.choice is not None else None
 
 
 def run_search(
@@ -72,17 +74,19 @@ def run_search(
     resume: bool = True,
     rebuild_best: bool = False,
     name: str = "overlay",
+    checkpoint_every: int = 1,
 ) -> SearchOutcome:
-    """Run (or resume) one study to its trial budget."""
+    """Run (or resume) one study to its trial budget.
+
+    ``rebuild_best`` asks for a design: the strategy's final artifact when
+    it offers one (the annealer's, valid from any accepted state), else
+    the best trial re-evaluated.  ``checkpoint_every`` (trials; 0 saves
+    only the finished study) is the store cadence.
+    """
     if not workloads:
         raise SearchError("need at least one workload")
     config = config or DseConfig()
     settings = settings or SearchSettings()
-    if settings.strategy not in strategy_names():
-        raise SearchError(
-            f"unknown strategy {settings.strategy!r}; available: "
-            + ", ".join(strategy_names())
-        )
     metrics = metrics if metrics is not None else MetricsLogger()
     key = study_key(
         workloads, config, settings.strategy, settings.seed, settings.batch
@@ -121,6 +125,7 @@ def run_search(
             existing=len(study.trials),
             resumed=resumed,
         )
+        saved = len(study.trials)
         while len(study.trials) < settings.trials and not strategy.exhausted:
             want = min(
                 settings.batch,
@@ -151,13 +156,23 @@ def run_search(
                 feasible=sum(1 for t in trials if t.feasible),
                 total=len(study.trials),
             )
-            if store is not None:
+            if (
+                store is not None
+                and checkpoint_every
+                and len(study.trials) // checkpoint_every
+                > saved // checkpoint_every
+            ):
                 save_study(store, study, strategy.snapshot())
+                saved = len(study.trials)
+        # The last batch, before ``finish`` below mutates the strategy.
+        if store is not None and saved != len(study.trials):
+            save_study(store, study, strategy.snapshot())
 
         outcome = SearchOutcome(study=study, key=key, resumed=resumed)
         outcome.best_trial = study.best_trial()
-        if isinstance(strategy, AnnealStrategy) and strategy.exhausted:
+        if rebuild_best or strategy.exhausted:
             outcome.dse_result = strategy.finish()
+        if outcome.dse_result is not None:
             outcome.sysadg = outcome.dse_result.sysadg
             outcome.choice = outcome.dse_result.choice
         elif rebuild_best and outcome.best_trial is not None:

@@ -127,6 +127,14 @@ STRATEGIES: Dict[str, Type[Strategy]] = {}
 
 
 def register(cls: Type[Strategy]) -> Type[Strategy]:
+    """Class decorator: add a strategy to the registry by its ``name``.
+    Raises ``ValueError`` on a duplicate name (as ``register_backend``
+    does) — a shadowed strategy would silently change every study."""
+    if cls.name in STRATEGIES and STRATEGIES[cls.name] is not cls:
+        raise ValueError(
+            f"duplicate search strategy {cls.name!r}: "
+            f"{STRATEGIES[cls.name].__name__} is already registered"
+        )
     STRATEGIES[cls.name] = cls
     return cls
 

@@ -11,7 +11,9 @@ must produce byte-identical contents (the runner guarantees they do).
 
 Alongside the study the store keeps the strategy's snapshot, so an
 interrupted run resumes exactly where it stopped and finishes
-bit-identical to a run that never stopped.
+bit-identical to a run that never stopped.  That pair is the *only*
+checkpoint a DSE run has: ``repro dse`` keeps one study per seed here,
+whatever the strategy, and ``repro study`` lists them.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class Trial:
 
     index: int                       # global evaluation order within the study
     strategy: str
-    kind: str                        # candidate | genome | params | imported
+    kind: str                        # candidate | genome | params
     lineage: Any                     # JSON-able provenance (genes, params, ...)
     seed: int
     feasible: bool
@@ -235,7 +237,7 @@ def export_frontier(study: Study, axes: Sequence[Axis] = DEFAULT_AXES) -> str:
 
 
 # ----------------------------------------------------------------------
-# Merge + import
+# Merge
 # ----------------------------------------------------------------------
 def _trial_content_key(trial: Trial) -> str:
     doc = trial.as_dict()
@@ -278,89 +280,4 @@ def merge_studies(studies: Sequence[Study]) -> Study:
         workloads=workloads,
         config_fingerprint=fps.pop() if len(fps) == 1 else "",
         trials=trials,
-    )
-
-
-def study_from_points(
-    points: Sequence[Sequence[float]],
-    *,
-    workloads: Sequence[str],
-    config_fingerprint: str = "",
-    seed: int = 0,
-    strategy: str = "import",
-) -> Study:
-    """Build a study from explorer ``AcceptedPoint`` rows or ``dse_point``
-    event dicts (the satellite metrics emitted per accepted DSE point)."""
-    trials: List[Trial] = []
-    for row in points:
-        if isinstance(row, dict):
-            it = int(row["iteration"])
-            modeled_h = float(row.get("modeled_hours", 0.0))
-            objective = float(row["objective"])
-            lut, bram, dsp = row.get("lut", 0.0), row.get("bram", 0.0), row.get("dsp", 0.0)
-            ff = row.get("ff", 0.0)
-            row_seed = int(row.get("seed", seed))
-        else:
-            it, modeled_h, objective, lut, ff, bram, dsp = row
-            row_seed = seed
-        trials.append(
-            Trial(
-                index=len(trials),
-                strategy=strategy,
-                kind="imported",
-                lineage={"iteration": int(it)},
-                seed=row_seed,
-                feasible=True,
-                objective=float(objective),
-                modeled_seconds=float(modeled_h) * 3600.0,
-                lut=float(lut),
-                ff=float(ff),
-                bram=float(bram),
-                dsp=float(dsp),
-            )
-        )
-    key = fingerprint(
-        {
-            "schema": [CODE_SCHEMA_VERSION, SEARCH_SCHEMA],
-            "imported": strategy,
-            "seed": int(seed),
-            "workloads": sorted(workloads),
-            "config": config_fingerprint,
-            "trials": [t.as_dict() for t in trials],
-        }
-    )
-    return Study(
-        key=key,
-        strategy=strategy,
-        seed=seed,
-        batch=0,
-        workloads=sorted(workloads),
-        config_fingerprint=config_fingerprint,
-        trials=trials,
-    )
-
-
-def study_from_metrics(path: str) -> Study:
-    """Build a study from an engine metrics JSONL stream: every
-    ``dse_point`` event becomes a trial, ``run_start`` events name the
-    workloads.  Raises :class:`ValueError` when the file holds no point."""
-    points: List[Dict[str, Any]] = []
-    workloads = set()
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("event") == "dse_point":
-                points.append(record)
-            elif record.get("event") == "run_start":
-                names = record.get("workloads") or (
-                    [record["name"]] if record.get("name") else []
-                )
-                workloads.update(names)
-    if not points:
-        raise ValueError(f"{path}: no dse_point events to import")
-    return study_from_points(
-        points, workloads=sorted(workloads), strategy="import"
     )

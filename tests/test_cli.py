@@ -470,27 +470,121 @@ class TestDseCommand:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["--pareto", "p.json"], "--pareto"),
-        (["--pareto"], "--pareto"),
-        (["--trials", "4"], "--trials"),
-        (["--html", "r.html"], "--html"),
-        (["--batch", "2"], "--batch"),
-        (["--strategy", "tpe", "--seeds", "2,3"], "--seeds"),
-        (["--strategy", "tpe", "--resume"], "--resume"),
-        (["--strategy", "tpe", "--seed-timeout", "5"], "--seed-timeout"),
+    @pytest.mark.parametrize("argv, wrote, printed", [
+        (["--pareto", "p.json"], "p.json", "wrote Pareto frontier"),
+        (["--pareto"], "pareto.json", "wrote Pareto frontier"),
+        (["--trials", "4"], None, ", 4 trial(s), "),
+        (["--html", "r.html"], "r.html", "wrote HTML report"),
+        (["--batch", "2"], None, ", batch 2, "),
+        (["--strategy", "tpe", "--seeds", "2,3"], None, ", seed 3: "),
+        (["--strategy", "tpe", "--resume"], None, "seed outcomes: seed 2"),
+        (["--strategy", "tpe", "--seed-timeout", "5"], None, "best seed 2"),
+    ], ids=[
+        "pareto-path", "pareto-bare", "trials", "html", "batch",
+        "seeds", "resume", "seed-timeout",
     ])
-    def test_flag_of_the_path_not_taken_is_an_error(
+    def test_every_flag_is_read_on_the_one_path(
+        self, argv, wrote, printed, tmp_path, monkeypatch, capsys
+    ):
+        """There is no path not taken: each of these was a usage error
+        while ``--strategy`` chose between two drivers; now every one
+        runs and writes what it names (``--pareto`` with the default
+        strategy writes the annealer study's frontier)."""
+        monkeypatch.chdir(tmp_path)
+        base = ["dse", "vecmax", "-n", "6", "--no-cache", "-o", "d.json"]
+        assert main(base + argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and printed in captured.out
+        assert "saved design to d.json" in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {"d.json", wrote or "d.json"}
+        )
+        if wrote and wrote.endswith(".json"):
+            assert json.loads((tmp_path / wrote).read_text())["points"]
+
+    def test_all_eighteen_options_on_one_line(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        argv = [
+            "dse", "vecmax", "-n", "6", "-s", "2", "--name", "everything",
+            "--seeds", "2,3", "--strategy", "evolutionary", "--trials", "8",
+            "--batch", "4", "-w", "1", "--cache-dir", str(cache),
+            "--resume", "--checkpoint-every", "4", "--seed-timeout", "60",
+            "--metrics", str(tmp_path / "ev.jsonl"),
+            "-o", str(tmp_path / "d.json"),
+            "--pareto", str(tmp_path / "p.json"),
+            "--html", str(tmp_path / "r.html"),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "engine DSE [evolutionary]" in out and "best trial" in out
+        for name in ("d.json", "p.json", "r.html", "ev.jsonl"):
+            assert (tmp_path / name).exists(), name
+        assert main(["study", "list", "--study-dir", str(cache)]) == 0
+        listing = capsys.readouterr().out.strip().splitlines()
+        assert sorted(line.split()[2] for line in listing) == [
+            "seed=2", "seed=3",
+        ]
+        # Warm: the same line answers from the store, reports included.
+        (tmp_path / "p.json").unlink()
+        assert main(argv) == 0
+        assert "cache hit (disk)" in capsys.readouterr().out
+        assert json.loads((tmp_path / "p.json").read_text())["points"]
+
+    @pytest.mark.parametrize("every, saves", [("4", 2), ("0", 1), ("1", 4)])
+    def test_checkpoint_every_is_honoured_for_a_sampler(
+        self, every, saves, tmp_path, study_saves, capsys
+    ):
+        """At the parent ``--strategy tpe --checkpoint-every N`` was
+        accepted and ignored (the study was saved after every batch)."""
+        assert main([
+            "dse", "vecmax", "-n", "6", "--strategy", "tpe", "--trials", "8",
+            "--batch", "2", "--checkpoint-every", every,
+            "--cache-dir", str(tmp_path / "c"), "-o", str(tmp_path / "d.json"),
+        ]) == 0
+        assert len(study_saves) == saves and study_saves[-1] == 8
+
+    def test_short_anneal_still_writes_its_design(self, tmp_path, capsys):
+        """``--trials`` below ``-n``: exit 0 used to come with no file."""
+        out_path = tmp_path / "x.json"
+        assert main([
+            "dse", "vecmax", "--strategy", "anneal", "--trials", "5",
+            "-n", "40", "--no-cache", "-o", str(out_path),
+        ]) == 0
+        assert f"saved design to {out_path}" in capsys.readouterr().out
+        assert json.loads(out_path.read_text())
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--batch", "0"], "--batch"),
+        (["--trials", "0"], "--trials"),
+        (["--trials", "-3"], "--trials"),
+        (["--strategy", "tpe", "--batch", "-1"], "--batch"),
+    ])
+    def test_budget_below_one_is_a_usage_error(
         self, argv, flag, tmp_path, monkeypatch, capsys
     ):
-        """Each of these was silently ignored: exit 0, nothing written."""
+        """Each ran a zero-trial study and exited 0 with nothing written."""
         monkeypatch.chdir(tmp_path)
         assert main(["dse", "vecmax", "--no-cache"] + argv) == 2
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
-        assert line.startswith(f"error: {flag} is only read by the ")
-        assert ("search path" in line) == ("--strategy" not in argv)
+        assert line.startswith(f"error: {flag} must be at least 1")
         assert captured.out == "" and not list(tmp_path.iterdir())
+
+    def test_no_feasible_trial_exits_1_and_writes_no_design(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.search import evaluate
+
+        monkeypatch.setattr(evaluate, "sweep_candidate", lambda *a, **k: None)
+        out_path = tmp_path / "d.json"
+        assert main([
+            "dse", "vecmax", "--strategy", "tpe", "--trials", "2",
+            "--no-cache", "-o", str(out_path),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "no feasible trials; no design written" in captured.err
+        assert "seed 2: infeasible" in captured.out
+        assert not out_path.exists()
 
     def test_cold_then_warm_cache(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -522,7 +616,7 @@ class TestDseCommand:
 
 
 class TestSearchCli:
-    """The ``dse --strategy`` search path and the ``study`` command."""
+    """``dse --strategy`` (a choice inside the one path) and ``study``."""
 
     def test_list_strategies(self, capsys):
         assert main(["dse", "--list-strategies"]) == 0
@@ -541,7 +635,7 @@ class TestSearchCli:
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "search[tpe]" in out and "best trial" in out
+        assert "engine DSE [tpe]" in out and "best trial" in out
         front = json.loads((tmp_path / "front.json").read_text())
         assert front["points"] and "hypervolume" in front
         assert "<svg" in (tmp_path / "report.html").read_text()
@@ -586,17 +680,11 @@ class TestSearchCli:
         assert main(["study", "merge", *keys, "--study-dir", str(store)]) == 0
         assert "merged 2 studies" in capsys.readouterr().out
 
-        # Import dse_point metrics from an engine run as a study.
-        metrics = tmp_path / "events.jsonl"
-        assert main([
-            "dse", "vecmax", "-n", "6", "-s", "3", "--no-cache",
-            "-o", str(tmp_path / "d2.json"), "--metrics", str(metrics),
-        ]) == 0
-        capsys.readouterr()
-        assert main(
-            ["study", "import", str(metrics), "--study-dir", str(store)]
-        ) == 0
-        assert "imported" in capsys.readouterr().out
+        # There is no importer: a run's per-seed study is already stored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "import", "events.jsonl", "--study-dir", str(store)])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'import'" in capsys.readouterr().err
 
     def test_study_ambiguous_or_missing_key_is_2(self, tmp_path, capsys):
         store = tmp_path / "store"

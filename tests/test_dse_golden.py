@@ -30,8 +30,8 @@ CASES = {
 }
 
 
-def result_digest(names) -> str:
-    result = explore([get_workload(n) for n in names], CFG)
+def result_digest(names, run=explore) -> str:
+    result = run([get_workload(n) for n in names], CFG)
     doc = {
         "history": result.history,
         "points": result.points,
@@ -51,6 +51,19 @@ def result_digest(names) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_dse_result_matches_committed_digest(case):
     assert result_digest(CASES[case]) == json.loads(GOLDEN.read_text())[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_default_strategy_matches_committed_digest(case):
+    """``DseEngine`` runs the annealer as one ``run_search`` study; its
+    ``.result`` is the same ``DseResult``, to the digest."""
+    from repro.engine import DseEngine
+
+    def through_engine(workloads, config):
+        return DseEngine().explore(workloads, config).result
+
+    digest = result_digest(CASES[case], run=through_engine)
+    assert digest == json.loads(GOLDEN.read_text())[case]
 
 
 if __name__ == "__main__":

@@ -132,7 +132,7 @@ class TestEngine:
 
     def test_no_cache_dir_still_memoizes(self):
         eng = DseEngine()
-        assert eng.store is None and eng.checkpoints is None
+        assert eng.store is None
         first = eng.explore(FIR, FAST, name="fir")
         assert eng.explore(FIR, FAST, name="fir").from_cache
         assert first.objective > 0
@@ -143,6 +143,39 @@ class TestEngine:
         single = eng.explore(FIR, FAST, name="fir", seeds=[2])
         assert multi.objective >= single.objective
         assert multi.metrics.best_seed in (2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "strategy", ["anneal", "bottleneck", "evolutionary", "tpe"]
+    )
+    def test_every_strategy_runs_the_one_path(self, strategy, tmp_path):
+        """Serial vs pool, per strategy: same winner, same design, and
+        byte-identical per-seed studies in the two stores."""
+        from repro.adg import sysadg_to_dict
+        from repro.search import (
+            SearchSettings, export_study, list_studies, load_study,
+        )
+
+        settings = SearchSettings(strategy=strategy, trials=6, batch=3)
+        runs, studies = [], []
+        for workers in (1, 2):
+            eng = DseEngine(workers=workers, cache_dir=str(tmp_path / str(workers)))
+            runs.append(eng.explore(
+                FIR, FAST, name="fir", seeds=[2, 3], settings=settings
+            ))
+            rows = list_studies(eng.store)
+            assert sorted(r["seed"] for r in rows) == [2, 3]
+            assert {r["strategy"] for r in rows} == {strategy}
+            studies.append({
+                r["seed"]: export_study(load_study(eng.store, r["key"])[0])
+                for r in rows
+            })
+        a, b = runs
+        assert a.metrics.best_seed == b.metrics.best_seed
+        assert a.objective == b.objective and a.objective > 0
+        assert sysadg_to_dict(a.outcome.sysadg) == sysadg_to_dict(
+            b.outcome.sysadg
+        )
+        assert studies[0] == studies[1]
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = DseEngine(workers=1)
@@ -205,8 +238,18 @@ class TestEngine:
         run_end = eng.metrics.of_type("run_end")[0]
         assert run_end["iterations"] == FAST.iterations
         assert 0.0 <= run_end["acceptance_rate"] <= 1.0
-        assert log_path.exists()
-        assert len(log_path.read_text().strip().splitlines()) == len(events)
+        # The JSONL file is the in-memory stream plus what the seed's
+        # study appends from wherever it runs (study_*, search.eval jobs).
+        logged = [
+            json.loads(line)
+            for line in log_path.read_text().strip().splitlines()
+        ]
+        from_study = [
+            e["event"] for e in logged
+            if e["event"].startswith("study_") or e.get("runner") == "search.eval"
+        ]
+        assert {"study_start", "study_batch", "study_end"} <= set(from_study)
+        assert len(logged) - len(from_study) == len(events)
 
     def test_event_buffer_is_bounded_but_the_file_is_not(self, tmp_path):
         """A server emits one event per request for as long as it lives:

@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.dse import DseConfig, Explorer
-from repro.engine import DseEngine, MetricsLogger
+from repro.engine import DseEngine
 from repro.engine.store import ArtifactStore
 from repro.search import (
     SearchContext,
@@ -63,6 +63,20 @@ class TestStrategyRegistry:
             run_search(
                 vecmax, CFG, SearchSettings(strategy="nope", trials=1)
             )
+
+    def test_duplicate_name_is_an_error_not_a_shadow(self):
+        """As ``rtl.register_backend``: a second class under a taken name
+        raises instead of silently replacing the registered strategy."""
+        from repro.search import Strategy, TpeStrategy, register
+        from repro.search.strategy import STRATEGIES
+
+        class Fake(Strategy):
+            name = "tpe"
+
+        with pytest.raises(ValueError, match="duplicate search strategy 'tpe'"):
+            register(Fake)
+        assert STRATEGIES["tpe"] is TpeStrategy
+        assert register(TpeStrategy) is TpeStrategy  # re-import is fine
 
     def test_run_search_rejects_empty_workloads(self):
         with pytest.raises(SearchError):
@@ -158,6 +172,19 @@ def test_rebuild_best_realizes_design(vecmax):
     assert outcome.sysadg is not None
     assert outcome.choice is not None
     assert outcome.choice.objective == outcome.best_trial.objective
+
+
+def test_rebuild_best_takes_the_strategys_own_artifact(vecmax):
+    """An annealer stopped short of its iteration schedule still owns a
+    valid accepted design: asked for one, ``finish()`` supplies it (at the
+    parent ``sysadg`` was None and ``repro dse -o`` wrote nothing)."""
+    short = SearchSettings(strategy="anneal", trials=5, seed=CFG.seed)
+    bare = run_search(vecmax, CFG, short)
+    assert bare.dse_result is None and bare.sysadg is None
+    outcome = run_search(vecmax, CFG, short, rebuild_best=True)
+    assert len(outcome.study.trials) == 5
+    assert outcome.sysadg is outcome.dse_result.sysadg
+    assert outcome.objective == outcome.dse_result.choice.objective > 0
 
 
 @pytest.mark.parametrize(
@@ -294,22 +321,23 @@ class TestSeedStability:
 
 class TestDsePointEvents:
     def test_engine_emits_resource_vector_per_accepted_point(self, vecmax):
-        metrics = MetricsLogger()
-        engine = DseEngine(cache_dir=None, workers=1, metrics=metrics)
+        """The per-point record is the study, not an event stream: every
+        evaluated candidate is a ``Trial`` with the full resource vector,
+        and the accepted ones are the rows ``DseResult.points`` carries."""
+        engine = DseEngine(cache_dir=None, workers=1)
         res = engine.explore(
             vecmax, DseConfig(iterations=6, seed=3), name="pts", seeds=[3]
         )
-        points = metrics.of_type("dse_point")
-        assert points
-        for event in points:
-            for key in (
-                "seed", "iteration", "modeled_hours", "objective",
-                "lut", "ff", "bram", "dsp",
-            ):
-                assert key in event
-            assert event["seed"] == 3
-            assert event["lut"] > 0
-        iterations = [e["iteration"] for e in points]
+        trials = res.outcome.study.trials
+        for trial in trials:
+            assert trial.seed == 3 and trial.strategy == "anneal"
+            assert trial.lut > 0 and trial.ff > 0
+        iterations = [t.lineage["iteration"] for t in trials]
         assert iterations == sorted(iterations)
-        # Same rows the DseResult itself carries.
-        assert len(points) == len(res.result.points)
+        # Accepted points: the seed ADG (iteration 0) plus accepted trials.
+        by_iteration = {t.lineage["iteration"]: t for t in trials}
+        for it, _hours, objective, lut, ff, bram, dsp in res.result.points[1:]:
+            trial = by_iteration[it]
+            assert (objective, lut, ff, bram, dsp) == (
+                trial.objective, trial.lut, trial.ff, trial.bram, trial.dsp
+            )

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.dse import DseConfig
-from repro.engine import ArtifactStore, DseEngine, MetricsLogger
+from repro.engine import ArtifactStore
 from repro.search import (
     SEARCH_SCHEMA,
     Study,
@@ -18,8 +18,6 @@ from repro.search import (
     merge_studies,
     render_html,
     save_study,
-    study_from_metrics,
-    study_from_points,
     study_key,
 )
 from repro.workloads import get_workload
@@ -129,68 +127,6 @@ class TestMerge:
     def test_merge_nothing_raises(self):
         with pytest.raises(ValueError):
             merge_studies([])
-
-
-class TestImport:
-    def test_from_accepted_point_tuples(self):
-        points = [
-            (0, 1.5, 10.0, 1000.0, 800.0, 4.0, 2.0),
-            (3, 2.0, 12.0, 1100.0, 900.0, 5.0, 3.0),
-        ]
-        study = study_from_points(
-            points, workloads=["vecmax"], seed=7, strategy="import"
-        )
-        assert len(study.trials) == 2
-        assert study.trials[0].kind == "imported"
-        assert study.trials[0].objective == 10.0
-        assert study.trials[0].modeled_seconds == 1.5 * 3600.0
-        assert study.trials[1].lineage == {"iteration": 3}
-        # Content-addressed key: same input, same study.
-        again = study_from_points(
-            points, workloads=["vecmax"], seed=7, strategy="import"
-        )
-        assert again.key == study.key
-
-    def test_from_dse_point_event_dicts(self):
-        events = [
-            {
-                "event": "dse_point", "seed": 4, "iteration": 2,
-                "modeled_hours": 0.5, "objective": 9.0,
-                "lut": 10.0, "ff": 5.0, "bram": 1.0, "dsp": 1.0,
-            }
-        ]
-        study = study_from_points(events, workloads=["fir"])
-        assert study.trials[0].seed == 4
-        assert study.trials[0].objective == 9.0
-        assert study.trials[0].modeled_seconds == 1800.0
-
-    def test_import_real_dse_result(self, tmp_path):
-        """An engine run's metrics JSONL imports as one trial per accepted
-        point, named after the run's workloads."""
-        log_path = tmp_path / "events.jsonl"
-        res = DseEngine(metrics=MetricsLogger(str(log_path))).explore(
-            [get_workload("vecmax")],
-            DseConfig(iterations=6, seed=3),
-            name="vecmax",
-        )
-        study = study_from_metrics(str(log_path))
-        points = res.result.points
-        assert study.strategy == "import" and study.workloads == ["vecmax"]
-        assert [t.seed for t in study.trials] == [3] * len(points)
-        assert [t.objective for t in study.trials] == [p[2] for p in points]
-        assert study.key == study_from_points(
-            [dict(zip(("iteration", "modeled_hours", "objective", "lut",
-                       "ff", "bram", "dsp"), p), seed=3) for p in points],
-            workloads=["vecmax"],
-        ).key
-
-    def test_metrics_without_points_is_an_error(self, tmp_path):
-        log_path = tmp_path / "events.jsonl"
-        log_path.write_text('{"event": "run_start", "name": "fir"}\n\n')
-        with pytest.raises(ValueError, match="no dse_point events"):
-            study_from_metrics(str(log_path))
-        with pytest.raises(FileNotFoundError):
-            study_from_metrics(str(tmp_path / "absent.jsonl"))
 
 
 class TestExportAndReport:
