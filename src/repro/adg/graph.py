@@ -5,12 +5,17 @@ switches/PEs -> output ports) is circuit-switched and routable, while the
 *memory side* is point-to-point — each stream engine owns direct links to a
 subset of ports.  Which engine reaches which ports is precisely the spatial
 memory design space the DSE explores.
+
+Kind and id-order queries (``nodes``, ``of_kind``, ``pes``, ``engines``, ...)
+read a *view* built on the first query after an edit and dropped by
+:meth:`ADG._touch`, the one place ``version`` moves: a view lives as long as
+one ``version``.  It is instance state, shared with a clone, never pickled.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .nodes import (
     AdgNode,
@@ -44,8 +49,21 @@ _LEGAL_LINKS.discard((NodeKind.IN_PORT, NodeKind.OUT_PORT))
 # Pass-through without any fabric hop is still representable via a switch.
 
 
+class _View(NamedTuple):
+    """An ADG's nodes at one ``version``, every list in ascending id order."""
+
+    ids: List[int]
+    nodes: List[AdgNode]
+    by_kind: Dict[NodeKind, List[AdgNode]]
+    engines: List[AdgNode]
+
+
 class ADG:
     """One tile's architecture description graph (mutable, clonable)."""
+
+    #: The current ``version``'s view, or None (the class default: a view
+    #: is never pickled, and an ADG stored without one loads).
+    _view: Optional[_View] = None
 
     def __init__(self) -> None:
         self._nodes: Dict[int, AdgNode] = {}
@@ -55,9 +73,17 @@ class ADG:
         #: monotonically increasing edit stamp; schedules cache against it.
         self.version = 0
 
+    def __getstate__(self) -> Dict[str, object]:
+        return {k: v for k, v in self.__dict__.items() if k != "_view"}
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def _touch(self, version: Optional[int] = None) -> None:
+        """Move the edit stamp (by one, or to ``version``); drop the view."""
+        self.version = self.version + 1 if version is None else version
+        self._view = None
+
     def add_node(
         self,
         factory: Callable[[int], AdgNode],
@@ -69,11 +95,11 @@ class ADG:
             node_id = self._next_id
         elif node_id in self._nodes:
             raise AdgError(f"node id {node_id} already in use")
-        self._next_id = max(self._next_id, node_id) + 1
+        self._next_id = max(self._next_id, node_id + 1)
         self._nodes[node_id] = factory(node_id)
         self._out[node_id] = set()
         self._in[node_id] = set()
-        self.version += 1
+        self._touch()
         return node_id
 
     def add_pe(self, **kwargs) -> int:
@@ -114,12 +140,12 @@ class ADG:
             )
         self._out[src].add(dst)
         self._in[dst].add(src)
-        self.version += 1
+        self._touch()
 
     def remove_link(self, src: int, dst: int) -> None:
         self._out.get(src, set()).discard(dst)
         self._in.get(dst, set()).discard(src)
-        self.version += 1
+        self._touch()
 
     def remove_node(self, node_id: int) -> None:
         """Remove a node and every link touching it."""
@@ -132,14 +158,14 @@ class ADG:
         del self._out[node_id]
         del self._in[node_id]
         del self._nodes[node_id]
-        self.version += 1
+        self._touch()
 
     def replace_node(self, node_id: int, **changes) -> None:
         """Replace a node's parameters in place (links unchanged)."""
         if node_id not in self._nodes:
             raise AdgError(f"cannot replace unknown node {node_id}")
         self._nodes[node_id] = replace(self._nodes[node_id], **changes)
-        self.version += 1
+        self._touch()
 
     def clone(self) -> "ADG":
         other = ADG()
@@ -148,6 +174,7 @@ class ADG:
         other._in = {k: set(v) for k, v in self._in.items()}
         other._next_id = self._next_id
         other.version = self.version
+        other._view = self._view  # never mutated; each side drops its own
         return other
 
     def restore_counters(self, next_id: int, version: int) -> None:
@@ -163,7 +190,7 @@ class ADG:
                 f"next_id {next_id} below live allocator {self._next_id}"
             )
         self._next_id = next_id
-        self.version = version
+        self._touch(version)
 
     # ------------------------------------------------------------------
     # Queries
@@ -184,10 +211,10 @@ class ADG:
         the graph bit-identical between a live ADG and its serialize
         round-trip, which checkpoint/resume relies on.
         """
-        return iter(self._nodes[i] for i in sorted(self._nodes))
+        return iter(self._views().nodes)
 
     def node_ids(self) -> List[int]:
-        return sorted(self._nodes)
+        return list(self._views().ids)
 
     def successors(self, node_id: int) -> Set[int]:
         return self._out.get(node_id, set())
@@ -200,11 +227,20 @@ class ADG:
             (src, dst) for src, dsts in self._out.items() for dst in dsts
         )
 
+    def _views(self) -> _View:
+        if self._view is None:
+            ids = sorted(self._nodes)
+            nodes = [self._nodes[i] for i in ids]
+            by_kind: Dict[NodeKind, List[AdgNode]] = {}
+            for node in nodes:
+                by_kind.setdefault(node.kind, []).append(node)
+            engines = [n for n in nodes if n.kind in ENGINE_KINDS]
+            self._view = _View(ids, nodes, by_kind, engines)
+        return self._view
+
     def of_kind(self, kind: NodeKind) -> List[AdgNode]:
-        return sorted(
-            (n for n in self._nodes.values() if n.kind is kind),
-            key=lambda n: n.node_id,
-        )
+        """Nodes of ``kind`` in id order (a fresh list, the caller's own)."""
+        return list(self._views().by_kind.get(kind, ()))
 
     @property
     def pes(self) -> List[ProcessingElement]:
@@ -232,10 +268,7 @@ class ADG:
 
     @property
     def engines(self) -> List[AdgNode]:
-        return sorted(
-            (n for n in self._nodes.values() if n.kind in ENGINE_KINDS),
-            key=lambda n: n.node_id,
-        )
+        return list(self._views().engines)
 
     def radix(self, node_id: int) -> int:
         """Total degree of a node (drives switch resource cost)."""

@@ -10,12 +10,13 @@ and the system parameters.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict
-from typing import Any, Dict
+from typing import Any, Dict, Iterator
 
 from ..ir import Op
 from .capability import FuCap
-from .graph import ADG, AdgError
+from .graph import ADG
 from .nodes import (
     DmaEngine,
     GenerateEngine,
@@ -137,26 +138,39 @@ def adg_to_dict(adg: ADG) -> Dict[str, Any]:
     }
 
 
+@contextmanager
+def _reading(what: str) -> Iterator[None]:
+    """What a malformed document raises (a duplicate id's or bad link's
+    AdgError, a missing key, a wrong type) becomes a SerializationError."""
+    try:
+        yield
+    except SerializationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise SerializationError(f"malformed {what}: {detail}") from exc
+
+
 def adg_from_dict(doc: Dict[str, Any]) -> ADG:
-    if doc.get("version") != FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported format version {doc.get('version')!r}"
-        )
+    """A malformed document is a :class:`SerializationError`; a well-formed
+    one describing an invalid graph the AdgError of :meth:`ADG.validate`."""
     adg = ADG()
-    for node_doc in doc["nodes"]:
-        kind = node_doc.get("kind")
-        factory = _FACTORIES.get(kind)
-        if factory is None:
-            raise SerializationError(f"unknown node kind {kind!r}")
-        adg.add_node(
-            lambda i, d=node_doc, f=factory: f(i, d),
-            node_id=int(node_doc["id"]),
-        )
-    for src, dst in doc["links"]:
-        try:
+    with _reading("ADG document"):
+        if doc.get("version") != FORMAT_VERSION:
+            raise SerializationError(
+                f"unsupported format version {doc.get('version')!r}"
+            )
+        for node_doc in doc["nodes"]:
+            kind = node_doc.get("kind")
+            factory = _FACTORIES.get(kind)
+            if factory is None:
+                raise SerializationError(f"unknown node kind {kind!r}")
+            adg.add_node(
+                lambda i, d=node_doc, f=factory: f(i, d),
+                node_id=int(node_doc["id"]),
+            )
+        for src, dst in doc["links"]:
             adg.add_link(int(src), int(dst))
-        except AdgError as exc:
-            raise SerializationError(str(exc)) from exc
     adg.validate()
     return adg
 
@@ -171,15 +185,15 @@ def sysadg_to_dict(sysadg: SysADG) -> Dict[str, Any]:
 
 
 def sysadg_from_dict(doc: Dict[str, Any]) -> SysADG:
-    if doc.get("version") != FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported format version {doc.get('version')!r}"
-        )
-    return SysADG(
-        adg=adg_from_dict(doc["adg"]),
-        params=SystemParams(**doc["params"]),
-        name=doc.get("name", "overlay"),
-    )
+    with _reading("design document"):
+        if doc.get("version") != FORMAT_VERSION:
+            raise SerializationError(
+                f"unsupported format version {doc.get('version')!r}"
+            )
+        adg_doc = doc["adg"]
+        params = SystemParams(**doc["params"])
+        name = doc.get("name", "overlay")
+    return SysADG(adg=adg_from_dict(adg_doc), params=params, name=name)
 
 
 def save_sysadg(sysadg: SysADG, path: str) -> None:

@@ -9,6 +9,7 @@ a platform property studied separately (Fig. 19).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Tuple
 
@@ -89,6 +90,11 @@ class SysADG:
         )
 
 
+#: The system grid's axes — L2 banks, L2 KiB, NoC bytes/cycle — each
+#: ascending: the sweep bounds a point by its predecessors along them.
+SYSTEM_GRID_AXES = ((1, 2, 4, 8, 16), (128, 256, 512, 1024), (16, 32, 64))
+
+
 def system_param_space(
     max_tiles: int = 16,
 ) -> Iterator[Tuple[int, int, int]]:
@@ -98,7 +104,4 @@ def system_param_space(
     budget for each candidate (Section V-A nests system DSE inside spatial
     DSE, choosing the largest tile count that fits).
     """
-    for l2_banks in (1, 2, 4, 8, 16):
-        for l2_kib in (128, 256, 512, 1024):
-            for noc_bytes in (16, 32, 64):
-                yield (l2_banks, l2_kib, noc_bytes)
+    return itertools.product(*SYSTEM_GRID_AXES)

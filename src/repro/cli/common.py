@@ -44,6 +44,8 @@ def load_design(path: str):
         raise CliError(f"no such design file: {path}") from exc
     except OSError as exc:
         raise CliError(f"cannot read design file {path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON, SerializationError, AdgError
+        raise CliError(f"malformed design file {path}: {exc}") from exc
 
 
 def cache_dir_for(args: argparse.Namespace) -> Optional[str]:

@@ -34,10 +34,7 @@ def run_serve(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         for path in args.designs:
-            try:
-                name = server.load_design(path)
-            except FileNotFoundError as exc:
-                raise CliError(f"no such design file: {path}") from exc
+            name = server.add_overlay(common.load_design(path))
             print(
                 f"loaded overlay {name!r} from {path} "
                 f"(fingerprint {server.overlays[name].fingerprint[:16]})"

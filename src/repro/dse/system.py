@@ -5,15 +5,27 @@ the system grid — L2 banks, L2 capacity, NoC bandwidth — and for each point
 derive the largest tile count that fits the FPGA budget.  The objective
 favors estimated performance first, then fewer resources per accelerator
 (the secondary objective that gives the spatial DSE an incentive to prune).
+
+A grid point costs a tile count and one float.  ``system_total(...)
+.fits_in(budget)`` is monotone in the tile count, the NoC width and the L2
+vector (every term of the footprint is non-decreasing in each, and IEEE
+rounding is monotone, so the rounded sums are too): a point's answer is at
+most that of each grid predecessor, one step down one axis, and its downward
+scan starts at the smallest of those instead of at ``max_tiles`` — still
+exact, because the test stays the one ``system_total`` expression.  The
+objective is ``BottleneckProfile.ipc_at``, a bare float per workload;
+``SystemParams``, ``PerfEstimate`` s and the :class:`SystemChoice` are built
+once, for the winning point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from ..adg import ADG, SysADG, SystemParams, system_param_space
-from ..model.perf import PerfEstimate, bottleneck_profile, geomean_ipc
+from ..adg import ADG, SystemParams
+from ..adg.system import SYSTEM_GRID_AXES
+from ..model.perf import PerfEstimate, bottleneck_profile, geomean
 from ..model.resource import (
     AnalyticEstimator,
     Resources,
@@ -31,7 +43,7 @@ class SystemChoice:
     """The best system configuration found for one candidate ADG."""
 
     params: SystemParams
-    objective: float            # weighted geomean estimated IPC
+    objective: float            # geomean estimated IPC
     tile_resources: Resources   # one accelerator tile (secondary objective)
     system_total: Resources
     estimates: Dict[str, PerfEstimate]
@@ -59,17 +71,41 @@ def _largest_fit(
     l2: Resources,
     noc_bytes: int,
     budget: Resources,
-    cap: int,
+    bound: int,
 ) -> Tuple[int, Optional[Resources]]:
     """``(tiles, system total)`` at the largest fitting count, or (0, None).
 
-    ``per_tile`` is one accelerator tile plus its control core.
+    ``per_tile`` is one accelerator tile plus its control core; ``bound``
+    is a count the answer is known not to exceed.
     """
-    for tiles in range(cap, 0, -1):
+    for tiles in range(bound, 0, -1):
         total = system_total(per_tile, tiles, l2, noc_bytes)
         if total.fits_in(budget):
             return tiles, total
     return 0, None
+
+
+def _grid_fits(
+    per_tile: Resources, budget: Resources, max_tiles: int
+) -> Iterator[Tuple[int, int, int, int, Resources]]:
+    """``(l2_banks, l2_kib, noc_bytes, tiles, system total)`` of every grid
+    point that fits a tile, in grid order; each scan is bounded by the
+    point's already-solved grid predecessors (see the module docstring)."""
+    banks_axis, kib_axis, noc_axis = SYSTEM_GRID_AXES
+    solved: Dict[Tuple[int, int, int], int] = {}
+    for b, l2_banks in enumerate(banks_axis):
+        for k, l2_kib in enumerate(kib_axis):
+            l2 = l2_resources(l2_kib, l2_banks)
+            for n, noc_bytes in enumerate(noc_axis):
+                bound = min(
+                    solved.get((b - 1, k, n), max_tiles),
+                    solved.get((b, k - 1, n), max_tiles),
+                    solved.get((b, k, n - 1), max_tiles),
+                )
+                tiles, total = _largest_fit(per_tile, l2, noc_bytes, budget, bound)
+                solved[b, k, n] = tiles
+                if tiles:
+                    yield l2_banks, l2_kib, noc_bytes, tiles, total
 
 
 def system_dse(
@@ -78,13 +114,14 @@ def system_dse(
     estimator: Optional[AnalyticEstimator] = None,
     budget: Optional[Resources] = None,
     max_tiles: int = 16,
-    weights: Optional[Sequence[float]] = None,
 ) -> Optional[SystemChoice]:
     """Exhaustive sweep of the system grid for one candidate ADG.
 
     Each schedule's stream classification (:func:`bottleneck_profile`)
     does not depend on the grid point, so it is built once and only the
-    NoC/L2/DRAM levels are re-evaluated per point.
+    NoC/L2/DRAM levels are re-evaluated per point.  The winner is the first
+    strict maximum in grid order (the tile, the secondary objective, is
+    the same at every point of one sweep).
 
     Returns None when no grid point fits even one tile.  This is the one
     ``dse.system`` span site, so every caller (explorer loop, seed and
@@ -92,47 +129,37 @@ def system_dse(
     """
     estimator = estimator or AnalyticEstimator()
     budget = budget or usable_budget()
-    best: Optional[SystemChoice] = None
     with span("dse.system"):
         tile = estimator.tile(adg)
-        per_tile = tile + control_core_resources()
-        profiles = [
-            (s.mdfg.workload, bottleneck_profile(s.mdfg, s.binding(), adg))
+        profiles = {
+            s.mdfg.workload: bottleneck_profile(s.mdfg, s.binding(), adg)
             for s in schedules
-        ]
-        for l2_banks, l2_kib, noc_bytes in system_param_space():
-            tiles, total = _largest_fit(
-                per_tile,
-                l2_resources(l2_kib, l2_banks),
-                noc_bytes,
-                budget,
-                max_tiles,
+        }
+        platform = SystemParams()
+        best = None
+        for point in _grid_fits(tile + control_core_resources(), budget, max_tiles):
+            l2_banks, l2_kib, noc_bytes, tiles, _total = point
+            objective = geomean(
+                [
+                    profile.ipc_at(tiles, l2_banks, l2_kib, noc_bytes, platform)
+                    for profile in profiles.values()
+                ]
             )
-            if tiles == 0:
-                continue
-            params = SystemParams(
-                num_tiles=tiles,
-                l2_banks=l2_banks,
-                l2_kib=l2_kib,
-                noc_bytes_per_cycle=noc_bytes,
-            )
-            estimates = {
-                workload: profile.at(params) for workload, profile in profiles
-            }
-            candidate = SystemChoice(
-                params=params,
-                objective=geomean_ipc(list(estimates.values()), weights),
-                tile_resources=tile,
-                system_total=total,
-                estimates=estimates,
-            )
-            if best is None or _better(candidate, best):
-                best = candidate
-    return best
-
-
-def _better(a: SystemChoice, b: SystemChoice) -> bool:
-    """Objective order: performance first, then resources-per-accelerator."""
-    if a.objective != b.objective:
-        return a.objective > b.objective
-    return a.tile_resources.lut < b.tile_resources.lut
+            if best is None or objective > best[0]:
+                best = (objective, point)
+        if best is None:
+            return None
+        objective, (l2_banks, l2_kib, noc_bytes, tiles, total) = best
+        params = SystemParams(
+            num_tiles=tiles,
+            l2_banks=l2_banks,
+            l2_kib=l2_kib,
+            noc_bytes_per_cycle=noc_bytes,
+        )
+        return SystemChoice(
+            params=params,
+            objective=objective,
+            tile_resources=tile,
+            system_total=total,
+            estimates={name: p.at(params) for name, p in profiles.items()},
+        )

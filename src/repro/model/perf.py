@@ -9,13 +9,18 @@ the auxiliary recurrence/generate engine bandwidths.  Consumption rates are
 reuse-discounted: a stream whose value is held stationary at its port only
 fetches once per ``held`` firings, and a stream whose array lives in the
 scratchpad or hits in L2 stops consuming downstream bandwidth.
+
+A :class:`BottleneckProfile` holds what the system grid cannot change —
+the classified streams, the per-engine factors and their minimum — and one
+routine, ``_levels``, for the three levels it can (NoC, L2, DRAM), shared by
+``at`` (the full :class:`PerfEstimate`) and ``ipc_at`` (the same float alone).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..adg import ADG, NodeKind, SpadEngine, SysADG, SystemParams
 from ..dfg import MDFG, ArrayNode, ArrayPlacement, StreamKind, StreamNode
@@ -133,8 +138,8 @@ class BottleneckProfile:
     """The half of Eq. 1-2 that does not read :class:`SystemParams`.
 
     Built once per (mDFG, binding, ADG) by :func:`bottleneck_profile`;
-    :meth:`at` adds the grid-dependent levels (NoC, L2, DRAM) for one
-    system point, so a sweep pays for stream classification once.
+    :meth:`at` / :meth:`ipc_at` add the grid-dependent levels (NoC, L2, DRAM)
+    for one system point, so a sweep pays for stream classification once.
     """
 
     insts_per_cycle: float
@@ -150,27 +155,64 @@ class BottleneckProfile:
     #: L2-reuse divisor).  The divisor is ``max(1, array reuse)``, or 1.0
     #: in a reuse-blind profile, where a stream that fits L2 still pays.
     dma_streams: Tuple[Tuple[float, float, bool, float], ...]
+    #: min over ``engine_factors`` + ``aux_factors`` — the factors no system
+    #: point moves; inf when there are none.
+    static_min: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        fixed = [f for _key, f in self.engine_factors + self.aux_factors]
+        object.__setattr__(self, "static_min", min(fixed, default=math.inf))
 
     def at(
         self, params: SystemParams, num_tiles: Optional[int] = None
     ) -> PerfEstimate:
         """The estimate at one system point (``num_tiles`` overrides)."""
         tiles = params.num_tiles if num_tiles is None else num_tiles
-        tiles_used = min(float(tiles), self.tile_parallelism)
+        tiles_used, *levels = self._levels(
+            tiles, params.l2_banks, params.l2_bytes, params.noc_bytes_per_cycle, params
+        )
         factors: Dict[str, float] = dict(self.engine_factors)
+        for key, level in zip(("noc", "l2", "dram"), levels):
+            if level is not None:
+                factors[key] = level
+        factors.update(self.aux_factors)
+        bottleneck = min(factors.values()) if factors else 1.0
+        return PerfEstimate(
+            ipc=self.insts_per_cycle * tiles_used * min(1.0, bottleneck),
+            tiles_used=tiles_used,
+            insts_per_cycle=self.insts_per_cycle,
+            factors=factors,
+        )
+
+    def ipc_at(self, tiles, l2_banks, l2_kib, noc_bytes, platform) -> float:
+        """``at(...).ipc`` at one grid point, bit for bit, and nothing else;
+        ``platform`` (a :class:`SystemParams`) supplies the grid-invariant
+        L2 bank bandwidth and DRAM bytes per cycle."""
+        tiles_used, noc, l2, dram = self._levels(
+            tiles, l2_banks, l2_kib * 1024, noc_bytes, platform
+        )
+        bottleneck = self.static_min
+        for level in (noc, l2, dram):
+            if level is not None and level < bottleneck:
+                bottleneck = level
+        return self.insts_per_cycle * tiles_used * min(1.0, bottleneck)
+
+    def _levels(self, tiles, l2_banks, l2_bytes, noc_bytes, platform):
+        """``(tiles_used, noc, l2, dram)``; a level without demand is None."""
+        tiles_used = min(float(tiles), self.tile_parallelism)
+        noc = l2 = dram = None
         dma_demand = self.dma_demand
         if dma_demand > 0:
             # NoC: each tile's crossbar link bounds its own L2 traffic.
-            factors["noc"] = params.noc_bytes_per_cycle / dma_demand
+            noc = noc_bytes / dma_demand
             # L2: shared across tiles; banks multiply production (Eq. 2).
-            production = params.l2_bank_bandwidth * params.l2_banks
-            factors["l2"] = production / (dma_demand * tiles_used)
+            production = platform.l2_bank_bandwidth * l2_banks
+            l2 = production / (dma_demand * tiles_used)
 
         # DRAM: streams whose working set misses in L2 keep their demand;
         # those whose footprint fits are filtered by L2 reuse.  Arrays
         # shared by every tile are replicated in the working set;
         # partitionable ones split across tiles (one copy in total).
-        l2_bytes = params.l2_bytes
         copies = max(1, int(tiles_used))
         dram_demand_tile = 0.0
         for demand, footprint, partitionable, reuse in self.dma_streams:
@@ -180,18 +222,10 @@ class BottleneckProfile:
                 demand /= reuse
             dram_demand_tile += demand
         if dram_demand_tile > 0:
-            factors["dram"] = params.dram_bytes_per_cycle / (
+            dram = platform.dram_bytes_per_cycle / (
                 dram_demand_tile * tiles_used
             )
-
-        factors.update(self.aux_factors)
-        bottleneck = min(factors.values()) if factors else 1.0
-        return PerfEstimate(
-            ipc=self.insts_per_cycle * tiles_used * min(1.0, bottleneck),
-            tiles_used=tiles_used,
-            insts_per_cycle=self.insts_per_cycle,
-            factors=factors,
-        )
+        return tiles_used, noc, l2, dram
 
 
 def bottleneck_profile(
@@ -316,16 +350,19 @@ def estimate_cycles(
 
 def geomean_ipc(estimates: List[PerfEstimate], weights=None) -> float:
     """Weighted geometric-mean IPC across workloads (the DSE objective)."""
-    if not estimates:
+    return geomean([est.ipc for est in estimates], weights)
+
+
+def geomean(ipcs: Sequence[float], weights=None) -> float:
+    """Weighted geometric mean of IPCs, each floored at 1e-9."""
+    if not ipcs:
         return 0.0
     if weights is None:
-        weights = [1.0] * len(estimates)
-    elif len(weights) != len(estimates):
-        raise ValueError(
-            f"{len(weights)} weights for {len(estimates)} estimates"
-        )
+        weights = [1.0] * len(ipcs)
+    elif len(weights) != len(ipcs):
+        raise ValueError(f"{len(weights)} weights for {len(ipcs)} estimates")
     total_w = sum(weights)
     log_sum = 0.0
-    for est, w in zip(estimates, weights):
-        log_sum += w * math.log(max(est.ipc, 1e-9))
+    for ipc, w in zip(ipcs, weights):
+        log_sum += w * math.log(max(ipc, 1e-9))
     return math.exp(log_sum / total_w)

@@ -11,16 +11,37 @@ every proposal identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..adg import SystemParams
+from ..adg.builders import SeedInventory, seed_inventory
 from ..compiler import VariantSet, generate_variants
 from ..dse import DseConfig
 from ..dse.explorer import sweep_candidate
 from ..dse.system import SystemChoice
 from ..ir import Workload
-from .space import genome_adg, params_adg
+from .space import apply_genome, apply_params
 from .strategy import Proposal
+
+
+class StudyInputs(NamedTuple):
+    """What every genome / params evaluation of one study shares; both
+    depend on the workloads only, so ``run_search`` lowers once per study
+    and every shard carries the value (a pool pickles it along)."""
+
+    variant_sets: Tuple[VariantSet, ...]
+    inventory: SeedInventory
+
+
+def study_inputs(
+    proposals: Iterable[Proposal], workloads: Sequence[Workload]
+) -> Optional[StudyInputs]:
+    """The inputs ``proposals`` need: None when every one is an annealer
+    candidate, which arrives already scheduled."""
+    if all(proposal.kind == "candidate" for proposal in proposals):
+        return None
+    variant_sets = tuple(generate_variants(w) for w in workloads)
+    return StudyInputs(variant_sets, seed_inventory(workloads))
 
 
 @dataclass
@@ -32,6 +53,8 @@ class EvalShard:
     config: DseConfig
     seed: int
     include_adg: bool = False
+    #: None: a shard built outside a study loop lowers for itself.
+    inputs: Optional[StudyInputs] = None
 
 
 @dataclass
@@ -54,15 +77,14 @@ class EvalOut:
 def evaluate_shard(shard: EvalShard) -> List[EvalOut]:
     """Evaluate every proposal in the shard, in global index order.
 
-    Variant sets depend on the workload only, so each workload is lowered
-    once per shard — and not at all when every proposal is an annealer
-    candidate, which arrives already scheduled.
+    Nothing is lowered here when the shard carries its study's inputs (or
+    needs none: see :func:`study_inputs`).
     """
-    variant_sets: List[VariantSet] = []
-    if any(proposal.kind != "candidate" for _index, proposal in shard.items):
-        variant_sets = [generate_variants(w) for w in shard.workloads]
+    inputs = shard.inputs
+    if inputs is None:
+        inputs = study_inputs((p for _index, p in shard.items), shard.workloads)
     return [
-        evaluate_proposal(index, proposal, shard, variant_sets)
+        evaluate_proposal(index, proposal, shard, inputs)
         for index, proposal in shard.items
     ]
 
@@ -71,7 +93,7 @@ def evaluate_proposal(
     index: int,
     proposal: Proposal,
     shard: EvalShard,
-    variant_sets: Sequence[VariantSet],
+    inputs: Optional[StudyInputs],
 ) -> EvalOut:
     cfg = shard.config
     if proposal.kind == "candidate":
@@ -86,19 +108,12 @@ def evaluate_proposal(
     if proposal.kind not in ("genome", "params"):
         raise ValueError(f"unknown proposal kind {proposal.kind!r}")
 
+    adg = inputs.inventory.seed(cfg.seed_width_bits)
     if proposal.kind == "genome":
-        adg = genome_adg(
-            shard.workloads,
-            [tuple(g) for g in proposal.payload["genes"]],
-            shard.seed,
-            width_bits=cfg.seed_width_bits,
-        )
+        genes = [tuple(g) for g in proposal.payload["genes"]]
+        apply_genome(adg, genes, shard.seed)
     else:
-        adg = params_adg(
-            shard.workloads,
-            proposal.payload["params"],
-            width_bits=cfg.seed_width_bits,
-        )
+        apply_params(adg, proposal.payload["params"])
 
     params = SystemParams()
     schedules = {}
@@ -108,7 +123,7 @@ def evaluate_proposal(
     try:
         from ..scheduler import schedule_workload
 
-        for workload, variants in zip(shard.workloads, variant_sets):
+        for workload, variants in zip(shard.workloads, inputs.variant_sets):
             total_variants += len(variants.variants)
             schedule = schedule_workload(variants, adg, params)
             if schedule is None:

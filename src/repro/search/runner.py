@@ -28,7 +28,7 @@ from ..engine.metrics import MetricsLogger
 from ..ir import Workload
 from ..jobs import FaultPolicy, JobRunner, ProcessPoolJobExecutor, ShardPlan
 from ..profile.tracer import span
-from .evaluate import EvalOut, EvalShard, evaluate_shard
+from .evaluate import EvalOut, EvalShard, StudyInputs, evaluate_shard, study_inputs
 from .strategy import Proposal, SearchContext, SearchError, make_strategy
 from .study import Study, Trial, load_study, save_study, study_key
 
@@ -126,6 +126,7 @@ def run_search(
             resumed=resumed,
         )
         saved = len(study.trials)
+        inputs = None  # lowered once per study, by the first batch in need
         while len(study.trials) < settings.trials and not strategy.exhausted:
             want = min(
                 settings.batch,
@@ -136,12 +137,15 @@ def run_search(
                 proposals = strategy.ask(want)
             if not proposals:
                 break
+            if inputs is None:
+                inputs = study_inputs(proposals, ctx.workloads)
             evals = _evaluate(
                 proposals,
                 ctx,
                 settings.workers,
                 metrics,
                 start_index=len(study.trials),
+                inputs=inputs,
             )
             trials = _to_trials(proposals, evals, settings)
             with span("search.tell", trials=len(trials)):
@@ -177,7 +181,7 @@ def run_search(
             outcome.choice = outcome.dse_result.choice
         elif rebuild_best and outcome.best_trial is not None:
             outcome.sysadg, outcome.choice = _rebuild_best(
-                outcome.best_trial, ctx
+                outcome.best_trial, ctx, inputs
             )
         best = outcome.best_trial
         metrics.emit(
@@ -199,6 +203,7 @@ def _evaluate(
     workers: int,
     metrics: MetricsLogger,
     start_index: int,
+    inputs: Optional[StudyInputs],
 ) -> List[EvalOut]:
     """Fan a batch out through the jobs runtime; index order in, index
     order out, pickle-normalized so serial == pool byte-for-byte."""
@@ -211,6 +216,7 @@ def _evaluate(
             workloads=tuple(ctx.workloads),
             config=ctx.config,
             seed=ctx.seed,
+            inputs=inputs,
         )
         for shard in shards
     ]
@@ -272,7 +278,7 @@ def _to_trials(
     return trials
 
 
-def _rebuild_best(trial: Trial, ctx: SearchContext):
+def _rebuild_best(trial: Trial, ctx: SearchContext, inputs: Optional[StudyInputs]):
     """Re-evaluate the winning trial in-process to realize its SysADG."""
     if trial.kind == "genome":
         proposal = Proposal(
@@ -294,6 +300,7 @@ def _rebuild_best(trial: Trial, ctx: SearchContext):
         config=ctx.config,
         seed=ctx.seed,
         include_adg=True,
+        inputs=inputs,
     )
     (out,) = evaluate_shard(shard)
     if out.choice is None or out.adg_doc is None:

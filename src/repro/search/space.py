@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Sequence, Tuple
 
-from ..adg import ADG, AdgError, seed_for_workloads
+from ..adg import ADG, AdgError
 from ..dse.transforms import (
     BANDWIDTHS,
     PE_WIDTHS,
@@ -26,7 +26,6 @@ from ..dse.transforms import (
     SPAD_CAPACITIES,
     TransformFailed,
 )
-from ..ir import Workload
 from .strategy import stable_rng
 
 #: One gene: (random-transform name, salt for its private RNG stream).
@@ -56,18 +55,6 @@ def apply_genome(
     return applied
 
 
-def genome_adg(
-    workloads: Sequence[Workload],
-    genes: Sequence[Gene],
-    study_seed: int,
-    width_bits: int = 512,
-) -> ADG:
-    """The seed ADG for ``workloads`` with ``genes`` applied."""
-    adg = seed_for_workloads(list(workloads), width_bits=width_bits)
-    apply_genome(adg, genes, study_seed)
-    return adg
-
-
 # ----------------------------------------------------------------------
 # TPE parameter space
 # ----------------------------------------------------------------------
@@ -94,19 +81,14 @@ def params_key(params: Dict[str, Any]) -> Tuple[Any, ...]:
     return tuple(params[name] for name, _ in PARAM_SPACE)
 
 
-def params_adg(
-    workloads: Sequence[Workload],
-    params: Dict[str, Any],
-    width_bits: int = 512,
-) -> ADG:
-    """Deterministically realize a parameter point as a concrete ADG.
+def apply_params(adg: ADG, params: Dict[str, Any]) -> None:
+    """Deterministically realize a parameter point on the study's seed ADG.
 
     Structure first (extra switches into the ring, extra PEs cloned from
     the richest donor), then uniform re-sizing of widths, capacities and
     bandwidths.  Points that break schedulability simply score as
     infeasible trials — that is the search learning the constraint.
     """
-    adg = seed_for_workloads(list(workloads), width_bits=width_bits)
     switches = sorted(adg.switches, key=lambda s: s.node_id)
     for i in range(int(params.get("extra_switches", 0))):
         width = max((s.width_bits for s in switches), default=64)
@@ -151,4 +133,3 @@ def params_adg(
         for dma in list(adg.dmas):
             if dma.bandwidth_bytes != bandwidth:
                 adg.replace_node(dma.node_id, bandwidth_bytes=bandwidth)
-    return adg

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
 
-from ..adg import SysADG, load_sysadg, sysadg_from_dict, sysadg_to_dict
+from ..adg import SysADG, sysadg_from_dict, sysadg_to_dict
 from ..cluster.registry import OverlayRegistry, RegistryError
 from ..engine.metrics import MetricsLogger
 from ..engine.store import ArtifactStore, TieredCache
@@ -178,9 +178,6 @@ class OverlayServer:
             fingerprint=overlay_fingerprint(sysadg),
         )
         return name
-
-    def load_design(self, path: str, name: Optional[str] = None) -> str:
-        return self.add_overlay(load_sysadg(path), name=name)
 
     def _resolve_overlay(self, name: Optional[str]) -> OverlayEntry:
         if name is None:

@@ -1,12 +1,18 @@
 """Tests for ADG construction, mutation, and validation."""
 
+import pickle
+from pathlib import Path
+
 import pytest
 
 from repro.adg import (
     ADG,
+    ENGINE_KINDS,
     AdgError,
     FuCap,
     NodeKind,
+    ProcessingElement,
+    Switch,
     SystemParams,
     cap_for,
     caps_for_dtype,
@@ -90,6 +96,122 @@ class TestGraphBasics:
     def test_radix(self):
         adg, sw, *_ = tiny_adg()
         assert adg.radix(sw) == 4  # ip->sw, pe->sw in; sw->pe, sw->op out
+
+
+def scan(adg):
+    """Every kind / id-order query answered from scratch, off ``_nodes``."""
+    nodes = [adg._nodes[i] for i in sorted(adg._nodes)]
+    doc = {kind: [n for n in nodes if n.kind is kind] for kind in NodeKind}
+    doc["ids"] = [n.node_id for n in nodes]
+    doc["nodes"] = nodes
+    doc["engines"] = [n for n in nodes if n.kind in ENGINE_KINDS]
+    return doc
+
+
+def queries(adg):
+    doc = {kind: adg.of_kind(kind) for kind in NodeKind}
+    for kind, by_property in (
+        (NodeKind.PE, adg.pes),
+        (NodeKind.SWITCH, adg.switches),
+        (NodeKind.IN_PORT, adg.in_ports),
+        (NodeKind.OUT_PORT, adg.out_ports),
+        (NodeKind.SPAD, adg.spads),
+        (NodeKind.DMA, adg.dmas),
+    ):
+        assert by_property == doc[kind]
+    doc["ids"] = adg.node_ids()
+    doc["nodes"] = list(adg.nodes())
+    doc["engines"] = adg.engines
+    return doc
+
+
+class TestViews:
+    """Queries come from a per-``version`` view; no edit may outlive it."""
+
+    def test_every_mutator_drops_the_view(self):
+        adg, sw, pe, ip, op, dma = tiny_adg()
+        edits = [
+            lambda a: a.add_node(Switch),
+            lambda a: a.add_spad(capacity_bytes=4096),
+            lambda a: a.add_link(a.spads[0].node_id, ip),
+            lambda a: a.remove_link(a.spads[0].node_id, ip),
+            lambda a: a.replace_node(pe, width_bits=256),
+            lambda a: a.remove_node(a.spads[0].node_id),
+            lambda a: a.restore_counters(a._next_id + 3, a.version + 7),
+        ]
+        for edit in edits:
+            assert queries(adg) == scan(adg)  # warm the view, then edit
+            edit(adg)
+            assert queries(adg) == scan(adg)
+        clone = adg.clone()
+        assert queries(clone) == scan(clone) == scan(adg)
+
+    def test_returned_lists_are_the_callers(self):
+        adg, *_ = tiny_adg()
+        for take in (
+            lambda: adg.pes, lambda: adg.engines, adg.node_ids,
+            lambda: adg.of_kind(NodeKind.SWITCH),
+        ):
+            first = take()
+            first.clear()
+            assert take() and queries(adg) == scan(adg)
+
+    def test_clone_and_original_edit_apart(self):
+        adg, sw, pe, *_ = tiny_adg()
+        assert len(adg.pes) == 1           # view is current when cloned
+        clone = adg.clone()
+        clone.add_pe()
+        assert len(clone.pes) == 2 and len(adg.pes) == 1
+        adg.remove_node(pe)
+        assert len(clone.pes) == 2 and adg.pes == []
+        assert queries(adg) == scan(adg) and queries(clone) == scan(clone)
+
+    def test_view_is_not_pickled(self):
+        adg, *_ = tiny_adg()
+        cold = pickle.dumps(adg)
+        queries(adg)
+        assert pickle.dumps(adg) == cold
+        assert pickle.dumps(adg.clone()) == cold
+        loaded = pickle.loads(cold)
+        assert "_view" not in vars(loaded)
+        assert queries(loaded) == scan(loaded)
+
+    def test_a_pickle_from_before_views_loads(self):
+        """``fixtures/adg_parent_6f52662.pkl``: ``pickle.dumps(adg, 4)`` at
+        the commit before views existed (dma, ip, sw, pe, op; a sixth node
+        added and removed, so the allocator is past max id + 1)."""
+        blob = (
+            Path(__file__).parent / "fixtures" / "adg_parent_6f52662.pkl"
+        ).read_bytes()
+        adg = pickle.loads(blob)
+        assert pickle.dumps(adg, protocol=4) == blob
+        assert queries(adg) == scan(adg)
+        assert [n.kind.value for n in adg.nodes()] == [
+            "dma", "ip", "sw", "pe", "op",
+        ]
+        assert adg.add_switch() == 6 and len(adg.switches) == 2
+        assert pickle.dumps(pickle.loads(blob), protocol=4) == blob
+
+    def test_restore_counters_to_an_equal_stamp_drops_the_view(self):
+        """``adg_from_dict`` + ``restore_counters`` can land on the stamp
+        a view was cached at; the stamp alone must not keep it alive."""
+        adg, sw, pe, *_ = tiny_adg()
+        stale = adg.pes
+        adg._nodes[pe] = ProcessingElement(pe, width_bits=512)
+        adg.restore_counters(adg._next_id, adg.version)
+        assert adg.pes != stale and adg.pes[0].width_bits == 512
+
+
+class TestAllocator:
+    def test_explicit_ids_out_of_order_do_not_over_advance(self):
+        """ids 5 then 3 left the allocator at 7, and ``restore_counters(6)``
+        then refused a valid checkpoint."""
+        adg = ADG()
+        adg.add_node(Switch, node_id=5)
+        adg.add_node(Switch, node_id=3)
+        assert adg._next_id == 6
+        adg.restore_counters(6, 2)
+        assert adg.add_switch() == 6
 
 
 class TestCapabilities:

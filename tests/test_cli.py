@@ -246,6 +246,45 @@ class TestErrorHandling:
         assert rc == 2
         assert "no such design file" in captured.err
 
+    @pytest.mark.parametrize(
+        "command", ["inspect", "map", "simulate", "rtl", "floorplan", "advise"]
+    )
+    def test_malformed_design_file_is_one_error_line(
+        self, command, design_path, tmp_path, capsys
+    ):
+        """Bad JSON died with JSONDecodeError, a duplicate node id with
+        AdgError, a bad link with SerializationError: exit 1, a traceback."""
+        doc = json.loads(pathlib.Path(design_path).read_text())
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("not json {")
+        duplicate = tmp_path / "duplicate.json"
+        nodes = doc["adg"]["nodes"]
+        duplicate.write_text(
+            json.dumps({**doc, "adg": {**doc["adg"], "nodes": nodes + nodes[:1]}})
+        )
+        bad_link = tmp_path / "bad_link.json"
+        links = doc["adg"]["links"] + [[0, 10 ** 6]]
+        bad_link.write_text(
+            json.dumps({**doc, "adg": {**doc["adg"], "links": links}})
+        )
+        extra = [] if command in ("inspect", "rtl", "floorplan") else ["vecmax"]
+        for path in (garbage, duplicate, bad_link):
+            rc = main([command, str(path)] + extra)
+            captured = capsys.readouterr()
+            assert rc == 2, (command, path.name)
+            assert captured.err.startswith(
+                f"error: malformed design file {path}: "
+            )
+            assert len(captured.err.splitlines()) == 1
+
+    def test_serve_boot_reports_a_malformed_design(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        rc = main(["serve", str(path), "--socket", str(tmp_path / "s.sock")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: malformed design file {path}")
+
     def test_advise_unknown_workload(self, design_path, capsys):
         rc = main(["advise", design_path, "nope"])
         assert rc == 2

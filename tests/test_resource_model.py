@@ -252,7 +252,7 @@ class TestEstimators:
                 l2_resources(p.l2_kib, p.l2_banks),
                 p.noc_bytes_per_cycle,
                 usable_budget(),
-                cap=p.num_tiles,
+                bound=p.num_tiles,
             )
             assert tiles == p.num_tiles, name
             assert est.system(sysadg) == total, name

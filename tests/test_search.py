@@ -227,6 +227,31 @@ def test_shard_lowers_each_workload_once(strategy, lowered, monkeypatch):
         }
 
 
+@pytest.mark.parametrize("strategy", ["tpe", "evolutionary", "bottleneck"])
+def test_study_lowers_once(strategy):
+    """A study lowers each workload's variants plus one unroll-1 inventory
+    pass, whatever its length: every batch re-lowered the variants and
+    every proposal the seed inventory (10 lowerings per trial)."""
+    from repro.compiler import generate_variants
+    from repro.profile.tracer import Tracer, tracing
+
+    workloads = [get_workload("vecmax"), get_workload("fir")]
+    with tracing(Tracer()) as tracer:
+        for w in workloads:
+            generate_variants(w)
+    once = tracer.summarize()["compiler.lower"].count + len(workloads)
+    for trials in (4, 12):
+        with tracing(Tracer()) as tracer:
+            outcome = run_search(
+                workloads,
+                CFG,
+                SearchSettings(strategy=strategy, trials=trials, batch=4, seed=2),
+                rebuild_best=True,
+            )
+        assert len(outcome.study.trials) == trials
+        assert tracer.summarize()["compiler.lower"].count == once
+
+
 class TestWorkerInvariance:
     def test_tpe_pool_study_is_byte_identical_to_serial(
         self, vecmax, tmp_path

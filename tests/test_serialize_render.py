@@ -103,6 +103,43 @@ class TestRoundTrip:
         with pytest.raises(SerializationError):
             adg_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda d: d["adg"]["nodes"].append(dict(d["adg"]["nodes"][0])),
+            lambda d: d["adg"]["nodes"][0].pop("id"),
+            lambda d: d["adg"]["nodes"][3].pop("width_bits"),
+            lambda d: d["adg"]["nodes"][0].update(id="seven"),
+            lambda d: d["adg"].update(nodes=7),
+            lambda d: d["adg"].pop("links"),
+            lambda d: d["adg"]["links"].append([0]),
+            lambda d: d["adg"]["links"].append([0, 10 ** 6]),
+            lambda d: d.pop("params"),
+            lambda d: d["params"].update(l2_ways=4),
+            lambda d: d["params"].update(l2_banks=3),
+            lambda d: d.update(adg=[]),
+        ],
+        ids=[
+            "duplicate-id", "no-id", "no-node-field", "id-not-int",
+            "nodes-not-list", "no-links", "short-link", "link-to-nowhere",
+            "no-params", "unknown-param", "invalid-param", "adg-not-object",
+        ],
+    )
+    def test_malformed_document_is_a_serialization_error(self, damage):
+        """Duplicate ids, missing keys and wrong types used to escape as
+        AdgError / KeyError / TypeError; only bad links were typed."""
+        doc = sysadg_to_dict(general_overlay())
+        damage(doc)
+        with pytest.raises(SerializationError):
+            sysadg_from_dict(doc)
+
+    def test_a_document_that_is_not_an_object(self):
+        for doc in ([], "overlay", None, 3):
+            with pytest.raises(SerializationError):
+                sysadg_from_dict(doc)
+            with pytest.raises(SerializationError):
+                adg_from_dict(doc)
+
     @settings(max_examples=10, deadline=None)
     @given(
         rows=st.integers(1, 3),
