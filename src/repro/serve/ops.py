@@ -3,10 +3,15 @@
 Each op is a pure function of ``(overlay design, workload)`` returning a
 plain-JSON *result document*.  The same functions back three callers:
 
-* the server's worker-pool processes (:func:`compute_op` is a
-  module-level function, so it pickles to worker processes);
-* the single-shot CLI path (``repro map/simulate --json``), which is the
-  byte-identity reference the load tests compare against;
+* the server's compute workers, through :func:`compute_op` /
+  :func:`remap_compute`.  A job names its overlay by content
+  fingerprint; the worker keeps what it built in :data:`RESIDENT` (the
+  deserialised design, and the schedule of every kernel it has placed on
+  it), so the overlay is built once per worker and a kernel is scheduled
+  once per (overlay, kernel), whichever op asks first;
+* the single-shot CLI path (``repro map/simulate --json``), which holds
+  nothing between calls and is the byte-identity reference every served
+  document is compared against;
 * the artifact store, which persists result documents keyed by
   :func:`result_key` so a restarted server answers warm.
 
@@ -17,6 +22,7 @@ are rendered with :func:`~repro.serve.protocol.canonical_dumps`, so
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adg import SysADG, sysadg_from_dict, sysadg_to_dict
@@ -65,13 +71,93 @@ def _resolve_workload(name: str):
         raise BadRequestError(msg) from exc
 
 
-def _schedule(sysadg: SysADG, workload_name: str):
+class OverlayNotResident(Exception):
+    """This compute worker does not hold the overlay a job named.
+
+    The server answers by sending the same job again with the design
+    document attached; nothing else ever carries a design to a worker.
+    """
+
+
+class ResidentStore:
+    """What one compute process keeps of the overlays it has served.
+
+    ``overlay fingerprint -> (SysADG, {workload fingerprint -> Schedule |
+    UnmappableError})``, keyed only by the content fingerprints behind
+    :func:`result_key`, so an entry can never answer for another design
+    or another workload body.  Held schedules are never mutated.
+    """
+
+    #: Overlays held at once.  The oldest goes first, with its schedules.
+    MAX_OVERLAYS = 8
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._held: Dict[str, Tuple[SysADG, Dict[str, Any]]] = {}
+
+    def hold(
+        self, overlay_fp: str, design_doc: Optional[Dict[str, Any]] = None
+    ) -> Tuple[SysADG, Dict[str, Any]]:
+        """The resident design and its schedules, built from
+        ``design_doc`` when this process does not hold it yet."""
+        held = self._held.get(overlay_fp)
+        if held is not None:
+            return held
+        if design_doc is None:
+            raise OverlayNotResident(overlay_fp)
+        built = (sysadg_from_dict(design_doc), {})
+        with self._lock:  # insert and evict as one step
+            held = self._held.setdefault(overlay_fp, built)
+            while len(self._held) > self.MAX_OVERLAYS:
+                del self._held[next(iter(self._held))]
+        return held
+
+
+#: The one store of this process.  Module level because a pool worker has
+#: nowhere else to keep state between jobs; the ``workers=0`` thread
+#: executor shares it with every server in the process, which content
+#: keys make safe.
+RESIDENT = ResidentStore()
+
+
+class _Lookup:
+    """One compute's window onto a resident overlay's schedules;
+    ``reused`` says whether every schedule it asked for was held."""
+
+    def __init__(self, schedules: Dict[str, Any]) -> None:
+        self.schedules = schedules
+        self.reused = True
+
+
+def _schedule(
+    sysadg: SysADG, workload_name: str, lookup: Optional[_Lookup] = None
+):
+    """Lower and place ``workload_name`` — once per resident overlay when
+    a ``lookup`` is given, afresh (the reference path) when not."""
     workload = _resolve_workload(workload_name)
+    if lookup is None:
+        return _place(sysadg, workload)
+    key = workload_fingerprint(workload)
+    held = lookup.schedules.get(key)
+    if held is None:
+        lookup.reused = False
+        try:
+            held = _place(sysadg, workload)
+        except UnmappableError as exc:
+            held = exc
+        lookup.schedules[key] = held
+    if isinstance(held, UnmappableError):
+        # Raised many times: drop the frames the last raise attached.
+        raise held.with_traceback(None)
+    return held
+
+
+def _place(sysadg: SysADG, workload):
     variants = generate_variants(workload)
     schedule = schedule_workload(variants, sysadg.adg, sysadg.params)
     if schedule is None:
         raise UnmappableError(
-            f"{workload_name} does not map onto {sysadg.name}"
+            f"{workload.name} does not map onto {sysadg.name}"
         )
     return schedule
 
@@ -104,15 +190,19 @@ def _schedule_doc(
     }
 
 
-def map_op(sysadg: SysADG, workload_name: str) -> Dict[str, Any]:
+def map_op(
+    sysadg: SysADG, workload_name: str, lookup: Optional[_Lookup] = None
+) -> Dict[str, Any]:
     """Compile + schedule ``workload_name`` onto the overlay."""
-    schedule = _schedule(sysadg, workload_name)
+    schedule = _schedule(sysadg, workload_name, lookup)
     return _schedule_doc("map", sysadg, workload_name, schedule)
 
 
-def estimate_op(sysadg: SysADG, workload_name: str) -> Dict[str, Any]:
+def estimate_op(
+    sysadg: SysADG, workload_name: str, lookup: Optional[_Lookup] = None
+) -> Dict[str, Any]:
     """Schedule + bottleneck-model estimate only (no cycle simulation)."""
-    schedule = _schedule(sysadg, workload_name)
+    schedule = _schedule(sysadg, workload_name, lookup)
     return {
         "op": "estimate",
         "overlay": sysadg.name,
@@ -140,15 +230,19 @@ def _simulate_doc(
     }
 
 
-def simulate_op(sysadg: SysADG, workload_name: str) -> Dict[str, Any]:
+def simulate_op(
+    sysadg: SysADG, workload_name: str, lookup: Optional[_Lookup] = None
+) -> Dict[str, Any]:
     """Full cycle-level simulation of the scheduled workload."""
-    schedule = _schedule(sysadg, workload_name)
+    schedule = _schedule(sysadg, workload_name, lookup)
     result = simulate_schedule(schedule, sysadg)
     return _simulate_doc(sysadg, workload_name, result)
 
 
 def simulate_batch_op(
-    sysadg: SysADG, workload_names: Sequence[str]
+    sysadg: SysADG,
+    workload_names: Sequence[str],
+    lookup: Optional[_Lookup] = None,
 ) -> List[Optional[Dict[str, Any]]]:
     """Batched :func:`simulate_op`: one stepping pass over many workloads.
 
@@ -161,7 +255,7 @@ def simulate_batch_op(
     schedules: List[Optional[Any]] = []
     for name in workload_names:
         try:
-            schedules.append(_schedule(sysadg, name))
+            schedules.append(_schedule(sysadg, name, lookup))
         except UnmappableError:
             schedules.append(None)
     items = [(s, sysadg) for s in schedules if s is not None]
@@ -186,7 +280,7 @@ def split_workloads(workload_field: str) -> List[str]:
 
 
 def simulate_batch_doc(
-    sysadg: SysADG, workload_field: str
+    sysadg: SysADG, workload_field: str, lookup: Optional[_Lookup] = None
 ) -> Dict[str, Any]:
     """Wire form of :func:`simulate_batch_op` for one request.
 
@@ -200,12 +294,15 @@ def simulate_batch_doc(
         "op": "simulate_batch",
         "overlay": sysadg.name,
         "workloads": list(names),
-        "results": simulate_batch_op(sysadg, names),
+        "results": simulate_batch_op(sysadg, names, lookup),
     }
 
 
 def _remap_schedule(
-    sysadg: SysADG, workload_name: str, prior_schedule
+    sysadg: SysADG,
+    workload_name: str,
+    prior_schedule,
+    lookup: Optional[_Lookup] = None,
 ) -> Tuple[Any, str]:
     """(schedule, path) where path ∈ preserved / recompiled / cold.
 
@@ -217,16 +314,21 @@ def _remap_schedule(
     recompile.
     """
     if prior_schedule is not None:
+        # Revalidation stamps the schedule it keeps in place, and under
+        # the thread executor the prior *is* the schedule resident for
+        # the previous version: stamp a copy.
         kept = revalidate_schedule(
-            prior_schedule, sysadg.adg, sysadg.params
+            prior_schedule.clone(), sysadg.adg, sysadg.params
         )
         if kept is not None:
             return kept, "preserved"
-        return _schedule(sysadg, workload_name), "recompiled"
-    return _schedule(sysadg, workload_name), "cold"
+        return _schedule(sysadg, workload_name, lookup), "recompiled"
+    return _schedule(sysadg, workload_name, lookup), "cold"
 
 
-def remap_op(sysadg: SysADG, workload_name: str) -> Dict[str, Any]:
+def remap_op(
+    sysadg: SysADG, workload_name: str, lookup: Optional[_Lookup] = None
+) -> Dict[str, Any]:
     """Single-shot ``remap`` (no prior schedule: always a cold compile).
 
     The result document deliberately omits the preservation path — it
@@ -234,59 +336,71 @@ def remap_op(sysadg: SysADG, workload_name: str) -> Dict[str, Any]:
     be byte-identical across serving configurations.  The server
     reports the path out-of-band (``served.remap`` + counters).
     """
-    schedule, _path = _remap_schedule(sysadg, workload_name, None)
+    schedule, _path = _remap_schedule(sysadg, workload_name, None, lookup)
     return _schedule_doc("remap", sysadg, workload_name, schedule)
 
 
 def remap_compute(
-    design_doc: Dict[str, Any],
+    overlay_fp: str,
     workload_name: str,
     prior_schedule=None,
+    design_doc: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[str, Any], str, Any]:
-    """Worker-pool entry for ``remap``: (doc, path, schedule).
+    """Compute-worker entry for ``remap``: (doc, path, schedule).
 
-    Returns the schedule itself (plain picklable dataclass) so the
-    server can retain it as the prior for the overlay's *next* version.
+    The overlay is named and held as in :func:`compute_op`.  Returns the
+    schedule itself (plain picklable dataclass) so the server can retain
+    it as the prior for the overlay's *next* version.
     """
-    sysadg = sysadg_from_dict(design_doc)
-    schedule, path = _remap_schedule(sysadg, workload_name, prior_schedule)
+    sysadg, schedules = RESIDENT.hold(overlay_fp, design_doc)
+    schedule, path = _remap_schedule(
+        sysadg, workload_name, prior_schedule, _Lookup(schedules)
+    )
     return _schedule_doc("remap", sysadg, workload_name, schedule), path, schedule
-
-
-def _simulate_batch_entry(
-    sysadg: SysADG, workload_field: str
-) -> Dict[str, Any]:
-    return simulate_batch_doc(sysadg, workload_field)
 
 
 _OPS = {
     "map": map_op,
     "estimate": estimate_op,
     "simulate": simulate_op,
-    "simulate_batch": _simulate_batch_entry,
+    "simulate_batch": simulate_batch_doc,
     "remap": remap_op,
 }
 
 
-def run_op(op: str, sysadg: SysADG, workload_name: str) -> Dict[str, Any]:
+def run_op(
+    op: str,
+    sysadg: SysADG,
+    workload_name: str,
+    lookup: Optional[_Lookup] = None,
+) -> Dict[str, Any]:
     """Dispatch one compute op against an in-memory design."""
     if op not in _OPS:
         raise BadRequestError(
             f"unknown compute op {op!r}; expected one of "
             f"{', '.join(COMPUTE_OPS)}"
         )
-    return _OPS[op](sysadg, workload_name)
+    return _OPS[op](sysadg, workload_name, lookup)
 
 
 def compute_op(
-    op: str, design_doc: Dict[str, Any], workload_name: str
-) -> Dict[str, Any]:
-    """Worker-process entry point: rebuild the design, run the op.
+    op: str,
+    overlay_fp: str,
+    workload_name: str,
+    design_doc: Optional[Dict[str, Any]] = None,
+) -> Tuple[Dict[str, Any], bool]:
+    """Compute-worker entry point: ``(result document, schedule reused)``.
 
-    Takes the serialized design document (not a ``SysADG``) so the job
-    pickles cheaply and deterministically to pool workers.
+    The job names its overlay by fingerprint.  A worker that holds it
+    (:data:`RESIDENT`) runs the op on the resident design, scheduling
+    only kernels it has not placed on it before; one that does not raises
+    :class:`OverlayNotResident` unless ``design_doc`` is attached, so a
+    design is pickled to, and deserialised in, a worker once while it
+    stays resident.
     """
-    return run_op(op, sysadg_from_dict(design_doc), workload_name)
+    sysadg, schedules = RESIDENT.hold(overlay_fp, design_doc)
+    lookup = _Lookup(schedules)
+    return run_op(op, sysadg, workload_name, lookup), lookup.reused
 
 
 def workload_fp(workload_name: str) -> str:

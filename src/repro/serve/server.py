@@ -17,10 +17,13 @@ localhost TCP.  The serving pipeline per compute request:
 4. **Cache tiers** — one :class:`~repro.engine.store.TieredCache`:
    in-process memory, then the persistent
    :class:`~repro.engine.store.ArtifactStore` (shared with the DSE
-   engine, so results survive restarts); on a miss a worker-pool process
-   from :func:`repro.jobs.make_worker_pool` running
-   :func:`repro.serve.ops.compute_op` (thread-pool fallback when the
-   sandbox forbids subprocesses).
+   engine, so results survive restarts); on a miss the least-busy compute
+   worker (a one-process :func:`repro.jobs.make_worker_pool` each;
+   threads when the sandbox forbids subprocesses) runs
+   :func:`repro.serve.ops.compute_op` on the overlay it keeps resident.
+   The job names the overlay by fingerprint; only a worker that answers
+   :class:`~repro.serve.ops.OverlayNotResident` is sent the design
+   document, and a worker that died is replaced and the job retried once.
 5. **Deadline** — each waiter applies its own ``timeout_s`` via
    ``asyncio.wait_for(asyncio.shield(task))``; expiry answers a
    ``deadline`` error while the shared compute keeps running and lands
@@ -41,10 +44,10 @@ waits for in-flight requests up to ``drain_timeout_s``, then resolves
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Executor
+from concurrent.futures import BrokenExecutor, Executor
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..adg import SysADG, sysadg_from_dict, sysadg_to_dict
 from ..cluster.registry import OverlayRegistry, RegistryError
@@ -62,6 +65,7 @@ from .errors import (
     ShuttingDownError,
 )
 from .ops import (
+    OverlayNotResident,
     compute_op,
     overlay_fingerprint,
     remap_compute,
@@ -101,13 +105,23 @@ class OverlayEntry:
     """One loaded design, ready to serve."""
 
     name: str
-    sysadg: SysADG
     design_doc: Dict[str, Any] = field(repr=False, default_factory=dict)
     fingerprint: str = ""
     #: Registry name this entry is a version of ("" for direct loads).
     #: ``remap`` keys its schedule continuity on the base name, so a
     #: new version of the same name inherits the prior schedule.
     base_name: str = ""
+
+
+@dataclass
+class _Worker:
+    """One compute worker: a pool of one process (or thread), so its jobs
+    run in the order sent and a design can go to the worker that asked."""
+
+    executor: Executor
+    inflight: int = 0
+    #: Overlays whose design document is on its way to this worker.
+    shipping: Set[str] = field(default_factory=set)
 
 
 class OverlayServer:
@@ -133,6 +147,9 @@ class OverlayServer:
             "cache_disk": 0,
             "coalesced": 0,
             "registry_loads": 0,
+            "overlay_ships": 0,
+            "schedule_reuse": 0,
+            "pool_restarts": 0,
             "remap_preserved": 0,
             "remap_recompiled": 0,
             "remap_cold": 0,
@@ -157,7 +174,7 @@ class OverlayServer:
         #: (preserved / recompiled / cold), reported in ``served``.
         self._remap_paths: Dict[str, str] = {}
         self._wire = JsonLinesEndpoint(self._dispatch, self.counters)
-        self._executor: Optional[Executor] = None
+        self._workers: List[_Worker] = []
         self._executor_kind = "none"
         self._draining = False
         self._closed: Optional[asyncio.Event] = None
@@ -173,7 +190,6 @@ class OverlayServer:
         name = name or sysadg.name
         self.overlays[name] = OverlayEntry(
             name=name,
-            sysadg=sysadg,
             design_doc=sysadg_to_dict(sysadg),
             fingerprint=overlay_fingerprint(sysadg),
         )
@@ -226,7 +242,6 @@ class OverlayServer:
             ) from exc
         entry = OverlayEntry(
             name=version.spec,
-            sysadg=sysadg,
             design_doc=resolved.design_doc,
             fingerprint=overlay_fingerprint(sysadg),
             base_name=version.name,
@@ -254,7 +269,10 @@ class OverlayServer:
                 "registry to resolve them from"
             )
         self._closed = asyncio.Event()
-        self._make_executor()
+        self._workers = [
+            _Worker(self._make_executor())
+            for _ in range(max(1, self.config.workers))
+        ]
         cfg = self.config
         await self._wire.listen(cfg.socket_path, cfg.host, cfg.port)
         self.metrics.emit(
@@ -268,14 +286,15 @@ class OverlayServer:
             cache_dir=cfg.cache_dir,
         )
 
-    def _make_executor(self) -> None:
-        self._executor, self._executor_kind = make_worker_pool(
-            self.config.workers,
-            on_fallback=lambda workers: self.metrics.emit(
-                "pool_unavailable", workers=workers
+    def _make_executor(self) -> Executor:
+        executor, self._executor_kind = make_worker_pool(
+            min(1, self.config.workers),
+            on_fallback=lambda _: self.metrics.emit(
+                "pool_unavailable", workers=self.config.workers
             ),
             thread_name_prefix="serve-compute",
         )
+        return executor
 
     async def wait_closed(self) -> None:
         """Resolve once a drain (shutdown op or :meth:`shutdown`) ends."""
@@ -294,8 +313,8 @@ class OverlayServer:
         await asyncio.wait_for(
             self.flights.drain(), timeout=self.config.drain_timeout_s
         )
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+        for worker in self._workers:
+            worker.executor.shutdown(wait=False, cancel_futures=True)
         self.metrics.emit("serve_summary", **self.stats_doc())
         self._wire.close()
         self._closed.set()
@@ -401,8 +420,7 @@ class OverlayServer:
         if tier != "miss":
             self.counters[f"cache_{tier}"] += 1
             return cached, tier, 0.0
-        loop = asyncio.get_running_loop()
-        assert self._executor is not None, "server not started"
+        assert self._workers, "server not started"
         with tracer.span(
             "serve.compute", op=request.op, workload=request.workload
         ):
@@ -413,10 +431,10 @@ class OverlayServer:
                     base = entry.base_name or entry.name
                     sched_key = (base, self._workload_fp(request.workload))
                     prior = self._schedules.get(sched_key)
-                    doc, path, schedule = await loop.run_in_executor(
-                        self._executor,
+                    doc, path, schedule = await self._on_worker(
+                        entry,
                         remap_compute,
-                        entry.design_doc,
+                        entry.fingerprint,
                         request.workload,
                         prior[1] if prior is not None else None,
                     )
@@ -424,13 +442,14 @@ class OverlayServer:
                     self._remap_paths[key] = path
                     self.counters[f"remap_{path}"] += 1
                 else:
-                    doc = await loop.run_in_executor(
-                        self._executor,
+                    doc, reused = await self._on_worker(
+                        entry,
                         compute_op,
                         request.op,
-                        entry.design_doc,
+                        entry.fingerprint,
                         request.workload,
                     )
+                    self.counters["schedule_reuse"] += reused
             except ServeError as exc:
                 # Deterministic negative answers (unmappable, bad
                 # workload) coalesce and memoize like positive ones,
@@ -454,6 +473,57 @@ class OverlayServer:
             persist=request.op != "remap",
         )
         return doc, "compute", queue_wait
+
+    async def _on_worker(
+        self, entry: OverlayEntry, fn: Callable[..., Any], *args: Any
+    ) -> Any:
+        """``fn(*args, design_doc)`` on the least-busy compute worker.
+
+        The design document goes along only after that worker answered
+        :class:`OverlayNotResident` (first use, eviction, a fresh
+        process), and then to that same worker, once: a worker runs its
+        jobs in the order sent, so a job that finds a sibling's copy on
+        its way just goes again behind it.  A worker found dead is
+        replaced once and the job retried; a second death propagates and
+        is answered as a typed ``internal`` error.
+        """
+        loop = asyncio.get_running_loop()
+        worker = min(self._workers, key=lambda w: w.inflight)
+        fp = entry.fingerprint
+        design_doc, restarted = None, False
+        worker.inflight += 1
+        try:
+            while True:
+                executor = worker.executor
+                try:
+                    return await loop.run_in_executor(
+                        executor, fn, *args, design_doc
+                    )
+                except OverlayNotResident:
+                    if design_doc is not None:
+                        raise
+                    if fp not in worker.shipping:
+                        worker.shipping.add(fp)
+                        design_doc = entry.design_doc
+                        self.counters["overlay_ships"] += 1
+                except BrokenExecutor:
+                    if restarted:
+                        raise
+                    restarted, design_doc = True, None
+                    # Every job in flight on the dead worker lands here;
+                    # the first replaces it, the rest just retry.
+                    if worker.executor is executor:
+                        executor.shutdown(wait=False)
+                        worker.executor = self._make_executor()
+                        worker.shipping.clear()
+                        self.counters["pool_restarts"] += 1
+                        self.metrics.emit(
+                            "pool_restart", worker=self._workers.index(worker)
+                        )
+        finally:
+            worker.inflight -= 1
+            if design_doc is not None:
+                worker.shipping.discard(fp)
 
     def _op_load_overlay(self, request: Request) -> Dict[str, Any]:
         """Admin op: pull a design into the serving set.

@@ -147,6 +147,29 @@ class TestRemapPaths:
         cold = single_shot("remap", sysadg_from_dict(v2_doc), "vecmax")
         assert canonical_dumps(preserved) == canonical_dumps(cold)
 
+    def test_preserving_leaves_the_resident_schedule_intact(
+        self, live_server, registry, sysadg
+    ):
+        """Revalidation stamps the schedule it keeps; under the thread
+        executor the prior is the very object the worker holds for the
+        old version, which must go on answering for the old version."""
+        server, sock = live_server
+        doc = sysadg_to_dict(sysadg)
+        doc["params"]["dram_channels"] += 1
+        registry.publish("fam", doc, note="more dram")
+        asyncio.run(_request(sock, "remap", workload="vecmax",
+                             overlay="fam@v1"))
+        asyncio.run(_request(sock, "remap", workload="vecmax",
+                             overlay="fam@v4"))
+        assert server.counters["remap_preserved"] == 1
+        served = asyncio.run(
+            _request(sock, "map", workload="vecmax", overlay="fam@v1")
+        )
+        assert server.counters["schedule_reuse"] == 1
+        assert canonical_dumps(served) == canonical_dumps(
+            single_shot("map", sysadg, "vecmax")
+        )
+
     def test_remap_duplicate_is_memory_cached(self, live_server):
         server, sock = live_server
         first = asyncio.run(

@@ -294,10 +294,10 @@ class TestCoalescing:
         calls = []
         release = __import__("threading").Event()
 
-        def slow_compute(op, design_doc, workload):
+        def slow_compute(op, overlay_fp, workload, design_doc=None):
             calls.append(op)
             release.wait(timeout=10)
-            return {"op": op, "workload": workload, "slow": True}
+            return {"op": op, "workload": workload, "slow": True}, False
 
         monkeypatch.setattr("repro.serve.server.compute_op", slow_compute)
         server = make_server(sysadg, tmp_path)
@@ -341,9 +341,9 @@ class TestAdmissionControl:
     def test_undersized_queue_sheds_with_overloaded(
         self, sysadg, tmp_path, monkeypatch
     ):
-        def slow_compute(op, design_doc, workload):
+        def slow_compute(op, overlay_fp, workload, design_doc=None):
             time.sleep(0.4)
-            return {"op": op, "workload": workload}
+            return {"op": op, "workload": workload}, False
 
         monkeypatch.setattr("repro.serve.server.compute_op", slow_compute)
         server = make_server(sysadg, tmp_path, queue_limit=2)
@@ -381,9 +381,9 @@ class TestDeadlines:
     def test_deadline_expiry_is_structured_and_compute_survives(
         self, sysadg, tmp_path, monkeypatch
     ):
-        def slow_compute(op, design_doc, workload):
+        def slow_compute(op, overlay_fp, workload, design_doc=None):
             time.sleep(0.3)
-            return {"op": op, "workload": workload, "finished": True}
+            return {"op": op, "workload": workload, "finished": True}, False
 
         monkeypatch.setattr("repro.serve.server.compute_op", slow_compute)
         server = make_server(sysadg, tmp_path)
@@ -410,9 +410,9 @@ class TestDrain:
     def test_graceful_drain_finishes_inflight_then_rejects(
         self, sysadg, tmp_path, monkeypatch
     ):
-        def slow_compute(op, design_doc, workload):
+        def slow_compute(op, overlay_fp, workload, design_doc=None):
             time.sleep(0.2)
-            return {"op": op, "workload": workload, "finished": True}
+            return {"op": op, "workload": workload, "finished": True}, False
 
         monkeypatch.setattr("repro.serve.server.compute_op", slow_compute)
         server = make_server(sysadg, tmp_path)
