@@ -10,6 +10,7 @@ DSE adds and prunes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, Iterable, Set
 
 from ..ir import (
@@ -51,10 +52,12 @@ class FuCap:
         return self.name
 
 
+@lru_cache(maxsize=None)
 def cap_for(op: Op, dtype: DType) -> FuCap:
     """The capability required to execute ``op`` on one lane of ``dtype``.
 
-    Packed types (``f32x2``) execute on their scalar lane width.
+    Packed types (``f32x2``) execute on their scalar lane width.  Memoised:
+    both arguments and the result are immutable, and the domain is finite.
     """
     return FuCap(op, dtype.is_float, dtype.scalar_bits)
 

@@ -7,9 +7,10 @@ subset of ports.  Which engine reaches which ports is precisely the spatial
 memory design space the DSE explores.
 
 Kind and id-order queries (``nodes``, ``of_kind``, ``pes``, ``engines``, ...)
-read a *view* built on the first query after an edit and dropped by
-:meth:`ADG._touch`, the one place ``version`` moves: a view lives as long as
-one ``version``.  It is instance state, shared with a clone, never pickled.
+read one *view*, the router another (:meth:`ADG.routing`).  Each is built on
+the first query after an edit and dropped by :meth:`ADG._touch`, the one
+place ``version`` moves: a view lives as long as one ``version``.  Views are
+instance state, shared with a clone, never pickled.
 """
 
 from __future__ import annotations
@@ -58,12 +59,22 @@ class _View(NamedTuple):
     engines: List[AdgNode]
 
 
+class Routing(NamedTuple):
+    """What the router reads of an ADG at one ``version``."""
+
+    #: node id -> successor ids, ascending.
+    succ: Dict[int, Tuple[int, ...]]
+    #: switch id -> ``width_bits``; a node absent here cannot be a hop.
+    hop_width: Dict[int, int]
+
+
 class ADG:
     """One tile's architecture description graph (mutable, clonable)."""
 
-    #: The current ``version``'s view, or None (the class default: a view
+    #: The current ``version``'s views, or None (the class default: a view
     #: is never pickled, and an ADG stored without one loads).
     _view: Optional[_View] = None
+    _routing: Optional[Routing] = None
 
     def __init__(self) -> None:
         self._nodes: Dict[int, AdgNode] = {}
@@ -74,15 +85,17 @@ class ADG:
         self.version = 0
 
     def __getstate__(self) -> Dict[str, object]:
-        return {k: v for k, v in self.__dict__.items() if k != "_view"}
+        views = ("_view", "_routing")
+        return {k: v for k, v in self.__dict__.items() if k not in views}
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def _touch(self, version: Optional[int] = None) -> None:
-        """Move the edit stamp (by one, or to ``version``); drop the view."""
+        """Move the edit stamp (by one, or to ``version``); drop the views."""
         self.version = self.version + 1 if version is None else version
         self._view = None
+        self._routing = None
 
     def add_node(
         self,
@@ -174,7 +187,8 @@ class ADG:
         other._in = {k: set(v) for k, v in self._in.items()}
         other._next_id = self._next_id
         other.version = self.version
-        other._view = self._view  # never mutated; each side drops its own
+        # Views are never mutated; each side drops its own.
+        other._view, other._routing = self._view, self._routing
         return other
 
     def restore_counters(self, next_id: int, version: int) -> None:
@@ -237,6 +251,16 @@ class ADG:
             engines = [n for n in nodes if n.kind in ENGINE_KINDS]
             self._view = _View(ids, nodes, by_kind, engines)
         return self._view
+
+    def routing(self) -> Routing:
+        """Successors and hop widths at this ``version`` (shared: read only)."""
+        if self._routing is None:
+            switches = self._views().by_kind.get(NodeKind.SWITCH, ())
+            self._routing = Routing(
+                {i: tuple(sorted(out)) for i, out in self._out.items()},
+                {s.node_id: s.width_bits for s in switches},
+            )
+        return self._routing
 
     def of_kind(self, kind: NodeKind) -> List[AdgNode]:
         """Nodes of ``kind`` in id order (a fresh list, the caller's own)."""

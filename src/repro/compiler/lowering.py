@@ -113,38 +113,43 @@ def lower(
         LoweringError: if the unroll factor exceeds what the datapath or
             the innermost trip count supports.
     """
-    from ..profile.tracer import span
-
-    with span("compiler.lower", workload=workload.name, unroll=unroll):
-        return _lower(workload, unroll, use_recurrence)
+    return _lower(workload, unroll, use_recurrence)
 
 
 def _lower(
     workload: Workload,
     unroll: int,
     use_recurrence: bool,
+    reuse: Optional[WorkloadReuse] = None,
 ) -> MDFG:
-    if unroll < 1:
-        raise LoweringError(f"unroll factor {unroll} < 1")
-    if unroll > max_unroll(workload):
-        raise LoweringError(
-            f"{workload.name}: unroll {unroll} exceeds max {max_unroll(workload)}"
+    """:func:`lower`, given the workload's reuse analysis when the caller
+    holds it (a variant family analyses its workload once)."""
+    from ..profile.tracer import span
+
+    with span("compiler.lower", workload=workload.name, unroll=unroll):
+        if unroll < 1:
+            raise LoweringError(f"unroll factor {unroll} < 1")
+        if unroll > max_unroll(workload):
+            raise LoweringError(
+                f"{workload.name}: unroll {unroll} exceeds max "
+                f"{max_unroll(workload)}"
+            )
+        if reuse is None:
+            reuse = analyze_workload(workload)
+        variant = f"u{unroll}" + ("" if use_recurrence else "-rmw")
+        mdfg = MDFG(
+            workload=workload.name,
+            variant=variant,
+            unroll=unroll,
+            dtype=workload.dtype,
+            iterations=workload.effective_trip_product,
+            inner_trip=workload.innermost.trip,
+            tile_parallelism=tile_parallelism(workload, unroll),
         )
-    reuse = analyze_workload(workload)
-    variant = f"u{unroll}" + ("" if use_recurrence else "-rmw")
-    mdfg = MDFG(
-        workload=workload.name,
-        variant=variant,
-        unroll=unroll,
-        dtype=workload.dtype,
-        iterations=workload.effective_trip_product,
-        inner_trip=workload.innermost.trip,
-        tile_parallelism=tile_parallelism(workload, unroll),
-    )
-    builder = _Lowerer(workload, reuse, mdfg, unroll, use_recurrence)
-    builder.run()
-    mdfg.validate()
-    return mdfg
+        builder = _Lowerer(workload, reuse, mdfg, unroll, use_recurrence)
+        builder.run()
+        mdfg.validate()
+        return mdfg
 
 
 class _Lowerer:
@@ -233,11 +238,7 @@ class _Lowerer:
             return self._read_streams[key]
         dtype = self.w.array_dtype(array)
         lanes = self._access_lanes(index)
-        info = next(
-            a
-            for a in self.reuse.accesses
-            if a.array == array and a.index == index and not a.is_write
-        )
+        info = self.reuse.access(array, index, is_write=False)
         port = self.mdfg.add_input_port(
             width_bytes=lanes * dtype.bytes,
             stationary=self._port_stationary(index),
@@ -436,12 +437,8 @@ class _Lowerer:
         self, stmt: Statement, value: int, lanes: int, traffic: int
     ) -> None:
         dtype = self.w.array_dtype(stmt.target_array)
-        info = next(
-            a
-            for a in self.reuse.accesses
-            if a.array == stmt.target_array
-            and a.index == stmt.target_index
-            and a.is_write
+        info = self.reuse.access(
+            stmt.target_array, stmt.target_index, is_write=True
         )
         port = self.mdfg.add_output_port(width_bytes=lanes * dtype.bytes)
         self.mdfg.add_edge(value, port)

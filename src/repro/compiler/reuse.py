@@ -177,6 +177,15 @@ class WorkloadReuse:
     accesses: List[AccessInfo]
     recurrences: List[RecurrenceInfo]
 
+    def __post_init__(self) -> None:
+        self._by_key = {  # reversed: the first of equal keys wins
+            (a.array, a.index, a.is_write): a for a in reversed(self.accesses)
+        }
+
+    def access(self, array: str, index: IndexExpr, is_write: bool) -> AccessInfo:
+        """The first analysed access of ``array[index]`` (read or write)."""
+        return self._by_key[array, index, is_write]
+
     def for_array(self, array: str) -> List[AccessInfo]:
         return [a for a in self.accesses if a.array == array]
 

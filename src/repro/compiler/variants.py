@@ -16,7 +16,8 @@ from typing import List, Optional
 from ..dfg import MDFG, StreamKind
 from ..ir import Workload
 from ..profile.tracer import span
-from .lowering import LoweringError, lower, max_unroll
+from .lowering import LoweringError, _lower, max_unroll
+from .reuse import analyze_workload
 
 
 @dataclass
@@ -64,11 +65,12 @@ def unroll_candidates(workload: Workload) -> List[int]:
 def generate_variants(workload: Workload) -> VariantSet:
     """Pre-compile every useful (unroll, recurrence) combination."""
     with span("compiler.variants", workload=workload.name):
+        reuse = analyze_workload(workload)
         variants: List[MDFG] = []
         for unroll in unroll_candidates(workload):
             for use_rec in (True, False):
                 try:
-                    mdfg = lower(workload, unroll=unroll, use_recurrence=use_rec)
+                    mdfg = _lower(workload, unroll, use_rec, reuse)
                 except LoweringError:
                     continue
                 # Skip the rmw form when it is identical to the recurrence

@@ -10,7 +10,7 @@ configuration size).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..ir import DType
 from .nodes import (
@@ -31,8 +31,21 @@ class MdfgError(ValueError):
     """Raised when an mDFG violates a structural invariant."""
 
 
+class _Index(NamedTuple):
+    """An mDFG's lookup tables, every list in insertion order."""
+
+    by_type: Dict[type, List[Node]]
+    #: consumer id -> its fabric in-edges as ``(src, dst, slot)``.
+    fabric_in: Dict[int, List[Tuple[int, int, int]]]
+
+
 class MDFG:
     """Memory-enhanced dataflow graph for one compiled program region."""
+
+    #: Type and in-edge queries read an index built on the first query after
+    #: an edit and dropped by ``_add`` / ``add_edge``, the only structural
+    #: mutators.  None is the class default: an index is never pickled.
+    _index: Optional[_Index] = None
 
     def __init__(
         self,
@@ -60,6 +73,9 @@ class MDFG:
         self._edges: List[DfgEdge] = []
         self._next_id = 0
 
+    def __getstate__(self) -> Dict[str, object]:
+        return {k: v for k, v in self.__dict__.items() if k != "_index"}
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -68,6 +84,7 @@ class MDFG:
         self._next_id += 1
         node = factory(node_id)
         self._nodes[node_id] = node
+        self._index = None
         return node_id
 
     def add_compute(self, op, dtype, lanes=1, operands=(), accumulator=False) -> int:
@@ -107,6 +124,7 @@ class MDFG:
         if src not in self._nodes or dst not in self._nodes:
             raise MdfgError(f"edge {src}->{dst} references unknown node")
         self._edges.append(DfgEdge(src, dst, slot))
+        self._index = None
 
     def attach_streams(self, array_id: int, stream_ids: Tuple[int, ...]) -> None:
         node = self.array_node(array_id)
@@ -131,8 +149,20 @@ class MDFG:
     def nodes(self) -> Iterator[Node]:
         return iter(self._nodes.values())
 
+    def _indexed(self) -> _Index:
+        if self._index is None:
+            by_type: Dict[type, List[Node]] = {}
+            for node in self._nodes.values():
+                by_type.setdefault(type(node), []).append(node)
+            fabric_in: Dict[int, List[Tuple[int, int, int]]] = {}
+            for e in self.fabric_edges():
+                fabric_in.setdefault(e.dst, []).append((e.src, e.dst, e.slot))
+            self._index = _Index(by_type, fabric_in)
+        return self._index
+
     def _of_type(self, cls) -> List:
-        return [n for n in self._nodes.values() if isinstance(n, cls)]
+        """Nodes of exactly ``cls`` in id order (a fresh list)."""
+        return list(self._indexed().by_type.get(cls, ()))
 
     @property
     def compute_nodes(self) -> List[ComputeNode]:
@@ -167,6 +197,10 @@ class MDFG:
             if isinstance(self._nodes[e.src], fabric_types)
             and isinstance(self._nodes[e.dst], fabric_types)
         ]
+
+    def fabric_in_edges(self, node_id: int) -> Tuple[Tuple[int, int, int], ...]:
+        """``(src, dst, slot)`` of each fabric edge into ``node_id``."""
+        return tuple(self._indexed().fabric_in.get(node_id, ()))
 
     def predecessors(self, node_id: int) -> List[int]:
         return [e.src for e in self._edges if e.dst == node_id]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..adg import ADG, NodeKind, ProcessingElement
+from ..adg import ADG, NodeKind, ProcessingElement, cap_for
 from ..dfg import (
     ComputeNode,
     InputPortNode,
@@ -55,15 +55,6 @@ def topo_compute_order(mdfg: MDFG) -> List[ComputeNode]:
     return order
 
 
-def _fabric_in_edges(mdfg: MDFG, node_id: int) -> List[EdgeKey]:
-    """Incoming fabric edges of a compute/output-port node."""
-    keys = []
-    for edge in mdfg.fabric_edges():
-        if edge.dst == node_id:
-            keys.append((edge.src, edge.dst, edge.slot))
-    return keys
-
-
 def place_and_route(
     mdfg: MDFG,
     adg: ADG,
@@ -96,7 +87,7 @@ def place_and_route(
             )
             used_pes.add(pinned[compute.node_id])
             continue
-        candidates = _candidate_pes(mdfg, adg, compute, used_pes)
+        candidates = _candidate_pes(adg, compute, used_pes)
         if not candidates:
             raise ScheduleError(
                 f"no PE supports {compute.op} x{compute.lanes} "
@@ -123,13 +114,15 @@ def place_and_route(
 
 
 def _candidate_pes(
-    mdfg: MDFG, adg: ADG, compute: ComputeNode, used: Set[int]
+    adg: ADG, compute: ComputeNode, used: Set[int]
 ) -> List[ProcessingElement]:
+    """Free PEs that :meth:`ProcessingElement.supports` ``compute``."""
+    cap = cap_for(compute.op, compute.dtype)
+    bits = compute.lanes * compute.dtype.bits
     return [
         pe
         for pe in adg.pes
-        if pe.node_id not in used
-        and pe.supports(compute.op, compute.dtype, compute.lanes)
+        if pe.node_id not in used and cap in pe.caps and bits <= pe.width_bits
     ]
 
 
@@ -151,7 +144,7 @@ def _rank_candidates(mdfg, adg, schedule, state, compute, candidates):
 def _operand_sources(mdfg, schedule, compute) -> List[Tuple[int, int, int]]:
     """(src hardware, src dfg node, width bits) per routed operand."""
     out = []
-    for edge in _fabric_in_edges(mdfg, compute.node_id):
+    for edge in mdfg.fabric_in_edges(compute.node_id):
         src_dfg = edge[0]
         src_hw = schedule.placement.get(src_dfg)
         if src_hw is None:
@@ -167,7 +160,7 @@ def _try_commit(mdfg, adg, schedule, state, compute, pe_id) -> bool:
     """Route all operand edges to ``pe_id``; commit on success."""
     trial = state.clone()
     routes: Dict[EdgeKey, Tuple[int, ...]] = {}
-    for edge in _fabric_in_edges(mdfg, compute.node_id):
+    for edge in mdfg.fabric_in_edges(compute.node_id):
         src_dfg = edge[0]
         src_hw = schedule.placement[src_dfg]
         width = _value_width_bits(mdfg, src_dfg)
@@ -204,7 +197,7 @@ def _route_output_edges(mdfg, adg, schedule, state) -> None:
             raise ScheduleError(
                 f"output port {node.node_id} is unbound", stage="placement"
             )
-        for edge in _fabric_in_edges(mdfg, node.node_id):
+        for edge in mdfg.fabric_in_edges(node.node_id):
             if edge in schedule.routes:
                 continue
             src_dfg = edge[0]
@@ -270,7 +263,7 @@ def _check_delay_skew(mdfg, adg, schedule) -> None:
         if pe_id is None:
             continue
         lengths = []
-        for edge in _fabric_in_edges(mdfg, compute.node_id):
+        for edge in mdfg.fabric_in_edges(compute.node_id):
             path = schedule.routes.get(edge)
             if path is not None:
                 lengths.append(len(path) - 1)

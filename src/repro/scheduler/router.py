@@ -4,7 +4,8 @@ Each directed ADG link carries at most one *value* (one DFG source node);
 fan-out of the same value may share links (multicast through a switch is
 free).  Intermediate hops must be switches — PEs and ports cannot forward
 traffic.  Width is checked at every hop: a 512-bit value cannot squeeze
-through a 64-bit switch.
+through a 64-bit switch.  Both searches read the ADG's routing view
+(:meth:`~repro.adg.ADG.routing`), built once per ADG version.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..adg import ADG, NodeKind, ProcessingElement, Switch
+from ..adg import ADG
 
 Link = Tuple[int, int]
 
@@ -22,7 +23,8 @@ class RoutingState:
 
     def __init__(self, adg: ADG):
         self.adg = adg
-        #: link -> dfg source-node id currently driving it.
+        #: link -> dfg source-node id currently driving it (never None:
+        #: a link is free for a value when ``get(link, value) == value``).
         self.link_owner: Dict[Link, int] = {}
 
     def clone(self) -> "RoutingState":
@@ -30,22 +32,10 @@ class RoutingState:
         other.link_owner = dict(self.link_owner)
         return other
 
-    def link_free_for(self, link: Link, source: int) -> bool:
-        owner = self.link_owner.get(link)
-        return owner is None or owner == source
-
     def claim_path(self, path: Iterable[int], source: int) -> None:
         nodes = list(path)
         for link in zip(nodes, nodes[1:]):
             self.link_owner[link] = source
-
-
-def _hop_allowed(adg: ADG, node_id: int, width_bits: int) -> bool:
-    """May a route pass *through* this node (not as an endpoint)?"""
-    node = adg.node(node_id)
-    if node.kind is not NodeKind.SWITCH:
-        return False
-    return node.width_bits >= width_bits
 
 
 def find_route(
@@ -65,21 +55,20 @@ def find_route(
     """
     if src_hw == dst_hw:
         return (src_hw,)
+    succ, hop_width = adg.routing()
+    owner = state.link_owner.get
     queue = deque([(src_hw, (src_hw,))])
     seen: Set[int] = {src_hw}
     while queue:
         here, path = queue.popleft()
         if len(path) > max_hops:
             continue
-        for nxt in sorted(adg.successors(here)):
-            link = (here, nxt)
-            if not state.link_free_for(link, source_dfg):
+        for nxt in succ.get(here, ()):
+            if owner((here, nxt), source_dfg) != source_dfg:
                 continue
             if nxt == dst_hw:
                 return path + (nxt,)
-            if nxt in seen:
-                continue
-            if not _hop_allowed(adg, nxt, width_bits):
+            if nxt in seen or hop_width.get(nxt, -1) < width_bits:
                 continue
             seen.add(nxt)
             queue.append((nxt, path + (nxt,)))
@@ -101,6 +90,8 @@ def route_distances(
     end a route, and nodes ``max_hops`` away are reached but not expanded.
     ``dst`` is absent exactly when ``find_route(..., dst, ...)`` is None.
     """
+    succ, hop_width = adg.routing()
+    owner = state.link_owner.get
     hops = {src_hw: 0}
     queue = deque([src_hw])
     while queue:
@@ -108,10 +99,10 @@ def route_distances(
         depth = hops[here] + 1
         if depth > max_hops:
             break
-        for nxt in adg.successors(here):
-            if nxt in hops or not state.link_free_for((here, nxt), source_dfg):
+        for nxt in succ.get(here, ()):
+            if nxt in hops or owner((here, nxt), source_dfg) != source_dfg:
                 continue
             hops[nxt] = depth
-            if _hop_allowed(adg, nxt, width_bits):
+            if hop_width.get(nxt, -1) >= width_bits:
                 queue.append(nxt)
     return hops

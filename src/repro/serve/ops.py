@@ -6,9 +6,10 @@ plain-JSON *result document*.  The same functions back three callers:
 * the server's compute workers, through :func:`compute_op` /
   :func:`remap_compute`.  A job names its overlay by content
   fingerprint; the worker keeps what it built in :data:`RESIDENT` (the
-  deserialised design, and the schedule of every kernel it has placed on
-  it), so the overlay is built once per worker and a kernel is scheduled
-  once per (overlay, kernel), whichever op asks first;
+  deserialised design, the schedule of every kernel it has placed on it,
+  and every kernel's variant family), so the overlay is built once per
+  worker, a kernel is lowered once per worker and scheduled once per
+  (overlay, kernel), whichever op asks first;
 * the single-shot CLI path (``repro map/simulate --json``), which holds
   nothing between calls and is the byte-identity reference every served
   document is compared against;
@@ -26,7 +27,7 @@ import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adg import SysADG, sysadg_from_dict, sysadg_to_dict
-from ..compiler import generate_variants
+from ..compiler import VariantSet, generate_variants
 from ..engine.hashing import (
     CODE_SCHEMA_VERSION,
     fingerprint,
@@ -83,9 +84,9 @@ class ResidentStore:
     """What one compute process keeps of the overlays it has served.
 
     ``overlay fingerprint -> (SysADG, {workload fingerprint -> Schedule |
-    UnmappableError})``, keyed only by the content fingerprints behind
-    :func:`result_key`, so an entry can never answer for another design
-    or another workload body.  Held schedules are never mutated.
+    UnmappableError})`` and ``variants``, keyed only by the content
+    fingerprints behind :func:`result_key`, so an entry can never answer
+    for another design or another workload body.  Nothing held is mutated.
     """
 
     #: Overlays held at once.  The oldest goes first, with its schedules.
@@ -94,6 +95,9 @@ class ResidentStore:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._held: Dict[str, Tuple[SysADG, Dict[str, Any]]] = {}
+        #: workload fingerprint -> VariantSet, shared by every overlay and
+        #: never evicted: there is at most one per registered workload.
+        self.variants: Dict[str, VariantSet] = {}
 
     def hold(
         self, overlay_fp: str, design_doc: Optional[Dict[str, Any]] = None
@@ -121,28 +125,32 @@ RESIDENT = ResidentStore()
 
 
 class _Lookup:
-    """One compute's window onto a resident overlay's schedules;
-    ``reused`` says whether every schedule it asked for was held."""
+    """One compute's window onto a resident overlay's schedules and the
+    store's variant sets; ``reused``: every schedule asked for was held."""
 
-    def __init__(self, schedules: Dict[str, Any]) -> None:
+    def __init__(self, schedules: Dict[str, Any], variants: Dict[str, Any]) -> None:
         self.schedules = schedules
+        self.variants = variants
         self.reused = True
 
 
 def _schedule(
     sysadg: SysADG, workload_name: str, lookup: Optional[_Lookup] = None
 ):
-    """Lower and place ``workload_name`` — once per resident overlay when
-    a ``lookup`` is given, afresh (the reference path) when not."""
+    """Lower and place ``workload_name`` — once per store and once per
+    overlay given a ``lookup``, afresh (the reference path) without."""
     workload = _resolve_workload(workload_name)
     if lookup is None:
-        return _place(sysadg, workload)
+        return _place(sysadg, workload, generate_variants(workload))
     key = workload_fingerprint(workload)
     held = lookup.schedules.get(key)
     if held is None:
         lookup.reused = False
+        variants = lookup.variants.get(key)
+        if variants is None:
+            variants = lookup.variants[key] = generate_variants(workload)
         try:
-            held = _place(sysadg, workload)
+            held = _place(sysadg, workload, variants)
         except UnmappableError as exc:
             held = exc
         lookup.schedules[key] = held
@@ -152,8 +160,7 @@ def _schedule(
     return held
 
 
-def _place(sysadg: SysADG, workload):
-    variants = generate_variants(workload)
+def _place(sysadg: SysADG, workload, variants: VariantSet):
     schedule = schedule_workload(variants, sysadg.adg, sysadg.params)
     if schedule is None:
         raise UnmappableError(
@@ -353,9 +360,8 @@ def remap_compute(
     it as the prior for the overlay's *next* version.
     """
     sysadg, schedules = RESIDENT.hold(overlay_fp, design_doc)
-    schedule, path = _remap_schedule(
-        sysadg, workload_name, prior_schedule, _Lookup(schedules)
-    )
+    lookup = _Lookup(schedules, RESIDENT.variants)
+    schedule, path = _remap_schedule(sysadg, workload_name, prior_schedule, lookup)
     return _schedule_doc("remap", sysadg, workload_name, schedule), path, schedule
 
 
@@ -399,7 +405,7 @@ def compute_op(
     stays resident.
     """
     sysadg, schedules = RESIDENT.hold(overlay_fp, design_doc)
-    lookup = _Lookup(schedules)
+    lookup = _Lookup(schedules, RESIDENT.variants)
     return run_op(op, sysadg, workload_name, lookup), lookup.reused
 
 

@@ -105,6 +105,10 @@ def scan(adg):
     doc["ids"] = [n.node_id for n in nodes]
     doc["nodes"] = nodes
     doc["engines"] = [n for n in nodes if n.kind in ENGINE_KINDS]
+    doc["routing"] = (
+        {n.node_id: tuple(sorted(adg._out[n.node_id])) for n in nodes},
+        {n.node_id: n.width_bits for n in doc[NodeKind.SWITCH]},
+    )
     return doc
 
 
@@ -122,6 +126,7 @@ def queries(adg):
     doc["ids"] = adg.node_ids()
     doc["nodes"] = list(adg.nodes())
     doc["engines"] = adg.engines
+    doc["routing"] = tuple(adg.routing())
     return doc
 
 
@@ -173,7 +178,7 @@ class TestViews:
         assert pickle.dumps(adg) == cold
         assert pickle.dumps(adg.clone()) == cold
         loaded = pickle.loads(cold)
-        assert "_view" not in vars(loaded)
+        assert "_view" not in vars(loaded) and "_routing" not in vars(loaded)
         assert queries(loaded) == scan(loaded)
 
     def test_a_pickle_from_before_views_loads(self):
@@ -218,6 +223,12 @@ class TestCapabilities:
     def test_cap_for_dtype(self):
         cap = cap_for(Op.MUL, F64)
         assert cap.is_float and cap.bits == 64
+
+    def test_cap_for_is_memoised(self):
+        assert cap_for(Op.MUL, I16) is cap_for(Op.MUL, I16)
+        assert cap_for(Op.MUL, I16) == FuCap(Op.MUL, False, 16)
+        with pytest.raises(ValueError):
+            cap_for(Op.SHL, F64)
 
     def test_f32x2_uses_scalar_width(self):
         from repro.ir import F32X2

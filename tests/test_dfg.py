@@ -1,5 +1,7 @@
 """Direct tests for mDFG containers and their validation error paths."""
 
+import pickle
+
 import pytest
 
 from repro.dfg import (
@@ -167,6 +169,23 @@ class TestMetrics:
                 assert isinstance(
                     node, (ComputeNode, InputPortNode)
                 ) or node.__class__.__name__ == "OutputPortNode"
+
+    def test_index_follows_every_mutator_and_is_never_pickled(self):
+        m = minimal_mdfg()
+        (ip,) = [p.node_id for p in m.input_ports]
+        compute = m.compute_nodes[0].node_id
+        assert m.fabric_in_edges(compute) == ((ip, compute, 0),)
+        extra = m.add_input_port(width_bytes=8)
+        assert [p.node_id for p in m.input_ports] == [ip, extra]
+        m.add_edge(extra, compute, 1)
+        assert m.fabric_in_edges(compute) == (
+            (ip, compute, 0),
+            (extra, compute, 1),
+        )
+        listed = m.compute_nodes
+        listed.clear()
+        assert len(m.compute_nodes) == 1
+        assert "_index" not in pickle.loads(pickle.dumps(m)).__dict__
 
     def test_predecessors_successors(self):
         m = minimal_mdfg()

@@ -4,18 +4,26 @@ These pin down the contracts the subsystems rely on:
 
 * reuse analysis agrees with brute-force enumeration of small loop nests;
 * scheduler routes are link-contiguous, switch-interior, and exclusive;
-* single-source route distances agree with per-destination ``find_route``;
+* single-source route distances agree with per-destination ``find_route``,
+  and both match the per-hop reference BFS through every ADG edit;
 * the performance model is monotone in every provisioned resource;
 * simulator accounting conserves stream totals.
 """
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adg import SystemParams, general_overlay, mesh_adg, universal_caps
+from repro.adg import (
+    NodeKind,
+    SystemParams,
+    general_overlay,
+    mesh_adg,
+    universal_caps,
+)
 from repro.compiler import affine_span, generate_variants, lower
 from repro.ir import Affine, F64, I16, WorkloadBuilder
 from repro.model.perf import estimate_ipc, preferred_binding
@@ -92,8 +100,6 @@ def test_route_invariants(overlay, name):
         # Contiguous hardware links, interior hops are switches.
         for a, b in zip(path, path[1:]):
             assert adg.has_link(a, b), (name, a, b)
-        from repro.adg import NodeKind
-
         for hop in path[1:-1]:
             assert adg.node(hop).kind is NodeKind.SWITCH
         # Link exclusivity: one value per link (same source may share).
@@ -159,6 +165,130 @@ def test_route_distances_agree_with_find_route(fabric, source_dfg, max_hops):
                 want = None if path is None else len(path) - 1
                 assert hops.get(dst) == want, (src, dst, width)
             assert set(hops) <= set(adg.node_ids())
+
+
+# The router before it read ``ADG.routing()``: every hop asked the graph
+# for the node, its kind and width, and the successor set, re-sorted.
+# Kept as the oracle the view-based router must match route for route.
+def reference_find_route(adg, state, src_hw, dst_hw, source_dfg, width_bits,
+                         max_hops=24):
+    if src_hw == dst_hw:
+        return (src_hw,)
+    queue = deque([(src_hw, (src_hw,))])
+    seen = {src_hw}
+    while queue:
+        here, path = queue.popleft()
+        if len(path) > max_hops:
+            continue
+        for nxt in sorted(adg.successors(here)):
+            owner = state.link_owner.get((here, nxt))
+            if owner is not None and owner != source_dfg:
+                continue
+            if nxt == dst_hw:
+                return path + (nxt,)
+            if nxt in seen or not reference_hop_ok(adg, nxt, width_bits):
+                continue
+            seen.add(nxt)
+            queue.append((nxt, path + (nxt,)))
+    return None
+
+
+def reference_route_distances(adg, state, src_hw, source_dfg, width_bits,
+                              max_hops=24):
+    hops = {src_hw: 0}
+    queue = deque([src_hw])
+    while queue:
+        here = queue.popleft()
+        depth = hops[here] + 1
+        if depth > max_hops:
+            break
+        for nxt in adg.successors(here):
+            owner = state.link_owner.get((here, nxt))
+            if nxt in hops or (owner is not None and owner != source_dfg):
+                continue
+            hops[nxt] = depth
+            if reference_hop_ok(adg, nxt, width_bits):
+                queue.append(nxt)
+    return hops
+
+
+def reference_hop_ok(adg, node_id, width_bits):
+    node = adg.node(node_id)
+    return node.kind is NodeKind.SWITCH and node.width_bits >= width_bits
+
+
+def routes(adg, state, source_dfg, find=find_route, distances=route_distances):
+    """Every (src, dst, width) route and every source's hop map."""
+    out = {}
+    for src in adg.node_ids():
+        for width in (32, 64, 128):
+            out[src, width] = distances(adg, state, src, source_dfg, width)
+            for dst in adg.node_ids():
+                out[src, dst, width] = find(
+                    adg, state, src, dst, source_dfg, width
+                )
+    return out
+
+
+def assert_routes_match_reference(adg, state, source_dfg):
+    got = routes(adg, state, source_dfg)
+    want = routes(
+        adg, state, source_dfg, reference_find_route, reference_route_distances
+    )
+    assert got == want
+
+
+@st.composite
+def adg_edits(draw, adg):
+    """One edit of each kind the routing view must follow."""
+    switches = [s.node_id for s in adg.switches]
+    links = adg.links()
+    edits = []
+    if len(switches) >= 2:
+        src, dst = draw(st.permutations(switches))[:2]
+        edits.append(("add_link", src, dst))
+    if links:
+        edits.append(("remove_link", *draw(st.sampled_from(links))))
+    if switches:
+        edits.append(("replace_node", draw(st.sampled_from(switches))))
+        edits.append(("remove_node", draw(st.sampled_from(switches))))
+    return draw(st.permutations(edits))
+
+
+def apply_edit(adg, edit):
+    kind, *args = edit
+    if kind == "replace_node":
+        (node_id,) = args
+        if adg.has_node(node_id):
+            adg.replace_node(node_id, width_bits=32)  # a narrowed switch
+    elif kind == "remove_node":
+        if adg.has_node(args[0]):
+            adg.remove_node(args[0])
+    elif all(adg.has_node(n) for n in args):
+        getattr(adg, kind)(*args)
+
+
+@given(congested_fabric(), st.integers(1, 3), st.data())
+@settings(max_examples=15, deadline=None)
+def test_routing_view_follows_every_edit(fabric, source_dfg, data):
+    """Routes are the reference BFS's before and after each edit."""
+    adg, state = fabric
+    assert_routes_match_reference(adg, state, source_dfg)
+    for edit in data.draw(adg_edits(adg)):
+        apply_edit(adg, edit)
+        assert_routes_match_reference(adg, state, source_dfg)
+
+
+@given(congested_fabric(), st.integers(1, 3), st.data())
+@settings(max_examples=25, deadline=None)
+def test_editing_a_clone_leaves_the_original_routes(fabric, source_dfg, data):
+    adg, state = fabric
+    before = routes(adg, state, source_dfg)
+    other = adg.clone()
+    for edit in data.draw(adg_edits(adg)):
+        apply_edit(other, edit)
+    assert routes(adg, state, source_dfg) == before
+    assert_routes_match_reference(other, state, source_dfg)
 
 
 # ----------------------------------------------------------------------

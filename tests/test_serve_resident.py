@@ -19,6 +19,7 @@ import pytest
 from repro.adg import general_overlay, sysadg_to_dict
 from repro.adg.builders import seed_for_workloads
 from repro.engine import MetricsLogger
+from repro.profile import Tracer, tracing
 from repro.serve import (
     OverlayServer,
     ServeClient,
@@ -143,6 +144,26 @@ def test_served_bytes_equal_single_shot_on_miss_and_on_hit(
     assert counters["overlay_ships"] == len(overlays)
     assert counters["cache_memory"] == counters["pool_restarts"] == 0
     assert server.metrics.of_type("serve_summary")[-1]["counters"] == counters
+
+
+def test_a_kernel_is_lowered_once_for_every_resident_overlay(
+    overlays, reference, store
+):
+    """Two overlays, one kernel: one variant family, two schedules."""
+    with tracing(Tracer()) as tracer:
+        for sysadg in overlays:
+            doc, reused = ops.compute_op(
+                "map",
+                ops.overlay_fingerprint(sysadg),
+                "fir",
+                sysadg_to_dict(sysadg),
+            )
+            assert not reused
+            assert canonical_dumps(doc) == reference[sysadg.name, "fir", "map"]
+    spans = tracer.summarize()
+    assert spans["compiler.variants"].count == 1
+    assert spans["scheduler.place_route"].count >= len(overlays)
+    assert len(store.variants) == 1
 
 
 def test_loaded_design_reaches_the_worker_once(overlays, store, tmp_path):
