@@ -2,11 +2,11 @@
 
 Every benchmark regenerates one table or figure of the paper and prints a
 paper-vs-measured comparison; expensive artifacts (DSE runs, simulations)
-are memoized process-wide and overlays additionally persist across
-sessions via the :mod:`repro.engine` artifact store, so a warm-cache rerun
-performs zero DSE iterations.  Run with ``pytest benchmarks/
---benchmark-only``; the DSE-heavy modules are marked ``tier2``, so
-``-m "not tier2"`` keeps only the fast microbenchmarks.
+are memoized process-wide by the harness's store-less engine and cache,
+so a session runs each DSE job once and nothing persists across sessions.
+Run with ``pytest benchmarks/ --benchmark-only``; the DSE-heavy modules
+are marked ``tier2``, so ``-m "not tier2"`` keeps only the fast
+microbenchmarks.
 """
 
 from __future__ import annotations
@@ -33,20 +33,11 @@ def once(benchmark):
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print engine + cache hit/miss accounting at session end."""
-    from repro.harness.experiments import CACHE, peek_engine
+    from repro.harness.experiments import CACHE, ENGINE
 
     mem = CACHE.stats()
     terminalreporter.write_line(
         f"repro cache (memory): {mem['entries']} entries, "
         f"{mem['memory']} hits / {mem['miss']} misses"
     )
-    engine = peek_engine()
-    if engine is not None:
-        terminalreporter.write_line("repro " + engine.stats.summary())
-        if engine.store is not None:
-            disk = engine.store.stats.as_dict()
-            terminalreporter.write_line(
-                f"repro artifact store ({engine.cache_dir}): "
-                f"{disk['hits']} hits / {disk['misses']} misses / "
-                f"{disk['puts']} puts"
-            )
+    terminalreporter.write_line("repro " + ENGINE.stats.summary())

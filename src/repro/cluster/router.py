@@ -397,15 +397,19 @@ class ClusterRouter:
     # -- introspection --------------------------------------------------
     def topology_doc(self) -> Dict[str, Any]:
         # Everything ``_overlay_fp`` can answer, so a client holding the
-        # document derives the router's key: registry specs (bare names
-        # as they resolve right now), then the live table on top.
+        # document derives the router's key: every spelling
+        # ``OverlayRegistry.lookup`` accepts (``name@vN``, ``name@N``,
+        # ``name@latest`` and the bare name, the last two as they resolve
+        # right now), then the live table on top.
         overlays: Dict[str, str] = {}
         if self.registry is not None:
             for name in self.registry.names():
-                overlays.update(
-                    (v.spec, v.fingerprint)
-                    for v in self.registry.versions(name)
-                )
+                versions = self.registry.versions(name)
+                for v in versions:
+                    overlays[v.spec] = v.fingerprint
+                    overlays[f"{name}@{v.version}"] = v.fingerprint
+                if versions:
+                    overlays[f"{name}@latest"] = versions[-1].fingerprint
                 try:
                     overlays[name] = self.registry.lookup(name).fingerprint
                 except RegistryError:

@@ -4,25 +4,23 @@ Each ``figXX_*`` / ``tableX_*`` function returns plain data (lists of rows)
 plus helpers to render them; the benchmark suite under ``benchmarks/``
 wraps these, and ``repro.harness.report`` assembles EXPERIMENTS.md.
 
-DSE runs go through the :mod:`repro.engine` orchestrator, whose
-:class:`~repro.engine.store.TieredCache` sits over a persistent on-disk
-artifact store (``REPRO_CACHE_DIR``), so suite overlays are reused across
-pytest/CLI sessions and recomputed only when workloads, config, or seeds
-change.  Cheaper artifacts (simulations, variant sets) stay memoized in
-process, in the store-less :data:`CACHE`.
+The harness reads no environment and no disk: every overlay comes from
+the one store-less, one-worker :data:`ENGINE`, whose memory tier
+answers a repeated (workloads, config, seeds) job by content key, and
+cheaper artifacts (simulations, variant sets) are memoized in the
+store-less :data:`CACHE`.  A report is therefore a pure function of the
+source tree.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..adg import SysADG, general_overlay
 from ..compiler import generate_variants
 from ..dse import DseConfig, DseResult
-from ..engine.store import TieredCache
+from ..engine import DseEngine, TieredCache
 from ..hls import (
     AutoDseResult,
     KERNEL_INFO,
@@ -73,50 +71,17 @@ OVERLAY_COMPILE_PER_VARIANT_S = 0.5
 #: runs from a few seeds and keeps the best objective.
 DSE_RESTART_SEEDS = (DSE_SEED, DSE_SEED + 1)
 
-_ENGINE = None
+#: The DSE engine behind every overlay driver: no artifact store, one
+#: worker, so its stats depend only on which drivers ran.
+ENGINE = DseEngine()
 
 #: In-process cache of everything the drivers share besides DSE results
 #: (simulations, variant sets, AutoDSE runs); no disk tier.
 CACHE = TieredCache()
 
 
-def get_engine():
-    """The shared DSE engine behind every overlay driver.
-
-    Configured from the environment: ``REPRO_CACHE_DIR`` points the
-    persistent artifact store somewhere else (set it empty to disable
-    persistence entirely), ``REPRO_DSE_JOBS`` sets the worker-pool width.
-    """
-    global _ENGINE
-    if _ENGINE is None:
-        from ..engine import DseEngine
-
-        cache_dir = os.environ.get(
-            "REPRO_CACHE_DIR",
-            os.path.join(os.path.expanduser("~"), ".cache", "repro-overgen"),
-        )
-        _ENGINE = DseEngine(
-            cache_dir=cache_dir or None,
-            workers=int(os.environ.get("REPRO_DSE_JOBS", "1")),
-        )
-    return _ENGINE
-
-
-def peek_engine():
-    """The shared engine if one was built, without building one."""
-    return _ENGINE
-
-
-def set_engine(engine):
-    """Swap the shared engine (tests); returns the previous one."""
-    global _ENGINE
-    previous = _ENGINE
-    _ENGINE = engine
-    return previous
-
-
 def _best_of_seeds(workloads, iterations: int, name: str) -> DseResult:
-    return get_engine().explore(
+    return ENGINE.explore(
         workloads,
         DseConfig(iterations=iterations, seed=DSE_SEED),
         name=name,
@@ -125,12 +90,10 @@ def _best_of_seeds(workloads, iterations: int, name: str) -> DseResult:
 
 
 def _engine_explore(workloads, name: str, **config_kwargs) -> DseResult:
-    config = DseConfig(iterations=SUITE_DSE_ITERATIONS, seed=DSE_SEED)
-    if config_kwargs:
-        from dataclasses import replace as _replace
-
-        config = _replace(config, **config_kwargs)
-    return get_engine().explore(workloads, config, name=name).result
+    config = DseConfig(
+        iterations=SUITE_DSE_ITERATIONS, seed=DSE_SEED, **config_kwargs
+    )
+    return ENGINE.explore(workloads, config, name=name).result
 
 
 def suite_overlay(suite: str, iterations: int = SUITE_DSE_ITERATIONS) -> DseResult:

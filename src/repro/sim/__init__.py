@@ -8,13 +8,6 @@ from .components import (
     PortFifo,
     StreamState,
 )
-from .dispatcher import (
-    Barrier,
-    DispatchRecord,
-    MIN_DISPATCH_LATENCY,
-    StreamCommand,
-    StreamDispatcher,
-)
 from .batch import simulate_batch
 from .multiplex import (
     MultiplexResult,
@@ -23,6 +16,7 @@ from .multiplex import (
 )
 from .vector import vector_core_available
 from .simulator import (
+    MIN_DISPATCH_LATENCY,
     SimResult,
     SimulationError,
     build_tile,
@@ -32,12 +26,8 @@ from .simulator import (
 
 __all__ = [
     "BandwidthPool",
-    "Barrier",
-    "DispatchRecord",
     "MIN_DISPATCH_LATENCY",
     "MultiplexResult",
-    "StreamCommand",
-    "StreamDispatcher",
     "reconfiguration_cycles",
     "run_sequence",
     "EngineSim",

@@ -1,8 +1,10 @@
 """Cycle-level simulator components.
 
 These model the microarchitecture of Section VI at stream/port/firing
-granularity: the stream dispatcher (stream table + scoreboard, 2-cycle
-dispatch), stream engines (fully-pipelined issue with the one-hot bypass of
+granularity: stream dispatch (each stream starts at its
+``dispatched_at`` cycle; :func:`~repro.sim.simulator.build_tile` issues
+one stream per cycle from the 2-cycle minimum latency on, with no hazard
+tracking), stream engines (fully-pipelined issue with the one-hot bypass of
 Fig. 11, bandwidth-limited transfers, shared-memory arbitration), vector
 port FIFOs, and the dedicated-dataflow fabric (II=1 firings gated on
 operand availability and output space).

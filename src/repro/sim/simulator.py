@@ -48,7 +48,11 @@ from .components import (
     PortFifo,
     StreamState,
 )
-from .dispatcher import MIN_DISPATCH_LATENCY
+
+#: Cycles from a stream's finalize command to its dispatch when no hazard
+#: exists: one cycle instantiation plus one cycle dispatch (Section VI-B).
+#: :func:`build_tile` dispatches one stream per cycle from this cycle on.
+MIN_DISPATCH_LATENCY = 2
 
 #: Port FIFO depth in vector lines (elements = depth x port lanes).
 PORT_FIFO_LINES = 8

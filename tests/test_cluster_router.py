@@ -268,21 +268,14 @@ class TestRouterServing:
     def test_router_and_cluster_client_pick_the_same_shard(
         self, live_cluster
     ):
-        """One routing rule: for every op × spec form, the shard the
-        router forwards to is the shard a ``--cluster`` client dials."""
+        """One routing rule: for every op × spec spelling the registry
+        accepts, the shard a ``--cluster`` client dials is the shard the
+        router forwards to.  The client asks first, so it cannot lean on
+        a spelling the router has already resolved once."""
         router, sock, *_ = live_cluster
         for op in ("map", "simulate", "remap"):
-            for overlay in ("fam", "fam@v1"):
+            for overlay in ("fam", "fam@v1", "fam@1", "fam@latest"):
                 for wl in WLS:
-                    before = [s.routed for s in router.backends]
-                    asyncio.run(
-                        _request(sock, op, workload=wl, overlay=overlay)
-                    )
-                    (owner,) = [
-                        i
-                        for i, s in enumerate(router.backends)
-                        if s.routed != before[i]
-                    ]
                     report = asyncio.run(
                         run_load(
                             lambda: ServeClient(socket_path=sock),
@@ -293,6 +286,15 @@ class TestRouterServing:
                         )
                     )
                     assert report.errors == 0
+                    before = [s.routed for s in router.backends]
+                    asyncio.run(
+                        _request(sock, op, workload=wl, overlay=overlay)
+                    )
+                    (owner,) = [
+                        i
+                        for i, s in enumerate(router.backends)
+                        if s.routed != before[i]
+                    ]
                     assert report.shard_requests == {owner: 1}, (
                         op, overlay, wl,
                     )

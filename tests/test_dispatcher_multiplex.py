@@ -1,4 +1,4 @@
-"""Tests for the stream dispatcher model and temporal multiplexing."""
+"""Tests for stream dispatch in the simulator and temporal multiplexing."""
 
 import pytest
 
@@ -6,121 +6,37 @@ from repro.adg import general_overlay
 from repro.compiler import generate_variants
 from repro.scheduler import schedule_workload
 from repro.sim import (
-    Barrier,
     MIN_DISPATCH_LATENCY,
-    StreamCommand,
-    StreamDispatcher,
+    build_tile,
     reconfiguration_cycles,
     run_sequence,
 )
 from repro.workloads import get_workload
 
 
-def cmd(name, port="p0", engine="dma", duration=10, **params):
-    return StreamCommand(
-        name=name, engine=engine, port=port,
-        params=params or {"address": hash(name) % 1000, "length": 64},
-        duration=duration,
-    )
-
-
 class TestDispatcher:
-    def test_min_dispatch_latency(self):
-        d = StreamDispatcher()
-        record = d.issue(cmd("a"))
-        assert record.dispatch_latency == MIN_DISPATCH_LATENCY
+    """Section VI-B's contract as ``build_tile`` models it: streams leave
+    the dispatcher in stream order, one per cycle, the first one
+    ``MIN_DISPATCH_LATENCY`` cycles after the region starts."""
 
-    def test_one_dispatch_per_cycle_across_ports(self):
-        d = StreamDispatcher()
-        records = [
-            d.issue(cmd(f"s{i}", port=f"p{i}", address=i, length=64))
-            for i in range(6)
-        ]
-        dispatched = [r.dispatched for r in records]
-        assert dispatched == sorted(dispatched)
-        assert len(set(dispatched)) == len(dispatched)  # <= 1/cycle
-
-    def test_port_conflict_blocks(self):
-        d = StreamDispatcher()
-        first = d.issue(cmd("a", port="p0", duration=50))
-        second = d.issue(cmd("b", port="p0", duration=5))
-        assert second.dispatched >= first.completes
-
-    def test_different_ports_overlap(self):
-        d = StreamDispatcher()
-        first = d.issue(cmd("a", port="p0", duration=50))
-        second = d.issue(cmd("b", port="p1", duration=5))
-        assert second.dispatched < first.completes  # out-of-order dispatch
-
-    def test_register_file_reuse_skips_writes(self):
-        d = StreamDispatcher()
-        a = d.issue(
-            StreamCommand("a", "dma", "p0", {"address": 1, "length": 64}, 5)
+    @pytest.fixture(scope="class")
+    def dispatched(self):
+        overlay = general_overlay()
+        schedule = schedule_workload(
+            generate_variants(get_workload("fir")), overlay.adg, overlay.params
         )
-        # Same length register: only the address write is needed.
-        b = d.issue(
-            StreamCommand("b", "dma", "p1", {"address": 2, "length": 64}, 5)
+        assert schedule is not None
+        engines, _fabric, _pools = build_tile(schedule, overlay, 1)
+        return sorted(s.dispatched_at for e in engines for s in e.streams)
+
+    def test_min_dispatch_latency(self, dispatched):
+        assert dispatched[0] == MIN_DISPATCH_LATENCY
+
+    def test_one_dispatch_per_cycle_across_ports(self, dispatched):
+        assert len(dispatched) > 1
+        assert dispatched == list(
+            range(MIN_DISPATCH_LATENCY, MIN_DISPATCH_LATENCY + len(dispatched))
         )
-        c = d.issue(
-            StreamCommand("c", "dma", "p2", {"address": 3, "length": 128}, 5)
-        )
-        writes_b = b.config_done - a.instantiated
-        writes_c = c.config_done - b.instantiated
-        assert writes_b == 1  # only address changed
-        assert writes_c == 2  # address + length changed
-
-    def test_full_barrier_waits_for_everything(self):
-        d = StreamDispatcher()
-        records = [d.issue(cmd(f"s{i}", port=f"p{i}", duration=30)) for i in range(3)]
-        drained = d.barrier()
-        assert drained >= max(r.completes for r in records)
-
-    def test_selective_barrier(self):
-        d = StreamDispatcher()
-        slow = d.issue(cmd("slow", port="p0", duration=100))
-        fast = d.issue(cmd("fast", port="p1", duration=5))
-        at = d.barrier(Barrier(resources=("p1",)))
-        assert at >= fast.completes
-        assert at < slow.completes
-
-    def test_run_returns_drain_cycle(self):
-        d = StreamDispatcher()
-        total = d.run([cmd("a", duration=10), Barrier(), cmd("b", duration=10)])
-        assert total >= 20
-
-    def test_dispatch_rate_near_one_when_saturated(self):
-        d = StreamDispatcher()
-        for i in range(20):
-            d.issue(
-                StreamCommand(f"s{i}", "dma", f"p{i}", {"address": i}, 100)
-            )
-        assert d.dispatch_rate() > 0.4  # 1 param write + dispatch per stream
-
-    def test_barrier_prunes_drained_scoreboard(self):
-        d = StreamDispatcher()
-        for i in range(50):
-            d.issue(cmd(f"s{i}", port=f"p{i % 4}", duration=5))
-            d.barrier()
-        # every resource drained at the barrier -> nothing stays resident
-        assert d._busy_until == {}
-
-    def test_pruning_preserves_semantics(self):
-        # the same command sequence with interleaved barriers must yield
-        # identical records whether or not earlier entries were pruned
-        sequence = [cmd(f"s{i}", port=f"p{i % 2}", duration=7) for i in range(6)]
-        pruned = StreamDispatcher()
-        timeline = []
-        for c in sequence[:3]:
-            timeline.append(pruned.issue(c))
-        pruned.barrier()  # prunes everything in flight
-        for c in sequence[3:]:
-            timeline.append(pruned.issue(c))
-        drained = pruned.barrier()
-        assert drained == max(r.completes for r in timeline)
-        # per-port request order survives pruning
-        for port in ("p0", "p1"):
-            ds = [r.dispatched for r, c in zip(timeline, sequence) if c.port == port]
-            assert ds == sorted(ds)
 
 
 class TestMultiplex:
