@@ -16,11 +16,7 @@ from typing import Dict, List, Optional
 from ..adg import ADG, SystemParams
 from ..dfg import MDFG
 from ..ir import Workload
-from ..scheduler import Schedule, ScheduleError, schedule_mdfg
-from ..scheduler.binder import bind_memory
-from ..scheduler.placer import place_and_route
-from ..scheduler.router import RoutingState
-from ..scheduler.schedule import Schedule as _Schedule
+from ..scheduler import attempt_schedule
 from .variants import VariantSet, generate_variants
 
 #: Recommend re-running the DSE when the best *unmappable* variant promises
@@ -83,24 +79,20 @@ def _try_variant(mdfg: MDFG, adg: ADG, params: SystemParams) -> VariantVerdict:
     """
     from ..model.perf import estimate_ipc, preferred_binding
 
-    schedule = _Schedule(mdfg=mdfg, adg_version=adg.version)
-    try:
-        bind_memory(mdfg, adg, schedule)
-        place_and_route(mdfg, adg, schedule, RoutingState(adg))
-    except ScheduleError as exc:
+    attempt = attempt_schedule(mdfg, adg, params)
+    if not attempt.ok:
         ideal = estimate_ipc(mdfg, preferred_binding(mdfg, adg), adg, params)
         return VariantVerdict(
             variant=mdfg.variant,
             mapped=False,
             projected_ipc=ideal.ipc,
-            failure_reason=str(exc),
+            failure_reason=attempt.failure.reason,
             insts_per_cycle=mdfg.insts_per_cycle,
         )
-    est = estimate_ipc(mdfg, schedule.binding(), adg, params)
     return VariantVerdict(
         variant=mdfg.variant,
         mapped=True,
-        projected_ipc=est.ipc,
+        projected_ipc=attempt.schedule.estimate.ipc,
         insts_per_cycle=mdfg.insts_per_cycle,
     )
 

@@ -102,6 +102,23 @@ def tile_parallelism(workload: Workload, unroll: int) -> float:
     return par
 
 
+def takes_recurrence_engine(
+    stmt: Statement, inner_var: str, reuse: WorkloadReuse
+) -> bool:
+    """Whether ``use_recurrence`` routes ``stmt`` through the recurrence engine.
+
+    Only a reduction whose target varies with the innermost loop (an
+    innermost reduction becomes an accumulator instead) over an array with
+    an outer recurrence qualifies.  A workload with no such statement
+    lowers to the same mDFG whatever ``use_recurrence`` says.
+    """
+    return (
+        stmt.is_reduction
+        and stmt.target_index.involves(inner_var)
+        and reuse.recurrence_for(stmt.target_array) is not None
+    )
+
+
 def lower(
     workload: Workload,
     unroll: int = 1,
@@ -169,6 +186,7 @@ class _Lowerer:
         self.unroll = unroll
         self.use_recurrence = use_recurrence
         self.inner_var = workload.innermost.var
+        self._written = frozenset(s.target_array for s in workload.statements)
         # Dedup maps
         self._read_streams: Dict[Tuple[str, IndexExpr], _StreamRef] = {}
         self._iter_streams: Dict[str, _StreamRef] = {}
@@ -273,8 +291,7 @@ class _Lowerer:
         """True for reads with a constant index from a read-only array."""
         if not isinstance(load.index, Affine) or load.index.variables():
             return False
-        written = {s.target_array for s in self.w.statements}
-        return load.array not in written
+        return load.array not in self._written
 
     def _iter_port(self, var: str) -> _StreamRef:
         """Get-or-create the generate-engine stream for a loop-var value."""
@@ -418,18 +435,14 @@ class _Lowerer:
             stmt.is_reduction
             and not stmt.target_index.involves(self.inner_var)
         )
-        recurrence = self.reuse.recurrence_for(stmt.target_array)
-        use_rec = (
-            recurrence is not None
-            and self.use_recurrence
-            and stmt.is_reduction
-            and not inner_reduction
-        )
-
         if inner_reduction:
             self._lower_inner_reduction(stmt, target_read)
-        elif use_rec:
-            self._lower_recurrence(stmt, target_read, recurrence)
+        elif self.use_recurrence and takes_recurrence_engine(
+            stmt, self.inner_var, self.reuse
+        ):
+            self._lower_recurrence(
+                stmt, target_read, self.reuse.recurrence_for(stmt.target_array)
+            )
         else:
             self._lower_plain(stmt)
 

@@ -16,7 +16,7 @@ from typing import List, Optional
 from ..dfg import MDFG, StreamKind
 from ..ir import Workload
 from ..profile.tracer import span
-from .lowering import LoweringError, _lower, max_unroll
+from .lowering import LoweringError, _lower, max_unroll, takes_recurrence_engine
 from .reuse import analyze_workload
 
 
@@ -66,16 +66,24 @@ def generate_variants(workload: Workload) -> VariantSet:
     """Pre-compile every useful (unroll, recurrence) combination."""
     with span("compiler.variants", workload=workload.name):
         reuse = analyze_workload(workload)
+        # The -rmw form is lowered only when some statement would take the
+        # recurrence engine: without one both forms run the same lowering,
+        # so the rmw form could only come out identical and be dropped.
+        inner_var = workload.innermost.var
+        rmw_differs = any(
+            takes_recurrence_engine(s, inner_var, reuse)
+            for s in workload.statements
+        )
+        forms = (True, False) if rmw_differs else (True,)
         variants: List[MDFG] = []
         for unroll in unroll_candidates(workload):
-            for use_rec in (True, False):
+            for use_rec in forms:
                 try:
                     mdfg = _lower(workload, unroll, use_rec, reuse)
                 except LoweringError:
                     continue
-                # Skip the rmw form when it is identical to the recurrence
-                # form (i.e. the workload has no outer recurrence to begin
-                # with).
+                # Keep an rmw form only if its streams differ from the
+                # recurrence form's.
                 if not use_rec and any(
                     _same_structure(mdfg, other) for other in variants
                 ):

@@ -1,10 +1,14 @@
 """Top-level spatial scheduler: full scheduling, repair, and relaxation.
 
-`schedule_mdfg` maps one variant; `schedule_workload` walks a variant
-family most-aggressive-first and returns the best-performing variant that
-maps ("relax DFG complexity", Fig. 3).  `repair_schedule` preserves as much
-of an existing schedule as possible after a hardware mutation (the cheap
-path the DSE takes every iteration — Section V-A).
+Mapping a variant is two steps: bind its streams and arrays to engines and
+ports, then place its compute and route its fabric edges.  The estimated
+IPC reads only the binding, so a variant is priced before it is routed.
+`schedule_mdfg` maps one variant.  `schedule_workload` binds and prices a
+whole variant family, then places and routes best estimate first and
+returns the first variant that maps ("relax DFG complexity", Fig. 3).
+`repair_schedule` preserves as much of an existing schedule as possible
+after a hardware mutation (the cheap path the DSE takes every iteration —
+Section V-A).
 """
 
 from __future__ import annotations
@@ -22,6 +26,34 @@ from .router import RoutingState
 from .schedule import Schedule, ScheduleAttempt, ScheduleError, ScheduleFailure
 
 
+def _bind(mdfg: MDFG, adg: ADG) -> Schedule:
+    """A schedule of ``mdfg`` holding only its memory binding.
+
+    Raises:
+        ScheduleError: if a stream or array finds no engine or port.
+    """
+    schedule = Schedule(mdfg=mdfg, adg_version=adg.version)
+    with span("scheduler.bind", workload=mdfg.workload, variant=mdfg.variant):
+        bind_memory(mdfg, adg, schedule)
+    return schedule
+
+
+def _place_route(schedule: Schedule, adg: ADG) -> None:
+    """Complete a bound schedule: place compute, route every fabric edge.
+
+    Leaves every stream's engine as bound, so an estimate taken from the
+    binding still holds.
+
+    Raises:
+        ScheduleError: if an instruction, route or skew cannot be mapped.
+    """
+    mdfg = schedule.mdfg
+    with span(
+        "scheduler.place_route", workload=mdfg.workload, variant=mdfg.variant
+    ):
+        place_and_route(mdfg, adg, schedule, RoutingState(adg))
+
+
 def attempt_schedule(
     mdfg: MDFG,
     adg: ADG,
@@ -34,15 +66,9 @@ def attempt_schedule(
     placement / routing / skew) and the constraint it hit — what the DSE
     logs and the over-subscription tests assert on.
     """
-    schedule = Schedule(mdfg=mdfg, adg_version=adg.version)
-    state = RoutingState(adg)
     try:
-        with span("scheduler.bind", workload=mdfg.workload, variant=mdfg.variant):
-            bind_memory(mdfg, adg, schedule)
-        with span(
-            "scheduler.place_route", workload=mdfg.workload, variant=mdfg.variant
-        ):
-            place_and_route(mdfg, adg, schedule, state)
+        schedule = _bind(mdfg, adg)
+        _place_route(schedule, adg)
     except ScheduleError as exc:
         return ScheduleAttempt(
             failure=ScheduleFailure(stage=exc.stage, reason=str(exc))
@@ -68,19 +94,30 @@ def schedule_workload(
 ) -> Optional[Schedule]:
     """Best-performing schedulable variant of a workload (None if none).
 
-    Every variant is tried; the one with the highest estimated IPC wins.
-    This is the "relax DFG complexity" loop: aggressive variants that fail
-    to map simply lose to the less aggressive ones that succeed.
+    Every variant is bound and priced; a variant whose binding fails is
+    skipped.  The rest are placed and routed in order of estimated IPC,
+    highest first (ties in family order), and the first that maps wins.
+    Placement and routing never move a stream's engine, so the estimate
+    a variant carries into routing is the one it is returned with.  This
+    is the "relax DFG complexity" loop: aggressive variants that fail to
+    map simply lose to the less aggressive ones that succeed.
     """
-    best: Optional[Schedule] = None
-    for mdfg in variants.variants:
-        schedule = schedule_mdfg(mdfg, adg, params)
-        if schedule is None:
+    priced: List[Tuple[float, int, Schedule]] = []
+    for index, mdfg in enumerate(variants.variants):
+        try:
+            schedule = _bind(mdfg, adg)
+        except ScheduleError:
             continue
-        assert schedule.estimate is not None
-        if best is None or schedule.estimate.ipc > best.estimate.ipc:
-            best = schedule
-    return best
+        schedule.estimate = estimate_ipc(mdfg, schedule.binding(), adg, params)
+        priced.append((-schedule.estimate.ipc, index, schedule))
+    priced.sort(key=lambda item: item[:2])
+    for _neg_ipc, _index, schedule in priced:
+        try:
+            _place_route(schedule, adg)
+        except ScheduleError:
+            continue
+        return schedule
+    return None
 
 
 # ----------------------------------------------------------------------

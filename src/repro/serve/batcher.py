@@ -146,7 +146,7 @@ class LatencyReservoir:
         if len(self._samples) < self.cap:
             self._samples.append(latency_s)
         else:
-            self._samples[self.count % self.cap] = latency_s
+            self._samples[(self.count - 1) % self.cap] = latency_s
 
     def percentile(self, q: float) -> float:
         if not self._samples:

@@ -1,20 +1,40 @@
 """Tests for workload -> mDFG lowering and variant generation."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import (
     LoweringError,
+    VariantSet,
+    analyze_workload,
     generate_variants,
     lower,
     max_unroll,
     unroll_candidates,
     uses_recurrence_engine,
 )
+from repro.compiler.lowering import _lower
+from repro.compiler.variants import _same_structure
 from repro.dfg import ArrayPlacement, ComputeNode, StreamKind
 from repro.ir import F64, I16, Op, WorkloadBuilder
+from repro.validate.generators import random_case
 from repro.workloads import all_workloads, get_workload
+
+
+def _fig5_fir():
+    """Fig. 5's FIR: ``c[]`` is an outer recurrence over ``j``."""
+    wb = WorkloadBuilder("fig5", suite="test", dtype=F64)
+    a = wb.array("a", 255)
+    b = wb.array("b", 128)
+    c = wb.array("c", 128)
+    io = wb.loop("io", 4)
+    j = wb.loop("j", 128)
+    ii = wb.loop("ii", 32)
+    wb.accumulate(c[io * 32 + ii], a[io * 32 + ii + j] * b[j])
+    return wb.build()
 
 
 class TestBasicLowering:
@@ -167,15 +187,7 @@ class TestArrayNodes:
     def test_spad_candidate_includes_double_buffer(self):
         # Fig. 5's exact FIR: footprint of a is 255 elements; the spad
         # allocation doubles it for double-buffering.
-        wb = WorkloadBuilder("fig5", suite="test", dtype=F64)
-        a = wb.array("a", 255)
-        b = wb.array("b", 128)
-        c = wb.array("c", 128)
-        io = wb.loop("io", 4)
-        j = wb.loop("j", 128)
-        ii = wb.loop("ii", 32)
-        wb.accumulate(c[io * 32 + ii], a[io * 32 + ii + j] * b[j])
-        mdfg = lower(wb.build(), unroll=1)
+        mdfg = lower(_fig5_fir(), unroll=1)
         a_node = next(n for n in mdfg.arrays if n.array == "a")
         assert a_node.footprint_bytes == 2 * 255 * 8
 
@@ -212,6 +224,62 @@ class TestVariants:
         assert m.unroll == 2
         with pytest.raises(KeyError):
             vs.by_name("u999")
+
+
+def _lower_both_forms(workload):
+    """The family as built before the rmw gate: lower both forms at every
+    unroll, then drop an rmw form whose streams match a kept form."""
+    reuse = analyze_workload(workload)
+    kept = []
+    for unroll in unroll_candidates(workload):
+        for use_rec in (True, False):
+            try:
+                mdfg = _lower(workload, unroll, use_rec, reuse)
+            except LoweringError:
+                continue
+            if not use_rec and any(_same_structure(mdfg, k) for k in kept):
+                continue
+            kept.append(mdfg)
+    if not kept:
+        raise LoweringError(f"{workload.name}: no lowerable variants")
+    return VariantSet(workload=workload, variants=kept)
+
+
+def _family(make, workload):
+    """Each variant's name and pickled bytes, or the exception type."""
+    try:
+        family = make(workload)
+    except Exception as exc:
+        return type(exc)
+    return [(m.variant, pickle.dumps(m)) for m in family.variants]
+
+
+class TestRmwGate:
+    """``generate_variants`` lowers the rmw form only where it can differ,
+    and still returns the family that lowering both forms did."""
+
+    def test_same_family_as_lowering_both_forms(self):
+        # The random programs reduce over the innermost loop only, so they
+        # exercise the gated path; the recurrences come from the suites
+        # and Fig. 5.
+        workloads = list(all_workloads()) + [_fig5_fir()] + [
+            random_case(f"rmw-gate:{i}").program.build() for i in range(30)
+        ]
+        for i, w in enumerate(workloads):
+            assert _family(generate_variants, w) == _family(
+                _lower_both_forms, w
+            ), (i, w.name)
+
+    def test_rmw_kept_only_where_the_recurrence_engine_applies(self):
+        with_rmw = {
+            w.name
+            for w in all_workloads()
+            if any(
+                m.variant.endswith("-rmw")
+                for m in generate_variants(w).variants
+            )
+        }
+        assert with_rmw == {"accumulate", "acc-sqr", "cholesky", "fir", "gemm"}
 
 
 class TestMdfgMetrics:

@@ -6,6 +6,7 @@ from repro.adg import NodeKind, general_overlay, mesh_adg, caps_for_dtype
 from repro.compiler import generate_variants, lower
 from repro.dfg import ArrayNode, ComputeNode, StreamKind
 from repro.ir import F64, I16, I64, Op
+from repro.profile.tracer import Tracer, tracing
 from repro.scheduler import (
     RoutingState,
     ScheduleError,
@@ -16,7 +17,10 @@ from repro.scheduler import (
     schedule_mdfg,
     schedule_workload,
 )
+from repro.validate.generators import random_case
 from repro.workloads import all_workloads, get_workload
+
+from .test_schedule_golden import overlays, schedule_digest
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +172,67 @@ class TestScheduling:
         )
         mdfg = lower(get_workload("mm"), unroll=1)  # needs f64 mul
         assert schedule_mdfg(mdfg, adg) is None
+
+
+def _exhaustive_walk(variants, adg, params):
+    """``schedule_workload`` as it was: map every variant, keep the first
+    with the highest estimated IPC ("strictly greater replaces")."""
+    best = None
+    for mdfg in variants.variants:
+        schedule = schedule_mdfg(mdfg, adg, params)
+        if schedule is None:
+            continue
+        if best is None or schedule.estimate.ipc > best.estimate.ipc:
+            best = schedule
+    return best
+
+
+def _outcome(walk, variants, adg, params):
+    """The golden's digest of what ``walk`` chose, or the exception type."""
+    try:
+        return schedule_digest(walk(variants, adg, params))
+    except Exception as exc:
+        return type(exc)
+
+
+class TestBestFirst:
+    """``schedule_workload`` routes variants best estimate first and stops
+    at the first that maps; it must choose what mapping all of them did."""
+
+    def test_matches_exhaustive_walk_on_golden_overlays(self):
+        families = [generate_variants(w) for w in all_workloads()]
+        for sysadg in overlays():
+            for variants in families:
+                args = (variants, sysadg.adg, sysadg.params)
+                assert _outcome(schedule_workload, *args) == _outcome(
+                    _exhaustive_walk, *args
+                ), (sysadg.name, variants.workload.name)
+
+    def test_matches_exhaustive_walk_on_random_cases(self):
+        for i in range(30):
+            case = random_case(f"best-first:{i}")
+            args = (
+                generate_variants(case.program.build()),
+                case.adg(),
+                case.system_params(),
+            )
+            assert _outcome(schedule_workload, *args) == _outcome(
+                _exhaustive_walk, *args
+            ), i
+
+    def test_work_counts_on_general(self, overlay):
+        """Work, not time: every variant is lowered and bound once, and
+        only 29 of them are placed and routed (mapping every variant
+        routed 111, lowering both forms everywhere lowered 268)."""
+        with tracing(Tracer()) as tracer:
+            families = [generate_variants(w) for w in all_workloads()]
+            for variants in families:
+                schedule_workload(variants, overlay.adg, overlay.params)
+        spans = tracer.summarize()
+        assert sum(len(v.variants) for v in families) == 158
+        assert spans["compiler.lower"].count == 158
+        assert spans["scheduler.bind"].count == 158
+        assert spans["scheduler.place_route"].count == 29
 
 
 class TestStructuredFailure:

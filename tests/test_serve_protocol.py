@@ -216,3 +216,10 @@ class TestLatencyReservoir:
             res.record(1.0)
         assert res.count == 100
         assert len(res._samples) == 8
+
+    def test_window_holds_the_most_recent_samples(self):
+        cap = 4
+        res = LatencyReservoir(cap=cap)
+        for value in range(1, cap + 4):
+            res.record(float(value))
+        assert sorted(res._samples) == [4.0, 5.0, 6.0, 7.0]
