@@ -107,7 +107,6 @@ def run_submit(args: argparse.Namespace) -> int:
                 overlays=overlays,
                 timeout_s=args.timeout,
                 expect_errors=args.expect_errors,
-                cluster=args.cluster,
             )
         except ServeConnectionError as exc:
             raise CliError(str(exc)) from exc
@@ -154,7 +153,7 @@ def run_submit(args: argparse.Namespace) -> int:
     except ServeError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
-    if args.json or args.op in ("stats", "ping", "shutdown", "topology"):
+    if args.json or args.op in ("stats", "ping", "shutdown"):
         print(canonical_dumps(result))
     else:
         for key, value in sorted(result.items()):
@@ -308,7 +307,7 @@ def add_parsers(sub) -> None:
     sb.add_argument(
         "op",
         choices=("map", "estimate", "simulate", "simulate_batch", "remap",
-                 "ping", "stats", "topology", "shutdown", "load"),
+                 "ping", "stats", "shutdown", "load"),
     )
     sb.add_argument("workload", nargs="?", default=None)
     sb.add_argument(
@@ -352,11 +351,6 @@ def add_parsers(sub) -> None:
         "--overlays", default=None,
         help="[load] comma list of overlay specs to mix (overrides "
              "--overlay; registry name@vN specs work here)",
-    )
-    sb.add_argument(
-        "--cluster", action="store_true",
-        help="[load] fetch the cluster topology and route each request "
-             "directly to its owning shard (per-shard latency + balance)",
     )
     sb.add_argument(
         "--shards", type=int, default=1,

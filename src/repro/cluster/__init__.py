@@ -11,8 +11,8 @@ many applications compiling in milliseconds):
 * :mod:`~repro.cluster.topology` — deterministic request routing:
   ``(overlay fp, workload fp)`` hashed into a fixed slot space and
   assigned to shards with the same :class:`~repro.jobs.ShardPlan` math
-  soak uses, so routing is shard-count-deterministic and any client
-  holding the topology routes exactly like the router.
+  soak uses, so routing is shard-count-deterministic; the router is the
+  one place that applies it.
 * :mod:`~repro.cluster.router` / :mod:`~repro.cluster.launcher` — the
   asyncio front tier proxying the JSON-lines protocol across N backend
   serve shards (health checks, bounded failover on ``overloaded``,
@@ -35,7 +35,6 @@ from .registry import (
 from .topology import (
     SLOTS,
     BackendSpec,
-    Topology,
     overlay_route_key,
     route_shard,
     route_slot,
@@ -62,7 +61,6 @@ __all__ = [
     "ResolvedOverlay",
     "RouterConfig",
     "SLOTS",
-    "Topology",
     "overlay_route_key",
     "route_shard",
     "route_slot",

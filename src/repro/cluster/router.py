@@ -22,16 +22,13 @@ request:
 * **Health** — a background task pings every shard each
   ``health_interval_s``; unhealthy shards are skipped by routing until
   they answer again.  Health sweeps also collect shard overlay
-  fingerprints, which keeps the routing key table and the advertised
-  :class:`~repro.cluster.topology.Topology` fresh.
+  fingerprints, which keeps the routing key table fresh.
 
 Admin ops are answered at the router: ``stats`` aggregates shard
-counters (the CI smoke asserts cluster-wide remap hit rate from it),
-``topology`` hands out the cluster map so smart clients can route
-*directly* to shards (the ``repro submit load --cluster`` fast path —
-the router never becomes the data-plane bottleneck), ``load_overlay``
-broadcasts to every shard, and ``shutdown`` drains the shards then the
-router itself.
+counters (the CI smoke asserts cluster-wide remap hit rate from it) and
+reports each shard's ``routed`` count — the router is the only place a
+shard is picked, so that is the only per-shard balance there is — and
+``shutdown`` drains the shards then the router itself.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from ..serve.errors import InternalError, ShuttingDownError
 from ..serve.protocol import PROTOCOL_VERSION, Request, response_doc
 from ..serve.ops import workload_fp
 from .registry import OverlayRegistry, RegistryError, split_spec
-from .topology import BackendSpec, Topology, overlay_route_key, route_shard
+from .topology import BackendSpec, overlay_route_key, route_shard
 
 
 @dataclass
@@ -132,8 +129,9 @@ class ClusterRouter:
             "health_sweeps": 0,
         }
         #: overlay spec -> fingerprint, the routing key table.  Seeded
-        #: and refreshed from shard stats; explicit registry specs are
-        #: immutable so they cache forever, bare names resolve live.
+        #: and refreshed from shard stats; ``name@vN`` specs are
+        #: immutable so they cache forever, bare names and ``@latest``
+        #: resolve live.
         self._overlay_fps: Dict[str, str] = {}
         self._workload_fps: Dict[str, str] = {}
         self._wire = JsonLinesEndpoint(self._dispatch, self.counters)
@@ -252,8 +250,9 @@ class ClusterRouter:
             except RegistryError:
                 return None
             fp = version.fingerprint
-            if split_spec(overlay)[1] is not None:
-                # Explicit name@vN never changes meaning; cache it.
+            if split_spec(overlay)[1] not in (None, "latest"):
+                # name@vN / name@N never change meaning; the bare name
+                # and name@latest move on publish, pin and rollback.
                 self._overlay_fps[overlay] = fp
         return fp
 
@@ -284,13 +283,9 @@ class ClusterRouter:
             return response_doc(
                 request.id, result=await self.cluster_stats()
             )
-        if request.op == "topology":
-            return response_doc(request.id, result=self.topology_doc())
         if request.op == "shutdown":
             asyncio.get_running_loop().create_task(self.shutdown())
             return response_doc(request.id, result={"draining": True})
-        if request.op == "load_overlay":
-            return await self._broadcast_load_overlay(request, doc)
         if self._draining:
             raise ShuttingDownError("router is draining; no new work")
         # Everything that is not an admin op is a compute op.
@@ -356,73 +351,7 @@ class ClusterRouter:
             f"(last error: {last_error})"
         )
 
-    async def _broadcast_load_overlay(
-        self, request: Request, doc: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Warm an overlay onto every healthy shard; answer with the
-        first shard's result (they are identical)."""
-        forward = {k: v for k, v in doc.items() if k != "id"}
-        targets = [s for s in self.backends if s.healthy]
-        if not targets:
-            raise InternalError("no healthy shard to load the overlay on")
-
-        async def one(state: BackendState) -> Dict[str, Any]:
-            client = await state.ensure_client()
-            return await client.request_raw(forward)
-
-        responses = await asyncio.gather(
-            *(one(s) for s in targets), return_exceptions=True
-        )
-        first: Optional[Dict[str, Any]] = None
-        for resp in responses:
-            if isinstance(resp, BaseException):
-                continue
-            if resp.get("ok") and first is None:
-                first = resp
-                result = resp.get("result") or {}
-                if result.get("overlay") and result.get("fingerprint"):
-                    self._overlay_fps[result["overlay"]] = result[
-                        "fingerprint"
-                    ]
-        if first is None:
-            for resp in responses:
-                if not isinstance(resp, BaseException):
-                    resp["id"] = request.id
-                    self.counters["responses_error"] += 1
-                    return resp
-            raise InternalError("load_overlay failed on every shard")
-        first["id"] = request.id
-        return first
-
     # -- introspection --------------------------------------------------
-    def topology_doc(self) -> Dict[str, Any]:
-        # Everything ``_overlay_fp`` can answer, so a client holding the
-        # document derives the router's key: every spelling
-        # ``OverlayRegistry.lookup`` accepts (``name@vN``, ``name@N``,
-        # ``name@latest`` and the bare name, the last two as they resolve
-        # right now), then the live table on top.
-        overlays: Dict[str, str] = {}
-        if self.registry is not None:
-            for name in self.registry.names():
-                versions = self.registry.versions(name)
-                for v in versions:
-                    overlays[v.spec] = v.fingerprint
-                    overlays[f"{name}@{v.version}"] = v.fingerprint
-                if versions:
-                    overlays[f"{name}@latest"] = versions[-1].fingerprint
-                try:
-                    overlays[name] = self.registry.lookup(name).fingerprint
-                except RegistryError:
-                    pass  # unresolvable names route on their own text
-        overlays.update(self._overlay_fps)
-        topology = Topology(
-            shards=[s.spec for s in self.backends], overlays=overlays
-        )
-        doc = topology.as_doc()
-        doc["role"] = "router"
-        doc["healthy"] = [s.healthy for s in self.backends]
-        return doc
-
     def stats_doc(self) -> Dict[str, Any]:
         """Router-local stats (no shard round-trips)."""
         return {

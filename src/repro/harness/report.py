@@ -558,11 +558,18 @@ def _serve_section(requests: int = 128, concurrency: int = 32) -> str:
     admission control, single-flight coalescing — and drives it with
     the bundled load generator twice: a cold pass that must compile
     every unique (op, workload) key, and a warm pass answered from the
-    in-memory result cache and in-flight coalescing.
+    in-memory result cache and in-flight coalescing.  Then a v1/v2
+    registry pair (v2 = v1 with the clock raised 5 MHz, a param-only
+    change) takes one pass per version through one server and through
+    an in-process 2-shard :class:`~repro.cluster.router.ClusterRouter`;
+    only counts that do not depend on timing are printed.
     """
     import asyncio
     import tempfile
 
+    from ..adg import sysadg_to_dict
+    from ..cluster import BackendSpec, OverlayRegistry, RouterConfig
+    from ..cluster.router import ClusterRouter
     from ..engine import MetricsLogger
     from ..serve import OverlayServer, ServeClient, ServeConfig, run_load
     from ..workloads import get_suite
@@ -571,41 +578,87 @@ def _serve_section(requests: int = 128, concurrency: int = 32) -> str:
     sysadg = ex.suite_overlay(suite).sysadg
     workloads = tuple(w.name for w in get_suite(suite))[:3]
     ops = ("map", "estimate", "simulate")
+    cluster_ops = ops + ("remap",)
+    specs = (f"{suite}@v1", f"{suite}@v2")
+    tiers = ("1 server", "2 shards")
+
+    def server(path, workers, registry_dir=None):
+        return OverlayServer(
+            ServeConfig(
+                socket_path=path,
+                workers=workers,
+                queue_limit=4 * concurrency,
+                registry_dir=registry_dir,
+            ),
+            metrics=MetricsLogger(),
+        )
+
+    def load(path, overlay, op_mix):
+        return run_load(
+            lambda: ServeClient(socket_path=path),
+            ops=op_mix,
+            workloads=list(workloads),
+            requests=requests,
+            concurrency=concurrency,
+            overlay=overlay,
+            timeout_s=120.0,
+        )
 
     async def drive():
         with tempfile.TemporaryDirectory() as tmp:
-            server = OverlayServer(
-                ServeConfig(
-                    socket_path=f"{tmp}/serve.sock",
-                    workers=2,
-                    queue_limit=4 * concurrency,
+            single = server(f"{tmp}/serve.sock", 2)
+            single.add_overlay(sysadg, name=suite)
+            await single.start()
+            try:
+                passes = [
+                    await load(single.config.socket_path, suite, ops)
+                    for _ in ("cold", "warm")
+                ]
+            finally:
+                await single.shutdown()
+
+            registry = OverlayRegistry(f"{tmp}/registry")
+            v1 = sysadg_to_dict(sysadg)
+            mhz = round(v1["params"]["frequency_mhz"] + 5.0, 2)
+            v2 = {**v1, "params": {**v1["params"], "frequency_mhz": mhz}}
+            for doc in (v1, v2):
+                registry.publish(suite, doc)
+            root = str(registry.root)
+            members = [
+                server(f"{tmp}/{name}.sock", 0, root)
+                for name in ("reference", "shard-0", "shard-1")
+            ]
+            router = ClusterRouter(
+                RouterConfig(
+                    backends=[
+                        BackendSpec(index=i, socket_path=m.config.socket_path)
+                        for i, m in enumerate(members[1:])
+                    ],
+                    socket_path=f"{tmp}/router.sock",
+                    registry_dir=root,
+                    # One sweep at start: no later health verdict may
+                    # move a request off the shard the rule picks.
+                    health_interval_s=3600.0,
                 ),
                 metrics=MetricsLogger(),
             )
-            server.add_overlay(sysadg, name=suite)
-            await server.start()
+            for member in members:
+                await member.start()
+            await router.start()
+            paths = [members[0].config.socket_path, router.config.socket_path]
             try:
-                factory = lambda: ServeClient(
-                    socket_path=server.config.socket_path
-                )
-                passes = []
-                for _ in ("cold", "warm"):
-                    passes.append(
-                        await run_load(
-                            factory,
-                            ops=ops,
-                            workloads=list(workloads),
-                            requests=requests,
-                            concurrency=concurrency,
-                            overlay=suite,
-                            timeout_s=120.0,
-                        )
-                    )
-                return passes
+                cluster = {
+                    (tier, spec): await load(path, spec, cluster_ops)
+                    for spec in specs
+                    for tier, path in zip(tiers, paths)
+                }
             finally:
-                await server.shutdown()
+                await router.shutdown()
+                for member in members:
+                    await member.shutdown()
+            return passes, cluster
 
-    cold, warm = asyncio.run(drive())
+    (cold, warm), cluster = asyncio.run(drive())
 
     def row(label, report, computes_before):
         # Which duplicates coalesce and which hit memory depends on
@@ -643,6 +696,65 @@ def _serve_section(requests: int = 128, concurrency: int = 32) -> str:
         "simulate --json` bytes (the mismatches column).  Request rate and "
         "latency are measured by the `serve_hot` / `serve_cold` workloads "
         "of `bench/run.py`, not here."
+    )
+
+    def totals(report):
+        stats = report.server_stats
+        counters = stats.get("aggregate", stats)["counters"]
+        return (
+            counters["computes"], counters["remap_preserved"],
+            *(shard["routed"] for shard in stats.get("shards", [])),
+        )
+
+    # Counters are cumulative over a tier's passes: print each pass's
+    # share.  The 1-server tier has no shards, so no routed counts.
+    rows, seen = [], {}
+    for spec in specs:
+        reference = cluster[tiers[0], spec].results
+        for tier in tiers:
+            report = cluster[tier, spec]
+            now = totals(report)
+            computes, preserved, *routed = (
+                n - n0 for n, n0 in zip(now, seen.get(tier, [0] * len(now)))
+            )
+            seen[tier] = now
+            mismatches = len(report.mismatches) + sum(
+                blob != reference.get(key)
+                for key, blob in report.results.items()
+            )
+            rows.append((
+                tier, spec, report.requests, report.errors, computes,
+                preserved, mismatches, " / ".join(map(str, routed)) or "—",
+            ))
+    lines.append("")
+    lines.append(
+        f"The same load generator through the cluster router: a registry "
+        f"holds `{specs[0]}` and `{specs[1]}` ({specs[1]} is {specs[0]} "
+        "with the clock raised 5 MHz, the param-only bump CI's "
+        "`cluster-smoke` job publishes).  Each version takes one pass of "
+        f"{requests} requests (ops {'/'.join(cluster_ops)} × the same "
+        "workloads), first through one `repro serve`, then through a "
+        "`ClusterRouter` in front of two shards; every server here computes "
+        "on one thread worker."
+    )
+    lines.append("")
+    lines.append(
+        render_table(
+            ["tier", "overlay", "requests", "errors", "compiles",
+             "remap preserved", "mismatches", "routed per shard"],
+            rows,
+        )
+    )
+    lines.append("")
+    lines.append(
+        "Mismatches count responses whose bytes differ from the 1-server "
+        "pass on the same (op, workload, overlay), or from a duplicate in "
+        "the same pass.  A shard compiles only the keys routed to it, so "
+        "two shards compile what one server does.  `remap` routes on the "
+        f"family name, so {specs[1]}'s remaps reach the shard that holds "
+        f"{specs[0]}'s schedules and keep them.  Routed counts are the "
+        "router's own `stats` (`shards[i].routed`): the router is the one "
+        "place a shard is picked."
     )
     return "\n".join(lines)
 
@@ -688,10 +800,6 @@ def _families_section() -> str:
     return "\n".join(lines)
 
 
-#: Sections with no generator start at this line of the report file;
-#: :func:`write_report` carries everything from it onward over unchanged.
-HAND_MARKER = "<!-- hand-maintained below: not regenerated -->"
-
 SECTIONS = (
     _tables_section,
     _fig11_12_section,
@@ -713,15 +821,7 @@ SECTIONS = (
 
 
 def write_report(path: str) -> None:
-    """Regenerate the report at ``path``, keeping what only a human can
-    write: the tail of the existing file from :data:`HAND_MARKER` on."""
-    kept = ""
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as f:
-            old = f.read()
-        at = old.find(HAND_MARKER)
-        if at >= 0:
-            kept = "\n" + old[at:]
+    """Regenerate the whole report at ``path``."""
     report = "\n\n".join([HEADER] + [section() for section in SECTIONS])
     with open(path, "w", encoding="utf-8") as f:
-        f.write(report + "\n" + kept)
+        f.write(report + "\n")

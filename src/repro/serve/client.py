@@ -11,7 +11,9 @@ frequently identical — exactly the traffic shape single-flight
 coalescing exists for — and the report cross-checks the server's
 ``stats`` op to assert that compiles < requests.  Every response body is
 also verified byte-identical (canonical JSON) across duplicates of the
-same (op, workload) pair.
+same (op, workload) pair.  Pointed at a cluster router it is the same
+generator: the router picks every request's shard, and its ``stats``
+report how many requests each shard was routed.
 """
 
 from __future__ import annotations
@@ -143,7 +145,6 @@ class ServeClient:
         workload: Optional[str] = None,
         overlay: Optional[str] = None,
         timeout_s: Optional[float] = None,
-        options: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
         """One request; returns the ``result`` doc or raises the typed error."""
         doc: Dict[str, Any] = {"op": op}
@@ -153,8 +154,6 @@ class ServeClient:
             doc["overlay"] = overlay
         if timeout_s is not None:
             doc["timeout_s"] = timeout_s
-        if options:
-            doc["options"] = options
         response = await self.request_raw(doc)
         if not response.get("ok"):
             raise error_from_doc(response.get("error"))
@@ -204,9 +203,6 @@ class LoadReport:
     results: Dict[Tuple[str, str, str], str] = field(default_factory=dict)
     mismatches: List[str] = field(default_factory=list)
     server_stats: Optional[Dict[str, Any]] = None
-    #: per routed shard: request count + latency (cluster-direct mode).
-    shard_requests: Dict[int, int] = field(default_factory=dict)
-    shard_latency: Dict[int, LatencyReservoir] = field(default_factory=dict)
 
     @property
     def throughput(self) -> float:
@@ -221,25 +217,6 @@ class LoadReport:
             return counters.get("computes")
         aggregate = self.server_stats.get("aggregate") or {}
         return (aggregate.get("counters") or {}).get("computes")
-
-    @property
-    def balance(self) -> Optional[float]:
-        """Busiest shard over the mean (1.0 = perfectly even routing)."""
-        if not self.shard_requests:
-            return None
-        mean = sum(self.shard_requests.values()) / len(self.shard_requests)
-        return max(self.shard_requests.values()) / mean if mean else None
-
-    def record(self, latency_s: float, shard: Optional[int]) -> None:
-        self.requests += 1
-        self.latency.record(latency_s)
-        if shard is not None:
-            self.shard_requests[shard] = (
-                self.shard_requests.get(shard, 0) + 1
-            )
-            self.shard_latency.setdefault(
-                shard, LatencyReservoir()
-            ).record(latency_s)
 
     def merge(self, other: "LoadReport") -> "LoadReport":
         """Fold in another process's report (sharded load generation).
@@ -263,20 +240,12 @@ class LoadReport:
                     f"{'/'.join(k for k in key if k)}: divergent result "
                     "across load shards"
                 )
-        for shard, n in other.shard_requests.items():
-            self.shard_requests[shard] = (
-                self.shard_requests.get(shard, 0) + n
-            )
-        for shard, reservoir in other.shard_latency.items():
-            self.shard_latency.setdefault(
-                shard, LatencyReservoir()
-            ).merge(reservoir)
         if self.server_stats is None:
             self.server_stats = other.server_stats
         return self
 
     def as_dict(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
+        return {
             "requests": self.requests,
             "ok": self.ok,
             "errors": self.errors,
@@ -287,16 +256,6 @@ class LoadReport:
             "mismatches": self.mismatches,
             "computes": self.computes,
         }
-        if self.shard_requests:
-            doc["per_shard"] = {
-                str(shard): {
-                    "requests": self.shard_requests[shard],
-                    **self.shard_latency[shard].as_dict(),
-                }
-                for shard in sorted(self.shard_requests)
-            }
-            doc["balance"] = self.balance
-        return doc
 
     def render(self) -> str:
         lat = self.latency.as_dict()
@@ -314,19 +273,6 @@ class LoadReport:
                 f"{code}={n}" for code, n in sorted(self.error_codes.items())
             )
             lines.append(f"error codes: {codes}")
-        for shard in sorted(self.shard_requests):
-            s_lat = self.shard_latency[shard].as_dict()
-            lines.append(
-                f"shard {shard}: {self.shard_requests[shard]} requests, "
-                f"p50 {s_lat['p50_s'] * 1e3:.1f} ms, "
-                f"p95 {s_lat['p95_s'] * 1e3:.1f} ms, "
-                f"p99 {s_lat['p99_s'] * 1e3:.1f} ms"
-            )
-        if self.balance is not None:
-            lines.append(
-                f"routing balance: busiest shard at "
-                f"{self.balance:.2f}x the mean"
-            )
         if self.server_stats is not None:
             counters = self.server_stats.get("counters") or {}
             if "computes" in counters:
@@ -343,13 +289,14 @@ class LoadReport:
                 agg = (self.server_stats.get("aggregate") or {}).get(
                     "counters"
                 ) or {}
+                shards = self.server_stats.get("shards") or []
                 lines.append(
                     f"cluster: {agg.get('computes', 0)} compiles for "
-                    f"{self.requests} requests across "
-                    f"{len(self.server_stats.get('shards') or [])} shards "
+                    f"{self.requests} requests across {len(shards)} shards "
                     f"(coalesced {agg.get('coalesced', 0)}, memory hits "
                     f"{agg.get('cache_memory', 0)}, remap preserved "
-                    f"{agg.get('remap_preserved', 0)})"
+                    f"{agg.get('remap_preserved', 0)}; routed per shard "
+                    f"{'/'.join(str(s['routed']) for s in shards)})"
                 )
         if self.mismatches:
             lines.append(f"RESULT MISMATCHES: {self.mismatches}")
@@ -388,7 +335,6 @@ async def run_load(
     timeout_s: Optional[float] = None,
     expect_errors: bool = False,
     fetch_stats: bool = True,
-    cluster: bool = False,
     plan: Optional[Sequence[Tuple[str, str, Optional[str]]]] = None,
 ) -> LoadReport:
     """Fire a mixed, duplicate-heavy request stream; collect a report.
@@ -397,12 +343,6 @@ async def run_load(
     generator opens ``concurrency`` connections and drives them in
     parallel, cycling the op × workload × overlay product so identical
     requests overlap in flight.
-
-    With ``cluster=True`` the generator first fetches the ``topology``
-    op from the endpoint and then routes each request *directly* to the
-    owning shard using the same slot hash + ShardPlan math the router
-    uses — per-shard latency and routing balance land in the report,
-    and the front tier never touches the data path.
     """
     report = LoadReport()
     if plan is None:
@@ -414,59 +354,15 @@ async def run_load(
         queue.put_nowait(item)
     lock = asyncio.Lock()
 
-    topology = None
-    if cluster:
-        from ..cluster.topology import Topology, overlay_route_key
-
-        async with client_factory() as client:
-            topology = Topology.from_doc(await client.request("topology"))
-        if not topology.shards:
-            raise ServeError("endpoint advertised an empty topology")
-
-    _wfp_cache: Dict[str, str] = {}
-
-    def shard_for(op: str, wl: str, ov: Optional[str]) -> Optional[int]:
-        if topology is None:
-            return None
-        from .ops import workload_fp
-
-        cached = _wfp_cache.get(wl)
-        if cached is None:
-            cached = _wfp_cache[wl] = workload_fp(wl)
-        return topology.shard_for(
-            overlay_route_key(op, ov, topology.overlays.get), cached
-        ).index
-
-    def make_client(shard: Optional[int]) -> ServeClient:
-        if shard is None or topology is None:
-            return client_factory()
-        spec = next(
-            s for s in topology.shards if s.index == shard
-        )
-        return ServeClient(
-            socket_path=spec.socket_path, host=spec.host, port=spec.port
-        )
-
     async def worker() -> None:
-        clients: Dict[Optional[int], ServeClient] = {}
-
-        async def client_for(shard: Optional[int]) -> ServeClient:
-            client = clients.get(shard)
-            if client is None:
-                client = clients[shard] = make_client(shard)
-                await client.connect()
-            return client
-
-        try:
+        async with client_factory() as client:
             while True:
                 try:
                     op, wl, ov = queue.get_nowait()
                 except asyncio.QueueEmpty:
                     return
-                shard = shard_for(op, wl, ov)
                 t0 = perf_counter()
                 try:
-                    client = await client_for(shard)
                     result = await client.request(
                         op, workload=wl, overlay=ov, timeout_s=timeout_s
                     )
@@ -480,7 +376,8 @@ async def run_load(
                 finally:
                     latency = perf_counter() - t0
                     async with lock:
-                        report.record(latency, shard)
+                        report.requests += 1
+                        report.latency.record(latency)
                 blob = canonical_dumps(result)
                 key = (op, wl, ov or "")
                 async with lock:
@@ -490,12 +387,6 @@ async def run_load(
                         report.mismatches.append(
                             f"{op}/{wl}: divergent duplicate result"
                         )
-        finally:
-            for client in clients.values():
-                try:
-                    await client.close()
-                except Exception:
-                    pass
 
     t_start = perf_counter()
     await asyncio.gather(*(worker() for _ in range(max(1, concurrency))))
@@ -536,7 +427,6 @@ def _load_shard_worker(config: Dict[str, Any]) -> LoadReport:
             timeout_s=config.get("timeout_s"),
             expect_errors=True,  # merged report applies the policy once
             fetch_stats=False,
-            cluster=config.get("cluster", False),
             plan=[tuple(item) for item in config["plan"]],
         )
     )
@@ -552,7 +442,6 @@ def run_load_sharded(
     overlays: Optional[Sequence[str]] = None,
     timeout_s: Optional[float] = None,
     expect_errors: bool = False,
-    cluster: bool = False,
 ) -> LoadReport:
     """Drive the load from ``load_shards`` generator processes.
 
@@ -574,7 +463,6 @@ def run_load_sharded(
             "plan": plan[s.start:s.stop],
             "concurrency": max(1, concurrency // max(1, len(slices))),
             "timeout_s": timeout_s,
-            "cluster": cluster,
         }
         for s in slices
         if s.count

@@ -13,12 +13,13 @@ Request document::
 coalesced — ``map``/``estimate``/``simulate``, the multi-workload
 ``simulate_batch`` whose ``workload`` is a comma-separated list, and
 ``remap``, the schedule-preserving incremental recompile) or
-:data:`ADMIN_OPS` (served inline: ``ping``, ``stats``, ``shutdown``,
-``load_overlay``, ``topology``).  Every op is typed: the server never
-unpickles or executes bytes a client sent.  ``overlay`` may be omitted
-when the server holds exactly one design and may be a registry spec
-(``name@v2``) when the server has a registry attached.  ``id`` is echoed
-back verbatim so clients may pipeline many requests over one connection.
+:data:`ADMIN_OPS` (served inline: ``ping``, ``stats``, ``shutdown``).
+Every op is typed: the server never unpickles or executes bytes a client
+sent.  ``overlay`` may be omitted when the server holds exactly one
+design and may be a registry spec (``name@v2``) when the server has a
+registry attached; a new design reaches a running server only by being
+published to that registry.  ``id`` is echoed back verbatim so clients
+may pipeline many requests over one connection.
 
 Response document::
 
@@ -50,7 +51,7 @@ PROTOCOL_VERSION = 1
 MAX_LINE_BYTES = 1 << 20
 
 COMPUTE_OPS = ("map", "estimate", "simulate", "simulate_batch", "remap")
-ADMIN_OPS = ("ping", "stats", "shutdown", "load_overlay", "topology")
+ADMIN_OPS = ("ping", "stats", "shutdown")
 ALL_OPS = COMPUTE_OPS + ADMIN_OPS
 
 

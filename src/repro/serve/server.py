@@ -348,12 +348,6 @@ class OverlayServer:
             # reaches the client before the connection dies.
             asyncio.get_running_loop().create_task(self.shutdown())
             return response_doc(request.id, result={"draining": True})
-        if request.op == "topology":
-            return response_doc(request.id, result=self.topology_doc())
-        if request.op == "load_overlay":
-            return response_doc(
-                request.id, result=self._op_load_overlay(request)
-            )
         return await self._dispatch_compute(request)
 
     async def _dispatch_compute(self, request: Request) -> Dict[str, Any]:
@@ -537,80 +531,7 @@ class OverlayServer:
             if design_doc is not None:
                 worker.shipping.discard(fp)
 
-    def _op_load_overlay(self, request: Request) -> Dict[str, Any]:
-        """Admin op: pull a design into the serving set.
-
-        ``options.ref`` resolves a registry spec (``name``/``name@vN``);
-        ``options.design`` ships an inline design document, optionally
-        served under ``options.name``.  The router uses ``ref`` to warm
-        every shard after a publish.
-        """
-        ref = request.options.get("ref")
-        design = request.options.get("design")
-        if ref is not None:
-            if not isinstance(ref, str) or not ref:
-                raise BadRequestError(
-                    "'options.ref' must be a non-empty string"
-                )
-            entry = self._resolve_overlay(ref)
-        elif design is not None:
-            if not isinstance(design, dict):
-                raise BadRequestError(
-                    "'options.design' must be a design document object"
-                )
-            try:
-                sysadg = sysadg_from_dict(design)
-            except Exception as exc:
-                raise BadRequestError(
-                    f"bad design document: {type(exc).__name__}: {exc}"
-                ) from exc
-            name = request.options.get("name")
-            if name is not None and (
-                not isinstance(name, str) or not name
-            ):
-                raise BadRequestError(
-                    "'options.name' must be a non-empty string"
-                )
-            served_as = self.add_overlay(sysadg, name=name)
-            entry = self.overlays[served_as]
-        else:
-            raise BadRequestError(
-                "load_overlay requires 'options.ref' (registry spec) "
-                "or 'options.design' (inline design document)"
-            )
-        return {
-            "overlay": entry.name,
-            "fingerprint": entry.fingerprint,
-            "base": entry.base_name or entry.name,
-        }
-
     # -- introspection --------------------------------------------------
-    def topology_doc(self) -> Dict[str, Any]:
-        """This server as a (single-shard) cluster map.
-
-        The router overrides this with the real multi-shard topology;
-        a bare shard answering for itself keeps the client code path
-        uniform (``--cluster`` against one server degrades gracefully).
-        """
-        from ..cluster.topology import BackendSpec, Topology
-
-        kind, addr = self.endpoint if self.endpoint else ("none", None)
-        if kind == "unix":
-            spec = BackendSpec(index=0, socket_path=addr)
-        elif kind == "tcp":
-            spec = BackendSpec(index=0, host=addr[0], port=addr[1])
-        else:
-            spec = BackendSpec(index=0)
-        topology = Topology(
-            shards=[spec],
-            overlays={
-                n: e.fingerprint for n, e in self.overlays.items()
-            },
-        )
-        doc = topology.as_doc()
-        doc["role"] = "shard"
-        return doc
-
     def stats_doc(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
             "protocol": PROTOCOL_VERSION,

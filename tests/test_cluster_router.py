@@ -20,8 +20,6 @@ from repro.cluster import (
     BackendSpec,
     OverlayRegistry,
     RouterConfig,
-    Topology,
-    overlay_route_key,
     route_shard,
     route_slot,
     shard_of_slot,
@@ -29,6 +27,7 @@ from repro.cluster import (
 from repro.cluster.router import ClusterRouter
 from repro.dse import DseConfig, explore
 from repro.engine import MetricsLogger
+from repro.engine.hashing import fingerprint
 from repro.serve import (
     OverlayServer,
     ServeClient,
@@ -41,7 +40,7 @@ from repro.serve import (
 )
 from repro.workloads import get_workload
 
-from .test_serve_server import assert_job_op_rejected
+from .test_serve_server import DELETED_OPS, assert_job_op_rejected
 
 
 class TestRoutingMath:
@@ -63,20 +62,6 @@ class TestRoutingMath:
     def test_single_shard_routes_everything_to_zero(self):
         for key in ("a", "b", "c"):
             assert route_shard(key, "wl", 1) == 0
-
-    def test_topology_doc_roundtrip(self):
-        topo = Topology(
-            shards=[
-                BackendSpec(index=0, socket_path="/tmp/a.sock"),
-                BackendSpec(index=1, host="10.0.0.1", port=7000),
-            ],
-            overlays={"fam": "fp1"},
-        )
-        clone = Topology.from_doc(topo.as_doc())
-        assert clone.as_doc() == topo.as_doc()
-        assert clone.shard_for("fam", "wfp").index == topo.shard_for(
-            "fam", "wfp"
-        ).index
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +143,16 @@ async def _request(sock, op, **kwargs):
         return await client.request(op, **kwargs)
 
 
+def routed_to(router, sock, op, workload, overlay):
+    """The one shard whose ``routed`` count this request moved."""
+    before = [s.routed for s in router.backends]
+    asyncio.run(_request(sock, op, workload=workload, overlay=overlay))
+    (shard,) = [
+        i for i, s in enumerate(router.backends) if s.routed != before[i]
+    ]
+    return shard
+
+
 OPS = ("map", "estimate", "simulate", "remap")
 WLS = ("vecmax", "fir")
 
@@ -165,7 +160,8 @@ WLS = ("vecmax", "fir")
 class TestRouterServing:
     def test_job_op_is_an_unknown_op(self, live_cluster):
         router, router_sock, shards, *_ = live_cluster
-        asyncio.run(assert_job_op_rejected(router_sock))
+        for op in DELETED_OPS:
+            asyncio.run(assert_job_op_rejected(router_sock, op))
         assert router.counters["routed"] == 0
         assert all(s.counters["computes"] == 0 for s in shards)
 
@@ -234,70 +230,49 @@ class TestRouterServing:
             s.counters["computes"] for s in shards
         )
 
-    def test_topology_reports_both_shards(self, live_cluster):
-        _router, sock, _shards, shard_socks, _reg = live_cluster
-        topo = asyncio.run(_request(sock, "topology"))
-        assert topo["role"] == "router"
-        assert [s["socket"] for s in topo["shards"]] == shard_socks
-        assert topo["slots"] == SLOTS
-
-    def test_cluster_mode_load_routes_like_the_router(self, live_cluster):
-        router, sock, shards, _ss, reg = live_cluster
-        report = asyncio.run(
-            run_load(
-                lambda: ServeClient(socket_path=sock),
-                ops=("map", "simulate"),
-                workloads=WLS,
-                overlays=("fam@v1", "fam@v2"),
-                requests=32,
-                concurrency=8,
-                cluster=True,
-            )
-        )
-        assert report.errors == 0 and not report.mismatches
-        assert sum(report.shard_requests.values()) == 32
-        assert report.balance is not None
-        # Direct-routed requests hit the same shard the router would
-        # pick: re-deriving the owner per key matches the observation.
-        topo = Topology.from_doc(asyncio.run(_request(sock, "topology")))
-        for (op, wl, ov), _blob in report.results.items():
-            overlay_key = overlay_route_key(op, ov, topo.overlays.get)
-            owner = topo.shard_for(overlay_key, workload_fp(wl)).index
-            assert owner in report.shard_requests
-
-    def test_router_and_cluster_client_pick_the_same_shard(
+    def test_every_spelling_routes_like_its_canonical_spec(
         self, live_cluster
     ):
-        """One routing rule: for every op × spec spelling the registry
-        accepts, the shard a ``--cluster`` client dials is the shard the
-        router forwards to.  The client asks first, so it cannot lean on
-        a spelling the router has already resolved once."""
-        router, sock, *_ = live_cluster
+        """One routing rule for every spelling the registry accepts: a
+        request for ``fam``, ``fam@1`` or ``fam@latest`` reaches the shard
+        the canonical ``fam@vN`` it names reaches.  The spelling goes
+        first, so it cannot lean on the canonical spec's resolution."""
+        router, sock, _shards, _ss, reg = live_cluster
         for op in ("map", "simulate", "remap"):
             for overlay in ("fam", "fam@v1", "fam@1", "fam@latest"):
+                canonical = reg.lookup(overlay).spec
                 for wl in WLS:
-                    report = asyncio.run(
-                        run_load(
-                            lambda: ServeClient(socket_path=sock),
-                            plan=[(op, wl, overlay)],
-                            concurrency=1,
-                            fetch_stats=False,
-                            cluster=True,
-                        )
-                    )
-                    assert report.errors == 0
-                    before = [s.routed for s in router.backends]
-                    asyncio.run(
-                        _request(sock, op, workload=wl, overlay=overlay)
-                    )
-                    (owner,) = [
-                        i
-                        for i, s in enumerate(router.backends)
-                        if s.routed != before[i]
-                    ]
-                    assert report.shard_requests == {owner: 1}, (
-                        op, overlay, wl,
-                    )
+                    assert routed_to(router, sock, op, wl, overlay) == (
+                        routed_to(router, sock, op, wl, canonical)
+                    ), (op, overlay, wl)
+
+    def test_latest_routes_with_the_version_published_after_it(
+        self, live_cluster
+    ):
+        """``fam@latest`` moves on every publish, so the router must not
+        keep the fingerprint it resolved before one."""
+        router, sock, _shards, _ss, reg = live_cluster
+        wl = "vecmax"
+        assert routed_to(router, sock, "map", wl, "fam@latest") == (
+            routed_to(router, sock, "map", wl, "fam@v2")
+        )
+        # A v3 whose map requests the other shard owns, so a stale v2
+        # key shows as a different shard.
+        v2 = reg.lookup("fam@v2").fingerprint
+        doc = reg.resolve("fam@v2").design_doc
+        for bump in range(1, 64):
+            v3 = copy.deepcopy(doc)
+            v3["params"]["frequency_mhz"] = round(
+                v3["params"]["frequency_mhz"] + bump, 2
+            )
+            if route_shard(fingerprint(v3), workload_fp(wl), 2) != (
+                route_shard(v2, workload_fp(wl), 2)
+            ):
+                break
+        assert reg.publish("fam", v3).spec == "fam@v3"
+        assert routed_to(router, sock, "map", wl, "fam@latest") == (
+            routed_to(router, sock, "map", wl, "fam@v3")
+        )
 
     def test_dead_shard_fails_over(self, live_cluster):
         router, sock, shards, shard_socks, _reg = live_cluster

@@ -97,44 +97,12 @@ class TestCheapDrivers:
 
 
 class TestReportWriter:
-    def test_keeps_the_hand_maintained_tail(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """``repro report`` regenerates what has a section function and
-        carries the rest of the file, from the marker line on, over."""
-        from repro.cli import main
-        from repro.harness import report
-
-        calls = []
-        monkeypatch.setattr(report, "HEADER", "# stub header\n")
-        monkeypatch.setattr(
-            report, "SECTIONS",
-            (lambda: calls.append(1) or f"## generated {len(calls)}",),
-        )
-        path = tmp_path / "EXPERIMENTS.md"
-        tail = f"{report.HAND_MARKER}\n\n## By hand\n\nkept — verbatim\n"
-        path.write_text(
-            "# old header\n\n## generated 0\n\n" + tail, encoding="utf-8"
-        )
-        for n in (1, 2):              # regenerating twice stacks nothing
-            assert main(["report", "-o", str(path)]) == 0
-            assert path.read_text(encoding="utf-8") == (
-                f"# stub header\n\n\n## generated {n}\n\n" + tail
-            )
-        # No file yet, or no marker in it: just the generated report.
-        fresh = tmp_path / "fresh.md"
-        assert main(["report", "-o", str(fresh)]) == 0
-        assert fresh.read_text() == "# stub header\n\n\n## generated 3\n"
-        capsys.readouterr()
-
-    def test_committed_report_has_the_marker_above_its_manual_section(self):
+    def test_committed_report_is_fully_generated(self):
+        """No hand-maintained tail; the cluster rows are generated by the
+        serve section."""
         import pathlib
-
-        from repro.harness.report import HAND_MARKER
 
         text = (
             pathlib.Path(__file__).parent.parent / "EXPERIMENTS.md"
         ).read_text(encoding="utf-8")
-        head, _, tail = text.partition(HAND_MARKER + "\n")
-        assert tail.lstrip().startswith("## Distributed serve")
-        assert HAND_MARKER not in tail and "## Distributed serve" not in head
+        assert "hand-maintained" not in text and "2 shards  dsp@v2" in text

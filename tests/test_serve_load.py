@@ -212,18 +212,18 @@ class TestClusterCliParser:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["submit", "load", "--cluster", "--shards", "4",
+            ["submit", "load", "--shards", "4",
              "--overlays", "fam@v1,fam@v2"]
         )
-        assert args.cluster and args.shards == 4
+        assert args.shards == 4
         assert args.overlays == "fam@v1,fam@v2"
         defaults = build_parser().parse_args(["submit", "load"])
-        assert not defaults.cluster and defaults.shards == 1
+        assert defaults.shards == 1
 
     def test_submit_accepts_new_ops(self):
         from repro.cli import build_parser
 
-        for op in ("remap", "simulate_batch", "topology"):
+        for op in ("remap", "simulate_batch"):
             assert build_parser().parse_args(["submit", op]).op == op
 
     def test_cluster_serve_parser(self):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.adg import general_overlay, sysadg_to_dict
 from repro.adg.builders import seed_for_workloads
+from repro.cluster import OverlayRegistry
 from repro.engine import MetricsLogger
 from repro.profile import Tracer, tracing
 from repro.serve import (
@@ -68,13 +69,14 @@ def store(monkeypatch):
     return fresh
 
 
-def serve(tmp_path, sysadgs, workers, body):
+def serve(tmp_path, sysadgs, workers, body, registry_dir=None):
     """Run ``await body(server, client)`` against a live server."""
     server = OverlayServer(
         ServeConfig(
             socket_path=str(tmp_path / "serve.sock"),
             workers=workers,
             drain_timeout_s=10.0,
+            registry_dir=registry_dir,
         ),
         metrics=MetricsLogger(),
     )
@@ -167,27 +169,25 @@ def test_a_kernel_is_lowered_once_for_every_resident_overlay(
 
 
 def test_loaded_design_reaches_the_worker_once(overlays, store, tmp_path):
-    """``load_overlay`` after the pool forked: no worker has the design.
-    Three jobs on it queue up at once, every one is turned away, and the
-    document still goes over once."""
+    """A registry spec first resolved after the pool forked: no worker
+    has the design.  Three jobs on it queue up at once, every one is
+    turned away, and the document still goes over once."""
     general, narrow = overlays
+    registry = OverlayRegistry(str(tmp_path / "registry"))
+    spec = registry.publish(narrow.name, sysadg_to_dict(narrow)).spec
 
     async def body(server, client):
         await client.request("map", workload="fir", overlay=general.name)
         assert server.counters["overlay_ships"] == 1
-        loaded = await client.request(
-            "load_overlay", options={"design": sysadg_to_dict(narrow)}
-        )
-        assert loaded["overlay"] == narrow.name
-        assert server.counters["overlay_ships"] == 1
         served = await asyncio.gather(
-            *(client.request(op, "fir", narrow.name) for op in OPS)
+            *(client.request(op, "fir", spec) for op in OPS)
         )
         assert served == [single_shot(op, narrow, "fir") for op in OPS]
-        await client.request("map", workload="mm", overlay=narrow.name)
+        assert server.counters["registry_loads"] == 1
+        await client.request("map", workload="mm", overlay=spec)
         assert server.counters["overlay_ships"] == 2
 
-    serve(tmp_path, [general], 1, body)
+    serve(tmp_path, [general], 1, body, registry_dir=str(registry.root))
 
 
 def test_evicted_overlay_is_shipped_again(overlays, store, tmp_path):
