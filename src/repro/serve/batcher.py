@@ -2,11 +2,11 @@
 
 Two small, separately testable pieces the server composes:
 
-* :class:`AdmissionGate` — a bounded in-service counter.  Every compute
-  request must acquire a slot before it may queue for a worker; when
-  ``limit`` slots are taken the gate raises
-  :class:`~repro.serve.errors.OverloadedError` *immediately* instead of
-  queueing unboundedly.  (Shedding at the door keeps tail latency
+* :class:`AdmissionGate` — a bounded in-service counter.  Every request
+  the result cache misses must take a slot before it queues for a worker
+  (a hit is answered first and never shed); when ``limit`` slots are
+  taken the gate raises :class:`~repro.serve.errors.OverloadedError`
+  *immediately* instead of queueing unboundedly.  (Shedding at the door keeps tail latency
   bounded: a client gets a structured retryable error in microseconds
   rather than a response seconds after its deadline passed.)
 * :class:`SingleFlight` — a key → in-flight-task map.  The first

@@ -23,6 +23,7 @@ are rendered with :func:`~repro.serve.protocol.canonical_dumps`, so
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -51,17 +52,16 @@ def result_key(overlay_fp: str, workload_fp: str, op: str) -> str:
     This is both the single-flight coalescing key (two in-flight
     requests with the same key share one compile) and the artifact-store
     key (a previously served result is returned without recomputing).
+    Every request computes it, so it is one sha256 over a fixed
+    ``\\x00``-joined string (as :func:`repro.cluster.topology.route_slot`),
+    not a canonical-JSON :func:`fingerprint`.  A ``--cache-dir`` written
+    under that earlier key form misses once per key and recomputes.
     """
-    return fingerprint(
-        {
-            "kind": "serve_result",
-            "protocol": PROTOCOL_VERSION,
-            "schema": CODE_SCHEMA_VERSION,
-            "overlay": overlay_fp,
-            "workload": workload_fp,
-            "op": op,
-        }
+    blob = (
+        f"serve_result\x00{PROTOCOL_VERSION}\x00{CODE_SCHEMA_VERSION}"
+        f"\x00{overlay_fp}\x00{workload_fp}\x00{op}"
     )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _resolve_workload(name: str):

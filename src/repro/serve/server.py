@@ -6,31 +6,31 @@ plus its content fingerprint) and serves ``map`` / ``estimate`` /
 localhost TCP.  The serving pipeline per compute request:
 
 1. **Parse + resolve** — protocol validation, overlay lookup, workload
-   fingerprint (cached per name); failures answer ``bad_request``.
-2. **Admission** — a bounded :class:`~repro.serve.batcher.AdmissionGate`
-   slot must be free or the request is rejected *now* with a structured
-   ``overloaded`` error (load-shedding, never unbounded queueing).
-3. **Coalescing** — requests are keyed by ``(overlay fingerprint,
-   workload fingerprint, op)``; concurrent identical requests join a
-   single in-flight compute via
-   :class:`~repro.serve.batcher.SingleFlight`.
-4. **Cache tiers** — one :class:`~repro.engine.store.TieredCache`:
+   fingerprint (cached per name) and the result key (one sha256);
+   failures answer ``bad_request``.
+2. **Cache tiers** — one :class:`~repro.engine.store.TieredCache`:
    in-process memory, then the persistent
    :class:`~repro.engine.store.ArtifactStore` (shared with the DSE
-   engine, so results survive restarts); on a miss the least-busy compute
-   worker (a one-process pool each; threads when the sandbox forbids
-   subprocesses) runs
-   :func:`repro.serve.ops.compute_op` on the overlay it keeps resident.
-   The job names the overlay by fingerprint; only a worker that answers
-   :class:`~repro.serve.ops.OverlayNotResident` is sent the design
-   document, and a worker that died is replaced and the job retried once.
-5. **Deadline** — each waiter applies its own ``timeout_s`` via
-   ``asyncio.wait_for(asyncio.shield(task))``; expiry answers a
-   ``deadline`` error while the shared compute keeps running and lands
-   in the cache for the retry.
+   engine, so results survive restarts).  A hit is answered here, with
+   no admission slot, no flight and no timer: hits are never shed.
+3. **Admission** — a miss takes a bounded
+   :class:`~repro.serve.batcher.AdmissionGate` slot or is rejected *now*
+   with a structured ``overloaded`` error (never unbounded queueing).
+4. **Coalescing** — misses with the same key (overlay fingerprint,
+   workload fingerprint, op) join a single in-flight compute via
+   :class:`~repro.serve.batcher.SingleFlight`; each waiter applies its
+   own ``timeout_s`` via ``asyncio.wait_for(asyncio.shield(task))``, so
+   expiry answers a ``deadline`` error while the shared compute keeps
+   running and lands in the cache for the retry.
+5. **Worker** — the leader runs :func:`repro.serve.ops.compute_op` on the
+   overlay the least-busy compute worker keeps resident (a one-process
+   pool each; threads when the sandbox forbids subprocesses) and caches
+   the result.  Only a worker that answers
+   :class:`~repro.serve.ops.OverlayNotResident` gets the design document;
+   a worker that died is replaced and the job retried once.
 6. **Metrics + spans** — every request emits a ``request`` event into a
    :class:`~repro.engine.metrics.MetricsLogger` JSONL stream (queue
-   depth, cache tier, coalesced flag, latency) under
+   depth, cache tier, coalesced flag, latency); a miss runs under
    ``profile.tracer`` spans (``serve.request`` / ``serve.compute``);
    drain emits a ``serve_summary`` with coalesce/admission/latency
    percentiles.
@@ -174,9 +174,6 @@ class OverlayServer:
         #: (base name, workload fp) -> (overlay fp, schedule): the live
         #: schedule ``remap`` tries to preserve across overlay versions.
         self._schedules: Dict[Tuple[str, str], Tuple[str, Any]] = {}
-        #: result key -> how the last remap compute resolved
-        #: (preserved / recompiled / cold), reported in ``served``.
-        self._remap_paths: Dict[str, str] = {}
         self._wire = JsonLinesEndpoint(self._dispatch, self.counters)
         self._workers: List[_Worker] = []
         self._executor_kind = "none"
@@ -359,41 +356,47 @@ class OverlayServer:
         key = result_key(
             entry.fingerprint, self._workload_fp(request.workload), request.op
         )
-        timeout = request.timeout_s or self.config.default_timeout_s
-        self.gate.admit()
-        try:
-            with tracer.span(
-                "serve.request", op=request.op, workload=request.workload
-            ):
-                task, is_leader = self.flights.join(
-                    key, lambda: self._compute(key, entry, request)
-                )
-                if not is_leader:
-                    self.counters["coalesced"] += 1
-                try:
-                    result, tier, queue_wait = await asyncio.wait_for(
-                        asyncio.shield(task), timeout=timeout
+        result, tier = self.cache.get(key)
+        coalesced, queue_wait, remap = False, 0.0, "cache"
+        if tier != "miss":
+            self.counters[f"cache_{tier}"] += 1
+        else:
+            tier = "compute"
+            timeout = request.timeout_s or self.config.default_timeout_s
+            self.gate.admit()
+            try:
+                with tracer.span(
+                    "serve.request", op=request.op, workload=request.workload
+                ):
+                    task, is_leader = self.flights.join(
+                        key, lambda: self._compute(key, entry, request)
                     )
-                except asyncio.TimeoutError:
-                    raise DeadlineError(
-                        f"deadline of {timeout:.3f}s expired for "
-                        f"{request.op}/{request.workload} "
-                        "(compute continues; retry will hit the cache)"
-                    ) from None
-        finally:
-            self.gate.release()
+                    coalesced = not is_leader
+                    self.counters["coalesced"] += coalesced
+                    try:
+                        result, queue_wait, remap = await asyncio.wait_for(
+                            asyncio.shield(task), timeout=timeout
+                        )
+                    except asyncio.TimeoutError:
+                        raise DeadlineError(
+                            f"deadline of {timeout:.3f}s expired for "
+                            f"{request.op}/{request.workload} "
+                            "(compute continues; retry will hit the cache)"
+                        ) from None
+            finally:
+                self.gate.release()
         latency = perf_counter() - t_arrival
         self.latency.record(latency)
         served = {
             "cache": tier,
-            "coalesced": not is_leader,
+            "coalesced": coalesced,
             "latency_s": latency,
-            "queue_wait_s": queue_wait if is_leader else latency,
+            "queue_wait_s": latency if coalesced else queue_wait,
         }
         if request.op == "remap":
             # How the schedule was obtained lives out-of-band: result
             # documents stay byte-identical across serving histories.
-            served["remap"] = self._remap_paths.get(key, "cache")
+            served["remap"] = remap
         failed = isinstance(result, ServeError)
         self.metrics.emit(
             "request",
@@ -402,7 +405,7 @@ class OverlayServer:
             workload=request.workload,
             ok=not failed,
             cache=tier,
-            coalesced=not is_leader,
+            coalesced=coalesced,
             latency_s=latency,
             in_service=self.gate.in_service,
         )
@@ -416,22 +419,17 @@ class OverlayServer:
 
     async def _compute(
         self, key: str, entry: OverlayEntry, request: Request
-    ) -> Tuple[Any, str, float]:
-        """Leader body: cache tiers → worker pool.
-
-        Answers ``(result document or ServeError, tier, queue wait)``.
-        """
+    ) -> Tuple[Any, float, Optional[str]]:
+        """Leader body of a miss: ``(result document or ServeError, queue
+        wait, remap path)``, the path ``None`` unless a remap succeeded."""
         t_start = perf_counter()
-        cached, tier = self.cache.get(key)
-        if tier != "miss":
-            self.counters[f"cache_{tier}"] += 1
-            return cached, tier, 0.0
         assert self._workers, "server not started"
         with tracer.span(
             "serve.compute", op=request.op, workload=request.workload
         ):
             self.counters["computes"] += 1
             queue_wait = perf_counter() - t_start
+            path = None
             try:
                 if request.op == "remap":
                     base = entry.base_name or entry.name
@@ -445,7 +443,6 @@ class OverlayServer:
                         prior[1] if prior is not None else None,
                     )
                     self._schedules[sched_key] = (entry.fingerprint, schedule)
-                    self._remap_paths[key] = path
                     self.counters[f"remap_{path}"] += 1
                 else:
                     doc, reused = await self._on_worker(
@@ -463,7 +460,7 @@ class OverlayServer:
                 # must not pin this coroutine's frames).
                 failure = exc.with_traceback(None)
                 self.cache.put(key, failure, persist=False)
-                return failure, "compute", queue_wait
+                return failure, queue_wait, None
         self.cache.put(
             key,
             doc,
@@ -478,7 +475,7 @@ class OverlayServer:
             # they never reach the shared disk store.
             persist=request.op != "remap",
         )
-        return doc, "compute", queue_wait
+        return doc, queue_wait, path
 
     async def _on_worker(
         self, entry: OverlayEntry, fn: Callable[..., Any], *args: Any

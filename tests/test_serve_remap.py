@@ -171,15 +171,24 @@ class TestRemapPaths:
         )
 
     def test_remap_duplicate_is_memory_cached(self, live_server):
+        """The second ask is a memory hit: ``served.remap`` says
+        ``cache`` and no remap path is booked a second time."""
         server, sock = live_server
-        first = asyncio.run(
-            _request(sock, "remap", workload="vecmax", overlay="fam@v1")
+        line = {"op": "remap", "workload": "vecmax", "overlay": "fam@v1"}
+
+        async def twice():
+            async with ServeClient(socket_path=sock) as client:
+                return [await client.request_raw(line) for _ in range(2)]
+
+        first, again = asyncio.run(twice())
+        assert canonical_dumps(first["result"]) == canonical_dumps(
+            again["result"]
         )
-        again = asyncio.run(
-            _request(sock, "remap", workload="vecmax", overlay="fam@v1")
-        )
-        assert canonical_dumps(first) == canonical_dumps(again)
-        assert server.counters["remap_cold"] == 1  # second hit the cache
+        assert first["served"]["remap"] == "cold"
+        assert again["served"]["cache"] == "memory"
+        assert again["served"]["remap"] == "cache"
+        paths = ("cold", "preserved", "recompiled")
+        assert [server.counters[f"remap_{p}"] for p in paths] == [1, 0, 0]
 
     def test_unmappable_remap_is_structured(self, live_server):
         _server, sock = live_server

@@ -9,6 +9,7 @@ patch is visible to the worker.
 
 import asyncio
 import json
+import threading
 import time
 
 import pytest
@@ -167,9 +168,9 @@ class TestComputeOps:
         assert server2.counters["computes"] == 0
 
     def test_bare_store_artifact_is_served_from_disk(self, sysadg, tmp_path):
-        """A ``cache_dir`` written before ``TieredCache`` existed (a bare
-        ``ArtifactStore.put`` of the result document under
-        ``result_key``) is answered from disk without recomputing."""
+        """The value format of the disk tier: a result document stored by
+        a bare ``ArtifactStore.put`` under the current ``result_key`` is
+        answered from disk without recomputing."""
         from repro.engine import ArtifactStore
         from repro.serve.ops import (
             overlay_fingerprint, result_key, workload_fp,
@@ -194,6 +195,24 @@ class TestComputeOps:
         serve_test(server, body)
         assert server.counters["cache_disk"] == 1
         assert server.counters["computes"] == 0
+
+    def test_result_key_is_pinned_and_hashes_every_input(self, monkeypatch):
+        """``result_key`` addresses stored results, so its digest is
+        pinned, and each of its five inputs moves it."""
+        from repro.serve import ops
+
+        args = ("0" * 64, "f" * 64, "map")
+        assert ops.result_key(*args) == (
+            "fbba2f18dd88315047492b117f9bccc2c166a6735bbe4f1b7c522ee25739f7b9"
+        )
+        keys = {ops.result_key(*args)}
+        for i, other in enumerate(("1" * 64, "e" * 64, "estimate")):
+            keys.add(ops.result_key(*args[:i], other, *args[i + 1:]))
+        for name in ("PROTOCOL_VERSION", "CODE_SCHEMA_VERSION"):
+            with monkeypatch.context() as patch:
+                patch.setattr(ops, name, getattr(ops, name) + 1)
+                keys.add(ops.result_key(*args))
+        assert len(keys) == 6
 
     def test_unmappable_is_structured_and_consistent(self, sysadg, tmp_path):
         ref = single_shot("map", sysadg, "cholesky")
@@ -327,6 +346,7 @@ class TestCoalescing:
         assert server.counters["computes"] == 1
         assert server.counters["coalesced"] == 11
         assert server.flights.stats.followers == 11
+        assert server.gate.admitted == 12
 
     def test_distinct_ops_do_not_coalesce(self, sysadg, tmp_path):
         server = make_server(sysadg, tmp_path)
@@ -381,6 +401,47 @@ class TestAdmissionControl:
         assert outcomes["ok"] + outcomes["overloaded"] == 6
         assert server.gate.rejected == outcomes["overloaded"]
         assert server.gate.peak <= 2
+
+    def test_cache_hits_are_never_shed(self, sysadg, tmp_path, monkeypatch):
+        """Admission bounds computes only: while a slow compute holds the
+        one slot, another miss is shed but a warm key answers from
+        memory, and only computes and followers were admitted."""
+        release = threading.Event()
+
+        def compute(op, overlay_fp, workload, design_doc=None):
+            if workload == "fir":
+                release.wait(timeout=10)
+            return {"op": op, "workload": workload}, False
+
+        monkeypatch.setattr("repro.serve.server.compute_op", compute)
+        server = make_server(sysadg, tmp_path, queue_limit=1)
+
+        async def body():
+            async with client_for(server) as client:
+                await client.request("map", workload="vecmax")
+                held = asyncio.ensure_future(
+                    client.request("map", workload="fir")
+                )
+                try:
+                    await asyncio.sleep(0.1)  # fir holds the only slot
+                    with pytest.raises(ServeError) as err:
+                        await client.request("estimate", workload="fir")
+                    assert err.value.code == "overloaded"
+                    warm = await client.request_raw(
+                        {"op": "map", "workload": "vecmax"}
+                    )
+                finally:
+                    release.set()
+                await held
+            assert warm["ok"] and warm["served"]["cache"] == "memory"
+
+        serve_test(server, body)
+        assert server.gate.rejected == 1
+        counters = server.counters
+        assert counters["cache_memory"] == 1
+        assert server.gate.admitted == 2 == (
+            counters["computes"] + counters["coalesced"]
+        )
 
 
 class TestDeadlines:
