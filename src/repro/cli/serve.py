@@ -71,7 +71,7 @@ def run_submit(args: argparse.Namespace) -> int:
         ServeConnectionError,
         ServeError,
         canonical_dumps,
-        run_load_sharded,
+        run_load,
     )
 
     if not args.socket and args.port == 0:
@@ -93,20 +93,21 @@ def run_submit(args: argparse.Namespace) -> int:
             overlays = tuple(o for o in args.overlays.split(",") if o)
         elif args.overlay:
             overlays = (args.overlay,)
-        if args.shards < 1:
-            raise CliError("--shards must be >= 1")
 
         try:
-            report = run_load_sharded(
-                {"socket": args.socket, "host": args.host, "port": args.port},
-                ops=ops,
-                workloads=workloads,
-                requests=args.requests,
-                concurrency=args.concurrency,
-                load_shards=args.shards,
-                overlays=overlays,
-                timeout_s=args.timeout,
-                expect_errors=args.expect_errors,
+            report = asyncio.run(
+                run_load(
+                    lambda: ServeClient(
+                        socket_path=args.socket, host=args.host, port=args.port
+                    ),
+                    ops=ops,
+                    workloads=workloads,
+                    requests=args.requests,
+                    concurrency=args.concurrency,
+                    overlays=overlays,
+                    timeout_s=args.timeout,
+                    expect_errors=args.expect_errors,
+                )
             )
         except ServeConnectionError as exc:
             raise CliError(str(exc)) from exc
@@ -230,28 +231,21 @@ def run_registry(args: argparse.Namespace) -> int:
 
 def run_cluster(args: argparse.Namespace) -> int:
     import asyncio
-    from pathlib import Path
 
     from ..cluster import ClusterLauncher, LauncherConfig
 
     config = LauncherConfig(
         run_dir=args.run_dir,
         shards=args.shards,
-        designs=[str(Path(p).resolve()) for p in args.designs],
-        registry_dir=(
-            str(Path(args.registry).resolve()) if args.registry else None
-        ),
-        cache_dir=(
-            str(Path(args.cache_dir).resolve()) if args.cache_dir else None
-        ),
+        designs=list(args.designs),
+        registry_dir=args.registry,
+        cache_dir=args.cache_dir,
         workers=args.workers,
         queue_limit=args.queue_limit,
         default_timeout_s=args.default_timeout,
         socket_path=args.socket,
         host=args.host,
         port=args.port,
-        health_interval_s=args.health_interval,
-        failover_retries=args.failover_retries,
         metrics_path=args.metrics,
     )
     try:
@@ -259,27 +253,28 @@ def run_cluster(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    async def _run() -> None:
+    async def _run():
         backends = await asyncio.get_running_loop().run_in_executor(
             None, launcher.spawn_shards
         )
         for spec in backends:
             print(f"shard {spec.index} up on {spec.describe()}")
-        await launcher.run()
+        return await launcher.run()
 
     try:
-        asyncio.run(_run())
+        codes = asyncio.run(_run())
     except RuntimeError as exc:
         launcher.terminate()
         raise CliError(str(exc)) from exc
-    router = launcher.router
-    if router is not None:
-        c = router.counters
-        print(
-            f"cluster drained: {c['requests']} requests routed "
-            f"({c['retries']} retries, {c['failovers']} failovers)"
-        )
-    return 0
+    c = launcher.router.counters
+    print(
+        f"cluster drained: {c['requests']} requests routed "
+        f"({c['retries']} retries, {c['failovers']} failovers)"
+    )
+    failed = [(i, code) for i, code in enumerate(codes) if code]
+    for index, code in failed:
+        print(f"shard {index} exited with {code}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def add_parsers(sub) -> None:
@@ -352,11 +347,6 @@ def add_parsers(sub) -> None:
         help="[load] comma list of overlay specs to mix (overrides "
              "--overlay; registry name@vN specs work here)",
     )
-    sb.add_argument(
-        "--shards", type=int, default=1,
-        help="[load] load-generator processes; the deterministic request "
-             "plan is split across them and reports merge (default 1)",
-    )
     sb.set_defaults(func=run_submit)
 
     reg = sub.add_parser(
@@ -416,14 +406,6 @@ def add_parsers(sub) -> None:
     cserve.add_argument(
         "--shards", type=int, default=2,
         help="backend serve shard processes (default 2)",
-    )
-    cserve.add_argument(
-        "--health-interval", type=float, default=2.0,
-        help="seconds between router health sweeps (default 2)",
-    )
-    cserve.add_argument(
-        "--failover-retries", type=int, default=2,
-        help="bounded retries on overloaded/unreachable shards",
     )
     cserve.set_defaults(func=run_cluster)
 

@@ -27,6 +27,9 @@ from ..serve.endpoint import run_until_shutdown
 from .router import ClusterRouter, RouterConfig
 from .topology import BackendSpec
 
+#: Seconds to wait for every shard socket to come up.
+STARTUP_TIMEOUT_S = 30.0
+
 
 @dataclass
 class LauncherConfig:
@@ -46,11 +49,7 @@ class LauncherConfig:
     socket_path: Optional[str] = None
     host: str = "127.0.0.1"
     port: int = 0
-    health_interval_s: float = 2.0
-    failover_retries: int = 2
     metrics_path: Optional[str] = None
-    #: Seconds to wait for every shard socket to come up.
-    startup_timeout_s: float = 30.0
 
 
 class ClusterLauncher:
@@ -114,10 +113,9 @@ class ClusterLauncher:
                     self._shard_command(index),
                     stdout=log,
                     stderr=subprocess.STDOUT,
-                    cwd=cfg.run_dir,
                 )
             )
-        deadline = time.monotonic() + cfg.startup_timeout_s
+        deadline = time.monotonic() + STARTUP_TIMEOUT_S
         for index, proc in enumerate(self.processes):
             sock = self.shard_socket(index)
             while not os.path.exists(sock):
@@ -131,7 +129,7 @@ class ClusterLauncher:
                     self.terminate()
                     raise RuntimeError(
                         f"shard {index} socket {sock} never appeared "
-                        f"within {cfg.startup_timeout_s}s"
+                        f"within {STARTUP_TIMEOUT_S}s"
                     )
                 time.sleep(0.05)
             self.backends.append(
@@ -147,12 +145,11 @@ class ClusterLauncher:
             host=cfg.host,
             port=cfg.port,
             registry_dir=cfg.registry_dir,
-            health_interval_s=cfg.health_interval_s,
-            failover_retries=cfg.failover_retries,
         )
 
-    async def run(self) -> None:
-        """Router foreground loop; returns after a graceful drain."""
+    async def run(self) -> List[int]:
+        """Router foreground loop until a graceful drain; returns the
+        shards' exit codes."""
         from ..engine.metrics import MetricsLogger
 
         self.router = ClusterRouter(
@@ -162,7 +159,8 @@ class ClusterLauncher:
         try:
             await run_until_shutdown(self.router)
         finally:
-            self.wait(timeout_s=self.config.startup_timeout_s)
+            codes = self.wait()
+        return codes
 
     def wait(self, timeout_s: float = 30.0) -> List[int]:
         """Wait for shard processes to exit (router drain asked them to)."""

@@ -47,6 +47,12 @@ from ..serve.ops import workload_fp
 from .registry import OverlayRegistry, RegistryError, split_spec
 from .topology import BackendSpec, overlay_route_key, route_shard
 
+#: Extra shards tried when the owner is overloaded/unreachable.
+FAILOVER_RETRIES = 2
+#: Deadline for router-internal admin calls to shards (health pings,
+#: stats fans, shutdown broadcast).
+ADMIN_TIMEOUT_S = 5.0
+
 
 @dataclass
 class RouterConfig:
@@ -61,11 +67,6 @@ class RouterConfig:
     registry_dir: Optional[str] = None
     #: Seconds between background shard health sweeps.
     health_interval_s: float = 2.0
-    #: Extra shards tried when the owner is overloaded/unreachable.
-    failover_retries: int = 2
-    #: Deadline for router-internal admin calls to shards (health
-    #: pings, stats fans, shutdown broadcast).
-    admin_timeout_s: float = 5.0
 
 
 @dataclass
@@ -91,6 +92,18 @@ class BackendState:
                 await client.connect()
                 self.client = client
             return self.client
+
+    async def admin(self, op: str) -> Dict[str, Any]:
+        """One admin request under :data:`ADMIN_TIMEOUT_S`: the raw
+        response; an unreachable or slow shard raises
+        :class:`ServeConnectionError`."""
+        try:
+            client = await self.ensure_client()
+            return await asyncio.wait_for(
+                client.request_raw({"op": op}), timeout=ADMIN_TIMEOUT_S
+            )
+        except (OSError, asyncio.TimeoutError) as exc:
+            raise ServeConnectionError(str(exc)) from exc
 
     async def drop_client(self) -> None:
         async with self.lock:
@@ -175,7 +188,7 @@ class ClusterRouter:
         self._draining = True
         if self._health_task is not None:
             self._health_task.cancel()
-        await self._wire.stop(self.config.admin_timeout_s)
+        await self._wire.stop(ADMIN_TIMEOUT_S)
         if drain_backends:
             await asyncio.gather(
                 *(self._shutdown_backend(s) for s in self.backends),
@@ -189,12 +202,8 @@ class ClusterRouter:
 
     async def _shutdown_backend(self, state: BackendState) -> None:
         try:
-            client = await state.ensure_client()
-            await asyncio.wait_for(
-                client.request_raw({"op": "shutdown"}),
-                timeout=self.config.admin_timeout_s,
-            )
-        except (ServeConnectionError, OSError, asyncio.TimeoutError):
+            await state.admin("shutdown")
+        except ServeConnectionError:
             pass
 
     # -- health ---------------------------------------------------------
@@ -215,11 +224,7 @@ class ClusterRouter:
 
     async def _check_backend(self, state: BackendState) -> None:
         try:
-            client = await state.ensure_client()
-            resp = await asyncio.wait_for(
-                client.request_raw({"op": "stats"}),
-                timeout=self.config.admin_timeout_s,
-            )
+            resp = await state.admin("stats")
             stats = resp.get("result") or {}
             for name, fp in (stats.get("overlay_fps") or {}).items():
                 self._overlay_fps[name] = fp
@@ -230,7 +235,7 @@ class ClusterRouter:
                 self.metrics.emit(
                     "backend_up", shard=state.spec.describe()
                 )
-        except (ServeConnectionError, OSError, asyncio.TimeoutError) as exc:
+        except ServeConnectionError as exc:
             if state.healthy:
                 self.metrics.emit(
                     "backend_down",
@@ -269,7 +274,7 @@ class ClusterRouter:
         candidates = [s for s in ordered if s.healthy] + [
             s for s in ordered if not s.healthy
         ]
-        return candidates[: self.config.failover_retries + 1]
+        return candidates[: FAILOVER_RETRIES + 1]
 
     # -- request path ---------------------------------------------------
     async def _dispatch(self, request: Request, doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -378,14 +383,10 @@ class ClusterRouter:
 
         async def one(state: BackendState) -> Optional[Dict[str, Any]]:
             try:
-                client = await state.ensure_client()
-                resp = await asyncio.wait_for(
-                    client.request_raw({"op": "stats"}),
-                    timeout=self.config.admin_timeout_s,
-                )
-                return resp.get("result") if resp.get("ok") else None
-            except (ServeConnectionError, OSError, asyncio.TimeoutError):
+                resp = await state.admin("stats")
+            except ServeConnectionError:
                 return None
+            return resp.get("result") if resp.get("ok") else None
 
         shard_stats = await asyncio.gather(
             *(one(s) for s in self.backends)

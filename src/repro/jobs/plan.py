@@ -2,8 +2,8 @@
 
 A :class:`ShardPlan` divides a contiguous index range ``0..total`` into
 ``shards`` slices.  The split is the one rule every sharded subsystem
-shares (soak campaigns, study evaluation batches, the sharded load
-generator, the cluster router's slot map):
+shares (soak campaigns, study evaluation batches, the cluster router's
+slot map):
 
 * **contiguous and complete** — concatenating the slices reproduces
   ``0..total`` exactly, in order;

@@ -1,7 +1,7 @@
 """One function runs every batch of jobs: :func:`run_jobs`.
 
-The DSE engine's seeds, soak's shards, a study's evaluation batches and
-the sharded load generator all call it.  The contracts they rely on:
+The DSE engine's seeds, soak's shards and a study's evaluation batches
+all call it.  The contracts they rely on:
 
 * **The serial rule.** With ``workers <= 1`` or a single job the batch
   runs in the calling process, one ``jobs.job`` span per job; no

@@ -8,17 +8,17 @@ service: an asyncio server holding pre-built overlays that answers
 protocol with admission control, single-flight request coalescing, a
 process worker pool, per-request deadlines, persistent result caching
 through :mod:`repro.engine.store`, and a metrics JSONL stream — plus
-the bundled client and load generator that drive it.
+the bundled client and the one-process load generator
+(:func:`~repro.serve.client.run_load`) that drive it.
 """
 
-from .batcher import AdmissionGate, FlightStats, LatencyReservoir, SingleFlight
+from .batcher import AdmissionGate, LatencyReservoir, SingleFlight
 from .client import (
     LoadReport,
     ServeClient,
     ServeConnectionError,
     build_load_plan,
     run_load,
-    run_load_sharded,
     wait_for_server,
 )
 from .errors import (
@@ -68,7 +68,6 @@ __all__ = [
     "BadRequestError",
     "COMPUTE_OPS",
     "DeadlineError",
-    "FlightStats",
     "InternalError",
     "JsonLinesEndpoint",
     "LatencyReservoir",
@@ -100,7 +99,6 @@ __all__ = [
     "response_doc",
     "result_key",
     "run_load",
-    "run_load_sharded",
     "run_op",
     "run_until_shutdown",
     "simulate_batch_doc",

@@ -65,26 +65,6 @@ class AdmissionGate:
         }
 
 
-@dataclass
-class FlightStats:
-    """Leader/follower accounting for one server lifetime."""
-
-    leaders: int = 0
-    followers: int = 0
-
-    @property
-    def coalesce_rate(self) -> float:
-        total = self.leaders + self.followers
-        return self.followers / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "leaders": self.leaders,
-            "followers": self.followers,
-            "coalesce_rate": self.coalesce_rate,
-        }
-
-
 class SingleFlight:
     """Coalesce concurrent identical work onto one shared task.
 
@@ -97,19 +77,16 @@ class SingleFlight:
 
     def __init__(self) -> None:
         self._inflight: Dict[str, "asyncio.Task[Any]"] = {}
-        self.stats = FlightStats()
 
     def join(
         self, key: str, factory: Callable[[], Awaitable[Any]]
     ) -> Tuple["asyncio.Task[Any]", bool]:
         task = self._inflight.get(key)
         if task is not None and not task.done():
-            self.stats.followers += 1
             return task, False
         task = asyncio.get_running_loop().create_task(factory())
         self._inflight[key] = task
         task.add_done_callback(lambda _t, _k=key: self._forget(_k, _t))
-        self.stats.leaders += 1
         return task, True
 
     def _forget(self, key: str, task: "asyncio.Task[Any]") -> None:
@@ -167,19 +144,3 @@ class LatencyReservoir:
 
     def snapshot(self) -> Optional[Dict[str, float]]:
         return self.as_dict() if self.count else None
-
-    def merge(self, other: "LatencyReservoir") -> "LatencyReservoir":
-        """Fold ``other``'s samples in (multi-process load reports).
-
-        Counts and totals add exactly; the sample buffer keeps an
-        evenly-strided subset when the union exceeds ``cap``, so the
-        merged percentiles stay representative of both sides.
-        """
-        self.count += other.count
-        self.total_s += other.total_s
-        combined = self._samples + other._samples
-        if len(combined) > self.cap:
-            step = len(combined) / self.cap
-            combined = [combined[int(i * step)] for i in range(self.cap)]
-        self._samples = combined
-        return self

@@ -13,7 +13,9 @@ coalescing exists for — and the report cross-checks the server's
 also verified byte-identical (canonical JSON) across duplicates of the
 same (op, workload) pair.  Pointed at a cluster router it is the same
 generator: the router picks every request's shard, and its ``stats``
-report how many requests each shard was routed.
+report how many requests each shard was routed.  It runs in one
+process on one event loop; ``bench/`` measures serving throughput with
+its own closed-loop client.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ class LoadReport:
     wall_s: float = 0.0
     latency: LatencyReservoir = field(default_factory=LatencyReservoir)
     #: canonical result bytes per (op, workload, overlay) — duplicates
-    #: must match, across connections, processes, and shard counts.
+    #: must match across connections.
     results: Dict[Tuple[str, str, str], str] = field(default_factory=dict)
     mismatches: List[str] = field(default_factory=list)
     server_stats: Optional[Dict[str, Any]] = None
@@ -217,32 +219,6 @@ class LoadReport:
             return counters.get("computes")
         aggregate = self.server_stats.get("aggregate") or {}
         return (aggregate.get("counters") or {}).get("computes")
-
-    def merge(self, other: "LoadReport") -> "LoadReport":
-        """Fold in another process's report (sharded load generation).
-
-        Result bytes are cross-checked across reports: the same
-        (op, workload, overlay) key must have produced identical
-        canonical JSON in every generator process.
-        """
-        self.ok += other.ok
-        self.errors += other.errors
-        self.requests = self.ok + self.errors
-        for code, n in other.error_codes.items():
-            self.error_codes[code] = self.error_codes.get(code, 0) + n
-        self.wall_s = max(self.wall_s, other.wall_s)
-        self.latency.merge(other.latency)
-        self.mismatches.extend(other.mismatches)
-        for key, blob in other.results.items():
-            seen = self.results.setdefault(key, blob)
-            if seen != blob:
-                self.mismatches.append(
-                    f"{'/'.join(k for k in key if k)}: divergent result "
-                    "across load shards"
-                )
-        if self.server_stats is None:
-            self.server_stats = other.server_stats
-        return self
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -276,14 +252,15 @@ class LoadReport:
         if self.server_stats is not None:
             counters = self.server_stats.get("counters") or {}
             if "computes" in counters:
-                f_ = self.server_stats["flights"]
+                flights = counters["computes"] + counters["coalesced"]
+                rate = counters["coalesced"] / flights if flights else 0.0
                 lines.append(
                     f"server: {counters['computes']} compiles for "
                     f"{self.requests} requests (coalesced "
                     f"{counters['coalesced']}, memory hits "
                     f"{counters['cache_memory']}, disk hits "
                     f"{counters['cache_disk']}, coalesce rate "
-                    f"{f_['coalesce_rate']:.0%})"
+                    f"{rate:.0%})"
                 )
             else:  # router stats: aggregate over shards
                 agg = (self.server_stats.get("aggregate") or {}).get(
@@ -309,12 +286,8 @@ def build_load_plan(
     overlays: Sequence[Optional[str]],
     requests: int,
 ) -> List[Tuple[str, str, Optional[str]]]:
-    """The deterministic request plan every load generator shares.
-
-    A pure function of its arguments, so N generator processes can each
-    take a contiguous :class:`~repro.jobs.ShardPlan` slice of the same
-    plan and the union is exactly the 1-process run.
-    """
+    """The deterministic request plan: ``requests`` items cycling the
+    op × workload × overlay product, so duplicates recur in flight."""
     mix = [
         (op, wl, ov)
         for ov in (overlays or [None])
@@ -334,23 +307,20 @@ async def run_load(
     overlays: Optional[Sequence[str]] = None,
     timeout_s: Optional[float] = None,
     expect_errors: bool = False,
-    fetch_stats: bool = True,
-    plan: Optional[Sequence[Tuple[str, str, Optional[str]]]] = None,
 ) -> LoadReport:
     """Fire a mixed, duplicate-heavy request stream; collect a report.
 
     ``client_factory`` returns an unconnected :class:`ServeClient`; the
     generator opens ``concurrency`` connections and drives them in
     parallel, cycling the op × workload × overlay product so identical
-    requests overlap in flight.
+    requests overlap in flight.  The report carries the server's (or
+    router's) ``stats`` fetched after the last response.
     """
     report = LoadReport()
-    if plan is None:
-        plan = build_load_plan(
-            ops, workloads, overlays or [overlay], requests
-        )
     queue: "asyncio.Queue[Tuple[str, str, Optional[str]]]" = asyncio.Queue()
-    for item in plan:
+    for item in build_load_plan(
+        ops, workloads, overlays or [overlay], requests
+    ):
         queue.put_nowait(item)
     lock = asyncio.Lock()
 
@@ -393,9 +363,8 @@ async def run_load(
     report.wall_s = perf_counter() - t_start
     # errors counted requests too; reconcile to total attempted
     report.requests = report.ok + report.errors
-    if fetch_stats:
-        async with client_factory() as client:
-            report.server_stats = await client.stats()
+    async with client_factory() as client:
+        report.server_stats = await client.stats()
     if not expect_errors and report.errors:
         codes = ", ".join(sorted(report.error_codes))
         raise ServeError(
@@ -403,84 +372,3 @@ async def run_load(
         )
     return report
 
-
-def _endpoint_client(endpoint: Dict[str, Any]) -> ServeClient:
-    return ServeClient(
-        socket_path=endpoint.get("socket"),
-        host=endpoint.get("host", "127.0.0.1"),
-        port=endpoint.get("port", 0),
-    )
-
-
-async def _fetch_stats(endpoint: Dict[str, Any]) -> Dict[str, Any]:
-    async with _endpoint_client(endpoint) as client:
-        return await client.stats()
-
-
-def _load_shard_worker(config: Dict[str, Any]) -> LoadReport:
-    """One load-generator process: run its slice of the shared plan."""
-    return asyncio.run(
-        run_load(
-            lambda: _endpoint_client(config),
-            requests=len(config["plan"]),
-            concurrency=config["concurrency"],
-            timeout_s=config.get("timeout_s"),
-            expect_errors=True,  # merged report applies the policy once
-            fetch_stats=False,
-            plan=[tuple(item) for item in config["plan"]],
-        )
-    )
-
-
-def run_load_sharded(
-    endpoint: Dict[str, Any],
-    ops: Sequence[str],
-    workloads: Sequence[str],
-    requests: int,
-    concurrency: int,
-    load_shards: int,
-    overlays: Optional[Sequence[str]] = None,
-    timeout_s: Optional[float] = None,
-    expect_errors: bool = False,
-) -> LoadReport:
-    """Drive the load from ``load_shards`` generator processes.
-
-    One asyncio loop tops out far below what a multi-shard cluster can
-    serve, so the generator itself must scale out to measure it.  The
-    deterministic plan is built once, split contiguously with
-    :class:`~repro.jobs.ShardPlan`, and each process runs its slice
-    (one slice runs in this process, by :func:`~repro.jobs.run_jobs`'
-    serial rule); reports merge with cross-process byte-identity checks
-    and carry the server's final stats.
-    """
-    from ..jobs import ShardPlan, run_jobs
-
-    plan = build_load_plan(ops, workloads, overlays or [None], requests)
-    slices = ShardPlan(total=len(plan), shards=load_shards).slices()
-    configs = [
-        {
-            **endpoint,
-            "plan": plan[s.start:s.stop],
-            "concurrency": max(1, concurrency // max(1, len(slices))),
-            "timeout_s": timeout_s,
-        }
-        for s in slices
-        if s.count
-    ]
-    merged = LoadReport()
-    for outcome in run_jobs(
-        _load_shard_worker, configs, workers=len(configs), name="serve.load"
-    ):
-        if not outcome.ok:
-            raise ServeError(
-                f"load generator shard {outcome.index} failed: "
-                f"{outcome.error}"
-            )
-        merged.merge(outcome.result)
-    if not expect_errors and merged.errors:
-        codes = ", ".join(sorted(merged.error_codes))
-        raise ServeError(
-            f"load run hit {merged.errors} errors ({codes}); see report"
-        )
-    merged.server_stats = asyncio.run(_fetch_stats(endpoint))
-    return merged

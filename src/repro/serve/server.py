@@ -541,7 +541,6 @@ class OverlayServer:
             "draining": self._draining,
             "counters": dict(self.counters),
             "admission": self.gate.as_dict(),
-            "flights": self.flights.stats.as_dict(),
             "latency": self.latency.as_dict(),
             "schedules": len(self._schedules),
         }

@@ -345,7 +345,6 @@ class TestCoalescing:
         assert len(calls) == 1
         assert server.counters["computes"] == 1
         assert server.counters["coalesced"] == 11
-        assert server.flights.stats.followers == 11
         assert server.gate.admitted == 12
 
     def test_distinct_ops_do_not_coalesce(self, sysadg, tmp_path):
