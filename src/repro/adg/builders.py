@@ -10,7 +10,7 @@ each, and a fully-connected memory side (every engine reaches every port).
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
 from ..ir import DType, Op
 from .capability import FuCap, caps_for_dtype, universal_caps
@@ -173,38 +173,16 @@ def seed_adg(
     )
 
 
-class SeedInventory(NamedTuple):
-    """What a workload set demands of its seed ADG: the dtypes and ops its
-    PEs must carry, and the PE / port counts of the fattest scalar mDFG."""
+def seed_for_workloads(workloads, width_bits: int = 512) -> ADG:
+    """Seed ADG sized so every workload's *least aggressive* variant maps.
 
-    dtypes: FrozenSet[DType]
-    ops: FrozenSet[Op]
-    need_pes: int
-    need_ivp: int
-    need_ovp: int
-
-    def seed(self, width_bits: int = 512) -> ADG:
-        """A fresh seed ADG sized to these demands."""
-        # 50% slack over the strict minimum: greedy placement needs headroom
-        # to route dense graphs (deep stencils) without stranding outputs.
-        slack = math.ceil(self.need_pes * 1.5) + 1
-        cols = max(2, math.ceil(math.sqrt(slack)))
-        rows = max(2, math.ceil(slack / cols))
-        return seed_adg(
-            self.dtypes,
-            self.ops,
-            width_bits=width_bits,
-            rows=rows,
-            cols=cols,
-            n_in_ports=self.need_ivp + 2,
-            n_out_ports=self.need_ovp + 2,
-            port_bytes=16,
-        )
-
-
-def seed_inventory(workloads) -> SeedInventory:
-    """One unroll-1 lowering per workload: all a seed is sized from, so a
-    search study takes it once and seeds every proposal from the value."""
+    The DSE abandons any candidate where some workload has no schedulable
+    variant, so the starting point must already fit the fattest scalar
+    (unroll-1, memory read-modify-write) mDFG: enough PEs for its compute
+    nodes and enough ports for its streams.  Everything beyond that is the
+    explorer's job to grow or shrink.  A search study builds it once and
+    mutates a clone per proposal.
+    """
     from ..compiler import lower
 
     dtypes = {w.dtype for w in workloads}
@@ -222,18 +200,18 @@ def seed_inventory(workloads) -> SeedInventory:
         need_pes = max(need_pes, len(mdfg.compute_nodes))
         need_ivp = max(need_ivp, len(mdfg.input_ports))
         need_ovp = max(need_ovp, len(mdfg.output_ports))
-    return SeedInventory(
-        frozenset(dtypes), frozenset(ops or {Op.ADD}), need_pes, need_ivp, need_ovp
+    # 50% slack over the strict minimum: greedy placement needs headroom
+    # to route dense graphs (deep stencils) without stranding outputs.
+    slack = math.ceil(need_pes * 1.5) + 1
+    cols = max(2, math.ceil(math.sqrt(slack)))
+    rows = max(2, math.ceil(slack / cols))
+    return seed_adg(
+        frozenset(dtypes),
+        frozenset(ops or {Op.ADD}),
+        width_bits=width_bits,
+        rows=rows,
+        cols=cols,
+        n_in_ports=need_ivp + 2,
+        n_out_ports=need_ovp + 2,
+        port_bytes=16,
     )
-
-
-def seed_for_workloads(workloads, width_bits: int = 512) -> ADG:
-    """Seed ADG sized so every workload's *least aggressive* variant maps.
-
-    The DSE abandons any candidate where some workload has no schedulable
-    variant, so the starting point must already fit the fattest scalar
-    (unroll-1, memory read-modify-write) mDFG: enough PEs for its compute
-    nodes and enough ports for its streams.  Everything beyond that is the
-    explorer's job to grow or shrink.
-    """
-    return seed_inventory(workloads).seed(width_bits)

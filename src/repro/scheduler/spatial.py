@@ -108,7 +108,12 @@ def schedule_workload(
             schedule = _bind(mdfg, adg)
         except ScheduleError:
             continue
-        schedule.estimate = estimate_ipc(mdfg, schedule.binding(), adg, params)
+        with span(
+            "scheduler.price", workload=mdfg.workload, variant=mdfg.variant
+        ):
+            schedule.estimate = estimate_ipc(
+                mdfg, schedule.binding(), adg, params
+            )
         priced.append((-schedule.estimate.ipc, index, schedule))
     priced.sort(key=lambda item: item[:2])
     for _neg_ipc, _index, schedule in priced:

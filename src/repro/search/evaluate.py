@@ -13,35 +13,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..adg import SystemParams
-from ..adg.builders import SeedInventory, seed_inventory
+from ..adg import ADG, AdgError, SystemParams, seed_for_workloads
 from ..compiler import VariantSet, generate_variants
 from ..dse import DseConfig
 from ..dse.explorer import sweep_candidate
 from ..dse.system import SystemChoice
 from ..ir import Workload
+from ..scheduler import ScheduleError, schedule_workload
 from .space import apply_genome, apply_params
 from .strategy import Proposal
 
 
 class StudyInputs(NamedTuple):
-    """What every genome / params evaluation of one study shares; both
-    depend on the workloads only, so ``run_search`` lowers once per study
-    and every shard carries the value (a pool pickles it along)."""
+    """What every genome / params evaluation of one study shares; it
+    depends only on the workloads and the seed width, so ``run_search``
+    builds it once per study and every shard carries the value (a pool
+    pickles it along).  ``seed`` is never mutated: each proposal edits a
+    clone."""
 
     variant_sets: Tuple[VariantSet, ...]
-    inventory: SeedInventory
+    seed: ADG
 
 
 def study_inputs(
-    proposals: Iterable[Proposal], workloads: Sequence[Workload]
+    proposals: Iterable[Proposal],
+    workloads: Sequence[Workload],
+    width_bits: int,
 ) -> Optional[StudyInputs]:
     """The inputs ``proposals`` need: None when every one is an annealer
     candidate, which arrives already scheduled."""
     if all(proposal.kind == "candidate" for proposal in proposals):
         return None
     variant_sets = tuple(generate_variants(w) for w in workloads)
-    return StudyInputs(variant_sets, seed_inventory(workloads))
+    return StudyInputs(variant_sets, seed_for_workloads(workloads, width_bits))
 
 
 @dataclass
@@ -82,7 +86,11 @@ def evaluate_shard(shard: EvalShard) -> List[EvalOut]:
     """
     inputs = shard.inputs
     if inputs is None:
-        inputs = study_inputs((p for _index, p in shard.items), shard.workloads)
+        inputs = study_inputs(
+            (p for _index, p in shard.items),
+            shard.workloads,
+            shard.config.seed_width_bits,
+        )
     return [
         evaluate_proposal(index, proposal, shard, inputs)
         for index, proposal in shard.items
@@ -108,7 +116,9 @@ def evaluate_proposal(
     if proposal.kind not in ("genome", "params"):
         raise ValueError(f"unknown proposal kind {proposal.kind!r}")
 
-    adg = inputs.inventory.seed(cfg.seed_width_bits)
+    # A clone keeps the seed's id allocator and edit stamp, so it is
+    # indistinguishable from a fresh build.
+    adg = inputs.seed.clone()
     if proposal.kind == "genome":
         genes = [tuple(g) for g in proposal.payload["genes"]]
         apply_genome(adg, genes, shard.seed)
@@ -121,8 +131,6 @@ def evaluate_proposal(
     choice: Optional[SystemChoice] = None
     feasible = True
     try:
-        from ..scheduler import schedule_workload
-
         for workload, variants in zip(shard.workloads, inputs.variant_sets):
             total_variants += len(variants.variants)
             schedule = schedule_workload(variants, adg, params)
@@ -132,9 +140,10 @@ def evaluate_proposal(
             schedules[workload.name] = schedule
         if feasible:
             choice = sweep_candidate(cfg, adg, schedules)
-    except Exception:
+    except (AdgError, ScheduleError):
         # A mutated design the toolchain rejects outright is just an
         # infeasible point — the strategy learns from it like any other.
+        # Any other error is a toolchain bug and fails the study.
         choice = None
     # Fixed-formula modeled cost (a real toolchain would schedule every
     # variant from scratch, then sweep the system grid).

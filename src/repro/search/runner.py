@@ -139,7 +139,9 @@ def run_search(
             if not proposals:
                 break
             if inputs is None:
-                inputs = study_inputs(proposals, ctx.workloads)
+                inputs = study_inputs(
+                    proposals, ctx.workloads, ctx.config.seed_width_bits
+                )
             evals = _evaluate(
                 proposals,
                 ctx,

@@ -221,9 +221,10 @@ class TestBestFirst:
             ), i
 
     def test_work_counts_on_general(self, overlay):
-        """Work, not time: every variant is lowered and bound once, and
-        only 29 of them are placed and routed (mapping every variant
-        routed 111, lowering both forms everywhere lowered 268)."""
+        """Work, not time: every variant is lowered and bound once, the
+        111 that bind are priced once, and only 29 of them are placed and
+        routed (mapping every bound variant routed all 111, lowering both
+        forms everywhere lowered 268)."""
         with tracing(Tracer()) as tracer:
             families = [generate_variants(w) for w in all_workloads()]
             for variants in families:
@@ -232,6 +233,7 @@ class TestBestFirst:
         assert sum(len(v.variants) for v in families) == 158
         assert spans["compiler.lower"].count == 158
         assert spans["scheduler.bind"].count == 158
+        assert spans["scheduler.price"].count == 111
         assert spans["scheduler.place_route"].count == 29
 
 

@@ -232,19 +232,37 @@ def test_shard_lowers_each_workload_once(strategy, lowered, monkeypatch):
 
 
 @pytest.mark.parametrize("strategy", ["tpe", "evolutionary", "bottleneck"])
-def test_study_lowers_once(strategy):
-    """A study lowers each workload's variants plus one unroll-1 inventory
-    pass, whatever its length: every batch re-lowered the variants and
-    every proposal the seed inventory (10 lowerings per trial)."""
+def test_study_lowers_once(strategy, monkeypatch):
+    """A study lowers each workload's variants plus one unroll-1 pass for
+    its seed, and builds that seed once, whatever its length; the seed its
+    proposals cloned is unmutated at the end."""
+    from repro.adg import adg_to_dict, builders, seed_for_workloads
     from repro.compiler import generate_variants
     from repro.profile.tracer import Tracer, tracing
+    from repro.search import runner
 
     workloads = [get_workload("vecmax"), get_workload("fir")]
     with tracing(Tracer()) as tracer:
         for w in workloads:
             generate_variants(w)
     once = tracer.summarize()["compiler.lower"].count + len(workloads)
+    fresh = seed_for_workloads(workloads, CFG.seed_width_bits)
+
+    meshes, studied = [], []
+    mesh_adg, study_inputs = builders.mesh_adg, runner.study_inputs
+
+    def counting_mesh(*args, **kwargs):
+        meshes.append(args)
+        return mesh_adg(*args, **kwargs)
+
+    def recording_inputs(*args):
+        studied.append(study_inputs(*args))
+        return studied[-1]
+
+    monkeypatch.setattr(builders, "mesh_adg", counting_mesh)
+    monkeypatch.setattr(runner, "study_inputs", recording_inputs)
     for trials in (4, 12):
+        meshes.clear()
         with tracing(Tracer()) as tracer:
             outcome = run_search(
                 workloads,
@@ -254,6 +272,41 @@ def test_study_lowers_once(strategy):
             )
         assert len(outcome.study.trials) == trials
         assert tracer.summarize()["compiler.lower"].count == once
+        assert len(meshes) == 1
+        seed = studied[-1].seed
+        assert adg_to_dict(seed) == adg_to_dict(fresh)
+        assert seed.version == fresh.version
+        assert seed.clone().add_switch() == fresh.clone().add_switch()
+
+
+@pytest.mark.parametrize("strategy", ["bottleneck", "evolutionary", "tpe"])
+def test_proposal_on_a_seed_clone_equals_a_fresh_seed(strategy):
+    """A study applies each genome / params proposal to a clone of its one
+    seed; the result must be the design a freshly built seed gives: same
+    document, same edit stamp, same next node id."""
+    from repro.adg import adg_to_dict, seed_for_workloads
+    from repro.search.space import apply_genome, apply_params
+
+    workloads = [get_workload("vecmax"), get_workload("fir")]
+    ctx = SearchContext(workloads=workloads, config=CFG, seed=2, name="t")
+    seed = seed_for_workloads(workloads, CFG.seed_width_bits)
+    search = make_strategy(strategy, ctx)
+    # bottleneck's first ask is the bare seed; its second extends it.
+    proposals = search.ask(2) + search.ask(2)
+    edited = 0
+    for proposal in proposals:
+        fresh = seed_for_workloads(workloads, CFG.seed_width_bits)
+        designs = []
+        for adg in (seed.clone(), fresh):
+            if proposal.kind == "genome":
+                genes = [tuple(g) for g in proposal.payload["genes"]]
+                apply_genome(adg, genes, ctx.seed)
+            else:
+                apply_params(adg, proposal.payload["params"])
+            designs.append((adg_to_dict(adg), adg.version, adg.add_switch()))
+        assert designs[0] == designs[1]
+        edited += designs[0][1] > seed.version
+    assert edited  # some proposal really mutated its clone
 
 
 class TestWorkerInvariance:
@@ -327,6 +380,32 @@ class TestFailedEvaluation:
         settings = SearchSettings(strategy="tpe", trials=4, batch=2, seed=2)
         with pytest.raises(SearchError, match="proposal 0 failed: evaluator"):
             run_search(vecmax, CFG, settings)
+
+    def test_toolchain_bug_is_a_search_error(self, vecmax, monkeypatch):
+        """Only a design the toolchain rejects is an infeasible trial; any
+        other error inside an evaluation fails the study."""
+        from repro.search import evaluate
+
+        def crash(*_args):
+            raise RuntimeError("sweep bug")
+
+        monkeypatch.setattr(evaluate, "sweep_candidate", crash)
+        settings = SearchSettings(strategy="tpe", trials=2, batch=2, seed=2)
+        with pytest.raises(SearchError, match="sweep bug"):
+            run_search(vecmax, CFG, settings)
+
+    def test_rejected_design_is_an_infeasible_trial(self, vecmax, monkeypatch):
+        from repro.adg import AdgError
+        from repro.search import evaluate
+
+        def reject(*_args):
+            raise AdgError("rejected")
+
+        monkeypatch.setattr(evaluate, "sweep_candidate", reject)
+        settings = SearchSettings(strategy="tpe", trials=2, batch=2, seed=2)
+        outcome = run_search(vecmax, CFG, settings)
+        assert len(outcome.study.trials) == 2
+        assert not any(t.feasible for t in outcome.study.trials)
 
     def test_engine_records_that_seed_as_crashed(self, vecmax, monkeypatch):
         self.fail_for_seed(monkeypatch, 3)
