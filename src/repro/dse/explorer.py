@@ -245,7 +245,8 @@ class Explorer:
         # as possible, even if there is no parallelism" (Q4) so future
         # workloads in the domain have headroom.  Grow capabilities, widths,
         # and capacities as long as the chosen tile count still fits.
-        self._pad_for_generality(adg, choice)
+        with span("dse.pad"):
+            self._pad_for_generality(adg, choice)
         schedules = self._upgrade_variants(self.variant_sets, adg, schedules)
         choice = self._system_dse(adg, schedules) or choice
         self.modeled_seconds += self.config.time_model.synthesis_hours * 3600.0

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..adg import SysADG, general_overlay
 from ..compiler import generate_variants
-from ..dse import DseConfig, DseResult
+from ..dse import DseConfig, DseResult, max_tiles_that_fit
 from ..engine import DseEngine, TieredCache
 from ..hls import (
     AutoDseResult,
@@ -32,6 +32,7 @@ from ..model.resource import (
     CATEGORIES,
     AnalyticEstimator,
     XCVU9P,
+    usable_budget,
 )
 from ..scheduler import Schedule, schedule_workload
 from ..sim import SimResult, reconfiguration_cycles, simulate_schedule
@@ -596,8 +597,16 @@ def table2_workload_specs() -> List[Dict]:
     return rows
 
 
-def table3_suite_overlays() -> List[Dict]:
-    """Table III: specifications of the suite-specialized overlays."""
+def table3_suite_overlays(
+    ml: Optional[AnalyticEstimator] = None,
+) -> List[Dict]:
+    """Table III: specifications of the suite-specialized overlays.
+
+    With ``ml``, each suite row also prices its overlay under the
+    analytic model (which the DSE sized it with) and under ``ml``:
+    ``tile_lut``, ``lut_util`` (system) and ``tiles_fit`` (the count
+    that fits the device) are ``(analytic, ml)`` pairs.
+    """
     from ..adg import NodeKind
 
     rows = []
@@ -640,6 +649,15 @@ def table3_suite_overlays() -> List[Dict]:
                 "out_port_bytes": sum(q.width_bytes for q in adg.out_ports),
             }
         )
+        if ml is not None and res is not None:
+            priced = []
+            for est in (AnalyticEstimator(), ml):
+                tile = est.tile(adg)
+                util = est.system(sysadg).utilization(XCVU9P)["lut"]
+                fit = max_tiles_that_fit(tile, p, usable_budget())
+                priced.append((tile.lut, util, fit))
+            keys = ("tile_lut", "lut_util", "tiles_fit")
+            rows[-1].update(zip(keys, zip(*priced)))
     return rows
 
 

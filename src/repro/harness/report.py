@@ -387,7 +387,7 @@ def _tables_section() -> str:
     lines.append("")
     lines.append("## Table III — Suite overlay specifications")
     lines.append("")
-    t3 = ex.table3_suite_overlays()
+    t3 = ex.table3_suite_overlays(ml=est)
     lines.append(
         render_table(
             ["overlay", "tiles", "L2 banks", "NoC B", "PEs", "SWs",
@@ -397,6 +397,20 @@ def _tables_section() -> str:
                  r["pes"], r["switches"], r["int_fus"], r["flt_fus"],
                  r["spad_kib"], r["in_port_bytes"], r["out_port_bytes"])
                 for r in t3
+            ],
+        )
+    )
+    lines.append("")
+    lines.append("## Table III overlays — analytic → ML resource model")
+    lines.append("")
+    lines.append(
+        render_table(
+            ["overlay", "LUT / tile", "system LUT util", "tiles that fit"],
+            [
+                (r["overlay"], "{:.0f} → {:.0f}".format(*r["tile_lut"]),
+                 "{:.3f} → {:.3f}".format(*r["lut_util"]),
+                 "{} → {}".format(*r["tiles_fit"]))
+                for r in t3 if "tiles_fit" in r
             ],
         )
     )

@@ -12,9 +12,7 @@ Two interchangeable estimators:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from ...adg import (
     ADG,
@@ -47,27 +45,42 @@ from .mlp import MlpConfig, ResourceMlp
 
 
 class AnalyticEstimator:
-    """Deterministic estimator backed by the analytic cost model."""
+    """Deterministic estimator backed by the analytic cost model; tile
+    totals price each distinct :func:`_key` once per estimator."""
 
     name = "analytic"
+
+    def __init__(self) -> None:
+        self._priced: Dict[Tuple[AdgNode, int, int], Resources] = {}
 
     def node(self, adg: ADG, node: AdgNode) -> Resources:
         return node_resources(adg, node)
 
+    def _cost(self, adg: ADG, node: AdgNode) -> Resources:
+        key = _key(adg, node)
+        res = self._priced.get(key)
+        if res is None:
+            res = self._priced[key] = self.node(adg, node)
+        return res
+
     def tile(self, adg: ADG) -> Resources:
-        total = Resources()
+        # Four float sums in id order round as ``Resources()`` sums do.
+        lut = ff = bram = dsp = 0.0
         for node in adg.nodes():
-            total = total + self.node(adg, node)
-        return total + dispatcher_resources(
+            res = self._cost(adg, node)
+            lut += res.lut
+            ff += res.ff
+            bram += res.bram
+            dsp += res.dsp
+        return Resources(lut, ff, bram, dsp) + dispatcher_resources(
             len(adg.engines), len(adg.in_ports) + len(adg.out_ports)
         )
 
     def tile_breakdown(self, adg: ADG) -> Dict[str, Resources]:
         breakdown = {cat: Resources() for cat in CATEGORIES}
         for node in adg.nodes():
-            cat = _category(node)
-            breakdown[cat] = breakdown[cat] + self.node(adg, node)
-        breakdown["dma"] = breakdown["dma"] + dispatcher_resources(
+            breakdown[_category(node)] += self._cost(adg, node)
+        breakdown["dma"] += dispatcher_resources(
             len(adg.engines), len(adg.in_ports) + len(adg.out_ports)
         )
         return breakdown
@@ -99,7 +112,6 @@ class MlEstimator(AnalyticEstimator):
 
     PE/switch/port costs come from per-family MLPs (trained once at
     construction); other components fall through to the analytic tables.
-    Predictions are batched per-tile for speed.
     """
 
     name = "ml"
@@ -110,6 +122,7 @@ class MlEstimator(AnalyticEstimator):
         config: Optional[MlpConfig] = None,
         seed: int = 0,
     ):
+        super().__init__()
         datasets = generate_all(scale=dataset_scale, seed=seed)
         self.models: Dict[str, ResourceMlp] = {}
         self.training_error: Dict[str, dict] = {}
@@ -121,41 +134,26 @@ class MlEstimator(AnalyticEstimator):
             self.training_error[family] = mlp.evaluate(test)
 
     def node(self, adg: ADG, node: AdgNode) -> Resources:
-        feats, family = self._featurize(adg, node)
+        feats, family = self._featurize(*_key(adg, node))
         if family is None:
             return node_resources(adg, node)
-        pred = self.models[family].predict(feats)[0]
-        return Resources(
-            lut=float(pred[0]),
-            ff=float(pred[1]),
-            bram=float(pred[2]),
-            dsp=float(pred[3]),
-        )
+        return Resources(*map(float, self.models[family].predict(feats)[0]))
 
-    def _featurize(self, adg: ADG, node: AdgNode):
+    def _featurize(self, node: AdgNode, n_in: int, n_out: int):
         if isinstance(node, ProcessingElement):
             return pe_features(node), "pe"
         if isinstance(node, Switch):
-            return (
-                switch_features(
-                    node,
-                    len(adg.predecessors(node.node_id)),
-                    len(adg.successors(node.node_id)),
-                ),
-                "switch",
-            )
+            return switch_features(node, n_in, n_out), "switch"
         if isinstance(node, InputPortHW):
-            feeders = sum(
-                1
-                for p in adg.predecessors(node.node_id)
-                if adg.node(p).kind.value not in ("pe", "sw", "ip", "op")
-            )
-            return in_port_features(node, max(1, feeders)), "in_port"
+            return in_port_features(node, max(1, n_in)), "in_port"
         if isinstance(node, OutputPortHW):
-            drains = sum(
-                1
-                for p in adg.successors(node.node_id)
-                if adg.node(p).kind.value not in ("pe", "sw", "ip", "op")
-            )
-            return out_port_features(node, max(1, drains)), "out_port"
+            return out_port_features(node, max(1, n_out)), "out_port"
         return None, None
+
+
+def _key(adg: ADG, node: AdgNode) -> Tuple[AdgNode, int, int]:
+    """All a node's cost reads: the frozen node and its in- and out-degree
+    (``_LEGAL_LINKS`` lets only stream engines feed an in-port or drain an
+    out-port, so its feeders and drains are its degrees)."""
+    nid = node.node_id
+    return node, len(adg.predecessors(nid)), len(adg.successors(nid))

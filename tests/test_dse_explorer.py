@@ -101,6 +101,13 @@ class TestExplorer:
         assert util["lut"] > 0.6  # generality padding consumes the device
         assert util["lut"] <= 1.0
 
+    def test_padding_runs_under_one_span(self):
+        from repro.profile.tracer import Tracer, tracing
+
+        with tracing(Tracer()) as tracer:
+            explore([get_workload("vecmax")], DseConfig(iterations=2, seed=3))
+        assert tracer.summarize()["dse.pad"].count == 1
+
     def test_schedule_preserving_off_still_works(self):
         res = explore(
             [get_workload("vecmax")],

@@ -21,6 +21,7 @@ from repro.model.resource import (
     Resources,
     XCVU9P,
     control_core_resources,
+    dispatcher_resources,
     generate_all,
     l2_resources,
     pe_resources,
@@ -264,6 +265,113 @@ class TestEstimators:
         predicted = ml.tile(g.adg).lut
         assert predicted == pytest.approx(analytic, rel=0.35)
 
-    def test_ml_estimator_reports_training_error(self):
-        ml = MlEstimator(dataset_scale=0.01, seed=2)
-        assert set(ml.training_error) == {"pe", "switch", "in_port", "out_port"}
+    @pytest.fixture(scope="class")
+    def small_ml(self):
+        return MlEstimator(dataset_scale=0.01, seed=2)
+
+    def test_ml_estimator_reports_training_error(self, small_ml):
+        assert set(small_ml.training_error) == {
+            "pe", "switch", "in_port", "out_port"
+        }
+
+    def test_ml_tile_is_the_sum_of_its_nodes(self, small_ml):
+        """The memoised ``tile()`` is exactly the id-order sum of
+        ``node()``, on a first call and on a call answered from the memo."""
+        designs = os.path.join(
+            os.path.dirname(__file__), "..", "bench", "designs"
+        )
+        suite = load_sysadg(os.path.join(designs, "dsp.json"))
+        for adg in (general_overlay().adg, suite.adg):
+            expected = summed_nodes(small_ml, adg)
+            assert small_ml.tile(adg) == expected
+            assert small_ml.tile(adg) == expected
+
+
+def summed_nodes(est, adg):
+    """The unmemoised reference tile: ``node()`` of every node, added as
+    ``Resources`` in id order, plus the dispatcher."""
+    total = Resources()
+    for node in adg.nodes():
+        total = total + est.node(adg, node)
+    return total + dispatcher_resources(
+        len(adg.engines), len(adg.in_ports) + len(adg.out_ports)
+    )
+
+
+class TestTileMemo:
+    """An estimator prices each distinct (node, in-degree, out-degree)
+    once, and its totals stay those of a fresh estimator."""
+
+    def test_long_lived_estimator_equals_a_fresh_one(self):
+        """Three seeded runs of 30 edits (random transforms, switch
+        collapses, capability pruning, padding steps priced by the
+        long-lived estimator itself) never leave a stale price behind."""
+        import random
+
+        from repro.adg import SystemParams, seed_for_workloads
+        from repro.compiler import generate_variants
+        from repro.dse import (
+            TransformFailed,
+            apply_random_transform,
+            collapse_random_switch,
+            prune_capabilities,
+        )
+        from repro.dse.transforms import PADDING_STEPS
+        from repro.scheduler import schedule_workload
+        from repro.workloads import get_suite
+
+        workloads = get_suite("dsp")[:3]
+        seed = seed_for_workloads(workloads)
+        schedules = [
+            schedule_workload(generate_variants(w), seed, SystemParams())
+            for w in workloads
+        ]
+        lut_cap = AnalyticEstimator().tile(seed).lut * 1.3
+        for rng_seed in range(3):
+            rng = random.Random(rng_seed)
+            adg = seed.clone()
+            est = AnalyticEstimator()
+
+            def fits():
+                return est.tile(adg).lut <= lut_cap
+
+            for _ in range(30):
+                edit = rng.randrange(4)
+                if edit == 0:
+                    try:
+                        apply_random_transform(adg, rng)
+                    except TransformFailed:
+                        pass
+                elif edit == 1:
+                    collapse_random_switch(adg, schedules, rng)
+                elif edit == 2:
+                    prune_capabilities(adg, schedules)
+                else:
+                    any(step(adg, fits) for step in PADDING_STEPS)
+                fresh = AnalyticEstimator()
+                assert est.tile(adg) == fresh.tile(adg)
+                assert est.tile(adg) == summed_nodes(fresh, adg)
+                assert est.tile_breakdown(adg) == fresh.tile_breakdown(adg)
+
+    def test_explore_prices_each_key_once(self, monkeypatch):
+        """One DSE run prices a key once, not once per ``tile()`` call."""
+        from collections import Counter
+
+        from repro.dse import DseConfig, explore
+        from repro.model.resource import predictor
+        from repro.workloads import get_suite
+
+        priced = Counter()
+        price = predictor.node_resources
+
+        def counting(adg, node):
+            nid = node.node_id
+            priced[
+                node, len(adg.predecessors(nid)), len(adg.successors(nid))
+            ] += 1
+            return price(adg, node)
+
+        monkeypatch.setattr(predictor, "node_resources", counting)
+        explore(get_suite("dsp"), DseConfig(iterations=40, seed=2))
+        assert priced
+        assert max(priced.values()) == 1
