@@ -43,7 +43,7 @@ from ..scheduler import (
     revalidate_schedule,
     schedule_workload,
 )
-from .system import SystemChoice, max_tiles_that_fit, system_dse
+from .system import ObjectiveMemo, SystemChoice, system_dse, tiles_fit
 from .transforms import (
     TransformFailed,
     apply_random_transform,
@@ -162,7 +162,9 @@ class Explorer:
         self.config = config or DseConfig()
         self.name = name
         self.rng = random.Random(self.config.seed)
+        # One run's memos: node costs (the estimator's) and grid objectives.
         self.estimator = AnalyticEstimator()
+        self.objectives: ObjectiveMemo = {}
         self.full_budget = usable_budget()
         self.stats = DseStats()
         self.modeled_seconds = 0.0
@@ -410,13 +412,7 @@ class Explorer:
         params = choice.params
         return pad_for_generality(
             adg,
-            lambda: max_tiles_that_fit(
-                self.estimator.tile(adg),
-                params,
-                self.full_budget,
-                cap=self.config.max_tiles,
-            )
-            >= params.num_tiles,
+            lambda: tiles_fit(self.estimator.tile(adg), params, self.full_budget),
         )
 
     def _system_dse(
@@ -429,7 +425,9 @@ class Explorer:
         self, adg: ADG, schedules: Dict[str, Schedule]
     ) -> Optional[SystemChoice]:
         """The nested system sweep; ``decide`` charges its modeled cost."""
-        return sweep_candidate(self.config, adg, schedules, self.estimator)
+        return sweep_candidate(
+            self.config, adg, schedules, self.estimator, self.objectives
+        )
 
     def _accept(
         self, candidate: SystemChoice, incumbent: SystemChoice, iteration: int
@@ -454,13 +452,15 @@ def sweep_candidate(
     adg: ADG,
     schedules: Dict[str, Schedule],
     estimator: Optional[AnalyticEstimator] = None,
+    objectives: Optional[ObjectiveMemo] = None,
 ) -> Optional[SystemChoice]:
     """The nested system sweep for one candidate ADG and its schedules.
 
     Tile counts are sized against the budget less
     ``config.generality_reserve``; padding then grows the chosen design
     into the reserve.  The explorer's loop and ``search.evaluate`` both
-    score a candidate through this one call.
+    score a candidate through this one call; ``estimator`` and
+    ``objectives`` are a run's memos (None: fresh ones for this call).
     """
     return system_dse(
         adg,
@@ -468,6 +468,7 @@ def sweep_candidate(
         estimator=estimator,
         budget=usable_budget() * (1.0 - config.generality_reserve),
         max_tiles=config.max_tiles,
+        objectives=objectives,
     )
 
 

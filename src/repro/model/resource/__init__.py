@@ -5,6 +5,7 @@ from .analytic import (
     control_core_resources,
     dispatcher_resources,
     dma_resources,
+    footprint,
     in_port_resources,
     l2_resources,
     noc_resources,
@@ -40,6 +41,7 @@ __all__ = [
     "control_core_resources",
     "dispatcher_resources",
     "dma_resources",
+    "footprint",
     "generate_all",
     "in_port_resources",
     "l2_resources",

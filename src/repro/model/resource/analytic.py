@@ -244,21 +244,42 @@ def noc_resources(num_tiles: int, noc_bytes: int) -> Resources:
     The quadratic crossbar term is why the paper observes the NoC among the
     biggest LUT components (Q4).
     """
+    return Resources(*_noc(num_tiles, noc_bytes))
+
+
+def _noc(num_tiles: int, noc_bytes: int) -> Tuple[float, float]:
+    """The crossbar's ``(lut, ff)``; it uses no BRAM or DSP."""
     endpoints = num_tiles + 2
     lut = 2000.0 + endpoints * endpoints * noc_bytes * 14.0
-    return Resources(lut=lut, ff=lut * 1.1)
+    return lut, lut * 1.1
+
+
+def footprint(
+    per_tile: Resources, num_tiles: int, l2: Resources, noc_bytes: int
+) -> Tuple[float, float, float, float]:
+    """THE footprint of a full overlay, ``(tile + core) * tiles + l2 + noc``,
+    as four plain floats ``(lut, ff, bram, dsp)``.
+
+    ``per_tile`` is one accelerator tile plus its control core.  The DSE's
+    fit test reads these floats and :func:`system_total` wraps them, so a
+    design has exactly one footprint, bit for bit.  Each field rounds in
+    the order ``Resources`` arithmetic did, the NoC's zero BRAM and DSP
+    included (``-0.0 + 0.0`` is ``0.0``).
+    """
+    noc_lut, noc_ff = _noc(num_tiles, noc_bytes)
+    return (
+        per_tile.lut * num_tiles + l2.lut + noc_lut,
+        per_tile.ff * num_tiles + l2.ff + noc_ff,
+        per_tile.bram * num_tiles + l2.bram + 0.0,
+        per_tile.dsp * num_tiles + l2.dsp + 0.0,
+    )
 
 
 def system_total(
     per_tile: Resources, num_tiles: int, l2: Resources, noc_bytes: int
 ) -> Resources:
-    """THE footprint of a full overlay: ``(tile + core) * tiles + l2 + noc``.
-
-    ``per_tile`` is one accelerator tile plus its control core.  The DSE's
-    fit decision and every reported system total go through this one
-    expression, so a design has exactly one footprint, bit for bit.
-    """
-    return per_tile * num_tiles + l2 + noc_resources(num_tiles, noc_bytes)
+    """The :func:`footprint` of a full overlay as a :class:`Resources`."""
+    return Resources(*footprint(per_tile, num_tiles, l2, noc_bytes))
 
 
 def node_resources(adg: ADG, node: AdgNode) -> Resources:

@@ -9,7 +9,8 @@ config — the golden test pickles both and compares bytes.
 
 Annealing is inherently sequential (each proposal mutates the last
 accepted design), so ``max_batch = 1``; a batch of one never leaves the
-process (the pool's serial rule), so the payload is the live candidate.
+process (the pool's serial rule), so the payload is the live candidate,
+and its sweep uses the explorer's own estimator and objective memo.
 Batching still pays off for the population strategies sharing the runner.
 """
 
@@ -57,7 +58,12 @@ class AnnealStrategy(Strategy):
         return [
             Proposal(
                 kind="candidate",
-                payload={"adg": adg, "schedules": schedules},
+                payload={
+                    "adg": adg,
+                    "schedules": schedules,
+                    "estimator": self.explorer.estimator,
+                    "objectives": self.explorer.objectives,
+                },
                 lineage={"iteration": iteration},
             )
         ]

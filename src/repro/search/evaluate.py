@@ -107,10 +107,9 @@ def evaluate_proposal(
     if proposal.kind == "candidate":
         # The annealer already built and repaired the schedules; this is
         # exactly the nested system sweep ``Explorer.run`` does in-process
-        # (``Explorer.decide`` charges the modeled model_eval cost).
-        choice = sweep_candidate(
-            cfg, proposal.payload["adg"], proposal.payload["schedules"]
-        )
+        # (``Explorer.decide`` charges the modeled model_eval cost): the
+        # payload is the candidate and the explorer's run memos.
+        choice = sweep_candidate(cfg, **proposal.payload)
         return _out(index, choice, modeled_seconds=0.0)
 
     if proposal.kind not in ("genome", "params"):

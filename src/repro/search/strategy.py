@@ -48,7 +48,8 @@ class Proposal:
     """One candidate design the strategy wants evaluated.
 
     ``kind`` selects the evaluator (``candidate``: the annealer's live
-    ADG + schedules, a batch of one that is evaluated in process;
+    ADG + schedules and its run's estimator and objective memo, a batch
+    of one that is evaluated in process;
     ``genome``: a transform-sequence genome; ``params``: a point in the
     TPE parameter space).  ``payload`` is the evaluation input (picklable
     for the batched kinds); ``lineage`` is its JSON-able provenance,

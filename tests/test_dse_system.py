@@ -6,7 +6,8 @@ every grid point, a ``PerfEstimate`` per (point, workload), a
 ``SystemChoice`` per point and ``_better`` to pick among them.
 ``system_dse`` must return the same ``SystemChoice`` field for field —
 same floats, same factor order — while evaluating ``system_total`` at most
-twice per grid point.
+twice per grid point and, with a run's objective memo, calling ``ipc_at``
+once per distinct (profiles, grid point, tile count).
 """
 
 import random
@@ -22,9 +23,11 @@ from repro.adg import (
 )
 from repro.compiler import generate_variants, lower
 from repro.dse import DseConfig, explore, system_dse
+from repro.dse import explorer as dse_explorer
 from repro.dse import system as dse_system
 from repro.dse.system import SystemChoice, _grid_fits, _largest_fit
 from repro.model.perf import (
+    BottleneckProfile,
     bottleneck_profile,
     geomean_ipc,
     preferred_binding,
@@ -37,6 +40,7 @@ from repro.model.resource import (
     system_total,
     usable_budget,
 )
+from repro.profile.tracer import tracing
 from repro.scheduler import schedule_workload
 from repro.validate.generators import random_adg_doc
 from repro.workloads import SUITE_NAMES, all_workloads, get_suite, get_workload
@@ -254,9 +258,10 @@ class TestTileCount:
                 ) == want
 
     def test_at_most_two_footprints_per_grid_point(self, monkeypatch):
-        """The parent evaluated ``system_total`` 8.8 times per fit over
-        this run (padding probes, which scan from the cap, included)."""
-        calls = {"fits": 0, "totals": 0}
+        """Scanning every point down from the cap evaluated the footprint
+        8.8 times per fit over this run; padding probes count against the
+        bound too."""
+        calls = {"fits": 0, "footprints": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -266,14 +271,110 @@ class TestTileCount:
             monkeypatch.setattr(dse_system, fn.__name__, wrapper)
 
         counted("fits", dse_system._largest_fit)
-        counted("totals", dse_system.system_total)
+        counted("footprints", dse_system.footprint)
         explore(get_suite("dsp"), DseConfig(iterations=40, seed=2))
-        assert calls["fits"] >= 60 * 40
-        assert calls["totals"] / calls["fits"] <= 2.0
+        assert calls["footprints"] >= 60 * 40
+        assert calls["footprints"] / calls["fits"] <= 2.0
+
+    def test_padding_probe_is_one_footprint_test(self, monkeypatch):
+        """Padding asks "do ``num_tiles`` still fit?" with one footprint
+        per probe, not a scan down from ``max_tiles``."""
+        footprints = [0]
+        probes = []
+        footprint = dse_system.footprint
+        pad = dse_explorer.pad_for_generality
+
+        def counted_footprint(*args):
+            footprints[0] += 1
+            return footprint(*args)
+
+        def counted_pad(adg, fits):
+            def probe():
+                before = footprints[0]
+                answer = fits()
+                probes.append(footprints[0] - before)
+                return answer
+
+            return pad(adg, probe)
+
+        monkeypatch.setattr(dse_system, "footprint", counted_footprint)
+        monkeypatch.setattr(dse_explorer, "pad_for_generality", counted_pad)
+        explore(get_suite("dsp"), DseConfig(iterations=40, seed=2))
+        assert len(probes) >= 20
+        assert set(probes) == {1}
 
 
 # ----------------------------------------------------------------------
-# (c) the scalar objective
+# (c) the objective memo
+# ----------------------------------------------------------------------
+class TestGridMemo:
+    @pytest.mark.parametrize("suite", ["dsp", "machsuite", "vision"])
+    def test_memoised_sweeps_equal_the_reference(self, suite, monkeypatch):
+        """Every sweep of two runs — seed, accepted and rejected
+        candidates, polish — against the parent's loop, while the run's
+        memo answers some of their points."""
+        sweep = dse_explorer.system_dse
+        checked = [0]
+
+        def checked_sweep(adg, schedules, **kwargs):
+            got = sweep(adg, schedules, **kwargs)
+            assert kwargs["objectives"] is not None
+            assert_same_choice(
+                got,
+                reference_system_dse(
+                    adg,
+                    schedules,
+                    budget=kwargs["budget"],
+                    max_tiles=kwargs["max_tiles"],
+                ),
+            )
+            checked[0] += 1
+            return got
+
+        monkeypatch.setattr(dse_explorer, "system_dse", checked_sweep)
+        workloads = get_suite(suite)
+        with tracing() as tracer:
+            for seed in (2, 3):
+                explore(workloads, DseConfig(iterations=5, seed=seed))
+        counters = tracer.counters()
+        assert checked[0] >= 10
+        assert 0 < counters["dse.grid_priced"] < counters["dse.grid_points"]
+
+    def test_ipc_at_once_per_distinct_point(self, monkeypatch):
+        """``ipc_at`` runs once per (profiles, grid point, tile count) of a
+        run, not once per sweep that visits it."""
+        calls = [0]
+        sweep_profiles = []
+        distinct = set()
+        ipc_at = BottleneckProfile.ipc_at
+        profile = dse_system.bottleneck_profile
+        grid_fits = dse_system._grid_fits
+
+        def counted_ipc_at(self, *args):
+            calls[0] += 1
+            return ipc_at(self, *args)
+
+        def recorded_profile(*args):
+            sweep_profiles.append(profile(*args))
+            return sweep_profiles[-1]
+
+        def recorded_grid_fits(*args):
+            profiles = tuple(sweep_profiles)
+            sweep_profiles.clear()
+            for point in grid_fits(*args):
+                distinct.add((profiles, point[:4]))
+                yield point
+
+        monkeypatch.setattr(BottleneckProfile, "ipc_at", counted_ipc_at)
+        monkeypatch.setattr(dse_system, "bottleneck_profile", recorded_profile)
+        monkeypatch.setattr(dse_system, "_grid_fits", recorded_grid_fits)
+        explore(get_suite("dsp"), DseConfig(iterations=40, seed=2))
+        assert distinct
+        assert calls[0] <= sum(len(profiles) for profiles, _ in distinct)
+
+
+# ----------------------------------------------------------------------
+# (d) the scalar objective
 # ----------------------------------------------------------------------
 def test_ipc_at_is_at_ipc_bit_for_bit():
     """28 workloads x 60 grid points x tiles 1..16, both models."""

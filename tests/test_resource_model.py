@@ -375,3 +375,29 @@ class TestTileMemo:
         explore(get_suite("dsp"), DseConfig(iterations=40, seed=2))
         assert priced
         assert max(priced.values()) == 1
+
+    def test_anneal_search_prices_each_key_once(self, monkeypatch):
+        """``repro dse``'s default path: the annealer's candidate sweeps
+        run in the evaluator on the explorer's own estimator."""
+        from collections import Counter
+
+        from repro.dse import DseConfig
+        from repro.model.resource import predictor
+        from repro.search import SearchSettings, run_search
+        from repro.workloads import get_suite
+
+        priced = Counter()
+        price = predictor.node_resources
+
+        def counting(adg, node):
+            priced[predictor._key(adg, node)] += 1
+            return price(adg, node)
+
+        monkeypatch.setattr(predictor, "node_resources", counting)
+        run_search(
+            get_suite("dsp"),
+            DseConfig(iterations=40, seed=2),
+            SearchSettings(strategy="anneal", trials=40, batch=1, seed=2),
+        )
+        assert priced
+        assert max(priced.values()) == 1
