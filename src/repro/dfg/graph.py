@@ -37,14 +37,16 @@ class _Index(NamedTuple):
     by_type: Dict[type, List[Node]]
     #: consumer id -> its fabric in-edges as ``(src, dst, slot)``.
     fabric_in: Dict[int, List[Tuple[int, int, int]]]
+    insts_per_cycle: float
 
 
 class MDFG:
     """Memory-enhanced dataflow graph for one compiled program region."""
 
-    #: Type and in-edge queries read an index built on the first query after
-    #: an edit and dropped by ``_add`` / ``add_edge``, the only structural
-    #: mutators.  None is the class default: an index is never pickled.
+    #: Type, in-edge and ``insts_per_cycle`` queries read an index built on
+    #: the first query after an edit and dropped by ``_add`` / ``add_edge``,
+    #: the only structural mutators.  None is the class default: an index
+    #: is never pickled.
     _index: Optional[_Index] = None
 
     def __init__(
@@ -157,7 +159,11 @@ class MDFG:
             fabric_in: Dict[int, List[Tuple[int, int, int]]] = {}
             for e in self.fabric_edges():
                 fabric_in.setdefault(e.dst, []).append((e.src, e.dst, e.slot))
-            self._index = _Index(by_type, fabric_in)
+            compute = sum(n.lanes for n in by_type.get(ComputeNode, ()))
+            memory = sum(
+                s.lanes for s in by_type.get(StreamNode, ()) if s.is_memory
+            )
+            self._index = _Index(by_type, fabric_in, float(compute + memory))
         return self._index
 
     def _of_type(self, cls) -> List:
@@ -219,9 +225,7 @@ class MDFG:
         operations (one per memory stream) are counted too so that pure
         data-movement DFGs still reward vectorization.  Lanes multiply.
         """
-        compute = sum(n.lanes for n in self.compute_nodes)
-        memory = sum(s.lanes for s in self.streams if s.is_memory)
-        return float(compute + memory)
+        return self._indexed().insts_per_cycle
 
     @property
     def total_instructions(self) -> float:

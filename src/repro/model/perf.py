@@ -10,6 +10,9 @@ reuse-discounted: a stream whose value is held stationary at its port only
 fetches once per ``held`` firings, and a stream whose array lives in the
 scratchpad or hits in L2 stops consuming downstream bandwidth.
 
+Every factor is capped at 1, so :func:`ipc_ceiling` — Eq. 1 with the
+bottleneck term at its cap — bounds the IPC of any binding without one.
+
 A :class:`BottleneckProfile` holds what the system grid cannot change —
 the classified streams, the per-engine factors and their minimum — and one
 routine, ``_levels``, for the three levels it can (NoC, L2, DRAM), shared by
@@ -226,6 +229,19 @@ class BottleneckProfile:
                 dram_demand_tile * tiles_used
             )
         return tiles_used, noc, l2, dram
+
+
+def ipc_ceiling(mdfg: MDFG, params: SystemParams) -> float:
+    """An upper bound on ``estimate_ipc(mdfg, binding, adg, params).ipc``
+    over every binding and ADG, computed without one.
+
+    :meth:`BottleneckProfile.at` multiplies this very product by
+    ``min(1.0, bottleneck)``; rounding is monotone, so the bound holds bit
+    for bit.
+    """
+    return mdfg.insts_per_cycle * min(
+        float(params.num_tiles), mdfg.tile_parallelism
+    )
 
 
 def bottleneck_profile(

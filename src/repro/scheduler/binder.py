@@ -25,7 +25,6 @@ from ..dfg import (
     ArrayPlacement,
     InputPortNode,
     MDFG,
-    OutputPortNode,
     StreamKind,
     StreamNode,
 )
@@ -35,11 +34,6 @@ from .schedule import Schedule, ScheduleError
 def _required_port_bytes(mdfg: MDFG, stream: StreamNode) -> int:
     port = mdfg.node(stream.port)
     return port.width_bytes
-
-
-def _stream_needs_padding(mdfg: MDFG, stream: StreamNode) -> bool:
-    port = mdfg.node(stream.port)
-    return isinstance(port, InputPortNode) and port.needs_padding
 
 
 def effective_footprint(array: ArrayNode, mdfg: MDFG) -> float:
@@ -55,12 +49,12 @@ def effective_footprint(array: ArrayNode, mdfg: MDFG) -> float:
 
 
 def _spad_candidates(
-    adg: ADG, array: ArrayNode, mdfg: MDFG, free: Dict[int, float]
+    spads: List[SpadEngine], array: ArrayNode, mdfg: MDFG, free: Dict[int, float]
 ) -> List[SpadEngine]:
     """Scratchpads with room (and indirect support when required)."""
     need = effective_footprint(array, mdfg)
     out = []
-    for spad in adg.spads:
+    for spad in spads:
         if free[spad.node_id] < need:
             continue
         if array.indirect_target and not spad.indirect:
@@ -91,9 +85,11 @@ def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
         ScheduleError: when any constraint cannot be met (the variant is
             unschedulable on this ADG).
     """
-    free_capacity = {s.node_id: float(s.capacity_bytes) for s in adg.spads}
+    spads = adg.spads
+    free_capacity = {s.node_id: float(s.capacity_bytes) for s in spads}
     dmas = adg.dmas
-    if not dmas and mdfg.memory_streams:
+    streams = mdfg.streams
+    if not dmas and any(s.is_memory for s in streams):
         raise ScheduleError("no DMA engine for memory streams", stage="binding")
 
     # ------------------------------------------------------------------
@@ -106,7 +102,7 @@ def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
     for array in arrays:
         target: Optional[int] = None
         if array.preferred is ArrayPlacement.SPAD:
-            candidates = _spad_candidates(adg, array, mdfg, free_capacity)
+            candidates = _spad_candidates(spads, array, mdfg, free_capacity)
             if candidates:
                 target = candidates[0].node_id
                 free_capacity[target] -= effective_footprint(array, mdfg)
@@ -126,7 +122,7 @@ def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
     # Stream -> engine (+ auxiliary engine constraints).
     # ------------------------------------------------------------------
     stream_engine: Dict[int, int] = {}
-    for stream in mdfg.streams:
+    for stream in streams:
         if stream.kind is StreamKind.RECURRENCE:
             recs = adg.of_kind(NodeKind.RECURRENCE)
             fitting = [
@@ -172,13 +168,14 @@ def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
     # Widest streams first (hardest to place).
     # ------------------------------------------------------------------
     used_ports: Set[int] = set()
+    ports = (adg.in_ports, adg.out_ports)
     order = sorted(
-        mdfg.streams,
+        streams,
         key=lambda s: (-_required_port_bytes(mdfg, s), s.node_id),
     )
     for stream in order:
         engine_id = stream_engine[stream.node_id]
-        hw_port = _choose_port(mdfg, adg, stream, engine_id, used_ports)
+        hw_port = _choose_port(mdfg, adg, ports, stream, engine_id, used_ports)
         if hw_port is None and stream.is_memory:
             # Fallback: rebind the whole array to DMA and retry (a spad may
             # simply not reach any suitable port on this topology).
@@ -189,7 +186,9 @@ def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
                 schedule.placement[
                     _array_node_id(mdfg, stream.array)
                 ] = engine_id
-                hw_port = _choose_port(mdfg, adg, stream, engine_id, used_ports)
+                hw_port = _choose_port(
+                    mdfg, adg, ports, stream, engine_id, used_ports
+                )
         if hw_port is None:
             raise ScheduleError(
                 f"stream {stream.node_id} ({stream.kind}, "
@@ -211,27 +210,29 @@ def _array_node_id(mdfg: MDFG, array: str) -> int:
 def _choose_port(
     mdfg: MDFG,
     adg: ADG,
+    ports: Tuple[list, list],
     stream: StreamNode,
     engine_id: int,
     used: Set[int],
 ) -> Optional[int]:
-    """Smallest adequate unused hardware port reachable from the engine."""
+    """Smallest adequate unused hardware port reachable from the engine;
+    ``ports`` is the ADG's ``(in_ports, out_ports)``."""
     needed = _required_port_bytes(mdfg, stream)
     dfg_port = mdfg.node(stream.port)
-    to_fabric = isinstance(dfg_port, InputPortNode)
-    if to_fabric:
+    if isinstance(dfg_port, InputPortNode):
+        padding = dfg_port.needs_padding
         candidates = [
             p
-            for p in adg.in_ports
+            for p in ports[0]
             if p.node_id not in used
             and p.width_bytes >= needed
             and adg.has_link(engine_id, p.node_id)
-            and (not _stream_needs_padding(mdfg, stream) or p.supports_padding)
+            and (not padding or p.supports_padding)
         ]
     else:
         candidates = [
             p
-            for p in adg.out_ports
+            for p in ports[1]
             if p.node_id not in used
             and p.width_bytes >= needed
             and adg.has_link(p.node_id, engine_id)

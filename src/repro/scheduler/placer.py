@@ -10,9 +10,9 @@ delay-FIFO depth (pipeline-balance requirement, Section V-B).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..adg import ADG, NodeKind, ProcessingElement, cap_for
+from ..adg import ADG, ProcessingElement, cap_for
 from ..dfg import (
     ComputeNode,
     InputPortNode,
@@ -71,6 +71,7 @@ def place_and_route(
         ScheduleError: if any instruction or route cannot be mapped.
     """
     pinned = pinned or {}
+    pes = adg.pes
     used_pes: Set[int] = set(pinned.values())
     used_pes.update(
         hw
@@ -87,7 +88,7 @@ def place_and_route(
             )
             used_pes.add(pinned[compute.node_id])
             continue
-        candidates = _candidate_pes(adg, compute, used_pes)
+        candidates = _candidate_pes(pes, compute, used_pes)
         if not candidates:
             raise ScheduleError(
                 f"no PE supports {compute.op} x{compute.lanes} "
@@ -114,14 +115,15 @@ def place_and_route(
 
 
 def _candidate_pes(
-    adg: ADG, compute: ComputeNode, used: Set[int]
+    pes: List[ProcessingElement], compute: ComputeNode, used: Set[int]
 ) -> List[ProcessingElement]:
-    """Free PEs that :meth:`ProcessingElement.supports` ``compute``."""
+    """Free PEs of ``pes`` that :meth:`ProcessingElement.supports`
+    ``compute``."""
     cap = cap_for(compute.op, compute.dtype)
     bits = compute.lanes * compute.dtype.bits
     return [
         pe
-        for pe in adg.pes
+        for pe in pes
         if pe.node_id not in used and cap in pe.caps and bits <= pe.width_bits
     ]
 
@@ -226,8 +228,6 @@ def _rebind_output_port(
     mdfg, adg, schedule, state, port_node, src_dfg, src_hw, width
 ):
     """Try alternative hardware output ports for an unroutable result edge."""
-    from ..dfg import StreamKind
-
     streams = [s for s in mdfg.streams if s.port == port_node.node_id]
     used = {
         hw

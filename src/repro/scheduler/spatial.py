@@ -2,10 +2,12 @@
 
 Mapping a variant is two steps: bind its streams and arrays to engines and
 ports, then place its compute and route its fabric edges.  The estimated
-IPC reads only the binding, so a variant is priced before it is routed.
+IPC reads only the binding, so a variant is priced before it is routed,
+and it never exceeds an IPC ceiling that reads no binding at all.
 `schedule_mdfg` maps one variant.  `schedule_workload` binds and prices a
-whole variant family, then places and routes best estimate first and
-returns the first variant that maps ("relax DFG complexity", Fig. 3).
+variant family in ceiling order, only while a ceiling could still beat the
+best estimate, places and routes best estimate first and returns the first
+variant that maps ("relax DFG complexity", Fig. 3).
 `repair_schedule` preserves as much of an existing schedule as possible
 after a hardware mutation (the cheap path the DSE takes every iteration —
 Section V-A).
@@ -13,13 +15,14 @@ Section V-A).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import heapq
+from typing import List, Optional, Tuple
 
-from ..adg import ADG, NodeKind, ProcessingElement, SystemParams
+from ..adg import ADG, ProcessingElement, SystemParams
 from ..compiler import VariantSet
-from ..dfg import ComputeNode, InputPortNode, MDFG, OutputPortNode, StreamNode
-from ..model.perf import PerfEstimate, estimate_ipc
-from ..profile.tracer import span
+from ..dfg import ComputeNode, InputPortNode, MDFG, OutputPortNode
+from ..model.perf import estimate_ipc, ipc_ceiling
+from ..profile.tracer import add_counter, span
 from .binder import bind_memory
 from .placer import place_and_route
 from .router import RoutingState
@@ -32,8 +35,8 @@ def _bind(mdfg: MDFG, adg: ADG) -> Schedule:
     Raises:
         ScheduleError: if a stream or array finds no engine or port.
     """
-    schedule = Schedule(mdfg=mdfg, adg_version=adg.version)
     with span("scheduler.bind", workload=mdfg.workload, variant=mdfg.variant):
+        schedule = Schedule(mdfg=mdfg, adg_version=adg.version)
         bind_memory(mdfg, adg, schedule)
     return schedule
 
@@ -94,35 +97,47 @@ def schedule_workload(
 ) -> Optional[Schedule]:
     """Best-performing schedulable variant of a workload (None if none).
 
-    Every variant is bound and priced; a variant whose binding fails is
-    skipped.  The rest are placed and routed in order of estimated IPC,
-    highest first (ties in family order), and the first that maps wins.
-    Placement and routing never move a stream's engine, so the estimate
-    a variant carries into routing is the one it is returned with.  This
-    is the "relax DFG complexity" loop: aggressive variants that fail to
-    map simply lose to the less aggressive ones that succeed.
+    The winner maps with the highest estimated IPC, ties in family order.
+    No estimate exceeds its variant's binding-free :func:`ipc_ceiling`, so
+    variants are bound and priced in ``(-ceiling, index)`` order, a failed
+    binding skipped, until the best ``(-ipc, index)`` sorts before every
+    unpriced ``(-ceiling, index)``; then that variant is placed and routed,
+    and the first that maps wins.  Placement and routing never move a
+    stream's engine, so a variant is returned with the estimate it was
+    routed under.  This is the "relax DFG complexity" loop: aggressive
+    variants that fail to map lose to less aggressive ones that succeed.
+    Counters ``scheduler.variants`` and ``scheduler.bound`` add the family
+    size and the variants the ceiling left unbound.
     """
-    priced: List[Tuple[float, int, Schedule]] = []
-    for index, mdfg in enumerate(variants.variants):
+    mdfgs = variants.variants
+    with span("scheduler.order", workload=variants.workload.name):
+        unpriced = sorted(  # pop() takes the highest ceiling
+            ((-ipc_ceiling(mdfg, params), i) for i, mdfg in enumerate(mdfgs)),
+            reverse=True,
+        )
+    priced: List[Tuple[float, int, Schedule]] = []  # a heap
+    best = None
+    while best is None and (priced or unpriced):
+        if priced and (not unpriced or priced[0][:2] < unpriced[-1]):
+            schedule = heapq.heappop(priced)[2]
+            try:
+                _place_route(schedule, adg)
+                best = schedule
+            except ScheduleError:
+                pass
+            continue
+        index = unpriced.pop()[1]
+        mdfg = mdfgs[index]
         try:
             schedule = _bind(mdfg, adg)
         except ScheduleError:
             continue
-        with span(
-            "scheduler.price", workload=mdfg.workload, variant=mdfg.variant
-        ):
-            schedule.estimate = estimate_ipc(
-                mdfg, schedule.binding(), adg, params
-            )
-        priced.append((-schedule.estimate.ipc, index, schedule))
-    priced.sort(key=lambda item: item[:2])
-    for _neg_ipc, _index, schedule in priced:
-        try:
-            _place_route(schedule, adg)
-        except ScheduleError:
-            continue
-        return schedule
-    return None
+        with span("scheduler.price", workload=mdfg.workload, variant=mdfg.variant):
+            schedule.estimate = estimate_ipc(mdfg, schedule.binding(), adg, params)
+        heapq.heappush(priced, (-schedule.estimate.ipc, index, schedule))
+    add_counter("scheduler.variants", len(mdfgs))
+    add_counter("scheduler.bound", len(unpriced))
+    return best
 
 
 # ----------------------------------------------------------------------

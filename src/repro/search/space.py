@@ -108,19 +108,22 @@ def apply_params(adg: ADG, params: Dict[str, Any]) -> None:
         sw = switches[i % len(switches)]
         adg.add_link(sw.node_id, pe_id)
         adg.add_link(pe_id, sw.node_id)
+    # Re-sizing keeps every id and kind, so the lists are read once.
+    pes, ports = adg.pes, adg.in_ports + adg.out_ports
+    spads, dmas = adg.spads, adg.dmas
     pe_width = int(params.get("pe_width", 0))
     if pe_width:
-        for pe in list(adg.pes):
+        for pe in pes:
             if pe.width_bits != pe_width:
                 adg.replace_node(pe.node_id, width_bits=pe_width)
     port_width = int(params.get("port_width", 0))
     if port_width:
-        for port in list(adg.in_ports) + list(adg.out_ports):
+        for port in ports:
             if port.width_bytes != port_width:
                 adg.replace_node(port.node_id, width_bytes=port_width)
     spad_capacity = int(params.get("spad_capacity", 0))
     bandwidth = int(params.get("engine_bandwidth", 0))
-    for spad in list(adg.spads):
+    for spad in spads:
         if spad_capacity and spad.capacity_bytes != spad_capacity:
             adg.replace_node(spad.node_id, capacity_bytes=spad_capacity)
         if bandwidth and spad.read_bandwidth != bandwidth:
@@ -130,6 +133,6 @@ def apply_params(adg: ADG, params: Dict[str, Any]) -> None:
                 write_bandwidth=bandwidth,
             )
     if bandwidth:
-        for dma in list(adg.dmas):
+        for dma in dmas:
             if dma.bandwidth_bytes != bandwidth:
                 adg.replace_node(dma.node_id, bandwidth_bytes=bandwidth)

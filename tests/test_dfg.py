@@ -187,6 +187,21 @@ class TestMetrics:
         assert len(m.compute_nodes) == 1
         assert "_index" not in pickle.loads(pickle.dumps(m)).__dict__
 
+    def test_insts_per_cycle_follows_an_edit_after_a_read(self):
+        """The cached peak counts compute lanes and memory-stream lanes,
+        and an add after a read shows in the next read."""
+        m = minimal_mdfg()
+        assert m.insts_per_cycle == 3.0  # one add, one read, one write
+        ip = m.input_ports[0].node_id
+        m.add_compute(Op.MUL, F64, lanes=4, operands=(ip,))
+        assert m.insts_per_cycle == 7.0
+        extra = m.add_input_port(width_bytes=16)
+        m.add_stream(
+            kind=StreamKind.MEMORY_READ, array="a", dtype=F64,
+            port=extra, lanes=2, traffic=10, footprint=10,
+        )
+        assert m.insts_per_cycle == 9.0
+
     def test_predecessors_successors(self):
         m = minimal_mdfg()
         compute = m.compute_nodes[0]

@@ -3,15 +3,18 @@
 import pytest
 
 from repro.adg import NodeKind, general_overlay, mesh_adg, caps_for_dtype
-from repro.compiler import generate_variants, lower
+from repro.compiler import VariantSet, generate_variants, lower
 from repro.dfg import ArrayNode, ComputeNode, StreamKind
 from repro.ir import F64, I16, I64, Op
+from repro.model.perf import estimate_ipc, ipc_ceiling
 from repro.profile.tracer import Tracer, tracing
 from repro.scheduler import (
     RoutingState,
+    Schedule,
     ScheduleError,
     ScheduleFailure,
     attempt_schedule,
+    bind_memory,
     find_route,
     repair_schedule,
     schedule_mdfg,
@@ -221,10 +224,11 @@ class TestBestFirst:
             ), i
 
     def test_work_counts_on_general(self, overlay):
-        """Work, not time: every variant is lowered and bound once, the
-        111 that bind are priced once, and only 29 of them are placed and
-        routed (mapping every bound variant routed all 111, lowering both
-        forms everywhere lowered 268)."""
+        """Work, not time: every variant is lowered once, the IPC ceiling
+        leaves 56 of 158 unbound, 65 of the 102 bound are priced and 29 are
+        placed and routed (binding and pricing every variant bound 158 and
+        priced 111; mapping every bound variant routed all 111; lowering
+        both forms everywhere lowered 268)."""
         with tracing(Tracer()) as tracer:
             families = [generate_variants(w) for w in all_workloads()]
             for variants in families:
@@ -232,9 +236,59 @@ class TestBestFirst:
         spans = tracer.summarize()
         assert sum(len(v.variants) for v in families) == 158
         assert spans["compiler.lower"].count == 158
-        assert spans["scheduler.bind"].count == 158
-        assert spans["scheduler.price"].count == 111
+        assert spans["scheduler.order"].count == 28
+        assert spans["scheduler.bind"].count == 102
+        assert spans["scheduler.price"].count == 65
         assert spans["scheduler.place_route"].count == 29
+        assert tracer.counters() == {
+            "scheduler.variants": 158.0,
+            "scheduler.bound": 56.0,
+        }
+
+
+def _bound_estimates(variants, adg, params):
+    """``(estimate.ipc, ipc_ceiling)`` of every variant that binds."""
+    out = []
+    for mdfg in variants.variants:
+        schedule = Schedule(mdfg=mdfg, adg_version=adg.version)
+        try:
+            bind_memory(mdfg, adg, schedule)
+        except ScheduleError:
+            continue
+        estimate = estimate_ipc(mdfg, schedule.binding(), adg, params)
+        out.append((estimate.ipc, ipc_ceiling(mdfg, params)))
+    return out
+
+
+class TestIpcCeiling:
+    """No binding prices a variant above its binding-free ceiling, so the
+    variants ``schedule_workload`` leaves unbound could not have won."""
+
+    def test_bound_holds_on_golden_overlays(self):
+        families = [generate_variants(w) for w in all_workloads()]
+        for sysadg in overlays():
+            for variants in families:
+                pairs = _bound_estimates(variants, sysadg.adg, sysadg.params)
+                for ipc, ceiling in pairs:
+                    assert ipc <= ceiling, (sysadg.name, variants.workload.name)
+
+    def test_bound_holds_on_random_cases(self):
+        for i in range(30):
+            case = random_case(f"best-first:{i}")
+            variants = generate_variants(case.program.build())
+            params = case.system_params()
+            for ipc, ceiling in _bound_estimates(variants, case.adg(), params):
+                assert ipc <= ceiling, i
+
+    def test_equal_variants_tie_to_family_order(self, overlay):
+        """Two equal lowerings of one kernel, priced below their ceiling so
+        both are bound: the first wins, as it does in the walk that maps
+        both."""
+        workload = get_workload("stencil-2d")
+        variants = VariantSet(workload, [lower(workload, unroll=1) for _ in "ab"])
+        args = (variants, overlay.adg, overlay.params)
+        assert schedule_workload(*args).mdfg is variants.variants[0]
+        assert _exhaustive_walk(*args).mdfg is variants.variants[0]
 
 
 class TestStructuredFailure:
