@@ -3,7 +3,7 @@
 Run ``python -m repro report [-o output-path]`` from the repo root to
 regenerate the report (it runs every DSE and simulation in the suite).
 The output depends only on the source tree and the committed
-``BENCH_*.json`` files: no environment, no artifact store and no
+``BENCH_pipeline.json``: no environment, no artifact store and no
 wall-clock reading, so ``repro report -o EXPERIMENTS.md`` followed by
 ``git diff --exit-code -- EXPERIMENTS.md`` is the check that the paper
 tables did not move.
@@ -210,48 +210,8 @@ def _fig20_section() -> str:
         f"Paper: 1.09x estimated IPC, ~15% DSE-time reduction; measured "
         f"geomean IPC ratio {mean_ratio:.2f}x."
     )
-    bench = _bench_doc("dse")
-    if bench is not None:
-        lines.append("")
-        lines.append(
-            f"Measured wall-clock (`repro bench --budget {bench['budget']}`"
-            f", seed {bench['seed']}): preserved-hit rate "
-            f"{bench['preserved_hit_rate']:.0%} over "
-            f"{bench['preserved_hits'] + bench['repairs']} inner-loop "
-            f"schedules; the schedule-preserving fast path averaged "
-            f"{bench['fast_path_mean_s'] * 1e3:.3f} ms vs "
-            f"{bench['repair_path_mean_s'] * 1e3:.3f} ms for repair "
-            f"({bench['fast_path_speedup']:.1f}x faster), "
-            f"{bench['candidates_per_second']:.0f} candidates/s overall."
-        )
-    sim = _bench_doc("sim")
-    if sim is not None:
-        lines.append("")
-        line = (
-            f"Simulator throughput (`repro bench sim --budget "
-            f"{sim['budget']}`, seed {sim['seed']}, "
-            f"{sim.get('core', 'object')} core): "
-            f"{sim['stepped_cycles']:,} stepped cycles over "
-            f"{len(sim.get('workloads', []))} regions at "
-            f"{sim['cycles_per_second']:,.0f} cycles/s"
-        )
-        batch = sim.get("batch")
-        if batch:
-            line += (
-                f"; one `simulate_batch` pass covers the same regions at "
-                f"{sim['batch_cycles_per_second']:,.0f} cycles/s with "
-                f"results byte-identical to the serial loop"
-            )
-        short = sim.get("short")
-        if short:
-            line += (
-                f"; the {short['regions']} regions that do not extrapolate "
-                f"run at {sim['short_regions_per_second']:,.0f} regions/s "
-                f"one call each and "
-                f"{sim['batch_short_regions_per_second']:,.0f} regions/s "
-                f"through one `simulate_batch` call (best of 5)"
-            )
-        lines.append(line + ".")
+    for line in _wall_clock_lines():
+        lines += ["", line]
     return "\n".join(lines)
 
 
@@ -310,19 +270,76 @@ def _pareto_section(trials: int = 24, seed: int = 3) -> str:
     return "\n".join(lines)
 
 
-def _bench_doc(kind: str):
-    """BENCH_<kind>.json from a `repro bench` run at the repo root, if any."""
+#: The benchmark's committed traced run, written by ``python3
+#: bench/run.py --seed 2 --trace 1 --out BENCH_pipeline.json``: the only
+#: wall-clock figures the report quotes.
+PIPELINE_BENCH = "BENCH_pipeline.json"
+
+
+def _pipeline_doc():
+    """BENCH_pipeline.json at the repo root, if it is a traced run.
+
+    None when the file is missing or unreadable, has another ``schema``,
+    or comes from an untraced run (a workload without ``per_layer``).
+    """
     import json
 
-    path = os.path.join(os.getcwd(), f"BENCH_{kind}.json")
     try:
-        with open(path) as f:
+        with open(os.path.join(os.getcwd(), PIPELINE_BENCH)) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError):
         return None
-    if doc.get("kind") != kind or doc.get("schema") != 1:
+    if not isinstance(doc, dict) or doc.get("schema") != 1:
+        return None
+    workloads = doc.get("workloads")
+    if not isinstance(workloads, dict) or not all(
+        "per_layer" in w for w in workloads.values()
+    ):
         return None
     return doc
+
+
+def _wall_clock_lines() -> list:
+    """Fig. 20's measured paragraphs: the fast path vs repair, from
+    ``overlay_gen``'s traced rep, and the simulator's rates, from
+    ``sim_long`` and ``sim_batch_short``."""
+    doc = _pipeline_doc()
+    if doc is None:
+        return []
+    workloads = doc["workloads"]
+    run = f"`python3 bench/run.py --seed {doc['seed']} --trace 1`"
+    lines = []
+    gen = workloads.get("overlay_gen")
+    layer = gen["per_layer"] if gen else {}
+    revalidates = layer.get("scheduler.revalidate_calls", 0)
+    repairs = layer.get("scheduler.repair_calls", 0)
+    fast = layer.get("scheduler.revalidate_ms", 0) / max(revalidates, 1)
+    slow = layer.get("scheduler.repair_ms", 0) / max(repairs, 1)
+    if fast and slow:
+        lines.append(
+            f"Measured wall-clock ({run}, one traced `overlay_gen` rep, "
+            f"{PIPELINE_BENCH}): preserved-hit share "
+            f"{layer['scheduler.preserved_hit_share']:.1%}; the "
+            f"schedule-preserving fast path averaged {fast:.3f} ms over "
+            f"{revalidates:.0f} revalidations vs {slow:.3f} ms over "
+            f"{repairs:.0f} repairs ({slow / fast:.1f}x faster), "
+            f"{gen['end_to_end']['ops_per_s']['value']:.0f} candidates/s "
+            f"end to end."
+        )
+    long, short = (
+        workloads.get(name, {}).get("end_to_end")
+        for name in ("sim_long", "sim_batch_short")
+    )
+    if long and short:
+        lines.append(
+            f"Simulator throughput ({run}, {PIPELINE_BENCH}): `sim_long` "
+            f"steps {long['sim_cycles_per_s']['value']:,.0f} cycles/s "
+            f"({long['ops_per_s']['value']:.1f} exact simulations/s); "
+            f"`sim_batch_short`, `simulate_batch` over short regions, runs "
+            f"{short['ops_per_s']['value']:,.0f} regions/s "
+            f"({short['sim_cycles_per_s']['value']:,.0f} stepped cycles/s)."
+        )
+    return lines
 
 
 def _fig11_12_section() -> str:

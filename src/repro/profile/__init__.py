@@ -1,13 +1,11 @@
-"""Profiling layer: span tracing and benchmarking.
+"""Profiling layer: the span tracer.
 
-* :mod:`repro.profile.tracer` — hierarchical span tracer with a
-  context-manager API, Chrome-trace export, and ``engine.metrics``
-  integration; near-zero overhead when no tracer is installed.
-* :mod:`repro.profile.bench` — the ``repro bench`` workloads: fixed-seed
-  DSE, simulation and search benchmarks emitting one
-  ``BENCH_<kind>.json`` each, with a ``--compare`` regression mode.
-  Imported lazily by the CLI (it pulls in the DSE stack); import it as
-  ``repro.profile.bench`` explicitly.
+:mod:`repro.profile.tracer` is a hierarchical span tracer with a
+context-manager API, Chrome-trace export, and ``engine.metrics``
+integration; near-zero overhead when no tracer is installed.  The one
+harness that measures host time is ``bench/`` (``python3 bench/run.py``),
+which records these spans in its traced pass; its committed result is
+``BENCH_pipeline.json``.
 """
 
 from .tracer import (

@@ -7,12 +7,11 @@ simulator stepping, the DSE accept/reject loop) are instrumented with
 module-level :func:`span` / :func:`add_counter` calls that resolve
 against the currently *installed* tracer.
 
-Design constraints (the ``repro bench`` CI gate asserts the first one):
+Design constraints:
 
-* **Near-zero overhead when disabled.**  With no tracer installed — or a
-  disabled one — :func:`span` is a single module-global load, a ``None``
-  check, and a shared no-op context manager.  A tracer is only published
-  to the fast-path global while it is enabled.
+* **Near-zero overhead when off.**  With no tracer installed,
+  :func:`span` is a single module-global load, a ``None`` check, and a
+  shared no-op context manager.
 * **Thread-safe.**  Span stacks and completed-span buffers are
   thread-local; buffers are registered once per thread under a lock and
   merged at read time.  Counters take a lock (they are orders of
@@ -84,7 +83,7 @@ class SpanStat:
 
 
 class _NullSpan:
-    """Shared no-op context manager: the disabled-tracer fast path."""
+    """Shared no-op context manager: the no-tracer fast path."""
 
     __slots__ = ()
 
@@ -136,27 +135,12 @@ class _SpanHandle:
 class Tracer:
     """Collects spans and counters for one profiled run."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self._enabled = enabled
+    def __init__(self) -> None:
         self._t0 = perf_counter()
         self._local = threading.local()
         self._buffers: List[List[Span]] = []
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
-
-    # -- state ---------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    def enable(self) -> None:
-        self._enabled = True
-        _refresh_active()
-
-    def disable(self) -> None:
-        """Keep the tracer installed but make ``span()`` a no-op again."""
-        self._enabled = False
-        _refresh_active()
 
     # -- recording -----------------------------------------------------
     def span(self, name: str, **attrs: Any) -> _SpanHandle:
@@ -225,31 +209,21 @@ class Tracer:
 
 
 # ----------------------------------------------------------------------
-# Module-level fast path.  `_active` is non-None only while a tracer is
-# both installed and enabled, so the disabled check is a single load.
+# Module-level fast path: `_installed` is the one global `span()` reads.
 # ----------------------------------------------------------------------
 _installed: Optional[Tracer] = None
-_active: Optional[Tracer] = None
-
-
-def _refresh_active() -> None:
-    global _active
-    tracer = _installed
-    _active = tracer if (tracer is not None and tracer.enabled) else None
 
 
 def install(tracer: Tracer) -> Tracer:
     """Make ``tracer`` the process-wide target of :func:`span`."""
     global _installed
     _installed = tracer
-    _refresh_active()
     return tracer
 
 
 def uninstall() -> None:
     global _installed
     _installed = None
-    _refresh_active()
 
 
 def current() -> Optional[Tracer]:
@@ -257,16 +231,16 @@ def current() -> Optional[Tracer]:
 
 
 def span(name: str, **attrs: Any):
-    """Open a span on the installed tracer; no-op when none is active."""
-    tracer = _active
+    """Open a span on the installed tracer; no-op when none is installed."""
+    tracer = _installed
     if tracer is None:
         return NULL_SPAN
     return tracer.span(name, **attrs)
 
 
 def add_counter(name: str, value: float = 1.0) -> None:
-    """Bump a counter on the installed tracer; no-op when none is active."""
-    tracer = _active
+    """Bump a counter on the installed tracer; no-op when none is installed."""
+    tracer = _installed
     if tracer is not None:
         tracer.add_counter(name, value)
 

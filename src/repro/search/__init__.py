@@ -18,6 +18,8 @@ store); :mod:`~repro.search.pareto` supplies the non-dominated frontier and
 hypervolume on top, and :mod:`~repro.search.report` renders the
 self-contained HTML report.  Proposals fan out through
 :mod:`repro.jobs`, so pool and serial runs produce identical studies.
+:func:`~repro.search.runner.shootout` runs every strategy on one trial
+budget: the deterministic ``repro bench`` report, ``BENCH_search.json``.
 """
 
 from .pareto import (
@@ -59,7 +61,7 @@ from .anneal import AnnealStrategy
 from .bottleneck import BottleneckStrategy
 from .evolutionary import EvolutionaryStrategy
 from .tpe import TpeStrategy
-from .runner import SearchOutcome, SearchSettings, run_search
+from .runner import SearchOutcome, SearchSettings, run_search, shootout
 
 __all__ = [
     "AnnealStrategy",
@@ -93,6 +95,7 @@ __all__ = [
     "render_html",
     "run_search",
     "save_study",
+    "shootout",
     "stable_rng",
     "strategy_names",
     "study_key",

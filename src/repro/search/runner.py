@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adg import SysADG, adg_from_dict
 from ..dse import DseConfig, DseResult
@@ -29,9 +29,16 @@ from ..engine.metrics import MetricsLogger
 from ..ir import Workload
 from ..jobs import ShardPlan, run_jobs
 from ..profile.tracer import span
+from ..workloads import get_workload
 from .evaluate import EvalOut, EvalShard, StudyInputs, evaluate_shard, study_inputs
-from .strategy import Proposal, SearchContext, SearchError, make_strategy
-from .study import Study, Trial, load_study, save_study, study_key
+from .strategy import (
+    Proposal,
+    SearchContext,
+    SearchError,
+    make_strategy,
+    strategy_names,
+)
+from .study import Study, Trial, frontier_doc, load_study, save_study, study_key
 
 
 @dataclass
@@ -197,6 +204,61 @@ def run_search(
             best_index=best.index if best else None,
         )
     return outcome
+
+
+#: ``repro bench --budget``: the shootout's workloads and per-strategy
+#: trial budget.
+SHOOTOUT_BUDGETS: Dict[str, Tuple[Tuple[str, ...], int]] = {
+    "smoke": (("fir",), 6),
+    "small": (("fir", "mm"), 12),
+    "full": (("cholesky", "fft", "fir", "solver", "mm"), 32),
+}
+
+
+def shootout(budget: str, seed: int) -> Dict[str, Any]:
+    """Every strategy on the same trial budget: the ``BENCH_search.json``
+    document.  Every number in it is solution quality (best objective,
+    hypervolume, feasible trials, frontier size), so the document is
+    deterministic per (budget, seed).
+    """
+    names, trials = SHOOTOUT_BUDGETS[budget]
+    workloads = [get_workload(n) for n in names]
+    rows: Dict[str, Dict[str, Any]] = {}
+    for strat in strategy_names():
+        outcome = run_search(
+            workloads,
+            DseConfig(iterations=trials, seed=seed),
+            SearchSettings(
+                strategy=strat,
+                trials=trials,
+                batch=1 if strat == "anneal" else 4,
+                seed=seed,
+            ),
+            resume=False,
+            name=f"bench-search-{budget}",
+        )
+        study = outcome.study
+        front = frontier_doc(study)
+        best = outcome.best_trial
+        rows[strat] = {
+            "trials": len(study.trials),
+            "feasible": len(study.feasible_trials()),
+            "best_objective": best.objective if best else 0.0,
+            "hypervolume": front["hypervolume"],
+            "frontier_size": len(front["points"]),
+        }
+    return {
+        "schema": 1,
+        "kind": "search",
+        "budget": budget,
+        "seed": seed,
+        "workloads": list(names),
+        "trials": trials,
+        "strategies": rows,
+        "best_strategy": max(
+            rows, key=lambda s: (rows[s]["best_objective"], s)
+        ),
+    }
 
 
 # ----------------------------------------------------------------------

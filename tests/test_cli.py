@@ -322,175 +322,56 @@ class TestVersion:
         assert 'version = "0.' not in text
 
 
-def _fake_bench_docs():
-    """What ``run_bench(("dse", "sim"), ...)`` returns, minus the work."""
-    return {
-        "dse": {
-            "schema": 1, "kind": "dse", "iterations": 8, "wall_seconds": 0.1,
-            "candidates_per_second": 80.0, "preserved_hit_rate": 0.9,
-            "fast_path_mean_s": 1e-4, "repair_path_mean_s": 5e-4,
-            "fast_path_speedup": 5.0,
-            "overhead": {
-                "ratio": 1.01, "calls": 100, "repeats": 2,
-                "no_tracer_s": 0.001, "disabled_tracer_s": 0.00101,
-            },
-        },
-        "sim": {
-            "schema": 1, "kind": "sim", "core": "vector",
-            "stepped_cycles": 1000, "wall_seconds": 0.01,
-            "cycles_per_second": 1e5, "batch_cycles_per_second": 1e5,
-            "batch": {"pairs": 1, "identical_to_serial": True},
-            "short": {"regions": 1},
-            "short_regions_per_second": 1e3,
-            "batch_short_regions_per_second": 1e3,
-        },
-    }
-
-
 class TestBenchCommand:
-    """CLI wiring of ``repro bench`` (run_bench itself is tested in
-    test_profile; these monkeypatch it so exit-code paths stay fast)."""
-
-    @pytest.fixture
-    def fake_run(self, monkeypatch):
-        import repro.profile.bench as bench_mod
-
-        docs = _fake_bench_docs()
-        monkeypatch.setattr(
-            bench_mod, "run_bench",
-            lambda kinds, *a, **k: {kind: docs[kind] for kind in kinds},
-        )
-        return docs
+    """``repro bench``: the deterministic strategy shootout."""
 
     def test_bench_defaults(self):
         args = build_parser().parse_args(["bench"])
-        assert args.budget == "small"
-        assert args.max_regression == 0.25
-        assert args.max_overhead is None
-        with pytest.raises(SystemExit):  # one value, one flag
-            build_parser().parse_args(["bench", "--tolerance", "0.1"])
+        assert (args.budget, args.seed, args.out_dir) == ("small", 2, ".")
+        # Timing lives in bench/run.py: no kind, no gates, no trace.
+        for gone in (["sim"], ["--compare", "x.json"], ["--trace", "t"],
+                     ["--max-regression", "0.5"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", *gone])
 
-    def test_bench_ok(self, fake_run, capsys):
-        assert main(["bench", "--budget", "smoke"]) == 0
+    def test_bench_ok(self, monkeypatch, tmp_path, capsys):
+        import repro.search as search_mod
+
+        row = {"trials": 6, "feasible": 5, "best_objective": 12.5,
+               "hypervolume": 3.0, "frontier_size": 2}
+        doc = {"schema": 1, "kind": "search", "strategies": {"tpe": row},
+               "best_strategy": "tpe"}
+        monkeypatch.setattr(search_mod, "shootout", lambda budget, seed: doc)
+        assert main(["bench", "--budget", "smoke",
+                     "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "preserved-hit rate 90%" in out
-        assert "fast path" in out and "repair" in out
-
-    def test_compare_improvement(self, fake_run, tmp_path, capsys):
-        baseline = dict(fake_run["dse"], candidates_per_second=10.0)
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(baseline))
-        assert main(["bench", "--compare", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "improvement" in out and "OK" in out
-
-    def test_compare_regression_fails(self, fake_run, tmp_path, capsys):
-        baseline = dict(fake_run["dse"], fast_path_speedup=50.0)
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(baseline))
-        assert main(["bench", "--compare", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "regression" in out and "FAIL" in out
-
-    def test_compare_sim_baseline(self, fake_run, tmp_path, capsys):
-        baseline = dict(fake_run["sim"], cycles_per_second=2e4)
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(baseline))
-        assert main(["bench", "--compare", str(path)]) == 0
-        assert "cycles_per_second" in capsys.readouterr().out
-
-    def test_missing_baseline_exits_2(self, fake_run, capsys):
-        rc = main(["bench", "--compare", "/nonexistent/base.json"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "no such baseline file" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_malformed_baseline_exits_2(self, fake_run, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["bench", "--compare", str(bad)]) == 2
-        assert "cannot read baseline" in capsys.readouterr().err
-
-        nokind = tmp_path / "nokind.json"
-        nokind.write_text(json.dumps({"schema": 1}))
-        assert main(["bench", "--compare", str(nokind)]) == 2
-        assert "missing/unknown 'kind'" in capsys.readouterr().err
-
-    def test_overhead_gate(self, fake_run, capsys):
-        assert main(["bench", "--max-overhead", "1.005"]) == 1
-        assert "overhead ratio" in capsys.readouterr().out
-        assert main(["bench", "--max-overhead", "1.05"]) == 0
-
-    def test_overhead_gate_needs_the_dse_bench(self, fake_run, capsys):
-        assert main(["bench", "sim", "--max-overhead", "1.05"]) == 2
-        assert "--max-overhead" in capsys.readouterr().err
+        assert "tpe" in out and "5/6 feasible" in out
+        assert "best strategy: tpe" in out
+        assert json.loads((tmp_path / "BENCH_search.json").read_text()) == doc
 
     def test_bench_search_writes_report_and_self_compares(
         self, tmp_path, capsys
     ):
-        argv = ["bench", "search", "--budget", "smoke",
-                "--out-dir", str(tmp_path)]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "best strategy" in out
-        doc = json.loads((tmp_path / "BENCH_search.json").read_text())
-        assert doc["kind"] == "search"
-        assert set(doc["strategies"]) == {
+        """Two runs at one (budget, seed) agree on every quality field."""
+        docs = []
+        for run in ("a", "b"):
+            argv = ["bench", "--budget", "smoke", "--seed", "2",
+                    "--out-dir", str(tmp_path / run)]
+            assert main(argv) == 0
+            assert "best strategy" in capsys.readouterr().out
+            docs.append(
+                json.loads((tmp_path / run / "BENCH_search.json").read_text())
+            )
+        first, second = docs
+        assert first["kind"] == "search"
+        assert set(first["strategies"]) == {
             "anneal", "bottleneck", "evolutionary", "tpe",
         }
-        # Determinism: a rerun compared against itself is clean.
-        rerun = [
-            "bench", "search", "--budget", "smoke",
-            "--out-dir", str(tmp_path / "rerun"),
-            "--compare", str(tmp_path / "BENCH_search.json"),
-        ]
-        assert main(rerun) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_search_baseline_against_core_bench_exits_2(
-        self, fake_run, tmp_path, capsys
-    ):
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({"schema": 1, "kind": "search"}))
-        assert main(["bench", "--compare", str(baseline)]) == 2
-        assert "bench search" in capsys.readouterr().err
-
-    def test_bench_sim_parser_defaults(self):
-        args = build_parser().parse_args(["bench", "sim"])
-        assert args.what == "sim"
-        assert args.max_regression == 0.25
-
-    def test_bench_sim_writes_report_and_self_compares(
-        self, tmp_path, capsys
-    ):
-        argv = ["bench", "sim", "--budget", "smoke",
-                "--out-dir", str(tmp_path),
-                "--trace", str(tmp_path / "trace.json")]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "identical to serial: True" in out
-        assert json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
-        doc = json.loads((tmp_path / "BENCH_sim.json").read_text())
-        assert doc["kind"] == "sim"
-        assert doc["batch"]["identical_to_serial"] is True
-        assert doc["batch_cycles_per_second"] > 0
-        # Self-compare with the CI gate flag: clean by construction.
-        rerun = [
-            "bench", "sim", "--budget", "smoke",
-            "--out-dir", str(tmp_path / "rerun"),
-            "--compare", str(tmp_path / "BENCH_sim.json"),
-            "--max-regression", "0.9",
-        ]
-        assert main(rerun) == 0
-        assert "OK (tolerance 0.9)" in capsys.readouterr().out
-
-    def test_bench_sim_rejects_dse_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({"schema": 1, "kind": "dse"}))
-        rc = main(["bench", "sim", "--compare", str(baseline)])
-        assert rc == 2
-        assert "bench sim" in capsys.readouterr().err
+        for strat, row in first["strategies"].items():
+            for field in ("best_objective", "hypervolume", "feasible",
+                          "frontier_size"):
+                assert second["strategies"][strat][field] == row[field]
+        assert first == second
 
 
 class TestDseCommand:

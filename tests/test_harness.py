@@ -106,3 +106,54 @@ class TestReportWriter:
             pathlib.Path(__file__).parent.parent / "EXPERIMENTS.md"
         ).read_text(encoding="utf-8")
         assert "hand-maintained" not in text and "2 shards  dsp@v2" in text
+
+    def test_fig20_wall_clock_lines_read_bench_pipeline(
+        self, tmp_path, monkeypatch
+    ):
+        """Fig. 20's measured paragraphs quote BENCH_pipeline.json, and
+        only a traced schema-1 run of it."""
+        import json
+
+        from repro.harness.report import _wall_clock_lines
+
+        def e2e(ops, cycles=None):
+            doc = {"ops_per_s": {"value": ops}}
+            if cycles is not None:
+                doc["sim_cycles_per_s"] = {"value": cycles}
+            return {"end_to_end": doc, "per_layer": {}}
+
+        overlay_gen = e2e(371.0)
+        overlay_gen["per_layer"] = {
+            "scheduler.revalidate_ms": 56.0,
+            "scheduler.revalidate_calls": 700.0,
+            "scheduler.repair_ms": 20.0,
+            "scheduler.repair_calls": 20.0,
+            "scheduler.preserved_hit_share": 0.991,
+        }
+        doc = {
+            "schema": 1,
+            "seed": 2,
+            "workloads": {
+                "overlay_gen": overlay_gen,
+                "sim_long": e2e(45.1, 1.8e7),
+                "sim_batch_short": e2e(3850.0, 1.1e5),
+            },
+        }
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "BENCH_pipeline.json"
+        path.write_text(json.dumps(doc))
+        fast_path, simulator = _wall_clock_lines()
+        assert "0.080 ms over 700 revalidations" in fast_path
+        assert "1.000 ms over 20 repairs (12.5x faster)" in fast_path
+        assert "99.1%" in fast_path and "371 candidates/s" in fast_path
+        assert "`sim_long` steps 18,000,000 cycles/s" in simulator
+        assert "3,850 regions/s" in simulator
+        untraced = json.loads(json.dumps(doc))
+        for workload in untraced["workloads"].values():
+            del workload["per_layer"]
+        for text in (json.dumps(untraced), json.dumps(dict(doc, schema=2)),
+                     "{not json"):
+            path.write_text(text)
+            assert _wall_clock_lines() == []
+        path.unlink()
+        assert _wall_clock_lines() == []

@@ -1,4 +1,4 @@
-"""Tests for repro.profile: span tracer and the bench CLI."""
+"""Tests for repro.profile: the span tracer."""
 
 import json
 import threading
@@ -15,12 +15,6 @@ from repro.profile import (
     span,
     tracing,
     uninstall,
-)
-from repro.profile.bench import (
-    BenchBudget,
-    compare_reports,
-    measure_overhead,
-    run_bench,
 )
 
 
@@ -50,21 +44,6 @@ class TestTracer:
         uninstall()
         assert span("anything") is NULL_SPAN
         add_counter("anything")  # must not raise
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = install(Tracer(enabled=False))
-        assert span("x") is NULL_SPAN
-        with span("x"):
-            pass
-        add_counter("c")
-        assert tracer.spans() == []
-        assert tracer.counters() == {}
-        tracer.enable()
-        with span("x"):
-            pass
-        assert len(tracer.spans()) == 1
-        tracer.disable()
-        assert span("x") is NULL_SPAN
 
     def test_counters_accumulate(self):
         tracer = install(Tracer())
@@ -156,116 +135,36 @@ class TestTracer:
         assert current() is None
 
 
-def test_drop_memo_stays_importable_for_bench_worker():
-    assert drop_memo("x") is None
-
-
-class TestCompareReports:
-    BASE = {"kind": "dse", "candidates_per_second": 100.0,
-            "fast_path_speedup": 5.0}
-
-    def test_improvement_and_unchanged(self):
-        cur = dict(self.BASE, candidates_per_second=200.0)
-        cmp = compare_reports(cur, self.BASE, tolerance=0.25)
-        assert cmp["ok"]
-        statuses = {r["metric"]: r["status"] for r in cmp["rows"]}
-        assert statuses["candidates_per_second"] == "improvement"
-        assert statuses["fast_path_speedup"] == "unchanged"
-
-    def test_regression_fails(self):
-        cur = dict(self.BASE, candidates_per_second=50.0)
-        cmp = compare_reports(cur, self.BASE, tolerance=0.25)
-        assert not cmp["ok"]
-        assert cmp["regressions"] == ["candidates_per_second"]
-
-    def test_missing_metric_never_fails(self):
-        """Absent or zero in the *baseline*: nothing to compare against."""
-        baseline = dict(self.BASE, candidates_per_second=0.0)
-        del baseline["fast_path_speedup"]
-        cmp = compare_reports(self.BASE, baseline, tolerance=0.25)
-        assert cmp["ok"]
-        statuses = {r["metric"]: r["status"] for r in cmp["rows"]}
-        assert statuses["fast_path_speedup"] == "missing"
-        assert statuses["candidates_per_second"] == "missing"
-
-    def test_metric_lost_by_current_run_is_a_regression(self):
-        """A rate the baseline has that drops to zero (or vanishes) must
-        fail the gate, not slip through as ``missing``."""
-        cur = dict(self.BASE, candidates_per_second=0.0)
-        del cur["fast_path_speedup"]
-        cmp = compare_reports(cur, self.BASE, tolerance=0.25)
-        assert not cmp["ok"]
-        assert cmp["regressions"] == [
-            "candidates_per_second", "fast_path_speedup"
-        ]
-        assert {r["ratio"] for r in cmp["rows"]} == {0.0}
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            compare_reports({"kind": "sim"}, self.BASE)
-        with pytest.raises(ValueError):
-            compare_reports({"kind": "dse"}, {"kind": "nonsense"})
-
-
-TINY = BenchBudget(
-    name="tiny",
-    dse_workloads=("vecmax",),
-    dse_iterations=4,
-    sim_workloads=("vecmax",),
-    overhead_calls=2_000,
-)
-
-
 class TestBench:
-    @pytest.mark.parametrize(
-        "kinds", [("dse", "sim"), ("sim",), ("search",)], ids="+".join
-    )
+    @pytest.mark.parametrize("kinds", [("search",)], ids="+".join)
     def test_run_bench_writes_one_report_per_kind(self, kinds, tmp_path):
-        docs = run_bench(
-            kinds,
-            TINY,
-            seed=5,
-            out_dir=str(tmp_path),
-            trace_path=str(tmp_path / "trace.json"),
-        )
-        assert tuple(docs) == kinds
+        """``repro bench`` under a tracer writes one BENCH_<kind>.json per
+        kind, traces every strategy's run, and leaves the tracer as found.
+        """
+        from repro.cli import main
+
+        with tracing(Tracer()) as tracer:
+            argv = ["bench", "--budget", "smoke", "--seed", "5",
+                    "--out-dir", str(tmp_path)]
+            assert main(argv) == 0
         assert sorted(p.name for p in tmp_path.glob("BENCH_*.json")) == sorted(
             f"BENCH_{kind}.json" for kind in kinds
         )
         for kind in kinds:
             doc = json.loads((tmp_path / f"BENCH_{kind}.json").read_text())
-            assert doc == docs[kind]
             assert doc["schema"] == 1 and doc["kind"] == kind
-            assert doc["seed"] == 5 and doc["spans"]
-        # Each document's spans are its own kind's, not the whole run's.
-        if kinds == ("dse", "sim"):
-            assert "dse.system" in docs["dse"]["spans"]
-            assert "dse.system" not in docs["sim"]["spans"]
+            assert doc["seed"] == 5 and doc["strategies"]
+            runs = {
+                s.attrs["strategy"]
+                for s in tracer.spans()
+                if s.name == "search.run"
+            }
+            assert runs == set(doc["strategies"])
+        tracer.write_chrome_trace(str(tmp_path / "trace.json"))
         trace = json.loads((tmp_path / "trace.json").read_text())
-        assert trace["traceEvents"]  # --trace is honoured for every kind
+        assert trace["traceEvents"]
         assert current() is None  # bench must not leak its tracer
 
-    def test_run_bench_writes_reports(self, tmp_path):
-        report = run_bench(("dse", "sim"), TINY, seed=5, out_dir=str(tmp_path))
-        dse = json.loads((tmp_path / "BENCH_dse.json").read_text())
-        sim = json.loads((tmp_path / "BENCH_sim.json").read_text())
-        assert dse["iterations"] == TINY.dse_iterations
-        assert dse["wall_seconds"] > 0
-        assert 0.0 <= dse["preserved_hit_rate"] <= 1.0
-        assert dse["candidates_per_second"] > 0
-        assert "scheduler.revalidate" in dse["spans"] or dse["repairs"] > 0
-        assert dse["overhead"]["ratio"] > 0
-        assert sim["stepped_cycles"] > 0
-        assert sim["cycles_per_second"] > 0
-        assert sim["batch"]["identical_to_serial"] is True
-        assert report == {"dse": dse, "sim": sim}
 
-    def test_measure_overhead_restores_tracer(self):
-        mine = install(Tracer())
-        out = measure_overhead(500, repeats=2)
-        assert current() is mine
-        assert out["no_tracer_s"] > 0 and out["disabled_tracer_s"] > 0
-        assert out["ratio"] > 0
-        uninstall()
-        measure_overhead(100, repeats=1)
-        assert current() is None
+def test_drop_memo_stays_importable_for_bench_worker():
+    assert drop_memo("x") is None
