@@ -125,7 +125,14 @@ class ExplorerState:
 
 @dataclass
 class DseResult:
-    """Outcome of one exploration run."""
+    """Outcome of one exploration run.
+
+    ``schedules`` were made at ``SystemParams()``, which has one tile: each
+    ``schedule.estimate`` is one tile's (``tiles_used`` 1.0, ``ipc`` one
+    tile's IPC), not the overlay's.  The overlay's IPC for a schedule
+    ``s`` is ``estimate_ipc(s.mdfg, s.binding(), sysadg.adg,
+    sysadg.params)`` (``repro.model.perf``).
+    """
 
     sysadg: SysADG
     schedules: Dict[str, Schedule]
@@ -451,8 +458,8 @@ def sweep_candidate(
     config: DseConfig,
     adg: ADG,
     schedules: Dict[str, Schedule],
-    estimator: Optional[AnalyticEstimator] = None,
-    objectives: Optional[ObjectiveMemo] = None,
+    estimator: AnalyticEstimator,
+    objectives: ObjectiveMemo,
 ) -> Optional[SystemChoice]:
     """The nested system sweep for one candidate ADG and its schedules.
 
@@ -460,7 +467,8 @@ def sweep_candidate(
     ``config.generality_reserve``; padding then grows the chosen design
     into the reserve.  The explorer's loop and ``search.evaluate`` both
     score a candidate through this one call; ``estimator`` and
-    ``objectives`` are a run's memos (None: fresh ones for this call).
+    ``objectives`` are the memos of the caller's run (an ``Explorer`` run
+    or a search study), which lives exactly that long.
     """
     return system_dse(
         adg,

@@ -18,9 +18,9 @@ axis, and its downward scan starts at the smallest of those instead of at
 The objective is ``BottleneckProfile.ipc_at``, a bare float per workload,
 and reads only the ordered (workload, profile) pairs, the point, its tile
 count and ``SystemParams()``, so an :data:`ObjectiveMemo` answers every
-repeat exactly; the explorer keeps one per run.  ``SystemParams``,
-``PerfEstimate`` s and the :class:`SystemChoice` are built once, for the
-winning point, from the current sweep.
+repeat exactly; each explorer run and each search study keeps one.
+``SystemParams``, ``PerfEstimate`` s and the :class:`SystemChoice` are
+built once, for the winning point, from the current sweep.
 """
 
 from __future__ import annotations

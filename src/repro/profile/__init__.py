@@ -1,11 +1,10 @@
 """Profiling layer: the span tracer.
 
 :mod:`repro.profile.tracer` is a hierarchical span tracer with a
-context-manager API, Chrome-trace export, and ``engine.metrics``
-integration; near-zero overhead when no tracer is installed.  The one
-harness that measures host time is ``bench/`` (``python3 bench/run.py``),
-which records these spans in its traced pass; its committed result is
-``BENCH_pipeline.json``.
+context-manager API and scalar counters; near-zero overhead when no
+tracer is installed.  The one harness that measures host time is
+``bench/`` (``python3 bench/run.py``), which records these spans in its
+traced pass; its committed result is ``BENCH_pipeline.json``.
 """
 
 from .tracer import (

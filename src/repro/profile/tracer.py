@@ -20,15 +20,12 @@ Design constraints:
   worker processes can be concatenated and still render correctly in
   the Chrome trace viewer (``chrome://tracing`` / Perfetto).
 
-Exports: :meth:`Tracer.summarize` (per-span-name aggregates),
-:meth:`Tracer.chrome_trace` / :meth:`Tracer.write_chrome_trace`
-(Chrome ``traceEvents`` JSON), and :meth:`Tracer.flush_to_metrics`
-(one ``trace_summary`` event into an ``engine.metrics`` JSONL stream).
+Readers: :meth:`Tracer.spans`, :meth:`Tracer.counters` and
+:meth:`Tracer.summarize` (per-span-name aggregates).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field
@@ -136,7 +133,6 @@ class Tracer:
     """Collects spans and counters for one profiled run."""
 
     def __init__(self) -> None:
-        self._t0 = perf_counter()
         self._local = threading.local()
         self._buffers: List[List[Span]] = []
         self._lock = threading.Lock()
@@ -176,36 +172,6 @@ class Tracer:
         for span in self.spans():
             stats.setdefault(span.name, SpanStat()).absorb(span.duration)
         return stats
-
-    # -- export --------------------------------------------------------
-    def chrome_trace(self) -> Dict[str, Any]:
-        """The trace as a Chrome ``traceEvents`` document."""
-        events = [
-            {
-                "name": s.name,
-                "cat": s.name.split(".", 1)[0],
-                "ph": "X",
-                "ts": (s.start - self._t0) * 1e6,
-                "dur": s.duration * 1e6,
-                "pid": s.pid,
-                "tid": s.tid,
-                "args": s.attrs,
-            }
-            for s in self.spans()
-        ]
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def write_chrome_trace(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.chrome_trace(), f, indent=1, sort_keys=True)
-
-    def flush_to_metrics(self, logger: Any, event: str = "trace_summary") -> Dict[str, Any]:
-        """Emit one aggregate event into an ``engine.metrics`` logger."""
-        return logger.emit(
-            event,
-            spans={name: st.as_dict() for name, st in self.summarize().items()},
-            counters=self.counters(),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,9 @@ from ..adg import ADG, AdgError, SystemParams, seed_for_workloads
 from ..compiler import VariantSet, generate_variants
 from ..dse import DseConfig
 from ..dse.explorer import sweep_candidate
-from ..dse.system import SystemChoice
+from ..dse.system import ObjectiveMemo, SystemChoice
 from ..ir import Workload
+from ..model.resource import AnalyticEstimator
 from ..scheduler import ScheduleError, schedule_workload
 from .space import apply_genome, apply_params
 from .strategy import Proposal
@@ -29,10 +30,14 @@ class StudyInputs(NamedTuple):
     depends only on the workloads and the seed width, so ``run_search``
     builds it once per study and every shard carries the value (a pool
     pickles it along).  ``seed`` is never mutated: each proposal edits a
-    clone."""
+    clone.  ``estimator`` and ``objectives`` are the study's system-sweep
+    memos, as an ``Explorer`` run owns its own: serial shards share them,
+    a pool worker fills its pickled copy (hits are exact either way)."""
 
     variant_sets: Tuple[VariantSet, ...]
     seed: ADG
+    estimator: AnalyticEstimator
+    objectives: ObjectiveMemo
 
 
 def study_inputs(
@@ -45,7 +50,12 @@ def study_inputs(
     if all(proposal.kind == "candidate" for proposal in proposals):
         return None
     variant_sets = tuple(generate_variants(w) for w in workloads)
-    return StudyInputs(variant_sets, seed_for_workloads(workloads, width_bits))
+    return StudyInputs(
+        variant_sets,
+        seed_for_workloads(workloads, width_bits),
+        AnalyticEstimator(),
+        {},
+    )
 
 
 @dataclass
@@ -138,7 +148,9 @@ def evaluate_proposal(
                 break
             schedules[workload.name] = schedule
         if feasible:
-            choice = sweep_candidate(cfg, adg, schedules)
+            choice = sweep_candidate(
+                cfg, adg, schedules, inputs.estimator, inputs.objectives
+            )
     except (AdgError, ScheduleError):
         # A mutated design the toolchain rejects outright is just an
         # infeasible point — the strategy learns from it like any other.

@@ -71,35 +71,6 @@ class TestTracer:
         d = stats.as_dict()
         assert set(d) == {"count", "total_s", "mean_s", "min_s", "max_s"}
 
-    def test_chrome_trace_document(self, tmp_path):
-        tracer = install(Tracer())
-        with span("scheduler.repair", workload="mm"):
-            pass
-        doc = tracer.chrome_trace()
-        (event,) = doc["traceEvents"]
-        assert event["ph"] == "X"
-        assert event["cat"] == "scheduler"
-        assert event["args"] == {"workload": "mm"}
-        assert event["ts"] >= 0 and event["dur"] >= 0
-        path = tmp_path / "trace.json"
-        tracer.write_chrome_trace(str(path))
-        assert json.loads(path.read_text())["traceEvents"]
-
-    def test_flush_to_metrics(self, tmp_path):
-        from repro.engine import MetricsLogger
-
-        tracer = install(Tracer())
-        with span("sim.region"):
-            pass
-        add_counter("sim.regions")
-        path = tmp_path / "metrics.jsonl"
-        tracer.flush_to_metrics(MetricsLogger(str(path)))
-        (line,) = path.read_text().splitlines()
-        event = json.loads(line)
-        assert event["event"] == "trace_summary"
-        assert "sim.region" in event["spans"]
-        assert event["counters"] == {"sim.regions": 1.0}
-
     def test_thread_safety(self):
         tracer = install(Tracer())
         # Hold all threads alive together: thread idents are reused after
@@ -160,9 +131,6 @@ class TestBench:
                 if s.name == "search.run"
             }
             assert runs == set(doc["strategies"])
-        tracer.write_chrome_trace(str(tmp_path / "trace.json"))
-        trace = json.loads((tmp_path / "trace.json").read_text())
-        assert trace["traceEvents"]
         assert current() is None  # bench must not leak its tracer
 
 

@@ -360,6 +360,74 @@ class TestWorkerInvariance:
         assert export_study(first.study) == export_study(again.study)
 
 
+class TestStudyPricing:
+    """A study prices its system sweeps through one estimator and one
+    objective memo, as an ``Explorer`` run does; hits are exact."""
+
+    @staticmethod
+    def study(strategy, monkeypatch, tracer=None):
+        """Run a serial study; return it and each shard it evaluated, with
+        the shard's outputs."""
+        from repro.profile.tracer import tracing
+        from repro.search import runner
+
+        shards, evaluate_shard = [], runner.evaluate_shard
+
+        def recording(shard):
+            shards.append((shard, evaluate_shard(shard)))
+            return shards[-1][1]
+
+        monkeypatch.setattr(runner, "evaluate_shard", recording)
+        with tracing(tracer):
+            outcome = run_search(
+                [get_workload("vecmax"), get_workload("fir")],
+                CFG,
+                SearchSettings(strategy=strategy, trials=8, batch=4, seed=2),
+            )
+        return outcome, shards
+
+    @pytest.mark.parametrize("strategy", ["bottleneck", "evolutionary", "tpe"])
+    def test_trials_equal_fresh_memo_pricing(self, strategy, monkeypatch):
+        from repro.model.resource import AnalyticEstimator
+        from repro.search.evaluate import evaluate_proposal
+
+        outcome, shards = self.study(strategy, monkeypatch)
+        pairs = []
+        for shard, outs in shards:
+            inputs = shard.inputs._replace(
+                estimator=AnalyticEstimator(), objectives={}
+            )
+            for (index, proposal), out in zip(shard.items, outs):
+                fresh = evaluate_proposal(index, proposal, shard, inputs)
+                pairs.append((out, fresh))
+        assert [fresh.index for _out, fresh in pairs] == list(range(8))
+        assert any(fresh.feasible for _out, fresh in pairs)
+        for trial, (out, fresh) in zip(outcome.study.trials, pairs):
+            assert trial.feasible == out.feasible == fresh.feasible
+            assert trial.objective == out.objective == fresh.objective
+            for field in ("lut", "ff", "bram", "dsp", "bottleneck"):
+                assert getattr(trial, field) == getattr(fresh, field)
+            if fresh.choice is not None:
+                assert out.choice.params == fresh.choice.params
+
+    def test_traced_study_prices_fewer_points_than_it_visits(
+        self, monkeypatch
+    ):
+        from repro.profile.tracer import Tracer
+
+        tracer = Tracer()
+        self.study("bottleneck", monkeypatch, tracer)
+        counters = tracer.counters()
+        assert 0 < counters["dse.grid_priced"] < counters["dse.grid_points"]
+
+    def test_one_estimator_across_batches(self, monkeypatch):
+        _outcome, shards = self.study("tpe", monkeypatch)
+        inputs = [shard.inputs for shard, _outs in shards]
+        assert len(inputs) == 2
+        assert inputs[0].estimator is inputs[1].estimator
+        assert inputs[0].objectives is inputs[1].objectives
+
+
 class TestFailedEvaluation:
     @staticmethod
     def fail_for_seed(monkeypatch, seed):
