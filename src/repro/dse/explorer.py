@@ -4,9 +4,10 @@ One DSE iteration (Fig. 6):
 
 1. propose ``ADG*`` by cloning the accepted ADG and applying either a
    random transform or a schedule-preserving transform;
-2. re-validate/repair every workload's schedule against ``ADG*`` (cheap:
-   most hardware is untouched); abandon the candidate if any workload loses
-   all schedulable variants;
+2. carry every workload's schedule onto ``ADG*`` with one
+   ``repair_schedule`` call each (cheap: most hardware is untouched, so
+   most schedules come back re-stamped as they were); abandon the
+   candidate if any workload loses all schedulable variants;
 3. run the nested exhaustive system DSE for ``ADG*``;
 4. accept/reject by simulated annealing on the performance objective, with
    resources-per-accelerator as the tie-breaking secondary objective.
@@ -37,12 +38,7 @@ from ..compiler import VariantSet, generate_variants
 from ..ir import Workload
 from ..model.resource import AnalyticEstimator, usable_budget
 from ..profile.tracer import add_counter, span
-from ..scheduler import (
-    Schedule,
-    repair_schedule,
-    revalidate_schedule,
-    schedule_workload,
-)
+from ..scheduler import Schedule, repair_schedule, schedule_workload
 from .system import ObjectiveMemo, SystemChoice, system_dse, tiles_fit
 from .transforms import (
     TransformFailed,
@@ -193,8 +189,10 @@ class Explorer:
             self.workloads
         )
         adg = self._initial_adg()
-        schedules = self._schedule_all(self.variant_sets, adg)
-        if schedules is None:
+        schedules = self._upgrade_variants(
+            self.variant_sets, adg, {}, charge=1.0
+        )
+        if len(schedules) < len(self.variant_sets):
             raise RuntimeError("seed ADG cannot schedule all workloads")
         choice = self._system_dse(adg, schedules)
         if choice is None:
@@ -320,23 +318,6 @@ class Explorer:
             self.workloads, width_bits=self.config.seed_width_bits
         )
 
-    def _schedule_all(
-        self, variant_sets: Dict[str, VariantSet], adg: ADG
-    ) -> Optional[Dict[str, Schedule]]:
-        params = SystemParams()
-        schedules: Dict[str, Schedule] = {}
-        for name, variants in variant_sets.items():
-            with span("dse.full_schedule", workload=name):
-                schedule = schedule_workload(variants, adg, params)
-            self.stats.full_schedules += len(variants.variants)
-            self.modeled_seconds += self.config.time_model.full_schedule * len(
-                variants.variants
-            )
-            if schedule is None:
-                return None
-            schedules[name] = schedule
-        return schedules
-
     def _propose(
         self, adg: ADG, schedules: Dict[str, Schedule]
     ) -> Optional[Tuple[ADG, Dict[str, Schedule]]]:
@@ -363,21 +344,18 @@ class Explorer:
         params = SystemParams()
         repaired: Dict[str, Schedule] = {}
         for name, old in clones.items():
-            # Fast path (Section V-B): an untouched-valid schedule is
-            # re-stamped in place — repair never runs, and the modeled
-            # charge is a revalidation, not a fraction of a repair.
-            fast = revalidate_schedule(old, candidate, params)
-            if fast is not None:
-                self.stats.preserved_hits += 1
-                self.modeled_seconds += cfg.time_model.revalidate
-                repaired[name] = fast
-                continue
+            # Section V-B: a schedule that survived the edit comes back as
+            # itself and is charged a revalidation; anything else a repair.
             new = repair_schedule(old, candidate, params)
             if new is None:
                 self.stats.rejected_unschedulable += 1
                 return None
-            self.stats.repairs += 1
-            self.modeled_seconds += cfg.time_model.repair
+            if new is old:
+                self.stats.preserved_hits += 1
+                self.modeled_seconds += cfg.time_model.revalidate
+            else:
+                self.stats.repairs += 1
+                self.modeled_seconds += cfg.time_model.repair
             repaired[name] = new
         return candidate, repaired
 
@@ -386,8 +364,12 @@ class Explorer:
         variant_sets: Dict[str, VariantSet],
         adg: ADG,
         schedules: Dict[str, Schedule],
+        charge: float = 0.4,
     ) -> Dict[str, Schedule]:
-        """Periodically retry better variants (they may now fit)."""
+        """Schedule every workload afresh; keep whichever of the new and
+        the incumbent schedule estimates higher (a better variant may now
+        fit).  Each variant is charged ``charge`` full schedules of
+        modeled time: 1.0 for the seed ADG, 0.4 for a periodic retry."""
         params = SystemParams()
         out = dict(schedules)
         for name, variants in variant_sets.items():
@@ -395,7 +377,9 @@ class Explorer:
                 best = schedule_workload(variants, adg, params)
             self.stats.full_schedules += len(variants.variants)
             self.modeled_seconds += (
-                self.config.time_model.full_schedule * len(variants.variants) * 0.4
+                self.config.time_model.full_schedule
+                * len(variants.variants)
+                * charge
             )
             if best is None:
                 continue

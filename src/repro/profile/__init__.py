@@ -10,7 +10,6 @@ traced pass; its committed result is ``BENCH_pipeline.json``.
 from .tracer import (
     NULL_SPAN,
     Span,
-    SpanStat,
     Tracer,
     add_counter,
     current,
@@ -32,7 +31,6 @@ def drop_memo(config_key: str) -> None:
 __all__ = [
     "NULL_SPAN",
     "Span",
-    "SpanStat",
     "Tracer",
     "add_counter",
     "current",

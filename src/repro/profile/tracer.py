@@ -20,8 +20,7 @@ Design constraints:
   worker processes can be concatenated and still render correctly in
   the Chrome trace viewer (``chrome://tracing`` / Perfetto).
 
-Readers: :meth:`Tracer.spans`, :meth:`Tracer.counters` and
-:meth:`Tracer.summarize` (per-span-name aggregates).
+Readers: :meth:`Tracer.spans` and :meth:`Tracer.counters`.
 """
 
 from __future__ import annotations
@@ -48,35 +47,6 @@ class Span:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-
-@dataclass
-class SpanStat:
-    """Aggregate over every span sharing one name."""
-
-    count: int = 0
-    total_s: float = 0.0
-    min_s: float = float("inf")
-    max_s: float = 0.0
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
-    def absorb(self, duration: float) -> None:
-        self.count += 1
-        self.total_s += duration
-        self.min_s = min(self.min_s, duration)
-        self.max_s = max(self.max_s, duration)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "total_s": self.total_s,
-            "mean_s": self.mean_s,
-            "min_s": self.min_s if self.count else 0.0,
-            "max_s": self.max_s,
-        }
 
 
 class _NullSpan:
@@ -165,13 +135,6 @@ class Tracer:
     def counters(self) -> Dict[str, float]:
         with self._lock:
             return dict(self._counters)
-
-    def summarize(self) -> Dict[str, SpanStat]:
-        """Per-span-name aggregates (count, total, mean, min, max)."""
-        stats: Dict[str, SpanStat] = {}
-        for span in self.spans():
-            stats.setdefault(span.name, SpanStat()).absorb(span.duration)
-        return stats
 
 
 # ----------------------------------------------------------------------

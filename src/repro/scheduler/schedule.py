@@ -77,34 +77,28 @@ class Schedule:
 
     # ------------------------------------------------------------------
     def is_valid_for(self, adg: ADG) -> bool:
-        """Cheap validity check against (a possibly mutated) ``adg``.
+        """Does every placed node and routed link still exist in ``adg``?
 
-        Verifies that every placed node and routed link still exists.
-        Capability/width/capacity checks are the scheduler's job; this is
-        the fast path used by schedule repair to find broken pieces.
+        Capability and width are :func:`repro.scheduler.semantic_ok`'s.
         """
-        for hw in self.placement.values():
-            if not adg.has_node(hw):
-                return False
-        for path in self.routes.values():
-            for src, dst in zip(path, path[1:]):
-                if not adg.has_link(src, dst):
-                    return False
-        return True
+        return not any(self.broken_pieces(adg))
 
     def broken_pieces(self, adg: ADG) -> Tuple[Set[int], Set[EdgeKey]]:
-        """(dfg nodes with missing hardware, edges with missing links)."""
+        """(dfg nodes with missing hardware, edges with missing links).
+
+        Only links are checked along a route: ``ADG.remove_node`` drops
+        every link touching the node it removes.
+        """
         bad_nodes = {
             dfg_id
             for dfg_id, hw in self.placement.items()
             if not adg.has_node(hw)
         }
-        bad_edges = set()
-        for key, path in self.routes.items():
-            if any(not adg.has_node(n) for n in path) or any(
-                not adg.has_link(s, d) for s, d in zip(path, path[1:])
-            ):
-                bad_edges.add(key)
+        bad_edges = {
+            key
+            for key, path in self.routes.items()
+            if not all(adg.has_link(s, d) for s, d in zip(path, path[1:]))
+        }
         return bad_nodes, bad_edges
 
     def summary(self) -> str:

@@ -8,15 +8,18 @@ and it never exceeds an IPC ceiling that reads no binding at all.
 variant family in ceiling order, only while a ceiling could still beat the
 best estimate, places and routes best estimate first and returns the first
 variant that maps ("relax DFG complexity", Fig. 3).
-`repair_schedule` preserves as much of an existing schedule as possible
-after a hardware mutation (the cheap path the DSE takes every iteration —
-Section V-A).
+`repair_schedule` is the preservation ladder that carries an existing
+schedule onto an edited ADG (Section V-B; the DSE calls it once per
+workload every iteration): rung 0, :func:`revalidate_schedule`, returns
+the same schedule re-stamped in a ``scheduler.revalidate`` span; when it
+fails, rung 1 reroutes only the broken routes and rung 2 reschedules the
+same variant, both in one ``scheduler.repair`` span.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..adg import ADG, ProcessingElement, SystemParams
 from ..compiler import VariantSet
@@ -24,9 +27,15 @@ from ..dfg import ComputeNode, InputPortNode, MDFG, OutputPortNode
 from ..model.perf import estimate_ipc, ipc_ceiling
 from ..profile.tracer import add_counter, span
 from .binder import bind_memory
-from .placer import place_and_route
-from .router import RoutingState
-from .schedule import Schedule, ScheduleAttempt, ScheduleError, ScheduleFailure
+from .placer import _check_delay_skew, _value_width_bits, place_and_route
+from .router import RoutingState, find_route
+from .schedule import (
+    EdgeKey,
+    Schedule,
+    ScheduleAttempt,
+    ScheduleError,
+    ScheduleFailure,
+)
 
 
 def _bind(mdfg: MDFG, adg: ADG) -> Schedule:
@@ -141,14 +150,16 @@ def schedule_workload(
 
 
 # ----------------------------------------------------------------------
-# Schedule repair (Section V-A): keep what survived the ADG mutation.
+# The preservation ladder (Section V-B): keep what survived the ADG edit.
 # ----------------------------------------------------------------------
 def semantic_ok(mdfg: MDFG, adg: ADG, schedule: Schedule) -> bool:
     """Do surviving placements still satisfy capability/width constraints?
 
     Structural existence is checked by ``Schedule.is_valid_for``; this
-    catches parameter changes (pruned capabilities, narrowed ports, shrunk
-    scratchpads) that leave the node present but inadequate.
+    checks only that each placed compute node's PE still supports its op,
+    dtype and lanes, and that each placed port is still wide enough.
+    Scratchpad capacity and indirect support are not checked (ROADMAP
+    item 1).
     """
     for dfg_id, hw_id in schedule.placement.items():
         if not adg.has_node(hw_id):
@@ -171,14 +182,13 @@ def revalidate_schedule(
     adg: ADG,
     params: SystemParams,
 ) -> Optional[Schedule]:
-    """The schedule-preserving fast path: no repair, no re-derivation.
+    """Rung 0 of the ladder: the schedule-preserving fast path.
 
-    When ``schedule`` survives the ADG mutation both structurally
+    When ``schedule`` survives the ADG edit both structurally
     (:meth:`Schedule.is_valid_for`) and semantically (:func:`semantic_ok`),
     stamp the new ADG version, refresh the performance estimate in place,
     and return the *same* object — no dict copies, no routing, no
-    placement.  Returns ``None`` when the schedule did not survive and
-    the caller must pay for :func:`repair_schedule`.
+    placement.  Returns ``None`` when the schedule did not survive.
     """
     with span(
         "scheduler.revalidate",
@@ -201,56 +211,35 @@ def repair_schedule(
     adg: ADG,
     params: SystemParams,
 ) -> Optional[Schedule]:
-    """Re-validate ``schedule`` against a mutated ``adg``; repair if needed.
+    """The preservation ladder: ``schedule`` carried onto the edited ``adg``.
 
-    Strategy: if the schedule survived intact, stamp and return it.  If only
-    routes broke, keep every placement and re-route.  If placements broke,
-    fall back to a full reschedule of the same variant.
+    Rung 0 is :func:`revalidate_schedule`: a schedule that survived whole
+    comes back as the same object, re-stamped.  Otherwise, in one
+    ``scheduler.repair`` span, rung 1 keeps every placement and reroutes
+    only the broken routes, and rung 2 reschedules the same variant from
+    scratch.  Any result but ``schedule`` itself is a new object; None
+    when even rung 2 cannot map the variant.
     """
-    with span(
-        "scheduler.repair",
-        workload=schedule.mdfg.workload,
-        variant=schedule.mdfg.variant,
-    ):
-        return _repair_schedule(schedule, adg, params)
-
-
-def _repair_schedule(
-    schedule: Schedule,
-    adg: ADG,
-    params: SystemParams,
-) -> Optional[Schedule]:
+    kept = revalidate_schedule(schedule, adg, params)
+    if kept is not None:
+        return kept
     mdfg = schedule.mdfg
-    if schedule.is_valid_for(adg) and semantic_ok(mdfg, adg, schedule):
-        refreshed = Schedule(
-            mdfg=mdfg,
-            adg_version=adg.version,
-            placement=dict(schedule.placement),
-            routes=dict(schedule.routes),
-            delay_fifo_needed=dict(schedule.delay_fifo_needed),
-        )
-        refreshed.estimate = estimate_ipc(
-            mdfg, refreshed.binding(), adg, params
-        )
-        return refreshed
-
-    bad_nodes, bad_edges = schedule.broken_pieces(adg)
-    if not bad_nodes and semantic_ok(mdfg, adg, schedule):
-        repaired = _reroute_only(schedule, adg, bad_edges)
-        if repaired is not None:
-            repaired.estimate = estimate_ipc(
-                mdfg, repaired.binding(), adg, params
-            )
-            return repaired
-    return schedule_mdfg(mdfg, adg, params)
+    with span("scheduler.repair", workload=mdfg.workload, variant=mdfg.variant):
+        bad_nodes, bad_edges = schedule.broken_pieces(adg)
+        if not bad_nodes and semantic_ok(mdfg, adg, schedule):
+            repaired = _reroute_only(schedule, adg, bad_edges)
+            if repaired is not None:
+                repaired.estimate = estimate_ipc(
+                    mdfg, repaired.binding(), adg, params
+                )
+                return repaired
+        return schedule_mdfg(mdfg, adg, params)
 
 
 def _reroute_only(
-    schedule: Schedule, adg: ADG, bad_edges
+    schedule: Schedule, adg: ADG, bad_edges: Set[EdgeKey]
 ) -> Optional[Schedule]:
     """Keep all placements; recompute just the broken routes."""
-    from .router import find_route
-
     repaired = Schedule(
         mdfg=schedule.mdfg,
         adg_version=adg.version,
@@ -266,8 +255,6 @@ def _reroute_only(
     for key, path in repaired.routes.items():
         state.claim_path(path, key[0])
     mdfg = schedule.mdfg
-    from .placer import _value_width_bits
-
     for key in sorted(bad_edges):
         src_dfg, dst_dfg, _slot = key
         src_hw = repaired.placement.get(src_dfg)
@@ -281,8 +268,6 @@ def _reroute_only(
         state.claim_path(path, src_dfg)
         repaired.routes[key] = path
     try:
-        from .placer import _check_delay_skew
-
         _check_delay_skew(mdfg, adg, repaired)
     except ScheduleError:
         return None

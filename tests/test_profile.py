@@ -59,18 +59,6 @@ class TestTracer:
                 raise RuntimeError("boom")
         assert [s.name for s in tracer.spans()] == ["doomed"]
 
-    def test_summarize_aggregates(self):
-        tracer = install(Tracer())
-        for _ in range(5):
-            with span("work"):
-                pass
-        stats = tracer.summarize()["work"]
-        assert stats.count == 5
-        assert stats.min_s <= stats.mean_s <= stats.max_s
-        assert stats.total_s == pytest.approx(stats.mean_s * 5)
-        d = stats.as_dict()
-        assert set(d) == {"count", "total_s", "mean_s", "min_s", "max_s"}
-
     def test_thread_safety(self):
         tracer = install(Tracer())
         # Hold all threads alive together: thread idents are reused after

@@ -1,10 +1,20 @@
 """Tests for the spatial scheduler: binding, placement, routing, repair."""
 
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
 from repro.adg import NodeKind, general_overlay, mesh_adg, caps_for_dtype
 from repro.compiler import VariantSet, generate_variants, lower
 from repro.dfg import ArrayNode, ComputeNode, StreamKind
+from repro.dse.transforms import (
+    TransformFailed,
+    apply_random_transform,
+    collapse_random_switch,
+    prune_capabilities,
+)
 from repro.ir import F64, I16, I64, Op
 from repro.model.perf import estimate_ipc, ipc_ceiling
 from repro.profile.tracer import Tracer, tracing
@@ -17,10 +27,13 @@ from repro.scheduler import (
     bind_memory,
     find_route,
     repair_schedule,
+    revalidate_schedule,
     schedule_mdfg,
     schedule_workload,
+    semantic_ok,
 )
 from repro.validate.generators import random_case
+from repro.validate.invariants import check_schedule
 from repro.workloads import all_workloads, get_workload
 
 from .test_schedule_golden import overlays, schedule_digest
@@ -233,13 +246,13 @@ class TestBestFirst:
             families = [generate_variants(w) for w in all_workloads()]
             for variants in families:
                 schedule_workload(variants, overlay.adg, overlay.params)
-        spans = tracer.summarize()
+        spans = Counter(s.name for s in tracer.spans())
         assert sum(len(v.variants) for v in families) == 158
-        assert spans["compiler.lower"].count == 158
-        assert spans["scheduler.order"].count == 28
-        assert spans["scheduler.bind"].count == 102
-        assert spans["scheduler.price"].count == 65
-        assert spans["scheduler.place_route"].count == 29
+        assert spans["compiler.lower"] == 158
+        assert spans["scheduler.order"] == 28
+        assert spans["scheduler.bind"] == 102
+        assert spans["scheduler.price"] == 65
+        assert spans["scheduler.place_route"] == 29
         assert tracer.counters() == {
             "scheduler.variants": 158.0,
             "scheduler.bound": 56.0,
@@ -410,3 +423,48 @@ class TestRepair:
         used = sorted(s.hardware_in_use())
         adg.remove_node(used[0])
         assert not s.is_valid_for(adg)
+
+    def test_ladder_contract(self):
+        """Golden (overlay, workload) pairs x seeded DSE edits: rung 0
+        returns the schedule itself exactly when revalidation accepts a
+        clone; anything else is a new, valid, legal schedule, repaired
+        under one ``scheduler.repair`` span."""
+        edits = {
+            "collapse": lambda adg, s, rng: collapse_random_switch(
+                adg, [s], rng
+            ),
+            "prune": lambda adg, s, rng: prune_capabilities(adg, [s]),
+            "random": lambda adg, s, rng: apply_random_transform(adg, rng),
+        }
+        outcomes = Counter()
+        for ov in overlays():
+            for name in ("fir", "crs"):
+                base = schedule_workload(
+                    generate_variants(get_workload(name)), ov.adg, ov.params
+                )
+                if base is None:
+                    continue
+                for (edit, apply), seed in itertools.product(
+                    edits.items(), range(4)
+                ):
+                    adg, s = ov.adg.clone(), base.clone()
+                    try:
+                        apply(adg, s, random.Random(seed))
+                    except TransformFailed:
+                        continue
+                    bad = s.broken_pieces(adg)
+                    assert s.is_valid_for(adg) == (not any(bad))
+                    kept = revalidate_schedule(s.clone(), adg, ov.params)
+                    with tracing(Tracer()) as tracer:
+                        out = repair_schedule(s, adg, ov.params)
+                    spans = Counter(x.name for x in tracer.spans())
+                    case = (ov.name, name, edit, seed)
+                    assert (out is s) == (kept is not None), case
+                    assert spans["scheduler.revalidate"] == 1, case
+                    assert spans["scheduler.repair"] == (out is not s), case
+                    if out is not None and out is not s:
+                        assert out.is_valid_for(adg), case
+                        assert semantic_ok(out.mdfg, adg, out), case
+                        assert check_schedule(out, adg) == [], case
+                    outcomes[out is s] += 1
+        assert outcomes[True] and outcomes[False]

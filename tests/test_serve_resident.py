@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import signal
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -163,9 +164,9 @@ def test_a_kernel_is_lowered_once_for_every_resident_overlay(
             )
             assert not reused
             assert canonical_dumps(doc) == reference[sysadg.name, "fir", "map"]
-    spans = tracer.summarize()
-    assert spans["compiler.variants"].count == 1
-    assert spans["scheduler.place_route"].count >= len(overlays)
+    spans = Counter(s.name for s in tracer.spans())
+    assert spans["compiler.variants"] == 1
+    assert spans["scheduler.place_route"] >= len(overlays)
     assert len(store.variants) == 1
 
 
