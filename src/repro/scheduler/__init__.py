@@ -1,6 +1,7 @@
 """The spatial scheduler: mDFG -> ADG mapping with memory-aware binding."""
 
 from .binder import bind_memory
+from .legality import Finding, hardware_violations, schedule_violations
 from .placer import place_and_route, topo_compute_order
 from .router import RoutingState, find_route, route_distances
 from .schedule import (
@@ -16,11 +17,11 @@ from .spatial import (
     revalidate_schedule,
     schedule_mdfg,
     schedule_workload,
-    semantic_ok,
 )
 
 __all__ = [
     "EdgeKey",
+    "Finding",
     "RoutingState",
     "Schedule",
     "ScheduleAttempt",
@@ -29,12 +30,13 @@ __all__ = [
     "attempt_schedule",
     "bind_memory",
     "find_route",
+    "hardware_violations",
     "place_and_route",
     "repair_schedule",
     "revalidate_schedule",
     "route_distances",
     "schedule_mdfg",
+    "schedule_violations",
     "schedule_workload",
-    "semantic_ok",
     "topo_compute_order",
 ]

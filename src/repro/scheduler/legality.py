@@ -1,0 +1,105 @@
+"""What a schedule needs from its ADG: the one legality rule.
+
+:func:`hardware_violations` names what an ADG edit can break, one
+:class:`Finding` per broken piece:
+
+* ``missing_node`` — a DFG node is placed on hardware that is gone;
+* ``capability`` — a compute node's PE does not support its op, dtype
+  and lanes;
+* ``port_width`` — a DFG port sits on a narrower hardware port;
+* ``missing_link`` — a route uses a link that is gone (``ADG.remove_node``
+  drops every link touching the node, so links cover route hops too).
+
+The preservation ladder reads only these: rung 0 accepts a schedule iff
+there are none, rung 1 reroutes iff every one is a ``missing_link``.
+:func:`schedule_violations` adds what only a scheduler bug can break —
+``endpoint`` (a route's ends are not its placements), ``interior_hop``
+(a hop that is not a switch), ``shared_link`` (one link carrying two
+values) and ``shared_pe`` (one PE holding two nodes) — and is what the
+fuzzer's invariant checks.  Not yet checked: a stream's engine and its
+port link, scratchpad capacity and indirect support (ROADMAP item 1).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, Iterator, Tuple, Union
+
+from ..adg import ADG, NodeKind, ProcessingElement
+from ..dfg import ComputeNode, InputPortNode, OutputPortNode
+from .schedule import EdgeKey, Schedule
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One thing ``schedule`` needs that ``adg`` does not provide."""
+
+    kind: str
+    #: The broken piece: a DFG node id, or a route's edge key.
+    piece: Union[int, EdgeKey]
+    detail: str
+
+    def __str__(self) -> str:
+        return self.detail
+
+
+def hardware_violations(schedule: Schedule, adg: ADG) -> Iterator[Finding]:
+    """What the ADG no longer provides: one walk of placements, then routes."""
+    node_of, has_node, hw_of = schedule.mdfg.node, adg.has_node, adg.node
+    for dfg_id, hw_id in schedule.placement.items():
+        if not has_node(hw_id):
+            yield Finding("missing_node", dfg_id, f"dfg node {dfg_id} placed "
+                          f"on missing hw {hw_id}")
+            continue
+        node, hw = node_of(dfg_id), hw_of(hw_id)
+        if isinstance(node, ComputeNode):
+            if not isinstance(hw, ProcessingElement) or not hw.supports(
+                node.op, node.dtype, node.lanes
+            ):
+                yield Finding("capability", dfg_id, f"{hw.name} cannot run dfg "
+                              f"node {dfg_id} ({node.op.name} {node.dtype.name} "
+                              f"x{node.lanes})")
+        elif isinstance(node, (InputPortNode, OutputPortNode)):
+            if getattr(hw, "width_bytes", 0) < node.width_bytes:
+                yield Finding("port_width", dfg_id, f"{hw.name} is narrower "
+                              f"than dfg port {dfg_id} ({node.width_bytes}B)")
+    has_link = adg.has_link
+    for key, path in schedule.routes.items():
+        for a, b in zip(path, path[1:]):
+            if not has_link(a, b):
+                yield Finding("missing_link", key, f"route {key[0]}->{key[1]}"
+                              f"#{key[2]} uses missing link {a}->{b}")
+
+
+def schedule_violations(schedule: Schedule, adg: ADG) -> Iterator[Finding]:
+    """:func:`hardware_violations`, then the scheduler's own consistency."""
+    yield from hardware_violations(schedule, adg)
+    placement, has_node, hw_of = schedule.placement, adg.has_node, adg.node
+    link_owner: Dict[Tuple[int, int], int] = {}
+    for key, path in schedule.routes.items():
+        src, dst, slot = key
+        name = f"route {src}->{dst}#{slot}"
+        if not path:
+            yield Finding("endpoint", key, f"empty {name}")
+            continue
+        for end, dfg_id, hw_id in (("starts", src, path[0]), ("ends", dst, path[-1])):
+            if placement.get(dfg_id) != hw_id:
+                yield Finding("endpoint", key, f"{name} {end} at {hw_id}, dfg "
+                              f"node {dfg_id} placed on {placement.get(dfg_id)}")
+        for hop in path[1:-1]:
+            if not has_node(hop) or hw_of(hop).kind is not NodeKind.SWITCH:
+                yield Finding("interior_hop", key,
+                              f"{name} interior hop {hop} is not a switch")
+        # One value per physical link (the same value may fan out).
+        for a, b in zip(path, path[1:]):
+            owner = link_owner.setdefault((a, b), src)
+            if owner != src:
+                yield Finding("shared_link", key, f"link {a}->{b} carries "
+                              f"values from both dfg nodes {owner} and {src}")
+    claimed: Dict[int, int] = {}
+    for dfg_id, hw_id in placement.items():
+        if has_node(hw_id) and hw_of(hw_id).kind is NodeKind.PE:
+            prev = claimed.setdefault(hw_id, dfg_id)
+            if prev != dfg_id:
+                yield Finding("shared_pe", dfg_id, f"PE {hw_id} claimed by dfg "
+                              f"nodes {prev} and {dfg_id}")

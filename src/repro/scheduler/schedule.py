@@ -9,16 +9,16 @@ A schedule records, for every mDFG entity, which hardware it occupies:
 
 Schedules are consulted by the DSE both to evaluate candidates (via the
 performance model) and to *preserve* mappings across hardware mutations
-(Section V-B); :meth:`Schedule.hardware_in_use` and
-:meth:`Schedule.routes_through` support those transformations.
+(Section V-B); :meth:`Schedule.routes_through` supports those
+transformations, and :mod:`repro.scheduler.legality` says whether a
+schedule is still legal after one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..adg import ADG
 from ..dfg import MDFG
 from ..model.perf import MemoryBinding, PerfEstimate
 
@@ -60,13 +60,6 @@ class Schedule:
             {nid: self.placement[nid] for nid in stream_ids if nid in self.placement}
         )
 
-    def hardware_in_use(self) -> Set[int]:
-        """Every ADG node this schedule occupies or routes through."""
-        used: Set[int] = set(self.placement.values())
-        for path in self.routes.values():
-            used.update(path)
-        return used
-
     def routes_through(self, adg_node: int) -> List[EdgeKey]:
         """Routed edges whose path passes through ``adg_node``."""
         return [
@@ -74,32 +67,6 @@ class Schedule:
             for key, path in self.routes.items()
             if adg_node in path
         ]
-
-    # ------------------------------------------------------------------
-    def is_valid_for(self, adg: ADG) -> bool:
-        """Does every placed node and routed link still exist in ``adg``?
-
-        Capability and width are :func:`repro.scheduler.semantic_ok`'s.
-        """
-        return not any(self.broken_pieces(adg))
-
-    def broken_pieces(self, adg: ADG) -> Tuple[Set[int], Set[EdgeKey]]:
-        """(dfg nodes with missing hardware, edges with missing links).
-
-        Only links are checked along a route: ``ADG.remove_node`` drops
-        every link touching the node it removes.
-        """
-        bad_nodes = {
-            dfg_id
-            for dfg_id, hw in self.placement.items()
-            if not adg.has_node(hw)
-        }
-        bad_edges = {
-            key
-            for key, path in self.routes.items()
-            if not all(adg.has_link(s, d) for s, d in zip(path, path[1:]))
-        }
-        return bad_nodes, bad_edges
 
     def summary(self) -> str:
         est = f" ipc={self.estimate.ipc:.1f}" if self.estimate else ""

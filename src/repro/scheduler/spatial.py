@@ -21,12 +21,13 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Set, Tuple
 
-from ..adg import ADG, ProcessingElement, SystemParams
+from ..adg import ADG, SystemParams
 from ..compiler import VariantSet
-from ..dfg import ComputeNode, InputPortNode, MDFG, OutputPortNode
+from ..dfg import MDFG
 from ..model.perf import estimate_ipc, ipc_ceiling
 from ..profile.tracer import add_counter, span
 from .binder import bind_memory
+from .legality import hardware_violations
 from .placer import _check_delay_skew, _value_width_bits, place_and_route
 from .router import RoutingState, find_route
 from .schedule import (
@@ -152,31 +153,6 @@ def schedule_workload(
 # ----------------------------------------------------------------------
 # The preservation ladder (Section V-B): keep what survived the ADG edit.
 # ----------------------------------------------------------------------
-def semantic_ok(mdfg: MDFG, adg: ADG, schedule: Schedule) -> bool:
-    """Do surviving placements still satisfy capability/width constraints?
-
-    Structural existence is checked by ``Schedule.is_valid_for``; this
-    checks only that each placed compute node's PE still supports its op,
-    dtype and lanes, and that each placed port is still wide enough.
-    Scratchpad capacity and indirect support are not checked (ROADMAP
-    item 1).
-    """
-    for dfg_id, hw_id in schedule.placement.items():
-        if not adg.has_node(hw_id):
-            return False
-        node = mdfg.node(dfg_id)
-        hw = adg.node(hw_id)
-        if isinstance(node, ComputeNode):
-            if not isinstance(hw, ProcessingElement):
-                return False
-            if not hw.supports(node.op, node.dtype, node.lanes):
-                return False
-        elif isinstance(node, (InputPortNode, OutputPortNode)):
-            if getattr(hw, "width_bytes", 0) < node.width_bytes:
-                return False
-    return True
-
-
 def revalidate_schedule(
     schedule: Schedule,
     adg: ADG,
@@ -184,20 +160,18 @@ def revalidate_schedule(
 ) -> Optional[Schedule]:
     """Rung 0 of the ladder: the schedule-preserving fast path.
 
-    When ``schedule`` survives the ADG edit both structurally
-    (:meth:`Schedule.is_valid_for`) and semantically (:func:`semantic_ok`),
-    stamp the new ADG version, refresh the performance estimate in place,
-    and return the *same* object — no dict copies, no routing, no
-    placement.  Returns ``None`` when the schedule did not survive.
+    When the edited ``adg`` still provides everything the schedule needs
+    (:func:`hardware_violations` finds nothing), stamp the new ADG
+    version, refresh the performance estimate in place, and return the
+    *same* object — no dict copies, no routing, no placement.  Returns
+    ``None`` when the schedule did not survive.
     """
     with span(
         "scheduler.revalidate",
         workload=schedule.mdfg.workload,
         variant=schedule.mdfg.variant,
     ):
-        if not schedule.is_valid_for(adg) or not semantic_ok(
-            schedule.mdfg, adg, schedule
-        ):
+        if any(hardware_violations(schedule, adg)):
             return None
         schedule.adg_version = adg.version
         schedule.estimate = estimate_ipc(
@@ -216,17 +190,19 @@ def repair_schedule(
     Rung 0 is :func:`revalidate_schedule`: a schedule that survived whole
     comes back as the same object, re-stamped.  Otherwise, in one
     ``scheduler.repair`` span, rung 1 keeps every placement and reroutes
-    only the broken routes, and rung 2 reschedules the same variant from
-    scratch.  Any result but ``schedule`` itself is a new object; None
-    when even rung 2 cannot map the variant.
+    the broken routes when missing links are all that broke, and rung 2
+    reschedules the same variant from scratch.  Any result but
+    ``schedule`` itself is a new object; None when even rung 2 cannot map
+    the variant.
     """
     kept = revalidate_schedule(schedule, adg, params)
     if kept is not None:
         return kept
     mdfg = schedule.mdfg
     with span("scheduler.repair", workload=mdfg.workload, variant=mdfg.variant):
-        bad_nodes, bad_edges = schedule.broken_pieces(adg)
-        if not bad_nodes and semantic_ok(mdfg, adg, schedule):
+        findings = list(hardware_violations(schedule, adg))
+        if all(f.kind == "missing_link" for f in findings):
+            bad_edges = {f.piece for f in findings}
             repaired = _reroute_only(schedule, adg, bad_edges)
             if repaired is not None:
                 repaired.estimate = estimate_ipc(

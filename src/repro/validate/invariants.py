@@ -8,10 +8,11 @@ on and returns a list of :class:`Violation` records (empty = clean):
 * :func:`check_roundtrip` — serialize → deserialize → serialize is the
   identity on the document form (what the DSE cache and the divergence
   corpus both depend on).
-* :func:`check_schedule` — placement/routing consistency: route endpoints
-  sit on the placed hardware, every hop is a real link, interior hops are
-  switches, links carry one value each, dedicated PEs and ports are
-  exclusive.
+* :func:`check_schedule` — the schedule is legal on its ADG, by the
+  scheduler's one rule (:func:`repro.scheduler.schedule_violations`):
+  placed hardware exists and is capable and wide enough, every route link
+  exists, routes start and end on the placements and hop only through
+  switches, links carry one value each, PEs hold one node each.
 * :func:`check_resources` — the analytic resource estimate is finite and
   non-negative in every column.
 
@@ -22,14 +23,11 @@ on and returns a list of :class:`Violation` records (empty = clean):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from ..adg import ADG, AdgError, NodeKind, adg_from_dict, adg_to_dict
+from ..adg import ADG, AdgError, adg_from_dict, adg_to_dict
 from ..model.resource import AnalyticEstimator
-from ..scheduler.schedule import Schedule
-
-#: Hardware kinds a schedule may claim exclusively (one DFG node each).
-_EXCLUSIVE_KINDS = (NodeKind.PE,)
+from ..scheduler import Schedule, schedule_violations
 
 
 @dataclass(frozen=True)
@@ -68,82 +66,10 @@ def check_roundtrip(adg: ADG) -> List[Violation]:
 
 
 def check_schedule(schedule: Schedule, adg: ADG) -> List[Violation]:
-    """Placement/routing consistency of a schedule against its ADG."""
-    out: List[Violation] = []
-    for dfg_id, hw in schedule.placement.items():
-        if not adg.has_node(hw):
-            out.append(
-                Violation(
-                    "schedule", f"dfg node {dfg_id} placed on missing hw {hw}"
-                )
-            )
-    link_owner: Dict[Any, int] = {}
-    for (src_dfg, dst_dfg, slot), path in schedule.routes.items():
-        if not path:
-            out.append(
-                Violation("schedule", f"empty route for edge {src_dfg}->{dst_dfg}")
-            )
-            continue
-        if schedule.placement.get(src_dfg) != path[0]:
-            out.append(
-                Violation(
-                    "schedule",
-                    f"route {src_dfg}->{dst_dfg}#{slot} starts at {path[0]}, "
-                    f"src placed on {schedule.placement.get(src_dfg)}",
-                )
-            )
-        if schedule.placement.get(dst_dfg) != path[-1]:
-            out.append(
-                Violation(
-                    "schedule",
-                    f"route {src_dfg}->{dst_dfg}#{slot} ends at {path[-1]}, "
-                    f"dst placed on {schedule.placement.get(dst_dfg)}",
-                )
-            )
-        for a, b in zip(path, path[1:]):
-            if not adg.has_link(a, b):
-                out.append(
-                    Violation(
-                        "schedule",
-                        f"route {src_dfg}->{dst_dfg}#{slot} uses missing "
-                        f"link {a}->{b}",
-                    )
-                )
-        for hop in path[1:-1]:
-            if not adg.has_node(hop) or adg.node(hop).kind is not NodeKind.SWITCH:
-                out.append(
-                    Violation(
-                        "schedule",
-                        f"route {src_dfg}->{dst_dfg}#{slot} interior hop "
-                        f"{hop} is not a switch",
-                    )
-                )
-        # One value per physical link (the same source value may fan out).
-        for link in zip(path, path[1:]):
-            owner = link_owner.setdefault(link, src_dfg)
-            if owner != src_dfg:
-                out.append(
-                    Violation(
-                        "schedule",
-                        f"link {link[0]}->{link[1]} carries values from both "
-                        f"dfg nodes {owner} and {src_dfg}",
-                    )
-                )
-    # Dedicated hardware exclusivity.
-    claimed: Dict[int, int] = {}
-    for dfg_id, hw in schedule.placement.items():
-        if not adg.has_node(hw):
-            continue
-        if adg.node(hw).kind in _EXCLUSIVE_KINDS:
-            prev = claimed.setdefault(hw, dfg_id)
-            if prev != dfg_id:
-                out.append(
-                    Violation(
-                        "schedule",
-                        f"PE {hw} claimed by dfg nodes {prev} and {dfg_id}",
-                    )
-                )
-    return out
+    """Every :func:`~repro.scheduler.schedule_violations` finding."""
+    return [
+        Violation("schedule", str(f)) for f in schedule_violations(schedule, adg)
+    ]
 
 
 def check_resources(adg: ADG) -> List[Violation]:

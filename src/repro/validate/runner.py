@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..profile.tracer import span
 from .generators import FuzzCase, GeneratorError, random_case
-from .invariants import Violation, check_case
+from .invariants import Violation, check_case, check_schedule
 from .oracle import OracleResult, ToleranceBands, run_oracle
 from .shrinker import shrink
 
@@ -327,8 +327,6 @@ def validate_run(corpus_dir: Optional[str] = None) -> ValidateReport:
         if schedule is None:
             continue
         report.schedules_checked += 1
-        from .invariants import check_schedule
-
         report.invariant_violations += [
             f"{workload.name}: {v}"
             for v in check_schedule(schedule, overlay.adg)

@@ -12,6 +12,7 @@ from repro.model.resource import (
     XCVU9P,
     usable_budget,
 )
+from repro.scheduler import hardware_violations
 from repro.workloads import get_suite, get_workload
 
 
@@ -61,7 +62,7 @@ class TestExplorer:
         names = {w.name for w in get_suite("dsp")}
         assert set(dsp_result.schedules) == names
         for schedule in dsp_result.schedules.values():
-            assert schedule.is_valid_for(dsp_result.sysadg.adg)
+            assert list(hardware_violations(schedule, dsp_result.sysadg.adg)) == []
             assert schedule.estimate is not None
 
     def test_objective_improves_over_seed(self, dsp_result):
@@ -164,7 +165,7 @@ class TestExplorer:
         )
         candidate, repaired = out
         for schedule in repaired.values():
-            assert schedule.is_valid_for(candidate)
+            assert list(hardware_violations(schedule, candidate)) == []
             assert schedule.adg_version == candidate.version
             assert schedule.estimate is not None
 

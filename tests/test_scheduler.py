@@ -6,9 +6,18 @@ from collections import Counter
 
 import pytest
 
-from repro.adg import NodeKind, general_overlay, mesh_adg, caps_for_dtype
+from repro.adg import (
+    NodeKind,
+    SpadEngine,
+    SystemParams,
+    cap_for,
+    caps_for_dtype,
+    general_overlay,
+    mesh_adg,
+    seed_for_workloads,
+)
 from repro.compiler import VariantSet, generate_variants, lower
-from repro.dfg import ArrayNode, ComputeNode, StreamKind
+from repro.dfg import ArrayNode, ComputeNode, InputPortNode, StreamKind
 from repro.dse.transforms import (
     TransformFailed,
     apply_random_transform,
@@ -26,14 +35,15 @@ from repro.scheduler import (
     attempt_schedule,
     bind_memory,
     find_route,
+    hardware_violations,
     repair_schedule,
     revalidate_schedule,
     schedule_mdfg,
+    schedule_violations,
     schedule_workload,
-    semantic_ok,
 )
 from repro.validate.generators import random_case
-from repro.validate.invariants import check_schedule
+from repro.validate.invariants import Violation, check_schedule
 from repro.workloads import all_workloads, get_workload
 
 from .test_schedule_golden import overlays, schedule_digest
@@ -382,11 +392,8 @@ class TestRepair:
         adg, mdfg, s = self._scheduled(overlay)
         #
 
-        unused_pes = [
-            p.node_id
-            for p in adg.pes
-            if p.node_id not in s.hardware_in_use()
-        ]
+        used = set(s.placement.values()).union(*s.routes.values())
+        unused_pes = [p.node_id for p in adg.pes if p.node_id not in used]
         adg.remove_node(unused_pes[0])
         repaired = repair_schedule(s, adg, overlay.params)
         assert repaired is not None
@@ -400,7 +407,7 @@ class TestRepair:
         adg.remove_node(used_pe)
         repaired = repair_schedule(s, adg, overlay.params)
         assert repaired is not None  # plenty of spare PEs
-        assert repaired.is_valid_for(adg)
+        assert check_schedule(repaired, adg) == []
         assert used_pe not in repaired.placement.values()
 
     def test_capability_pruning_detected(self, overlay):
@@ -419,10 +426,10 @@ class TestRepair:
 
     def test_schedule_validity_check(self, overlay):
         adg, mdfg, s = self._scheduled(overlay)
-        assert s.is_valid_for(adg)
-        used = sorted(s.hardware_in_use())
+        assert list(hardware_violations(s, adg)) == []
+        used = sorted(set(s.placement.values()).union(*s.routes.values()))
         adg.remove_node(used[0])
-        assert not s.is_valid_for(adg)
+        assert any(hardware_violations(s, adg))
 
     def test_ladder_contract(self):
         """Golden (overlay, workload) pairs x seeded DSE edits: rung 0
@@ -452,8 +459,6 @@ class TestRepair:
                         apply(adg, s, random.Random(seed))
                     except TransformFailed:
                         continue
-                    bad = s.broken_pieces(adg)
-                    assert s.is_valid_for(adg) == (not any(bad))
                     kept = revalidate_schedule(s.clone(), adg, ov.params)
                     with tracing(Tracer()) as tracer:
                         out = repair_schedule(s, adg, ov.params)
@@ -463,8 +468,159 @@ class TestRepair:
                     assert spans["scheduler.revalidate"] == 1, case
                     assert spans["scheduler.repair"] == (out is not s), case
                     if out is not None and out is not s:
-                        assert out.is_valid_for(adg), case
-                        assert semantic_ok(out.mdfg, adg, out), case
                         assert check_schedule(out, adg) == [], case
                     outcomes[out is s] += 1
         assert outcomes[True] and outcomes[False]
+
+
+# ----------------------------------------------------------------------
+# The one legality rule: each corruption of fir on General, and the one
+# finding kind it must raise.
+# ----------------------------------------------------------------------
+def _first_stream(s):
+    """A placed stream: no route touches its engine."""
+    return s.mdfg.streams[0].node_id
+
+
+def _remove_placed_engine(adg, s):
+    adg.remove_node(s.placement[_first_stream(s)])
+
+
+def _place_on_missing_hw(adg, s):
+    s.placement[_first_stream(s)] = 10_000
+
+
+def _remove_route_link(adg, s):
+    path = next(iter(s.routes.values()))
+    adg.remove_link(path[0], path[1])
+
+
+def _drop_pe_capability(adg, s):
+    node = s.mdfg.compute_nodes[0]
+    pe = adg.node(s.placement[node.node_id])
+    adg.replace_node(pe.node_id, caps=pe.caps - {cap_for(node.op, node.dtype)})
+
+
+def _narrow_port(adg, s):
+    port = next(n for n in s.mdfg.nodes() if isinstance(n, InputPortNode))
+    adg.replace_node(s.placement[port.node_id], width_bytes=port.width_bytes // 2)
+
+
+def _move_route_end(adg, s):
+    key = max(s.routes, key=lambda k: len(s.routes[k]))
+    s.routes[key] = s.routes[key][:-1]      # now ends on a switch
+
+
+def _share_link(adg, s):
+    """Detour one value through a switch-to-switch link another drives."""
+    (ka, a), (kb, b) = next(
+        (ra, rb)
+        for ra, rb in itertools.permutations(s.routes.items(), 2)
+        if len(ra[1]) >= 4 and ra[0][0] != rb[0][0]
+    )
+    state = RoutingState(adg)
+    s.routes[kb] = find_route(adg, state, b[0], a[1], kb[0], 0) + find_route(
+        adg, state, a[2], b[-1], kb[0], 0
+    )
+
+
+def _share_pe(adg, s):
+    """Move one compute node onto the other's PE and reroute its values."""
+    first, second = (c.node_id for c in s.mdfg.compute_nodes)
+    s.placement[second] = s.placement[first]
+    moved = [k for k in s.routes if second in k[:2]]
+    state = RoutingState(adg)
+    for key, path in s.routes.items():
+        if key not in moved:
+            state.claim_path(path, key[0])
+    for key in moved:
+        src, dst, _slot = key
+        path = find_route(adg, state, s.placement[src], s.placement[dst], src, 0)
+        state.claim_path(path, src)
+        s.routes[key] = path
+
+
+_HARDWARE_KINDS = {"missing_node", "capability", "port_width", "missing_link"}
+_ROUTE_KINDS = {"missing_link", "endpoint", "interior_hop", "shared_link"}
+_CORRUPTIONS = {
+    "placed-hardware-removed": ("missing_node", _remove_placed_engine),
+    "placed-on-missing-hardware": ("missing_node", _place_on_missing_hw),
+    "route-link-removed": ("missing_link", _remove_route_link),
+    "pe-capability-dropped": ("capability", _drop_pe_capability),
+    "port-narrowed": ("port_width", _narrow_port),
+    "route-endpoint-moved": ("endpoint", _move_route_end),
+    "two-values-on-one-link": ("shared_link", _share_link),
+    "two-instructions-on-one-pe": ("shared_pe", _share_pe),
+}
+
+
+class TestLegality:
+    @pytest.fixture(scope="class")
+    def fir(self, overlay):
+        s = schedule_workload(
+            generate_variants(get_workload("fir")), overlay.adg, overlay.params
+        )
+        assert len(s.mdfg.compute_nodes) == 2 and len(s.routes) == 5
+        return s
+
+    def test_scheduled_fir_is_legal(self, overlay, fir):
+        assert list(schedule_violations(fir, overlay.adg)) == []
+
+    @pytest.mark.parametrize("corruption", list(_CORRUPTIONS))
+    def test_corruption_matrix(self, overlay, fir, corruption):
+        kind, corrupt = _CORRUPTIONS[corruption]
+        adg, s = overlay.adg.clone(), fir.clone()
+        corrupt(adg, s)
+        found = list(schedule_violations(s, adg))
+        hardware = list(hardware_violations(s, adg))
+        assert {f.kind for f in found} == {kind}, found
+        for f in found:
+            assert f.piece in (s.routes if kind in _ROUTE_KINDS else s.placement)
+        assert hardware == [f for f in found if f.kind in _HARDWARE_KINDS]
+        rejected = revalidate_schedule(s.clone(), adg, overlay.params) is None
+        assert rejected == bool(hardware)
+        assert check_schedule(s, adg) == [
+            Violation("schedule", str(f)) for f in found
+        ]
+
+    @staticmethod
+    def _on_seed(name):
+        workload = get_workload(name)
+        adg = seed_for_workloads([workload])
+        s = schedule_workload(generate_variants(workload), adg, SystemParams())
+        assert s is not None
+        return adg, s
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: legality does not check a spad's indirect "
+        "support",
+    )
+    def test_indirect_gather_needs_an_indirect_spad(self):
+        adg, s = self._on_seed("crs")
+        spad = next(
+            s.placement[n.node_id]
+            for n in s.mdfg.streams
+            if n.indirect and isinstance(adg.node(s.placement[n.node_id]), SpadEngine)
+        )
+        adg.replace_node(spad, indirect=False)
+        assert revalidate_schedule(s, adg, SystemParams()) is None
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: legality does not check a stream's "
+        "engine-to-port link",
+    )
+    def test_bound_stream_needs_its_port_link(self):
+        kept = []
+        for name in ("crs", "fir", "mm", "gemm", "ellpack", "stencil-2d"):
+            adg, s = self._on_seed(name)
+            stream = s.mdfg.node(1)
+            engine, port = s.placement[1], s.placement[stream.port]
+            if isinstance(s.mdfg.node(stream.port), InputPortNode):
+                adg.remove_link(engine, port)
+            else:
+                adg.remove_link(port, engine)
+            if revalidate_schedule(s, adg, SystemParams()) is not None:
+                kept.append(name)
+        assert kept == []

@@ -17,7 +17,6 @@ from repro.validate import (
     case_key,
     case_size,
     check_case,
-    check_schedule,
     classify_bottleneck,
     fuzz_run,
     make_failure_key,
@@ -169,24 +168,6 @@ class TestInvariants:
             overlay.params,
         )
         assert check_case(overlay.adg, schedule) == []
-
-    def test_detects_corrupted_placement(self):
-        from repro.adg import general_overlay
-        from repro.compiler import generate_variants
-        from repro.scheduler import schedule_workload
-        from repro.workloads import get_workload
-
-        overlay = general_overlay()
-        schedule = schedule_workload(
-            generate_variants(get_workload("vecmax")),
-            overlay.adg,
-            overlay.params,
-        )
-        dfg_id = next(iter(schedule.placement))
-        schedule.placement[dfg_id] = 10_000   # nonexistent hardware
-        violations = check_schedule(schedule, overlay.adg)
-        assert violations
-        assert all(v.invariant == "schedule" for v in violations)
 
 
 class TestOracle:
