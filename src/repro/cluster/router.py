@@ -277,7 +277,8 @@ class ClusterRouter:
         return candidates[: FAILOVER_RETRIES + 1]
 
     # -- request path ---------------------------------------------------
-    async def _dispatch(self, request: Request, doc: Dict[str, Any]) -> Dict[str, Any]:
+    def _dispatch(self, request: Request, doc: Dict[str, Any]) -> Any:
+        """The response document, or (stats, a forward) an awaitable."""
         self.counters["requests"] += 1
         if request.op == "ping":
             return response_doc(
@@ -285,9 +286,7 @@ class ClusterRouter:
                 result={"pong": True, "protocol": PROTOCOL_VERSION},
             )
         if request.op == "stats":
-            return response_doc(
-                request.id, result=await self.cluster_stats()
-            )
+            return self._stats_response(request.id)
         if request.op == "shutdown":
             asyncio.get_running_loop().create_task(self.shutdown())
             return response_doc(request.id, result={"draining": True})
@@ -302,7 +301,10 @@ class ClusterRouter:
             self._workload_key(request.workload),
             len(self.backends),
         )
-        return await self._forward(request, doc, owner)
+        return self._forward(request, doc, owner)
+
+    async def _stats_response(self, req_id: str) -> Dict[str, Any]:
+        return response_doc(req_id, result=await self.cluster_stats())
 
     async def _forward(
         self, request: Request, doc: Dict[str, Any], owner: int

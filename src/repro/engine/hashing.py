@@ -20,6 +20,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+from operator import itemgetter
 from typing import Any, Iterable, Optional, Sequence
 
 from ..dse import DseConfig
@@ -47,13 +48,15 @@ def canonicalize(obj: Any) -> Any:
     if isinstance(obj, enum.Enum):
         return [type(obj).__name__, obj.name]
     if isinstance(obj, dict):
-        return {
-            json.dumps(canonicalize(k), sort_keys=True): canonicalize(v)
-            for k, v in sorted(
-                obj.items(),
-                key=lambda kv: json.dumps(canonicalize(kv[0]), sort_keys=True),
-            )
-        }
+        # Each key's canonical string is computed once: it is both the
+        # sort key and the output key (a stable sort on it alone, so
+        # values are never compared).
+        keyed = [
+            (json.dumps(canonicalize(k), sort_keys=True), v)
+            for k, v in obj.items()
+        ]
+        keyed.sort(key=itemgetter(0))
+        return {k: canonicalize(v) for k, v in keyed}
     if isinstance(obj, (set, frozenset)):
         items = [canonicalize(x) for x in obj]
         return sorted(items, key=lambda x: json.dumps(x, sort_keys=True))

@@ -2,7 +2,10 @@
 
 :class:`ServeClient` speaks the JSON-lines protocol over a unix socket
 or TCP, pipelining any number of concurrent requests on one connection
-(responses are matched back by request id).
+(responses are matched back by request id).  It frames responses with
+the same :class:`~repro.serve.protocol.JsonLinesProtocol` the server's
+connections use, so there is one framing loop and one line bound rule
+on both ends of every serve socket, the router-to-shard link included.
 
 :func:`run_load` is the bundled load generator: it fires ``requests``
 total requests at ``concurrency`` in flight, cycling through an op ×
@@ -27,16 +30,31 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .batcher import LatencyReservoir
-from .errors import ServeError, error_from_doc
-from .protocol import canonical_dumps, decode_line, encode_line
+from .errors import BadRequestError, ServeError, error_from_doc
+from .protocol import (
+    MAX_RESPONSE_BYTES,
+    JsonLinesProtocol,
+    canonical_dumps,
+    decode_line,
+    encode_line,
+)
 
 
 class ServeConnectionError(ConnectionError):
     """The server endpoint cannot be reached or died mid-request."""
 
 
-class ServeClient:
-    """Asyncio JSON-lines client with id-based response matching."""
+class ServeClient(JsonLinesProtocol):
+    """Asyncio JSON-lines client with id-based response matching.
+
+    The client is its connection's protocol: a request line goes straight
+    to ``transport.write`` (waiting only while the transport is paused),
+    and ``data_received`` resolves the future of the id each response
+    line carries.  Response lines are bounded by
+    :data:`~repro.serve.protocol.MAX_RESPONSE_BYTES`.
+    """
+
+    max_line = MAX_RESPONSE_BYTES
 
     def __init__(
         self,
@@ -44,15 +62,13 @@ class ServeClient:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__()
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
         self._pending: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._ids = itertools.count(1)
-        self._reader_task: Optional["asyncio.Task[None]"] = None
-        self._write_lock: Optional[asyncio.Lock] = None
+        self._lost: Optional["asyncio.Future[None]"] = None
 
     async def __aenter__(self) -> "ServeClient":
         await self.connect()
@@ -62,41 +78,51 @@ class ServeClient:
         await self.close()
 
     async def connect(self) -> None:
+        loop = asyncio.get_running_loop()
+        self._lost = loop.create_future()
         try:
             if self.socket_path:
-                self._reader, self._writer = await asyncio.open_unix_connection(
-                    self.socket_path
+                await loop.create_unix_connection(
+                    lambda: self, self.socket_path
                 )
             else:
-                self._reader, self._writer = await asyncio.open_connection(
-                    self.host, self.port
+                await loop.create_connection(
+                    lambda: self, self.host, self.port
                 )
         except (ConnectionError, OSError) as exc:
             endpoint = self.socket_path or f"{self.host}:{self.port}"
             raise ServeConnectionError(
                 f"cannot connect to repro serve at {endpoint}: {exc}"
             ) from exc
-        self._write_lock = asyncio.Lock()
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
 
     async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
         self._fail_pending(ServeConnectionError("connection closed"))
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
+            await self._lost
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self._fail_pending(ServeConnectionError("server closed connection"))
+        if not self._lost.done():
+            self._lost.set_result(None)
+
+    def line_received(self, line: bytearray) -> None:
+        try:
+            doc = decode_line(line)
+        except BadRequestError as exc:
+            return self._abort(f"bad response line: {exc}")
+        future = self._pending.pop(str(doc.get("id")), None)
+        if future is not None and not future.done():
+            future.set_result(doc)
+
+    def line_too_long(self) -> None:
+        self._abort(f"response line exceeds {self.max_line} bytes")
+
+    def _abort(self, reason: str) -> None:
+        self._fail_pending(ServeConnectionError(reason))
+        self._transport.close()
 
     def _fail_pending(self, exc: Exception) -> None:
         for future in self._pending.values():
@@ -104,41 +130,20 @@ class ServeClient:
                 future.set_exception(exc)
         self._pending.clear()
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                doc = decode_line(line)
-                future = self._pending.pop(str(doc.get("id")), None)
-                if future is not None and not future.done():
-                    future.set_result(doc)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self._fail_pending(
-                ServeConnectionError(f"read loop failed: {exc}")
-            )
-            return
-        self._fail_pending(ServeConnectionError("server closed connection"))
-
     # -- request API ----------------------------------------------------
     async def request_raw(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """Send one request document; return the raw response document."""
-        assert self._writer is not None and self._write_lock is not None, (
-            "client is not connected"
-        )
+        transport = self._transport
+        if transport is None or transport.is_closing():
+            raise ServeConnectionError("client is not connected")
         req_id = doc.get("id") or f"c{next(self._ids)}"
-        doc = {**doc, "id": req_id}
         future: "asyncio.Future[Dict[str, Any]]" = (
             asyncio.get_running_loop().create_future()
         )
         self._pending[req_id] = future
-        async with self._write_lock:
-            self._writer.write(encode_line(doc))
-            await self._writer.drain()
+        transport.write(encode_line({**doc, "id": req_id}))
+        if self._paused:
+            await self.drain()
         return await future
 
     async def request(

@@ -1,10 +1,16 @@
 """The JSON-lines connection loop shared by the server and the router.
 
 :class:`JsonLinesEndpoint` owns everything between the socket and a
-``dispatch(request, doc)`` coroutine: listening (unix socket or TCP),
-one task per request line so a slow request never blocks its connection,
-oversize-line rejection, request parsing, mapping every failure onto a
-typed error response, serialized response writes, and the drain tail.
+``dispatch(request, doc)`` callable: listening (unix socket or TCP), one
+:class:`~repro.serve.protocol.JsonLinesProtocol` per connection, request
+parsing, mapping every failure onto a typed error response, and the
+drain tail.  ``dispatch`` returns the response document, or an awaitable
+of it.  A document (admin ops, cache hits, synchronous typed errors) is
+written inside ``data_received``, with no task; only an awaitable (a
+miss, a router forward) gets one task, so a slow request never blocks
+its connection.  While a peer does not read its responses (the
+transport's write buffer is past its high-water mark) the endpoint
+stops reading that peer's requests, and resumes when the buffer drains.
 ``OverlayServer`` and ``ClusterRouter`` differ only in what their
 dispatch does with a parsed request.
 """
@@ -14,11 +20,12 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import BadRequestError, InternalError, ServeError
 from .protocol import (
     MAX_LINE_BYTES,
+    JsonLinesProtocol,
     Request,
     decode_line,
     encode_line,
@@ -26,7 +33,77 @@ from .protocol import (
     response_doc,
 )
 
-Dispatch = Callable[[Request, Dict[str, Any]], Awaitable[Dict[str, Any]]]
+Response = Dict[str, Any]
+Dispatch = Callable[
+    [Request, Dict[str, Any]], Union[Response, Awaitable[Response]]
+]
+
+
+class _Connection(JsonLinesProtocol):
+    """One accepted connection: every line is a request."""
+
+    def __init__(self, endpoint: "JsonLinesEndpoint") -> None:
+        super().__init__()
+        self._endpoint = endpoint
+        #: Responses still being computed for this connection.
+        self.tasks: "set[asyncio.Task[None]]" = set()
+        #: EOF or an oversize line: read nothing more, close once answered.
+        self._done_reading = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self._endpoint._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self._endpoint._connections.discard(self)
+
+    def line_received(self, line: bytearray) -> None:
+        self._endpoint._serve_line(line, self)
+
+    def line_too_long(self) -> None:
+        self.send(
+            response_doc(
+                "?",
+                error=BadRequestError(
+                    f"request line exceeds {MAX_LINE_BYTES} bytes"
+                ).to_doc(),
+            )
+        )
+        self._stop_reading()
+
+    def eof_received(self) -> bool:
+        if self._buffer.strip():  # an unterminated last request
+            self.data_received(b"\n")
+        self._stop_reading()
+        return True  # keep the write side open for the answers
+
+    def pause_writing(self) -> None:
+        super().pause_writing()
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        super().resume_writing()
+        if not self._done_reading:
+            self._transport.resume_reading()
+            self.frame()
+
+    def send(self, doc: Response) -> None:
+        if not self._transport.is_closing():
+            self._transport.write(encode_line(doc))
+
+    def answered(self, task: "asyncio.Task[None]") -> None:
+        self.tasks.discard(task)
+        self._close_if_answered()
+
+    def _stop_reading(self) -> None:
+        self._done_reading = True
+        self._transport.pause_reading()
+        self._close_if_answered()
+
+    def _close_if_answered(self) -> None:
+        if self._done_reading and not self.tasks:
+            self._transport.close()
 
 
 class JsonLinesEndpoint:
@@ -40,29 +117,25 @@ class JsonLinesEndpoint:
         self._dispatch = dispatch
         self._counters = counters
         self._server: Optional[asyncio.AbstractServer] = None
-        self._tasks: "set[asyncio.Task[Any]]" = set()
-        self._writers: "set[asyncio.StreamWriter]" = set()
+        self._tasks: "set[asyncio.Task[None]]" = set()
+        self._connections: "set[_Connection]" = set()
         #: ``("unix", path)`` or ``("tcp", (host, port))`` once listening.
         self.address: Optional[Tuple[str, Any]] = None
 
     async def listen(
         self, socket_path: Optional[str], host: str, port: int
     ) -> None:
+        loop = asyncio.get_running_loop()
         if socket_path:
             if os.path.exists(socket_path):
                 os.unlink(socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection,
-                path=socket_path,
-                limit=MAX_LINE_BYTES,
+            self._server = await loop.create_unix_server(
+                lambda: _Connection(self), path=socket_path
             )
             self.address = ("unix", socket_path)
         else:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                host=host,
-                port=port,
-                limit=MAX_LINE_BYTES,
+            self._server = await loop.create_server(
+                lambda: _Connection(self), host=host, port=port
             )
             sock = self._server.sockets[0]
             self.address = ("tcp", sock.getsockname()[:2])
@@ -71,8 +144,8 @@ class JsonLinesEndpoint:
         """Stop listening; give in-flight requests ``timeout`` to finish."""
         if self._server is not None:
             # close() only — on 3.12+ wait_closed() also waits for every
-            # connection handler, which deadlocks against clients holding
-            # their connection open while they await the drain.
+            # connection, which deadlocks against clients holding their
+            # connection open while they await the drain.
             self._server.close()
         pending = [t for t in self._tasks if not t.done()]
         if pending:
@@ -82,104 +155,46 @@ class JsonLinesEndpoint:
 
     def close(self) -> None:
         """Hang up on lingering clients and remove the unix socket."""
-        # Closing the transports lets the handler coroutines exit through
-        # EOF rather than being cancelled at loop teardown.
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
+        for conn in list(self._connections):
+            conn._transport.close()
         kind, where = self.address or (None, None)
         if kind == "unix" and os.path.exists(where):
             os.unlink(where)
 
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        request_tasks: "set[asyncio.Task[Any]]" = set()
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, asyncio.LimitOverrunError):
-                    await self._write(
-                        writer,
-                        write_lock,
-                        response_doc(
-                            "?",
-                            error=BadRequestError(
-                                f"request line exceeds {MAX_LINE_BYTES} bytes"
-                            ).to_doc(),
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.get_running_loop().create_task(
-                    self._serve_line(line, writer, write_lock)
-                )
-                request_tasks.add(task)
-                self._tasks.add(task)
-                task.add_done_callback(request_tasks.discard)
-                task.add_done_callback(self._tasks.discard)
-            if request_tasks:
-                await asyncio.gather(*request_tasks, return_exceptions=True)
-        except asyncio.CancelledError:
-            # Exit quietly: asyncio owns this task, and on 3.11 its
-            # StreamReaderProtocol done-callback calls task.exception()
-            # on a cancelled handler, logging a spurious "Exception in
-            # callback" traceback per connection if we propagate.
-            pass
-        finally:
-            self._writers.discard(writer)
-            # close() without awaiting wait_closed(): this task may be
-            # cancelled at loop teardown, and an await here would surface
-            # as a spurious CancelledError in asyncio's protocol callback.
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        doc: Dict[str, Any],
-    ) -> None:
-        async with lock:
-            writer.write(encode_line(doc))
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    def _serve_line(self, line: bytearray, conn: _Connection) -> None:
         req_id = "?"
         try:
             doc = decode_line(line)
             req_id = str(doc.get("id", "?"))
-            request = parse_request(doc)
-            response = await self._dispatch(request, doc)
-        except ServeError as exc:
-            self._counters["responses_error"] += 1
-            response = response_doc(req_id, error=exc.to_doc())
-        except Exception as exc:  # never kill the connection loop
-            self._counters["responses_error"] += 1
-            response = response_doc(
-                req_id,
-                error=InternalError(f"{type(exc).__name__}: {exc}").to_doc(),
-            )
-        await self._write(writer, write_lock, response)
+            response = self._dispatch(parse_request(doc), doc)
+        except Exception as exc:  # never kill the connection
+            response = self._failure(req_id, exc)
+        if isinstance(response, dict):
+            conn.send(response)
+            return
+        task = asyncio.get_running_loop().create_task(
+            self._answer(req_id, response, conn)
+        )
+        self._tasks.add(task)
+        conn.tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(conn.answered)
+
+    async def _answer(
+        self, req_id: str, pending: Awaitable[Response], conn: _Connection
+    ) -> None:
+        try:
+            response = await pending
+        except Exception as exc:
+            response = self._failure(req_id, exc)
+        conn.send(response)
+
+    def _failure(self, req_id: str, exc: Exception) -> Response:
+        self._counters["responses_error"] += 1
+        if not isinstance(exc, ServeError):
+            exc = InternalError(f"{type(exc).__name__}: {exc}")
+        return response_doc(req_id, error=exc.to_doc())
 
 
 async def run_until_shutdown(

@@ -32,14 +32,35 @@ Response document::
 what the single-shot CLI path produces for the same overlay + workload.
 On failure ``ok`` is false and ``error`` carries a structured code from
 :mod:`repro.serve.errors`.
+
+Framing.  :class:`JsonLinesProtocol` is the one framing loop on every
+serve socket, in both directions: the server's and the router's
+connections (:mod:`repro.serve.endpoint`) and
+:class:`~repro.serve.client.ServeClient` (which the router also uses to
+reach its shards).  A line is the bytes before ``\\n``; blank lines are
+skipped.  Each side bounds the lines it reads, newline excluded:
+
+* a request line may be at most :data:`MAX_LINE_BYTES` (1 MiB).  The
+  server answers a longer one, or an unterminated tail that already is
+  longer, with one ``bad_request`` response whose id is ``"?"``, answers
+  what is already in flight, and closes that connection;
+* a response line may be at most :data:`MAX_RESPONSE_BYTES` (64 MiB).
+  A response carries a result the client asked for, and one request
+  line may name thousands of workloads (``simulate_batch``, about 260
+  bytes of result per name), so a response can be far longer than any
+  request; the bound only stops a broken peer from making the client
+  buffer without end.  A client reading a longer line fails every
+  request in flight on that connection with ``ServeConnectionError``
+  and closes it.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from .errors import BadRequestError
 
@@ -50,9 +71,18 @@ PROTOCOL_VERSION = 1
 #: make the server buffer unboundedly.
 MAX_LINE_BYTES = 1 << 20
 
+#: Longest response line a client reads (64 MiB; see "Framing" above).
+MAX_RESPONSE_BYTES = 64 << 20
+
 COMPUTE_OPS = ("map", "estimate", "simulate", "simulate_batch", "remap")
 ADMIN_OPS = ("ping", "stats", "shutdown")
 ALL_OPS = COMPUTE_OPS + ADMIN_OPS
+
+
+#: ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, built
+#: once: ``dumps`` with any non-default argument builds an encoder per
+#: call, about a fifth of the time it takes to encode a served response.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_dumps(doc: Any) -> str:
@@ -61,7 +91,7 @@ def canonical_dumps(doc: Any) -> str:
     Sorted keys + tight separators: two result documents are equal iff
     their canonical dumps are byte-identical.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)
 
 
 def encode_line(doc: Dict[str, Any]) -> bytes:
@@ -161,3 +191,111 @@ def response_doc(
         "error": error,
         "served": served or {},
     }
+
+
+#: Bytes a connection reads per callback.
+READ_CHUNK = 1 << 16
+
+
+class JsonLinesProtocol(asyncio.BufferedProtocol):
+    """Line framing and write flow control for one connection.
+
+    The transport reads into this connection's own chunk
+    (``get_buffer`` / ``buffer_updated``): asyncio's plain
+    ``data_received`` path allocates a new 256 KiB ``bytes`` per read,
+    which took longer than framing and parsing a request.
+    :meth:`data_received` appends what was read and calls
+    :meth:`line_received` for each non-blank line (``\\n`` stripped), in
+    order and in the same callback: no reader task, no per-line hop.  A
+    line longer than :attr:`max_line` goes to :meth:`line_too_long`
+    instead and the buffer is dropped.  Framing runs only while the
+    transport is reading, so a subclass that pauses reading keeps the
+    lines it has not framed yet, and frames them with :meth:`frame`
+    when it resumes.
+
+    Writes go straight to ``transport.write``.  When the transport's
+    buffer passes its high-water mark the transport calls
+    :meth:`pause_writing`, and :meth:`drain` waits until
+    :meth:`resume_writing` (or the connection is lost).
+    """
+
+    #: Longest line read from the peer, newline excluded.
+    max_line = MAX_LINE_BYTES
+
+    def __init__(self) -> None:
+        self._transport: Optional[asyncio.Transport] = None
+        self._chunk = memoryview(bytearray(READ_CHUNK))
+        self._buffer = bytearray()
+        #: Where to resume the newline search: ``_buffer[:_scan]`` holds
+        #: no newline past the last framed line.
+        self._scan = 0
+        self._paused = False
+        self._drainers: List["asyncio.Future[None]"] = []
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._paused = False
+        self._wake_drainers()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._chunk
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._chunk[:nbytes])
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self.frame()
+
+    def frame(self) -> None:
+        """Hand every complete buffered line to :meth:`line_received`."""
+        buf, start = self._buffer, 0
+        while self._transport.is_reading():
+            end = buf.find(b"\n", self._scan)
+            if end < 0:
+                self._scan = len(buf)
+                if len(buf) - start > self.max_line:
+                    return self._overflow()
+                break
+            line = buf[start:end]
+            start = self._scan = end + 1
+            if len(line) > self.max_line:
+                return self._overflow()
+            if line.strip():
+                self.line_received(line)
+        del buf[:start]
+        self._scan -= start
+
+    def _overflow(self) -> None:
+        self._buffer.clear()
+        self._scan = 0
+        self.line_too_long()
+
+    def line_received(self, line: bytearray) -> None:
+        raise NotImplementedError
+
+    def line_too_long(self) -> None:
+        raise NotImplementedError
+
+    # -- flow control ---------------------------------------------------
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._wake_drainers()
+
+    def _wake_drainers(self) -> None:
+        drainers, self._drainers = self._drainers, []
+        for waiter in drainers:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    async def drain(self) -> None:
+        """Wait while the transport's write buffer is over its mark."""
+        if self._paused:
+            waiter = asyncio.get_running_loop().create_future()
+            self._drainers.append(waiter)
+            await waiter

@@ -11,8 +11,10 @@ localhost TCP.  The serving pipeline per compute request:
 2. **Cache tiers** — one :class:`~repro.engine.store.TieredCache`:
    in-process memory, then the persistent
    :class:`~repro.engine.store.ArtifactStore` (shared with the DSE
-   engine, so results survive restarts).  A hit is answered here, with
-   no admission slot, no flight and no timer: hits are never shed.
+   engine, so results survive restarts).  A hit is answered here, as a
+   document the endpoint writes inside ``data_received``: no task, no
+   admission slot, no flight and no timer, so hits are never shed.  A
+   miss is an awaitable, the one thing the endpoint runs as a task.
 3. **Admission** — a miss takes a bounded
    :class:`~repro.serve.batcher.AdmissionGate` slot or is rejected *now*
    with a structured ``overloaded`` error (never unbounded queueing).
@@ -329,9 +331,8 @@ class OverlayServer:
         self._closed.set()
 
     # -- request dispatch ----------------------------------------------
-    async def _dispatch(
-        self, request: Request, doc: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    def _dispatch(self, request: Request, doc: Dict[str, Any]) -> Any:
+        """The response document, or (a miss) an awaitable of it."""
         self.counters["requests"] += 1
         if request.op == "ping":
             return response_doc(
@@ -345,9 +346,9 @@ class OverlayServer:
             # reaches the client before the connection dies.
             asyncio.get_running_loop().create_task(self.shutdown())
             return response_doc(request.id, result={"draining": True})
-        return await self._dispatch_compute(request)
+        return self._dispatch_compute(request)
 
-    async def _dispatch_compute(self, request: Request) -> Dict[str, Any]:
+    def _dispatch_compute(self, request: Request) -> Any:
         t_arrival = perf_counter()
         if self._draining:
             raise ShuttingDownError("server is draining; no new work")
@@ -357,34 +358,58 @@ class OverlayServer:
             entry.fingerprint, self._workload_fp(request.workload), request.op
         )
         result, tier = self.cache.get(key)
-        coalesced, queue_wait, remap = False, 0.0, "cache"
-        if tier != "miss":
-            self.counters[f"cache_{tier}"] += 1
-        else:
-            tier = "compute"
-            timeout = request.timeout_s or self.config.default_timeout_s
-            self.gate.admit()
-            try:
-                with tracer.span(
-                    "serve.request", op=request.op, workload=request.workload
-                ):
-                    task, is_leader = self.flights.join(
-                        key, lambda: self._compute(key, entry, request)
+        if tier == "miss":
+            return self._compute_response(request, entry, key, t_arrival)
+        self.counters[f"cache_{tier}"] += 1
+        return self._respond(request, entry, t_arrival, result, tier)
+
+    async def _compute_response(
+        self,
+        request: Request,
+        entry: OverlayEntry,
+        key: str,
+        t_arrival: float,
+    ) -> Dict[str, Any]:
+        """A miss: admission, single-flight, then the worker."""
+        timeout = request.timeout_s or self.config.default_timeout_s
+        self.gate.admit()
+        try:
+            with tracer.span(
+                "serve.request", op=request.op, workload=request.workload
+            ):
+                task, is_leader = self.flights.join(
+                    key, lambda: self._compute(key, entry, request)
+                )
+                coalesced = not is_leader
+                self.counters["coalesced"] += coalesced
+                try:
+                    result, queue_wait, remap = await asyncio.wait_for(
+                        asyncio.shield(task), timeout=timeout
                     )
-                    coalesced = not is_leader
-                    self.counters["coalesced"] += coalesced
-                    try:
-                        result, queue_wait, remap = await asyncio.wait_for(
-                            asyncio.shield(task), timeout=timeout
-                        )
-                    except asyncio.TimeoutError:
-                        raise DeadlineError(
-                            f"deadline of {timeout:.3f}s expired for "
-                            f"{request.op}/{request.workload} "
-                            "(compute continues; retry will hit the cache)"
-                        ) from None
-            finally:
-                self.gate.release()
+                except asyncio.TimeoutError:
+                    raise DeadlineError(
+                        f"deadline of {timeout:.3f}s expired for "
+                        f"{request.op}/{request.workload} "
+                        "(compute continues; retry will hit the cache)"
+                    ) from None
+        finally:
+            self.gate.release()
+        return self._respond(
+            request, entry, t_arrival, result, "compute",
+            coalesced, queue_wait, remap,
+        )
+
+    def _respond(
+        self,
+        request: Request,
+        entry: OverlayEntry,
+        t_arrival: float,
+        result: Any,
+        tier: str,
+        coalesced: bool = False,
+        queue_wait: float = 0.0,
+        remap: Optional[str] = "cache",
+    ) -> Dict[str, Any]:
         latency = perf_counter() - t_arrival
         self.latency.record(latency)
         served = {

@@ -68,6 +68,39 @@ class TestHashing:
     def test_fingerprint_independent_of_set_order(self):
         assert fingerprint({"a", "b", "c"}) == fingerprint({"c", "a", "b"})
 
+    def test_digests_are_pinned(self):
+        """Store, study and serve keys are these digests, so they must
+        not move: a nested document with non-string keys, sets, an enum
+        and a dataclass, and the General overlay's fingerprint."""
+        import enum
+
+        from repro.adg import general_overlay
+        from repro.serve.ops import overlay_fingerprint
+
+        class Color(enum.Enum):
+            RED = 1
+            BLUE = 2
+
+        @dataclasses.dataclass(frozen=True)
+        class Point:
+            x: int
+            tags: frozenset
+
+        doc = {
+            "name": "pin",
+            3: [1.5, None, True],
+            (1, "a"): {"b": {2, 1, 3}, "a": Color.BLUE},
+            Color.RED: Point(x=7, tags=frozenset({"z", "y"})),
+            None: {frozenset({2, 1}): "set key", 10: "int", "10": "str"},
+            False: (),
+        }
+        assert fingerprint(doc) == (
+            "ce001c9927bc36bbaf2ce385745c5bd982b42a5b25385d6d3c529989c4ce7267"
+        )
+        assert overlay_fingerprint(general_overlay()) == (
+            "9ea920f4092552bfa89a9ec96a003fcffe4cd0e429aebcbf9be05dd5b8309fed"
+        )
+
     def test_rejects_uncanonicalizable(self):
         with pytest.raises(TypeError):
             fingerprint(object())

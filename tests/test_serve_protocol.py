@@ -20,6 +20,7 @@ from repro.serve import (
     parse_request,
     response_doc,
 )
+from repro.serve.protocol import JsonLinesProtocol
 
 
 class TestFraming:
@@ -37,6 +38,49 @@ class TestFraming:
     def test_decode_rejects_non_object(self):
         with pytest.raises(BadRequestError):
             decode_line(b"[1, 2, 3]\n")
+
+
+class _Transport:
+    def is_reading(self):
+        return True
+
+
+class _Lines(JsonLinesProtocol):
+    max_line = 8
+
+    def __init__(self):
+        super().__init__()
+        self.lines, self.overflows = [], 0
+        self.connection_made(_Transport())
+
+    def line_received(self, line):
+        self.lines.append(bytes(line))
+
+    def line_too_long(self):
+        self.overflows += 1
+
+
+class TestLineFraming:
+    def test_lines_split_across_chunks_reassemble(self):
+        proto = _Lines()
+        for byte in b"ab\n\n  \ncdefghij\nk":
+            proto.data_received(bytes([byte]))
+        assert proto.lines == [b"ab", b"cdefghij"]  # blank lines skipped
+        proto.data_received(b"l\nm\n")
+        assert proto.lines[2:] == [b"kl", b"m"]
+        assert proto.overflows == 0
+
+    def test_max_line_excludes_the_newline(self):
+        proto = _Lines()
+        proto.data_received(b"12345678\n123456789\nlost\n")
+        assert proto.lines == [b"12345678"] and proto.overflows == 1
+
+    def test_unterminated_tail_past_max_line_overflows_at_once(self):
+        proto = _Lines()
+        proto.data_received(b"12345678")
+        assert proto.overflows == 0
+        proto.data_received(b"9")
+        assert proto.overflows == 1 and not proto.lines
 
 
 class TestParseRequest:

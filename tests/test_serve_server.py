@@ -532,3 +532,129 @@ class TestMultiOverlay:
                 assert sorted(stats["overlays"]) == ["second", "vecmax"]
 
         serve_test(server, body)
+
+
+async def read_until_closed(reader):
+    """Every response line left on a connection, until the server closes
+    it (EOF, or a reset when it hung up on unread request bytes)."""
+    lines = []
+    while True:
+        try:
+            line = await asyncio.wait_for(reader.readline(), timeout=10)
+        except ConnectionResetError:
+            return lines
+        if not line:
+            return lines
+        lines.append(json.loads(line))
+
+
+def ping_lines(n, prefix="p"):
+    return b"".join(
+        b'{"id":"%s%d","op":"ping"}\n' % (prefix.encode(), i) for i in range(n)
+    )
+
+
+class TestWire:
+    """The one framing loop: line bounds, pipelining, flow control."""
+
+    def test_client_reads_a_response_longer_than_64_kib(
+        self, sysadg, tmp_path
+    ):
+        server = make_server(sysadg, tmp_path)
+        names = ",".join(["vecmax"] * 300)
+
+        async def body():
+            async with client_for(server) as client:
+                result = await client.request(
+                    "simulate_batch", workload=names
+                )
+            assert len(canonical_dumps(result)) > 1 << 16
+            assert len(result["results"]) == 300
+            assert all(doc == result["results"][0] for doc in result["results"])
+
+        serve_test(server, body)
+
+    def test_oversize_request_line_is_one_bad_request_then_close(
+        self, sysadg, tmp_path
+    ):
+        from repro.serve import MAX_LINE_BYTES
+
+        server = make_server(sysadg, tmp_path)
+
+        async def body():
+            path = server.endpoint[1]
+            async with client_for(server) as other:
+                reader, writer = await asyncio.open_unix_connection(path)
+                try:
+                    writer.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+                    writer.write(b'{"id":"late","op":"ping"}\n')
+                    replies = await read_until_closed(reader)
+                finally:
+                    writer.close()
+                assert len(replies) == 1, replies
+                assert replies[0]["id"] == "?" and not replies[0]["ok"]
+                assert replies[0]["error"]["code"] == "bad_request"
+                assert "exceeds" in replies[0]["error"]["message"]
+                # Other connections, open and new, are still served.
+                assert (await other.ping())["pong"] is True
+            async with client_for(server) as fresh:
+                assert (await fresh.ping())["pong"] is True
+
+        serve_test(server, body)
+
+    def test_pipelined_lines_each_get_one_response(self, sysadg, tmp_path):
+        server = make_server(sysadg, tmp_path)
+        n = 2000
+
+        async def body():
+            reader, writer = await asyncio.open_unix_connection(
+                server.endpoint[1]
+            )
+            try:
+                writer.write(ping_lines(n))
+                writer.write_eof()  # answered in full, then closed
+                replies = await read_until_closed(reader)
+            finally:
+                writer.close()
+            ids = [r["id"] for r in replies]
+            assert len(ids) == n and set(ids) == {f"p{i}" for i in range(n)}
+            assert all(r["result"]["pong"] for r in replies)
+
+        serve_test(server, body)
+
+    def test_a_peer_that_stops_reading_stops_being_read(
+        self, sysadg, tmp_path
+    ):
+        """Once the responses a peer does not read pass the transport's
+        high-water mark, the endpoint reads no more of its requests;
+        when the peer reads again, every response arrives once."""
+        server = make_server(sysadg, tmp_path)
+        n = 3000  # ~3 MB of stats responses, far past any socket buffer
+
+        async def body():
+            reader, writer = await asyncio.open_unix_connection(
+                server.endpoint[1]
+            )
+            try:
+                writer.write(
+                    b"".join(
+                        b'{"id":"s%d","op":"stats"}\n' % i for i in range(n)
+                    )
+                )
+                seen = -1
+                while seen != server.counters["requests"]:
+                    seen = server.counters["requests"]
+                    await asyncio.sleep(0.05)
+                assert 0 < seen < n
+                ids = [
+                    json.loads(await asyncio.wait_for(reader.readline(), 10))[
+                        "id"
+                    ]
+                    for _ in range(n)
+                ]
+            finally:
+                writer.close()
+            assert sorted(ids) == sorted(f"s{i}" for i in range(n))
+            assert server.counters["requests"] == n
+
+        serve_test(server, body)
