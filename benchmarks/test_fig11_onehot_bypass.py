@@ -5,6 +5,7 @@ stream is active — issue rate drops to one every two cycles; the one-hot
 bypass forwards the updated entry combinationally and doubles the rate.
 """
 
+from repro.harness.paper import claim
 from repro.sim import BandwidthPool, EngineSim, PortFifo, StreamState
 
 
@@ -29,12 +30,17 @@ def _issue_rate(onehot: bool, cycles: int = 400) -> float:
 
 def test_fig11_onehot_bypass(once):
     with_bypass, without = once(lambda: (_issue_rate(True), _issue_rate(False)))
+    paper_without, paper_with = (
+        claim(f"fig11.{key}") for key in ("no_bypass", "bypass")
+    )
     print()
     print("Fig. 11: single-stream issue rate")
-    print(f"  without one-hot bypass : {without:.3f} issues/cycle (paper: 0.5)")
-    print(f"  with one-hot bypass    : {with_bypass:.3f} issues/cycle (paper: 1.0)")
-    assert abs(without - 0.5) < 0.02
-    assert abs(with_bypass - 1.0) < 0.02
+    print(f"  without one-hot bypass : {without:.3f} issues/cycle "
+          f"(paper: {paper_without.shown})")
+    print(f"  with one-hot bypass    : {with_bypass:.3f} issues/cycle "
+          f"(paper: {paper_with.shown})")
+    assert abs(without - paper_without.value) < 0.02
+    assert abs(with_bypass - paper_with.value) < 0.02
     # The bypass exactly doubles single-stream issue rate (Fig. 11b).
     assert abs(with_bypass / without - 2.0) < 0.1
 

@@ -1,10 +1,8 @@
 """Figure 13: overall performance vs AutoDSE.
 
-Paper headline (geomean speedup over untuned AutoDSE):
-  suite overlays  : 1.21x (DSP), 1.13x (MachSuite), 1.25x (Vision)
-  vs *tuned* AD   : 0.71x, 0.37x, 0.65x
-  workload overlays reach mean 1.45x untuned AD; the General overlay is
-  comparable on DSP/MachSuite and ~0.68x on Vision.
+Paper headline: geomean speedups of the suite overlays over untuned and
+over tuned AutoDSE, and of the workload overlays over untuned AutoDSE
+(the ``fig13.*`` claims of ``repro.harness.paper``).
 
 Shape assertions: suite overlays are competitive with (>= ~0.7x) untuned
 AutoDSE everywhere and beat it in aggregate; tuned AutoDSE beats every
@@ -19,17 +17,10 @@ from repro.harness import (
     geomean,
     render_table,
 )
+from repro.harness.paper import claim
 
 #: Full-DSE sweeps: deselect with -m 'not tier2' for the fast path.
 pytestmark = pytest.mark.tier2
-
-
-#: Paper geomeans: suite-OG vs untuned AD, and suite-OG vs *tuned* AD.
-PAPER_GEOMEANS = {
-    "dsp": {"suite_og": 1.21, "vs_tuned": 0.71},
-    "machsuite": {"suite_og": 1.13, "vs_tuned": 0.37},
-    "vision": {"suite_og": 1.25, "vs_tuned": 0.65},
-}
 
 
 def test_fig13_overall_performance(once):
@@ -58,13 +49,13 @@ def test_fig13_overall_performance(once):
             ["suite", "metric", "paper", "measured"],
             [
                 (s, "suite-OG vs untuned AD",
-                 f"{PAPER_GEOMEANS[s]['suite_og']:.2f}x",
+                 claim(f"fig13.vs_untuned.{s}").shown,
                  f"{means[s]['suite_og']:.2f}x")
                 for s in means
             ]
             + [
                 (s, "suite-OG vs tuned AD",
-                 f"{PAPER_GEOMEANS[s]['vs_tuned']:.2f}x",
+                 claim(f"fig13.vs_tuned.{s}").shown,
                  f"{means[s]['suite_og'] / means[s]['tuned_ad']:.2f}x")
                 for s in means
             ],

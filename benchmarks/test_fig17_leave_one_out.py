@@ -1,19 +1,16 @@
 """Figure 17: "leave-one-out" flexibility (MachSuite).
 
-Paper: an overlay generated WITHOUT one workload can still map it with mean
-~49.5% performance degradation; compiling to an existing overlay is ~10^4x
-faster than the HLS flow, and reconfiguration is ~5x10^4x faster than
-reflashing the FPGA.
-
-Known divergence: our compiler vectorizes by widening SIMD lanes rather
-than duplicating instructions, so overlays keep fewer (wider) PEs; the
-17-instruction stencil-2d graph can fail to map on an overlay never
-exposed to it.  The other shape claims hold.
+Paper: an overlay generated WITHOUT one workload can still map it with a
+modest mean performance loss; compiling to an existing overlay is orders
+of magnitude faster than the HLS flow, and reconfiguration orders of
+magnitude faster than reflashing the FPGA (``fig17.*`` in
+``repro.harness.paper``).
 """
 
 import pytest
 
 from repro.harness import fig17_leave_one_out, render_table
+from repro.harness.paper import claim
 
 #: Full-DSE sweeps: deselect with -m 'not tier2' for the fast path.
 pytestmark = pytest.mark.tier2
@@ -37,15 +34,17 @@ def test_fig17_leave_one_out(once):
                 )
                 for r in rows
             ],
-            title="Fig. 17: leave-one-out flexibility (paper: ~50% perf, "
-            "10^4x compile, 5x10^4x reconfig)",
+            title="Fig. 17: leave-one-out flexibility (paper: mean "
+            f"~{claim('fig17.degradation').shown} loss, "
+            f"{claim('fig17.compile_speedup').shown} compile, "
+            f"{claim('fig17.reconfig_speedup').shown} reconfig)",
         )
     )
     mapped = [r for r in rows if r.mapped]
     # Most workloads map onto the overlay that never saw them.
     assert len(mapped) >= 3
     for r in mapped:
-        # Modest degradation, not collapse (paper mean: ~50%).
+        # Modest degradation, not collapse.
         assert r.relative_performance > 0.3, r.workload
         # Compilation is about four orders of magnitude faster than HLS.
         assert 1e3 < r.compile_speedup < 1e6, r.workload

@@ -1,8 +1,9 @@
 """Figure 18: incremental design optimization (MachSuite).
 
 Paper: adding workloads one at a time, the per-tile datapath grows (more
-general PEs/ports/network) and the tile count falls from 15 to 10, at a
-mean ~8% performance cost for the earlier workloads.
+general PEs/ports/network) and the tile count falls, at a modest
+performance cost for the earlier workloads (``fig18.*`` in
+``repro.harness.paper``).
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.harness import (
     fig18_incremental,
     render_table,
 )
+from repro.harness.paper import claim
 
 #: Full-DSE sweeps: deselect with -m 'not tier2' for the fast path.
 pytestmark = pytest.mark.tier2
@@ -45,8 +47,9 @@ def test_fig18_incremental(once):
     # And each tile's datapath gets bigger/more general.
     assert last.lut_per_tile_fraction >= first.lut_per_tile_fraction * 0.9
     # Supporting the whole suite costs the first workload only modest
-    # performance (paper: mean ~8% across the suite).
+    # performance.
     retained = fig18_generality_cost()
     print(f"\n{FIG18_ORDER[0]} retains {retained:.0%} of its dedicated-"
-          "overlay performance on the shared overlay (paper: ~92%)")
+          "overlay performance on the shared overlay (paper: "
+          f"~{claim('fig18.retained').shown})")
     assert retained > 0.5

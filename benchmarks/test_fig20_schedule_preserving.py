@@ -1,8 +1,8 @@
 """Figure 20: the effect of schedule-preserving transformations.
 
 Paper: with node collapsing / edge-delay preservation / capability pruning
-enabled, the DSE converges faster (mean 15% less DSE time) to designs with
-1.09x better estimated IPC.
+enabled, the DSE converges faster to designs with better estimated IPC
+(``fig20.*`` in ``repro.harness.paper``).
 """
 
 import pytest
@@ -10,6 +10,7 @@ import pytest
 import statistics
 
 from repro.harness import fig20_schedule_preserving, render_series, render_table
+from repro.harness.paper import claim
 from repro.workloads import SUITE_NAMES
 
 #: Full-DSE sweeps: deselect with -m 'not tier2' for the fast path.
@@ -33,8 +34,9 @@ def test_fig20_schedule_preserving(once):
                 )
                 for r in results
             ],
-            title="Fig. 20: schedule-preserving transforms "
-            "(paper: 1.09x IPC, 15% less DSE time)",
+            title="Fig. 20: schedule-preserving transforms (paper: "
+            f"{claim('fig20.ipc_ratio').shown} IPC, "
+            f"{claim('fig20.time_reduction').shown} less DSE time)",
         )
     )
     for r in results:
@@ -49,7 +51,7 @@ def test_fig20_schedule_preserving(once):
     # Preserving transforms never hurt the converged design quality much
     # (annealing noise makes individual suites wobble)...
     assert min(ratios) > 0.7
-    # ...and help in aggregate (paper: mean 1.09x estimated IPC).
+    # ...and help in aggregate.
     assert statistics.geometric_mean(ratios) > 1.0
     # Both configurations produce hours-scale DSE runs.
     for r in results:

@@ -1,7 +1,7 @@
 """Table I: hardware modules synthesized to train the ML resource model.
 
-Paper: 100,000 PEs, 56,700 switches, 34,412 input ports, 25,796 output
-ports, feeding a 3-layer MLP with an 80/10/10 split.  We regenerate the
+Paper: the per-family module counts of Table I (``TABLE1_COUNTS``, a model
+input), feeding a 3-layer MLP with an 80/10/10 split.  We regenerate the
 dataset (scaled for runtime), train the per-family MLPs, and report test
 error per resource class.
 """

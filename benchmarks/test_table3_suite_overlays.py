@@ -1,7 +1,7 @@
 """Table III: specifications of the suite-specialized overlays.
 
 Regenerated by running the full DSE per suite.  Shape checks against the
-paper: suite overlays fit 2-4x more tiles than the 4-tile General overlay,
+paper: suite overlays fit more tiles than the General overlay,
 the vision overlay needs no floating point, the DSP overlay needs no
 (non-address) integer FUs beyond what its kernels use, and only suites
 with indirect workloads keep indirect-capable memories.
@@ -10,6 +10,7 @@ with indirect workloads keep indirect-capable memories.
 import pytest
 
 from repro.harness import render_table, table3_suite_overlays
+from repro.harness.paper import claim
 
 #: Full-DSE sweeps: deselect with -m 'not tier2' for the fast path.
 pytestmark = pytest.mark.tier2
@@ -41,10 +42,11 @@ def test_table3_suite_overlays(once):
     )
     by_name = {r["overlay"]: r for r in rows}
     general = by_name["general"]
-    assert general["tiles"] == 4
+    assert general["tiles"] == claim("fig12.general_tiles").value
     assert general["pes"] == 24 and general["switches"] == 35
-    # Specialized overlays fit more tiles than General (paper: 7/10/13 vs
-    # 4; the annealer sometimes prefers fewer, fatter tiles).
+    # Specialized overlays fit more tiles than General (the paper's range
+    # is ``table3.suite_tiles``; the annealer sometimes prefers fewer,
+    # fatter tiles).
     for suite in ("dsp", "machsuite", "vision"):
         assert by_name[suite]["tiles"] > general["tiles"], suite
     assert max(by_name[s]["tiles"] for s in ("dsp", "machsuite", "vision")) >= 8

@@ -105,16 +105,15 @@ class ClusterLauncher:
         cfg = self.config
         Path(cfg.run_dir).mkdir(parents=True, exist_ok=True)
         for index in range(cfg.shards):
-            log = open(
-                Path(cfg.run_dir) / f"shard-{index}.log", "wb"
-            )
-            self.processes.append(
-                subprocess.Popen(
-                    self._shard_command(index),
-                    stdout=log,
-                    stderr=subprocess.STDOUT,
+            # The child keeps its own copy of the log's fd.
+            with open(Path(cfg.run_dir) / f"shard-{index}.log", "wb") as log:
+                self.processes.append(
+                    subprocess.Popen(
+                        self._shard_command(index),
+                        stdout=log,
+                        stderr=subprocess.STDOUT,
+                    )
                 )
-            )
         deadline = time.monotonic() + STARTUP_TIMEOUT_S
         for index, proc in enumerate(self.processes):
             sock = self.shard_socket(index)

@@ -1,18 +1,8 @@
 """Experiment harness: drivers, caching, rendering, reporting."""
 
 from .experiments import (
-    FIG14_WORKLOADS,
     FIG18_ORDER,
-    Fig13Row,
-    Fig14Row,
-    Fig15Row,
-    Fig16Row,
-    Fig17Row,
-    Fig18Row,
-    Fig19Row,
-    Fig20Result,
     autodse,
-    families_end_to_end,
     fig13_geomeans,
     fig13_overall,
     fig14_tuning,
@@ -25,55 +15,12 @@ from .experiments import (
     fig18_incremental,
     fig19_dram_channels,
     fig20_schedule_preserving,
-    general_sysadg,
     leave_one_out_overlay,
-    og_seconds_general,
     og_seconds_suite,
-    og_seconds_workload,
     suite_overlay,
     table2_workload_specs,
     table3_suite_overlays,
     table4_hls_ii,
-    workload_overlay,
 )
 from .tables import geomean, render_series, render_table
 
-__all__ = [
-    "FIG14_WORKLOADS",
-    "FIG18_ORDER",
-    "Fig13Row",
-    "Fig14Row",
-    "Fig15Row",
-    "Fig16Row",
-    "Fig17Row",
-    "Fig18Row",
-    "Fig19Row",
-    "Fig20Result",
-    "autodse",
-    "families_end_to_end",
-    "fig13_geomeans",
-    "fig13_overall",
-    "fig14_tuning",
-    "fig15_dse_time",
-    "fig15_summary",
-    "fig16_autodse",
-    "fig16_overlays",
-    "fig17_leave_one_out",
-    "fig18_generality_cost",
-    "fig18_incremental",
-    "fig19_dram_channels",
-    "fig20_schedule_preserving",
-    "general_sysadg",
-    "geomean",
-    "leave_one_out_overlay",
-    "og_seconds_general",
-    "og_seconds_suite",
-    "og_seconds_workload",
-    "render_series",
-    "render_table",
-    "suite_overlay",
-    "table2_workload_specs",
-    "table3_suite_overlays",
-    "table4_hls_ii",
-    "workload_overlay",
-]

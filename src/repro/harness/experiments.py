@@ -14,7 +14,9 @@ source tree.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from statistics import fmean
 from typing import Dict, List, Optional, Tuple
 
 from ..adg import SysADG, general_overlay
@@ -34,10 +36,13 @@ from ..model.resource import (
     XCVU9P,
     usable_budget,
 )
+from ..rtl import estimated_frequency, floorplan
 from ..scheduler import Schedule, schedule_workload
-from ..sim import SimResult, reconfiguration_cycles, simulate_schedule
+from ..sim import EngineSim, PortFifo, SimResult, StreamState
+from ..sim import reconfiguration_cycles, simulate_schedule
 from ..sim.multiplex import FPGA_REFLASH_SECONDS
 from ..workloads import PAPER_SUITE_NAMES, get_suite, get_workload
+from . import paper
 from .tables import geomean
 
 
@@ -162,6 +167,18 @@ def og_seconds_general(name: str) -> Optional[float]:
         return sim.seconds(sysadg.params.frequency_mhz)
 
     return CACHE.memoized(("general-sec", name), build)
+
+
+# ----------------------------------------------------------------------
+# Figure 11: stream-table one-hot bypass
+# ----------------------------------------------------------------------
+def fig11_issue_rate(onehot: bool, cycles: int = 200) -> float:
+    """Single-stream issues per cycle, with or without the one-hot bypass."""
+    engine = EngineSim("e", 8, onehot_bypass=onehot)
+    engine.add_stream(
+        StreamState("s", 1e9, 1.0, PortFifo("p", capacity=1e9), True, 8)
+    )
+    return sum(engine.step(t) for t in range(cycles)) / cycles
 
 
 # ----------------------------------------------------------------------
@@ -459,8 +476,7 @@ def fig18_incremental() -> List[Fig18Row]:
 
 def fig18_generality_cost() -> float:
     """Performance retained by the first workload once all five share the
-    overlay (paper: supporting the whole suite costs mean ~8%)."""
-    rows = fig18_incremental()
+    overlay (``fig18.retained`` in :mod:`.paper`)."""
     first_name = FIG18_ORDER[0]
     first = _engine_explore([get_workload(first_name)], first_name)
     final = _engine_explore(
@@ -743,4 +759,66 @@ def families_end_to_end() -> List[Dict]:
                     "mhz": round(estimated_frequency(plan), 2),
                 }
             )
+    return rows
+
+
+# ----------------------------------------------------------------------
+# Paper vs measured: one ledger row per claim of ``paper.CLAIMS``
+# ----------------------------------------------------------------------
+#: ``mechanism`` is "" on a match, else a MECHANISMS name or "open".
+LedgerRow = namedtuple("LedgerRow", "claim measured verdict mechanism")
+
+
+def measured_claims() -> Dict[str, paper.Number]:
+    """What this repository measures for each claim, by claim key."""
+    *suites, _general = [r["tiles"] for r in table3_suite_overlays()]
+    plan = floorplan(general_sysadg())
+    fig13 = fig13_overall()
+    means = fig13_geomeans(fig13)
+    fig15 = fig15_summary()
+    luts = [r.lut for r in fig16_overlays()]
+    mapped = [r for r in fig17_leave_one_out() if r.mapped]
+    fig18 = fig18_incremental()
+    fig19 = {r.workload: r for r in fig19_dram_channels()}
+    fig20 = [fig20_schedule_preserving(s) for s in PAPER_SUITE_NAMES]
+    measured = {
+        "table3.suite_tiles": (min(suites), max(suites)),
+        "fig11.no_bypass": fig11_issue_rate(False),
+        "fig11.bypass": fig11_issue_rate(True),
+        "fig12.general_tiles": len(plan.placements),
+        "fig12.clock_mhz": estimated_frequency(plan),
+        "fig13.workload_og": geomean([r.workload_og for r in fig13]),
+        "fig15.fraction": fig15["fraction"],
+        "fig16.overlay_lut": (min(luts), max(luts)),
+        "fig17.mapped": len(mapped),
+        "fig17.degradation": 1 - fmean(r.relative_performance for r in mapped),
+        "fig17.compile_speedup": geomean([r.compile_speedup for r in mapped]),
+        "fig17.reconfig_speedup": geomean(
+            [r.reconfig_speedup for r in mapped]),
+        "fig18.tiles_first": fig18[0].tiles,
+        "fig18.tiles_last": fig18[-1].tiles,
+        "fig18.retained": fig18_generality_cost(),
+        "fig19.og_gain": geomean(
+            [fig19[n].og_speedup[4] for n in paper.FIG19_BENEFITING]),
+        "fig19.ad_gain": geomean(
+            [fig19[w.name].ad_speedup[4] for w in get_suite("machsuite")]),
+        "fig20.ipc_ratio": geomean([r.ipc_improvement for r in fig20]),
+        "fig20.time_reduction": fmean(r.time_reduction for r in fig20),
+    }
+    for s in PAPER_SUITE_NAMES:
+        measured[f"fig13.vs_untuned.{s}"] = means[s]["suite_og"]
+        measured[f"fig13.vs_tuned.{s}"] = (
+            means[s]["suite_og"] / means[s]["tuned_ad"])
+        measured[f"fig15.autodse_h.{s}"] = fig15[f"{s}_autodse_h"]
+    return measured
+
+
+def paper_ledger() -> List[LedgerRow]:
+    """Every paper claim beside its measurement, with a verdict."""
+    measured = measured_claims()
+    rows = []
+    for claim in paper.CLAIMS:
+        verdict = paper.verdict(claim, measured[claim.key])
+        mechanism = "" if verdict == paper.SAME else claim.mechanism or "open"
+        rows.append(LedgerRow(claim, measured[claim.key], verdict, mechanism))
     return rows

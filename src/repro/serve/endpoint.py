@@ -62,14 +62,8 @@ class _Connection(JsonLinesProtocol):
         self._endpoint._serve_line(line, self)
 
     def line_too_long(self) -> None:
-        self.send(
-            response_doc(
-                "?",
-                error=BadRequestError(
-                    f"request line exceeds {MAX_LINE_BYTES} bytes"
-                ).to_doc(),
-            )
-        )
+        error = BadRequestError(f"request line exceeds {MAX_LINE_BYTES} bytes")
+        self.send(self._endpoint._failure("?", error))
         self._stop_reading()
 
     def eof_received(self) -> bool:

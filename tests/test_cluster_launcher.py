@@ -112,3 +112,38 @@ def test_a_killed_shard_makes_the_cluster_exit_1(clusters):
     cluster = clusters["killed"]
     os.kill(cluster.shard_pid(), signal.SIGKILL)
     assert cluster.drain() == 1
+
+
+def test_spawning_shards_leaks_no_log_handle(tmp_path, monkeypatch):
+    """The launcher hands each shard its log file and keeps no handle:
+    the child owns its copy of the fd."""
+    import gc
+    import sys
+    import warnings
+
+    from repro.cluster.launcher import ClusterLauncher, LauncherConfig
+
+    def stub_shard(self, index):
+        # Listens on the shard socket and sleeps: enough for spawn_shards.
+        return [sys.executable, "-c",
+                "import socket, sys, time; "
+                "socket.socket(socket.AF_UNIX).bind(sys.argv[1]); "
+                "time.sleep(60)",
+                self.shard_socket(index)]
+
+    monkeypatch.setattr(ClusterLauncher, "_shard_command", stub_shard)
+    launcher = ClusterLauncher(
+        LauncherConfig(run_dir=str(tmp_path), shards=2, designs=["x.json"])
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            launcher.spawn_shards()
+        finally:
+            launcher.terminate()
+        gc.collect()
+    leaked = [
+        str(w.message) for w in caught
+        if issubclass(w.category, ResourceWarning) and "shard-" in str(w.message)
+    ]
+    assert leaked == []

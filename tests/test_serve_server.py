@@ -583,6 +583,7 @@ class TestWire:
 
         async def body():
             path = server.endpoint[1]
+            errors = server.counters["responses_error"]
             async with client_for(server) as other:
                 reader, writer = await asyncio.open_unix_connection(path)
                 try:
@@ -595,6 +596,8 @@ class TestWire:
                 assert replies[0]["id"] == "?" and not replies[0]["ok"]
                 assert replies[0]["error"]["code"] == "bad_request"
                 assert "exceeds" in replies[0]["error"]["message"]
+                # Counted like a malformed line: stats show the failure.
+                assert server.counters["responses_error"] == errors + 1
                 # Other connections, open and new, are still served.
                 assert (await other.ping())["pong"] is True
             async with client_for(server) as fresh:
