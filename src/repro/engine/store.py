@@ -153,11 +153,17 @@ class TieredCache:
     ``get`` answers ``(value, tier)`` with tier ``"memory"``, ``"disk"``
     (promoted into memory on the way out) or ``"miss"``; any picklable
     value — ``None`` included — is a legitimate cached value, so callers
-    branch on the tier, not on the value.
+    branch on the tier, not on the value.  Memory holds ``hold(value)``,
+    made as a value enters it (a put, a disk hit); the store, the value.
     """
 
-    def __init__(self, store: Optional[ArtifactStore] = None) -> None:
+    def __init__(
+        self,
+        store: Optional[ArtifactStore] = None,
+        hold: Callable[[Any], Any] = lambda value: value,
+    ) -> None:
         self.store = store
+        self._hold = hold
         self._memory: Dict[Hashable, Any] = {}
         self._lookups = {"memory": 0, "disk": 0, "miss": 0}
 
@@ -168,8 +174,8 @@ class TieredCache:
         elif self.store is not None:
             stored = self.store.get(key, _MISSING)
             if stored is not _MISSING:
-                value, tier = stored, "disk"
-                self._memory[key] = stored
+                tier = "disk"
+                value = self._memory[key] = self._hold(stored)
         self._lookups[tier] += 1
         return value, tier
 
@@ -179,19 +185,18 @@ class TieredCache:
         value: Any,
         meta: Optional[Dict[str, Any]] = None,
         persist: bool = True,
-    ) -> None:
-        """Cache ``value``; ``persist=False`` keeps it out of the store."""
-        self._memory[key] = value
+    ) -> Any:
+        """Cache ``value`` and return its held form; ``persist=False``
+        keeps it out of the store."""
+        held = self._memory[key] = self._hold(value)
         if persist and self.store is not None:
             self.store.put(key, value, meta=meta)
+        return held
 
     def memoized(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, building it on first use."""
         value, tier = self.get(key)
-        if tier == "miss":
-            value = builder()
-            self.put(key, value)
-        return value
+        return self.put(key, builder()) if tier == "miss" else value
 
     def clear(self) -> None:
         """Empty the memory tier (the store, if any, is left alone)."""

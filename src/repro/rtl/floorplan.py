@@ -31,11 +31,6 @@ class TilePlacement:
     y: float
     lut: float
 
-    def distance_to_dram(self) -> float:
-        dx = self.x - DRAM_CONTROLLER_XY[0]
-        dy = self.y - DRAM_CONTROLLER_XY[1]
-        return (dx * dx + dy * dy) ** 0.5
-
 
 class FloorplanError(ValueError):
     """The overlay does not fit the target device."""

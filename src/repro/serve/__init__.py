@@ -14,17 +14,14 @@ the bundled client and the one-process load generator
 
 from .batcher import AdmissionGate, LatencyReservoir, SingleFlight
 from .client import (
-    LoadReport,
     ServeClient,
     ServeConnectionError,
-    build_load_plan,
     run_load,
     wait_for_server,
 )
 from .errors import (
     BadRequestError,
     DeadlineError,
-    InternalError,
     OverloadedError,
     ServeError,
     ShuttingDownError,
@@ -32,79 +29,20 @@ from .errors import (
     error_from_doc,
 )
 from .ops import (
-    compute_op,
-    estimate_op,
-    map_op,
-    overlay_fingerprint,
-    remap_op,
-    result_key,
-    run_op,
-    simulate_batch_doc,
     simulate_batch_op,
     simulate_op,
     single_shot,
     workload_fp,
 )
 from .protocol import (
-    ADMIN_OPS,
-    ALL_OPS,
     COMPUTE_OPS,
     MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    Request,
     canonical_dumps,
     decode_line,
     encode_line,
     parse_request,
     response_doc,
 )
-from .endpoint import JsonLinesEndpoint, run_until_shutdown
-from .server import OverlayEntry, OverlayServer, ServeConfig
+from .endpoint import run_until_shutdown
+from .server import OverlayServer, ServeConfig
 
-__all__ = [
-    "ADMIN_OPS",
-    "ALL_OPS",
-    "AdmissionGate",
-    "BadRequestError",
-    "COMPUTE_OPS",
-    "DeadlineError",
-    "InternalError",
-    "JsonLinesEndpoint",
-    "LatencyReservoir",
-    "LoadReport",
-    "MAX_LINE_BYTES",
-    "OverlayEntry",
-    "OverlayServer",
-    "OverloadedError",
-    "PROTOCOL_VERSION",
-    "Request",
-    "ServeClient",
-    "ServeConfig",
-    "ServeConnectionError",
-    "ServeError",
-    "ShuttingDownError",
-    "SingleFlight",
-    "UnmappableError",
-    "build_load_plan",
-    "canonical_dumps",
-    "compute_op",
-    "decode_line",
-    "encode_line",
-    "error_from_doc",
-    "estimate_op",
-    "map_op",
-    "overlay_fingerprint",
-    "parse_request",
-    "remap_op",
-    "response_doc",
-    "result_key",
-    "run_load",
-    "run_op",
-    "run_until_shutdown",
-    "simulate_batch_doc",
-    "simulate_batch_op",
-    "simulate_op",
-    "single_shot",
-    "wait_for_server",
-    "workload_fp",
-]

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
 
 from .batcher import LatencyReservoir
 from .errors import BadRequestError, ServeError, error_from_doc
@@ -36,8 +37,10 @@ from .protocol import (
     JsonLinesProtocol,
     canonical_dumps,
     decode_line,
-    encode_line,
 )
+
+#: Request lines need no canonical form: one unsorted encoder.
+_REQUEST = json.JSONEncoder(separators=(",", ":"))
 
 
 class ServeConnectionError(ConnectionError):
@@ -48,10 +51,10 @@ class ServeClient(JsonLinesProtocol):
     """Asyncio JSON-lines client with id-based response matching.
 
     The client is its connection's protocol: a request line goes straight
-    to ``transport.write`` (waiting only while the transport is paused),
-    and ``data_received`` resolves the future of the id each response
-    line carries.  Response lines are bounded by
-    :data:`~repro.serve.protocol.MAX_RESPONSE_BYTES`.
+    to ``transport.write``, and :meth:`request_raw` returns the future
+    ``data_received`` resolves with the response carrying its id (a
+    coroutine only while the transport is paused).  Response lines are
+    bounded by :data:`~repro.serve.protocol.MAX_RESPONSE_BYTES`.
     """
 
     max_line = MAX_RESPONSE_BYTES
@@ -69,6 +72,7 @@ class ServeClient(JsonLinesProtocol):
         self._pending: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._ids = itertools.count(1)
         self._lost: Optional["asyncio.Future[None]"] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     async def __aenter__(self) -> "ServeClient":
         await self.connect()
@@ -78,7 +82,7 @@ class ServeClient(JsonLinesProtocol):
         await self.close()
 
     async def connect(self) -> None:
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         self._lost = loop.create_future()
         try:
             if self.socket_path:
@@ -108,7 +112,7 @@ class ServeClient(JsonLinesProtocol):
         if not self._lost.done():
             self._lost.set_result(None)
 
-    def line_received(self, line: bytearray) -> None:
+    def line_received(self, line: bytes) -> None:
         try:
             doc = decode_line(line)
         except BadRequestError as exc:
@@ -131,19 +135,22 @@ class ServeClient(JsonLinesProtocol):
         self._pending.clear()
 
     # -- request API ----------------------------------------------------
-    async def request_raw(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one request document; return the raw response document."""
+    def request_raw(self, doc: Dict[str, Any]) -> Awaitable[Dict[str, Any]]:
+        """Send one request document; return an awaitable of the raw
+        response document."""
         transport = self._transport
         if transport is None or transport.is_closing():
             raise ServeConnectionError("client is not connected")
         req_id = doc.get("id") or f"c{next(self._ids)}"
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
+        future: "asyncio.Future[Dict[str, Any]]" = self._loop.create_future()
         self._pending[req_id] = future
-        transport.write(encode_line({**doc, "id": req_id}))
-        if self._paused:
-            await self.drain()
+        transport.write(
+            (_REQUEST.encode({**doc, "id": req_id}) + "\n").encode()
+        )
+        return self._drained(future) if self._paused else future
+
+    async def _drained(self, future: "asyncio.Future[Any]") -> Any:
+        await self.drain()
         return await future
 
     async def request(

@@ -4,15 +4,16 @@
 ``dispatch(request, doc)`` callable: listening (unix socket or TCP), one
 :class:`~repro.serve.protocol.JsonLinesProtocol` per connection, request
 parsing, mapping every failure onto a typed error response, and the
-drain tail.  ``dispatch`` returns the response document, or an awaitable
-of it.  A document (admin ops, cache hits, synchronous typed errors) is
-written inside ``data_received``, with no task; only an awaitable (a
-miss, a router forward) gets one task, so a slow request never blocks
-its connection.  While a peer does not read its responses (the
-transport's write buffer is past its high-water mark) the endpoint
-stops reading that peer's requests, and resumes when the buffer drains.
-``OverlayServer`` and ``ClusterRouter`` differ only in what their
-dispatch does with a parsed request.
+drain tail.  ``dispatch`` returns the response (a document, or a served
+result's line, already spliced), or an awaitable of it.  A response
+(admin ops, cache hits, synchronous typed errors) is written inside
+``data_received``, with no task; only an awaitable (a miss, a router
+forward) gets one task, so a slow request never blocks its connection.
+While a peer does not read its responses (the transport's write buffer
+is past its high-water mark) the endpoint stops reading that peer's
+requests, and resumes when the buffer drains.  ``OverlayServer`` and
+``ClusterRouter`` differ only in what their dispatch does with a parsed
+request.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .protocol import (
     response_doc,
 )
 
-Response = Dict[str, Any]
+#: A response document, or its line already encoded.
+Response = Union[Dict[str, Any], bytes]
 Dispatch = Callable[
     [Request, Dict[str, Any]], Union[Response, Awaitable[Response]]
 ]
@@ -58,7 +60,7 @@ class _Connection(JsonLinesProtocol):
         super().connection_lost(exc)
         self._endpoint._connections.discard(self)
 
-    def line_received(self, line: bytearray) -> None:
+    def line_received(self, line: bytes) -> None:
         self._endpoint._serve_line(line, self)
 
     def line_too_long(self) -> None:
@@ -82,9 +84,12 @@ class _Connection(JsonLinesProtocol):
             self._transport.resume_reading()
             self.frame()
 
-    def send(self, doc: Response) -> None:
+    def send(self, response: Response) -> None:
         if not self._transport.is_closing():
-            self._transport.write(encode_line(doc))
+            self._transport.write(
+                response if isinstance(response, bytes)
+                else encode_line(response)
+            )
 
     def answered(self, task: "asyncio.Task[None]") -> None:
         self.tasks.discard(task)
@@ -156,7 +161,7 @@ class JsonLinesEndpoint:
             os.unlink(where)
 
     # ------------------------------------------------------------------
-    def _serve_line(self, line: bytearray, conn: _Connection) -> None:
+    def _serve_line(self, line: bytes, conn: _Connection) -> None:
         req_id = "?"
         try:
             doc = decode_line(line)
@@ -164,7 +169,7 @@ class JsonLinesEndpoint:
             response = self._dispatch(parse_request(doc), doc)
         except Exception as exc:  # never kill the connection
             response = self._failure(req_id, exc)
-        if isinstance(response, dict):
+        if isinstance(response, (bytes, dict)):
             conn.send(response)
             return
         task = asyncio.get_running_loop().create_task(

@@ -31,14 +31,17 @@ Response document::
 :mod:`repro.serve.ops` — byte-identical (under ``canonical_dumps``) to
 what the single-shot CLI path produces for the same overlay + workload.
 On failure ``ok`` is false and ``error`` carries a structured code from
-:mod:`repro.serve.errors`.
+:mod:`repro.serve.errors`.  A line is ``encode_line(response_doc(...))``:
+a served result's is spliced (:func:`response_line`) from the result's
+canonical bytes, which were encoded once, when it was cached.
 
 Framing.  :class:`JsonLinesProtocol` is the one framing loop on every
 serve socket, in both directions: the server's and the router's
 connections (:mod:`repro.serve.endpoint`) and
 :class:`~repro.serve.client.ServeClient` (which the router also uses to
 reach its shards).  A line is the bytes before ``\\n``; blank lines are
-skipped.  Each side bounds the lines it reads, newline excluded:
+skipped; a read that is one whole line skips the buffer.  Each side
+bounds the lines it reads, newline excluded:
 
 * a request line may be at most :data:`MAX_LINE_BYTES` (1 MiB).  The
   server answers a longer one, or an unterminated tail that already is
@@ -121,18 +124,6 @@ class Request:
     timeout_s: Optional[float] = None
     options: Dict[str, Any] = field(default_factory=dict)
 
-    def as_doc(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {"id": self.id, "op": self.op}
-        if self.overlay is not None:
-            doc["overlay"] = self.overlay
-        if self.workload is not None:
-            doc["workload"] = self.workload
-        if self.timeout_s is not None:
-            doc["timeout_s"] = self.timeout_s
-        if self.options:
-            doc["options"] = self.options
-        return doc
-
 
 def parse_request(doc: Dict[str, Any]) -> Request:
     """Validate a decoded request document; raise ``BadRequestError``."""
@@ -193,6 +184,16 @@ def response_doc(
     }
 
 
+def response_line(req_id: str, result: bytes, served: Dict[str, Any]) -> bytes:
+    """``encode_line(response_doc(req_id, doc, served=served))``, spliced
+    from ``result`` = the canonical bytes of ``doc``: sorted keys put the
+    fields in this order, so the result is never encoded again."""
+    return b'{"error":null,"id":%s,"ok":true,"result":%s,"served":%s}\n' % (
+        canonical_dumps(req_id).encode(), result,
+        canonical_dumps(served).encode(),
+    )
+
+
 #: Bytes a connection reads per callback.
 READ_CHUNK = 1 << 16
 
@@ -204,9 +205,9 @@ class JsonLinesProtocol(asyncio.BufferedProtocol):
     (``get_buffer`` / ``buffer_updated``): asyncio's plain
     ``data_received`` path allocates a new 256 KiB ``bytes`` per read,
     which took longer than framing and parsing a request.
-    :meth:`data_received` appends what was read and calls
-    :meth:`line_received` for each non-blank line (``\\n`` stripped), in
-    order and in the same callback: no reader task, no per-line hop.  A
+    :meth:`data_received` calls :meth:`line_received` for each non-blank
+    line (``\\n`` stripped), in order and in the same callback: no reader
+    task, no per-line hop, and no buffering of a read that is one line.  A
     line longer than :attr:`max_line` goes to :meth:`line_too_long`
     instead and the buffer is dropped.  Framing runs only while the
     transport is reading, so a subclass that pauses reading keeps the
@@ -246,6 +247,14 @@ class JsonLinesProtocol(asyncio.BufferedProtocol):
         self.data_received(self._chunk[:nbytes])
 
     def data_received(self, data: bytes) -> None:
+        # One whole line into an empty buffer: frame() without the buffer.
+        end = len(data) - 1
+        if not self._buffer and 0 <= end <= self.max_line and data[end] == 10:
+            line = bytes(data[:end])
+            if b"\n" not in line and self._transport.is_reading():
+                if line.strip():
+                    self.line_received(line)
+                return
         self._buffer += data
         self.frame()
 
@@ -273,7 +282,7 @@ class JsonLinesProtocol(asyncio.BufferedProtocol):
         self._scan = 0
         self.line_too_long()
 
-    def line_received(self, line: bytearray) -> None:
+    def line_received(self, line: bytes) -> None:
         raise NotImplementedError
 
     def line_too_long(self) -> None:

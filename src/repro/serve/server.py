@@ -5,31 +5,35 @@ plus its content fingerprint) and serves ``map`` / ``estimate`` /
 ``simulate`` requests over the JSON-lines protocol, on a unix socket or
 localhost TCP.  The serving pipeline per compute request:
 
-1. **Parse + resolve** — protocol validation, overlay lookup, workload
-   fingerprint (cached per name) and the result key (one sha256);
+1. **Parse + resolve** — protocol validation, overlay lookup and the
+   result key (one sha256, memoised per overlay, workload and op);
    failures answer ``bad_request``.
 2. **Cache tiers** — one :class:`~repro.engine.store.TieredCache`:
-   in-process memory, then the persistent
-   :class:`~repro.engine.store.ArtifactStore` (shared with the DSE
-   engine, so results survive restarts).  A hit is answered here, as a
-   document the endpoint writes inside ``data_received``: no task, no
-   admission slot, no flight and no timer, so hits are never shed.  A
-   miss is an awaitable, the one thing the endpoint runs as a task.
+   in-process memory, holding each result as its canonical bytes, then
+   the persistent :class:`~repro.engine.store.ArtifactStore` (shared
+   with the DSE engine, so results survive restarts).  A hit is
+   answered here, as those bytes spliced into a line
+   (:func:`~repro.serve.protocol.response_line`) the endpoint writes
+   inside ``data_received``: nothing but the envelope is encoded, and
+   no task, admission slot, flight or timer, so hits are never shed.
+   A miss is an awaitable, the one thing the endpoint runs as a task.
 3. **Admission** — a miss takes a bounded
    :class:`~repro.serve.batcher.AdmissionGate` slot or is rejected *now*
    with a structured ``overloaded`` error (never unbounded queueing).
 4. **Coalescing** — misses with the same key (overlay fingerprint,
    workload fingerprint, op) join a single in-flight compute via
-   :class:`~repro.serve.batcher.SingleFlight`; each waiter applies its
-   own ``timeout_s`` via ``asyncio.wait_for(asyncio.shield(task))``, so
-   expiry answers a ``deadline`` error while the shared compute keeps
-   running and lands in the cache for the retry.
+   :class:`~repro.serve.batcher.SingleFlight` in the callback that found
+   the miss; each waiter applies its own ``timeout_s`` via
+   ``asyncio.wait_for(asyncio.shield(task))``, so expiry answers a
+   ``deadline`` error while the shared compute keeps running and lands
+   in the cache for the retry.
 5. **Worker** — the leader runs :func:`repro.serve.ops.compute_op` on the
    overlay the least-busy compute worker keeps resident (a one-process
    pool each; threads when the sandbox forbids subprocesses) and caches
    the result.  Only a worker that answers
    :class:`~repro.serve.ops.OverlayNotResident` gets the design document;
-   a worker that died is replaced and the job retried once.
+   a worker that died is replaced and the job retried once; a worker
+   whose server is gone exits.
 6. **Metrics + spans** — every request emits a ``request`` event into a
    :class:`~repro.engine.metrics.MetricsLogger` JSONL stream (queue
    depth, cache tier, coalesced flag, latency); a miss runs under
@@ -46,6 +50,8 @@ waits for in-flight requests up to ``drain_timeout_s``, then resolves
 from __future__ import annotations
 
 import asyncio
+import os
+import threading
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -53,7 +59,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass, field
-from time import perf_counter
+from time import perf_counter, sleep
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..adg import SysADG, sysadg_from_dict, sysadg_to_dict
@@ -62,7 +68,7 @@ from ..engine.metrics import MetricsLogger
 from ..engine.store import ArtifactStore, TieredCache
 from ..profile import tracer
 from .batcher import AdmissionGate, LatencyReservoir, SingleFlight
-from .endpoint import JsonLinesEndpoint
+from .endpoint import JsonLinesEndpoint, Response
 from .errors import (
     BadRequestError,
     DeadlineError,
@@ -78,7 +84,28 @@ from .ops import (
     result_key,
     workload_fp,
 )
-from .protocol import PROTOCOL_VERSION, Request, response_doc
+from .protocol import PROTOCOL_VERSION, Request, canonical_dumps
+from .protocol import response_doc, response_line
+
+
+def _held(value: Any) -> Any:
+    """A result as the memory tier holds it: its canonical bytes."""
+    if isinstance(value, ServeError):
+        return value
+    return canonical_dumps(value).encode()
+
+
+def _exit_with_server() -> None:
+    """Compute-pool initializer: the worker exits once it is re-parented,
+    as a killed server never shuts its pool down."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 @dataclass
@@ -165,7 +192,8 @@ class OverlayServer:
         self.cache = TieredCache(
             ArtifactStore(self.config.cache_dir)
             if self.config.cache_dir
-            else None
+            else None,
+            hold=_held,
         )
         self.registry: Optional[OverlayRegistry] = (
             OverlayRegistry(self.config.registry_dir)
@@ -173,6 +201,8 @@ class OverlayServer:
             else None
         )
         self._workload_fps: Dict[str, str] = {}
+        #: (overlay fp, workload, op) -> result key.
+        self._keys: Dict[Tuple[str, str, str], str] = {}
         #: (base name, workload fp) -> (overlay fp, schedule): the live
         #: schedule ``remap`` tries to preserve across overlay versions.
         self._schedules: Dict[Tuple[str, str], Tuple[str, Any]] = {}
@@ -294,7 +324,9 @@ class OverlayServer:
         ``workers == 0`` or the sandbox forbids subprocesses."""
         if self.config.workers > 0:
             try:
-                executor: Executor = ProcessPoolExecutor(max_workers=1)
+                executor: Executor = ProcessPoolExecutor(
+                    max_workers=1, initializer=_exit_with_server
+                )
             except OSError:
                 self.metrics.emit(
                     "pool_unavailable", workers=self.config.workers
@@ -354,44 +386,49 @@ class OverlayServer:
             raise ShuttingDownError("server is draining; no new work")
         entry = self._resolve_overlay(request.overlay)
         assert request.workload is not None  # parse_request enforced it
-        key = result_key(
-            entry.fingerprint, self._workload_fp(request.workload), request.op
-        )
+        memo = (entry.fingerprint, request.workload, request.op)
+        key = self._keys.get(memo)
+        if key is None:
+            wfp = self._workload_fp(request.workload)
+            key = self._keys[memo] = result_key(memo[0], wfp, request.op)
         result, tier = self.cache.get(key)
-        if tier == "miss":
-            return self._compute_response(request, entry, key, t_arrival)
-        self.counters[f"cache_{tier}"] += 1
-        return self._respond(request, entry, t_arrival, result, tier)
+        if tier != "miss":
+            self.counters[f"cache_{tier}"] += 1
+            return self._respond(request, entry, t_arrival, result, tier)
+        # Admit and join the flight now, before anything yields: a miss
+        # that joined later could find the flight gone and compute again.
+        self.gate.admit()
+        task, is_leader = self.flights.join(
+            key, lambda: self._compute(key, entry, request)
+        )
+        self.counters["coalesced"] += not is_leader
+        return self._compute_response(
+            request, entry, task, not is_leader, t_arrival
+        )
 
     async def _compute_response(
         self,
         request: Request,
         entry: OverlayEntry,
-        key: str,
+        task: "asyncio.Task[Any]",
+        coalesced: bool,
         t_arrival: float,
-    ) -> Dict[str, Any]:
-        """A miss: admission, single-flight, then the worker."""
+    ) -> Response:
+        """A miss, admitted and joined to its flight: wait for it."""
         timeout = request.timeout_s or self.config.default_timeout_s
-        self.gate.admit()
         try:
             with tracer.span(
                 "serve.request", op=request.op, workload=request.workload
             ):
-                task, is_leader = self.flights.join(
-                    key, lambda: self._compute(key, entry, request)
+                result, queue_wait, remap = await asyncio.wait_for(
+                    asyncio.shield(task), timeout=timeout
                 )
-                coalesced = not is_leader
-                self.counters["coalesced"] += coalesced
-                try:
-                    result, queue_wait, remap = await asyncio.wait_for(
-                        asyncio.shield(task), timeout=timeout
-                    )
-                except asyncio.TimeoutError:
-                    raise DeadlineError(
-                        f"deadline of {timeout:.3f}s expired for "
-                        f"{request.op}/{request.workload} "
-                        "(compute continues; retry will hit the cache)"
-                    ) from None
+        except asyncio.TimeoutError:
+            raise DeadlineError(
+                f"deadline of {timeout:.3f}s expired for "
+                f"{request.op}/{request.workload} "
+                "(compute continues; retry will hit the cache)"
+            ) from None
         finally:
             self.gate.release()
         return self._respond(
@@ -409,7 +446,8 @@ class OverlayServer:
         coalesced: bool = False,
         queue_wait: float = 0.0,
         remap: Optional[str] = "cache",
-    ) -> Dict[str, Any]:
+    ) -> Response:
+        """A result (as the cache holds it) is spliced into the line."""
         latency = perf_counter() - t_arrival
         self.latency.record(latency)
         served = {
@@ -440,12 +478,12 @@ class OverlayServer:
                 request.id, error=result.to_doc(), served=served
             )
         self.counters["responses_ok"] += 1
-        return response_doc(request.id, result=result, served=served)
+        return response_line(request.id, result, served)
 
     async def _compute(
         self, key: str, entry: OverlayEntry, request: Request
     ) -> Tuple[Any, float, Optional[str]]:
-        """Leader body of a miss: ``(result document or ServeError, queue
+        """Leader body of a miss: ``(result as the cache holds it, queue
         wait, remap path)``, the path ``None`` unless a remap succeeded."""
         t_start = perf_counter()
         assert self._workers, "server not started"
@@ -486,7 +524,7 @@ class OverlayServer:
                 failure = exc.with_traceback(None)
                 self.cache.put(key, failure, persist=False)
                 return failure, queue_wait, None
-        self.cache.put(
+        held = self.cache.put(
             key,
             doc,
             meta={
@@ -500,7 +538,7 @@ class OverlayServer:
             # they never reach the shared disk store.
             persist=request.op != "remap",
         )
-        return doc, queue_wait, path
+        return held, queue_wait, path
 
     async def _on_worker(
         self, entry: OverlayEntry, fn: Callable[..., Any], *args: Any

@@ -1,6 +1,7 @@
 """Unit tests for the serve wire protocol, errors, and batching pieces."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -82,6 +83,58 @@ class TestLineFraming:
         proto.data_received(b"9")
         assert proto.overflows == 1 and not proto.lines
 
+    # A read that is one whole line into an empty buffer skips the
+    # buffer: the same rules must hold on that path.
+    def test_single_line_read_skips_the_buffer(self):
+        proto = _Lines()
+        proto.data_received(memoryview(b"12345678\n"))  # as buffer_updated
+        assert proto.lines == [b"12345678"] and not proto._buffer
+
+    def test_single_oversize_line_overflows(self):
+        proto = _Lines()
+        proto.data_received(b"123456789\n")
+        assert proto.overflows == 1 and not proto.lines
+        proto.data_received(b"ok\n")
+        assert proto.lines == [b"ok"]
+
+    def test_single_blank_line_is_skipped(self):
+        proto = _Lines()
+        for chunk in (b"\n", b"  \t\n", b"ab\n"):
+            proto.data_received(chunk)
+        assert proto.lines == [b"ab"] and proto.overflows == 0
+
+    def test_read_ending_without_a_newline_waits_for_the_rest(self):
+        proto = _Lines()
+        proto.data_received(b"ab")
+        assert not proto.lines
+        proto.data_received(b"c\n")
+        proto.data_received(b"d\n")
+        assert proto.lines == [b"abc", b"d"]
+
+    def test_reading_paused_mid_read_keeps_the_rest(self):
+        proto = _Pausing()
+        proto.data_received(b"a\nb\n")
+        assert proto.lines == [b"a"]
+        proto.data_received(b"c\n")  # one whole line, but not reading
+        assert proto.lines == [b"a"]
+        proto.reading = True
+        proto.frame()
+        assert proto.lines == [b"a", b"b", b"c"]
+
+
+class _Pausing(_Lines):
+    """Stops reading after line ``a``, as when that line's response
+    takes the transport past its high-water mark."""
+
+    def __init__(self):
+        super().__init__()
+        self.reading = True
+        self._transport.is_reading = lambda: self.reading
+
+    def line_received(self, line):
+        super().line_received(line)
+        self.reading = line != b"a"
+
 
 class TestParseRequest:
     def test_minimal_compute(self):
@@ -94,7 +147,7 @@ class TestParseRequest:
             {"id": "a", "op": "simulate", "workload": "fir",
              "overlay": "dsp", "timeout_s": 2.5, "options": {"x": 1}}
         )
-        assert parse_request(req.as_doc()) == req
+        assert parse_request(dataclasses.asdict(req)) == req
 
     @pytest.mark.parametrize(
         "doc",

@@ -12,13 +12,15 @@ import asyncio
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.adg import general_overlay, sysadg_to_dict
+from repro.adg import general_overlay, save_sysadg, sysadg_to_dict
 from repro.adg.builders import seed_for_workloads
 from repro.cluster import OverlayRegistry
 from repro.engine import MetricsLogger
@@ -30,6 +32,7 @@ from repro.serve import (
     canonical_dumps,
     ops,
     single_shot,
+    wait_for_server,
 )
 from repro.workloads import all_workloads, get_suite
 
@@ -250,3 +253,61 @@ def test_killed_worker_is_replaced_and_the_job_retried(
 
     server = serve(tmp_path, [general], 1, body)
     assert [e["worker"] for e in server.metrics.of_type("pool_restart")] == [0]
+
+
+def _stat(pid):
+    """``/proc/<pid>/stat`` fields after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid):
+    found = ((int(p), _stat(p)) for p in os.listdir("/proc") if p.isdigit())
+    return [child for child, stat in found if stat and int(stat[1]) == pid]
+
+
+def _running(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_killed_server_takes_its_worker_with_it(overlays, tmp_path):
+    """A SIGKILLed ``repro serve`` never shuts its pool down; its compute
+    worker must still exit, within 2 s."""
+    design, sock = str(tmp_path / "general.json"), str(tmp_path / "s.sock")
+    save_sysadg(overlays[0], design)
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", design,
+         "--socket", sock, "--workers", "1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+
+    async def map_once():
+        def client():
+            return ServeClient(socket_path=sock)
+
+        await wait_for_server(client, attempts=600, delay_s=0.02)
+        async with client() as c:
+            await c.request("map", workload="vecmax")
+
+    try:
+        asyncio.run(map_once())
+        workers = _children(server.pid)
+        assert workers, "the map ran in no worker process"
+        server.kill()
+        server.wait()
+        deadline = time.monotonic() + 2.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(_running, workers)), "worker outlived its server"
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)

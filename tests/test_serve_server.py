@@ -24,9 +24,12 @@ from repro.serve import (
     ServeError,
     ShuttingDownError,
     canonical_dumps,
+    encode_line,
+    response_doc,
     single_shot,
 )
 from repro.serve.client import ServeConnectionError
+from repro.serve.endpoint import _Connection
 from repro.workloads import get_workload
 
 
@@ -347,6 +350,43 @@ class TestCoalescing:
         assert server.counters["coalesced"] == 11
         assert server.gate.admitted == 12
 
+    def test_a_miss_found_in_flight_joins_even_a_landing_flight(
+        self, sysadg, tmp_path
+    ):
+        """A duplicate found missing while its key's compute is in flight
+        joins that flight in the same callback.  Here the compute lands
+        before the duplicate's task first runs; had the duplicate joined
+        from its task, it would find the flight gone and compute again."""
+        server = make_server(sysadg, tmp_path)
+        release = None
+
+        async def stub_worker(entry, fn, *args):
+            await release.wait()
+            return {"stub": True}, False
+
+        server._on_worker = stub_worker
+        line = b'{"id":"%s","op":"map","workload":"vecmax"}\n'
+
+        async def body():
+            nonlocal release
+            release = asyncio.Event()
+            transport = _StubTransport()
+            conn = _Connection(server._wire)
+            conn.connection_made(transport)
+            conn.data_received(line % b"a")
+            for _ in range(5):  # the leader is now waiting on its worker
+                await asyncio.sleep(0)
+            release.set()  # it lands at the next step ...
+            conn.data_received(line % b"b")  # ... and "b" misses now
+            while len(transport.written) < 2:
+                await asyncio.sleep(0.01)
+            replies = [json.loads(out) for out in transport.written]
+            assert all(r["result"] == {"stub": True} for r in replies)
+            assert server.counters["computes"] == 1
+            assert server.counters["coalesced"] == 1
+
+        serve_test(server, body)
+
     def test_distinct_ops_do_not_coalesce(self, sysadg, tmp_path):
         server = make_server(sysadg, tmp_path)
 
@@ -514,6 +554,147 @@ class TestDrain:
         asyncio.run(run())
 
 
+class _StubTransport:
+    """What ``_Connection`` needs of a transport; keeps what it wrote."""
+
+    def __init__(self):
+        self.written = []
+
+    def write(self, data):
+        self.written.append(data)
+
+    def is_reading(self):
+        return True
+
+    def is_closing(self):
+        return False
+
+    def pause_reading(self):
+        pass
+
+    def close(self):
+        pass
+
+
+async def raw_exchange(path, docs):
+    """Send each request line in turn; return the raw response lines."""
+    reader, writer = await asyncio.open_unix_connection(path)
+    try:
+        lines = []
+        for doc in docs:
+            writer.write(json.dumps(doc).encode() + b"\n")
+            lines.append(await asyncio.wait_for(reader.readline(), 30))
+        return lines
+    finally:
+        writer.close()
+
+
+#: Every compute op a hit can answer, and ids that need JSON escaping.
+HIT_ASKS = (
+    ("map", "vecmax"),
+    ("estimate", "vecmax"),
+    ("simulate", "vecmax"),
+    ("simulate_batch", "vecmax,vecmax"),
+)
+ODD_IDS = ('q"uote', "back\\slash", "caf\u00e9")
+ENVELOPE_KEYS = {"cache", "coalesced", "latency_s", "queue_wait_s"}
+
+
+def asks(ids):
+    return [
+        {"id": i, "op": op, "workload": wl} for op, wl in HIT_ASKS for i in ids
+    ]
+
+
+def reencoded(line):
+    """``line`` as ``encode_line(response_doc(...))`` writes it."""
+    doc = json.loads(line)
+    return encode_line(
+        response_doc(doc["id"], result=doc["result"], served=doc["served"])
+    )
+
+
+def warm_store(sysadg, tmp_path):
+    """Compute every ask once into a cache dir; return the dir."""
+    store = str(tmp_path / "store")
+    server = make_server(sysadg, tmp_path, cache_dir=store)
+    lines = serve_test(
+        server, lambda: raw_exchange(server.endpoint[1], asks(["w"]))
+    )
+    assert server.counters["computes"] == len(HIT_ASKS)
+    assert all(line == reencoded(line) for line in lines)  # misses too
+    return store
+
+
+class TestSplicedHits:
+    """A hit is written as the cached result's canonical bytes spliced
+    between the id and ``served``: the same bytes as encoding the whole
+    response, without encoding the result again."""
+
+    def test_every_line_is_the_encoded_response_document(
+        self, sysadg, tmp_path
+    ):
+        store = warm_store(sysadg, tmp_path)
+        refs = {
+            op: canonical_dumps(single_shot(op, sysadg, wl))
+            for op, wl in HIT_ASKS
+        }
+        server = make_server(sysadg, tmp_path, cache_dir=store)
+        sent = asks(ODD_IDS)
+        lines = serve_test(
+            server, lambda: raw_exchange(server.endpoint[1], sent)
+        )
+        for n, (ask, line) in enumerate(zip(sent, lines)):
+            doc = json.loads(line)
+            # Per key: the first ask promotes the disk copy, the rest
+            # are memory hits.
+            tier = "memory" if n % len(ODD_IDS) else "disk"
+            assert doc["id"] == ask["id"] and doc["served"]["cache"] == tier
+            assert canonical_dumps(doc["result"]) == refs[ask["op"]]
+            assert line == reencoded(line)
+        assert server.counters["computes"] == 0
+
+    def test_a_hit_encodes_only_its_envelope(
+        self, sysadg, tmp_path, monkeypatch
+    ):
+        from repro.serve import protocol
+
+        store = warm_store(sysadg, tmp_path)
+        encoded = []
+
+        class Recording(json.JSONEncoder):
+            def encode(self, o):
+                encoded.append(o)
+                return super().encode(o)
+
+        monkeypatch.setattr(
+            protocol, "_CANONICAL",
+            Recording(sort_keys=True, separators=(",", ":")),
+        )
+
+        def results():
+            return [
+                o for o in encoded
+                if not isinstance(o, str) and set(o) != ENVELOPE_KEYS
+            ]
+
+        server = make_server(sysadg, tmp_path, cache_dir=store)
+
+        async def body():
+            path = server.endpoint[1]
+            await raw_exchange(path, asks(["d"]))
+            # A disk hit encodes its result once, entering memory ...
+            assert len(results()) == len(HIT_ASKS)
+            encoded.clear()
+            await raw_exchange(path, asks(ODD_IDS))
+            # ... and a memory hit encodes nothing but id and served.
+            assert results() == []
+            assert len(encoded) == 2 * len(asks(ODD_IDS))
+
+        serve_test(server, body)
+        assert server.counters["cache_memory"] == len(asks(ODD_IDS))
+
+
 class TestMultiOverlay:
     def test_requests_route_by_overlay_name(self, sysadg, tmp_path):
         server = make_server(sysadg, tmp_path)
@@ -622,6 +803,28 @@ class TestWire:
             ids = [r["id"] for r in replies]
             assert len(ids) == n and set(ids) == {f"p{i}" for i in range(n)}
             assert all(r["result"]["pong"] for r in replies)
+
+        serve_test(server, body)
+
+    def test_request_raw_is_the_pending_future_and_drains_when_paused(
+        self, sysadg, tmp_path
+    ):
+        server = make_server(sysadg, tmp_path)
+
+        async def body():
+            async with client_for(server) as client:
+                sent = client.request_raw({"op": "ping"})
+                assert isinstance(sent, asyncio.Future)  # no coroutine
+                assert (await sent)["result"]["pong"] is True
+                client.pause_writing()  # as past the high-water mark
+                pending = asyncio.ensure_future(
+                    client.request_raw({"op": "ping"})
+                )
+                await asyncio.sleep(0.1)
+                assert not pending.done()  # answered, but still draining
+                client.resume_writing()
+                reply = await asyncio.wait_for(pending, timeout=10)
+                assert reply["result"]["pong"] is True
 
         serve_test(server, body)
 
