@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from typing import Optional
 
 from ..dse import DseConfig
@@ -154,21 +155,22 @@ def run_dse(args: argparse.Namespace) -> int:
             "integers"
         ) from exc
     cache_dir = cache_dir_for(args)
-    engine = DseEngine(
-        cache_dir=cache_dir or None,
-        workers=args.workers,
-        metrics=MetricsLogger(args.metrics),
-        checkpoint_every=args.checkpoint_every,
-        seed_timeout=args.seed_timeout,
-    )
     print(
         f"engine DSE [{args.strategy}] for {len(workloads)} workload(s), "
         f"seeds {seeds}, {trials} trial(s), batch {args.batch}, "
         f"{args.workers} worker(s), cache {cache_dir or 'disabled'}"
     )
-    res = _explore(
-        args, workloads, engine, seeds, settings, resume=args.resume
-    )
+    with closing(MetricsLogger(args.metrics)) as metrics:
+        engine = DseEngine(
+            cache_dir=cache_dir or None,
+            workers=args.workers,
+            metrics=metrics,
+            checkpoint_every=args.checkpoint_every,
+            seed_timeout=args.seed_timeout,
+        )
+        res = _explore(
+            args, workloads, engine, seeds, settings, resume=args.resume
+        )
     _print_engine_run(res)
     rc = _save_design(args, res)
     if args.pareto:

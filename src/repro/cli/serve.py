@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 
 from . import common
 from .common import CliError
@@ -30,9 +31,8 @@ def run_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         registry_dir=args.registry,
     )
-    server = OverlayServer(config, metrics=MetricsLogger(args.metrics))
 
-    async def _run() -> None:
+    async def _run(server: OverlayServer) -> None:
         for path in args.designs:
             name = server.add_overlay(common.load_design(path))
             print(
@@ -51,7 +51,9 @@ def run_serve(args: argparse.Namespace) -> int:
             print(f"serving on {kind} {where}", flush=True)
         await started
 
-    asyncio.run(_run())
+    with closing(MetricsLogger(args.metrics)) as metrics:
+        server = OverlayServer(config, metrics=metrics)
+        asyncio.run(_run(server))
     c = server.counters
     print(
         f"drained: {c['requests']} requests "
@@ -267,8 +269,10 @@ def run_cluster(args: argparse.Namespace) -> int:
         launcher.terminate()
         raise CliError(str(exc)) from exc
     c = launcher.router.counters
+    routed = sum(s.routed for s in launcher.router.backends)
     print(
-        f"cluster drained: {c['requests']} requests routed "
+        f"cluster drained: {c['requests']} requests ({c['responses_ok']} "
+        f"ok, {c['responses_error']} errors), {routed} routed "
         f"({c['retries']} retries, {c['failovers']} failovers)"
     )
     failed = [(i, code) for i, code in enumerate(codes) if code]

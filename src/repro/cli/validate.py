@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 
 from . import common
 
@@ -39,12 +40,10 @@ def _campaign(
     from ..validate.soak import SoakError, soak_run
 
     try:
-        report = soak_run(
-            config,
-            corpus_dir=args.corpus,
-            metrics=MetricsLogger(args.metrics),
-            **run,
-        )
+        with closing(MetricsLogger(args.metrics)) as metrics:
+            report = soak_run(
+                config, corpus_dir=args.corpus, metrics=metrics, **run
+            )
     except SoakError as exc:
         print(f"soak failed: {exc}", file=sys.stderr)
         return 1

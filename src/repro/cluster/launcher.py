@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -92,8 +93,8 @@ class ClusterLauncher:
         if cfg.registry_dir:
             cmd += ["--registry", cfg.registry_dir]
         if cfg.metrics_path:
-            # Per-shard metrics file: concurrent appends to one JSONL
-            # from N processes would interleave lines.
+            # One metrics file per shard, so each reads on its own (one
+            # O_APPEND write per record would keep a shared file whole).
             cmd += [
                 "--metrics",
                 str(Path(cfg.run_dir) / f"metrics-shard-{index}.jsonl"),
@@ -151,14 +152,12 @@ class ClusterLauncher:
         shards' exit codes."""
         from ..engine.metrics import MetricsLogger
 
-        self.router = ClusterRouter(
-            self.router_config(),
-            metrics=MetricsLogger(self.config.metrics_path),
-        )
-        try:
-            await run_until_shutdown(self.router)
-        finally:
-            codes = self.wait()
+        with closing(MetricsLogger(self.config.metrics_path)) as metrics:
+            self.router = ClusterRouter(self.router_config(), metrics=metrics)
+            try:
+                await run_until_shutdown(self.router)
+            finally:
+                codes = self.wait()
         return codes
 
     def wait(self, timeout_s: float = 30.0) -> List[int]:

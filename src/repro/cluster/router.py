@@ -135,7 +135,7 @@ class ClusterRouter:
         )
         self.counters: Dict[str, int] = {
             "requests": 0,
-            "routed": 0,
+            "responses_ok": 0,
             "responses_error": 0,
             "retries": 0,
             "failovers": 0,
@@ -279,7 +279,6 @@ class ClusterRouter:
     # -- request path ---------------------------------------------------
     def _dispatch(self, request: Request, doc: Dict[str, Any]) -> Any:
         """The response document, or (stats, a forward) an awaitable."""
-        self.counters["requests"] += 1
         if request.op == "ping":
             return response_doc(
                 request.id,
@@ -337,9 +336,6 @@ class ClusterRouter:
             if attempt:
                 self.counters["failovers"] += 1
             state.routed += 1
-            self.counters["routed"] += 1
-            if not response.get("ok"):
-                self.counters["responses_error"] += 1
             self.metrics.emit(
                 "route",
                 op=request.op,
@@ -349,7 +345,6 @@ class ClusterRouter:
             )
             response["id"] = request.id
             return response
-        self.counters["responses_error"] += 1
         if last_response is not None:
             last_response["id"] = request.id
             return last_response

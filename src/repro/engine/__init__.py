@@ -28,25 +28,3 @@ from .orchestrator import (
     run_seed_job,
 )
 from .store import ArtifactStore, StoreStats, TieredCache
-
-__all__ = [
-    "ArtifactStore",
-    "CODE_SCHEMA_VERSION",
-    "DEFAULT_CHECKPOINT_EVERY",
-    "DseEngine",
-    "EngineError",
-    "EngineResult",
-    "EngineStats",
-    "MetricsLogger",
-    "RunMetrics",
-    "SeedJob",
-    "SeedOutcome",
-    "StoreStats",
-    "TieredCache",
-    "canonicalize",
-    "config_fingerprint",
-    "fingerprint",
-    "job_key",
-    "run_seed_job",
-    "workload_fingerprint",
-]

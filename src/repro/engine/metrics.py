@@ -8,10 +8,14 @@ per-seed completion, timeout and failure are
 ``runner="soak.shards"``, plus soak's own ``job_cached`` for a shard
 answered from its state dir), and each seed's study adds ``study_start`` /
 ``study_batch`` / ``study_end`` to the JSONL file (every evaluated point
-itself is a ``Trial`` in the stored study).  The most recent
-:data:`EVENT_BUFFER` events are kept in memory for programmatic
-inspection and, when a path is given, every event is appended as JSON
-Lines so external tooling can tail a long DSE.
+itself is a ``Trial`` in the stored study).  Every record, the serve
+and cluster tiers' too, is one envelope ``{"v": EVENT_VERSION, "event",
+"time", **fields}`` with one fixed field set per event name.  The most
+recent :data:`EVENT_BUFFER` are kept in memory and, given a path, each
+is one unbuffered ``write`` of a JSON line to a file opened once for
+append (O_APPEND: the seed workers sharing a path never tear a line, and
+no buffer is copied by a fork or lost in a crash).  Whoever creates a
+logger with a path closes it.
 
 :class:`EngineStats` aggregates across jobs (cache hits/misses, DSE
 iterations actually executed, worker crashes, wall vs modeled time); the
@@ -24,12 +28,14 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
 #: In-memory events a logger retains: a server emits one per request for
 #: as long as it lives, so the buffer keeps only the most recent ones.
 EVENT_BUFFER = 16384
+#: The envelope version every record carries as ``v``.
+EVENT_VERSION = 1
 
 
 class MetricsLogger:
@@ -38,14 +44,22 @@ class MetricsLogger:
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
         self.events: Deque[Dict[str, Any]] = deque(maxlen=EVENT_BUFFER)
+        self._file = open(path, "ab", buffering=0) if path else None
 
     def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
-        record = {"event": event, "time": time.time(), **fields}
+        record = {
+            "v": EVENT_VERSION, "event": event, "time": time.time(), **fields
+        }
         self.events.append(record)
-        if self.path:
-            with open(self.path, "a") as f:
-                f.write(json.dumps(record, sort_keys=True) + "\n")
+        if self._file is not None:
+            line = json.dumps(record, sort_keys=True) + "\n"
+            self._file.write(line.encode())
         return record
+
+    def close(self) -> None:
+        """Close the JSONL file; emitting after this is an error."""
+        if self._file is not None:
+            self._file.close()
 
     def of_type(self, event: str) -> List[Dict[str, Any]]:
         return [e for e in self.events if e["event"] == event]
@@ -81,23 +95,9 @@ class RunMetrics:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "key": self.key,
-            "name": self.name,
-            "seeds": self.seeds,
-            "jobs": self.jobs,
-            "cache_hit": self.cache_hit,
-            "cache_tier": self.cache_tier,
-            "wall_seconds": self.wall_seconds,
-            "modeled_seconds": self.modeled_seconds,
-            "iterations": self.iterations,
-            "accepted": self.accepted,
+            **asdict(self),
             "acceptance_rate": self.acceptance_rate,
             "iterations_per_second": self.iterations_per_second,
-            "objective": self.objective,
-            "best_seed": self.best_seed,
-            "crashed_seeds": self.crashed_seeds,
-            "timed_out_seeds": self.timed_out_seeds,
-            "resumed_seeds": self.resumed_seeds,
         }
 
 

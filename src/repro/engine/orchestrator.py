@@ -28,6 +28,7 @@ data (:class:`~repro.search.SearchSettings`; default: the annealer for
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from time import perf_counter, sleep
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -83,17 +84,18 @@ def run_seed_job(job: SeedJob) -> "SearchOutcome":
         sleep(job.inject_hang_s)
     if job.inject_crash:
         raise RuntimeError(f"injected crash (seed {job.seed})")
-    return run_search(
-        job.workloads,
-        replace(job.config, seed=job.seed),
-        replace(job.settings, seed=job.seed),
-        store=ArtifactStore(job.store_dir) if job.store_dir else None,
-        metrics=MetricsLogger(job.metrics_path) if job.metrics_path else None,
-        resume=job.resume,
-        rebuild_best=True,
-        name=job.name,
-        checkpoint_every=job.checkpoint_every,
-    )
+    with closing(MetricsLogger(job.metrics_path)) as metrics:
+        return run_search(
+            job.workloads,
+            replace(job.config, seed=job.seed),
+            replace(job.settings, seed=job.seed),
+            store=ArtifactStore(job.store_dir) if job.store_dir else None,
+            metrics=metrics,
+            resume=job.resume,
+            rebuild_best=True,
+            name=job.name,
+            checkpoint_every=job.checkpoint_every,
+        )
 
 
 def _progress(outcome: "SearchOutcome") -> Tuple[int, int, float]:

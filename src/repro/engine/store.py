@@ -22,7 +22,7 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
@@ -40,12 +40,7 @@ class StoreStats:
     corrupt: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "corrupt": self.corrupt,
-        }
+        return asdict(self)
 
 
 class ArtifactStore:

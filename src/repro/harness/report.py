@@ -201,7 +201,7 @@ def _fig20_section() -> str:
     lines = ["## Fig. 20 — Schedule-preserving transformations", ""]
     lines.append(
         render_table(
-            ["suite", "est IPC ratio (preserved/non)", "DSE-time delta"],
+            ["suite", "est IPC ratio (preserved/non)", "DSE-time reduction"],
             [
                 (r.suite, f"{r.ipc_improvement:.2f}x",
                  f"{r.time_reduction:+.0%}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Tuple
 
 from .errors import OverloadedError
 
@@ -141,6 +141,3 @@ class LatencyReservoir:
             "p99_s": self.percentile(0.99),
             "max_s": max(self._samples) if self._samples else 0.0,
         }
-
-    def snapshot(self) -> Optional[Dict[str, float]]:
-        return self.as_dict() if self.count else None

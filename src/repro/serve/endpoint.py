@@ -13,7 +13,11 @@ While a peer does not read its responses (the transport's write buffer
 is past its high-water mark) the endpoint stops reading that peer's
 requests, and resumes when the buffer drains.  ``OverlayServer`` and
 ``ClusterRouter`` differ only in what their dispatch does with a parsed
-request.
+request.  The endpoint alone counts served lines, in the owner's
+counters: ``requests`` per line received (malformed and oversize ones
+too), ``responses_ok`` / ``responses_error`` per response
+:meth:`_Connection.send` answers, read or not; after a drain the two
+sides are equal.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import signal
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import BadRequestError, InternalError, ServeError
+from .errors import ShuttingDownError
 from .protocol import (
     MAX_LINE_BYTES,
     JsonLinesProtocol,
@@ -47,6 +52,7 @@ class _Connection(JsonLinesProtocol):
     def __init__(self, endpoint: "JsonLinesEndpoint") -> None:
         super().__init__()
         self._endpoint = endpoint
+        self._counters = endpoint._counters
         #: Responses still being computed for this connection.
         self.tasks: "set[asyncio.Task[None]]" = set()
         #: EOF or an oversize line: read nothing more, close once answered.
@@ -64,6 +70,7 @@ class _Connection(JsonLinesProtocol):
         self._endpoint._serve_line(line, self)
 
     def line_too_long(self) -> None:
+        self._counters["requests"] += 1
         error = BadRequestError(f"request line exceeds {MAX_LINE_BYTES} bytes")
         self.send(self._endpoint._failure("?", error))
         self._stop_reading()
@@ -85,11 +92,15 @@ class _Connection(JsonLinesProtocol):
             self.frame()
 
     def send(self, response: Response) -> None:
+        """Count and write one response: a spliced line is an ok result,
+        a document is what its ``ok`` says."""
+        if isinstance(response, bytes):
+            line, ok = response, True
+        else:
+            line, ok = encode_line(response), response.get("ok")
+        self._counters["responses_ok" if ok else "responses_error"] += 1
         if not self._transport.is_closing():
-            self._transport.write(
-                response if isinstance(response, bytes)
-                else encode_line(response)
-            )
+            self._transport.write(line)
 
     def answered(self, task: "asyncio.Task[None]") -> None:
         self.tasks.discard(task)
@@ -108,8 +119,9 @@ class _Connection(JsonLinesProtocol):
 class JsonLinesEndpoint:
     """One listening socket speaking :mod:`repro.serve.protocol`.
 
-    ``counters`` is the owner's counter dict; the endpoint bumps its
-    ``responses_error`` entry for every failure it turns into a response.
+    ``counters`` is the owner's counter dict; the endpoint is the only
+    code that bumps its ``requests``, ``responses_ok`` and
+    ``responses_error`` entries.
     """
 
     def __init__(self, dispatch: Dispatch, counters: Dict[str, int]) -> None:
@@ -162,6 +174,7 @@ class JsonLinesEndpoint:
 
     # ------------------------------------------------------------------
     def _serve_line(self, line: bytes, conn: _Connection) -> None:
+        self._counters["requests"] += 1
         req_id = "?"
         try:
             doc = decode_line(line)
@@ -187,10 +200,13 @@ class JsonLinesEndpoint:
             response = await pending
         except Exception as exc:
             response = self._failure(req_id, exc)
+        except asyncio.CancelledError:  # the drain ran out of time
+            error = ShuttingDownError("drain timed out")
+            conn.send(self._failure(req_id, error))
+            raise
         conn.send(response)
 
     def _failure(self, req_id: str, exc: Exception) -> Response:
-        self._counters["responses_error"] += 1
         if not isinstance(exc, ServeError):
             exc = InternalError(f"{type(exc).__name__}: {exc}")
         return response_doc(req_id, error=exc.to_doc())

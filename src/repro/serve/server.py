@@ -329,7 +329,8 @@ class OverlayServer:
                 )
             except OSError:
                 self.metrics.emit(
-                    "pool_unavailable", workers=self.config.workers
+                    "pool_unavailable", runner="serve.workers",
+                    workers=self.config.workers,
                 )
             else:
                 self._executor_kind = "process"
@@ -353,9 +354,12 @@ class OverlayServer:
             return
         self._draining = True
         await self._wire.stop(self.config.drain_timeout_s)
-        await asyncio.wait_for(
-            self.flights.drain(), timeout=self.config.drain_timeout_s
-        )
+        try:
+            await asyncio.wait_for(
+                self.flights.drain(), timeout=self.config.drain_timeout_s
+            )
+        except asyncio.TimeoutError:
+            pass  # a compute that outlived the drain goes with its pool
         for worker in self._workers:
             worker.executor.shutdown(wait=False, cancel_futures=True)
         self.metrics.emit("serve_summary", **self.stats_doc())
@@ -365,7 +369,6 @@ class OverlayServer:
     # -- request dispatch ----------------------------------------------
     def _dispatch(self, request: Request, doc: Dict[str, Any]) -> Any:
         """The response document, or (a miss) an awaitable of it."""
-        self.counters["requests"] += 1
         if request.op == "ping":
             return response_doc(
                 request.id,
@@ -473,11 +476,9 @@ class OverlayServer:
             in_service=self.gate.in_service,
         )
         if failed:
-            self.counters["responses_error"] += 1
             return response_doc(
                 request.id, error=result.to_doc(), served=served
             )
-        self.counters["responses_ok"] += 1
         return response_line(request.id, result, served)
 
     async def _compute(
@@ -593,7 +594,9 @@ class OverlayServer:
 
     # -- introspection --------------------------------------------------
     def stats_doc(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
+        """Also ``serve_summary``'s fields, so every key is always set."""
+        store, registry = self.cache.store, self.registry
+        return {
             "protocol": PROTOCOL_VERSION,
             "overlays": sorted(self.overlays),
             "overlay_fps": {
@@ -606,12 +609,9 @@ class OverlayServer:
             "admission": self.gate.as_dict(),
             "latency": self.latency.as_dict(),
             "schedules": len(self._schedules),
+            "store": None if store is None else store.stats.as_dict(),
+            "registry": None if registry is None else {
+                "root": str(registry.store.root),
+                "names": registry.names(),
+            },
         }
-        if self.cache.store is not None:
-            doc["store"] = self.cache.store.stats.as_dict()
-        if self.registry is not None:
-            doc["registry"] = {
-                "root": str(self.registry.store.root),
-                "names": self.registry.names(),
-            }
-        return doc

@@ -522,9 +522,11 @@ class TestDseCommand:
         out = capsys.readouterr().out
         assert "cache hit (disk)" in out
         assert "0 DSE iterations run" in out
-        lines = (tmp_path / "events.jsonl").read_text().strip().splitlines()
-        events = [json.loads(l)["event"] for l in lines]
-        assert "run_start" in events and "cache_hit" in events
+        from .test_events import assert_event_file
+
+        assert_event_file(
+            tmp_path / "events.jsonl", expect=("run_start", "cache_hit")
+        )
 
     def test_no_cache_runs_fresh(self, tmp_path, capsys):
         argv = [

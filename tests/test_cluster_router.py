@@ -40,7 +40,14 @@ from repro.serve import (
 )
 from repro.workloads import get_workload
 
-from .test_serve_server import DELETED_OPS, assert_job_op_rejected
+from .test_events import assert_event_file
+from .test_serve_server import (
+    DELETED_OPS,
+    IN_TURN_OR_PIPELINED,
+    answer_lines,
+    assert_job_op_rejected,
+    assert_lines_add_up,
+)
 
 
 class TestRoutingMath:
@@ -87,8 +94,12 @@ def live_cluster(sysadg, tmp_path):
 
     shard_socks = [str(tmp_path / f"shard-{i}.sock") for i in range(2)]
     router_sock = str(tmp_path / "router.sock")
+    # Every member writes its events to a file, checked at teardown.
+    logs = [tmp_path / f"shard-{i}.jsonl" for i in range(2)]
+    logs.append(tmp_path / "router.jsonl")
+    loggers = [MetricsLogger(str(path)) for path in logs]
     shards = []
-    for sock in shard_socks:
+    for sock, metrics in zip(shard_socks, loggers):
         config = ServeConfig(
             socket_path=sock,
             workers=0,
@@ -96,7 +107,7 @@ def live_cluster(sysadg, tmp_path):
             drain_timeout_s=10.0,
             registry_dir=str(reg.root),
         )
-        shards.append(OverlayServer(config, metrics=MetricsLogger()))
+        shards.append(OverlayServer(config, metrics=metrics))
     router = ClusterRouter(
         RouterConfig(
             backends=[
@@ -107,7 +118,7 @@ def live_cluster(sysadg, tmp_path):
             registry_dir=str(reg.root),
             health_interval_s=0.2,
         ),
-        metrics=MetricsLogger(),
+        metrics=loggers[-1],
     )
     started = threading.Event()
 
@@ -136,6 +147,11 @@ def live_cluster(sysadg, tmp_path):
         pass
     thread.join(timeout=20)
     assert not thread.is_alive(), "cluster thread failed to drain"
+    for logger in loggers:
+        logger.close()
+    for path in logs[:-1]:
+        assert_event_file(path, expect=("serve_start", "serve_summary"))
+    assert_event_file(logs[-1], expect=("router_start", "router_summary"))
 
 
 async def _request(sock, op, **kwargs):
@@ -162,7 +178,7 @@ class TestRouterServing:
         router, router_sock, shards, *_ = live_cluster
         for op in DELETED_OPS:
             asyncio.run(assert_job_op_rejected(router_sock, op))
-        assert router.counters["routed"] == 0
+        assert sum(s.routed for s in router.backends) == 0
         assert all(s.counters["computes"] == 0 for s in shards)
 
     def test_routed_results_byte_identical_to_single_shot(
@@ -200,7 +216,7 @@ class TestRouterServing:
             s for s in shards if s.counters["computes"] > 0
         ]
         assert len(compute_shards) == 1
-        assert router.counters["routed"] >= 6
+        assert sum(s.routed for s in router.backends) >= 6
 
     def test_remap_versions_share_a_shard(self, live_cluster):
         """remap routes on the base name: v1's schedule must be on the
@@ -284,3 +300,41 @@ class TestRouterServing:
             )
             assert doc["op"] == "map"
         assert router.counters["failovers"] >= 1
+
+
+class TestAccounting:
+    @IN_TURN_OR_PIPELINED
+    def test_every_answered_line_is_counted_once(self, tmp_path, pipelined):
+        """No shard is reachable: the ``map`` is one ``internal`` error,
+        counted once (it was counted twice, and never as a request)."""
+        lines = [
+            (b'{"id":"m","op":"map","workload":"vecmax"}', False),
+            (b"this is not json", False),
+            (b'{"id":"p","op":"ping"}', True),
+        ]
+        router = ClusterRouter(
+            RouterConfig(
+                backends=[
+                    BackendSpec(index=0, socket_path=str(tmp_path / "no.sock"))
+                ],
+                socket_path=str(tmp_path / "router.sock"),
+                health_interval_s=3600.0,
+            )
+        )
+
+        async def run():
+            await router.start()
+            try:
+                return await answer_lines(
+                    router.endpoint[1], lines, pipelined
+                )
+            finally:
+                await router.shutdown()
+
+        replies = asyncio.run(run())
+        assert_lines_add_up(router, replies, lines)
+        (failed,) = [r for r in replies if r["id"] == "m"]
+        assert failed["error"]["code"] == "internal"
+        assert "no shard reachable" in failed["error"]["message"]
+        summary = router.metrics.of_type("router_summary")[-1]
+        assert summary["counters"] == router.counters

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import closing
 
 import pytest
 
@@ -255,9 +256,10 @@ class TestEngine:
 
     def test_metrics_stream(self, tmp_path):
         log_path = tmp_path / "events.jsonl"
-        eng = DseEngine(metrics=MetricsLogger(str(log_path)))
-        eng.explore(FIR, FAST, name="fir")
-        eng.explore(FIR, FAST, name="fir")
+        with closing(MetricsLogger(str(log_path))) as metrics:
+            eng = DseEngine(metrics=metrics)
+            eng.explore(FIR, FAST, name="fir")
+            eng.explore(FIR, FAST, name="fir")
         events = [e["event"] for e in eng.metrics.events]
         assert events.count("run_start") == 1
         seeds_done = [
@@ -290,10 +292,10 @@ class TestEngine:
         from repro.engine.metrics import EVENT_BUFFER
 
         log_path = tmp_path / "events.jsonl"
-        logger = MetricsLogger(str(log_path))
         total = EVENT_BUFFER + 1000
-        for i in range(total):
-            logger.emit("request", index=i)
+        with closing(MetricsLogger(str(log_path))) as logger:
+            for i in range(total):
+                logger.emit("request", index=i)
         assert len(logger.events) == EVENT_BUFFER
         assert logger.events[0]["index"] == 1000
         assert len(logger.of_type("request")) == EVENT_BUFFER

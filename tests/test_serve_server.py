@@ -11,6 +11,7 @@ import asyncio
 import json
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -43,7 +44,7 @@ def sysadg():
     return result.sysadg
 
 
-def make_server(sysadg, tmp_path, **overrides):
+def make_server(sysadg, tmp_path, metrics=None, **overrides):
     defaults = dict(
         socket_path=str(tmp_path / "serve.sock"),
         workers=0,           # thread executor: fast + monkeypatchable
@@ -53,7 +54,7 @@ def make_server(sysadg, tmp_path, **overrides):
     )
     defaults.update(overrides)
     config = ServeConfig(**defaults)
-    server = OverlayServer(config, metrics=MetricsLogger())
+    server = OverlayServer(config, metrics=metrics)
     server.add_overlay(sysadg)
     return server
 
@@ -540,6 +541,42 @@ class TestDrain:
         asyncio.run(run())
         assert server.metrics.of_type("serve_summary")
 
+    def test_a_drain_that_times_out_answers_and_closes(
+        self, sysadg, tmp_path, monkeypatch
+    ):
+        """A compute outliving ``drain_timeout_s``: its request is answered
+        ``shutting_down`` and counted, and the server still closes (the
+        drain used to raise ``TimeoutError`` and never close)."""
+        release = threading.Event()
+
+        def stuck_compute(op, overlay_fp, workload, design_doc=None):
+            release.wait(10)
+            return {"op": op}, False
+
+        monkeypatch.setattr("repro.serve.server.compute_op", stuck_compute)
+        server = make_server(sysadg, tmp_path, drain_timeout_s=0.1)
+
+        async def run():
+            await server.start()
+            async with client_for(server) as client:
+                pending = client.request_raw(
+                    {"op": "map", "workload": "vecmax"}
+                )
+                while not server.counters["computes"]:
+                    await asyncio.sleep(0.01)
+                await server.shutdown()
+                reply = await asyncio.wait_for(pending, timeout=10)
+            await asyncio.wait_for(server.wait_closed(), timeout=10)
+            return reply
+
+        try:
+            reply = asyncio.run(run())
+        finally:
+            release.set()
+        assert reply["error"]["code"] == "shutting_down"
+        c = server.metrics.of_type("serve_summary")[-1]["counters"]
+        assert c["requests"] == c["responses_error"] == 1
+
     def test_new_connections_refused_after_drain(self, sysadg, tmp_path):
         server = make_server(sysadg, tmp_path)
 
@@ -764,7 +801,7 @@ class TestWire:
 
         async def body():
             path = server.endpoint[1]
-            errors = server.counters["responses_error"]
+            before = dict(server.counters)
             async with client_for(server) as other:
                 reader, writer = await asyncio.open_unix_connection(path)
                 try:
@@ -777,8 +814,9 @@ class TestWire:
                 assert replies[0]["id"] == "?" and not replies[0]["ok"]
                 assert replies[0]["error"]["code"] == "bad_request"
                 assert "exceeds" in replies[0]["error"]["message"]
-                # Counted like a malformed line: stats show the failure.
-                assert server.counters["responses_error"] == errors + 1
+                # Counted like a malformed line: one request, one error.
+                for name in ("requests", "responses_error"):
+                    assert server.counters[name] == before[name] + 1
                 # Other connections, open and new, are still served.
                 assert (await other.ping())["pong"] is True
             async with client_for(server) as fresh:
@@ -864,3 +902,75 @@ class TestWire:
             assert server.counters["requests"] == n
 
         serve_test(server, body)
+
+
+#: One line of each kind a server answers, and whether the answer is
+#: ok: a miss, the same key again (a memory hit, or a join of the miss's
+#: flight when pipelined), a malformed line, an admin op, a bad request.
+MIXED_LINES = [
+    (b'{"id":"miss","op":"map","workload":"vecmax"}', True),
+    (b'{"id":"hit","op":"map","workload":"vecmax"}', True),
+    (b"this is not json", False),
+    (b'{"id":"p","op":"ping"}', True),
+    (b'{"id":"u","op":"map","workload":"not-a-workload"}', False),
+]
+
+
+async def answer_lines(path, lines, pipelined):
+    """Send ``lines``, then an oversize line, on one connection: every
+    reply, read until the endpoint hangs up.  In turn, each line waits
+    for its reply; pipelined, all go in one write."""
+    from repro.serve import MAX_LINE_BYTES
+
+    reader, writer = await asyncio.open_unix_connection(path)
+    replies = []
+    try:
+        for line, _ok in lines:
+            writer.write(line + b"\n")
+            if not pipelined:
+                reply = await asyncio.wait_for(reader.readline(), 10)
+                replies.append(json.loads(reply))
+        writer.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+        replies += await read_until_closed(reader)
+    finally:
+        writer.close()
+    return replies
+
+
+def assert_lines_add_up(owner, replies, lines):
+    """At drain, one request and one ok or error response per line
+    answered, the oversize one included, none counted twice."""
+    c = owner.counters
+    oks = [ok for _, ok in lines] + [False]
+    assert sorted(r["ok"] for r in replies) == sorted(oks)
+    assert c["requests"] == len(replies) == len(lines) + 1
+    assert c["responses_ok"] + c["responses_error"] == c["requests"]
+    assert c["responses_ok"] == sum(oks)
+
+
+IN_TURN_OR_PIPELINED = pytest.mark.parametrize(
+    "pipelined", [False, True], ids=["in-turn", "pipelined"]
+)
+
+
+class TestAccounting:
+    @IN_TURN_OR_PIPELINED
+    def test_every_answered_line_is_counted_once(
+        self, sysadg, tmp_path, pipelined
+    ):
+        from .test_events import assert_event_file
+
+        path = tmp_path / "events.jsonl"
+        with closing(MetricsLogger(str(path))) as metrics:
+            server = make_server(sysadg, tmp_path, metrics=metrics)
+            replies = serve_test(
+                server,
+                lambda: answer_lines(
+                    server.endpoint[1], MIXED_LINES, pipelined
+                ),
+            )
+        assert_lines_add_up(server, replies, MIXED_LINES)
+        records = assert_event_file(
+            path, expect=("serve_start", "request", "serve_summary")
+        )
+        assert records[-1]["counters"] == server.counters

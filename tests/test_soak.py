@@ -354,17 +354,17 @@ class TestSoakCli:
         assert not os.path.exists(dest)
 
     def test_metrics_stream_brackets_campaign(self, tmp_path, capsys):
+        from .test_events import assert_event_file, no_unclosed_metrics_file
+
         metrics = tmp_path / "events.jsonl"
-        main(
-            ["soak", "--budget", "8", "--seed", "3", "--shards", "2",
-             "--workers", "1", "--rel-tol", "0", "--abs-floor", "0",
-             "--shrink-budget", "20", "--metrics", str(metrics)]
-        )
+        with no_unclosed_metrics_file():
+            main(
+                ["soak", "--budget", "8", "--seed", "3", "--shards", "2",
+                 "--workers", "1", "--rel-tol", "0", "--abs-floor", "0",
+                 "--shrink-budget", "20", "--metrics", str(metrics)]
+            )
         capsys.readouterr()
-        records = [
-            json.loads(line)
-            for line in metrics.read_text().strip().splitlines()
-        ]
+        records = assert_event_file(metrics)
         events = [r["event"] for r in records]
         assert events[0] == "soak_start"
         assert events[-1] == "soak_done"
