@@ -245,10 +245,13 @@ class ADG:
         if self._view is None:
             ids = sorted(self._nodes)
             nodes = [self._nodes[i] for i in ids]
-            by_kind: Dict[NodeKind, List[AdgNode]] = {}
+            # By class: a type hashes by identity, a kind once per class.
+            by_class: Dict[type, List[AdgNode]] = {}
             for node in nodes:
-                by_kind.setdefault(node.kind, []).append(node)
-            engines = [n for n in nodes if n.kind in ENGINE_KINDS]
+                by_class.setdefault(type(node), []).append(node)
+            by_kind = {cls.kind: members for cls, members in by_class.items()}
+            engine_classes = {c for c in by_class if c.kind in ENGINE_KINDS}
+            engines = [n for n in nodes if type(n) in engine_classes]
             self._view = _View(ids, nodes, by_kind, engines)
         return self._view
 

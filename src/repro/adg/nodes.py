@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Optional
+from typing import ClassVar, FrozenSet, Optional
 
 from ..ir import DType, Op
 from .capability import FuCap, cap_for
@@ -53,9 +53,8 @@ class AdgNode:
 
     node_id: int
 
-    @property
-    def kind(self) -> NodeKind:
-        raise NotImplementedError
+    #: Each node class's kind, a class attribute: reading it calls nothing.
+    kind: ClassVar[NodeKind]
 
     @property
     def name(self) -> str:
@@ -78,9 +77,7 @@ class ProcessingElement(AdgNode):
     width_bits: int = 64
     max_delay_fifo: int = 8
 
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.PE
+    kind: ClassVar[NodeKind] = NodeKind.PE
 
     def supports(self, op: Op, dtype: DType, lanes: int = 1) -> bool:
         """Can this PE execute ``lanes`` lanes of ``op`` on ``dtype``?"""
@@ -95,9 +92,7 @@ class Switch(AdgNode):
 
     width_bits: int = 64
 
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.SWITCH
+    kind: ClassVar[NodeKind] = NodeKind.SWITCH
 
 
 @dataclass(frozen=True)
@@ -118,9 +113,7 @@ class InputPortHW(AdgNode):
     supports_padding: bool = False
     supports_meta: bool = False
 
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.IN_PORT
+    kind: ClassVar[NodeKind] = NodeKind.IN_PORT
 
 
 @dataclass(frozen=True)
@@ -130,9 +123,7 @@ class OutputPortHW(AdgNode):
     width_bytes: int = 8
     fifo_depth: int = 4
 
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.OUT_PORT
+    kind: ClassVar[NodeKind] = NodeKind.OUT_PORT
 
 
 @dataclass(frozen=True)
@@ -147,9 +138,7 @@ class DmaEngine(AdgNode):
     indirect: bool = False
     rob_entries: int = 16
 
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.DMA
+    kind: ClassVar[NodeKind] = NodeKind.DMA
 
 
 @dataclass(frozen=True)
@@ -165,9 +154,7 @@ class SpadEngine(AdgNode):
     write_bandwidth: int = 32
     indirect: bool = False
 
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.SPAD
+    kind: ClassVar[NodeKind] = NodeKind.SPAD
 
 
 @dataclass(frozen=True)
@@ -176,9 +163,7 @@ class GenerateEngine(AdgNode):
 
     bandwidth_bytes: int = 8
 
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.GENERATE
+    kind: ClassVar[NodeKind] = NodeKind.GENERATE
 
 
 @dataclass(frozen=True)
@@ -192,9 +177,7 @@ class RecurrenceEngine(AdgNode):
     bandwidth_bytes: int = 32
     buffer_bytes: int = 512
 
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.RECURRENCE
+    kind: ClassVar[NodeKind] = NodeKind.RECURRENCE
 
 
 @dataclass(frozen=True)
@@ -203,6 +186,4 @@ class RegisterEngine(AdgNode):
 
     bandwidth_bytes: int = 8
 
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.REGISTER
+    kind: ClassVar[NodeKind] = NodeKind.REGISTER

@@ -30,7 +30,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..adg import ADG, SystemParams
 from ..adg.system import SYSTEM_GRID_AXES
-from ..model.perf import PerfEstimate, bottleneck_profile, geomean
+from ..model.perf import PerfEstimate, geomean
 from ..model.resource import (
     AnalyticEstimator,
     Resources,
@@ -155,13 +155,13 @@ def system_dse(
 ) -> Optional[SystemChoice]:
     """Exhaustive sweep of the system grid for one candidate ADG.
 
-    Each schedule's stream classification (:func:`bottleneck_profile`)
-    does not depend on the grid point, so it is built once and only the
-    NoC/L2/DRAM levels are re-evaluated per point — and only for a point
-    ``objectives`` has not priced under the same profiles (None: a fresh
-    memo, every point priced).  The winner is the first strict maximum in
-    grid order (the tile, the secondary objective, is the same at every
-    point of one sweep).
+    Each schedule's stream classification (:meth:`Schedule.profile`, the
+    one it was priced with on this ADG version) does not depend on the
+    grid point; only the NoC/L2/DRAM levels are re-evaluated per point —
+    and only for a point ``objectives`` has not priced under the same
+    profiles (None: a fresh memo, every point priced).  The winner is the
+    first strict maximum in grid order (the tile, the secondary objective,
+    is the same at every point of one sweep).
 
     Returns None when no grid point fits even one tile.  This is the one
     ``dse.system`` span site, so every caller (explorer loop, seed and
@@ -173,10 +173,7 @@ def system_dse(
     budget = budget or usable_budget()
     with span("dse.system"):
         tile = estimator.tile(adg)
-        profiles = {
-            s.mdfg.workload: bottleneck_profile(s.mdfg, s.binding(), adg)
-            for s in schedules
-        }
+        profiles = {s.mdfg.workload: s.profile(adg) for s in schedules}
         memo = {} if objectives is None else objectives.setdefault(
             tuple(profiles.items()), {}
         )

@@ -31,11 +31,14 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
-#: In-memory events a logger retains: a server emits one per request for
-#: as long as it lives, so the buffer keeps only the most recent ones.
-EVENT_BUFFER = 16384
+#: In-memory events a logger retains: enough for the one in-process reader,
+#: the report's ``run_end`` table (about 400 events a report); a server,
+#: one event per request, keeps only its most recent requests.
+EVENT_BUFFER = 1024
 #: The envelope version every record carries as ``v``.
 EVENT_VERSION = 1
+#: ``json.dumps(record, sort_keys=True)`` without an encoder per record.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class MetricsLogger:
@@ -52,7 +55,7 @@ class MetricsLogger:
         }
         self.events.append(record)
         if self._file is not None:
-            line = json.dumps(record, sort_keys=True) + "\n"
+            line = _ENCODER.encode(record) + "\n"
             self._file.write(line.encode())
         return record
 

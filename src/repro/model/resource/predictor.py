@@ -46,12 +46,15 @@ from .mlp import MlpConfig, ResourceMlp
 
 class AnalyticEstimator:
     """Deterministic estimator backed by the analytic cost model; tile
-    totals price each distinct :func:`_key` once per estimator."""
+    totals price each distinct :func:`_key` once per estimator.  ``tile``
+    finds a clone's shared node objects by id, degrees and identity, so a
+    value-keyed lookup (a frozen-dataclass hash) runs only for new nodes."""
 
     name = "analytic"
 
     def __init__(self) -> None:
         self._priced: Dict[Tuple[AdgNode, int, int], Resources] = {}
+        self._by_id: Dict[Tuple[int, int, int], Tuple[AdgNode, Resources]] = {}
 
     def node(self, adg: ADG, node: AdgNode) -> Resources:
         return node_resources(adg, node)
@@ -66,8 +69,14 @@ class AnalyticEstimator:
     def tile(self, adg: ADG) -> Resources:
         # Four float sums in id order round as ``Resources()`` sums do.
         lut = ff = bram = dsp = 0.0
+        by_id, feeders, drains = self._by_id, adg._in, adg._out
         for node in adg.nodes():
-            res = self._cost(adg, node)
+            nid = node.node_id
+            key = (nid, len(feeders[nid]), len(drains[nid]))
+            hit = by_id.get(key)
+            if hit is None or hit[0] is not node:
+                hit = by_id[key] = (node, self._cost(adg, node))
+            res = hit[1]
             lut += res.lut
             ff += res.ff
             bram += res.bram

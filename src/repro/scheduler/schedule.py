@@ -19,8 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..adg import ADG
 from ..dfg import MDFG
-from ..model.perf import MemoryBinding, PerfEstimate
+from ..model.perf import (
+    BottleneckProfile,
+    MemoryBinding,
+    PerfEstimate,
+    bottleneck_profile,
+)
 
 #: A routed fabric edge: (src dfg node, dst dfg node, operand slot).
 EdgeKey = Tuple[int, int, int]
@@ -41,7 +47,25 @@ class Schedule:
     delay_fifo_needed: Dict[int, int] = field(default_factory=dict)
     estimate: Optional[PerfEstimate] = None
 
+    #: ``(adg, adg.version, profile)`` of the last :meth:`profile`; not a
+    #: field, so never compared, cloned or pickled.  Two clones of one ADG
+    #: reach one ``version`` with different edits: the object is keyed too.
+    _profile = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {k: v for k, v in self.__dict__.items() if k != "_profile"}
+
     # ------------------------------------------------------------------
+    def profile(self, adg: ADG) -> BottleneckProfile:
+        """:func:`bottleneck_profile` of this schedule's binding on ``adg``,
+        built once per (ADG object, ``version``): pricing the schedule and
+        sweeping the system grid for the same candidate share one."""
+        kept = self._profile
+        if kept is None or kept[0] is not adg or kept[1] != adg.version:
+            profile = bottleneck_profile(self.mdfg, self.binding(), adg)
+            kept = self._profile = (adg, adg.version, profile)
+        return kept[2]
+
     def clone(self) -> "Schedule":
         """Deep-enough copy: mutating the clone's maps leaves this intact."""
         return Schedule(

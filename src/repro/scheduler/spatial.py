@@ -24,7 +24,7 @@ from typing import List, Optional, Set, Tuple
 from ..adg import ADG, SystemParams
 from ..compiler import VariantSet
 from ..dfg import MDFG
-from ..model.perf import estimate_ipc, ipc_ceiling
+from ..model.perf import ipc_ceiling
 from ..profile.tracer import add_counter, span
 from .binder import bind_memory
 from .legality import hardware_violations
@@ -87,7 +87,7 @@ def attempt_schedule(
             failure=ScheduleFailure(stage=exc.stage, reason=str(exc))
         )
     if params is not None:
-        schedule.estimate = estimate_ipc(mdfg, schedule.binding(), adg, params)
+        schedule.estimate = schedule.profile(adg).at(params)
     return ScheduleAttempt(schedule=schedule)
 
 
@@ -143,7 +143,7 @@ def schedule_workload(
         except ScheduleError:
             continue
         with span("scheduler.price", workload=mdfg.workload, variant=mdfg.variant):
-            schedule.estimate = estimate_ipc(mdfg, schedule.binding(), adg, params)
+            schedule.estimate = schedule.profile(adg).at(params)
         heapq.heappush(priced, (-schedule.estimate.ipc, index, schedule))
     add_counter("scheduler.variants", len(mdfgs))
     add_counter("scheduler.bound", len(unpriced))
@@ -174,9 +174,7 @@ def revalidate_schedule(
         if any(hardware_violations(schedule, adg)):
             return None
         schedule.adg_version = adg.version
-        schedule.estimate = estimate_ipc(
-            schedule.mdfg, schedule.binding(), adg, params
-        )
+        schedule.estimate = schedule.profile(adg).at(params)
         return schedule
 
 
@@ -205,9 +203,7 @@ def repair_schedule(
             bad_edges = {f.piece for f in findings}
             repaired = _reroute_only(schedule, adg, bad_edges)
             if repaired is not None:
-                repaired.estimate = estimate_ipc(
-                    mdfg, repaired.binding(), adg, params
-                )
+                repaired.estimate = repaired.profile(adg).at(params)
                 return repaired
         return schedule_mdfg(mdfg, adg, params)
 

@@ -7,7 +7,9 @@ every grid point, a ``PerfEstimate`` per (point, workload), a
 ``system_dse`` must return the same ``SystemChoice`` field for field —
 same floats, same factor order — while evaluating ``system_total`` at most
 twice per grid point and, with a run's objective memo, calling ``ipc_at``
-once per distinct (profiles, grid point, tile count).
+once per distinct (profiles, grid point, tile count).  The profiles it
+reads are the ones the schedules were priced with on that ADG version,
+never stale ones.
 """
 
 import random
@@ -26,6 +28,7 @@ from repro.dse import DseConfig, explore, system_dse
 from repro.dse import explorer as dse_explorer
 from repro.dse import system as dse_system
 from repro.dse.system import SystemChoice, _grid_fits, _largest_fit
+from repro.dse.transforms import PADDING_STEPS
 from repro.model.perf import (
     BottleneckProfile,
     bottleneck_profile,
@@ -41,7 +44,8 @@ from repro.model.resource import (
     usable_budget,
 )
 from repro.profile.tracer import tracing
-from repro.scheduler import schedule_workload
+from repro.scheduler import Schedule, revalidate_schedule, schedule_workload
+from repro.scheduler import schedule as schedule_module
 from repro.validate.generators import random_adg_doc
 from repro.workloads import SUITE_NAMES, all_workloads, get_suite, get_workload
 
@@ -347,26 +351,31 @@ class TestGridMemo:
         sweep_profiles = []
         distinct = set()
         ipc_at = BottleneckProfile.ipc_at
-        profile = dse_system.bottleneck_profile
+        sweep = dse_explorer.system_dse
+        profile = Schedule.profile
         grid_fits = dse_system._grid_fits
 
         def counted_ipc_at(self, *args):
             calls[0] += 1
             return ipc_at(self, *args)
 
-        def recorded_profile(*args):
-            sweep_profiles.append(profile(*args))
+        def recorded_sweep(*args, **kwargs):
+            sweep_profiles.clear()  # drop the ones pricing asked for
+            return sweep(*args, **kwargs)
+
+        def recorded_profile(self, adg):
+            sweep_profiles.append(profile(self, adg))
             return sweep_profiles[-1]
 
         def recorded_grid_fits(*args):
             profiles = tuple(sweep_profiles)
-            sweep_profiles.clear()
             for point in grid_fits(*args):
                 distinct.add((profiles, point[:4]))
                 yield point
 
         monkeypatch.setattr(BottleneckProfile, "ipc_at", counted_ipc_at)
-        monkeypatch.setattr(dse_system, "bottleneck_profile", recorded_profile)
+        monkeypatch.setattr(dse_explorer, "system_dse", recorded_sweep)
+        monkeypatch.setattr(Schedule, "profile", recorded_profile)
         monkeypatch.setattr(dse_system, "_grid_fits", recorded_grid_fits)
         explore(get_suite("dsp"), DseConfig(iterations=40, seed=2))
         assert distinct
@@ -374,7 +383,104 @@ class TestGridMemo:
 
 
 # ----------------------------------------------------------------------
-# (d) the scalar objective
+# (d) one profile per candidate
+# ----------------------------------------------------------------------
+def swept_profiles(monkeypatch, adg, schedules):
+    """The profiles one ``system_dse`` sweep of ``adg`` reads."""
+    seen = []
+    profile = Schedule.profile
+
+    def recorded(self, adg):
+        seen.append(profile(self, adg))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Schedule, "profile", recorded)
+        system_dse(adg, schedules)
+    return seen
+
+
+def fresh_profiles(adg, schedules):
+    return [bottleneck_profile(s.mdfg, s.binding(), adg) for s in schedules]
+
+
+def widen_dma(adg, factor):
+    """Scale every DMA's bandwidth in place (a factor the profile reads)."""
+    for dma in adg.dmas:
+        adg.replace_node(dma.node_id, bandwidth_bytes=dma.bandwidth_bytes * factor)
+
+
+class TestKeptProfile:
+    """A schedule keeps the profile it was priced with, keyed by the ADG
+    object and its ``version``; the sweep reuses it, never a stale one."""
+
+    def test_never_stale_after_an_in_place_edit_or_on_a_sibling(
+        self, monkeypatch
+    ):
+        adg, schedules = seed_and_schedules(get_suite("dsp"))
+        priced = [s.profile(adg) for s in schedules]
+        assert swept_profiles(monkeypatch, adg, schedules) == priced
+
+        # In place, as ``finish()`` pads the accepted ADG: one padding
+        # step, then an edit the profiles read.
+        assert any(step(adg, lambda: True) for step in PADDING_STEPS)
+        assert swept_profiles(monkeypatch, adg, schedules) == fresh_profiles(
+            adg, schedules
+        )
+        widen_dma(adg, 2)
+        assert fresh_profiles(adg, schedules) != priced
+        assert swept_profiles(monkeypatch, adg, schedules) == fresh_profiles(
+            adg, schedules
+        )
+
+        # Two clones of one parent at one version, with different edits:
+        # the version alone does not name the content.
+        left, right = adg.clone(), adg.clone()
+        widen_dma(left, 2)
+        widen_dma(right, 4)
+        assert left.version == right.version
+        kept = [
+            revalidate_schedule(s.clone(), left, SystemParams())
+            for s in schedules
+        ]
+        assert swept_profiles(monkeypatch, left, kept) == fresh_profiles(
+            left, kept
+        )
+        assert fresh_profiles(right, kept) != fresh_profiles(left, kept)
+        assert swept_profiles(monkeypatch, right, kept) == fresh_profiles(
+            right, kept
+        )
+
+    def test_a_candidate_is_modelled_once(self, monkeypatch):
+        """Every sweep of a run reads the profiles its candidate's
+        schedules were priced with; only the sweep after padding, which
+        edits the accepted ADG in place, builds any."""
+        builds = [0]
+        per_sweep = []
+        build = schedule_module.bottleneck_profile
+        sweep = dse_explorer.system_dse
+
+        def counted_build(*args):
+            builds[0] += 1
+            return build(*args)
+
+        def counted_sweep(*args, **kwargs):
+            before = builds[0]
+            choice = sweep(*args, **kwargs)
+            per_sweep.append(builds[0] - before)
+            return choice
+
+        monkeypatch.setattr(schedule_module, "bottleneck_profile", counted_build)
+        monkeypatch.setattr(dse_explorer, "system_dse", counted_sweep)
+        workloads = get_suite("dsp")
+        explore(workloads, DseConfig(iterations=40, seed=2))
+        assert len(per_sweep) >= 20
+        assert sum(per_sweep[:-1]) == 0
+        assert per_sweep[-1] <= len(workloads)
+
+
+# ----------------------------------------------------------------------
+# (e) the scalar objective
 # ----------------------------------------------------------------------
 def test_ipc_at_is_at_ipc_bit_for_bit():
     """28 workloads x 60 grid points x tiles 1..16, both models."""

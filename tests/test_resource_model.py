@@ -353,6 +353,39 @@ class TestTileMemo:
                 assert est.tile(adg) == summed_nodes(fresh, adg)
                 assert est.tile_breakdown(adg) == fresh.tile_breakdown(adg)
 
+    def test_nodes_are_found_by_identity(self, monkeypatch):
+        """A clone's shared nodes are found by id, degrees and identity,
+        without a value-keyed lookup; a node replaced in place (same id,
+        same degrees) misses and is priced afresh."""
+        from repro.model.resource import predictor
+
+        adg = general_overlay().adg
+        est = AnalyticEstimator()
+        est.tile(adg)
+        keyed = [0]
+        key = predictor._key
+
+        def counted_key(*args):
+            keyed[0] += 1
+            return key(*args)
+
+        def keyed_tile(adg):
+            """``est.tile(adg)``, checked against a fresh estimator, and
+            the value-keyed lookups it made."""
+            want = AnalyticEstimator().tile(adg)
+            keyed[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(predictor, "_key", counted_key)
+                assert est.tile(adg) == want
+            return keyed[0]
+
+        clone = adg.clone()
+        assert keyed_tile(clone) == 0
+        pe = clone.pes[0]
+        clone.replace_node(pe.node_id, width_bits=pe.width_bits * 2)
+        assert keyed_tile(clone) == 1
+        assert keyed_tile(adg) == 1  # the entry now holds the clone's node
+
     def test_explore_prices_each_key_once(self, monkeypatch):
         """One DSE run prices a key once, not once per ``tile()`` call."""
         from collections import Counter

@@ -26,7 +26,7 @@ from repro.validate.soak import (
     soak_run,
 )
 
-from .test_validate import tree_bytes
+from .test_validate import read_bytes, tree_bytes
 
 #: Flag every model/sim gap: guarantees the fixed seeds below produce
 #: divergences to dedupe, promote, and replay.
@@ -208,12 +208,10 @@ class TestPromotion:
             assert doc["expected"] == doc["failure_key"]
             json.dumps(doc, allow_nan=False)
         # Re-promotion lands on identical bytes.
-        before = {
-            n: open(os.path.join(cases_dir, n), "rb").read() for n in files
-        }
+        before = {n: read_bytes(os.path.join(cases_dir, n)) for n in files}
         promote_failures(serial_report.failures, promoted_dir, ZERO_TOL)
         for name, content in before.items():
-            assert open(os.path.join(cases_dir, name), "rb").read() == content
+            assert read_bytes(os.path.join(cases_dir, name)) == content
 
     def test_replay_matches_expected_key(self, promoted_dir):
         rows = DivergenceCorpus(promoted_dir).replay()
@@ -224,7 +222,8 @@ class TestPromotion:
         committed = os.path.join(
             os.path.dirname(__file__), "regression", "test_promoted_cases.py"
         )
-        assert open(committed, encoding="utf-8").read() == _TEST_MODULE
+        with open(committed, encoding="utf-8") as f:
+            assert f.read() == _TEST_MODULE
 
     def test_replay_detects_behaviour_change(self, promoted_dir):
         cases_dir = os.path.join(promoted_dir, "cases")

@@ -297,11 +297,16 @@ def _failure(case, key="divergence:memory", **summary):
     return Failure(failure_key=key, case=case, summary=summary)
 
 
+def read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def tree_bytes(root):
     """{relative path: bytes} of every file under ``root``."""
     return {
         os.path.relpath(os.path.join(d, name), root):
-            open(os.path.join(d, name), "rb").read()
+            read_bytes(os.path.join(d, name))
         for d, _, names in os.walk(root)
         for name in names
     }
@@ -397,14 +402,14 @@ class TestCorpus:
         failure = _failure(random_case("5:1"))
         name, _ = corpus.add(failure, ZERO_TOL)
         path = os.path.join(corpus.cases_dir, name)
-        whole = open(path, "rb").read()
+        whole = read_bytes(path)
         with open(path, "wb") as fh:
             fh.write(whole[: len(whole) // 2])
         [(row_name, expected, actual)] = corpus.replay()
         assert row_name == name and expected is None and actual
         # Not "known": the add rewrites it whole.
         assert corpus.add(failure, ZERO_TOL) == (name, True)
-        assert open(path, "rb").read() == whole
+        assert read_bytes(path) == whole
 
 
 class TestFuzzRun:
