@@ -85,6 +85,7 @@ class DseStats:
     accepted: int = 0
     rejected_unschedulable: int = 0
     rejected_annealing: int = 0
+    rejected_noop: int = 0           # edits that changed nothing, unswept
     preserved_hits: int = 0          # schedules that survived untouched
     repairs: int = 0
     full_schedules: int = 0
@@ -340,6 +341,13 @@ class Explorer:
                 self.stats.random_transforms += 1
         except TransformFailed:
             return None
+        if candidate.version == adg.version and self.iteration % cfg.upgrade_every:
+            # Nothing changed and no upgrade is due: the sweep would price
+            # the incumbent again, and an equal objective and LUT count is
+            # rejected without an rng draw.  Book that verdict unswept.
+            self.stats.rejected_noop += 1
+            add_counter("dse.rejected")
+            return None
 
         params = SystemParams()
         repaired: Dict[str, Schedule] = {}
@@ -349,6 +357,7 @@ class Explorer:
             new = repair_schedule(old, candidate, params)
             if new is None:
                 self.stats.rejected_unschedulable += 1
+                self.modeled_seconds += cfg.time_model.repair
                 return None
             if new is old:
                 self.stats.preserved_hits += 1
@@ -366,36 +375,29 @@ class Explorer:
         schedules: Dict[str, Schedule],
         charge: float = 0.4,
     ) -> Dict[str, Schedule]:
-        """Schedule every workload afresh; keep whichever of the new and
-        the incumbent schedule estimates higher (a better variant may now
-        fit).  Each variant is charged ``charge`` full schedules of
-        modeled time: 1.0 for the seed ADG, 0.4 for a periodic retry."""
+        """Schedule every workload afresh; keep the new schedule only if it
+        estimates higher than the incumbent (a better variant may now fit),
+        so ``schedule_workload`` stops once no variant can beat it.  Each
+        variant is charged ``charge`` full schedules of modeled time: 1.0
+        for the seed ADG, 0.4 for a periodic retry."""
         params = SystemParams()
         out = dict(schedules)
         for name, variants in variant_sets.items():
+            current = out.get(name)
+            beat = current.estimate.ipc if current and current.estimate else None
             with span("dse.full_schedule", workload=name):
-                best = schedule_workload(variants, adg, params)
+                best = schedule_workload(variants, adg, params, beat)
             self.stats.full_schedules += len(variants.variants)
             self.modeled_seconds += (
                 self.config.time_model.full_schedule
                 * len(variants.variants)
                 * charge
             )
-            if best is None:
-                continue
-            if best.estimate is None:
+            if best is None or (best.estimate is None and current):
                 # A variant that schedules but yields no estimate cannot be
                 # compared; keep the incumbent instead of crashing mid-anneal.
-                if name not in out:
-                    out[name] = best
                 continue
-            current = out.get(name)
-            if (
-                current is None
-                or current.estimate is None
-                or best.estimate.ipc > current.estimate.ipc
-            ):
-                out[name] = best
+            out[name] = best
         return out
 
     def _pad_for_generality(self, adg: ADG, choice: SystemChoice) -> int:

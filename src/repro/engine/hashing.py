@@ -35,7 +35,11 @@ from ..ir import Workload
 #: v3: ``DseResult``/``ExplorerState`` grew ``points`` — the full
 #: LUT/FF/BRAM/DSP resource vector for every accepted DSE point — which
 #: the ``DseResult`` goldens hash; pre-v3 artifacts lack it.
-CODE_SCHEMA_VERSION = 3
+#: v4: a failed repair is charged ``TimeModel.repair``, a no-op edit is
+#: rejected unswept and uncharged, and ``DseStats`` grew
+#: ``rejected_noop``, so modeled seconds / stats in old artifacts are
+#: stale.
+CODE_SCHEMA_VERSION = 4
 
 
 def canonicalize(obj: Any) -> Any:

@@ -17,6 +17,7 @@ schedule is still legal after one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Dict, List, Optional, Tuple
 
 from ..adg import ADG
@@ -47,9 +48,10 @@ class Schedule:
     delay_fifo_needed: Dict[int, int] = field(default_factory=dict)
     estimate: Optional[PerfEstimate] = None
 
-    #: ``(adg, adg.version, profile)`` of the last :meth:`profile`; not a
-    #: field, so never compared, cloned or pickled.  Two clones of one ADG
-    #: reach one ``version`` with different edits: the object is keyed too.
+    #: ``(engines, stream_engine, profile)`` of the last :meth:`profile`:
+    #: the ADG's engine nodes and the binding, the only inputs the profile
+    #: reads.  Not a field, so never compared or pickled; a clone carries
+    #: it (it holds no ADG, so a clone keeps no parent alive).
     _profile = None
 
     def __getstate__(self) -> Dict[str, object]:
@@ -58,17 +60,26 @@ class Schedule:
     # ------------------------------------------------------------------
     def profile(self, adg: ADG) -> BottleneckProfile:
         """:func:`bottleneck_profile` of this schedule's binding on ``adg``,
-        built once per (ADG object, ``version``): pricing the schedule and
-        sweeping the system grid for the same candidate share one."""
+        rebuilt only when an engine node (compared by identity) or the
+        binding changed: an edit that leaves every engine alone, on this
+        ADG or a clone of it, keeps the profile the schedule was priced
+        with."""
+        engines = adg.engines
+        binding = self.binding()
         kept = self._profile
-        if kept is None or kept[0] is not adg or kept[1] != adg.version:
-            profile = bottleneck_profile(self.mdfg, self.binding(), adg)
-            kept = self._profile = (adg, adg.version, profile)
+        if (
+            kept is None
+            or kept[1] != binding.stream_engine
+            or len(kept[0]) != len(engines)
+            or not all(map(is_, kept[0], engines))
+        ):
+            profile = bottleneck_profile(self.mdfg, binding, adg)
+            kept = self._profile = (engines, binding.stream_engine, profile)
         return kept[2]
 
     def clone(self) -> "Schedule":
         """Deep-enough copy: mutating the clone's maps leaves this intact."""
-        return Schedule(
+        copy = Schedule(
             mdfg=self.mdfg,
             adg_version=self.adg_version,
             placement=dict(self.placement),
@@ -76,6 +87,8 @@ class Schedule:
             delay_fifo_needed=dict(self.delay_fifo_needed),
             estimate=self.estimate,
         )
+        copy._profile = self._profile
+        return copy
 
     def binding(self) -> MemoryBinding:
         """Memory binding (stream -> engine) view for the perf model."""

@@ -104,6 +104,7 @@ def schedule_workload(
     variants: VariantSet,
     adg: ADG,
     params: SystemParams,
+    beat: Optional[float] = None,
 ) -> Optional[Schedule]:
     """Best-performing schedulable variant of a workload (None if none).
 
@@ -116,8 +117,11 @@ def schedule_workload(
     stream's engine, so a variant is returned with the estimate it was
     routed under.  This is the "relax DFG complexity" loop: aggressive
     variants that fail to map lose to less aggressive ones that succeed.
+    With ``beat`` (an incumbent's IPC), the walk stops, returning None, as
+    soon as the head of that merged order, an estimate or a ceiling, is no
+    higher: the winner is returned only when its IPC is above ``beat``.
     Counters ``scheduler.variants`` and ``scheduler.bound`` add the family
-    size and the variants the ceiling left unbound.
+    size and the variants left unbound.
     """
     mdfgs = variants.variants
     with span("scheduler.order", workload=variants.workload.name):
@@ -128,7 +132,11 @@ def schedule_workload(
     priced: List[Tuple[float, int, Schedule]] = []  # a heap
     best = None
     while best is None and (priced or unpriced):
-        if priced and (not unpriced or priced[0][:2] < unpriced[-1]):
+        routable = priced and (not unpriced or priced[0][:2] < unpriced[-1])
+        head = priced[0][0] if routable else unpriced[-1][0]  # -ipc, -ceiling
+        if beat is not None and -head <= beat:
+            break
+        if routable:
             schedule = heapq.heappop(priced)[2]
             try:
                 _place_route(schedule, adg)

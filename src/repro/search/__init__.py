@@ -62,41 +62,3 @@ from .bottleneck import BottleneckStrategy
 from .evolutionary import EvolutionaryStrategy
 from .tpe import TpeStrategy
 from .runner import SearchOutcome, SearchSettings, run_search, shootout
-
-__all__ = [
-    "AnnealStrategy",
-    "Axis",
-    "BottleneckStrategy",
-    "DEFAULT_AXES",
-    "EvolutionaryStrategy",
-    "Proposal",
-    "SEARCH_SCHEMA",
-    "SearchContext",
-    "SearchError",
-    "SearchOutcome",
-    "SearchSettings",
-    "Strategy",
-    "Study",
-    "TpeStrategy",
-    "Trial",
-    "default_reference",
-    "dominates",
-    "export_frontier",
-    "export_study",
-    "frontier_doc",
-    "hypervolume",
-    "list_studies",
-    "load_study",
-    "make_strategy",
-    "merge_studies",
-    "non_dominated",
-    "parse_axis",
-    "register",
-    "render_html",
-    "run_search",
-    "save_study",
-    "shootout",
-    "stable_rng",
-    "strategy_names",
-    "study_key",
-]

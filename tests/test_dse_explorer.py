@@ -1,6 +1,8 @@
 """Tests for the unified DSE (system sweep + annealing explorer)."""
 
+import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -139,31 +141,41 @@ class TestExplorer:
             monkeypatch.setattr(spatial, rung, recorded)
         return calls
 
-    def test_fast_path_skips_repair(self, monkeypatch):
-        """A no-op transform must take revalidation, never repair (V-B)."""
+    @staticmethod
+    def _pruning_explorer(monkeypatch, names, **config):
+        """An explorer past ``begin`` at iteration 1 (no upgrade due) whose
+        every proposal is ``prune_capabilities``, the schedule-preserving
+        edit that ``collapse_random_switch`` falls back to."""
         from repro.dse import explorer as mod
 
-        workloads = [get_workload("vecmax"), get_workload("accumulate")]
-        cfg = DseConfig(iterations=1, seed=3, preserving_prob=1.0)
-        ex = mod.Explorer(workloads, cfg)
+        cfg = DseConfig(iterations=1, seed=3, preserving_prob=1.0, **config)
+        ex = mod.Explorer([get_workload(n) for n in names], cfg)
         ex.begin()
-        adg, schedules, _ = ex.best
-
+        ex.iteration = 1
         monkeypatch.setattr(
-            mod, "collapse_random_switch", lambda *a, **k: True
+            mod, "collapse_random_switch", lambda *a, **k: None
         )
+        return ex
+
+    def test_fast_path_skips_repair(self, monkeypatch):
+        """A schedule-preserving edit takes revalidation, never repair
+        (V-B)."""
+        names = ("vecmax", "accumulate")
+        ex = self._pruning_explorer(monkeypatch, names)
+        adg, schedules, _ = ex.best
         calls = self._ladder_calls(monkeypatch)
         hits0 = ex.stats.preserved_hits
         modeled0 = ex.modeled_seconds
         out = ex._propose(adg, schedules)
         assert out is not None
+        candidate, repaired = out
+        assert candidate.version > adg.version  # the prune edited the ADG
         assert calls == []
-        assert ex.stats.preserved_hits - hits0 == len(workloads)
+        assert ex.stats.preserved_hits - hits0 == len(names)
         # Preserved hits are charged as revalidations, not repair fractions.
         assert ex.modeled_seconds - modeled0 == pytest.approx(
-            cfg.time_model.revalidate * len(workloads)
+            ex.config.time_model.revalidate * len(names)
         )
-        candidate, repaired = out
         for schedule in repaired.values():
             assert list(hardware_violations(schedule, candidate)) == []
             assert schedule.adg_version == candidate.version
@@ -171,18 +183,10 @@ class TestExplorer:
 
     def test_repair_path_charges_repair(self, monkeypatch):
         """When revalidation fails, repair runs and is charged in full."""
-        from repro.dse import explorer as mod
         from repro.scheduler import spatial
 
-        workloads = [get_workload("vecmax")]
-        cfg = DseConfig(iterations=1, seed=3, preserving_prob=1.0)
-        ex = mod.Explorer(workloads, cfg)
-        ex.begin()
+        ex = self._pruning_explorer(monkeypatch, ("vecmax",))
         adg, schedules, _ = ex.best
-
-        monkeypatch.setattr(
-            mod, "collapse_random_switch", lambda *a, **k: True
-        )
         monkeypatch.setattr(
             spatial, "revalidate_schedule", lambda *a, **k: None
         )
@@ -191,12 +195,27 @@ class TestExplorer:
         modeled0 = ex.modeled_seconds
         out = ex._propose(adg, schedules)
         assert out is not None
+        assert out[0].version > adg.version
         # Nothing broke, so rung 1 keeps every placement and route.
         assert calls == ["_reroute_only"]
         assert ex.stats.repairs - repairs0 == 1
         assert ex.modeled_seconds - modeled0 == pytest.approx(
-            cfg.time_model.repair
+            ex.config.time_model.repair
         )
+
+    def test_failed_repair_is_charged(self, monkeypatch):
+        """A repair that fails is a repair the toolchain still ran."""
+        from repro.dse import explorer as mod
+
+        ex = self._pruning_explorer(monkeypatch, ("vecmax",))
+        adg, schedules, _ = ex.best
+        monkeypatch.setattr(mod, "repair_schedule", lambda *a, **k: None)
+        rejected0 = ex.stats.rejected_unschedulable
+        modeled0 = ex.modeled_seconds
+        assert ex._propose(adg, schedules) is None
+        assert ex.stats.rejected_unschedulable - rejected0 == 1
+        assert ex.modeled_seconds - modeled0 == ex.config.time_model.repair
+
 
     def test_upgrade_variants_survives_estimateless_schedule(self, monkeypatch):
         """A variant that schedules without an estimate must not crash the
@@ -236,3 +255,78 @@ class TestExplorer:
             # re-estimate with final system params
             assert sim.ipc > 0
             assert sim.ipc <= dsp_result.choice.estimates[name].ipc * 1.6, name
+
+
+class TestNoopEdit:
+    """An edit that leaves the ADG's ``version`` where it was cannot win:
+    the sweep would price the incumbent again and reject it on an equal
+    objective and LUT count, with no rng draw.  Off an upgrade iteration
+    it is booked as that rejection, unrevalidated, unswept and uncharged,
+    and it still uses up its iteration."""
+
+    @staticmethod
+    def _noop_explorer(monkeypatch, **config):
+        from repro.dse import explorer as mod
+
+        cfg = DseConfig(seed=3, preserving_prob=1.0, **config)
+        ex = mod.Explorer([get_workload("vecmax")], cfg)
+        monkeypatch.setattr(
+            mod, "collapse_random_switch", lambda *a, **k: "no-op"
+        )
+        ladder, sweeps = [], []
+        repair, sweep = mod.repair_schedule, mod.system_dse
+
+        def recorded_repair(*args):
+            ladder.append(args)
+            return repair(*args)
+
+        def recorded_sweep(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "repair_schedule", recorded_repair)
+        monkeypatch.setattr(mod, "system_dse", recorded_sweep)
+        return ex, ladder, sweeps
+
+    def test_noop_proposals_are_rejected_unswept(self, monkeypatch):
+        ex, ladder, _ = self._noop_explorer(monkeypatch, iterations=12)
+        ex.begin()
+        rng = random.Random()
+        rng.setstate(ex.rng.getstate())
+        modeled0 = ex.modeled_seconds
+        stats0 = replace(ex.stats)
+        candidate = ex.propose()
+        # Iterations 1-11 are no-ops; 12 is due an upgrade, so it is swept.
+        assert candidate is not None and candidate[0] == 12
+        assert ex.stats.rejected_noop == 11
+        assert ex.stats.rejected_annealing == stats0.rejected_annealing
+        assert len(ladder) == 1  # iteration 12's one workload
+        for _ in range(12):
+            rng.random()  # one preserving-or-random draw per iteration
+        assert ex.rng.getstate() == rng.getstate()
+        # Only iteration 12 is charged: its revalidation and its upgrade.
+        time_model, variants = ex.config.time_model, _family_size(ex)
+        assert ex.modeled_seconds - modeled0 == pytest.approx(
+            time_model.revalidate + 0.4 * time_model.full_schedule * variants
+        )
+
+    def test_a_run_of_noops_sweeps_only_the_seed_and_the_finish(
+        self, monkeypatch
+    ):
+        ex, ladder, sweeps = self._noop_explorer(monkeypatch, iterations=6)
+        result = ex.run()
+        assert result.stats.rejected_noop == 6
+        assert result.stats.iterations == 6
+        assert ladder == []
+        assert len(sweeps) == 3  # the seed, the polish and after padding
+        time_model, variants = ex.config.time_model, _family_size(ex)
+        assert result.modeled_seconds == pytest.approx(
+            time_model.full_compile
+            + (1.0 + 0.4 + 0.4) * time_model.full_schedule * variants
+            + 3 * time_model.model_eval * 60
+            + time_model.synthesis_hours * 3600
+        )
+
+
+def _family_size(ex):
+    return len(ex.variant_sets["vecmax"].variants)

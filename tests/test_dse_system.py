@@ -411,8 +411,54 @@ def widen_dma(adg, factor):
 
 
 class TestKeptProfile:
-    """A schedule keeps the profile it was priced with, keyed by the ADG
-    object and its ``version``; the sweep reuses it, never a stale one."""
+    """A schedule keeps the profile it was priced with, keyed by what the
+    profile reads: the ADG's engine nodes, by identity, and the binding.
+    A clone carries it; the sweep reuses it, never a stale one."""
+
+    def test_a_clone_keeps_its_profile_until_an_engine_or_binding_changes(
+        self, monkeypatch
+    ):
+        adg, schedules = seed_and_schedules(get_suite("dsp"))
+        for schedule in schedules:
+            schedule.profile(adg)
+        builds = []
+        build = schedule_module.bottleneck_profile
+
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(schedule_module, "bottleneck_profile", counted_build)
+
+        # A fabric-only edit on a clone: no engine moved, nothing rebuilt.
+        child = adg.clone()
+        switch = child.switches[0].node_id
+        child.remove_link(switch, min(child.successors(switch)))
+        clones = [s.clone() for s in schedules]
+        kept = [s.profile(child) for s in clones]
+        assert builds == []
+        assert kept == fresh_profiles(child, clones)
+
+        # An engine edit on the clone rebuilds every profile.
+        widen_dma(child, 2)
+        assert [s.profile(child) for s in clones] == fresh_profiles(child, clones)
+        assert len(builds) == len(clones)
+
+        # An in-place binding edit rebuilds that schedule's profile only.
+        moved = clones[0]
+        stream = next(iter(moved.binding().stream_engine))
+        other = next(
+            e.node_id for e in child.engines
+            if e.node_id != moved.placement[stream]
+        )
+        moved.placement[stream] = other
+        del builds[:]
+        assert [s.profile(child) for s in clones] == fresh_profiles(child, clones)
+        assert len(builds) == 1
+        # The parent's schedules never saw either edit.
+        assert [s.profile(adg) for s in schedules] == fresh_profiles(
+            adg, schedules
+        )
 
     def test_never_stale_after_an_in_place_edit_or_on_a_sibling(
         self, monkeypatch

@@ -1,6 +1,7 @@
 """Tests for the spatial scheduler: binding, placement, routing, repair."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -267,6 +268,44 @@ class TestBestFirst:
             "scheduler.variants": 158.0,
             "scheduler.bound": 56.0,
         }
+
+
+class TestBeat:
+    """With ``beat``, ``schedule_workload`` returns the unpruned winner
+    when its IPC is above ``beat`` and None otherwise, and it places and
+    routes no more variants than the unpruned run."""
+
+    def test_prunes_only_what_cannot_beat(self, monkeypatch):
+        from repro.scheduler import spatial
+
+        routed = [0]
+        place_route = spatial._place_route
+
+        def counted(*args):
+            routed[0] += 1
+            return place_route(*args)
+
+        monkeypatch.setattr(spatial, "_place_route", counted)
+
+        def run(*args):
+            routed[0] = 0
+            schedule = schedule_workload(*args)
+            return schedule, schedule_digest(schedule), routed[0]
+
+        families = [generate_variants(w) for w in all_workloads()]
+        for sysadg in overlays():
+            for variants in families:
+                args = (variants, sysadg.adg, sysadg.params)
+                winner, unpruned, most = run(*args)
+                ipc = winner.estimate.ipc if winner else 0.0
+                for beat, expected in (
+                    (math.nextafter(ipc, -math.inf), unpruned),
+                    (ipc, schedule_digest(None)),
+                ):
+                    _, outcome, work = run(*args, beat)
+                    where = (sysadg.name, variants.workload.name, beat)
+                    assert outcome == expected, where
+                    assert work <= most, where
 
 
 def _bound_estimates(variants, adg, params):

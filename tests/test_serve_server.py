@@ -207,7 +207,7 @@ class TestComputeOps:
 
         args = ("0" * 64, "f" * 64, "map")
         assert ops.result_key(*args) == (
-            "fbba2f18dd88315047492b117f9bccc2c166a6735bbe4f1b7c522ee25739f7b9"
+            "92932d3bcb5c38a2a03134949200b7ec5ef6233bbff4a4593e4c15be2e6c3193"
         )
         keys = {ops.result_key(*args)}
         for i, other in enumerate(("1" * 64, "e" * 64, "estimate")):
