@@ -174,11 +174,15 @@ class ADG:
         self._touch()
 
     def replace_node(self, node_id: int, **changes) -> None:
-        """Replace a node's parameters in place (links unchanged)."""
+        """Replace a node's parameters in place (links unchanged).  An
+        equal replacement is no edit: the node, its identity and
+        ``version`` stay as they were."""
         if node_id not in self._nodes:
             raise AdgError(f"cannot replace unknown node {node_id}")
-        self._nodes[node_id] = replace(self._nodes[node_id], **changes)
-        self._touch()
+        new = replace(self._nodes[node_id], **changes)
+        if new != self._nodes[node_id]:
+            self._nodes[node_id] = new
+            self._touch()
 
     def clone(self) -> "ADG":
         other = ADG()

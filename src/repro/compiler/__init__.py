@@ -43,30 +43,3 @@ from .advisor import (  # noqa: E402  (deliberate late import)
 )
 
 compile_workload = lower
-
-__all__ = [
-    "AccessInfo",
-    "MappingAdvice",
-    "REDSE_GAIN_THRESHOLD",
-    "VariantVerdict",
-    "advise",
-    "LoweringError",
-    "MAX_VECTOR_BITS",
-    "RecurrenceInfo",
-    "SPAD_REUSE_THRESHOLD",
-    "VariantSet",
-    "WorkloadReuse",
-    "access_traffic",
-    "affine_span",
-    "analyze_access",
-    "analyze_workload",
-    "compile_workload",
-    "find_recurrence",
-    "generate_variants",
-    "lower",
-    "max_unroll",
-    "stationary_factor",
-    "tile_parallelism",
-    "unroll_candidates",
-    "uses_recurrence_engine",
-]

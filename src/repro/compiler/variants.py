@@ -10,8 +10,9 @@ hardware to be considered valid for that workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from ..dfg import MDFG, StreamKind
 from ..ir import Workload
@@ -20,26 +21,36 @@ from .lowering import LoweringError, _lower, max_unroll, takes_recurrence_engine
 from .reuse import analyze_workload
 
 
-@dataclass
+#: Families :func:`generate_variants` keeps per process: every registered
+#: workload with room to spare, so fuzz and soak loops over generated
+#: bodies cannot grow the memo without limit.
+VARIANT_MEMO_SIZE = 256
+
+
+@dataclass(frozen=True)
 class VariantSet:
     """All pre-compiled mDFG variants of one workload region.
 
     Variants are ordered most-aggressive first (highest instruction
     bandwidth); the "relax DFG complexity" fallback of Fig. 3 is simply a
-    walk down this list.
+    walk down this tuple.  A family is shared by every caller of
+    :func:`generate_variants`, so it is read-only.
     """
 
     workload: Workload
-    variants: List[MDFG] = field(default_factory=list)
+    variants: Sequence[MDFG] = ()
 
     def __post_init__(self) -> None:
-        self.variants.sort(key=lambda m: (-m.insts_per_cycle, m.variant))
+        ordered = sorted(
+            self.variants, key=lambda m: (-m.insts_per_cycle, m.variant)
+        )
+        object.__setattr__(self, "variants", tuple(ordered))
 
     @property
     def best(self) -> MDFG:
         return self.variants[0]
 
-    def relaxations_of(self, mdfg: MDFG) -> List[MDFG]:
+    def relaxations_of(self, mdfg: MDFG) -> Tuple[MDFG, ...]:
         """Variants strictly less aggressive than ``mdfg``, best first."""
         idx = self.variants.index(mdfg)
         return self.variants[idx + 1 :]
@@ -62,8 +73,14 @@ def unroll_candidates(workload: Workload) -> List[int]:
     return factors
 
 
+@lru_cache(maxsize=VARIANT_MEMO_SIZE)
 def generate_variants(workload: Workload) -> VariantSet:
-    """Pre-compile every useful (unroll, recurrence) combination."""
+    """Pre-compile every useful (unroll, recurrence) combination.
+
+    Memoized per process on the frozen ``workload`` value, which is all
+    the lowering reads: equal bodies share one family, a repeat call emits
+    no span, and a :class:`LoweringError` is raised again on every call.
+    """
     with span("compiler.variants", workload=workload.name):
         reuse = analyze_workload(workload)
         # The -rmw form is lowered only when some statement would take the

@@ -39,7 +39,10 @@ from ..ir import Workload
 #: rejected unswept and uncharged, and ``DseStats`` grew
 #: ``rejected_noop``, so modeled seconds / stats in old artifacts are
 #: stale.
-CODE_SCHEMA_VERSION = 4
+#: v5: an equal ``ADG.replace_node`` is no edit, so a draw of a node's
+#: current value is rejected unswept and uncharged: modeled seconds /
+#: stats in old artifacts are stale.
+CODE_SCHEMA_VERSION = 5
 
 
 def canonicalize(obj: Any) -> Any:

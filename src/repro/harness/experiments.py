@@ -7,9 +7,9 @@ wraps these, and ``repro.harness.report`` assembles EXPERIMENTS.md.
 The harness reads no environment and no disk: every overlay comes from
 the one store-less, one-worker :data:`ENGINE`, whose memory tier
 answers a repeated (workloads, config, seeds) job by content key, and
-cheaper artifacts (simulations, variant sets) are memoized in the
-store-less :data:`CACHE`.  A report is therefore a pure function of the
-source tree.
+cheaper artifacts (simulations, AutoDSE runs) are memoized in the
+store-less :data:`CACHE`; variant families come from the compiler's own
+memo.  A report is therefore a pure function of the source tree.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ DSE_RESTART_SEEDS = (DSE_SEED, DSE_SEED + 1)
 ENGINE = DseEngine()
 
 #: In-process cache of everything the drivers share besides DSE results
-#: (simulations, variant sets, AutoDSE runs); no disk tier.
+#: (simulations, AutoDSE runs); no disk tier.
 CACHE = TieredCache()
 
 
@@ -157,9 +157,7 @@ def og_seconds_general(name: str) -> Optional[float]:
 
     def build():
         sysadg = general_sysadg()
-        variants = CACHE.memoized(
-            ("variants", name), lambda: generate_variants(get_workload(name))
-        )
+        variants = generate_variants(get_workload(name))
         schedule = schedule_workload(variants, sysadg.adg, sysadg.params)
         if schedule is None:
             return None
@@ -400,9 +398,7 @@ def fig17_leave_one_out(suite: str = "machsuite") -> List[Fig17Row]:
     rows = []
     for w in get_suite(suite):
         loo = leave_one_out_overlay(suite, w.name)
-        variants = CACHE.memoized(
-            ("variants", w.name), lambda: generate_variants(get_workload(w.name))
-        )
+        variants = generate_variants(w)
         schedule = schedule_workload(variants, loo.sysadg.adg, loo.sysadg.params)
         full_seconds = og_seconds_suite(suite, w.name)
         if schedule is None:
@@ -581,10 +577,7 @@ def table2_workload_specs() -> List[Dict]:
 
     rows = []
     for w in paper_workloads():
-        variants = CACHE.memoized(
-            ("variants", w.name), lambda w=w: generate_variants(w)
-        )
-        best = variants.best
+        best = generate_variants(w).best
         counts = w.op_counts()
         unroll = best.unroll
         rows.append(
@@ -737,9 +730,7 @@ def families_end_to_end() -> List[Dict]:
         }
         plan = make_floorplan(seed)
         for w in workloads:
-            variants = CACHE.memoized(
-                ("variants", w.name), lambda w=w: generate_variants(w)
-            )
+            variants = generate_variants(w)
             schedule = schedule_workload(variants, sysadg.adg, sysadg.params)
             sim = (
                 _simulate(f"family:{suite}", schedule, sysadg)

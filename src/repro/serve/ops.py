@@ -6,10 +6,10 @@ plain-JSON *result document*.  The same functions back three callers:
 * the server's compute workers, through :func:`compute_op` /
   :func:`remap_compute`.  A job names its overlay by content
   fingerprint; the worker keeps what it built in :data:`RESIDENT` (the
-  deserialised design, the schedule of every kernel it has placed on it,
-  and every kernel's variant family), so the overlay is built once per
-  worker, a kernel is lowered once per worker and scheduled once per
-  (overlay, kernel), whichever op asks first;
+  deserialised design and the schedule of every kernel it has placed on
+  it), so the overlay is built once per worker and a kernel is scheduled
+  once per (overlay, kernel), whichever op asks first.  The compiler's
+  memo lowers a kernel once per process;
 * the single-shot CLI path (``repro map/simulate --json``), which holds
   nothing between calls and is the byte-identity reference every served
   document is compared against;
@@ -84,9 +84,11 @@ class ResidentStore:
     """What one compute process keeps of the overlays it has served.
 
     ``overlay fingerprint -> (SysADG, {workload fingerprint -> Schedule |
-    UnmappableError})`` and ``variants``, keyed only by the content
-    fingerprints behind :func:`result_key`, so an entry can never answer
-    for another design or another workload body.  Nothing held is mutated.
+    UnmappableError})``, keyed only by the content fingerprints behind
+    :func:`result_key`, so an entry can never answer for another design or
+    another workload body.  Nothing held is mutated.  Variant families are
+    not held here: :func:`~repro.compiler.generate_variants` memoizes them
+    per process, for every overlay and for the single-shot path alike.
     """
 
     #: Overlays held at once.  The oldest goes first, with its schedules.
@@ -95,9 +97,6 @@ class ResidentStore:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._held: Dict[str, Tuple[SysADG, Dict[str, Any]]] = {}
-        #: workload fingerprint -> VariantSet, shared by every overlay and
-        #: never evicted: there is at most one per registered workload.
-        self.variants: Dict[str, VariantSet] = {}
 
     def hold(
         self, overlay_fp: str, design_doc: Optional[Dict[str, Any]] = None
@@ -125,20 +124,19 @@ RESIDENT = ResidentStore()
 
 
 class _Lookup:
-    """One compute's window onto a resident overlay's schedules and the
-    store's variant sets; ``reused``: every schedule asked for was held."""
+    """One compute's window onto a resident overlay's schedules;
+    ``reused``: every schedule asked for was held."""
 
-    def __init__(self, schedules: Dict[str, Any], variants: Dict[str, Any]) -> None:
+    def __init__(self, schedules: Dict[str, Any]) -> None:
         self.schedules = schedules
-        self.variants = variants
         self.reused = True
 
 
 def _schedule(
     sysadg: SysADG, workload_name: str, lookup: Optional[_Lookup] = None
 ):
-    """Lower and place ``workload_name`` — once per store and once per
-    overlay given a ``lookup``, afresh (the reference path) without."""
+    """Place ``workload_name`` — once per overlay given a ``lookup``, on
+    every call (the reference path) without."""
     workload = _resolve_workload(workload_name)
     if lookup is None:
         return _place(sysadg, workload, generate_variants(workload))
@@ -146,11 +144,8 @@ def _schedule(
     held = lookup.schedules.get(key)
     if held is None:
         lookup.reused = False
-        variants = lookup.variants.get(key)
-        if variants is None:
-            variants = lookup.variants[key] = generate_variants(workload)
         try:
-            held = _place(sysadg, workload, variants)
+            held = _place(sysadg, workload, generate_variants(workload))
         except UnmappableError as exc:
             held = exc
         lookup.schedules[key] = held
@@ -360,7 +355,7 @@ def remap_compute(
     it as the prior for the overlay's *next* version.
     """
     sysadg, schedules = RESIDENT.hold(overlay_fp, design_doc)
-    lookup = _Lookup(schedules, RESIDENT.variants)
+    lookup = _Lookup(schedules)
     schedule, path = _remap_schedule(sysadg, workload_name, prior_schedule, lookup)
     return _schedule_doc("remap", sysadg, workload_name, schedule), path, schedule
 
@@ -405,7 +400,7 @@ def compute_op(
     stays resident.
     """
     sysadg, schedules = RESIDENT.hold(overlay_fp, design_doc)
-    lookup = _Lookup(schedules, RESIDENT.variants)
+    lookup = _Lookup(schedules)
     return run_op(op, sysadg, workload_name, lookup), lookup.reused
 
 

@@ -1,6 +1,8 @@
 """Tests for workload -> mDFG lowering and variant generation."""
 
 import pickle
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,10 @@ from repro.compiler import (
     uses_recurrence_engine,
 )
 from repro.compiler.lowering import _lower
-from repro.compiler.variants import _same_structure
+from repro.compiler.variants import VARIANT_MEMO_SIZE, _same_structure
 from repro.dfg import ArrayPlacement, ComputeNode, StreamKind
-from repro.ir import F64, I16, Op, WorkloadBuilder
+from repro.ir import F64, I16, Const, Op, WorkloadBuilder
+from repro.profile.tracer import Tracer, tracing
 from repro.validate.generators import random_case
 from repro.workloads import all_workloads, get_workload
 
@@ -252,6 +255,54 @@ def _family(make, workload):
     except Exception as exc:
         return type(exc)
     return [(m.variant, pickle.dumps(m)) for m in family.variants]
+
+
+def _lower_spans(make):
+    with tracing(Tracer()) as tracer:
+        out = make()
+    return out, Counter(s.name for s in tracer.spans())["compiler.lower"]
+
+
+class TestFamilyMemo:
+    """``generate_variants`` lowers a workload body once per process."""
+
+    def test_equal_workloads_share_one_family(self):
+        first, again = get_workload("fir"), get_workload("fir")
+        assert first is not again and first == again
+        family = generate_variants(first)
+        shared, lowered = _lower_spans(lambda: generate_variants(again))
+        assert shared is family
+        assert lowered == 0
+
+    def test_a_different_body_gets_its_own_family(self):
+        fir = get_workload("fir")
+        inner = fir.loops[-1]
+        halved = replace(
+            fir, loops=fir.loops[:-1] + (replace(inner, trip=inner.trip // 2),)
+        )
+        family, lowered = _lower_spans(lambda: generate_variants(halved))
+        assert family is not generate_variants(fir)
+        assert family.workload is halved and lowered > 0
+        assert family.best.iterations < generate_variants(fir).best.iterations
+
+    def test_a_lowering_error_is_raised_every_time(self):
+        wb = WorkloadBuilder("const-store", suite="test", dtype=F64)
+        out = wb.array("out", 64)
+        wb.assign(out[wb.loop("i", 64)], Const(1.0))
+        workload = wb.build()
+        for _ in range(2):  # lowered again each time: never cached
+            with tracing(Tracer()) as tracer, pytest.raises(LoweringError):
+                generate_variants(workload)
+            spans = Counter(s.name for s in tracer.spans())
+            assert spans["compiler.lower"] > 0
+
+    def test_the_memo_is_bounded(self):
+        vecmax = get_workload("vecmax")
+        assert generate_variants.cache_info().maxsize == VARIANT_MEMO_SIZE
+        for i in range(VARIANT_MEMO_SIZE + 1):
+            generate_variants(replace(vecmax, name=f"vecmax-{i}"))
+        assert generate_variants.cache_info().currsize == VARIANT_MEMO_SIZE
+        generate_variants.cache_clear()
 
 
 class TestRmwGate:

@@ -327,6 +327,54 @@ class TestNoopEdit:
             + time_model.synthesis_hours * 3600
         )
 
+    def test_an_equal_replace_node_is_no_edit(self, monkeypatch):
+        """Replacing a node with an equal one keeps the node, ``version``
+        and a schedule's kept profile; so a ``mutate_spad`` draw of the
+        current capacity is a no-op edit, rejected unswept."""
+        from repro.compiler import generate_variants
+        from repro.dse import explorer as mod
+        from repro.dse.transforms import mutate_spad
+        from repro.scheduler import schedule_workload
+
+        general = general_overlay()
+        adg = general.adg.clone()
+        schedule = schedule_workload(
+            generate_variants(get_workload("fir")), adg, general.params
+        )
+        profile, version = schedule.profile(adg), adg.version
+        spad = adg.spads[0]
+        adg.replace_node(spad.node_id, capacity_bytes=spad.capacity_bytes)
+        assert adg.version == version and adg.spads[0] is spad
+        assert schedule.profile(adg) is profile
+
+        class ResizeToCurrent:
+            """``mutate_spad``'s resize branch, drawing the first spad and
+            its current capacity."""
+
+            def __init__(self):
+                self.spad = None
+
+            def random(self):
+                return 0.5
+
+            def choice(self, seq):
+                if self.spad is None:
+                    self.spad = seq[0]
+                    return self.spad
+                return self.spad.capacity_bytes
+
+        monkeypatch.setattr(
+            mod,
+            "apply_random_transform",
+            lambda adg, rng: mutate_spad(adg, ResizeToCurrent()),
+        )
+        cfg = DseConfig(seed=3, iterations=12, preserving_prob=0.0)
+        ex = mod.Explorer([get_workload("vecmax")], cfg)
+        ex.begin()
+        assert ex.propose()[0] == 12
+        assert ex.stats.rejected_noop == 11
+        assert ex.stats.random_transforms == 12
+
 
 def _family_size(ex):
     return len(ex.variant_sets["vecmax"].variants)

@@ -253,6 +253,7 @@ class TestBestFirst:
         placed and routed (binding and pricing every variant bound 158 and
         priced 111; mapping every bound variant routed all 111; lowering
         both forms everywhere lowered 268)."""
+        generate_variants.cache_clear()
         with tracing(Tracer()) as tracer:
             families = [generate_variants(w) for w in all_workloads()]
             for variants in families:

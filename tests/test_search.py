@@ -234,15 +234,17 @@ def test_shard_lowers_each_workload_once(strategy, lowered, monkeypatch):
 
 @pytest.mark.parametrize("strategy", ["tpe", "evolutionary", "bottleneck"])
 def test_study_lowers_once(strategy, monkeypatch):
-    """A study lowers each workload's variants plus one unroll-1 pass for
-    its seed, and builds that seed once, whatever its length; the seed its
-    proposals cloned is unmutated at the end."""
+    """From a cold variant memo, a study lowers each workload's variants
+    plus one unroll-1 pass for its seed, and builds that seed once,
+    whatever its length; the seed its proposals cloned is unmutated at
+    the end."""
     from repro.adg import adg_to_dict, builders, seed_for_workloads
     from repro.compiler import generate_variants
     from repro.profile.tracer import Tracer, tracing
     from repro.search import runner
 
     workloads = [get_workload("vecmax"), get_workload("fir")]
+    generate_variants.cache_clear()
     with tracing(Tracer()) as tracer:
         for w in workloads:
             generate_variants(w)
@@ -265,6 +267,7 @@ def test_study_lowers_once(strategy, monkeypatch):
     monkeypatch.setattr(runner, "study_inputs", recording_inputs)
     for trials in (4, 12):
         meshes.clear()
+        generate_variants.cache_clear()
         with tracing(Tracer()) as tracer:
             outcome = run_search(
                 workloads,

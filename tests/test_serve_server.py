@@ -207,7 +207,7 @@ class TestComputeOps:
 
         args = ("0" * 64, "f" * 64, "map")
         assert ops.result_key(*args) == (
-            "92932d3bcb5c38a2a03134949200b7ec5ef6233bbff4a4593e4c15be2e6c3193"
+            "9bb1eb0ac95163754f34fe0a39c1c66bedc83b1e453556451fa75da8f4e365ee"
         )
         keys = {ops.result_key(*args)}
         for i, other in enumerate(("1" * 64, "e" * 64, "estimate")):
