@@ -34,41 +34,3 @@ from .serialize import (
     sysadg_from_dict,
     sysadg_to_dict,
 )
-
-__all__ = [
-    "ADG",
-    "AdgError",
-    "AdgNode",
-    "DmaEngine",
-    "ENGINE_KINDS",
-    "FABRIC_KINDS",
-    "FuCap",
-    "GenerateEngine",
-    "InputPortHW",
-    "NodeKind",
-    "OutputPortHW",
-    "ProcessingElement",
-    "RecurrenceEngine",
-    "RegisterEngine",
-    "SpadEngine",
-    "Switch",
-    "SysADG",
-    "SystemParams",
-    "SerializationError",
-    "adg_from_dict",
-    "adg_to_dict",
-    "cap_for",
-    "caps_for_dtype",
-    "general_overlay",
-    "mesh_adg",
-    "seed_adg",
-    "load_sysadg",
-    "render_adg",
-    "render_sysadg",
-    "save_sysadg",
-    "seed_for_workloads",
-    "sysadg_from_dict",
-    "sysadg_to_dict",
-    "system_param_space",
-    "universal_caps",
-]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import asdict
+from functools import lru_cache
 from typing import Any, Dict, Iterator
 
 from ..ir import Op
@@ -43,7 +44,14 @@ def _cap_to_json(cap: FuCap) -> Dict[str, Any]:
 
 
 def _cap_from_json(doc: Dict[str, Any]) -> FuCap:
-    return FuCap(Op(doc["op"]), bool(doc["is_float"]), int(doc["bits"]))
+    return _cap(doc["op"], bool(doc["is_float"]), int(doc["bits"]))
+
+
+@lru_cache(maxsize=1024)
+def _cap(op: str, is_float: bool, bits: int) -> FuCap:
+    """One frozen :class:`FuCap` per distinct capability: a design's PEs
+    repeat a few dozen, so a decode builds each once."""
+    return FuCap(Op(op), is_float, bits)
 
 
 def _node_to_json(node) -> Dict[str, Any]:

@@ -146,7 +146,6 @@ class ClusterRouter:
         #: immutable so they cache forever, bare names and ``@latest``
         #: resolve live.
         self._overlay_fps: Dict[str, str] = {}
-        self._workload_fps: Dict[str, str] = {}
         self._wire = JsonLinesEndpoint(self._dispatch, self.counters)
         self._health_task: Optional["asyncio.Task[None]"] = None
         self._draining = False
@@ -261,12 +260,6 @@ class ClusterRouter:
                 self._overlay_fps[overlay] = fp
         return fp
 
-    def _workload_key(self, workload: str) -> str:
-        fp = self._workload_fps.get(workload)
-        if fp is None:
-            fp = self._workload_fps[workload] = workload_fp(workload)
-        return fp
-
     def _pick_shards(self, owner: int) -> List[BackendState]:
         """The owner, then failover candidates (healthy first)."""
         n = len(self.backends)
@@ -297,7 +290,7 @@ class ClusterRouter:
             overlay_route_key(
                 request.op, request.overlay, self._overlay_fp
             ),
-            self._workload_key(request.workload),
+            workload_fp(request.workload),
             len(self.backends),
         )
         return self._forward(request, doc, owner)

@@ -61,53 +61,3 @@ from .workload import (
     WorkloadBuilder,
     WorkloadError,
 )
-
-__all__ = [
-    "ALL_DTYPES",
-    "Affine",
-    "ArrayDecl",
-    "BINARY_OPS",
-    "BinOp",
-    "Const",
-    "DType",
-    "Expr",
-    "F32",
-    "F32X2",
-    "F64",
-    "FLOAT_ONLY_OPS",
-    "I16",
-    "I32",
-    "I64",
-    "I8",
-    "INT_ONLY_OPS",
-    "IndexExpr",
-    "IndirectIndex",
-    "IterValue",
-    "Load",
-    "Loop",
-    "LoopVar",
-    "OP_LATENCY",
-    "Op",
-    "Pragmas",
-    "REDUCIBLE_OPS",
-    "Select",
-    "Statement",
-    "TERNARY_OPS",
-    "UNARY_OPS",
-    "UnOp",
-    "Workload",
-    "WorkloadBuilder",
-    "WorkloadError",
-    "arity",
-    "as_affine",
-    "as_expr",
-    "compare",
-    "count_ops",
-    "dtype_from_name",
-    "loads_in",
-    "op_latency",
-    "sqrt",
-    "vmax",
-    "vmin",
-    "walk",
-]

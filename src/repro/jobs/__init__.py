@@ -5,6 +5,8 @@
 * :mod:`~repro.jobs.runner` — :func:`run_jobs`, the one batch runner
   (serial rule, process pool with per-job deadlines, ``job_*`` events and
   ``jobs.*`` spans), and the :class:`JobOutcome` it returns per job.
+* :mod:`~repro.jobs.loop_worker` — :class:`LoopWorker`, one long-lived
+  worker process driven from an asyncio loop (the serve tier's workers).
 
 Parallelism flag convention (mirrored by the CLI): ``--workers`` is how
 many OS processes execute jobs (an execution detail — never changes

@@ -5,10 +5,10 @@ programming into *software* compilation: seconds, not synthesis hours.
 This package exposes that fast path as a long-lived, many-client
 service: an asyncio server holding pre-built overlays that answers
 ``map`` / ``estimate`` / ``simulate`` requests over a JSON-lines
-protocol with admission control, single-flight request coalescing, a
-process worker pool, per-request deadlines, persistent result caching
-through :mod:`repro.engine.store`, and a metrics JSONL stream — plus
-the bundled client and the one-process load generator
+protocol with admission control, single-flight request coalescing,
+forked compute worker processes, per-request deadlines, persistent
+result caching through :mod:`repro.engine.store`, and a metrics JSONL
+stream — plus the bundled client and the one-process load generator
 (:func:`~repro.serve.client.run_load`) that drive it.
 """
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adg import SysADG, sysadg_from_dict, sysadg_to_dict
@@ -64,12 +65,22 @@ def result_key(overlay_fp: str, workload_fp: str, op: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+@lru_cache(maxsize=None)
 def _resolve_workload(name: str):
+    """The registry workload ``name``, built once per process.  Only
+    registry names succeed and a raise is not cached, so the registry
+    bounds the memo."""
     try:
         return get_workload(name)
     except KeyError as exc:
         msg = str(exc.args[0]) if exc.args else str(exc)
         raise BadRequestError(msg) from exc
+
+
+@lru_cache(maxsize=None)
+def _fingerprint(name: str) -> str:
+    """:func:`workload_fingerprint` of one registry name, once per process."""
+    return workload_fingerprint(_resolve_workload(name))
 
 
 class OverlayNotResident(Exception):
@@ -140,7 +151,7 @@ def _schedule(
     workload = _resolve_workload(workload_name)
     if lookup is None:
         return _place(sysadg, workload, generate_variants(workload))
-    key = workload_fingerprint(workload)
+    key = _fingerprint(workload_name)
     held = lookup.schedules.get(key)
     if held is None:
         lookup.reused = False
@@ -408,18 +419,19 @@ def workload_fp(workload_name: str) -> str:
     """Fingerprint of a registry workload's full body, by name.
 
     A comma-separated list (the ``simulate_batch`` workload field) gets
-    a batch fingerprint over the per-name fingerprints, order included.
+    a batch fingerprint over the per-name fingerprints, order included;
+    only the names are memoised, so the registry bounds the memo.
     """
     if "," in workload_name:
         return fingerprint(
             {
                 "kind": "workload_batch",
                 "workloads": [
-                    workload_fp(n) for n in split_workloads(workload_name)
+                    _fingerprint(n) for n in split_workloads(workload_name)
                 ],
             }
         )
-    return workload_fingerprint(_resolve_workload(workload_name))
+    return _fingerprint(workload_name)
 
 
 def single_shot(

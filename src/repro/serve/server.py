@@ -28,12 +28,16 @@ localhost TCP.  The serving pipeline per compute request:
    ``deadline`` error while the shared compute keeps running and lands
    in the cache for the retry.
 5. **Worker** — the leader runs :func:`repro.serve.ops.compute_op` on the
-   overlay the least-busy compute worker keeps resident (a one-process
-   pool each; threads when the sandbox forbids subprocesses) and caches
-   the result.  Only a worker that answers
+   overlay the least-busy compute worker keeps resident and caches the
+   result.  A worker is one :class:`~repro.jobs.loop_worker.LoopWorker`
+   process, forked (with the server's heap frozen out of its
+   collections) at its first job and driven from the event loop over
+   one socketpair; one thread each when ``workers == 0`` or the sandbox
+   forbids sockets.  Only a worker that answers
    :class:`~repro.serve.ops.OverlayNotResident` gets the design document;
-   a worker that died is replaced and the job retried once; a worker
-   whose server is gone exits.
+   a worker that died (EOF on its socket) is reaped, replaced and the
+   job retried once; a worker whose server is gone (EOF on its end)
+   exits.
 6. **Metrics + spans** — every request emits a ``request`` event into a
    :class:`~repro.engine.metrics.MetricsLogger` JSONL stream (queue
    depth, cache tier, coalesced flag, latency); a miss runs under
@@ -50,22 +54,16 @@ waits for in-flight requests up to ``drain_timeout_s``, then resolves
 from __future__ import annotations
 
 import asyncio
-import os
-import threading
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from time import perf_counter, sleep
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from time import perf_counter
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..adg import SysADG, sysadg_from_dict, sysadg_to_dict
 from ..cluster.registry import OverlayRegistry, RegistryError
 from ..engine.metrics import MetricsLogger
 from ..engine.store import ArtifactStore, TieredCache
+from ..jobs.loop_worker import LoopWorker
 from ..profile import tracer
 from .batcher import AdmissionGate, LatencyReservoir, SingleFlight
 from .endpoint import JsonLinesEndpoint, Response
@@ -93,19 +91,6 @@ def _held(value: Any) -> Any:
     if isinstance(value, ServeError):
         return value
     return canonical_dumps(value).encode()
-
-
-def _exit_with_server() -> None:
-    """Compute-pool initializer: the worker exits once it is re-parented,
-    as a killed server never shuts its pool down."""
-    parent = os.getppid()
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            sleep(0.2)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
 
 
 @dataclass
@@ -148,10 +133,10 @@ class OverlayEntry:
 
 @dataclass
 class _Worker:
-    """One compute worker: a pool of one process (or thread), so its jobs
-    run in the order sent and a design can go to the worker that asked."""
+    """One compute worker: one process (or thread), so its jobs run in the
+    order sent and a design can go to the worker that asked."""
 
-    executor: Executor
+    executor: Union[LoopWorker, ThreadPoolExecutor]
     inflight: int = 0
     #: Overlays whose design document is on its way to this worker.
     shipping: Set[str] = field(default_factory=set)
@@ -200,7 +185,6 @@ class OverlayServer:
             if self.config.registry_dir
             else None
         )
-        self._workload_fps: Dict[str, str] = {}
         #: (overlay fp, workload, op) -> result key.
         self._keys: Dict[Tuple[str, str, str], str] = {}
         #: (base name, workload fp) -> (overlay fp, schedule): the live
@@ -288,12 +272,6 @@ class OverlayServer:
         )
         return entry
 
-    def _workload_fp(self, name: str) -> str:
-        fp = self._workload_fps.get(name)
-        if fp is None:
-            fp = self._workload_fps[name] = workload_fp(name)
-        return fp
-
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
         if not self.overlays and self.registry is None:
@@ -319,14 +297,12 @@ class OverlayServer:
             cache_dir=cfg.cache_dir,
         )
 
-    def _make_executor(self) -> Executor:
-        """One compute worker: a one-process pool, or one thread when
-        ``workers == 0`` or the sandbox forbids subprocesses."""
+    def _make_executor(self) -> Union[LoopWorker, ThreadPoolExecutor]:
+        """One compute worker: one process, or one thread when
+        ``workers == 0`` or the sandbox forbids sockets."""
         if self.config.workers > 0:
             try:
-                executor: Executor = ProcessPoolExecutor(
-                    max_workers=1, initializer=_exit_with_server
-                )
+                executor = LoopWorker()
             except OSError:
                 self.metrics.emit(
                     "pool_unavailable", runner="serve.workers",
@@ -392,7 +368,7 @@ class OverlayServer:
         memo = (entry.fingerprint, request.workload, request.op)
         key = self._keys.get(memo)
         if key is None:
-            wfp = self._workload_fp(request.workload)
+            wfp = workload_fp(request.workload)
             key = self._keys[memo] = result_key(memo[0], wfp, request.op)
         result, tier = self.cache.get(key)
         if tier != "miss":
@@ -497,7 +473,7 @@ class OverlayServer:
             try:
                 if request.op == "remap":
                     base = entry.base_name or entry.name
-                    sched_key = (base, self._workload_fp(request.workload))
+                    sched_key = (base, workload_fp(request.workload))
                     prior = self._schedules.get(sched_key)
                     doc, path, schedule = await self._on_worker(
                         entry,
@@ -554,7 +530,6 @@ class OverlayServer:
         replaced once and the job retried; a second death propagates and
         is answered as a typed ``internal`` error.
         """
-        loop = asyncio.get_running_loop()
         worker = min(self._workers, key=lambda w: w.inflight)
         fp = entry.fingerprint
         design_doc, restarted = None, False
@@ -563,8 +538,8 @@ class OverlayServer:
             while True:
                 executor = worker.executor
                 try:
-                    return await loop.run_in_executor(
-                        executor, fn, *args, design_doc
+                    return await asyncio.wrap_future(
+                        executor.submit(fn, *args, design_doc)
                     )
                 except OverlayNotResident:
                     if design_doc is not None:

@@ -60,43 +60,3 @@ from .runner import (
 )
 from .shrinker import ShrinkResult, shrink
 from .soak import CampaignConfig, SoakError, SoakReport, soak_run
-
-__all__ = [
-    "CampaignConfig",
-    "CaseRecord",
-    "DivergenceCorpus",
-    "Failure",
-    "FuzzCase",
-    "FuzzStats",
-    "GeneratorError",
-    "OracleResult",
-    "ProgramSpec",
-    "ShrinkResult",
-    "SoakError",
-    "SoakReport",
-    "StatementSpec",
-    "TermSpec",
-    "ToleranceBands",
-    "ValidateReport",
-    "Violation",
-    "case_key",
-    "case_size",
-    "check_adg",
-    "check_case",
-    "check_resources",
-    "check_roundtrip",
-    "check_schedule",
-    "classify_bottleneck",
-    "failure_key_of",
-    "fuzz_run",
-    "make_failure_key",
-    "promote_failures",
-    "PROGRAM_FAMILIES",
-    "random_case",
-    "random_program",
-    "replay_promoted",
-    "run_oracle",
-    "shrink",
-    "soak_run",
-    "validate_run",
-]

@@ -126,41 +126,3 @@ def get_workload(name: str) -> Workload:
             f"unknown workload {name!r}; known: {known}"
         ) from None
     return factory()
-
-
-__all__ = [
-    "PAPER_SUITE_NAMES",
-    "SUITES",
-    "SUITE_NAMES",
-    "all_workloads",
-    "get_suite",
-    "get_workload",
-    "cholesky",
-    "fft",
-    "fir",
-    "solver",
-    "mm",
-    "stencil_3d",
-    "crs",
-    "gemm",
-    "stencil_2d",
-    "ellpack",
-    "channel_extract",
-    "bgr2grey",
-    "blur",
-    "accumulate",
-    "accumulate_squared",
-    "vecmax",
-    "accumulate_weighted",
-    "convert_bit",
-    "derivative",
-    "threshold_fsm",
-    "debounce",
-    "edge_count",
-    "horner",
-    "biquad_cascade",
-    "mac_bank",
-    "ragged_rows",
-    "hash_probe",
-    "frontier_gather",
-]

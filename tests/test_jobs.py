@@ -2,6 +2,7 @@
 process pool, deadlines, events, spans), and the golden serial-vs-pool
 comparisons that pin the consumers' byte-identity contract."""
 
+import asyncio
 import os
 import pickle
 import time
@@ -342,12 +343,33 @@ class TestWorkerPool:
             pool.shutdown()
 
     def test_positive_workers_gives_processes(self):
-        pool, kind = self.executor(2)
-        try:
-            assert kind == "process"
-            assert pool.submit(square, 3).result() == 9
-        finally:
-            pool.shutdown()
+        async def main():
+            # A compute process is driven from the server's event loop.
+            pool, kind = self.executor(2)
+            try:
+                assert kind == "process"
+                assert await pool.submit(square, 3) == 9
+            finally:
+                pool.shutdown()
+
+        asyncio.run(main())
+
+    def test_a_large_job_to_a_busy_process_waits_in_its_outbox(self):
+        """A frame larger than the socket buffer, sent while the worker
+        computes, must not stall the event loop until the worker reads."""
+
+        async def main():
+            pool, _ = self.executor(1)
+            try:
+                busy = pool.submit(sleepy, 0.4)
+                start = time.perf_counter()
+                large = pool.submit(len, b"x" * (8 << 20))
+                assert time.perf_counter() - start < 0.2
+                assert await busy == 0.4 and await large == 8 << 20
+            finally:
+                pool.shutdown()
+
+        asyncio.run(main())
 
 
 # ----------------------------------------------------------------------

@@ -156,6 +156,23 @@ class TestRoundTrip:
         again.validate()
 
 
+    def test_equal_capabilities_decode_to_one_fucap(self):
+        """A design repeats a few dozen capabilities over its PEs: every
+        decode shares one frozen FuCap per distinct capability."""
+        doc = adg_to_dict(mesh_adg(2, 2, caps=caps_for_dtype(I64, (Op.ADD,))))
+
+        def decoded_caps(doc):
+            return [
+                sorted(pe.caps, key=lambda c: c.name)
+                for pe in adg_from_dict(doc).pes
+            ]
+
+        first, *rest = decoded_caps(doc)
+        rest += decoded_caps(json.loads(json.dumps(doc)))
+        assert first and len(rest) == 7
+        assert all(a is b for caps in rest for a, b in zip(first, caps))
+
+
 class TestRender:
     def test_render_contains_all_sections(self):
         text = render_adg(general_overlay().adg)

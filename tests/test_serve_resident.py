@@ -9,11 +9,13 @@ document itself crosses to a worker once: ``overlay_ships`` counts it.
 """
 
 import asyncio
+import gc
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import replace
@@ -175,6 +177,51 @@ def test_a_kernel_is_lowered_once_for_every_resident_overlay(
     assert generate_variants.cache_info().currsize == 1
 
 
+def test_a_workload_is_built_and_fingerprinted_once_per_process(
+    overlays, store, monkeypatch
+):
+    """Three ops on two overlays, and the server's key: one ``Workload``
+    and one fingerprint of it."""
+    calls = Counter()
+
+    def counted(fn):
+        def count(arg):
+            calls[fn.__name__] += 1
+            return fn(arg)
+
+        return count
+
+    for name in ("get_workload", "workload_fingerprint"):
+        monkeypatch.setattr(ops, name, counted(getattr(ops, name)))
+    ops._resolve_workload.cache_clear()
+    ops._fingerprint.cache_clear()
+    for sysadg in overlays:
+        ops.workload_fp("fir")
+        for op in OPS:
+            ops.compute_op(
+                op, ops.overlay_fingerprint(sysadg), "fir", sysadg_to_dict(sysadg)
+            )
+    assert calls == {"get_workload": 1, "workload_fingerprint": 1}
+
+
+def _freeze_count(design_doc):
+    return gc.get_freeze_count()
+
+
+def test_a_compute_process_costs_the_server_no_thread(overlays, tmp_path):
+    """A ``workers=1`` compute runs in a process driven from the event
+    loop (no pool threads), forked with the server's heap frozen."""
+
+    async def body(server, client):
+        before = threading.active_count()
+        entry = server._resolve_overlay(None)
+        assert await server._on_worker(entry, _freeze_count) > 0
+        await client.request("map", workload="fir")
+        assert threading.active_count() == before
+
+    serve(tmp_path, [overlays[0]], 1, body)
+
+
 def test_loaded_design_reaches_the_worker_once(overlays, store, tmp_path):
     """A registry spec first resolved after the pool forked: no worker
     has the design.  Three jobs on it queue up at once, every one is
@@ -277,30 +324,35 @@ def _running(pid):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_killed_server_takes_its_worker_with_it(overlays, tmp_path):
-    """A SIGKILLed ``repro serve`` never shuts its pool down; its compute
-    worker must still exit, within 2 s."""
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_killed_server_takes_its_worker_with_it(overlays, tmp_path, n_workers):
+    """A SIGKILLed ``repro serve`` never shuts its workers down; each
+    must still exit, within 2 s.  With two, the later fork inherits the
+    first's socket end, so it must close it or the first never sees EOF."""
     design, sock = str(tmp_path / "general.json"), str(tmp_path / "s.sock")
     save_sysadg(overlays[0], design)
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", design,
-         "--socket", sock, "--workers", "1"],
+         "--socket", sock, "--workers", str(n_workers)],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     workers = []
 
-    async def map_once():
+    async def map_concurrently():
         def client():
             return ServeClient(socket_path=sock)
 
         await wait_for_server(client, attempts=600, delay_s=0.02)
         async with client() as c:
-            await c.request("map", workload="vecmax")
+            # Sent together, so each worker gets one and forks.
+            await asyncio.gather(
+                *(c.request("map", workload=k) for k in ("vecmax", "fir"))
+            )
 
     try:
-        asyncio.run(map_once())
+        asyncio.run(map_concurrently())
         workers = _children(server.pid)
-        assert workers, "the map ran in no worker process"
+        assert len(workers) == n_workers, "a map ran in no worker process"
         server.kill()
         server.wait()
         deadline = time.monotonic() + 2.0
