@@ -19,22 +19,8 @@ Top-level convenience re-exports; see the subpackages for the full API:
 __version__ = "0.2.0"
 
 from .adg import general_overlay
-from .compiler import compile_workload, generate_variants
+from .compiler import generate_variants
 from .dse import DseConfig, explore
 from .scheduler import schedule_workload
 from .sim import simulate_schedule
-from .workloads import all_workloads, get_suite, get_workload
-
-__all__ = [
-    "DseConfig",
-    "__version__",
-    "all_workloads",
-    "compile_workload",
-    "explore",
-    "general_overlay",
-    "generate_variants",
-    "get_suite",
-    "get_workload",
-    "schedule_workload",
-    "simulate_schedule",
-]
+from .workloads import get_suite, get_workload

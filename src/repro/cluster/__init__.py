@@ -24,22 +24,8 @@ many applications compiling in milliseconds):
 package has no import cycle.
 """
 
-from .registry import (
-    OverlayRegistry,
-    OverlayVersion,
-    RegistryError,
-    ResolvedOverlay,
-    split_spec,
-    version_key,
-)
-from .topology import (
-    SLOTS,
-    BackendSpec,
-    overlay_route_key,
-    route_shard,
-    route_slot,
-    shard_of_slot,
-)
+from .registry import OverlayRegistry, RegistryError, split_spec, version_key
+from .topology import SLOTS, BackendSpec, route_shard, route_slot, shard_of_slot
 
 _LAZY = {
     "ClusterRouter": "router",
@@ -48,26 +34,6 @@ _LAZY = {
     "ClusterLauncher": "launcher",
     "LauncherConfig": "launcher",
 }
-
-__all__ = [
-    "BackendSpec",
-    "BackendState",
-    "ClusterLauncher",
-    "ClusterRouter",
-    "LauncherConfig",
-    "OverlayRegistry",
-    "OverlayVersion",
-    "RegistryError",
-    "ResolvedOverlay",
-    "RouterConfig",
-    "SLOTS",
-    "overlay_route_key",
-    "route_shard",
-    "route_slot",
-    "shard_of_slot",
-    "split_spec",
-    "version_key",
-]
 
 
 def __getattr__(name: str):

@@ -1,27 +1,12 @@
 """Memory-enhanced dataflow graphs (mDFGs), Section IV of the paper."""
 
-from .graph import MDFG, MdfgError, Node
+from .graph import MDFG, MdfgError
 from .nodes import (
     ArrayNode,
     ArrayPlacement,
     ComputeNode,
-    DfgEdge,
     InputPortNode,
     OutputPortNode,
     StreamKind,
     StreamNode,
 )
-
-__all__ = [
-    "ArrayNode",
-    "ArrayPlacement",
-    "ComputeNode",
-    "DfgEdge",
-    "InputPortNode",
-    "MDFG",
-    "MdfgError",
-    "Node",
-    "OutputPortNode",
-    "StreamKind",
-    "StreamNode",
-]

@@ -1,15 +1,7 @@
 """Unified spatial + system design-space exploration (Section V)."""
 
-from .explorer import (
-    DseConfig,
-    DseResult,
-    DseStats,
-    Explorer,
-    ExplorerState,
-    TimeModel,
-    explore,
-)
-from .system import SystemChoice, max_tiles_that_fit, system_dse
+from .explorer import DseConfig, DseResult, Explorer, TimeModel, explore
+from .system import max_tiles_that_fit, system_dse
 from .transforms import (
     RANDOM_TRANSFORMS,
     TransformFailed,
@@ -19,23 +11,3 @@ from .transforms import (
     preserve_edge_delays,
     prune_capabilities,
 )
-
-__all__ = [
-    "DseConfig",
-    "DseResult",
-    "DseStats",
-    "Explorer",
-    "ExplorerState",
-    "RANDOM_TRANSFORMS",
-    "SystemChoice",
-    "TimeModel",
-    "TransformFailed",
-    "apply_random_transform",
-    "collapse_random_switch",
-    "collapse_switch",
-    "explore",
-    "max_tiles_that_fit",
-    "preserve_edge_delays",
-    "prune_capabilities",
-    "system_dse",
-]

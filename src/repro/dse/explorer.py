@@ -16,14 +16,20 @@ Wall-clock accounting: real OverGen DSE runs for hours because scheduling
 and compilation dominate; we run the same algorithm in seconds.  To report
 Fig. 15/20-style time axes, every operation also charges a *modeled* cost
 (seconds a real toolchain would spend), calibrated to the paper's reported
-DSE times.
+DSE times.  :class:`TimeModel` is the one price list, and
+:meth:`Explorer._charge` the one place a price is booked: into the running
+``modeled_seconds`` and into ``DseStats.seconds`` under its kind
+(:data:`CHARGE_KINDS`: ``compile``, ``schedule``, ``revalidate``,
+``repair``, ``sweep``, ``synthesis``), so the per-kind split always sums
+to the total.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from copy import deepcopy
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adg import (
@@ -34,6 +40,7 @@ from ..adg import (
     adg_to_dict,
     seed_for_workloads,
 )
+from ..adg.system import SYSTEM_GRID_AXES
 from ..compiler import VariantSet, generate_variants
 from ..ir import Workload
 from ..model.resource import AnalyticEstimator, usable_budget
@@ -59,6 +66,21 @@ class TimeModel:
     revalidate: float = 1.2          # re-checking an untouched-valid schedule
     model_eval: float = 0.9          # one system-DSE sweep point
     synthesis_hours: float = 3.4     # final Vivado synthesis + P&R
+
+    def sweep(self) -> float:
+        """One nested system sweep: ``model_eval`` per system-grid point."""
+        return self.model_eval * math.prod(map(len, SYSTEM_GRID_AXES))
+
+    def reschedule(self, variants: int, charge: float = 1.0) -> float:
+        """Scheduling ``variants`` variants, each ``charge`` full schedules."""
+        return self.full_schedule * variants * charge
+
+
+#: The kinds of modeled time :meth:`Explorer._charge` books, in report order.
+CHARGE_KINDS = ("compile", "schedule", "revalidate", "repair", "sweep", "synthesis")
+#: What a move's proposal came to: ``noop`` and ``unrepairable`` proposals
+#: die before the sweep; ``repaired`` survivors needed at least one repair.
+MOVE_OUTCOMES = ("proposed", "noop", "unrepairable", "repaired", "accepted")
 
 
 @dataclass
@@ -91,6 +113,12 @@ class DseStats:
     full_schedules: int = 0
     preserving_transforms: int = 0
     random_transforms: int = 0
+    #: Modeled seconds by charge kind; they sum to ``modeled_seconds``.
+    seconds: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(CHARGE_KINDS, 0.0)
+    )
+    #: Per move (its transform's function name): outcome -> count.
+    moves: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
 #: One surviving proposal: ``(iteration, ADG*, its repaired schedules)``.
@@ -173,6 +201,7 @@ class Explorer:
         self.stats = DseStats()
         self.modeled_seconds = 0.0
         self.history: List[Tuple[int, float, float]] = []
+        self.move = ""  # the last proposal's move, for ``decide``
 
     # -- the step API (:class:`repro.search.AnnealStrategy` drives the
     # same steps with the system sweep shipped to the search evaluator) --
@@ -186,9 +215,7 @@ class Explorer:
             self.best = self._restore(resume)
             self.iteration = resume.iteration
             return
-        self.modeled_seconds += cfg.time_model.full_compile * len(
-            self.workloads
-        )
+        self._charge("compile", cfg.time_model.full_compile * len(self.workloads))
         adg = self._initial_adg()
         schedules = self._upgrade_variants(
             self.variant_sets, adg, {}, charge=1.0
@@ -230,13 +257,14 @@ class Explorer:
     ) -> None:
         """Accept or reject ``candidate`` given its system-sweep result."""
         iteration, cand_adg, cand_schedules = candidate
-        self.modeled_seconds += self.config.time_model.model_eval * 60
+        self._charge("sweep", self.config.time_model.sweep())
         if choice is None:
             self.stats.rejected_unschedulable += 1
             add_counter("dse.rejected")
         elif self._accept(choice, self.best[2], iteration):
             self.best = (cand_adg, cand_schedules, choice)
             self.stats.accepted += 1
+            self._count("accepted")
             add_counter("dse.accepted")
             self._record_accept(iteration, choice)
         else:
@@ -257,7 +285,7 @@ class Explorer:
             self._pad_for_generality(adg, choice)
         schedules = self._upgrade_variants(self.variant_sets, adg, schedules)
         choice = self._system_dse(adg, schedules) or choice
-        self.modeled_seconds += self.config.time_model.synthesis_hours * 3600.0
+        self._charge("synthesis", self.config.time_model.synthesis_hours * 3600.0)
         sysadg = SysADG(adg=adg, params=choice.params, name=self.name)
         return DseResult(
             sysadg=sysadg,
@@ -278,6 +306,18 @@ class Explorer:
         return self.finish()
 
     # ------------------------------------------------------------------
+    def _charge(self, kind: str, seconds: float) -> None:
+        """Book ``seconds`` of modeled toolchain time as ``kind``."""
+        self.modeled_seconds += seconds
+        self.stats.seconds[kind] += seconds
+
+    def _count(self, outcome: str) -> None:
+        """Tally one ``outcome`` of the last proposal's move."""
+        counts = self.stats.moves.setdefault(
+            self.move, dict.fromkeys(MOVE_OUTCOMES, 0)
+        )
+        counts[outcome] += 1
+
     def _record_accept(self, iteration: int, choice: SystemChoice) -> None:
         """Book one accepted point into the trajectory."""
         self.history.append(
@@ -296,7 +336,7 @@ class Explorer:
             schedules={k: s.clone() for k, s in schedules.items()},
             choice=choice,
             rng_state=self.rng.getstate(),
-            stats=replace(self.stats),
+            stats=deepcopy(self.stats),
             history=list(self.history),
             modeled_seconds=self.modeled_seconds,
         )
@@ -308,7 +348,7 @@ class Explorer:
         adg = adg_from_dict(state.adg_doc)
         adg.restore_counters(state.adg_next_id, state.adg_version)
         self.rng.setstate(state.rng_state)
-        self.stats = replace(state.stats)
+        self.stats = deepcopy(state.stats)
         self.history = list(state.history)
         self.modeled_seconds = state.modeled_seconds
         schedules = {k: s.clone() for k, s in state.schedules.items()}
@@ -330,42 +370,49 @@ class Explorer:
         )
         try:
             if use_preserving:
-                did = collapse_random_switch(
+                self.move = "collapse_switch"
+                if collapse_random_switch(
                     candidate, list(clones.values()), self.rng
-                )
-                if did is None:
+                ) is None:
+                    self.move = "prune_capabilities"
                     prune_capabilities(candidate, list(clones.values()))
                 self.stats.preserving_transforms += 1
             else:
-                apply_random_transform(candidate, self.rng)
+                self.move = apply_random_transform(candidate, self.rng)
                 self.stats.random_transforms += 1
         except TransformFailed:
             return None
+        self._count("proposed")
         if candidate.version == adg.version and self.iteration % cfg.upgrade_every:
             # Nothing changed and no upgrade is due: the sweep would price
             # the incumbent again, and an equal objective and LUT count is
             # rejected without an rng draw.  Book that verdict unswept.
             self.stats.rejected_noop += 1
+            self._count("noop")
             add_counter("dse.rejected")
             return None
 
         params = SystemParams()
         repaired: Dict[str, Schedule] = {}
+        repairs = self.stats.repairs
         for name, old in clones.items():
             # Section V-B: a schedule that survived the edit comes back as
             # itself and is charged a revalidation; anything else a repair.
             new = repair_schedule(old, candidate, params)
             if new is None:
                 self.stats.rejected_unschedulable += 1
-                self.modeled_seconds += cfg.time_model.repair
+                self._charge("repair", cfg.time_model.repair)
+                self._count("unrepairable")
                 return None
             if new is old:
                 self.stats.preserved_hits += 1
-                self.modeled_seconds += cfg.time_model.revalidate
+                self._charge("revalidate", cfg.time_model.revalidate)
             else:
                 self.stats.repairs += 1
-                self.modeled_seconds += cfg.time_model.repair
+                self._charge("repair", cfg.time_model.repair)
             repaired[name] = new
+        if self.stats.repairs > repairs:
+            self._count("repaired")
         return candidate, repaired
 
     def _upgrade_variants(
@@ -388,10 +435,9 @@ class Explorer:
             with span("dse.full_schedule", workload=name):
                 best = schedule_workload(variants, adg, params, beat)
             self.stats.full_schedules += len(variants.variants)
-            self.modeled_seconds += (
-                self.config.time_model.full_schedule
-                * len(variants.variants)
-                * charge
+            self._charge(
+                "schedule",
+                self.config.time_model.reschedule(len(variants.variants), charge),
             )
             if best is None or (best.estimate is None and current):
                 # A variant that schedules but yields no estimate cannot be
@@ -411,7 +457,7 @@ class Explorer:
     def _system_dse(
         self, adg: ADG, schedules: Dict[str, Schedule]
     ) -> Optional[SystemChoice]:
-        self.modeled_seconds += self.config.time_model.model_eval * 60
+        self._charge("sweep", self.config.time_model.sweep())
         return self._sweep(adg, schedules)
 
     def _sweep(

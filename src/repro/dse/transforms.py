@@ -314,13 +314,15 @@ RANDOM_TRANSFORMS = (
 
 
 def apply_random_transform(adg: ADG, rng: random.Random, tries: int = 8) -> str:
-    """Apply one applicable random transform; raises after ``tries`` misses."""
+    """Apply one applicable random transform and return its function's
+    name; raises after ``tries`` misses."""
     for _ in range(tries):
         op = rng.choice(RANDOM_TRANSFORMS)
         try:
-            return op(adg, rng)
+            op(adg, rng)
         except (TransformFailed, AdgError):
             continue
+        return op.__name__
     raise TransformFailed("no applicable transform found")
 
 

@@ -42,7 +42,9 @@ from ..ir import Workload
 #: v5: an equal ``ADG.replace_node`` is no edit, so a draw of a node's
 #: current value is rejected unswept and uncharged: modeled seconds /
 #: stats in old artifacts are stale.
-CODE_SCHEMA_VERSION = 5
+#: v6: ``DseStats`` grew ``seconds`` and ``moves``; a stored v5 result's
+#: stats lack them, and reading them would raise ``AttributeError``.
+CODE_SCHEMA_VERSION = 6
 
 
 def canonicalize(obj: Any) -> Any:

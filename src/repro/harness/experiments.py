@@ -14,7 +14,7 @@ memo.  A report is therefore a pure function of the source tree.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from statistics import fmean
 from typing import Dict, List, Optional, Tuple
@@ -547,16 +547,18 @@ class Fig20Result:
         return 1.0 - self.preserved_hours / self.nonpreserved_hours
 
 
-def fig20_schedule_preserving(suite: str) -> Fig20Result:
-    def build(preserving: bool) -> DseResult:
-        return _engine_explore(
-            get_suite(suite),
-            f"{suite}-{'p' if preserving else 'np'}",
-            schedule_preserving=preserving,
-        )
+def fig20_run(suite: str, preserving: bool) -> DseResult:
+    """One of Fig. 20's runs: with or without schedule preservation."""
+    return _engine_explore(
+        get_suite(suite),
+        f"{suite}-{'p' if preserving else 'np'}",
+        schedule_preserving=preserving,
+    )
 
-    on = build(True)
-    off = build(False)
+
+def fig20_schedule_preserving(suite: str) -> Fig20Result:
+    on = fig20_run(suite, True)
+    off = fig20_run(suite, False)
     return Fig20Result(
         suite=suite,
         preserved_history=on.history,
@@ -566,6 +568,54 @@ def fig20_schedule_preserving(suite: str) -> Fig20Result:
         preserved_hours=on.modeled_hours,
         nonpreserved_hours=off.modeled_hours,
     )
+
+
+# ----------------------------------------------------------------------
+# DSE anatomy: where the report's DSE runs spent their hours and moves
+# ----------------------------------------------------------------------
+#: The anatomy's hour columns, each the sum of these charge kinds.
+ANATOMY_HOURS = {
+    "re-scheduling": ("schedule",),
+    "sweeps": ("sweep",),
+    "revalidate + repair": ("revalidate", "repair"),
+    "compile + synthesis": ("compile", "synthesis"),
+}
+
+
+@dataclass
+class AnatomyRow:
+    run: str
+    mode: str
+    total_hours: float
+    hours: Dict[str, float]  # by ANATOMY_HOURS column
+    noops: int
+
+
+def dse_anatomy() -> Tuple[List[AnatomyRow], Dict[str, Counter]]:
+    """Where the report's DSE runs spent their modeled hours, and what
+    each move came to, from ``DseStats.seconds`` and ``DseStats.moves``:
+    the suite overlays (their best seed), then Fig. 20's runs.  The move
+    tallies sum over every run, most-proposed first."""
+    runs = [(f"{s}-OG", True, suite_overlay(s)) for s in PAPER_SUITE_NAMES]
+    runs += [
+        (f"{s}-{'p' if p else 'np'}", p, fig20_run(s, p))
+        for s in PAPER_SUITE_NAMES
+        for p in (True, False)
+    ]
+    rows, moves = [], {}
+    for name, preserving, res in runs:
+        seconds = res.stats.seconds
+        hours = {
+            column: sum(seconds[kind] for kind in kinds) / 3600.0
+            for column, kinds in ANATOMY_HOURS.items()
+        }
+        mode = "preserving" if preserving else "non-preserving"
+        rows.append(AnatomyRow(
+            name, mode, res.modeled_hours, hours, res.stats.rejected_noop))
+        for move, counts in res.stats.moves.items():
+            moves.setdefault(move, Counter()).update(counts)
+    ranked = sorted(moves.items(), key=lambda kv: (-kv[1]["proposed"], kv[0]))
+    return rows, dict(ranked)
 
 
 # ----------------------------------------------------------------------
@@ -756,8 +806,8 @@ def families_end_to_end() -> List[Dict]:
 # ----------------------------------------------------------------------
 # Paper vs measured: one ledger row per claim of ``paper.CLAIMS``
 # ----------------------------------------------------------------------
-#: ``mechanism`` is "" on a match, else a MECHANISMS name or "open".
-LedgerRow = namedtuple("LedgerRow", "claim measured verdict mechanism")
+#: ``mechanisms`` is () on a match, else MECHANISMS names or ("open",).
+LedgerRow = namedtuple("LedgerRow", "claim measured verdict mechanisms")
 
 
 def measured_claims() -> Dict[str, paper.Number]:
@@ -810,6 +860,6 @@ def paper_ledger() -> List[LedgerRow]:
     rows = []
     for claim in paper.CLAIMS:
         verdict = paper.verdict(claim, measured[claim.key])
-        mechanism = "" if verdict == paper.SAME else claim.mechanism or "open"
-        rows.append(LedgerRow(claim, measured[claim.key], verdict, mechanism))
+        names = () if verdict == paper.SAME else claim.mechanisms or ("open",)
+        rows.append(LedgerRow(claim, measured[claim.key], verdict, names))
     return rows

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 
+from ..dse.explorer import MOVE_OUTCOMES
 from ..model.resource import MlEstimator, TABLE1_COUNTS
 from ..rtl import estimated_frequency, floorplan
 from ..workloads import PAPER_SUITE_NAMES
@@ -498,11 +499,52 @@ def _ledger_section() -> str:
         ["figure", "claim", "paper", "measured", "verdict", "mechanism"],
         [
             (r.claim.figure, r.claim.claim, r.claim.render(r.claim.value),
-             r.claim.render(r.measured), r.verdict, _mechanism(r.mechanism))
+             r.claim.render(r.measured), r.verdict,
+             "; ".join(map(_mechanism, r.mechanisms)))
             for r in ex.paper_ledger()
         ],
     )
     return "\n\n".join(["## Paper vs measured — ledger", intro, table])
+
+
+def _anatomy_section() -> str:
+    """Where the report's DSE hours and moves went.  Its runs hit the
+    engine's memory tier, so it follows :func:`_engine_section`."""
+    runs, moves = ex.dse_anatomy()
+    intro = (
+        "Where the report's DSE runs spent their modeled hours, by the kind "
+        "`Explorer._charge` booked each `TimeModel` price as, and what each "
+        "move came to.  The suite overlays are their best seed; `-p` and "
+        "`-np` are Fig. 20's runs with and without schedule-preserving "
+        "transforms.  The paper's mechanism for Fig. 20's time saving, a "
+        "revalidation in place of a repair, is the *revalidate + repair* "
+        "column; *re-scheduling* is the periodic full variant "
+        "re-scheduling.  A no-op rejection is an edit that changed "
+        "nothing, booked unswept."
+    )
+    hours = render_table(
+        ["run", "mode", "total h", *ex.ANATOMY_HOURS, "no-op rejections"],
+        [
+            (r.run, r.mode, f"{r.total_hours:.2f}",
+             *(f"{h:.2f}" for h in r.hours.values()), r.noops)
+            for r in runs
+        ],
+    )
+    tally = render_table(
+        ["move", *MOVE_OUTCOMES],
+        [
+            (f"`{move}`", *(counts[o] for o in MOVE_OUTCOMES))
+            for move, counts in moves.items()
+        ],
+        title=(
+            f"Per move, summed over the {len(runs)} runs (a *repaired* "
+            "proposal survived at least one schedule repair):"
+        ),
+    )
+    return "\n\n".join([
+        "## DSE anatomy — where the modeled hours and the moves went",
+        intro, hours, tally,
+    ])
 
 
 def _mechanism(name: str) -> str:
@@ -872,6 +914,7 @@ SECTIONS = (
     _model_fidelity_section,
     _soak_section,
     _engine_section,
+    _anatomy_section,
     _ledger_section,
     _serve_section,
 )

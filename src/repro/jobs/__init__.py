@@ -14,7 +14,5 @@ results); ``--shards`` is how work is split (also result-invariant by
 the ShardPlan contract).
 """
 
-from .plan import Shard, ShardPlan
+from .plan import ShardPlan
 from .runner import JobOutcome, run_jobs
-
-__all__ = ["JobOutcome", "Shard", "ShardPlan", "run_jobs"]

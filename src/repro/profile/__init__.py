@@ -9,7 +9,6 @@ traced pass; its committed result is ``BENCH_pipeline.json``.
 
 from .tracer import (
     NULL_SPAN,
-    Span,
     Tracer,
     add_counter,
     current,
@@ -26,17 +25,3 @@ def drop_memo(config_key: str) -> None:
     Its one caller is ``bench/worker.py`` (before every study), which is
     frozen; the name goes with ROADMAP item 4's ``bench/`` debt list.
     """
-
-
-__all__ = [
-    "NULL_SPAN",
-    "Span",
-    "Tracer",
-    "add_counter",
-    "current",
-    "drop_memo",
-    "install",
-    "span",
-    "tracing",
-    "uninstall",
-]

@@ -14,56 +14,7 @@ from .backends import (
     get_backend,
     register_backend,
 )
-from .floorplan import (
-    DRAM_CONTROLLER_XY,
-    Floorplan,
-    FloorplanError,
-    NUM_SLRS,
-    TilePlacement,
-    estimated_frequency,
-    floorplan,
-)
-from .ir import (
-    Comment,
-    Design,
-    Instance,
-    Module,
-    Port,
-    Wire,
-    all_modules,
-    build_design,
-    build_tile_design,
-    design_stats,
-)
+from .floorplan import FloorplanError, NUM_SLRS, estimated_frequency, floorplan
+from .ir import all_modules, build_design, design_stats
 from .migen_backend import MigenBackend
 from .verilog import VerilogBackend, emit_system, emit_tile, rtl_stats
-
-__all__ = [
-    "BACKENDS",
-    "Backend",
-    "Comment",
-    "DRAM_CONTROLLER_XY",
-    "Design",
-    "Floorplan",
-    "FloorplanError",
-    "Instance",
-    "MigenBackend",
-    "Module",
-    "NUM_SLRS",
-    "Port",
-    "TilePlacement",
-    "VerilogBackend",
-    "Wire",
-    "all_modules",
-    "backend_names",
-    "build_design",
-    "build_tile_design",
-    "design_stats",
-    "emit_system",
-    "emit_tile",
-    "estimated_frequency",
-    "floorplan",
-    "get_backend",
-    "register_backend",
-    "rtl_stats",
-]

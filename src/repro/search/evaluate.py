@@ -117,7 +117,7 @@ def evaluate_proposal(
     if proposal.kind == "candidate":
         # The annealer already built and repaired the schedules; this is
         # exactly the nested system sweep ``Explorer.run`` does in-process
-        # (``Explorer.decide`` charges the modeled model_eval cost): the
+        # (``Explorer.decide`` charges its ``TimeModel.sweep``): the
         # payload is the candidate and the explorer's run memos.
         choice = sweep_candidate(cfg, **proposal.payload)
         return _out(index, choice, modeled_seconds=0.0)
@@ -158,10 +158,7 @@ def evaluate_proposal(
         choice = None
     # Fixed-formula modeled cost (a real toolchain would schedule every
     # variant from scratch, then sweep the system grid).
-    modeled = (
-        cfg.time_model.full_schedule * total_variants
-        + cfg.time_model.model_eval * 60.0
-    )
+    modeled = cfg.time_model.reschedule(total_variants) + cfg.time_model.sweep()
     out = _out(index, choice, modeled_seconds=modeled)
     if shard.include_adg and choice is not None:
         from ..adg import adg_to_dict

@@ -35,8 +35,6 @@ from .ckernel import STATUS_DEADLOCK, STATUS_HARD_CAP, STATUS_STUCK, load_error
 from .simulator import Region, SimResult, SimulationError, _resolve_core
 from .vector import pack_batch, packable, step_batch, vector_core_available
 
-__all__ = ["simulate_batch"]
-
 
 def simulate_batch(
     items: Sequence[Tuple[Any, Any]],

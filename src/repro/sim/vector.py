@@ -54,14 +54,6 @@ from .components import (
     StreamState,
 )
 
-__all__ = [
-    "BatchPack",
-    "pack_batch",
-    "packable",
-    "step_batch",
-    "vector_core_available",
-]
-
 #: What ``build_tile`` returns: one region's engines, fabric and pools.
 Tile = Tuple[Sequence[EngineSim], FabricSim, Sequence[BandwidthPool]]
 

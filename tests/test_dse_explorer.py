@@ -7,7 +7,13 @@ from dataclasses import replace
 import pytest
 
 from repro.adg import SystemParams, general_overlay
-from repro.dse import DseConfig, explore, max_tiles_that_fit, system_dse
+from repro.dse import (
+    DseConfig,
+    TimeModel,
+    explore,
+    max_tiles_that_fit,
+    system_dse,
+)
 from repro.model.resource import (
     AnalyticEstimator,
     Resources,
@@ -89,6 +95,14 @@ class TestExplorer:
     def test_modeled_time_is_hours_scale(self, dsp_result):
         assert 1.0 < dsp_result.modeled_hours < 100.0
 
+    def test_a_sweep_is_priced_per_system_grid_point(self):
+        """The grid size comes from the grid's axes, not a literal."""
+        from repro.adg.system import system_param_space
+
+        tm = TimeModel()
+        assert tm.sweep() == tm.model_eval * len(list(system_param_space()))
+        assert tm.reschedule(5, 0.4) == tm.full_schedule * 5 * 0.4
+
     def test_stats_account_iterations(self, dsp_result):
         s = dsp_result.stats
         assert s.iterations == 40
@@ -165,7 +179,7 @@ class TestExplorer:
         adg, schedules, _ = ex.best
         calls = self._ladder_calls(monkeypatch)
         hits0 = ex.stats.preserved_hits
-        modeled0 = ex.modeled_seconds
+        modeled0, seconds0 = ex.modeled_seconds, dict(ex.stats.seconds)
         out = ex._propose(adg, schedules)
         assert out is not None
         candidate, repaired = out
@@ -173,6 +187,9 @@ class TestExplorer:
         assert calls == []
         assert ex.stats.preserved_hits - hits0 == len(names)
         # Preserved hits are charged as revalidations, not repair fractions.
+        assert _charged(ex, seconds0) == pytest.approx(
+            {"revalidate": ex.config.time_model.revalidate * len(names)}
+        )
         assert ex.modeled_seconds - modeled0 == pytest.approx(
             ex.config.time_model.revalidate * len(names)
         )
@@ -192,13 +209,17 @@ class TestExplorer:
         )
         calls = self._ladder_calls(monkeypatch)
         repairs0 = ex.stats.repairs
-        modeled0 = ex.modeled_seconds
+        modeled0, seconds0 = ex.modeled_seconds, dict(ex.stats.seconds)
         out = ex._propose(adg, schedules)
         assert out is not None
         assert out[0].version > adg.version
         # Nothing broke, so rung 1 keeps every placement and route.
         assert calls == ["_reroute_only"]
         assert ex.stats.repairs - repairs0 == 1
+        assert _charged(ex, seconds0) == pytest.approx(
+            {"repair": ex.config.time_model.repair}
+        )
+        assert ex.stats.moves["prune_capabilities"]["repaired"] == 1
         assert ex.modeled_seconds - modeled0 == pytest.approx(
             ex.config.time_model.repair
         )
@@ -211,9 +232,13 @@ class TestExplorer:
         adg, schedules, _ = ex.best
         monkeypatch.setattr(mod, "repair_schedule", lambda *a, **k: None)
         rejected0 = ex.stats.rejected_unschedulable
-        modeled0 = ex.modeled_seconds
+        modeled0, seconds0 = ex.modeled_seconds, dict(ex.stats.seconds)
         assert ex._propose(adg, schedules) is None
         assert ex.stats.rejected_unschedulable - rejected0 == 1
+        assert _charged(ex, seconds0) == pytest.approx(
+            {"repair": ex.config.time_model.repair}
+        )
+        assert ex.stats.moves["prune_capabilities"]["unrepairable"] == 1
         assert ex.modeled_seconds - modeled0 == ex.config.time_model.repair
 
 
@@ -320,6 +345,18 @@ class TestNoopEdit:
         assert ladder == []
         assert len(sweeps) == 3  # the seed, the polish and after padding
         time_model, variants = ex.config.time_model, _family_size(ex)
+        assert result.stats.seconds == pytest.approx({
+            "compile": time_model.full_compile,
+            "schedule": (1.0 + 0.4 + 0.4) * time_model.full_schedule * variants,
+            "revalidate": 0.0,
+            "repair": 0.0,
+            "sweep": 3 * time_model.model_eval * 60,
+            "synthesis": time_model.synthesis_hours * 3600,
+        })
+        assert result.stats.moves == {"collapse_switch": {
+            "proposed": 6, "noop": 6, "unrepairable": 0, "repaired": 0,
+            "accepted": 0,
+        }}
         assert result.modeled_seconds == pytest.approx(
             time_model.full_compile
             + (1.0 + 0.4 + 0.4) * time_model.full_schedule * variants
@@ -374,6 +411,15 @@ class TestNoopEdit:
         assert ex.propose()[0] == 12
         assert ex.stats.rejected_noop == 11
         assert ex.stats.random_transforms == 12
+
+
+def _charged(ex, seconds0):
+    """The modeled seconds booked since ``seconds0``, by charge kind."""
+    return {
+        kind: seconds - seconds0[kind]
+        for kind, seconds in ex.stats.seconds.items()
+        if seconds != seconds0[kind]
+    }
 
 
 def _family_size(ex):

@@ -14,12 +14,14 @@ Regenerate (only when a change is *meant* to move DSE results):
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from repro.adg import adg_to_dict
-from repro.dse import DseConfig, explore
+from repro.dse import RANDOM_TRANSFORMS, DseConfig, explore
+from repro.dse.explorer import CHARGE_KINDS
 from repro.workloads import get_workload
 
 GOLDEN = Path(__file__).parent / "golden" / "dse_result_digests.json"
@@ -47,6 +49,12 @@ def result_digest(names, run=explore) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def through_engine(workloads, config):
+    from repro.engine import DseEngine
+
+    return DseEngine().explore(workloads, config).result
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_dse_result_matches_committed_digest(case):
     assert result_digest(CASES[case]) == json.loads(GOLDEN.read_text())[case]
@@ -56,13 +64,31 @@ def test_dse_result_matches_committed_digest(case):
 def test_engine_default_strategy_matches_committed_digest(case):
     """``DseEngine`` runs the annealer as one ``run_search`` study; its
     ``.result`` is the same ``DseResult``, to the digest."""
-    from repro.engine import DseEngine
-
-    def through_engine(workloads, config):
-        return DseEngine().explore(workloads, config).result
-
     digest = result_digest(CASES[case], run=through_engine)
     assert digest == json.loads(GOLDEN.read_text())[case]
+
+
+@pytest.mark.parametrize(
+    "run", [explore, through_engine], ids=["explore", "engine"]
+)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_charges_and_moves_account_for_the_run(case, run):
+    """Every modeled second is booked under one charge kind, and every
+    proposal and acceptance under one move."""
+    result = run([get_workload(n) for n in CASES[case]], CFG)
+    stats = result.stats
+    assert tuple(stats.seconds) == CHARGE_KINDS
+    assert math.fsum(stats.seconds.values()) == pytest.approx(
+        result.modeled_seconds, rel=1e-12
+    )
+    moves = stats.moves.values()
+    assert sum(m["proposed"] for m in moves) == (
+        stats.preserving_transforms + stats.random_transforms
+    )
+    assert sum(m["accepted"] for m in moves) == stats.accepted
+    assert sum(m["noop"] for m in moves) == stats.rejected_noop
+    names = {op.__name__ for op in RANDOM_TRANSFORMS}
+    assert set(stats.moves) <= names | {"collapse_switch", "prune_capabilities"}
 
 
 if __name__ == "__main__":

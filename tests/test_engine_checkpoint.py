@@ -6,6 +6,7 @@ there is; ``Explorer`` itself only offers ``snapshot()`` /
 ``begin(resume=)``.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -80,6 +81,24 @@ class TestExplorerResume:
         mid = snapshot_at(24)  # as if killed there
         assert mid.iteration == 24
         assert_results_equal(resume_from(mid), straight)
+
+    def test_a_snapshot_is_not_written_by_the_live_run(self):
+        """``DseStats`` holds dicts: a snapshot copies them, so a run that
+        goes on does not write into a checkpoint it already took, and a
+        run restored from it does not either."""
+        explorer = Explorer(FIR, CFG, name="fir")
+        explorer.begin()
+        drive(explorer, until=24)
+        snap = explorer.snapshot()
+        frozen = copy.deepcopy(snap.stats)
+        drive(explorer)
+        assert explorer.stats.seconds != frozen.seconds
+        assert explorer.stats.moves != frozen.moves
+        assert (snap.stats.seconds, snap.stats.moves) == (
+            frozen.seconds, frozen.moves
+        )
+        assert_results_equal(resume_from(snap), explorer.finish())
+        assert snap.stats == frozen
 
     def test_resume_after_pickle_round_trip(self, tmp_path):
         """A snapshot that crossed a process boundary (via the stored

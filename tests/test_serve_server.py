@@ -207,7 +207,7 @@ class TestComputeOps:
 
         args = ("0" * 64, "f" * 64, "map")
         assert ops.result_key(*args) == (
-            "9bb1eb0ac95163754f34fe0a39c1c66bedc83b1e453556451fa75da8f4e365ee"
+            "ae4e42c3f8434f61c11a31dfd6ab7f191add04b1c7ba5bbd54145dcc8fc838df"
         )
         keys = {ops.result_key(*args)}
         for i, other in enumerate(("1" * 64, "e" * 64, "estimate")):
