@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..dfg import MDFG, StreamKind
 from ..ir import Workload
@@ -49,11 +49,6 @@ class VariantSet:
     @property
     def best(self) -> MDFG:
         return self.variants[0]
-
-    def relaxations_of(self, mdfg: MDFG) -> Tuple[MDFG, ...]:
-        """Variants strictly less aggressive than ``mdfg``, best first."""
-        idx = self.variants.index(mdfg)
-        return self.variants[idx + 1 :]
 
     def by_name(self, variant: str) -> MDFG:
         for m in self.variants:

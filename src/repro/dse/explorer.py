@@ -81,23 +81,25 @@ CHARGE_KINDS = ("compile", "schedule", "revalidate", "repair", "sweep", "synthes
 #: What a move's proposal came to: ``noop`` and ``unrepairable`` proposals
 #: die before the sweep; ``repaired`` survivors needed at least one repair.
 MOVE_OUTCOMES = ("proposed", "noop", "unrepairable", "repaired", "accepted")
+#: The acceptance temperature cools geometrically from the first to the
+#: second over a run's ``iterations``.
+INITIAL_TEMPERATURE = 0.12
+FINAL_TEMPERATURE = 0.01
+#: Every ``UPGRADE_EVERY``-th iteration re-schedules every variant afresh.
+UPGRADE_EVERY = 12
+#: FPGA budget fraction withheld from the tile-count decision and spent on
+#: generality padding instead (caps, links, spare PEs for future workloads
+#: — the paper's Q4/Q5 behavior).
+GENERALITY_RESERVE = 0.10
 
 
 @dataclass
 class DseConfig:
     iterations: int = 150
     seed: int = 0
-    initial_temperature: float = 0.12
-    final_temperature: float = 0.01
     schedule_preserving: bool = True
     preserving_prob: float = 0.35
-    upgrade_every: int = 12          # periodic full variant re-scheduling
     max_tiles: int = 16
-    seed_width_bits: int = 512
-    #: FPGA budget fraction withheld from the tile-count decision and spent
-    #: on generality padding instead (caps, links, spare PEs for future
-    #: workloads — the paper's Q4/Q5 behavior).
-    generality_reserve: float = 0.10
     time_model: TimeModel = field(default_factory=TimeModel)
 
 
@@ -244,7 +246,7 @@ class Explorer:
             if candidate is None:
                 continue
             cand_adg, cand_schedules = candidate
-            if iteration % cfg.upgrade_every == 0:
+            if iteration % UPGRADE_EVERY == 0:
                 with span("dse.upgrade", iteration=iteration):
                     cand_schedules = self._upgrade_variants(
                         self.variant_sets, cand_adg, cand_schedules
@@ -355,9 +357,7 @@ class Explorer:
         return adg, schedules, state.choice
 
     def _initial_adg(self) -> ADG:
-        return seed_for_workloads(
-            self.workloads, width_bits=self.config.seed_width_bits
-        )
+        return seed_for_workloads(self.workloads)
 
     def _propose(
         self, adg: ADG, schedules: Dict[str, Schedule]
@@ -371,9 +371,9 @@ class Explorer:
         try:
             if use_preserving:
                 self.move = "collapse_switch"
-                if collapse_random_switch(
+                if not collapse_random_switch(
                     candidate, list(clones.values()), self.rng
-                ) is None:
+                ):
                     self.move = "prune_capabilities"
                     prune_capabilities(candidate, list(clones.values()))
                 self.stats.preserving_transforms += 1
@@ -383,7 +383,7 @@ class Explorer:
         except TransformFailed:
             return None
         self._count("proposed")
-        if candidate.version == adg.version and self.iteration % cfg.upgrade_every:
+        if candidate.version == adg.version and self.iteration % UPGRADE_EVERY:
             # Nothing changed and no upgrade is due: the sweep would price
             # the incumbent again, and an equal objective and LUT count is
             # rejected without an rng draw.  Book that verdict unswept.
@@ -475,10 +475,9 @@ class Explorer:
             return True
         if candidate.objective == incumbent.objective:
             return candidate.tile_resources.lut < incumbent.tile_resources.lut
-        cfg = self.config
-        progress = iteration / max(1, cfg.iterations)
-        temperature = cfg.initial_temperature * (
-            (cfg.final_temperature / cfg.initial_temperature) ** progress
+        progress = iteration / max(1, self.config.iterations)
+        temperature = INITIAL_TEMPERATURE * (
+            (FINAL_TEMPERATURE / INITIAL_TEMPERATURE) ** progress
         )
         if incumbent.objective <= 0:
             return True
@@ -496,7 +495,7 @@ def sweep_candidate(
     """The nested system sweep for one candidate ADG and its schedules.
 
     Tile counts are sized against the budget less
-    ``config.generality_reserve``; padding then grows the chosen design
+    :data:`GENERALITY_RESERVE`; padding then grows the chosen design
     into the reserve.  The explorer's loop and ``search.evaluate`` both
     score a candidate through this one call; ``estimator`` and
     ``objectives`` are the memos of the caller's run (an ``Explorer`` run
@@ -506,7 +505,7 @@ def sweep_candidate(
         adg,
         list(schedules.values()),
         estimator=estimator,
-        budget=usable_budget() * (1.0 - config.generality_reserve),
+        budget=usable_budget() * (1.0 - GENERALITY_RESERVE),
         max_tiles=config.max_tiles,
         objectives=objectives,
     )

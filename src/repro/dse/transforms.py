@@ -24,7 +24,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -63,7 +62,7 @@ def _random_cap_pool(adg: ADG) -> List[FuCap]:
     return sorted(pool, key=lambda c: c.name)
 
 
-def add_pe(adg: ADG, rng: random.Random) -> str:
+def add_pe(adg: ADG, rng: random.Random) -> None:
     switches = adg.switches
     if len(switches) < 2:
         raise TransformFailed("not enough switches")
@@ -75,19 +74,17 @@ def add_pe(adg: ADG, rng: random.Random) -> str:
         adg.add_link(src.node_id, pe)
     dst = rng.choice(switches)
     adg.add_link(pe, dst.node_id)
-    return f"add_pe({width}b)"
 
 
-def remove_pe(adg: ADG, rng: random.Random) -> str:
+def remove_pe(adg: ADG, rng: random.Random) -> None:
     pes = adg.pes
     if len(pes) <= 1:
         raise TransformFailed("cannot remove the last PE")
     victim = rng.choice(pes)
     adg.remove_node(victim.node_id)
-    return f"remove_pe({victim.node_id})"
 
 
-def add_switch(adg: ADG, rng: random.Random) -> str:
+def add_switch(adg: ADG, rng: random.Random) -> None:
     switches = adg.switches
     if len(switches) < 2:
         raise TransformFailed("not enough switches")
@@ -97,10 +94,9 @@ def add_switch(adg: ADG, rng: random.Random) -> str:
     adg.add_link(others[0].node_id, new)
     for other in others[1:]:
         adg.add_link(new, other.node_id)
-    return "add_switch"
 
 
-def remove_switch(adg: ADG, rng: random.Random) -> str:
+def remove_switch(adg: ADG, rng: random.Random) -> None:
     switches = adg.switches
     # Keep a routing fabric: real overlays retain roughly one switch per
     # PE (Table III); total collapse destroys cross-workload flexibility.
@@ -108,10 +104,9 @@ def remove_switch(adg: ADG, rng: random.Random) -> str:
         raise TransformFailed("too few switches")
     victim = rng.choice(switches)
     adg.remove_node(victim.node_id)
-    return f"remove_switch({victim.node_id})"
 
 
-def add_fabric_link(adg: ADG, rng: random.Random) -> str:
+def add_fabric_link(adg: ADG, rng: random.Random) -> None:
     switches = adg.switches
     if len(switches) < 2:
         raise TransformFailed("not enough switches")
@@ -119,10 +114,9 @@ def add_fabric_link(adg: ADG, rng: random.Random) -> str:
     if adg.has_link(a.node_id, b.node_id):
         raise TransformFailed("link exists")
     adg.add_link(a.node_id, b.node_id)
-    return "add_link"
 
 
-def remove_fabric_link(adg: ADG, rng: random.Random) -> str:
+def remove_fabric_link(adg: ADG, rng: random.Random) -> None:
     fabric_kinds = {NodeKind.SWITCH, NodeKind.PE}
     links = [
         (s, d)
@@ -133,10 +127,9 @@ def remove_fabric_link(adg: ADG, rng: random.Random) -> str:
         raise TransformFailed("no fabric links")
     s, d = rng.choice(links)
     adg.remove_link(s, d)
-    return "remove_link"
 
 
-def toggle_memory_link(adg: ADG, rng: random.Random) -> str:
+def toggle_memory_link(adg: ADG, rng: random.Random) -> None:
     """Add or remove one engine<->port link (spatial-memory exploration)."""
     engines = adg.engines
     if not engines:
@@ -146,20 +139,19 @@ def toggle_memory_link(adg: ADG, rng: random.Random) -> str:
         port = rng.choice(adg.in_ports)
         if adg.has_link(engine.node_id, port.node_id):
             adg.remove_link(engine.node_id, port.node_id)
-            return "unlink_engine_port"
-        adg.add_link(engine.node_id, port.node_id)
-        return "link_engine_port"
+        else:
+            adg.add_link(engine.node_id, port.node_id)
+        return
     if not adg.out_ports:
         raise TransformFailed("no out ports")
     port = rng.choice(adg.out_ports)
     if adg.has_link(port.node_id, engine.node_id):
         adg.remove_link(port.node_id, engine.node_id)
-        return "unlink_port_engine"
-    adg.add_link(port.node_id, engine.node_id)
-    return "link_port_engine"
+    else:
+        adg.add_link(port.node_id, engine.node_id)
 
 
-def add_cap(adg: ADG, rng: random.Random) -> str:
+def add_cap(adg: ADG, rng: random.Random) -> None:
     pes = adg.pes
     if not pes:
         raise TransformFailed("no PEs")
@@ -169,40 +161,36 @@ def add_cap(adg: ADG, rng: random.Random) -> str:
     if cap in pe.caps:
         raise TransformFailed("cap already present")
     adg.replace_node(pe.node_id, caps=pe.caps | {cap})
-    return f"add_cap({cap.name})"
 
 
-def remove_cap(adg: ADG, rng: random.Random) -> str:
+def remove_cap(adg: ADG, rng: random.Random) -> None:
     pes = [p for p in adg.pes if len(p.caps) > 1]
     if not pes:
         raise TransformFailed("no prunable PEs")
     pe = rng.choice(pes)
     cap = rng.choice(sorted(pe.caps, key=lambda c: c.name))
     adg.replace_node(pe.node_id, caps=pe.caps - {cap})
-    return f"remove_cap({cap.name})"
 
 
-def resize_pe_width(adg: ADG, rng: random.Random) -> str:
+def resize_pe_width(adg: ADG, rng: random.Random) -> None:
     pes = adg.pes
     if not pes:
         raise TransformFailed("no PEs")
     pe = rng.choice(pes)
     width = rng.choice([w for w in PE_WIDTHS if w != pe.width_bits])
     adg.replace_node(pe.node_id, width_bits=width)
-    return f"pe_width({width})"
 
 
-def resize_port(adg: ADG, rng: random.Random) -> str:
+def resize_port(adg: ADG, rng: random.Random) -> None:
     ports = adg.in_ports + adg.out_ports
     if not ports:
         raise TransformFailed("no ports")
     port = rng.choice(ports)
     width = rng.choice([w for w in PORT_WIDTHS if w != port.width_bytes])
     adg.replace_node(port.node_id, width_bytes=width)
-    return f"port_width({width})"
 
 
-def add_port(adg: ADG, rng: random.Random) -> str:
+def add_port(adg: ADG, rng: random.Random) -> None:
     switches = adg.switches
     engines = adg.engines
     if not switches or not engines:
@@ -215,24 +203,22 @@ def add_port(adg: ADG, rng: random.Random) -> str:
         adg.add_link(port, rng.choice(switches).node_id)
         for engine in engines:
             adg.add_link(engine.node_id, port)
-        return f"add_in_port({width})"
+        return
     port = adg.add_out_port(width_bytes=width)
     adg.add_link(rng.choice(switches).node_id, port)
     for engine in engines:
         adg.add_link(port, engine.node_id)
-    return f"add_out_port({width})"
 
 
-def remove_port(adg: ADG, rng: random.Random) -> str:
+def remove_port(adg: ADG, rng: random.Random) -> None:
     ports = adg.in_ports + adg.out_ports
     if len(adg.in_ports) <= 1 or len(adg.out_ports) <= 1:
         raise TransformFailed("too few ports")
     port = rng.choice(ports)
     adg.remove_node(port.node_id)
-    return "remove_port"
 
 
-def mutate_spad(adg: ADG, rng: random.Random) -> str:
+def mutate_spad(adg: ADG, rng: random.Random) -> None:
     """Add, remove, or resize a scratchpad (capacity/bandwidth/indirect)."""
     spads = adg.spads
     roll = rng.random()
@@ -249,26 +235,25 @@ def mutate_spad(adg: ADG, rng: random.Random) -> str:
             adg.add_link(spad, port.node_id)
         for port in adg.out_ports:
             adg.add_link(port.node_id, spad)
-        return f"add_spad({capacity})"
+        return
     spad = rng.choice(spads)
     if roll < 0.4:
         adg.remove_node(spad.node_id)
-        return "remove_spad"
+        return
     if roll < 0.6:
         capacity = rng.choice(SPAD_CAPACITIES)
         adg.replace_node(spad.node_id, capacity_bytes=capacity)
-        return f"spad_capacity({capacity})"
+        return
     if roll < 0.8:
         bw = rng.choice(BANDWIDTHS)
         adg.replace_node(
             spad.node_id, read_bandwidth=bw, write_bandwidth=bw
         )
-        return f"spad_bw({bw})"
+        return
     adg.replace_node(spad.node_id, indirect=not spad.indirect)
-    return "spad_indirect_toggle"
 
 
-def mutate_engine_bandwidth(adg: ADG, rng: random.Random) -> str:
+def mutate_engine_bandwidth(adg: ADG, rng: random.Random) -> None:
     dmas = adg.dmas
     recs = adg.of_kind(NodeKind.RECURRENCE)
     choices = []
@@ -283,15 +268,14 @@ def mutate_engine_bandwidth(adg: ADG, rng: random.Random) -> str:
         dma = rng.choice(dmas)
         bw = rng.choice([b for b in BANDWIDTHS if b != dma.bandwidth_bytes])
         adg.replace_node(dma.node_id, bandwidth_bytes=bw)
-        return f"dma_bw({bw})"
+        return
     rec = rng.choice(recs)
     if rng.random() < 0.5:
         bw = rng.choice([b for b in BANDWIDTHS if b != rec.bandwidth_bytes])
         adg.replace_node(rec.node_id, bandwidth_bytes=bw)
-        return f"rec_bw({bw})"
+        return
     buf = rng.choice((256, 512, 1024, 2048, 4096, 8192))
     adg.replace_node(rec.node_id, buffer_bytes=buf)
-    return f"rec_buffer({buf})"
 
 
 RANDOM_TRANSFORMS = (
@@ -466,17 +450,17 @@ def collapse_random_switch(
     adg: ADG,
     schedules: Sequence[Schedule],
     rng: random.Random,
-) -> Optional[str]:
-    """Try collapsing one randomly chosen switch; None if nothing worked."""
+) -> bool:
+    """Try collapsing one randomly chosen switch; False if nothing worked."""
     switches = adg.switches
     if len(switches) <= max(2, int(0.8 * len(adg.pes))):
-        return None
+        return False
     rng.shuffle(switches)
     for sw in switches[: min(6, len(switches))]:
         if collapse_switch(adg, sw.node_id, schedules):
             preserve_edge_delays(adg, schedules)
-            return f"collapse_switch({sw.node_id})"
-    return None
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------

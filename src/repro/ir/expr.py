@@ -62,12 +62,6 @@ class Affine(IndexExpr):
         """Return this expression with ``delta`` added to the constant."""
         return Affine(self.coeffs, self.const + delta)
 
-    def substitute(self, var: str, value: int) -> "Affine":
-        """Fix ``var`` to a constant ``value`` and fold it into the offset."""
-        coeffs = self.coeff_map
-        c = coeffs.pop(var, 0)
-        return Affine.of(coeffs, self.const + c * value)
-
     def evaluate(self, env: Mapping[str, int]) -> int:
         """Evaluate under a full assignment of loop variables."""
         return self.const + sum(c * env[v] for v, c in self.coeffs)

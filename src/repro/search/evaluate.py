@@ -27,12 +27,12 @@ from .strategy import Proposal
 
 class StudyInputs(NamedTuple):
     """What every genome / params evaluation of one study shares; it
-    depends only on the workloads and the seed width, so ``run_search``
-    builds it once per study and every shard carries the value (a pool
-    pickles it along).  ``seed`` is never mutated: each proposal edits a
-    clone.  ``estimator`` and ``objectives`` are the study's system-sweep
-    memos, as an ``Explorer`` run owns its own: serial shards share them,
-    a pool worker fills its pickled copy (hits are exact either way)."""
+    depends only on the workloads, so ``run_search`` builds it once per
+    study and every shard carries the value (a pool pickles it along).
+    ``seed`` is never mutated: each proposal edits a clone.
+    ``estimator`` and ``objectives`` are the study's system-sweep memos,
+    as an ``Explorer`` run owns its own: serial shards share them, a pool
+    worker fills its pickled copy (hits are exact either way)."""
 
     variant_sets: Tuple[VariantSet, ...]
     seed: ADG
@@ -43,7 +43,6 @@ class StudyInputs(NamedTuple):
 def study_inputs(
     proposals: Iterable[Proposal],
     workloads: Sequence[Workload],
-    width_bits: int,
 ) -> Optional[StudyInputs]:
     """The inputs ``proposals`` need: None when every one is an annealer
     candidate, which arrives already scheduled."""
@@ -52,7 +51,7 @@ def study_inputs(
     variant_sets = tuple(generate_variants(w) for w in workloads)
     return StudyInputs(
         variant_sets,
-        seed_for_workloads(workloads, width_bits),
+        seed_for_workloads(workloads),
         AnalyticEstimator(),
         {},
     )
@@ -96,11 +95,7 @@ def evaluate_shard(shard: EvalShard) -> List[EvalOut]:
     """
     inputs = shard.inputs
     if inputs is None:
-        inputs = study_inputs(
-            (p for _index, p in shard.items),
-            shard.workloads,
-            shard.config.seed_width_bits,
-        )
+        inputs = study_inputs((p for _index, p in shard.items), shard.workloads)
     return [
         evaluate_proposal(index, proposal, shard, inputs)
         for index, proposal in shard.items

@@ -146,9 +146,7 @@ def run_search(
             if not proposals:
                 break
             if inputs is None:
-                inputs = study_inputs(
-                    proposals, ctx.workloads, ctx.config.seed_width_bits
-                )
+                inputs = study_inputs(proposals, ctx.workloads)
             evals = _evaluate(
                 proposals,
                 ctx,

@@ -208,14 +208,6 @@ class TestVariants:
         rates = [m.insts_per_cycle for m in vs.variants]
         assert rates == sorted(rates, reverse=True)
 
-    def test_relaxation_walk(self):
-        vs = generate_variants(get_workload("mm"))
-        relaxed = vs.relaxations_of(vs.best)
-        assert len(relaxed) == len(vs.variants) - 1
-        assert all(
-            m.insts_per_cycle <= vs.best.insts_per_cycle for m in relaxed
-        )
-
     def test_unroll_candidates_are_powers_of_two(self):
         for w in all_workloads():
             for u in unroll_candidates(w):

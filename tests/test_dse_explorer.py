@@ -167,7 +167,7 @@ class TestExplorer:
         ex.begin()
         ex.iteration = 1
         monkeypatch.setattr(
-            mod, "collapse_random_switch", lambda *a, **k: None
+            mod, "collapse_random_switch", lambda *a, **k: False
         )
         return ex
 
@@ -296,7 +296,7 @@ class TestNoopEdit:
         cfg = DseConfig(seed=3, preserving_prob=1.0, **config)
         ex = mod.Explorer([get_workload("vecmax")], cfg)
         monkeypatch.setattr(
-            mod, "collapse_random_switch", lambda *a, **k: "no-op"
+            mod, "collapse_random_switch", lambda *a, **k: True
         )
         ladder, sweeps = [], []
         repair, sweep = mod.repair_schedule, mod.system_dse
@@ -400,11 +400,11 @@ class TestNoopEdit:
                     return self.spad
                 return self.spad.capacity_bytes
 
-        monkeypatch.setattr(
-            mod,
-            "apply_random_transform",
-            lambda adg, rng: mutate_spad(adg, ResizeToCurrent()),
-        )
+        def resize_to_current(adg, rng):
+            mutate_spad(adg, ResizeToCurrent())
+            return "mutate_spad"
+
+        monkeypatch.setattr(mod, "apply_random_transform", resize_to_current)
         cfg = DseConfig(seed=3, iterations=12, preserving_prob=0.0)
         ex = mod.Explorer([get_workload("vecmax")], cfg)
         ex.begin()

@@ -39,8 +39,8 @@ class TestRandomTransforms:
         adg = overlay.adg.clone()
         before = adg.version
         rng = random.Random(0)
-        desc = apply_random_transform(adg, rng)
-        assert isinstance(desc, str)
+        name = apply_random_transform(adg, rng)
+        assert name in {op.__name__ for op in RANDOM_TRANSFORMS}
         assert adg.version > before
 
     def test_transforms_keep_adg_valid(self, overlay):
@@ -130,13 +130,13 @@ class TestCollapseSwitch:
 
         adg = mesh_adg(2, 2, caps=caps_for_dtype(I16, (Op.ADD, Op.MAX)))
         # switches (9) > 0.8 * PEs (4): allowed; after enough collapses the
-        # helper starts returning None.
+        # helper starts returning False.
         mdfg = lower(get_workload("vecmax"), unroll=1)
         schedule = schedule_mdfg(mdfg, adg)
         assert schedule is not None
         rng = random.Random(4)
         for _ in range(30):
-            if collapse_random_switch(adg, [schedule], rng) is None:
+            if not collapse_random_switch(adg, [schedule], rng):
                 break
         assert len(adg.switches) >= max(2, int(0.8 * len(adg.pes)))
 

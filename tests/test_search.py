@@ -250,7 +250,7 @@ def test_study_lowers_once(strategy, monkeypatch):
             generate_variants(w)
     lowers = Counter(s.name for s in tracer.spans())["compiler.lower"]
     once = lowers + len(workloads)
-    fresh = seed_for_workloads(workloads, CFG.seed_width_bits)
+    fresh = seed_for_workloads(workloads)
 
     meshes, studied = [], []
     mesh_adg, study_inputs = builders.mesh_adg, runner.study_inputs
@@ -295,13 +295,13 @@ def test_proposal_on_a_seed_clone_equals_a_fresh_seed(strategy):
 
     workloads = [get_workload("vecmax"), get_workload("fir")]
     ctx = SearchContext(workloads=workloads, config=CFG, seed=2, name="t")
-    seed = seed_for_workloads(workloads, CFG.seed_width_bits)
+    seed = seed_for_workloads(workloads)
     search = make_strategy(strategy, ctx)
     # bottleneck's first ask is the bare seed; its second extends it.
     proposals = search.ask(2) + search.ask(2)
     edited = 0
     for proposal in proposals:
-        fresh = seed_for_workloads(workloads, CFG.seed_width_bits)
+        fresh = seed_for_workloads(workloads)
         designs = []
         for adg in (seed.clone(), fresh):
             if proposal.kind == "genome":
