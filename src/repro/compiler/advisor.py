@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 from ..adg import ADG, SystemParams
 from ..dfg import MDFG
 from ..ir import Workload
-from ..scheduler import attempt_schedule
+from ..scheduler import ScheduleError, attempt_schedule, bind_engines
 from .variants import VariantSet, generate_variants
 
 #: Recommend re-running the DSE when the best *unmappable* variant promises
@@ -73,19 +73,25 @@ class MappingAdvice:
 def _try_variant(mdfg: MDFG, adg: ADG, params: SystemParams) -> VariantVerdict:
     """Schedule one variant, capturing the precise failure reason.
 
-    Unmappable variants still get a projected IPC via an idealized binding
-    (what they *would* deliver on an overlay generous enough to host them);
-    the gap between that and the best mapped variant is the re-DSE signal.
+    An unmappable variant still gets a projected IPC: priced on the engines
+    :func:`bind_engines` gives it when they exist (no port, placement or
+    route yet), else its binding-free :func:`ipc_ceiling` — what it would
+    deliver on an overlay generous enough to host it.  The gap between
+    that and the best mapped variant is the re-DSE signal.
     """
-    from ..model.perf import estimate_ipc, preferred_binding
+    from ..model.perf import MemoryBinding, estimate_ipc, ipc_ceiling
 
     attempt = attempt_schedule(mdfg, adg, params)
     if not attempt.ok:
-        ideal = estimate_ipc(mdfg, preferred_binding(mdfg, adg), adg, params)
+        try:
+            binding = MemoryBinding(bind_engines(mdfg, adg))
+            ideal = estimate_ipc(mdfg, binding, adg, params).ipc
+        except ScheduleError:
+            ideal = ipc_ceiling(mdfg, params)
         return VariantVerdict(
             variant=mdfg.variant,
             mapped=False,
-            projected_ipc=ideal.ipc,
+            projected_ipc=ideal,
             failure_reason=attempt.failure.reason,
             insts_per_cycle=mdfg.insts_per_cycle,
         )

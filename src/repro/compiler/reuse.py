@@ -189,9 +189,6 @@ class WorkloadReuse:
     def for_array(self, array: str) -> List[AccessInfo]:
         return [a for a in self.accesses if a.array == array]
 
-    def array_traffic(self, array: str) -> int:
-        return sum(a.traffic for a in self.for_array(array))
-
     def recurrence_for(self, array: str) -> Optional[RecurrenceInfo]:
         for rec in self.recurrences:
             if rec.array == array:

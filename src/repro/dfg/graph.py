@@ -190,10 +190,6 @@ class MDFG:
     def arrays(self) -> List[ArrayNode]:
         return self._of_type(ArrayNode)
 
-    @property
-    def memory_streams(self) -> List[StreamNode]:
-        return [s for s in self.streams if s.is_memory]
-
     def fabric_edges(self) -> List[DfgEdge]:
         """Edges routed over the compute fabric (port/compute endpoints)."""
         fabric_types = (ComputeNode, InputPortNode, OutputPortNode)

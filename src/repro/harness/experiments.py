@@ -29,7 +29,6 @@ from ..hls import (
     kernel_info,
     run_autodse,
 )
-from ..ir import Workload
 from ..model.resource import (
     CATEGORIES,
     AnalyticEstimator,
@@ -37,7 +36,7 @@ from ..model.resource import (
     usable_budget,
 )
 from ..rtl import estimated_frequency, floorplan
-from ..scheduler import Schedule, schedule_workload
+from ..scheduler import Schedule, engine_violations, schedule_workload
 from ..sim import EngineSim, PortFifo, SimResult, StreamState
 from ..sim import reconfiguration_cycles, simulate_schedule
 from ..sim.multiplex import FPGA_REFLASH_SECONDS
@@ -444,13 +443,16 @@ class Fig18Row:
 FIG18_ORDER = ("stencil-2d", "gemm", "stencil-3d", "ellpack", "crs")
 
 
+def fig18_run(count: int) -> DseResult:
+    """Fig. 18's DSE over the first ``count`` workloads of its order."""
+    names = FIG18_ORDER[:count]
+    return _engine_explore([get_workload(n) for n in names], "+".join(names))
+
+
 def fig18_incremental() -> List[Fig18Row]:
     rows = []
-    current: List[Workload] = []
-    for name in FIG18_ORDER:
-        current.append(get_workload(name))
-        names = tuple(w.name for w in current)
-        res = _engine_explore(list(current), "+".join(names))
+    for count, name in enumerate(FIG18_ORDER, 1):
+        res = fig18_run(count)
         est = AnalyticEstimator()
         tile_breakdown = est.tile_breakdown(res.sysadg.adg)
         tile_lut = sum(r.lut for r in tile_breakdown.values())
@@ -460,7 +462,7 @@ def fig18_incremental() -> List[Fig18Row]:
         rows.append(
             Fig18Row(
                 added=f"+{name}",
-                num_workloads=len(current),
+                num_workloads=count,
                 tiles=res.sysadg.params.num_tiles,
                 lut_per_tile_fraction=tile_lut / XCVU9P.lut,
                 datapath_fraction=datapath / XCVU9P.lut,
@@ -474,12 +476,8 @@ def fig18_generality_cost() -> float:
     """Performance retained by the first workload once all five share the
     overlay (``fig18.retained`` in :mod:`.paper`)."""
     first_name = FIG18_ORDER[0]
-    first = _engine_explore([get_workload(first_name)], first_name)
-    final = _engine_explore(
-        [get_workload(n) for n in FIG18_ORDER], "+".join(FIG18_ORDER)
-    )
-    alone = first.choice.estimates[first_name].ipc
-    shared = final.choice.estimates[first_name].ipc
+    alone = fig18_run(1).choice.estimates[first_name].ipc
+    shared = fig18_run(len(FIG18_ORDER)).choice.estimates[first_name].ipc
     return shared / alone
 
 
@@ -616,6 +614,41 @@ def dse_anatomy() -> Tuple[List[AnatomyRow], Dict[str, Counter]]:
             moves.setdefault(move, Counter()).update(counts)
     ranked = sorted(moves.items(), key=lambda kv: (-kv[1]["proposed"], kv[0]))
     return rows, dict(ranked)
+
+
+# ----------------------------------------------------------------------
+# Legality audit: shipped schedules that break the engine contract
+# ----------------------------------------------------------------------
+def shipped_results() -> List[DseResult]:
+    """Every DSE result the report ships: the suite and per-workload
+    overlays, machsuite's leave-one-out overlays, Fig. 18's and Fig. 20's
+    runs."""
+    return (
+        [suite_overlay(s) for s in PAPER_SUITE_NAMES]
+        + [workload_overlay(w.name) for w in paper_workloads()]
+        + [leave_one_out_overlay("machsuite", w.name)
+           for w in get_suite("machsuite")]
+        + [fig18_run(count) for count in range(1, len(FIG18_ORDER) + 1)]
+        + [fig20_run(s, p) for s in PAPER_SUITE_NAMES for p in (True, False)]
+    )
+
+
+AuditRow = namedtuple("AuditRow", "run workload variant findings")
+
+
+def legality_audit() -> Tuple[List[AuditRow], int, int]:
+    """Each shipped schedule with an :func:`~repro.scheduler.engine_violations`
+    finding on the overlay it ships with, then how many results and
+    schedules were audited."""
+    results = shipped_results()
+    rows = []
+    for res in results:
+        for workload, schedule in res.schedules.items():
+            found = tuple(engine_violations(schedule, res.sysadg.adg))
+            if found:
+                rows.append(AuditRow(
+                    res.sysadg.name, workload, schedule.mdfg.variant, found))
+    return rows, len(results), sum(len(res.schedules) for res in results)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ tables did not move.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 from ..dse.explorer import MOVE_OUTCOMES
 from ..model.resource import MlEstimator, TABLE1_COUNTS
@@ -26,8 +27,8 @@ from .tables import geomean, render_table
 def _fig13_section() -> str:
     rows = ex.fig13_overall()
     means = ex.fig13_geomeans(rows)
-    lines = ["## Fig. 13 — Overall performance vs AutoDSE", ""]
-    lines.append(
+    return "\n\n".join([
+        "## Fig. 13 — Overall performance vs AutoDSE",
         render_table(
             ["suite", "suite-OG vs untuned AD (paper)", "(measured)",
              "suite-OG vs tuned AD (paper)", "(measured)"],
@@ -40,10 +41,7 @@ def _fig13_section() -> str:
                 )
                 for s in PAPER_SUITE_NAMES
             ],
-        )
-    )
-    lines.append("")
-    lines.append(
+        ),
         render_table(
             ["workload", "suite", "tuned-AD", "general-OG", "suite-OG",
              "w/l-OG"],
@@ -54,41 +52,33 @@ def _fig13_section() -> str:
                 for r in rows
             ],
             title="Per-workload speedup over untuned AutoDSE:",
-        )
-    )
-    return "\n".join(lines)
+        ),
+    ])
 
 
 def _fig14_section() -> str:
     rows = ex.fig14_tuning()
-    lines = ["## Fig. 14 — Effect of kernel tuning", ""]
-    lines.append(
+    return "\n\n".join([
+        "## Fig. 14 — Effect of kernel tuning",
         "Paper: HLS gains far more from manual tuning than OverGen "
         "(OverGen's ISA handles variable trips / strided access natively). "
         f"Measured tuned-AD geomean gain: "
-        f"{geomean([r.ad_tuned for r in rows]):.2f}x."
-    )
-    lines.append("")
-    lines.append(
+        f"{geomean([r.ad_tuned for r in rows]):.2f}x.",
         render_table(
             ["workload", "AD tuned gain", "w/l-OG vs untuned AD"],
             [(r.workload, f"{r.ad_tuned:.2f}x", f"{r.wl_og:.2f}x") for r in rows],
-        )
-    )
-    lines.append("")
-    lines.append(
+        ),
         "*Substitution*: the paper also hand-tunes 4 OverGen kernels "
         "(fft/gemm/stencil-2d/blur); our compiler applies its "
         "transformations automatically, so only the AutoDSE tuning axis "
-        "is swept."
-    )
-    return "\n".join(lines)
+        "is swept.",
+    ])
 
 
 def _fig15_section() -> str:
     summary = ex.fig15_summary()
-    lines = ["## Fig. 15 — DSE & synthesis time", ""]
-    lines.append(
+    return "\n\n".join([
+        "## Fig. 15 — DSE & synthesis time",
         render_table(
             ["suite", "AutoDSE total (paper)", "AutoDSE (ours, modeled)",
              "OverGen suite DSE (ours, modeled)"],
@@ -98,38 +88,36 @@ def _fig15_section() -> str:
                  f"{summary[f'{s}_overgen_h']:.1f}h")
                 for s in PAPER_SUITE_NAMES
             ],
-        )
-    )
-    lines.append("")
-    lines.append(
+        ),
         "OverGen/AutoDSE time fraction: paper "
         f"{claim('fig15.fraction').shown}, measured "
         f"{summary['fraction']:.0%} (toolchain costs are modeled constants; "
-        "see `TimeModel`)."
-    )
-    return "\n".join(lines)
+        "see `TimeModel`).",
+    ])
 
 
 def _fig16_section() -> str:
     overlays = ex.fig16_overlays()
     ad = ex.fig16_autodse()
-    lines = ["## Fig. 16 — FPGA resource breakdown", ""]
     lut_values = [r.lut for r in overlays]
-    lines.append(
+    return "\n\n".join([
+        "## Fig. 16 — FPGA resource breakdown",
         f"Overlay LUT occupation: paper {claim('fig16.overlay_lut').shown}; "
         "measured "
         f"{min(lut_values):.0%}-{max(lut_values):.0%} "
         "(LUTs are the limiting resource in every design). AutoDSE designs "
-        f"use {min(r.lut for r in ad):.0%}-{max(r.lut for r in ad):.0%}."
-    )
-    return "\n".join(lines)
+        f"use {min(r.lut for r in ad):.0%}-{max(r.lut for r in ad):.0%}.",
+    ])
 
 
 def _fig17_section() -> str:
     rows = ex.fig17_leave_one_out()
     mapped = [r for r in rows if r.mapped]
-    lines = ["## Fig. 17 — Leave-one-out flexibility (MachSuite)", ""]
-    lines.append(
+    maps, loss, compile_x, reconfig_x = (
+        claim(f"fig17.{key}").shown for key in (
+            "mapped", "degradation", "compile_speedup", "reconfig_speedup"))
+    return "\n\n".join([
+        "## Fig. 17 — Leave-one-out flexibility (MachSuite)",
         render_table(
             ["left-out", "maps?", "rel perf", "compile speedup",
              "reconfig speedup"],
@@ -140,23 +128,16 @@ def _fig17_section() -> str:
                  f"{r.reconfig_speedup:,.0f}x" if r.mapped else "-")
                 for r in rows
             ],
-        )
-    )
-    lines.append("")
-    maps, loss, compile_x, reconfig_x = (
-        claim(f"fig17.{key}").shown for key in (
-            "mapped", "degradation", "compile_speedup", "reconfig_speedup"))
-    lines.append(
+        ),
         f"Paper: {maps}, mean ~{loss} degradation, {compile_x} compile, "
-        f"{reconfig_x} reconfig. Measured: {len(mapped)}/5 map."
-    )
-    return "\n".join(lines)
+        f"{reconfig_x} reconfig. Measured: {len(mapped)}/5 map.",
+    ])
 
 
 def _fig18_section() -> str:
     rows = ex.fig18_incremental()
-    lines = ["## Fig. 18 — Incremental design optimization", ""]
-    lines.append(
+    return "\n\n".join([
+        "## Fig. 18 — Incremental design optimization",
         render_table(
             ["added", "tiles", "LUT/tile", "datapath LUT/tile"],
             [
@@ -164,18 +145,14 @@ def _fig18_section() -> str:
                  f"{r.datapath_fraction:.1%}")
                 for r in rows
             ],
-        )
-    )
-    lines.append("")
-    lines.append(
+        ),
         f"Paper: tiles fall {claim('fig18.tiles_first').shown} -> "
         f"{claim('fig18.tiles_last').shown} while the per-tile datapath "
         f"grows; measured: {rows[0].tiles} -> {rows[-1].tiles} with "
         f"per-tile LUT "
         f"{rows[0].lut_per_tile_fraction:.1%} -> "
-        f"{rows[-1].lut_per_tile_fraction:.1%}."
-    )
-    return "\n".join(lines)
+        f"{rows[-1].lut_per_tile_fraction:.1%}.",
+    ])
 
 
 def _fig19_section() -> str:
@@ -185,22 +162,22 @@ def _fig19_section() -> str:
     og_gain, ad_gain = (
         claim(f"fig19.{key}").value - 1 for key in ("og_gain", "ad_gain")
     )
-    lines = ["## Fig. 19 — DRAM channel scaling", ""]
-    lines.append(
+    gainers = [r.workload for r in rows if r.og_speedup[4] > 1.1]
+    return (
+        "## Fig. 19 — DRAM channel scaling\n\n"
         f"Geomean 4-channel speedup across all 19 kernels: OverGen "
         f"{og4:.2f}x, AutoDSE {ad4:.2f}x (paper: benefits concentrate in "
         f"memory-intensive kernels, mean ~{og_gain * 100:.0f}-{ad_gain:.0%} "
-        "on the benefiting sets)."
+        "on the benefiting sets).\n"
+        f"OverGen kernels gaining >10%: {', '.join(gainers)}."
     )
-    gainers = [r.workload for r in rows if r.og_speedup[4] > 1.1]
-    lines.append(f"OverGen kernels gaining >10%: {', '.join(gainers)}.")
-    return "\n".join(lines)
 
 
 def _fig20_section() -> str:
     results = [ex.fig20_schedule_preserving(s) for s in PAPER_SUITE_NAMES]
-    lines = ["## Fig. 20 — Schedule-preserving transformations", ""]
-    lines.append(
+    mean_ratio = geomean([r.ipc_improvement for r in results])
+    return "\n\n".join([
+        "## Fig. 20 — Schedule-preserving transformations",
         render_table(
             ["suite", "est IPC ratio (preserved/non)", "DSE-time reduction"],
             [
@@ -208,18 +185,12 @@ def _fig20_section() -> str:
                  f"{r.time_reduction:+.0%}")
                 for r in results
             ],
-        )
-    )
-    mean_ratio = geomean([r.ipc_improvement for r in results])
-    lines.append("")
-    lines.append(
+        ),
         f"Paper: {claim('fig20.ipc_ratio').shown} estimated IPC, "
         f"~{claim('fig20.time_reduction').shown} DSE-time reduction; measured "
-        f"geomean IPC ratio {mean_ratio:.2f}x."
-    )
-    for line in _wall_clock_lines():
-        lines += ["", line]
-    return "\n".join(lines)
+        f"geomean IPC ratio {mean_ratio:.2f}x.",
+        *_wall_clock_lines(),
+    ])
 
 
 def _pareto_section(trials: int = 24, seed: int = 3) -> str:
@@ -246,35 +217,28 @@ def _pareto_section(trials: int = 24, seed: int = 3) -> str:
     study = outcome.study
     axes = (Axis("objective", "max"), Axis("lut", "min"))
     doc = frontier_doc(study, axes=axes)
-    lines = ["## Pareto study — performance vs LUT (Figs. 14-16 jointly)", ""]
-    lines.append(
+    return "\n\n".join([
+        "## Pareto study — performance vs LUT (Figs. 14-16 jointly)",
         f"`repro dse {','.join(names)} --strategy tpe --trials {trials} "
         f"--batch 4 -s {seed} --pareto`: one TPE study over a "
         f"three-kernel mix, {len(study.trials)} trials "
         f"({len(study.feasible_trials())} feasible), axes "
         f"{' / '.join(doc['axes'])}, hypervolume "
-        f"{doc['hypervolume']:,.0f}."
-    )
-    lines.append("")
-    lines.append(
+        f"{doc['hypervolume']:,.0f}.",
         render_table(
             ["frontier trial", "objective", "LUT"],
             [
                 (p["trial"], f"{p['objective']:.2f}", f"{p['lut']:,.0f}")
                 for p in doc["points"]
             ],
-        )
-    )
-    lines.append("")
-    lines.append(
+        ),
         "Figs. 14-16 show performance, DSE time, and resource occupation "
         "as separate per-suite bars; the frontier collapses them into one "
         "answer per LUT budget (\"the best overlay that fits\").  The "
         "study is persistent and content-addressed: rerunning the same "
         "command resumes from the engine store, and the exported frontier "
-        "JSON is byte-identical for any `--workers` value."
-    )
-    return "\n".join(lines)
+        "JSON is byte-identical for any `--workers` value.",
+    ])
 
 
 #: The benchmark's committed traced run, written by ``python3
@@ -352,30 +316,26 @@ def _wall_clock_lines() -> list:
 def _fig11_12_section() -> str:
     plan = floorplan(ex.general_sysadg())
     freq = estimated_frequency(plan)
-    lines = ["## Fig. 11 — Stream-table one-hot bypass", ""]
-    lines.append(
+    return "\n\n".join([
+        "## Fig. 11 — Stream-table one-hot bypass",
         f"Single-stream issue rate: {ex.fig11_issue_rate(False):.2f}/cycle "
         f"without the bypass, {ex.fig11_issue_rate(True):.2f}/cycle with it "
         f"(paper: {claim('fig11.no_bypass').shown} -> "
-        f"{claim('fig11.bypass').shown})."
-    )
-    lines.append("")
-    lines.append("## Fig. 12 — Quad-tile floorplan")
-    lines.append("")
-    lines.append("```")
-    lines.append(plan.ascii_art())
-    lines.append("```")
-    lines.append(
+        f"{claim('fig11.bypass').shown}).",
+        "## Fig. 12 — Quad-tile floorplan",
+        f"```\n{plan.ascii_art()}\n```\n"
         f"Estimated clock {freq:.1f} MHz (paper: "
-        f"{claim('fig12.clock_mhz').shown}, critical path in L2 MSHR logic)."
-    )
-    return "\n".join(lines)
+        f"{claim('fig12.clock_mhz').shown}, critical path in L2 MSHR logic).",
+    ])
 
 
 def _tables_section() -> str:
-    lines = ["## Table I — ML resource-model dataset", ""]
     est = MlEstimator(dataset_scale=0.05)
-    lines.append(
+    rows = ex.table2_workload_specs()
+    t3 = ex.table3_suite_overlays(ml=est)
+    t4 = ex.table4_hls_ii()
+    return "\n\n".join([
+        "## Table I — ML resource-model dataset",
         render_table(
             ["family", "paper #synth", "LUT err", "FF err"],
             [
@@ -384,13 +344,8 @@ def _tables_section() -> str:
                  f"{est.training_error[fam]['ff']:.1%}")
                 for fam in TABLE1_COUNTS
             ],
-        )
-    )
-    lines.append("")
-    lines.append("## Table II — Workload specifications")
-    lines.append("")
-    rows = ex.table2_workload_specs()
-    lines.append(
+        ),
+        "## Table II — Workload specifications",
         render_table(
             ["workload", "size", "type", "#ivp", "#ovp", "#arr", "#m,a,d"],
             [
@@ -398,13 +353,8 @@ def _tables_section() -> str:
                  r["arr"], f"{r['mul']},{r['add']},{r['div']}")
                 for r in rows
             ],
-        )
-    )
-    lines.append("")
-    lines.append("## Table III — Suite overlay specifications")
-    lines.append("")
-    t3 = ex.table3_suite_overlays(ml=est)
-    lines.append(
+        ),
+        "## Table III — Suite overlay specifications",
         render_table(
             ["overlay", "tiles", "L2 banks", "NoC B", "PEs", "SWs",
              "int +/x/div", "flt +/x/div/sqrt", "spad KiB", "in B", "out B"],
@@ -414,12 +364,8 @@ def _tables_section() -> str:
                  r["spad_kib"], r["in_port_bytes"], r["out_port_bytes"])
                 for r in t3
             ],
-        )
-    )
-    lines.append("")
-    lines.append("## Table III overlays — analytic → ML resource model")
-    lines.append("")
-    lines.append(
+        ),
+        "## Table III overlays — analytic → ML resource model",
         render_table(
             ["overlay", "LUT / tile", "system LUT util", "tiles that fit"],
             [
@@ -428,32 +374,25 @@ def _tables_section() -> str:
                  "{} → {}".format(*r["tiles_fit"]))
                 for r in t3 if "tiles_fit" in r
             ],
-        )
-    )
-    lines.append("")
-    lines.append("## Table IV — HLS initiation intervals")
-    lines.append("")
-    t4 = ex.table4_hls_ii()
-    lines.append(
+        ),
+        "## Table IV — HLS initiation intervals",
         render_table(
             ["workload", "cause", "untuned II", "tuned II"],
             [
                 (r["workload"], r["cause"], r["untuned_ii"], r["tuned_ii"])
                 for r in t4
             ],
-        )
-    )
-    lines.append("")
-    lines.append("(Table IV values are the paper's measured IIs, encoded as "
-                 "model inputs — reproduced exactly by construction.)")
-    return "\n".join(lines)
+        ),
+        "(Table IV values are the paper's measured IIs, encoded as "
+        "model inputs — reproduced exactly by construction.)",
+    ])
 
 
 def _engine_section() -> str:
     """DSE-engine accounting for the run that produced this report."""
     s = ex.ENGINE.stats
-    lines = ["## DSE engine — cache & run metrics", ""]
-    lines.append(
+    blocks = [
+        "## DSE engine — cache & run metrics",
         render_table(
             ["jobs", "cache hits", "misses", "iterations run", "seeds run",
              "crashes", "resumes", "modeled"],
@@ -462,25 +401,21 @@ def _engine_section() -> str:
                 s.seeds_run, s.worker_crashes, s.resumes,
                 f"{s.modeled_seconds / 3600:.1f}h",
             )],
-        )
-    )
+        ),
+    ]
     runs = ex.ENGINE.metrics.of_type("run_end")
     if runs:
-        lines.append("")
-        lines.append(
-            render_table(
-                ["job", "seeds", "iters", "accept", "best seed",
-                 "objective"],
-                [
-                    (r["name"], len(r["seeds"]), r["iterations"],
-                     f"{r['acceptance_rate']:.0%}", r["best_seed"],
-                     f"{r['objective']:.2f}")
-                    for r in runs
-                ],
-                title="Per-job annealing runs (cache misses only):",
-            )
-        )
-    return "\n".join(lines)
+        blocks.append(render_table(
+            ["job", "seeds", "iters", "accept", "best seed", "objective"],
+            [
+                (r["name"], len(r["seeds"]), r["iterations"],
+                 f"{r['acceptance_rate']:.0%}", r["best_seed"],
+                 f"{r['objective']:.2f}")
+                for r in runs
+            ],
+            title="Per-job annealing runs (cache misses only):",
+        ))
+    return "\n\n".join(blocks)
 
 
 def _ledger_section() -> str:
@@ -547,6 +482,35 @@ def _anatomy_section() -> str:
     ])
 
 
+def _audit_section() -> str:
+    """Shipped schedules the engine contract rejects.  Its runs hit the
+    engine's memory tier, so it follows :func:`_engine_section`."""
+    rows, results, schedules = ex.legality_audit()
+    kinds = Counter(f.kind for row in rows for f in row.findings)
+    intro = (
+        f"Every schedule the report's {results} DSE results ship "
+        f"({schedules} in all), checked against its overlay by "
+        "`scheduler.legality.engine_violations`, the binder's own rules: "
+        "scratchpad capacity and recurrence depth (*capacity*), indirect "
+        "support (*indirect*) and the engine's link with its hardware port "
+        f"(*engine_link*).  {len(rows)} schedules break it ("
+        + ", ".join(f"{n} {kind}" for kind, n in sorted(kinds.items()))
+        + " findings).  No fresh schedule of the schedule golden test "
+        "breaks it; these were carried across a DSE edit by "
+        "`repair_schedule`, whose rung 0 reads only `hardware_violations` "
+        "(ROADMAP item 1a), so each number the report takes from one of "
+        "them rests on an illegal schedule."
+    )
+    table = render_table(
+        ["run", "workload", "variant", "findings"],
+        [
+            (r.run, r.workload, r.variant, "; ".join(map(str, r.findings)))
+            for r in rows
+        ],
+    )
+    return "\n\n".join(["## Legality audit — shipped schedules", intro, table])
+
+
 def _mechanism(name: str) -> str:
     where = paper.MECHANISMS.get(name)
     return f"{name} ({where})" if where else name
@@ -579,14 +543,11 @@ def _model_fidelity_section(budget: int = 60, seed: int = 0) -> str:
     from ..validate import fuzz_run
 
     stats = fuzz_run(budget=budget, seed=seed)
-    lines = ["## Model fidelity — differential fuzzing", ""]
-    lines.append(
+    return "\n\n".join([
+        "## Model fidelity — differential fuzzing",
         f"`repro fuzz --budget {budget} --seed {seed}`: "
         + ", ".join(f"{v} {k}" for k, v in sorted(stats.outcomes.items()))
-        + f"; {stats.invariant_violations} invariant violations."
-    )
-    lines.append("")
-    lines.append(
+        + f"; {stats.invariant_violations} invariant violations.",
         render_table(
             ["bottleneck class", "cases", "pass rate", "max rel err",
              "mean rel err"],
@@ -596,16 +557,12 @@ def _model_fidelity_section(budget: int = 60, seed: int = 0) -> str:
                 for name, s in sorted(stats.by_class.items())
             ],
             title="Model-vs-simulator agreement by bottleneck class:",
-        )
-    )
-    lines.append("")
-    lines.append(
+        ),
         "Memory-bound mappings cross bandwidth contention the model only "
         "approximates, so they carry a wider tolerance band. Divergences "
         "outside the band shrink to minimal repros in the corpus (`repro "
-        "validate --corpus DIR` replays them)."
-    )
-    return "\n".join(lines)
+        "validate --corpus DIR` replays them).",
+    ])
 
 
 def _soak_section(budget: int = 48, seed: int = 3, shards: int = 4) -> str:
@@ -630,8 +587,8 @@ def _soak_section(budget: int = 48, seed: int = 3, shards: int = 4) -> str:
         shrink_budget=40,
     )
     report = soak_run(config, workers=1)
-    lines = ["## Soak campaign — sharded differential fuzzing", ""]
-    lines.append(
+    return "\n\n".join([
+        "## Soak campaign — sharded differential fuzzing",
         f"`repro soak --budget {budget} --seed {seed} --shards {shards} "
         f"--rel-tol 0 --abs-floor 0 --shrink-budget {config.shrink_budget}`: "
         f"every model/sim gap is flagged, so "
@@ -639,13 +596,9 @@ def _soak_section(budget: int = 48, seed: int = 3, shards: int = 4) -> str:
         f"{len(report.failures)} unique minimal repros (one per failure "
         f"signature).  The triage report below is byte-identical for any "
         f"`--shards` value, and `--promote` freezes each repro as a "
-        f"pytest-collected regression case (see `tests/regression/`)."
-    )
-    lines.append("")
-    lines.append("```")
-    lines.append(report.render())
-    lines.append("```")
-    return "\n".join(lines)
+        f"pytest-collected regression case (see `tests/regression/`).",
+        f"```\n{report.render()}\n```",
+    ])
 
 
 def _serve_section(requests: int = 128, concurrency: int = 32) -> str:
@@ -768,34 +721,6 @@ def _serve_section(requests: int = 128, concurrency: int = 32) -> str:
         )
 
     cold_computes = cold.server_stats["counters"]["computes"]
-    lines = ["## Overlay-compilation service — load test", ""]
-    lines.append(
-        f"`repro serve` + `repro submit load`: {requests} mixed requests "
-        f"per pass over {concurrency} concurrent connections "
-        f"(ops {'/'.join(ops)} × workloads {'/'.join(workloads)}) against "
-        f"the {suite} suite overlay, served by a 2-process worker pool."
-    )
-    lines.append("")
-    lines.append(
-        render_table(
-            ["pass", "requests", "errors", "compiles",
-             "answered without compiling", "mismatches"],
-            [row("cold", cold, 0), row("warm", warm, cold_computes)],
-        )
-    )
-    lines.append("")
-    unique = len(ops) * len(workloads)
-    lines.append(
-        f"The request mix has only {unique} unique (op, workload) keys, so "
-        "single-flight coalescing plus the in-memory result cache collapse "
-        "every duplicate: the cold pass compiles each key once and the "
-        "warm pass compiles nothing.  The load generator checks every "
-        "response against the single-shot `repro map --json` / `repro "
-        "simulate --json` bytes (the mismatches column).  Request rate and "
-        "latency are measured by the `serve_hot` / `serve_cold` workloads "
-        "of `bench/run.py`, not here."
-    )
-
     def totals(report):
         stats = report.server_stats
         counters = stats.get("aggregate", stats)["counters"]
@@ -824,8 +749,26 @@ def _serve_section(requests: int = 128, concurrency: int = 32) -> str:
                 tier, spec, report.requests, report.errors, computes,
                 preserved, mismatches, " / ".join(map(str, routed)) or "—",
             ))
-    lines.append("")
-    lines.append(
+    unique = len(ops) * len(workloads)
+    return "\n\n".join([
+        "## Overlay-compilation service — load test",
+        f"`repro serve` + `repro submit load`: {requests} mixed requests "
+        f"per pass over {concurrency} concurrent connections "
+        f"(ops {'/'.join(ops)} × workloads {'/'.join(workloads)}) against "
+        f"the {suite} suite overlay, served by a 2-process worker pool.",
+        render_table(
+            ["pass", "requests", "errors", "compiles",
+             "answered without compiling", "mismatches"],
+            [row("cold", cold, 0), row("warm", warm, cold_computes)],
+        ),
+        f"The request mix has only {unique} unique (op, workload) keys, so "
+        "single-flight coalescing plus the in-memory result cache collapse "
+        "every duplicate: the cold pass compiles each key once and the "
+        "warm pass compiles nothing.  The load generator checks every "
+        "response against the single-shot `repro map --json` / `repro "
+        "simulate --json` bytes (the mismatches column).  Request rate and "
+        "latency are measured by the `serve_hot` / `serve_cold` workloads "
+        "of `bench/run.py`, not here.",
         f"The same load generator through the cluster router: a registry "
         f"holds `{specs[0]}` and `{specs[1]}` ({specs[1]} is {specs[0]} "
         "with the clock raised 5 MHz, the param-only bump CI's "
@@ -833,18 +776,12 @@ def _serve_section(requests: int = 128, concurrency: int = 32) -> str:
         f"{requests} requests (ops {'/'.join(cluster_ops)} × the same "
         "workloads), first through one `repro serve`, then through a "
         "`ClusterRouter` in front of two shards; every server here computes "
-        "on one thread worker."
-    )
-    lines.append("")
-    lines.append(
+        "on one thread worker.",
         render_table(
             ["tier", "overlay", "requests", "errors", "compiles",
              "remap preserved", "mismatches", "routed per shard"],
             rows,
-        )
-    )
-    lines.append("")
-    lines.append(
+        ),
         "Mismatches count responses whose bytes differ from the 1-server "
         "pass on the same (op, workload, overlay), or from a duplicate in "
         "the same pass.  A shard compiles only the keys routed to it, so "
@@ -852,16 +789,15 @@ def _serve_section(requests: int = 128, concurrency: int = 32) -> str:
         f"family name, so {specs[1]}'s remaps reach the shard that holds "
         f"{specs[0]}'s schedules and keep them.  Routed counts are the "
         "router's own `stats` (`shards[i].routed`): the router is the one "
-        "place a shard is picked."
-    )
-    return "\n".join(lines)
+        "place a shard is picked.",
+    ])
 
 
 def _families_section() -> str:
     rows = ex.families_end_to_end()
-    lines = [
+    scheduled = sum(1 for r in rows if r["schedules"])
+    return "\n\n".join([
         "## Scenario families — fsm / tdm / irregular",
-        "",
         "Beyond Table II, three workload families exercise overlay shapes "
         "the paper's suites do not: control-dominated predicated kernels "
         "(`fsm`), time-multiplexed DSP chains (`tdm`), and data-dependent "
@@ -869,9 +805,6 @@ def _families_section() -> str:
         "full pipeline on the General overlay (schedule -> simulate); each "
         "family's seed overlay is emitted through both RTL backends and "
         "floorplanned on the XCVU9P.",
-        "",
-    ]
-    lines.append(
         render_table(
             ["workload", "family", "schedules", "IPC (general)",
              "verilog lines", "migen lines", "floorplan", "est. MHz"],
@@ -886,16 +819,11 @@ def _families_section() -> str:
                 )
                 for r in rows
             ],
-        )
-    )
-    scheduled = sum(1 for r in rows if r["schedules"])
-    lines.append("")
-    lines.append(
+        ),
         f"{scheduled}/{len(rows)} family workloads schedule and simulate "
         "on the General overlay; both backends emit every family seed "
-        "overlay and all floorplans fit the device."
-    )
-    return "\n".join(lines)
+        "overlay and all floorplans fit the device.",
+    ])
 
 
 SECTIONS = (
@@ -915,6 +843,7 @@ SECTIONS = (
     _soak_section,
     _engine_section,
     _anatomy_section,
+    _audit_section,
     _ledger_section,
     _serve_section,
 )

@@ -199,9 +199,6 @@ class Workload:
                 counts[op] = counts.get(op, 0) + n
         return counts
 
-    def compute_op_count(self) -> int:
-        return sum(self.op_counts().values())
-
     def memory_op_count(self) -> int:
         """Loads + stores per innermost iteration."""
         loads = sum(len(loads_in(s.expr)) for s in self.statements)

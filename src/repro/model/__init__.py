@@ -4,6 +4,5 @@ from .perf import (
     estimate_cycles,
     estimate_ipc,
     geomean_ipc,
-    preferred_binding,
     stream_demand_bytes,
 )

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..adg import ADG, NodeKind, SpadEngine, SysADG, SystemParams
-from ..dfg import MDFG, ArrayNode, ArrayPlacement, StreamKind, StreamNode
+from ..adg import ADG, NodeKind, SystemParams
+from ..dfg import MDFG, ArrayNode, StreamKind, StreamNode
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class MemoryBinding:
 
     ``stream_engine`` maps stream node-id -> ADG engine node-id; the engine
     kind determines the level (scratchpad vs DMA/L2/DRAM).  Produced by the
-    spatial scheduler; for pre-scheduling estimates use
-    :func:`preferred_binding`.
+    spatial scheduler; before scheduling, wrap the map of
+    :func:`repro.scheduler.bind_engines` (its array entries go unread).
     """
 
     stream_engine: Mapping[int, int]
@@ -77,63 +77,6 @@ def stream_demand_bytes(
         return stream.lanes * stream.dtype.bytes
     held = max(1.0, stream.stationary_reuse / max(1, unroll))
     return stream.lanes * stream.dtype.bytes / held
-
-
-def preferred_binding(mdfg: MDFG, adg: ADG) -> MemoryBinding:
-    """A plausible binding without running the spatial scheduler.
-
-    Arrays preferring scratchpad go to the first scratchpad with space
-    (greedy, highest reuse first); everything else to the first DMA.
-    Recurrence/generate/register streams bind to their engine kind when one
-    exists, else fall back to DMA (the scheduler would relax similarly).
-    """
-    binding: Dict[int, int] = {}
-    spads = list(adg.spads)
-    spad_free = {s.node_id: float(s.capacity_bytes) for s in spads}
-    dmas = adg.dmas
-    dma_id = dmas[0].node_id if dmas else None
-    aux = {
-        StreamKind.RECURRENCE: NodeKind.RECURRENCE,
-        StreamKind.GENERATE: NodeKind.GENERATE,
-        StreamKind.REGISTER: NodeKind.REGISTER,
-    }
-    arrays = sorted(mdfg.arrays, key=lambda a: -a.memory_reuse)
-    array_spad: Dict[str, Optional[int]] = {}
-    for array in arrays:
-        need = float(array.footprint_bytes)
-        if array.partitionable:
-            need /= max(1.0, min(16.0, mdfg.tile_parallelism))
-        target = None
-        if array.preferred is ArrayPlacement.SPAD:
-            for spad in spads:
-                indirect_ok = not array.indirect_target or spad.indirect
-                if spad_free[spad.node_id] >= need and indirect_ok:
-                    target = spad.node_id
-                    spad_free[spad.node_id] -= need
-                    break
-        array_spad[array.array] = target
-    for stream in mdfg.streams:
-        if stream.kind in aux:
-            engines = adg.of_kind(aux[stream.kind])
-            if engines:
-                binding[stream.node_id] = engines[0].node_id
-                continue
-            if dma_id is not None:
-                binding[stream.node_id] = dma_id
-            continue
-        if not stream.is_memory:
-            continue
-        spad = array_spad.get(stream.array)
-        if spad is not None and not (stream.indirect and not _spad_indirect(adg, spad)):
-            binding[stream.node_id] = spad
-        elif dma_id is not None:
-            binding[stream.node_id] = dma_id
-    return MemoryBinding(binding)
-
-
-def _spad_indirect(adg: ADG, spad_id: int) -> bool:
-    node = adg.node(spad_id)
-    return isinstance(node, SpadEngine) and node.indirect
 
 
 @dataclass(frozen=True)

@@ -64,9 +64,6 @@ class Resources:
             "dsp": self.dsp / budget.dsp,
         }
 
-    def max_utilization(self, budget: "Resources") -> float:
-        return max(self.utilization(budget).values())
-
     def as_dict(self) -> Dict[str, float]:
         return {"lut": self.lut, "ff": self.ff, "bram": self.bram, "dsp": self.dsp}
 

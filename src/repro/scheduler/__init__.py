@@ -1,7 +1,7 @@
 """The spatial scheduler: mDFG -> ADG mapping with memory-aware binding."""
 
-from .binder import bind_memory
-from .legality import hardware_violations, schedule_violations
+from .binder import bind_engines, bind_memory
+from .legality import engine_violations, hardware_violations, schedule_violations
 from .router import RoutingState, find_route, route_distances
 from .schedule import Schedule, ScheduleError, ScheduleFailure
 from .spatial import (

@@ -10,6 +10,12 @@ This implements the mDFG scheduling constraints of Section IV-B:
    needs indirect-capable hardware; recurrences must fit the recurrence
    engine's buffer).
 
+Each rule is one predicate here (:func:`spad_misfit`, :func:`indirect_ok`,
+:func:`recurrence_fits`, :func:`linked_ports`): the engine contract, which
+the binder applies and :func:`repro.scheduler.legality.engine_violations`
+checks.  :func:`bind_engines` binds arrays and streams to engines;
+:func:`bind_memory` then gives each stream a hardware port.
+
 Arrays are bound highest-memory-reuse first, and arrays whose reuse is
 already captured at the port (stationary) yield the scratchpad to others —
 the prioritization the paper motivates with the FIR example.
@@ -17,9 +23,10 @@ the prioritization the paper motivates with the FIR example.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import islice
+from typing import Dict, Optional, Set, Tuple, Union
 
-from ..adg import ADG, DmaEngine, NodeKind, SpadEngine
+from ..adg import ADG, DmaEngine, NodeKind, RecurrenceEngine, SpadEngine
 from ..dfg import (
     ArrayNode,
     ArrayPlacement,
@@ -48,23 +55,6 @@ def effective_footprint(array: ArrayNode, mdfg: MDFG) -> float:
     return array.footprint_bytes / share
 
 
-def _spad_candidates(
-    spads: List[SpadEngine], array: ArrayNode, mdfg: MDFG, free: Dict[int, float]
-) -> List[SpadEngine]:
-    """Scratchpads with room (and indirect support when required)."""
-    need = effective_footprint(array, mdfg)
-    out = []
-    for spad in spads:
-        if free[spad.node_id] < need:
-            continue
-        if array.indirect_target and not spad.indirect:
-            continue
-        out.append(spad)
-    # Prefer the most free capacity (load balance across scratchpads).
-    out.sort(key=lambda s: (-free[s.node_id], s.node_id))
-    return out
-
-
 def _array_priority(array: ArrayNode, mdfg: MDFG) -> float:
     """Scratchpad desirability: reuse not already captured at ports.
 
@@ -78,12 +68,44 @@ def _array_priority(array: ArrayNode, mdfg: MDFG) -> float:
     return array.memory_reuse / stationary
 
 
-def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
-    """Bind arrays, streams, and DFG ports to engines and hardware ports.
+def spad_misfit(
+    spad: SpadEngine, array: ArrayNode, need: float, free: float
+) -> Optional[str]:
+    """Which of rules 1 and 3 ``array``, needing ``need`` bytes
+    (:func:`effective_footprint`), breaks on ``spad`` with ``free`` left."""
+    if free < need:
+        return "capacity"
+    if array.indirect_target and not spad.indirect:
+        return "indirect"
+    return None
+
+
+def indirect_ok(engine: Union[SpadEngine, DmaEngine], indirect: bool) -> bool:
+    """Rule 3: indirect access needs an indirect-capable engine."""
+    return not indirect or engine.indirect
+
+
+def recurrence_fits(stream: StreamNode, engine: RecurrenceEngine) -> bool:
+    """Rule 3: a recurrence's window fits the recurrence engine's buffer."""
+    return stream.recurrence_depth * stream.dtype.bytes <= engine.buffer_bytes
+
+
+def linked_ports(adg: ADG, engine_id: int, inbound: bool) -> Set[int]:
+    """Rule 2: the hardware ports a stream on ``engine_id`` may use — input
+    ports it feeds over a link engine -> port (``inbound``), or output
+    ports that drain into it over a link port -> engine."""
+    return adg.successors(engine_id) if inbound else adg.predecessors(engine_id)
+
+
+def bind_engines(mdfg: MDFG, adg: ADG) -> Dict[int, int]:
+    """Bind arrays, then streams, to engines: dfg node id -> engine id.
+
+    Arrays lead the map, highest priority first; streams follow in mDFG
+    order.  No port is chosen yet, so this is the binding the scheduler
+    starts from (``MemoryBinding`` reads only its streams).
 
     Raises:
-        ScheduleError: when any constraint cannot be met (the variant is
-            unschedulable on this ADG).
+        ScheduleError: when an array or stream finds no engine.
     """
     spads = adg.spads
     free_capacity = {s.node_id: float(s.capacity_bytes) for s in spads}
@@ -92,9 +114,8 @@ def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
     if not dmas and any(s.is_memory for s in streams):
         raise ScheduleError("no DMA engine for memory streams", stage="binding")
 
-    # ------------------------------------------------------------------
     # Array -> engine decisions (streams follow their array).
-    # ------------------------------------------------------------------
+    engine_of: Dict[int, int] = {}
     array_engine: Dict[str, int] = {}
     arrays = sorted(
         mdfg.arrays, key=lambda a: (-_array_priority(a, mdfg), a.array)
@@ -102,34 +123,36 @@ def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
     for array in arrays:
         target: Optional[int] = None
         if array.preferred is ArrayPlacement.SPAD:
-            candidates = _spad_candidates(spads, array, mdfg, free_capacity)
-            if candidates:
-                target = candidates[0].node_id
-                free_capacity[target] -= effective_footprint(array, mdfg)
+            need = effective_footprint(array, mdfg)
+            fits = [
+                s for s in spads
+                if spad_misfit(s, array, need, free_capacity[s.node_id]) is None
+            ]
+            if fits:
+                # Prefer the most free capacity (load balance across spads).
+                target = min(
+                    fits, key=lambda s: (-free_capacity[s.node_id], s.node_id)
+                ).node_id
+                free_capacity[target] -= need
         if target is None:
             if not dmas:
                 raise ScheduleError(f"array {array.array}: no engine available", stage="binding")
             target = dmas[0].node_id
-            if array.indirect_target and not dmas[0].indirect:
+            if not indirect_ok(dmas[0], array.indirect_target):
                 raise ScheduleError(
                     f"array {array.array}: indirect access unsupported by DMA",
                     stage="binding",
                 )
         array_engine[array.array] = target
-        schedule.placement[array.node_id] = target
+        engine_of[array.node_id] = target
 
-    # ------------------------------------------------------------------
     # Stream -> engine (+ auxiliary engine constraints).
-    # ------------------------------------------------------------------
-    stream_engine: Dict[int, int] = {}
     for stream in streams:
         if stream.kind is StreamKind.RECURRENCE:
-            recs = adg.of_kind(NodeKind.RECURRENCE)
             fitting = [
                 r
-                for r in recs
-                if stream.recurrence_depth * stream.dtype.bytes
-                <= r.buffer_bytes
+                for r in adg.of_kind(NodeKind.RECURRENCE)
+                if recurrence_fits(stream, r)
             ]
             if not fitting:
                 raise ScheduleError(
@@ -137,31 +160,43 @@ def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
                     f"fit any recurrence engine",
                     stage="binding",
                 )
-            stream_engine[stream.node_id] = fitting[0].node_id
+            engine_of[stream.node_id] = fitting[0].node_id
         elif stream.kind is StreamKind.GENERATE:
             gens = adg.of_kind(NodeKind.GENERATE)
             if not gens:
                 raise ScheduleError("no generate engine available", stage="binding")
-            stream_engine[stream.node_id] = gens[0].node_id
+            engine_of[stream.node_id] = gens[0].node_id
         elif stream.kind is StreamKind.REGISTER:
             regs = adg.of_kind(NodeKind.REGISTER)
             if not regs:
                 raise ScheduleError("no register engine available", stage="binding")
-            stream_engine[stream.node_id] = regs[0].node_id
+            engine_of[stream.node_id] = regs[0].node_id
         else:
-            engine_id = array_engine[stream.array]
-            engine = adg.node(engine_id)
-            if stream.indirect:
-                if isinstance(engine, SpadEngine) and not engine.indirect:
-                    engine_id = dmas[0].node_id
+            engine = adg.node(array_engine[stream.array])
+            if not indirect_ok(engine, stream.indirect):
+                if isinstance(engine, SpadEngine):
                     engine = dmas[0]
-                if isinstance(engine, DmaEngine) and not engine.indirect:
+                if not indirect_ok(engine, stream.indirect):
                     raise ScheduleError(
                         f"indirect stream on {stream.array}: no indirect-"
                         f"capable engine",
                         stage="binding",
                     )
-            stream_engine[stream.node_id] = engine_id
+            engine_of[stream.node_id] = engine.node_id
+    return engine_of
+
+
+def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
+    """Bind arrays, streams, and DFG ports to engines and hardware ports.
+
+    Raises:
+        ScheduleError: when any constraint cannot be met (the variant is
+            unschedulable on this ADG).
+    """
+    engine_of = bind_engines(mdfg, adg)
+    streams = mdfg.streams
+    arrays = len(engine_of) - len(streams)  # the arrays lead engine_of
+    schedule.placement.update(islice(engine_of.items(), arrays))
 
     # ------------------------------------------------------------------
     # Stream -> hardware port, respecting engine->port reachability.
@@ -174,15 +209,15 @@ def bind_memory(mdfg: MDFG, adg: ADG, schedule: Schedule) -> None:
         key=lambda s: (-_required_port_bytes(mdfg, s), s.node_id),
     )
     for stream in order:
-        engine_id = stream_engine[stream.node_id]
+        engine_id = engine_of[stream.node_id]
         hw_port = _choose_port(mdfg, adg, ports, stream, engine_id, used_ports)
         if hw_port is None and stream.is_memory:
             # Fallback: rebind the whole array to DMA and retry (a spad may
-            # simply not reach any suitable port on this topology).
-            fallback = dmas[0].node_id if dmas else None
-            if fallback is not None and engine_id != fallback:
+            # simply not reach any suitable port on this topology).  A
+            # memory stream implies a DMA (bind_engines checked).
+            fallback = adg.dmas[0].node_id
+            if engine_id != fallback:
                 engine_id = fallback
-                stream_engine[stream.node_id] = engine_id
                 schedule.placement[
                     _array_node_id(mdfg, stream.array)
                 ] = engine_id
@@ -219,14 +254,16 @@ def _choose_port(
     ``ports`` is the ADG's ``(in_ports, out_ports)``."""
     needed = _required_port_bytes(mdfg, stream)
     dfg_port = mdfg.node(stream.port)
-    if isinstance(dfg_port, InputPortNode):
+    inbound = isinstance(dfg_port, InputPortNode)
+    linked = linked_ports(adg, engine_id, inbound)
+    if inbound:
         padding = dfg_port.needs_padding
         candidates = [
             p
             for p in ports[0]
             if p.node_id not in used
             and p.width_bytes >= needed
-            and adg.has_link(engine_id, p.node_id)
+            and p.node_id in linked
             and (not padding or p.supports_padding)
         ]
     else:
@@ -235,7 +272,7 @@ def _choose_port(
             for p in ports[1]
             if p.node_id not in used
             and p.width_bytes >= needed
-            and adg.has_link(p.node_id, engine_id)
+            and p.node_id in linked
         ]
     if not candidates:
         return None

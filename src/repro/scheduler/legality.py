@@ -12,12 +12,17 @@
 
 The preservation ladder reads only these: rung 0 accepts a schedule iff
 there are none, rung 1 reroutes iff every one is a ``missing_link``.
-:func:`schedule_violations` adds what only a scheduler bug can break —
-``endpoint`` (a route's ends are not its placements), ``interior_hop``
-(a hop that is not a switch), ``shared_link`` (one link carrying two
-values) and ``shared_pe`` (one PE holding two nodes) — and is what the
-fuzzer's invariant checks.  Not yet checked: a stream's engine and its
-port link, scratchpad capacity and indirect support (ROADMAP item 1).
+:func:`engine_violations` checks the binder's own rules (the engine
+contract of :mod:`.binder`), one finding per array or stream: ``indirect``
+(indirect access on an engine without it), ``capacity`` (a scratchpad's
+arrays outgrow it, or a recurrence its engine's buffer) and
+``engine_link`` (a stream's engine lacks its link with the stream's
+port).  The ladder does not read these yet (ROADMAP item 1).
+:func:`schedule_violations` yields all of the above, then what only a
+scheduler bug can break — ``endpoint`` (a route's ends are not its
+placements), ``interior_hop`` (a hop that is not a switch),
+``shared_link`` (one link carrying two values) and ``shared_pe`` (one PE
+holding two nodes) — and is what the fuzzer's invariant checks.
 """
 
 from __future__ import annotations
@@ -25,8 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple, Union
 
-from ..adg import ADG, NodeKind, ProcessingElement
-from ..dfg import ComputeNode, InputPortNode, OutputPortNode
+from ..adg import ADG, DmaEngine, NodeKind, ProcessingElement, RecurrenceEngine
+from ..adg import SpadEngine
+from ..dfg import ArrayNode, ComputeNode, InputPortNode, OutputPortNode, StreamNode
+from .binder import effective_footprint, indirect_ok, linked_ports
+from .binder import recurrence_fits, spad_misfit
 from .schedule import EdgeKey, Schedule
 
 
@@ -71,9 +79,50 @@ def hardware_violations(schedule: Schedule, adg: ADG) -> Iterator[Finding]:
                               f"#{key[2]} uses missing link {a}->{b}")
 
 
+def engine_violations(schedule: Schedule, adg: ADG) -> Iterator[Finding]:
+    """What the arrays and streams need from their engines.  Placements are
+    walked in order, so a scratchpad's capacity is spent in the order the
+    binder spent it; a piece on missing hardware is
+    :func:`hardware_violations`' ``missing_node``."""
+    mdfg, placement = schedule.mdfg, schedule.placement
+    node_of, has_node, hw_of = mdfg.node, adg.has_node, adg.node
+    free: Dict[int, float] = {}
+    for dfg_id, hw_id in placement.items():
+        if not has_node(hw_id):
+            continue
+        node, hw = node_of(dfg_id), hw_of(hw_id)
+        if isinstance(node, ArrayNode):
+            misfit = None
+            if isinstance(hw, SpadEngine):
+                need = effective_footprint(node, mdfg)
+                left = free.get(hw_id, float(hw.capacity_bytes))
+                free[hw_id] = left - need
+                misfit = spad_misfit(hw, node, need, left)
+            elif isinstance(hw, DmaEngine):
+                misfit = None if indirect_ok(hw, node.indirect_target) else "indirect"
+            if misfit:
+                yield Finding(misfit, dfg_id, f"{hw.name} cannot hold array "
+                              f"{node.array} (dfg node {dfg_id}): {misfit}")
+        elif isinstance(node, StreamNode):
+            if isinstance(hw, (SpadEngine, DmaEngine)):
+                if not indirect_ok(hw, node.indirect):
+                    yield Finding("indirect", dfg_id, f"{hw.name} lacks indirect "
+                                  f"support for stream {dfg_id}")
+            elif isinstance(hw, RecurrenceEngine) and not recurrence_fits(node, hw):
+                yield Finding("capacity", dfg_id, f"recurrence {dfg_id} of depth "
+                              f"{node.recurrence_depth} overflows {hw.name}")
+            port = placement.get(node.port)
+            inbound = isinstance(node_of(node.port), InputPortNode)
+            if has_node(port) and port not in linked_ports(adg, hw_id, inbound):
+                yield Finding("engine_link", dfg_id, f"stream {dfg_id} on "
+                              f"{hw.name} has no link with hw port {port}")
+
+
 def schedule_violations(schedule: Schedule, adg: ADG) -> Iterator[Finding]:
-    """:func:`hardware_violations`, then the scheduler's own consistency."""
+    """:func:`hardware_violations` and :func:`engine_violations`, then the
+    scheduler's own consistency."""
     yield from hardware_violations(schedule, adg)
+    yield from engine_violations(schedule, adg)
     placement, has_node, hw_of = schedule.placement, adg.has_node, adg.node
     link_owner: Dict[Tuple[int, int], int] = {}
     for key, path in schedule.routes.items():

@@ -5,6 +5,7 @@ import pytest
 from repro.adg import general_overlay, mesh_adg, caps_for_dtype
 from repro.compiler import REDSE_GAIN_THRESHOLD, advise, generate_variants
 from repro.ir import F64, I16, I64, Op
+from repro.model.perf import ipc_ceiling
 from repro.workloads import get_workload
 
 
@@ -89,3 +90,17 @@ class TestAdvise:
             get_workload("fir"), overlay.adg, overlay.params, variants=variants
         )
         assert len(advice.verdicts) == len(variants.variants)
+
+    def test_a_variant_no_engine_holds_is_projected_at_its_ceiling(self, overlay):
+        # cholesky u8's recurrence is deeper than General's recurrence
+        # buffer, so the binder gives it no engines: its projection is the
+        # binding-free ceiling, not a binding the scheduler would refuse.
+        variants = generate_variants(get_workload("cholesky"))
+        advice = advise(
+            get_workload("cholesky"), overlay.adg, overlay.params, variants
+        )
+        u8 = next(v for v in advice.verdicts if v.variant == "u8")
+        mdfg = next(m for m in variants.variants if m.variant == "u8")
+        assert not u8.mapped and "recurrence" in u8.failure_reason
+        assert u8.projected_ipc == ipc_ceiling(mdfg, overlay.params) == 200.0
+        assert advice.recommend_redse

@@ -167,8 +167,8 @@ class TestArrayNodes:
         for w in all_workloads():
             mdfg = lower(w, unroll=1)
             arrays = {a.array for a in mdfg.arrays}
-            for s in mdfg.memory_streams:
-                assert s.array in arrays, f"{w.name}: {s.array}"
+            for s in mdfg.streams:
+                assert not s.is_memory or s.array in arrays, f"{w.name}: {s.array}"
 
     def test_high_reuse_array_prefers_spad(self):
         mdfg = lower(get_workload("fir"), unroll=1)

@@ -160,4 +160,4 @@ class TestWorkloadAnalysis:
         w = fig5_fir()
         analysis = analyze_workload(w)
         # c is read and written every iteration: 2x trip product
-        assert analysis.array_traffic("c") == 2 * 16384
+        assert sum(a.traffic for a in analysis.for_array("c")) == 2 * 16384

@@ -31,9 +31,9 @@ from repro.dse.system import SystemChoice, _grid_fits, _largest_fit
 from repro.dse.transforms import PADDING_STEPS
 from repro.model.perf import (
     BottleneckProfile,
+    MemoryBinding,
     bottleneck_profile,
     geomean_ipc,
-    preferred_binding,
 )
 from repro.model.resource import (
     AnalyticEstimator,
@@ -44,7 +44,13 @@ from repro.model.resource import (
     usable_budget,
 )
 from repro.profile.tracer import tracing
-from repro.scheduler import Schedule, revalidate_schedule, schedule_workload
+from repro.scheduler import (
+    Schedule,
+    ScheduleError,
+    bind_engines,
+    revalidate_schedule,
+    schedule_workload,
+)
 from repro.scheduler import schedule as schedule_module
 from repro.validate.generators import random_adg_doc
 from repro.workloads import SUITE_NAMES, all_workloads, get_suite, get_workload
@@ -534,8 +540,13 @@ def test_ipc_at_is_at_ipc_bit_for_bit():
     platform = SystemParams()
     grid = list(system_param_space())
     for workload in all_workloads():
-        mdfg = lower(workload)
-        binding = preferred_binding(mdfg, adg)
+        try:
+            mdfg = lower(workload)
+            engines = bind_engines(mdfg, adg)
+        except ScheduleError:  # a recurrence General cannot hold: rmw form
+            mdfg = lower(workload, use_recurrence=False)
+            engines = bind_engines(mdfg, adg)
+        binding = MemoryBinding(engines)
         for reuse_aware in (True, False):
             profile = bottleneck_profile(mdfg, binding, adg, reuse_aware)
             for l2_banks, l2_kib, noc_bytes in grid:

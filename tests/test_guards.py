@@ -195,6 +195,12 @@ ABSENT = [
         ("src/repro/serve", "src/repro/cluster"),
         "        job = pickle.loads(payload)",
     ),
+    Lines(
+        "One engine contract: the model's greedy binder stays deleted",
+        r"preferred_binding|_spad_indirect",
+        SRC_TESTS_DOCS,
+        "def preferred_binding(mdfg: MDFG, adg: ADG) -> MemoryBinding:",
+    ),
     # One kernel call per batch: the per-region pack / struct / call path.
     Lines(
         "The per-region packing path stays deleted",
@@ -319,6 +325,16 @@ TESTS = [
         (
             "tests/test_search.py::TestStudyPricing",
             "tests/test_search.py::TestWorkerInvariance",
+        ),
+    ),
+    Selected(
+        "One engine contract",
+        (
+            "tests/test_scheduler.py::TestLegality::test_corruption_matrix",
+            "tests/test_schedule_golden.py::test_schedules_and_pickles_match_committed_golden",
+            "tests/test_advisor.py::TestAdvise::test_a_variant_no_engine_holds_is_projected_at_its_ceiling",
+            "tests/test_simulator.py::TestWholeRegion::test_spad_read_and_write_ports_agree_with_the_model",
+            "tests/test_harness.py::test_legality_audit_lists_the_shipped_illegal_schedules",
         ),
     ),
     Selected("Runtime unit + fault-injection suite", ("tests/test_jobs.py",)),

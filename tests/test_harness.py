@@ -157,3 +157,41 @@ class TestReportWriter:
             assert _wall_clock_lines() == []
         path.unlink()
         assert _wall_clock_lines() == []
+
+
+def test_legality_audit_lists_the_shipped_illegal_schedules(monkeypatch):
+    """One row per shipped schedule with an engine finding: crs on its seed
+    fabric is no row; on a copy whose scratchpad lost indirect support it
+    is one row, with its indirect array's and its gather's finding."""
+    from types import SimpleNamespace
+
+    from repro.adg import SpadEngine, SysADG, SystemParams, seed_for_workloads
+    from repro.compiler import generate_variants
+    from repro.harness import experiments as ex
+    from repro.scheduler import schedule_workload
+    from repro.workloads import get_workload
+
+    workload = get_workload("crs")
+    adg = seed_for_workloads([workload])
+    schedule = schedule_workload(generate_variants(workload), adg, SystemParams())
+    (spad,) = {
+        hw for hw in schedule.placement.values()
+        if isinstance(adg.node(hw), SpadEngine)
+    }
+    lost = adg.clone()
+    lost.replace_node(spad, indirect=False)
+    shipped = [
+        SimpleNamespace(sysadg=SysADG(a, name=name), schedules={"crs": schedule})
+        for a, name in ((adg, "kept"), (lost, "lost"))
+    ]
+    monkeypatch.setattr(ex, "shipped_results", lambda: shipped)
+    rows, results, schedules = ex.legality_audit()
+    assert (results, schedules) == (2, 2)
+    (row,) = rows
+    assert (row.run, row.workload) == ("lost", "crs")
+    mdfg = schedule.mdfg
+    assert {f.piece for f in row.findings} == (
+        {a.node_id for a in mdfg.arrays if a.indirect_target}
+        | {s.node_id for s in mdfg.streams if s.indirect}
+    )
+    assert {f.kind for f in row.findings} == {"indirect"}

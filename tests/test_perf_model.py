@@ -8,9 +8,10 @@ from repro.model import (
     estimate_cycles,
     estimate_ipc,
     geomean_ipc,
-    preferred_binding,
     stream_demand_bytes,
 )
+from repro.model.perf import MemoryBinding
+from repro.scheduler import ScheduleError, bind_engines
 from repro.workloads import get_workload
 
 
@@ -19,9 +20,13 @@ def overlay():
     return general_overlay()
 
 
-def estimate(name, unroll, overlay, **params):
-    mdfg = lower(get_workload(name), unroll=unroll)
-    binding = preferred_binding(mdfg, overlay.adg)
+def bound(mdfg, adg):
+    return MemoryBinding(bind_engines(mdfg, adg))
+
+
+def estimate(name, unroll, overlay, use_recurrence=True, **params):
+    mdfg = lower(get_workload(name), unroll=unroll, use_recurrence=use_recurrence)
+    binding = bound(mdfg, overlay.adg)
     p = overlay.params
     if params:
         from dataclasses import replace
@@ -46,14 +51,14 @@ class TestStreamDemand:
 class TestBottlenecks:
     def test_more_tiles_help_until_parallelism(self, overlay):
         mdfg = lower(get_workload("mm"), unroll=1)
-        binding = preferred_binding(mdfg, overlay.adg)
+        binding = bound(mdfg, overlay.adg)
         one = estimate_ipc(mdfg, binding, overlay.adg, overlay.params, num_tiles=1)
         four = estimate_ipc(mdfg, binding, overlay.adg, overlay.params, num_tiles=4)
         assert four.ipc > one.ipc
 
     def test_tiles_capped_by_parallelism(self, overlay):
         mdfg = lower(get_workload("channel-ext"), unroll=32)
-        binding = preferred_binding(mdfg, overlay.adg)
+        binding = bound(mdfg, overlay.adg)
         est = estimate_ipc(
             mdfg, binding, overlay.adg, overlay.params, num_tiles=64
         )
@@ -71,9 +76,10 @@ class TestBottlenecks:
         assert many.ipc >= few.ipc
 
     def test_dram_channels_help_streaming(self, overlay):
-        _, one = estimate("accumulate", 16, overlay, l2_banks=16)
-        mdfg = lower(get_workload("accumulate"), unroll=16)
-        binding = preferred_binding(mdfg, overlay.adg)
+        # The rmw form: the recurrence is deeper than General's buffer.
+        _, one = estimate("accumulate", 16, overlay, False, l2_banks=16)
+        mdfg = lower(get_workload("accumulate"), unroll=16, use_recurrence=False)
+        binding = bound(mdfg, overlay.adg)
         from dataclasses import replace
 
         p2 = replace(overlay.params, l2_banks=16, dram_channels=4)
@@ -93,18 +99,24 @@ class TestBottlenecks:
         from repro.compiler import generate_variants
 
         for w in all_workloads():
+            priced = 0
             for mdfg in generate_variants(w).variants:
-                binding = preferred_binding(mdfg, overlay.adg)
+                try:
+                    binding = bound(mdfg, overlay.adg)
+                except ScheduleError:  # e.g. a recurrence General cannot hold
+                    continue
                 est = estimate_ipc(mdfg, binding, overlay.adg, overlay.params)
                 assert 0 <= est.ipc < float("inf"), w.name
+                priced += 1
+            assert priced, w.name
 
 
 class TestRecurrenceValue:
     def test_recurrence_variant_offloads_l2(self, overlay):
         rec = lower(get_workload("fir"), unroll=2, use_recurrence=True)
         rmw = lower(get_workload("fir"), unroll=2, use_recurrence=False)
-        b_rec = preferred_binding(rec, overlay.adg)
-        b_rmw = preferred_binding(rmw, overlay.adg)
+        b_rec = bound(rec, overlay.adg)
+        b_rmw = bound(rmw, overlay.adg)
         e_rec = estimate_ipc(rec, b_rec, overlay.adg, overlay.params)
         e_rmw = estimate_ipc(rmw, b_rmw, overlay.adg, overlay.params)
         # The recurrence form must not demand more L2 bandwidth.
@@ -114,7 +126,7 @@ class TestRecurrenceValue:
 class TestCyclesAndGeomean:
     def test_cycles_inverse_to_ipc(self, overlay):
         mdfg = lower(get_workload("mm"), unroll=2)
-        binding = preferred_binding(mdfg, overlay.adg)
+        binding = bound(mdfg, overlay.adg)
         cycles = estimate_cycles(mdfg, binding, overlay.adg, overlay.params)
         est = estimate_ipc(mdfg, binding, overlay.adg, overlay.params)
         assert cycles == pytest.approx(mdfg.total_instructions / est.ipc)

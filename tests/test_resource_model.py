@@ -54,7 +54,7 @@ class TestResourcesVector:
             bram=XCVU9P.bram / 2,
             dsp=XCVU9P.dsp / 2,
         )
-        assert half.max_utilization(XCVU9P) == pytest.approx(0.5)
+        assert max(half.utilization(XCVU9P).values()) == pytest.approx(0.5)
 
     def test_total(self):
         items = [Resources(lut=1), Resources(lut=2), Resources(lut=3)]

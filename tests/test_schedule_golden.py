@@ -10,6 +10,9 @@ deploy path, with no DSE.  The file was generated before the router, the
 placer and the compiler started keeping per-graph lookup tables, so a
 table that goes stale shows up here as a moved digest.
 
+The loop that takes the digests also asserts that no fresh schedule has
+an :func:`~repro.scheduler.engine_violations` finding.
+
 The same test pins the pickled bytes of one ``Schedule`` (which carries
 its mDFG) and of General's ADG: the lookup tables are instance state that
 is never pickled.  Frozenset order in the ADG follows string hashing, so
@@ -29,7 +32,7 @@ from pathlib import Path
 
 from repro.adg import general_overlay, seed_for_workloads
 from repro.compiler import generate_variants
-from repro.scheduler import schedule_workload
+from repro.scheduler import engine_violations, schedule_workload
 from repro.workloads import PAPER_SUITE_NAMES, all_workloads, get_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "schedule_digests.json"
@@ -83,15 +86,18 @@ def schedule_digest(schedule) -> str:
 
 
 def digests() -> dict:
+    """Every pair's digest; a fresh schedule keeps the engine contract."""
     workloads = all_workloads()
     families = {w.name: generate_variants(w) for w in workloads}
-    return {
-        f"{sysadg.name}/{name}": schedule_digest(
-            schedule_workload(variants, sysadg.adg, sysadg.params)
-        )
-        for sysadg in overlays()
-        for name, variants in families.items()
-    }
+    out = {}
+    for sysadg in overlays():
+        for name, variants in families.items():
+            schedule = schedule_workload(variants, sysadg.adg, sysadg.params)
+            if schedule is not None:
+                found = list(engine_violations(schedule, sysadg.adg))
+                assert not found, (sysadg.name, name, found)
+            out[f"{sysadg.name}/{name}"] = schedule_digest(schedule)
+    return out
 
 
 def pickle_digests() -> list:

@@ -514,8 +514,9 @@ class TestRepair:
 
 
 # ----------------------------------------------------------------------
-# The one legality rule: each corruption of fir on General, and the one
-# finding kind it must raise.
+# The one legality rule: each corruption of fir on General (of crs on its
+# seed fabric where named in _ON_CRS), and the one finding kind it must
+# raise.
 # ----------------------------------------------------------------------
 def _first_stream(s):
     """A placed stream: no route touches its engine."""
@@ -580,8 +581,26 @@ def _share_pe(adg, s):
         s.routes[key] = path
 
 
+def _shrink_spad(adg, s):
+    """fir's three arrays share one scratchpad; halve it."""
+    spad = adg.node(s.placement[_first_stream(s)])
+    adg.replace_node(spad.node_id, capacity_bytes=spad.capacity_bytes // 2)
+
+
+def _unlink_engine(adg, s):
+    stream = _first_stream(s)
+    adg.remove_link(s.placement[stream], s.placement[s.mdfg.node(stream).port])
+
+
+def _drop_indirect_support(adg, s):
+    """crs gathers x through an indirect scratchpad."""
+    (spad,) = {hw for hw in s.placement.values() if isinstance(adg.node(hw), SpadEngine)}
+    adg.replace_node(spad, indirect=False)
+
+
 _HARDWARE_KINDS = {"missing_node", "capability", "port_width", "missing_link"}
 _ROUTE_KINDS = {"missing_link", "endpoint", "interior_hop", "shared_link"}
+_ON_CRS = {"spad-loses-indirect"}
 _CORRUPTIONS = {
     "placed-hardware-removed": ("missing_node", _remove_placed_engine),
     "placed-on-missing-hardware": ("missing_node", _place_on_missing_hw),
@@ -591,6 +610,9 @@ _CORRUPTIONS = {
     "route-endpoint-moved": ("endpoint", _move_route_end),
     "two-values-on-one-link": ("shared_link", _share_link),
     "two-instructions-on-one-pe": ("shared_pe", _share_pe),
+    "spad-over-capacity": ("capacity", _shrink_spad),
+    "engine-port-link-removed": ("engine_link", _unlink_engine),
+    "spad-loses-indirect": ("indirect", _drop_indirect_support),
 }
 
 
@@ -609,7 +631,10 @@ class TestLegality:
     @pytest.mark.parametrize("corruption", list(_CORRUPTIONS))
     def test_corruption_matrix(self, overlay, fir, corruption):
         kind, corrupt = _CORRUPTIONS[corruption]
-        adg, s = overlay.adg.clone(), fir.clone()
+        if corruption in _ON_CRS:
+            adg, s = self._on_seed("crs")
+        else:
+            adg, s = overlay.adg.clone(), fir.clone()
         corrupt(adg, s)
         found = list(schedule_violations(s, adg))
         hardware = list(hardware_violations(s, adg))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adg import general_overlay
+from repro.adg import SysADG, SystemParams, general_overlay, seed_for_workloads
 from repro.compiler import generate_variants, lower
 from repro.scheduler import schedule_mdfg, schedule_workload
 from repro.sim import (
@@ -217,6 +217,23 @@ class TestWholeRegion:
         )
         if quick.extrapolated:
             assert quick.cycles == pytest.approx(exact.cycles, rel=0.25)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1b: the simulator pools a scratchpad's read and "
+        "write ports into one engine at their mean bandwidth",
+    )
+    def test_spad_read_and_write_ports_agree_with_the_model(self):
+        # fir and gemm on their seed fabrics: spad factors read 1.0 / 2.0
+        # and 0.94 / 2.0, so the pooled port delivers about 2/3 of the
+        # model's min(read, write).
+        params = SystemParams()
+        for name in ("fir", "gemm"):
+            workload = get_workload(name)
+            adg = seed_for_workloads([workload])
+            schedule = schedule_workload(generate_variants(workload), adg, params)
+            sim = simulate_schedule(schedule, SysADG(adg, params, name))
+            assert abs(schedule.estimate.ipc / sim.ipc - 1) <= 0.05, name
 
     def test_small_cap_clamps_measure_window(self, overlay):
         # max_exact_cycles below the default 4k measurement window used to

@@ -182,7 +182,7 @@ class TestWorkloadCharacter:
 
     def test_channel_extract_is_pure_data_movement(self):
         w = get_workload("channel-ext")
-        assert w.compute_op_count() == 0
+        assert sum(w.op_counts().values()) == 0
 
     def test_blur_has_no_multiplies(self):
         counts = get_workload("blur").op_counts()
