@@ -8,13 +8,20 @@ memory design space the DSE explores.
 
 Kind and id-order queries (``nodes``, ``of_kind``, ``pes``, ``engines``, ...)
 read one *view*, the router another (:meth:`ADG.routing`).  Each is built on
-the first query after an edit and dropped by :meth:`ADG._touch`, the one
-place ``version`` moves: a view lives as long as one ``version``.  Views are
-instance state, shared with a clone, never pickled.
+the first query after an edit that can move it and dropped by
+:meth:`ADG._touch`, the one place ``version`` moves: a link edit drops only
+the routing view, any other edit both.  Views are instance state, shared
+with a clone, never pickled.
+
+A removal or replacement records its *footprint* (nodes removed or
+replaced, links removed) under a new process-unique :attr:`ADG.stamp`, so a
+schedule found clean at a stamp re-checks only what :meth:`touched_since`
+it meets.  A clone inherits the record; it is never serialized.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
@@ -50,6 +57,22 @@ _LEGAL_LINKS.discard((NodeKind.IN_PORT, NodeKind.OUT_PORT))
 # Pass-through without any fabric hop is still representable via a switch.
 
 
+#: Edit stamps, unique in the process: a stamp names one state of one ADG
+#: lineage (an object and its clones), never of a load or another build.
+_STAMPS = itertools.count(1)
+#: How many edits :meth:`ADG.touched_since` reaches back; older stamps are unknown.
+_REACH = 64
+
+Link = Tuple[int, int]
+
+
+class Footprint(NamedTuple):
+    """What the edits since a stamp removed or replaced."""
+
+    nodes: Set[int]
+    links: Set[Link]
+
+
 class _View(NamedTuple):
     """An ADG's nodes at one ``version``, every list in ascending id order."""
 
@@ -75,27 +98,57 @@ class ADG:
     #: is never pickled, and an ADG stored without one loads).
     _view: Optional[_View] = None
     _routing: Optional[Routing] = None
+    #: The last ``_REACH + 1`` recorded edits, oldest first, each ``(stamp,
+    #: node ids removed or replaced, links removed)``.  Empty (the class
+    #: default, as for a loaded ADG) until :attr:`stamp` starts a record.
+    _edits: Tuple[Tuple[int, Tuple[int, ...], Tuple[Link, ...]], ...] = ()
 
     def __init__(self) -> None:
         self._nodes: Dict[int, AdgNode] = {}
         self._out: Dict[int, Set[int]] = {}
         self._in: Dict[int, Set[int]] = {}
         self._next_id = 0
-        #: monotonically increasing edit stamp; schedules cache against it.
+        #: edit counter: repeats across clones and loads (see :attr:`stamp`).
         self.version = 0
 
     def __getstate__(self) -> Dict[str, object]:
-        views = ("_view", "_routing")
-        return {k: v for k, v in self.__dict__.items() if k not in views}
+        local = ("_view", "_routing", "_edits")
+        return {k: v for k, v in self.__dict__.items() if k not in local}
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _touch(self, version: Optional[int] = None) -> None:
-        """Move the edit stamp (by one, or to ``version``); drop the views."""
+    def _touch(self, version: Optional[int] = None, links_only=False) -> None:
+        """Move ``version`` (by one, or to ``version``); drop the views
+        (only the routing view when only links moved)."""
         self.version = self.version + 1 if version is None else version
-        self._view = None
+        if not links_only:
+            self._view = None
         self._routing = None
+
+    def _record(self, nodes: Tuple[int, ...], links: Tuple[Link, ...]) -> None:
+        """Stamp a mutation that removed or replaced ``nodes`` / ``links``."""
+        self._edits = self._edits[-_REACH:] + ((next(_STAMPS), nodes, links),)
+
+    @property
+    def stamp(self) -> int:
+        """This state's edit stamp: process-unique, never serialized."""
+        if not self._edits:
+            self._record((), ())
+        return self._edits[-1][0]
+
+    def touched_since(self, stamp: Optional[int]) -> Optional[Footprint]:
+        """The union of the footprints recorded after ``stamp``; None when
+        ``stamp`` is not a state this ADG's record reaches (None, a loaded
+        or another ADG's stamp, or more than ``_REACH`` edits back)."""
+        nodes: Set[int] = set()
+        links: Set[Link] = set()
+        for at, removed, cut in reversed(self._edits):
+            if at == stamp:
+                return Footprint(nodes, links)
+            nodes.update(removed)
+            links.update(cut)
+        return None
 
     def add_node(
         self,
@@ -153,12 +206,13 @@ class ADG:
             )
         self._out[src].add(dst)
         self._in[dst].add(src)
-        self._touch()
+        self._touch(links_only=True)
 
     def remove_link(self, src: int, dst: int) -> None:
         self._out.get(src, set()).discard(dst)
         self._in.get(dst, set()).discard(src)
-        self._touch()
+        self._record((), ((src, dst),))
+        self._touch(links_only=True)
 
     def remove_node(self, node_id: int) -> None:
         """Remove a node and every link touching it."""
@@ -171,6 +225,7 @@ class ADG:
         del self._out[node_id]
         del self._in[node_id]
         del self._nodes[node_id]
+        self._record((node_id,), ())
         self._touch()
 
     def replace_node(self, node_id: int, **changes) -> None:
@@ -182,6 +237,7 @@ class ADG:
         new = replace(self._nodes[node_id], **changes)
         if new != self._nodes[node_id]:
             self._nodes[node_id] = new
+            self._record((node_id,), ())
             self._touch()
 
     def clone(self) -> "ADG":
@@ -191,8 +247,10 @@ class ADG:
         other._in = {k: set(v) for k, v in self._in.items()}
         other._next_id = self._next_id
         other.version = self.version
-        # Views are never mutated; each side drops its own.
+        # Views and edit records are never mutated; each side drops or
+        # extends its own.
         other._view, other._routing = self._view, self._routing
+        other._edits = self._edits
         return other
 
     def restore_counters(self, next_id: int, version: int) -> None:

@@ -19,11 +19,13 @@ Two families:
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import (
     Callable,
     Dict,
     Iterable,
     List,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -349,7 +351,7 @@ def collapse_switch(
     for schedule in schedules:
         for key in schedule.routes_through(switch_id):
             path = schedule.routes[key]
-            schedule.routes[key] = tuple(n for n in path if n != switch_id)
+            schedule.reroute(key, tuple(n for n in path if n != switch_id))
     return True
 
 
@@ -503,50 +505,98 @@ def _switch_neighbours(adg: ADG, node_ids: Iterable[int]) -> List[int]:
     return [n for n in node_ids if adg.node(n).kind is NodeKind.SWITCH]
 
 
-def pad_reattach_ports(adg: ADG, fits: Fits) -> bool:
+#: One padding run's scan positions: scan name -> index of the first piece
+#: not known to be saturated (needing no link, or able to take none).  It
+#: stays saturated: padding's net edits only add links and nodes (after every
+#: old one in id order) and never change the switch set.
+Cursor = Dict[str, int]
+
+
+def _resume(
+    pieces: Sequence, saturated: Callable, cursor: Optional[Cursor], key: str
+) -> Sequence:
+    """``pieces`` from the first one at or past ``cursor[key]`` that is not
+    ``saturated``; the cursor moves there.  It never moves past a piece
+    whose trial failed ``fits()``: that is no saturation."""
+    cursor = {} if cursor is None else cursor
+    i = cursor.get(key, 0)
+    while i < len(pieces) and saturated(pieces[i]):
+        i += 1
+    cursor[key] = i
+    return pieces[i:]
+
+
+def pad_reattach_ports(
+    adg: ADG, fits: Fits, cursor: Optional[Cursor] = None
+) -> bool:
     switches = adg.switches
     if not switches:
         return False
-    for port in adg.in_ports:
-        if not _switch_neighbours(adg, adg.successors(port.node_id)):
+
+    def fed(port) -> bool:
+        return bool(_switch_neighbours(adg, adg.successors(port.node_id)))
+
+    for port in _resume(adg.in_ports, fed, cursor, "in_ports"):
+        if not fed(port):
             sw = switches[port.node_id % len(switches)].node_id
             if _try_link(adg, port.node_id, sw, fits):
                 return True
-    for port in adg.out_ports:
+
+    def candidates(port) -> List[int]:
+        """The switches that could still feed ``port`` (none at two)."""
         feeders = _switch_neighbours(adg, adg.predecessors(port.node_id))
-        if len(feeders) < 2:
-            candidates = [sw for sw in switches if sw.node_id not in feeders]
-            if candidates:
-                sw = candidates[port.node_id % len(candidates)].node_id
-                if _try_link(adg, sw, port.node_id, fits):
-                    return True
+        if len(feeders) >= 2:
+            return []
+        return [sw.node_id for sw in switches if sw.node_id not in feeders]
+
+    for port in _resume(
+        adg.out_ports, lambda port: not candidates(port), cursor, "out_ports"
+    ):
+        options = candidates(port)
+        if options:
+            sw = options[port.node_id % len(options)]
+            if _try_link(adg, sw, port.node_id, fits):
+                return True
     return False
 
 
-def pad_switch_ring(adg: ADG, fits: Fits) -> bool:
+def pad_switch_ring(
+    adg: ADG, fits: Fits, cursor: Optional[Cursor] = None
+) -> bool:
     ring = sorted(sw.node_id for sw in adg.switches)
     if len(ring) < 2:
         return False
-    for a, b in zip(ring, ring[1:] + ring[:1]):
+    links = list(zip(ring, ring[1:] + ring[:1]))
+    for a, b in _resume(links, lambda ab: adg.has_link(*ab), cursor, "ring"):
         if not adg.has_link(a, b) and _try_link(adg, a, b, fits):
             return True
     return False
 
 
-def pad_pe_fan(adg: ADG, fits: Fits) -> bool:
+def pad_pe_fan(adg: ADG, fits: Fits, cursor: Optional[Cursor] = None) -> bool:
     switches = adg.switches
     if not switches:
         return False
-    for pe in adg.pes:
+
+    def fan_in(pe) -> List[int]:
+        """The switches that could still feed ``pe`` (none at fan-in 3)."""
         sw_in = _switch_neighbours(adg, adg.predecessors(pe.node_id))
-        sw_out = _switch_neighbours(adg, adg.successors(pe.node_id))
-        if len(sw_in) < 3:
-            candidates = [sw for sw in switches if sw.node_id not in sw_in]
-            if candidates:
-                sw = candidates[pe.node_id % len(candidates)].node_id
-                if _try_link(adg, sw, pe.node_id, fits):
-                    return True
-        if not sw_out:
+        if len(sw_in) >= 3:
+            return []
+        return [sw.node_id for sw in switches if sw.node_id not in sw_in]
+
+    def fans_out(pe) -> bool:
+        return bool(_switch_neighbours(adg, adg.successors(pe.node_id)))
+
+    for pe in _resume(
+        adg.pes, lambda pe: not fan_in(pe) and fans_out(pe), cursor, "pes"
+    ):
+        candidates = fan_in(pe)
+        if candidates:
+            sw = candidates[pe.node_id % len(candidates)]
+            if _try_link(adg, sw, pe.node_id, fits):
+                return True
+        if not fans_out(pe):
             sw = switches[pe.node_id % len(switches)].node_id
             if _try_link(adg, pe.node_id, sw, fits):
                 return True
@@ -555,11 +605,12 @@ def pad_pe_fan(adg: ADG, fits: Fits) -> bool:
 
 def pad_missing_caps(adg: ADG, fits: Fits) -> bool:
     pool: Set[FuCap] = set().union(*(pe.caps for pe in adg.pes))
-    for pe in sorted(adg.pes, key=lambda p: (len(p.caps), p.node_id)):
-        missing = sorted(pool - pe.caps, key=lambda c: c.name)
-        if missing:
-            return _try_replace(adg, pe, fits, caps=pe.caps | {missing[0]})
-    return False
+    short = [pe for pe in adg.pes if len(pe.caps) < len(pool)]
+    if not short:
+        return False
+    pe = min(short, key=lambda p: (len(p.caps), p.node_id))
+    missing = min(pool - pe.caps, key=lambda c: c.name)
+    return _try_replace(adg, pe, fits, caps=pe.caps | {missing})
 
 
 def pad_memory_links(adg: ADG, fits: Fits) -> bool:
@@ -651,9 +702,16 @@ def pad_for_generality(adg: ADG, fits: Fits) -> int:
 
     Only monotone *additions* are applied, so every existing schedule
     stays valid.  After each successful step the scan restarts from the
-    first step, so a repair that growth made possible runs first.
+    first step, so a repair that growth made possible runs first; the
+    structural scans resume past what they already found saturated.
     """
+    cursor: Cursor = {}
+    scans = (pad_reattach_ports, pad_switch_ring, pad_pe_fan)
+    padding = [
+        partial(step, cursor=cursor) if step in scans else step
+        for step in PADDING_STEPS
+    ]
     steps = 0
-    while steps < 1000 and any(step(adg, fits) for step in PADDING_STEPS):
+    while steps < 1000 and any(step(adg, fits) for step in padding):
         steps += 1
     return steps

@@ -12,6 +12,8 @@
 
 The preservation ladder reads only these: rung 0 accepts a schedule iff
 there are none, rung 1 reroutes iff every one is a ``missing_link``.
+Both read :func:`edit_violations`, the same findings from a walk of only
+what the ADG's edits touched since the schedule was last found clean.
 :func:`engine_violations` checks the binder's own rules (the engine
 contract of :mod:`.binder`), one finding per array or stream: ``indirect``
 (indirect access on an engine without it), ``capacity`` (a scratchpad's
@@ -28,10 +30,11 @@ holding two nodes) — and is what the fuzzer's invariant checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..adg import ADG, DmaEngine, NodeKind, ProcessingElement, RecurrenceEngine
 from ..adg import SpadEngine
+from ..adg.graph import Footprint
 from ..dfg import ArrayNode, ComputeNode, InputPortNode, OutputPortNode, StreamNode
 from .binder import effective_footprint, indirect_ok, linked_ports
 from .binder import recurrence_fits, spad_misfit
@@ -51,10 +54,23 @@ class Finding:
         return self.detail
 
 
-def hardware_violations(schedule: Schedule, adg: ADG) -> Iterator[Finding]:
-    """What the ADG no longer provides: one walk of placements, then routes."""
+def hardware_violations(
+    schedule: Schedule, adg: ADG, footprint: Optional[Footprint] = None
+) -> Iterator[Finding]:
+    """What the ADG no longer provides: one walk of placements, then routes.
+
+    With ``footprint``, only the placements on its nodes and the routes
+    through one of them or an end of one of its links (a removed node's
+    links end on it): nothing else moved since the schedule was clean."""
+    placement = schedule.placement.items()
+    routes = schedule.routes.items()
+    if footprint is not None:
+        nodes, links = footprint
+        ends = nodes.union(*links)
+        placement = [(d, h) for d, h in placement if h in nodes]
+        routes = [(k, p) for k, p in routes if not ends.isdisjoint(p)]
     node_of, has_node, hw_of = schedule.mdfg.node, adg.has_node, adg.node
-    for dfg_id, hw_id in schedule.placement.items():
+    for dfg_id, hw_id in placement:
         if not has_node(hw_id):
             yield Finding("missing_node", dfg_id, f"dfg node {dfg_id} placed "
                           f"on missing hw {hw_id}")
@@ -72,11 +88,21 @@ def hardware_violations(schedule: Schedule, adg: ADG) -> Iterator[Finding]:
                 yield Finding("port_width", dfg_id, f"{hw.name} is narrower "
                               f"than dfg port {dfg_id} ({node.width_bytes}B)")
     has_link = adg.has_link
-    for key, path in schedule.routes.items():
+    for key, path in routes:
         for a, b in zip(path, path[1:]):
             if not has_link(a, b):
                 yield Finding("missing_link", key, f"route {key[0]}->{key[1]}"
                               f"#{key[2]} uses missing link {a}->{b}")
+
+
+def edit_violations(schedule: Schedule, adg: ADG) -> List[Finding]:
+    """``list(hardware_violations(schedule, adg))``, walking only what the
+    edits since ``schedule.clean_at`` touched; the whole walk when ``adg``
+    does not know that stamp (pickled, another ADG's, rewritten since)."""
+    footprint = adg.touched_since(schedule.clean_at)
+    if footprint is not None and not (footprint.nodes or footprint.links):
+        return []
+    return list(hardware_violations(schedule, adg, footprint))
 
 
 def engine_violations(schedule: Schedule, adg: ADG) -> Iterator[Finding]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from operator import is_
 from typing import Dict, List, Optional, Tuple
 
-from ..adg import ADG
+from ..adg import ADG, SystemParams
 from ..dfg import MDFG
 from ..model.perf import (
     BottleneckProfile,
@@ -53,9 +53,15 @@ class Schedule:
     #: reads.  Not a field, so never compared or pickled; a clone carries
     #: it (it holds no ADG, so a clone keeps no parent alive).
     _profile = None
+    #: ``(profile, params, estimate)`` of the last :meth:`reprice`.
+    _priced = None
+    #: The :attr:`repro.adg.ADG.stamp` rung 0 last found this schedule clean
+    #: on, or None; kept like ``_profile``, and :meth:`reroute` drops it.
+    clean_at = None
 
     def __getstate__(self) -> Dict[str, object]:
-        return {k: v for k, v in self.__dict__.items() if k != "_profile"}
+        local = ("_profile", "_priced", "clean_at")
+        return {k: v for k, v in self.__dict__.items() if k not in local}
 
     # ------------------------------------------------------------------
     def profile(self, adg: ADG) -> BottleneckProfile:
@@ -77,6 +83,21 @@ class Schedule:
             kept = self._profile = (engines, binding.stream_engine, profile)
         return kept[2]
 
+    def reprice(self, adg: ADG, params: SystemParams) -> None:
+        """Set ``estimate`` to ``profile(adg).at(params)``, kept as it is
+        when neither the profile nor ``params`` moved."""
+        profile, kept = self.profile(adg), self._priced
+        if not (kept and kept[0] is profile and kept[1] == params
+                and kept[2] is self.estimate):
+            self.estimate = profile.at(params)
+            self._priced = (profile, params, self.estimate)
+
+    def reroute(self, key: EdgeKey, path: Tuple[int, ...]) -> None:
+        """Rewrite one route in place; the schedule is no longer known
+        clean on any stamp."""
+        self.routes[key] = path
+        self.clean_at = None
+
     def clone(self) -> "Schedule":
         """Deep-enough copy: mutating the clone's maps leaves this intact."""
         copy = Schedule(
@@ -88,6 +109,8 @@ class Schedule:
             estimate=self.estimate,
         )
         copy._profile = self._profile
+        copy._priced = self._priced
+        copy.clean_at = self.clean_at
         return copy
 
     def binding(self) -> MemoryBinding:

@@ -27,7 +27,7 @@ from ..dfg import MDFG
 from ..model.perf import ipc_ceiling
 from ..profile.tracer import add_counter, span
 from .binder import bind_memory
-from .legality import hardware_violations
+from .legality import Finding, edit_violations
 from .placer import _check_delay_skew, _value_width_bits, place_and_route
 from .router import RoutingState, find_route
 from .schedule import (
@@ -87,7 +87,7 @@ def attempt_schedule(
             failure=ScheduleFailure(stage=exc.stage, reason=str(exc))
         )
     if params is not None:
-        schedule.estimate = schedule.profile(adg).at(params)
+        schedule.reprice(adg, params)
     return ScheduleAttempt(schedule=schedule)
 
 
@@ -151,7 +151,7 @@ def schedule_workload(
         except ScheduleError:
             continue
         with span("scheduler.price", workload=mdfg.workload, variant=mdfg.variant):
-            schedule.estimate = schedule.profile(adg).at(params)
+            schedule.reprice(adg, params)
         heapq.heappush(priced, (-schedule.estimate.ipc, index, schedule))
     add_counter("scheduler.variants", len(mdfgs))
     add_counter("scheduler.bound", len(unpriced))
@@ -165,24 +165,30 @@ def revalidate_schedule(
     schedule: Schedule,
     adg: ADG,
     params: SystemParams,
+    broken: Optional[List[Finding]] = None,
 ) -> Optional[Schedule]:
     """Rung 0 of the ladder: the schedule-preserving fast path.
 
     When the edited ``adg`` still provides everything the schedule needs
-    (:func:`hardware_violations` finds nothing), stamp the new ADG
-    version, refresh the performance estimate in place, and return the
-    *same* object — no dict copies, no routing, no placement.  Returns
-    ``None`` when the schedule did not survive.
+    (:func:`edit_violations` finds nothing), stamp the new ADG (its
+    ``version`` and ``stamp``), refresh the performance estimate in place,
+    and return the *same* object — no dict copies, no routing, no
+    placement.  Returns ``None``, and extends ``broken`` (when given) by the
+    findings, when the schedule did not survive.
     """
     with span(
         "scheduler.revalidate",
         workload=schedule.mdfg.workload,
         variant=schedule.mdfg.variant,
     ):
-        if any(hardware_violations(schedule, adg)):
+        findings = edit_violations(schedule, adg)
+        if findings:
+            if broken is not None:
+                broken.extend(findings)
             return None
         schedule.adg_version = adg.version
-        schedule.estimate = schedule.profile(adg).at(params)
+        schedule.clean_at = adg.stamp
+        schedule.reprice(adg, params)
         return schedule
 
 
@@ -196,22 +202,22 @@ def repair_schedule(
     Rung 0 is :func:`revalidate_schedule`: a schedule that survived whole
     comes back as the same object, re-stamped.  Otherwise, in one
     ``scheduler.repair`` span, rung 1 keeps every placement and reroutes
-    the broken routes when missing links are all that broke, and rung 2
-    reschedules the same variant from scratch.  Any result but
-    ``schedule`` itself is a new object; None when even rung 2 cannot map
-    the variant.
+    the broken routes when missing links are all that broke (read from
+    rung 0's findings, not walked again), and rung 2 reschedules the same
+    variant from scratch.  Any result but ``schedule`` itself is a new
+    object; None when even rung 2 cannot map the variant.
     """
-    kept = revalidate_schedule(schedule, adg, params)
+    broken: List[Finding] = []
+    kept = revalidate_schedule(schedule, adg, params, broken)
     if kept is not None:
         return kept
     mdfg = schedule.mdfg
     with span("scheduler.repair", workload=mdfg.workload, variant=mdfg.variant):
-        findings = list(hardware_violations(schedule, adg))
-        if all(f.kind == "missing_link" for f in findings):
-            bad_edges = {f.piece for f in findings}
+        if all(f.kind == "missing_link" for f in broken):
+            bad_edges = {f.piece for f in broken}
             repaired = _reroute_only(schedule, adg, bad_edges)
             if repaired is not None:
-                repaired.estimate = repaired.profile(adg).at(params)
+                repaired.reprice(adg, params)
                 return repaired
         return schedule_mdfg(mdfg, adg, params)
 

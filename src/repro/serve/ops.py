@@ -322,9 +322,12 @@ def _remap_schedule(
     The OverGen Fig. 18 story as an op: when the caller holds the
     schedule served for a *previous version* of this overlay,
     :func:`~repro.scheduler.revalidate_schedule` keeps it wholesale
-    (no placement, no routing: about 11x cheaper than a repair in the
-    traced ``overlay_gen`` rep of BENCH_pipeline.json, 0.069 ms vs
-    0.781 ms) and only a failed revalidation pays for a full recompile.
+    (no placement, no routing: about 25x cheaper than a repair in the
+    traced ``overlay_gen`` rep of BENCH_pipeline.json, 0.023 ms vs
+    0.559 ms, though that rep's revalidations walk only what each edit
+    touched and a remap's walks the whole schedule, its prior being found
+    clean on another ADG object) and only a failed revalidation pays for
+    a full recompile.
     """
     if prior_schedule is not None:
         # Revalidation stamps the schedule it keeps in place, and under

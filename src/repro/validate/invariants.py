@@ -13,6 +13,9 @@ on and returns a list of :class:`Violation` records (empty = clean):
   placed hardware exists and is capable and wide enough, every route link
   exists, routes start and end on the placements and hop only through
   switches, links carry one value each, PEs hold one node each.
+* :func:`check_edit_scope` — after a DSE move on a clone of the ADG,
+  rung 0's walk of only what the edit touched finds what the full walk
+  finds, and rung 0 accepts exactly when the full walk finds nothing.
 * :func:`check_resources` — the analytic resource estimate is finite and
   non-negative in every column.
 
@@ -22,19 +25,28 @@ on and returns a list of :class:`Violation` records (empty = clean):
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..adg import ADG, AdgError, adg_from_dict, adg_to_dict
+from ..adg import ADG, AdgError, SystemParams, adg_from_dict, adg_to_dict
+from ..dse.transforms import (
+    RANDOM_TRANSFORMS,
+    TransformFailed,
+    collapse_random_switch,
+    prune_capabilities,
+)
 from ..model.resource import AnalyticEstimator
-from ..scheduler import Schedule, schedule_violations
+from ..scheduler import Schedule, hardware_violations, revalidate_schedule
+from ..scheduler import schedule_violations
+from ..scheduler.legality import Finding
 
 
 @dataclass(frozen=True)
 class Violation:
     """One failed invariant."""
 
-    invariant: str               # "adg" | "roundtrip" | "schedule" | "resources"
+    invariant: str  # "adg"|"roundtrip"|"schedule"|"edit_scope"|"resources"
     detail: str
 
     def __str__(self) -> str:  # pragma: no cover - trivial
@@ -72,6 +84,69 @@ def check_schedule(schedule: Schedule, adg: ADG) -> List[Violation]:
     ]
 
 
+#: The DSE's moves, by name: every random transform, then the two
+#: schedule-preserving ones (a collapse rewrites the schedule it keeps).
+SCOPE_MOVES: Dict[str, Callable[[ADG, Schedule, random.Random], object]] = {
+    **{op.__name__: lambda adg, s, rng, op=op: op(adg, rng)
+       for op in RANDOM_TRANSFORMS},
+    "collapse_random_switch":
+        lambda adg, s, rng: collapse_random_switch(adg, [s], rng),
+    "prune_capabilities": lambda adg, s, rng: prune_capabilities(adg, [s]),
+}
+#: The :func:`edit_scope_outcomes` where the scoped walk is wrong.
+DISAGREEMENTS = ("false_accept", "false_reject", "mismatch")
+
+
+def edit_scope_outcomes(
+    schedule: Schedule, adg: ADG, seed: object = 0, moves: Sequence[str] = ()
+) -> Iterator[Tuple[str, str]]:
+    """``(move, outcome)`` for each of ``moves`` (default: every one of
+    :data:`SCOPE_MOVES`), applied once (seeded by ``seed`` and its name) to
+    a clone of ``adg`` and a clone of ``schedule`` found clean on it.  The
+    scoped findings equal the full walk's and rung 0 accepts exactly when
+    the full walk finds nothing: ``kept`` (nothing found) or ``broken``;
+    else ``false_accept``, ``false_reject`` or ``mismatch``;
+    ``inapplicable`` when the move does not apply.  Nothing when
+    ``schedule`` is not clean on ``adg``."""
+    params = SystemParams()
+    clean = revalidate_schedule(schedule.clone(), adg, params)
+    if clean is None:
+        return
+    for name in moves or SCOPE_MOVES:
+        edited, probe = adg.clone(), clean.clone()
+        try:
+            SCOPE_MOVES[name](edited, probe, random.Random(f"{seed}/{name}"))
+        except (TransformFailed, AdgError):
+            yield name, "inapplicable"
+            continue
+        full = list(hardware_violations(probe, edited))
+        scoped: List[Finding] = []
+        kept = revalidate_schedule(probe, edited, params, scoped) is not None
+        if kept == bool(full):
+            yield name, "false_accept" if kept else "false_reject"
+        elif scoped != full:
+            yield name, "mismatch"
+        else:
+            yield name, "kept" if kept else "broken"
+
+
+def check_edit_scope(schedule: Schedule, adg: ADG) -> List[Violation]:
+    """Every disagreement of :func:`edit_scope_outcomes` for one move, on
+    one case in four (all of them cost a fuzz case half again): the ADG's
+    edit count picks the case, the move and the seed."""
+    sample, pick = divmod(adg.version, 4)
+    if pick:
+        return []
+    move = list(SCOPE_MOVES)[sample % len(SCOPE_MOVES)]
+    return [
+        Violation("edit_scope", f"{move}: {outcome}")
+        for move, outcome in edit_scope_outcomes(
+            schedule, adg, adg.version, [move]
+        )
+        if outcome in DISAGREEMENTS
+    ]
+
+
 def check_resources(adg: ADG) -> List[Violation]:
     """The analytic per-tile resource estimate is finite and non-negative."""
     try:
@@ -104,4 +179,5 @@ def check_case(
     out += check_resources(adg)
     if schedule is not None:
         out += check_schedule(schedule, adg)
+        out += check_edit_scope(schedule, adg)
     return out

@@ -151,6 +151,16 @@ class TestViews:
         clone = adg.clone()
         assert queries(clone) == scan(clone) == scan(adg)
 
+    def test_a_link_edit_keeps_the_node_view(self):
+        adg, sw, pe, ip, op, dma = tiny_adg()
+        view, routing = adg._views(), adg.routing()
+        adg.remove_link(ip, sw)
+        assert adg._views() is view and adg.routing() != routing
+        adg.add_link(ip, sw)
+        assert adg._views() is view and adg.routing() == routing
+        adg.replace_node(pe, width_bits=256)
+        assert adg._views() is not view
+
     def test_returned_lists_are_the_callers(self):
         adg, *_ = tiny_adg()
         for take in (

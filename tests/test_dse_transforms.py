@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from repro.adg import NodeKind, SystemParams, general_overlay, mesh_adg, caps_for_dtype
+from repro.adg import (
+    NodeKind,
+    SystemParams,
+    adg_to_dict,
+    caps_for_dtype,
+    general_overlay,
+    mesh_adg,
+    seed_for_workloads,
+)
 from repro.compiler import lower
 from repro.dse import (
     RANDOM_TRANSFORMS,
@@ -15,9 +23,19 @@ from repro.dse import (
     preserve_edge_delays,
     prune_capabilities,
 )
+from repro.dse.transforms import (
+    PADDING_STEPS,
+    pad_for_generality,
+    pad_missing_caps,
+    pad_reattach_ports,
+    remove_cap,
+    remove_fabric_link,
+    remove_port,
+)
 from repro.ir import F64, I64, Op
+from repro.model.resource import AnalyticEstimator
 from repro.scheduler import hardware_violations, schedule_mdfg
-from repro.workloads import get_workload
+from repro.workloads import get_suite, get_workload
 
 
 @pytest.fixture()
@@ -172,3 +190,69 @@ class TestPruning:
             assert adjusted > 0
             for pe_id, depth in needed.items():
                 assert adg.node(pe_id).max_delay_fifo >= depth
+
+
+class TestPaddingCursor:
+    """Padding's structural scans resume past what they found saturated,
+    and pad exactly what a scan from the first piece every step pads."""
+
+    @staticmethod
+    def _worn(seed):
+        """A dsp seed fabric with some links and ports gone: padding work."""
+        rng = random.Random(seed)
+        adg = seed_for_workloads(get_suite("dsp"))
+        for _ in range(12):
+            op = rng.choice((remove_fabric_link, remove_port, remove_cap))
+            try:
+                op(adg, rng)
+            except TransformFailed:
+                pass
+        return adg
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pads_what_a_scan_from_scratch_pads(self, seed):
+        def pad_from_scratch(adg, fits):
+            steps = 0
+            while steps < 1000 and any(step(adg, fits) for step in PADDING_STEPS):
+                steps += 1
+            return steps
+
+        padded = []
+        for pad in (pad_for_generality, pad_from_scratch):
+            adg, estimator, probes = self._worn(seed), AnalyticEstimator(), []
+            cap = estimator.tile(adg).lut * 1.2
+
+            def fits():
+                probes.append(estimator.tile(adg).lut <= cap)
+                return probes[-1]
+
+            padded.append((pad(adg, fits), adg_to_dict(adg), probes))
+        # The same steps, the same trials in the same order, the same ADG.
+        assert padded[0] == padded[1]
+        steps, _doc, probes = padded[0]
+        assert steps > 20 and not all(probes)
+
+    def test_a_failed_trial_holds_the_cursor(self, overlay):
+        adg = overlay.adg.clone()
+        first, second = adg.in_ports[1:3]
+        for port in (first, second):
+            for succ in list(adg.successors(port.node_id)):
+                adg.remove_link(port.node_id, succ)
+        cursor = {}
+        assert not pad_reattach_ports(adg, lambda: False, cursor)
+        assert cursor["in_ports"] == 1        # past port 0, not past port 1
+        assert pad_reattach_ports(adg, lambda: True, cursor)
+        assert adg.successors(first.node_id) and not adg.successors(second.node_id)
+        assert pad_reattach_ports(adg, lambda: True, cursor)
+        assert cursor["in_ports"] == 2 and adg.successors(second.node_id)
+
+    def test_missing_caps_picks_the_fewest_caps_then_the_lowest_id(self, overlay):
+        adg = overlay.adg.clone()
+        pes = adg.pes
+        pool = sorted(set().union(*(pe.caps for pe in pes)), key=lambda c: c.name)
+        adg.replace_node(pes[5].node_id, caps=frozenset(pool[2:]))
+        adg.replace_node(pes[3].node_id, caps=frozenset(pool[2:]))
+        adg.replace_node(pes[4].node_id, caps=frozenset(pool[1:]))
+        assert pad_missing_caps(adg, lambda: True)
+        assert adg.node(pes[3].node_id).caps == frozenset(pool[:1] + pool[2:])
+        assert adg.node(pes[5].node_id).caps == frozenset(pool[2:])

@@ -201,6 +201,20 @@ ABSENT = [
         SRC_TESTS_DOCS,
         "def preferred_binding(mdfg: MDFG, adg: ADG) -> MemoryBinding:",
     ),
+    # ``ADG.touched_since`` is sound only if every edit goes through a
+    # mutation that records it (the MDFG's own ``_nodes`` is no ADG's).
+    Lines(
+        "An ADG edit records its footprint: only adg/graph.py touches an "
+        "ADG's node and link maps",
+        r"\._(nodes|out|in)\b",
+        ("src",),
+        "        adg._nodes[pe] = ProcessingElement(pe, width_bits=512)",
+        allow=(
+            "src/repro/adg/graph.py",
+            "src/repro/dfg/graph.py",
+            "src/repro/model/resource/predictor.py",
+        ),
+    ),
     # One kernel call per batch: the per-region pack / struct / call path.
     Lines(
         "The per-region packing path stays deleted",
@@ -223,6 +237,13 @@ COUNTED = [
         r"modeled_seconds \+=",
         ("src/repro/dse",),
         "        self.modeled_seconds += seconds",
+        count=1,
+    ),
+    Lines(
+        "An ADG edit records its footprint: the resource model's one read",
+        r"\._(nodes|out|in)\b",
+        ("src/repro/model/resource/predictor.py",),
+        "        by_id, feeders, drains = self._by_id, adg._in, adg._out",
         count=1,
     ),
 ]
@@ -335,6 +356,14 @@ TESTS = [
             "tests/test_advisor.py::TestAdvise::test_a_variant_no_engine_holds_is_projected_at_its_ceiling",
             "tests/test_simulator.py::TestWholeRegion::test_spad_read_and_write_ports_agree_with_the_model",
             "tests/test_harness.py::test_legality_audit_lists_the_shipped_illegal_schedules",
+        ),
+    ),
+    Selected(
+        "An ADG edit records its footprint",
+        (
+            "tests/test_edit_footprint.py",
+            "tests/test_adg.py::TestViews",
+            "tests/test_dse_transforms.py::TestPaddingCursor",
         ),
     ),
     Selected("Runtime unit + fault-injection suite", ("tests/test_jobs.py",)),
