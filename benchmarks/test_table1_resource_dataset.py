@@ -7,8 +7,8 @@ error per resource class.
 """
 
 from repro.harness import render_table
-from repro.model.resource import MlEstimator, TABLE1_COUNTS
-from repro.model.resource.dataset import generate_all
+from repro.model.resource.dataset import TABLE1_COUNTS, generate_all
+from repro.model.resource.mlp import MlEstimator
 
 #: Fraction of the paper's module counts actually synthesized per run.
 SCALE = 0.05

@@ -10,8 +10,8 @@ ADG cloning cheap and schedules easy to invalidate precisely.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import ClassVar, FrozenSet, Optional
+from dataclasses import dataclass
+from typing import ClassVar, FrozenSet
 
 from ..ir import DType, Op
 from .capability import FuCap, cap_for

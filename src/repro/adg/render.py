@@ -13,9 +13,6 @@ from .graph import ADG
 from .nodes import (
     DmaEngine,
     GenerateEngine,
-    InputPortHW,
-    NodeKind,
-    OutputPortHW,
     ProcessingElement,
     RecurrenceEngine,
     RegisterEngine,

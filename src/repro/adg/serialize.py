@@ -22,7 +22,6 @@ from .nodes import (
     DmaEngine,
     GenerateEngine,
     InputPortHW,
-    NodeKind,
     OutputPortHW,
     ProcessingElement,
     RecurrenceEngine,

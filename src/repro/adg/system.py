@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from .graph import ADG
 

@@ -10,8 +10,8 @@ the workload's best variant could deliver on sufficient hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..adg import ADG, SystemParams
 from ..dfg import MDFG

@@ -36,7 +36,6 @@ from ..ir import (
     Statement,
     UnOp,
     Workload,
-    loads_in,
 )
 from .reuse import WorkloadReuse, analyze_workload
 

@@ -23,7 +23,7 @@ Indirect accesses ``a[b[i]]`` follow the paper's simplifying assumptions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..ir import Affine, IndexExpr, IndirectIndex, Statement, Workload
 

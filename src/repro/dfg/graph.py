@@ -9,13 +9,11 @@ configuration size).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..ir import DType
 from .nodes import (
     ArrayNode,
-    ArrayPlacement,
     ComputeNode,
     DfgEdge,
     InputPortNode,

@@ -11,7 +11,7 @@ spatial design space.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..ir import Affine, DType, Op

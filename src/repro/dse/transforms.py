@@ -31,15 +31,7 @@ from typing import (
     Tuple,
 )
 
-from ..adg import (
-    ADG,
-    AdgError,
-    FuCap,
-    NodeKind,
-    ProcessingElement,
-    SpadEngine,
-    Switch,
-)
+from ..adg import ADG, AdgError, FuCap, NodeKind, ProcessingElement
 from ..scheduler import Schedule
 
 PORT_WIDTHS = (4, 8, 16, 32, 64)

@@ -23,12 +23,7 @@ from ..adg import SysADG, general_overlay
 from ..compiler import generate_variants
 from ..dse import DseConfig, DseResult, max_tiles_that_fit
 from ..engine import DseEngine, TieredCache
-from ..hls import (
-    AutoDseResult,
-    KERNEL_INFO,
-    kernel_info,
-    run_autodse,
-)
+from ..hls import AutoDseResult, KERNEL_INFO, run_autodse
 from ..model.resource import (
     CATEGORIES,
     AnalyticEstimator,
@@ -699,8 +694,6 @@ def table3_suite_overlays(
     ``tile_lut``, ``lut_util`` (system) and ``tiles_fit`` (the count
     that fits the device) are ``(analytic, ml)`` pairs.
     """
-    from ..adg import NodeKind
-
     rows = []
     overlays = [(s, suite_overlay(s)) for s in PAPER_SUITE_NAMES]
     overlays.append(("general", None))

@@ -4,8 +4,9 @@
 11-20, once.  ``harness.report`` quotes them, the ``benchmarks/`` benches
 check against them, and ``harness.experiments.paper_ledger`` sets each
 beside its measurement with a :func:`verdict`.  Model inputs stay where the
-model reads them: Table I's counts (``model.resource.TABLE1_COUNTS``),
-Table IV's IIs (``repro.hls``) and ``SystemParams.frequency_mhz``.
+model reads them: Table I's counts
+(``model.resource.dataset.TABLE1_COUNTS``), Table IV's IIs
+(``repro.hls``) and ``SystemParams.frequency_mhz``.
 """
 
 from __future__ import annotations

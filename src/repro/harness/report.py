@@ -15,7 +15,8 @@ import os
 from collections import Counter
 
 from ..dse.explorer import MOVE_OUTCOMES
-from ..model.resource import MlEstimator, TABLE1_COUNTS
+from ..model.resource.dataset import TABLE1_COUNTS
+from ..model.resource.mlp import MlEstimator
 from ..rtl import estimated_frequency, floorplan
 from ..workloads import PAPER_SUITE_NAMES
 from . import experiments as ex

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..ir import Workload
-from ..model.resource import Resources, XCVU9P
+from ..model.resource import XCVU9P
 from .kernels import kernel_info
 from .model import HlsDesign, evaluate_design, unroll_cap
 

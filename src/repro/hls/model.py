@@ -21,10 +21,9 @@ part of the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 from ..ir import Op, Workload
-from ..model.resource import Resources, XCVU9P
+from ..model.resource import Resources
 from .kernels import HlsKernelInfo, kernel_info
 
 #: Achievable clock of Merlin-generated fixed-function pipelines (MHz).

@@ -17,10 +17,10 @@ Affine expressions support natural construction via operator overloading on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Mapping, Tuple, Union
 
-from .ops import Op, arity
+from .ops import Op
 
 
 class IndexExpr:

@@ -20,8 +20,8 @@ Workloads are built through the fluent :class:`WorkloadBuilder` API::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .dtypes import DType
 from .expr import (
@@ -35,7 +35,6 @@ from .expr import (
     as_expr,
     count_ops,
     loads_in,
-    walk,
 )
 from .ops import Op
 

@@ -1,4 +1,9 @@
-"""FPGA resource modeling: device budgets, analytic costs, ML predictor."""
+"""FPGA resource modeling: device budgets, analytic costs, ML predictor.
+
+The ML predictor (:mod:`.mlp`'s ``MlEstimator``) and its dataset
+(:mod:`.dataset`'s ``generate_all``, ``TABLE1_COUNTS``) are imported from
+their own modules, not from here: they are the only numpy users, and the
+pipeline never loads numpy."""
 
 from .analytic import (
     CATEGORIES,
@@ -10,6 +15,5 @@ from .analytic import (
     switch_resources,
     system_total,
 )
-from .dataset import TABLE1_COUNTS, generate_all
 from .device import Resources, XCVU9P, usable_budget
-from .predictor import AnalyticEstimator, MlEstimator
+from .predictor import AnalyticEstimator

@@ -14,7 +14,7 @@ calibrated so the paper's headline utilization shapes hold on the XCVU9P:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ...adg import (
     ADG,
@@ -24,7 +24,6 @@ from ...adg import (
     FuCap,
     GenerateEngine,
     InputPortHW,
-    NodeKind,
     OutputPortHW,
     ProcessingElement,
     RecurrenceEngine,

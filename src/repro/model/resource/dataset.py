@@ -15,20 +15,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from ...adg import (
-    ADG,
-    AdgNode,
-    FuCap,
-    InputPortHW,
-    NodeKind,
-    OutputPortHW,
-    ProcessingElement,
-    Switch,
-)
+from ...adg import FuCap, InputPortHW, OutputPortHW, ProcessingElement, Switch
 from ...ir import Op
 from .analytic import (
     in_port_resources,

@@ -1,19 +1,45 @@
-"""A small numpy multi-layer perceptron for resource prediction.
+"""A small numpy multi-layer perceptron for resource prediction, and the
+estimator it backs.
 
 The paper's component-level model is a 3-layer MLP (Section V-D).  Ours has
 two hidden layers + linear output, trained with Adam on standardized
 features and log-scaled LUT/FF targets (resource costs span four orders of
 magnitude).  BRAM/DSP are small counts and train on raw scale.
+
+:class:`MlEstimator` is the paper's flow: per-family MLPs trained on the
+synthetic OOC-synthesis dataset predict PE/switch/port costs, while
+components with few parameters (engines, core, L2, NoC) use exhaustive
+(analytic) tables, exactly as Section III-A describes.  Only this module
+and :mod:`.dataset` import numpy, and ``repro.model.resource`` imports
+neither: the pipeline never loads numpy; the report loads it for Table I.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import ComponentDataset
+from ...adg import (
+    ADG,
+    AdgNode,
+    InputPortHW,
+    OutputPortHW,
+    ProcessingElement,
+    Switch,
+)
+from .analytic import node_resources
+from .dataset import (
+    ComponentDataset,
+    generate_all,
+    in_port_features,
+    out_port_features,
+    pe_features,
+    switch_features,
+)
+from .device import Resources
+from .predictor import AnalyticEstimator, _key
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -142,3 +168,47 @@ class ResourceMlp:
             ape = np.abs(pred[mask, idx] - truth[mask, idx]) / truth[mask, idx]
             out[name] = float(np.mean(ape))
         return out
+
+
+class MlEstimator(AnalyticEstimator):
+    """ML-backed estimator for high-dimensional components.
+
+    PE/switch/port costs come from per-family MLPs (trained once at
+    construction); other components fall through to the analytic tables.
+    """
+
+    name = "ml"
+
+    def __init__(
+        self,
+        dataset_scale: float = 0.02,
+        config: Optional[MlpConfig] = None,
+        seed: int = 0,
+    ):
+        super().__init__()
+        datasets = generate_all(scale=dataset_scale, seed=seed)
+        self.models: Dict[str, ResourceMlp] = {}
+        self.training_error: Dict[str, dict] = {}
+        for family, data in datasets.items():
+            train, test, _val = data.split()
+            mlp = ResourceMlp(data.features.shape[1], config)
+            mlp.fit(train)
+            self.models[family] = mlp
+            self.training_error[family] = mlp.evaluate(test)
+
+    def node(self, adg: ADG, node: AdgNode) -> Resources:
+        feats, family = self._featurize(*_key(adg, node))
+        if family is None:
+            return node_resources(adg, node)
+        return Resources(*map(float, self.models[family].predict(feats)[0]))
+
+    def _featurize(self, node: AdgNode, n_in: int, n_out: int):
+        if isinstance(node, ProcessingElement):
+            return pe_features(node), "pe"
+        if isinstance(node, Switch):
+            return switch_features(node, n_in, n_out), "switch"
+        if isinstance(node, InputPortHW):
+            return in_port_features(node, max(1, n_in)), "in_port"
+        if isinstance(node, OutputPortHW):
+            return out_port_features(node, max(1, n_out)), "out_port"
+        return None, None

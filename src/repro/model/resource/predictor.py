@@ -1,28 +1,17 @@
-"""Resource estimators used by the DSE.
+"""The resource estimator used by the DSE.
 
-Two interchangeable estimators:
-
-* :class:`AnalyticEstimator` — the deterministic ground-truth model; fast
-  and exact, used by default in tests and benches for reproducibility.
-* :class:`MlEstimator` — the paper's flow: per-family MLPs trained on the
-  synthetic OOC-synthesis dataset predict PE/switch/port costs, while
-  components with few parameters (engines, core, L2, NoC) use exhaustive
-  (analytic) tables, exactly as Section III-A describes.
+:class:`AnalyticEstimator` is the deterministic ground-truth model; fast
+and exact, used by default in tests and benches for reproducibility.  Its
+interchangeable ML-backed subclass, the paper's flow, is
+:class:`repro.model.resource.mlp.MlEstimator`: it lives beside the MLP it
+trains, so only a process that builds one imports numpy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ...adg import (
-    ADG,
-    AdgNode,
-    InputPortHW,
-    OutputPortHW,
-    ProcessingElement,
-    Switch,
-    SysADG,
-)
+from ...adg import ADG, AdgNode, SysADG
 from .analytic import (
     CATEGORIES,
     _category,
@@ -33,15 +22,7 @@ from .analytic import (
     node_resources,
     system_total,
 )
-from .dataset import (
-    generate_all,
-    in_port_features,
-    out_port_features,
-    pe_features,
-    switch_features,
-)
 from .device import Resources
-from .mlp import MlpConfig, ResourceMlp
 
 
 class AnalyticEstimator:
@@ -114,50 +95,6 @@ class AnalyticEstimator:
             p.num_tiles, p.noc_bytes_per_cycle
         ) + l2_resources(p.l2_kib, p.l2_banks)
         return breakdown
-
-
-class MlEstimator(AnalyticEstimator):
-    """ML-backed estimator for high-dimensional components.
-
-    PE/switch/port costs come from per-family MLPs (trained once at
-    construction); other components fall through to the analytic tables.
-    """
-
-    name = "ml"
-
-    def __init__(
-        self,
-        dataset_scale: float = 0.02,
-        config: Optional[MlpConfig] = None,
-        seed: int = 0,
-    ):
-        super().__init__()
-        datasets = generate_all(scale=dataset_scale, seed=seed)
-        self.models: Dict[str, ResourceMlp] = {}
-        self.training_error: Dict[str, dict] = {}
-        for family, data in datasets.items():
-            train, test, _val = data.split()
-            mlp = ResourceMlp(data.features.shape[1], config)
-            mlp.fit(train)
-            self.models[family] = mlp
-            self.training_error[family] = mlp.evaluate(test)
-
-    def node(self, adg: ADG, node: AdgNode) -> Resources:
-        feats, family = self._featurize(*_key(adg, node))
-        if family is None:
-            return node_resources(adg, node)
-        return Resources(*map(float, self.models[family].predict(feats)[0]))
-
-    def _featurize(self, node: AdgNode, n_in: int, n_out: int):
-        if isinstance(node, ProcessingElement):
-            return pe_features(node), "pe"
-        if isinstance(node, Switch):
-            return switch_features(node, n_in, n_out), "switch"
-        if isinstance(node, InputPortHW):
-            return in_port_features(node, max(1, n_in)), "in_port"
-        if isinstance(node, OutputPortHW):
-            return out_port_features(node, max(1, n_out)), "out_port"
-        return None, None
 
 
 def _key(adg: ADG, node: AdgNode) -> Tuple[AdgNode, int, int]:

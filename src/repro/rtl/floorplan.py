@@ -10,7 +10,7 @@ the quantity the conservative-pipelining design rule exists to tolerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..adg import SysADG
 from ..model.resource import AnalyticEstimator, XCVU9P, control_core_resources

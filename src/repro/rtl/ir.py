@@ -17,7 +17,7 @@ stable across runs and PYTHONHASHSEED values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..adg import (

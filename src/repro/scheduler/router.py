@@ -11,7 +11,7 @@ through a 64-bit switch.  Both searches read the ADG's routing view
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..adg import ADG
 

@@ -14,7 +14,6 @@ transforms draw from.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Dict, List, Sequence, Tuple
 
 from ..adg import ADG, AdgError

@@ -1,8 +1,8 @@
 """Compiled stepping kernel for the vectorized simulator core.
 
 :mod:`repro.sim.vector` packs a batch of tiles' simulation state into
-batch-major numpy struct-of-arrays; this module owns the C stepping
-kernel that advances that packed state.  Its one entry point,
+batch-major stdlib ``array.array`` columns; this module owns the C
+stepping kernel that advances that packed state.  Its one entry point,
 ``repro_step_batch(BatchState*, n)``, takes one struct of array
 pointers (built once per call), points a stack ``TileState`` at each
 region's slices and steps the regions one after another to completion,
@@ -29,8 +29,9 @@ components (engines arbitrating shared bandwidth pools, FIFOs feeding a
 retiring pipeline).  There is no per-cycle data parallelism to
 vectorize across — the win is removing interpreter dispatch from the
 stepping loop, plus event-driven skip-ahead over idle cycles.
-The packed numpy arrays are the data plane; the C kernel is the only
-consumer of their raw buffers.
+The packed ``array.array`` columns are the data plane (no numpy: the
+pipeline imports none); the C kernel is the only consumer of their raw
+buffers.
 
 Toolchain policy: the kernel is built once per process from the
 in-repo source string with the *system* C compiler (``cc``, source on
@@ -525,9 +526,10 @@ void repro_step_batch(const BatchState *b, int64_t n) {
 }
 """
 
-_F8, _I8 = "f8", "i8"
+_F8, _I8 = "d", "q"
 
-#: ``BatchState``'s arrays in C field order -> numpy dtype.  This is the
+#: ``BatchState``'s arrays in C field order -> ``array`` typecode (``"d"``
+#: is C ``double``, ``"q"`` is ``int64_t``: 8 bytes each).  This is the
 #: batch layout contract between :func:`repro.sim.vector.pack_batch`
 #: (which fills one array per name) and the C struct (whose pointer
 #: fields are declared in exactly this order).

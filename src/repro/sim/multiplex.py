@@ -11,7 +11,7 @@ against the reflash-per-kernel alternative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..adg import SysADG
 from ..scheduler import Schedule

@@ -29,15 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..adg import ADG, NodeKind, SysADG
-from ..dfg import (
-    ComputeNode,
-    InputPortNode,
-    MDFG,
-    OutputPortNode,
-    StreamKind,
-    StreamNode,
-)
+from ..adg import NodeKind, SysADG
+from ..dfg import ComputeNode, MDFG, OutputPortNode, StreamKind, StreamNode
 from ..ir import op_latency
 from ..scheduler import Schedule
 from .components import (

@@ -2,8 +2,8 @@
 
 The object model in :mod:`repro.sim.components` stays the reference
 implementation; this module packs a *batch* of built tiles (engines,
-fabric, pools) into numpy struct-of-arrays and steps all of them in one
-call to the compiled kernel (:mod:`repro.sim.ckernel`).  After the run
+fabric, pools) into stdlib ``array.array`` columns and steps all of them
+in one call to the compiled kernel (:mod:`repro.sim.ckernel`).  After the run
 the packed state is written back into the original objects, so result
 assembly and all introspection (engine busy counters, pool bytes, FIFO
 levels, pipeline contents) are identical between cores.  One tile is
@@ -30,7 +30,9 @@ of ``regions + 1`` entries — region ``r`` owns ``[off[r], off[r + 1])``:
 Indices stored *in* the arrays are relative to the region's own slices,
 so the kernel's per-region code never sees the batch.  Columns are
 filled as Python tuples across the whole batch and converted with one
-``np.array`` per field per batch.
+``array(code, column)`` per field per batch (``code`` is the field's
+``BATCH_ARRAYS`` typecode, ``"d"`` for ``double`` and ``"q"`` for
+``int64_t``); the kernel reads each column at ``buffer_info()[0]``.
 
 The kernel is an exact transliteration of the object stepping order, so
 all synced-back floats are bit-identical to an object-core run.
@@ -39,10 +41,9 @@ all synced-back floats are bit-identical to an object-core run.
 from __future__ import annotations
 
 import ctypes
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from ..profile.tracer import add_counter
 from .ckernel import BATCH_ARRAYS, BatchStateStruct, load_kernel
@@ -76,7 +77,7 @@ class BatchPack:
     streams: List[StreamState]
     fifos: List[PortFifo]
     pools: List[BandwidthPool]
-    arrays: Dict[str, np.ndarray]
+    arrays: Dict[str, array]
 
 
 def packable(
@@ -236,11 +237,11 @@ def pack_batch(tiles: Sequence[Tile]) -> BatchPack:
     # What the kernel only writes is allocated, not filled.
     unfilled = dict.fromkeys(_OUTCOME_FIELDS, len(region_rows))
     unfilled["cand"] = len(stream_rows)
-    for name, dtype in BATCH_ARRAYS.items():
+    for name, code in BATCH_ARRAYS.items():
         pack.arrays[name] = (
-            np.array(columns[name], dtype=dtype)
+            array(code, columns[name])
             if name in columns
-            else np.empty(unfilled[name], dtype=dtype)
+            else array(code, bytes(8 * unfilled[name]))
         )
     return pack
 
@@ -307,7 +308,7 @@ def step_batch(
     a = pack.arrays
     state = BatchStateStruct()
     for name in BATCH_ARRAYS:
-        setattr(state, name, a[name].ctypes.data)
+        setattr(state, name, a[name].buffer_info()[0])
     state.exact = 1 if exact else 0
     state.hard_cap = hard_cap
     state.measure_window = measure_window

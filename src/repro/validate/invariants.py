@@ -13,9 +13,10 @@ on and returns a list of :class:`Violation` records (empty = clean):
   placed hardware exists and is capable and wide enough, every route link
   exists, routes start and end on the placements and hop only through
   switches, links carry one value each, PEs hold one node each.
-* :func:`check_edit_scope` — after a DSE move on a clone of the ADG,
-  rung 0's walk of only what the edit touched finds what the full walk
-  finds, and rung 0 accepts exactly when the full walk finds nothing.
+* :func:`check_edit_scope` — after a DSE move that removes or replaces
+  something (one per case) on a clone of the ADG, rung 0's walk of only
+  what the edit touched finds what the full walk finds, and rung 0
+  accepts exactly when the full walk finds nothing.
 * :func:`check_resources` — the analytic resource estimate is finite and
   non-negative in every column.
 
@@ -93,6 +94,13 @@ SCOPE_MOVES: Dict[str, Callable[[ADG, Schedule, random.Random], object]] = {
         lambda adg, s, rng: collapse_random_switch(adg, [s], rng),
     "prune_capabilities": lambda adg, s, rng: prune_capabilities(adg, [s]),
 }
+#: The moves that can take something away (remove or replace a node,
+#: remove a link): all but the four that only add, which a footprint
+#: never records.
+TAKING_MOVES = tuple(
+    name for name in SCOPE_MOVES
+    if name not in ("add_pe", "add_switch", "add_fabric_link", "add_port")
+)
 #: The :func:`edit_scope_outcomes` where the scoped walk is wrong.
 DISAGREEMENTS = ("false_accept", "false_reject", "mismatch")
 
@@ -109,9 +117,10 @@ def edit_scope_outcomes(
     ``inapplicable`` when the move does not apply.  Nothing when
     ``schedule`` is not clean on ``adg``."""
     params = SystemParams()
-    clean = revalidate_schedule(schedule.clone(), adg, params)
-    if clean is None:
+    clean = schedule.clone()
+    if next(hardware_violations(clean, adg), None) is not None:
         return
+    clean.clean_at = adg.stamp
     for name in moves or SCOPE_MOVES:
         edited, probe = adg.clone(), clean.clone()
         try:
@@ -131,20 +140,17 @@ def edit_scope_outcomes(
 
 
 def check_edit_scope(schedule: Schedule, adg: ADG) -> List[Violation]:
-    """Every disagreement of :func:`edit_scope_outcomes` for one move, on
-    one case in four (all of them cost a fuzz case half again): the ADG's
-    edit count picks the case, the move and the seed."""
-    sample, pick = divmod(adg.version, 4)
-    if pick:
-        return []
-    move = list(SCOPE_MOVES)[sample % len(SCOPE_MOVES)]
-    return [
-        Violation("edit_scope", f"{move}: {outcome}")
-        for move, outcome in edit_scope_outcomes(
-            schedule, adg, adg.version, [move]
-        )
-        if outcome in DISAGREEMENTS
-    ]
+    """The disagreement, if any, of :func:`edit_scope_outcomes` for one
+    :data:`TAKING_MOVES` move that applies: the ADG's edit count picks
+    where the rotation through them starts, and the seed."""
+    start = adg.version % len(TAKING_MOVES)
+    moves = TAKING_MOVES[start:] + TAKING_MOVES[:start]
+    for move, outcome in edit_scope_outcomes(schedule, adg, adg.version, moves):
+        if outcome in DISAGREEMENTS:
+            return [Violation("edit_scope", f"{move}: {outcome}")]
+        if outcome != "inapplicable":
+            break
+    return []
 
 
 def check_resources(adg: ADG) -> List[Violation]:

@@ -26,7 +26,7 @@ into the accuracy aggregates would poison every max/mean downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
 from ..adg import SysADG

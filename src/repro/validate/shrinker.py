@@ -21,7 +21,7 @@ divergence corpus stores.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, Optional
 
 from ..adg import adg_to_dict
 from .generators import FuzzCase, ProgramSpec, case_size

@@ -8,7 +8,7 @@ why their Table II op mixes have zero multiplies.
 
 from __future__ import annotations
 
-from ..ir import I16, I32, Op, Workload, WorkloadBuilder, vmax
+from ..ir import I16, Op, Workload, WorkloadBuilder, vmax
 
 FRAME = 128 * 128
 BATCH = 4

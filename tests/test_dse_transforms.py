@@ -6,7 +6,6 @@ import pytest
 
 from repro.adg import (
     NodeKind,
-    SystemParams,
     adg_to_dict,
     caps_for_dtype,
     general_overlay,
@@ -32,7 +31,7 @@ from repro.dse.transforms import (
     remove_fabric_link,
     remove_port,
 )
-from repro.ir import F64, I64, Op
+from repro.ir import I64, Op
 from repro.model.resource import AnalyticEstimator
 from repro.scheduler import hardware_violations, schedule_mdfg
 from repro.workloads import get_suite, get_workload

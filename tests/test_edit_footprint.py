@@ -14,12 +14,13 @@ from collections import Counter
 
 import pytest
 
-from repro.adg import adg_to_dict, general_overlay
+from repro.adg import ADG, adg_to_dict, general_overlay
 from repro.adg.graph import Footprint
 from repro.compiler import generate_variants
 from repro.dse import collapse_switch
 from repro.scheduler import legality, revalidate_schedule, schedule_workload
 from repro.serve import ops
+from repro.validate import check_case, random_case, run_oracle
 from repro.validate.invariants import (
     DISAGREEMENTS,
     SCOPE_MOVES,
@@ -72,6 +73,25 @@ def test_scoped_walk_equals_the_full_walk_for_every_move(pairs):
     ran = {move for move, outcome in outcomes if outcome != "inapplicable"}
     assert ran == set(SCOPE_MOVES) - {"add_cap"}
     assert sum(n for (_, outcome), n in outcomes.items() if outcome == "broken") > 50
+
+
+def test_every_fuzz_case_checks_a_taking_move(monkeypatch):
+    """A ``remove_link`` that records nothing is caught by the fuzz
+    checks within the first 80 cases of seed 0: every case runs one
+    removing or replacing move, not one move on one case in four."""
+    record = ADG._record
+    monkeypatch.setattr(
+        ADG, "_record", lambda self, nodes, links: record(self, nodes, ())
+    )
+    found = []
+    for i in range(80):
+        result = run_oracle(random_case(f"0:{i}"))
+        if result.adg is not None:
+            found += [
+                v.detail for v in check_case(result.adg, result.schedule)
+                if v.invariant == "edit_scope"
+            ]
+    assert found and all("false_accept" in f for f in found)
 
 
 def test_an_untouched_schedule_costs_no_walk(pairs, walks):

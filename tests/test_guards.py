@@ -1,6 +1,6 @@
 """Structural guards: what a refactor deleted stays deleted.
 
-One table, four kinds of row:
+One table, five kinds of row:
 
 * ``ABSENT``: no line under ``paths`` matches ``pattern``, scanned like
   ``grep -rnE pattern paths`` (every file under each path, ``^`` anchored
@@ -12,6 +12,9 @@ One table, four kinds of row:
 * ``TESTS``: a property's test ids still exist in tier-1, checked
   statically (file, then class, then function), so renaming a test away
   cannot silently drop the property it pins.
+* ``UNUSED_IMPORTS``: no module under these paths (``__init__.py``
+  re-exports aside) imports a name it never references; a name read only
+  in a quoted annotation counts as referenced.
 
 A row's id names the property it guards: ``pytest tests/test_guards.py
 -k charge`` finds the charge-path rows.
@@ -222,6 +225,18 @@ ABSENT = [
         ("src",),
         "    return run_packed_region(pack_tile(tile), cycles)",
     ),
+    # The sim kernel's columns are ``array.array``s; only the ML resource
+    # model, which only the report builds, needs numpy.
+    Lines(
+        "No pipeline module imports numpy",
+        r"^\s*(import|from) numpy\b",
+        ("src",),
+        "import numpy as np",
+        allow=(
+            "src/repro/model/resource/dataset.py",
+            "src/repro/model/resource/mlp.py",
+        ),
+    ),
 ]
 
 COUNTED = [
@@ -247,6 +262,8 @@ COUNTED = [
         count=1,
     ),
 ]
+
+UNUSED_IMPORTS = ("src",)
 
 GONE = [
     "src/repro/cli.py",
@@ -366,6 +383,13 @@ TESTS = [
             "tests/test_dse_transforms.py::TestPaddingCursor",
         ),
     ),
+    Selected(
+        "No pipeline process loads numpy",
+        (
+            "tests/test_layering.py::test_the_pipeline_never_imports_numpy",
+            "tests/test_sim_vector.py::test_batch_arrays_mirror_the_c_struct",
+        ),
+    ),
     Selected("Runtime unit + fault-injection suite", ("tests/test_jobs.py",)),
     Selected("Parity suite", ("tests/test_sim_vector.py",)),
 ]
@@ -463,6 +487,39 @@ def _defines(body, name: str):
     return None
 
 
+def _annotation_names(node: ast.AST):
+    """Every name an annotation reads, quoted ones included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from _annotation_names(ast.parse(sub.value, mode="eval"))
+
+
+def unused_imports(tree: ast.Module) -> List[str]:
+    """The names ``tree`` imports (``__future__`` aside) and never reads."""
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(
+            node, "returns", None
+        )
+        if annotation is not None:
+            used.update(_annotation_names(annotation))
+    return [
+        f"{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+
+
 def resolves(test_id: str) -> bool:
     """The id's file exists under tests/ and defines its class and test."""
     file, *names = test_id.split("::")
@@ -490,6 +547,22 @@ def test_lines(row: Lines):
 )
 def test_gone(path: str):
     assert not (ROOT / path).exists()
+
+
+def test_no_unused_imports():
+    witness = ast.parse(
+        "from typing import List, Optional\nimport random\n"
+        "def f(x: 'List[int]'): ...\n"
+    )
+    assert unused_imports(witness) == ["1: Optional", "2: random"]
+    hits = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for root in UNUSED_IMPORTS
+        for path in _files(root)
+        if path.suffix == ".py" and path.name != "__init__.py"
+        for line in unused_imports(_tree(path))
+    ]
+    assert hits == []
 
 
 @pytest.mark.parametrize("row", TESTS, ids=lambda r: r.id)

@@ -17,19 +17,17 @@ from repro.adg import (
 from repro.ir import Op
 from repro.model.resource import (
     AnalyticEstimator,
-    MlEstimator,
     Resources,
     XCVU9P,
     control_core_resources,
     dispatcher_resources,
-    generate_all,
     l2_resources,
     pe_resources,
     switch_resources,
     usable_budget,
 )
-from repro.model.resource.dataset import TABLE1_COUNTS
-from repro.model.resource.mlp import MlpConfig, ResourceMlp
+from repro.model.resource.dataset import TABLE1_COUNTS, generate_all
+from repro.model.resource.mlp import MlEstimator, MlpConfig, ResourceMlp
 
 
 class TestResourcesVector:

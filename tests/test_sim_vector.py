@@ -522,8 +522,11 @@ class TestBatchParity:
 
 def test_batch_arrays_mirror_the_c_struct():
     """``BatchStateStruct`` is built from ``BATCH_ARRAYS``; its order and
-    element types must be the C ``BatchState`` declaration's."""
+    element types must be the C ``BatchState`` declaration's, and every
+    typecode must be 8 bytes wide here (a platform whose ``q`` is not
+    64-bit fails here rather than corrupting the kernel's view)."""
     import re
+    from array import array
 
     from repro.sim.ckernel import BATCH_ARRAYS, KERNEL_SOURCE
 
@@ -532,12 +535,13 @@ def test_batch_arrays_mirror_the_c_struct():
     ).group(1)
     body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
     declared = [
-        (name.strip()[1:], {"double": "f8", "int64_t": "i8"}[ctype])
+        (name.strip()[1:], {"double": "d", "int64_t": "q"}[ctype])
         for ctype, names in re.findall(r"(double|int64_t) ([^;]+);", body)
         for name in names.split(",")
         if name.strip().startswith("*")
     ]
     assert declared == list(BATCH_ARRAYS.items())
+    assert {array(code).itemsize for code in BATCH_ARRAYS.values()} == {8}
 
 
 @needs_kernel
