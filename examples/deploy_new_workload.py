@@ -17,7 +17,7 @@ import time
 from repro.compiler import generate_variants
 from repro.dse import DseConfig, explore
 from repro.hls import run_autodse
-from repro.scheduler import schedule_workload
+from repro.scheduler import advise, schedule_workload
 from repro.sim import simulate_schedule
 from repro.workloads import get_suite, get_workload
 
@@ -46,9 +46,7 @@ def main() -> None:
         print("  does not map on this overlay: rerun the DSE with it included")
         return
 
-    # The compiler's advice on whether re-specializing would pay (Q5).
-    from repro.compiler import advise
-
+    # The advisor's verdict on whether re-specializing would pay (Q5).
     advice = advise(new_workload, result.sysadg.adg, result.sysadg.params,
                     variants=variants)
     print("\n" + advice.summary())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
+from ..compiler import lower
 from ..ir import DType, Op
 from .capability import FuCap, caps_for_dtype, universal_caps
 from .graph import ADG
@@ -183,8 +184,6 @@ def seed_for_workloads(workloads, width_bits: int = 512) -> ADG:
     explorer's job to grow or shrink.  A search study builds it once and
     mutates a clone per proposal.
     """
-    from ..compiler import lower
-
     dtypes = {w.dtype for w in workloads}
     ops: set = set()
     need_pes = 1

@@ -121,7 +121,7 @@ def run_floorplan(args: argparse.Namespace) -> int:
 
 
 def run_advise(args: argparse.Namespace) -> int:
-    from ..compiler import advise
+    from ..scheduler import advise
 
     sysadg = load_design(args.design)
     advice = advise(

@@ -93,7 +93,7 @@ def _seed_cell(o) -> str:
 
 def run_generate(args: argparse.Namespace) -> int:
     """``dse`` with one seed, one process and no store, tersely reported."""
-    from ..engine import DseEngine
+    from ..search import DseEngine
 
     workloads = resolve_workloads(args.workloads)
     print(
@@ -105,8 +105,9 @@ def run_generate(args: argparse.Namespace) -> int:
 
 
 def run_dse(args: argparse.Namespace) -> int:
-    from ..engine import DseEngine, MetricsLogger
+    from ..engine import MetricsLogger
     from ..search import (
+        DseEngine,
         SearchSettings,
         export_frontier,
         render_html,

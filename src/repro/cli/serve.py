@@ -168,7 +168,7 @@ def run_registry(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from ..cluster import OverlayRegistry, RegistryError, split_spec
+    from ..engine import OverlayRegistry, RegistryError, split_spec
     from ..serve import canonical_dumps
 
     registry = OverlayRegistry(args.root)

@@ -1,13 +1,10 @@
 """``repro.cluster`` — scale-out for the overlay-compilation service.
 
-Three pieces turn the single-process ``repro.serve`` tier into the
+Two pieces turn the single-process ``repro.serve`` tier into the
 many-users story OverGen argues for (one generated overlay family,
-many applications compiling in milliseconds):
+many applications compiling in milliseconds), with clients addressing
+overlays as ``name@version`` in the :mod:`repro.engine.registry`:
 
-* :mod:`~repro.cluster.registry` — a versioned overlay registry on
-  :class:`~repro.engine.store.ArtifactStore`: publish / pin / rollback
-  named overlay versions, so clients address ``name@version`` instead
-  of shipping design files.
 * :mod:`~repro.cluster.topology` — deterministic request routing:
   ``(overlay fp, workload fp)`` hashed into a fixed slot space and
   assigned to shards with the same :class:`~repro.jobs.ShardPlan` math
@@ -19,30 +16,9 @@ many applications compiling in milliseconds):
   aggregated stats), and the process launcher that spawns shards +
   router as one unit for ``repro cluster serve``.
 
-``router``/``launcher`` import :mod:`repro.serve`, which itself imports
-:mod:`repro.cluster.registry`; they are exposed lazily here so the
-package has no import cycle.
+The cluster sits on :mod:`repro.serve`; the serve tier never imports it.
 """
 
-from .registry import OverlayRegistry, RegistryError, split_spec, version_key
+from .launcher import ClusterLauncher, LauncherConfig
+from .router import ClusterRouter, RouterConfig
 from .topology import SLOTS, BackendSpec, route_shard, route_slot, shard_of_slot
-
-_LAZY = {
-    "ClusterRouter": "router",
-    "RouterConfig": "router",
-    "BackendState": "router",
-    "ClusterLauncher": "launcher",
-    "LauncherConfig": "launcher",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    mod = importlib.import_module(f".{module}", __name__)
-    value = getattr(mod, name)
-    globals()[name] = value
-    return value

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
+from ..engine.metrics import MetricsLogger
 from ..serve.endpoint import run_until_shutdown
 from .router import ClusterRouter, RouterConfig
 from .topology import BackendSpec
@@ -150,8 +151,6 @@ class ClusterLauncher:
     async def run(self) -> List[int]:
         """Router foreground loop until a graceful drain; returns the
         shards' exit codes."""
-        from ..engine.metrics import MetricsLogger
-
         with closing(MetricsLogger(self.config.metrics_path)) as metrics:
             self.router = ClusterRouter(self.router_config(), metrics=metrics)
             try:

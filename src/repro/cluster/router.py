@@ -39,12 +39,12 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine.metrics import MetricsLogger
+from ..engine.registry import OverlayRegistry, RegistryError, split_spec
 from ..serve.client import ServeClient, ServeConnectionError
 from ..serve.endpoint import JsonLinesEndpoint
 from ..serve.errors import InternalError, ShuttingDownError
 from ..serve.protocol import PROTOCOL_VERSION, Request, response_doc
 from ..serve.ops import workload_fp
-from .registry import OverlayRegistry, RegistryError, split_spec
 from .topology import BackendSpec, overlay_route_key, route_shard
 
 #: Extra shards tried when the owner is overloaded/unreachable.

@@ -31,8 +31,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..engine.registry import split_spec
 from ..jobs import ShardPlan
-from .registry import split_spec
 
 #: Fixed slot-space size.  Large enough that the contiguous ShardPlan
 #: split balances well for any sane shard count.

@@ -2,9 +2,12 @@
 
 Public entry points:
 
-* :func:`compile_workload` — lower one workload at a fixed setting.
+* :func:`lower` — lower one workload at a fixed setting.
 * :func:`generate_variants` — pre-compile the variant family used by DSE.
 * :func:`analyze_workload` — standalone reuse analysis.
+
+The compiler needs no ADG: the mapping advisor, which schedules a
+family's variants onto an overlay, is :func:`repro.scheduler.advise`.
 """
 
 from .lowering import (
@@ -32,14 +35,3 @@ from .variants import (
     unroll_candidates,
     uses_recurrence_engine,
 )
-
-# Advisor imports the scheduler (which imports this package); importing it
-# last keeps the circular import resolvable.
-from .advisor import (  # noqa: E402  (deliberate late import)
-    MappingAdvice,
-    REDSE_GAIN_THRESHOLD,
-    VariantVerdict,
-    advise,
-)
-
-compile_workload = lower

@@ -37,6 +37,7 @@ from ..ir import (
     UnOp,
     Workload,
 )
+from ..profile.tracer import span
 from .reuse import WorkloadReuse, analyze_workload
 
 #: Widest datapath the generated PEs support (matches the paper's general
@@ -140,8 +141,6 @@ def _lower(
 ) -> MDFG:
     """:func:`lower`, given the workload's reuse analysis when the caller
     holds it (a variant family analyses its workload once)."""
-    from ..profile.tracer import span
-
     with span("compiler.lower", workload=workload.name, unroll=unroll):
         if unroll < 1:
             raise LoweringError(f"unroll factor {unroll} < 1")

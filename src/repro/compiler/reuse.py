@@ -25,7 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..ir import Affine, IndexExpr, IndirectIndex, Statement, Workload
+from ..ir import (
+    Affine,
+    IndexExpr,
+    IndirectIndex,
+    Load,
+    Statement,
+    Workload,
+    loads_in,
+)
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,6 @@ def find_recurrence(workload: Workload, stmt: Statement) -> Optional[RecurrenceI
     index = stmt.target_index
     if not isinstance(index, Affine):
         return None
-    from ..ir import Load, loads_in
 
     reads_target = any(
         isinstance(l, Load) and l.array == stmt.target_array and l.index == index

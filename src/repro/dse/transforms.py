@@ -31,7 +31,8 @@ from typing import (
     Tuple,
 )
 
-from ..adg import ADG, AdgError, FuCap, NodeKind, ProcessingElement
+from ..adg import ADG, AdgError, FuCap, NodeKind, ProcessingElement, cap_for
+from ..dfg import ComputeNode, InputPortNode, OutputPortNode, StreamNode
 from ..scheduler import Schedule
 
 PORT_WIDTHS = (4, 8, 16, 32, 64)
@@ -363,8 +364,6 @@ def preserve_edge_delays(
         per_pe: Dict[int, List[int]] = {}
         for (src, dst, _slot), path in schedule.routes.items():
             node = schedule.mdfg.node(dst)
-            from ..dfg import ComputeNode
-
             if isinstance(node, ComputeNode):
                 pe = schedule.placement.get(dst)
                 if pe is not None:
@@ -393,9 +392,6 @@ def prune_capabilities(
     widest scheduled use, and deletes engines that no stream binds to.
     Returns the number of modifications made.
     """
-    from ..adg import cap_for
-    from ..dfg import ComputeNode, InputPortNode, OutputPortNode, StreamNode
-
     changes = 0
     used_caps: Dict[int, Set[FuCap]] = {}
     used_width: Dict[int, int] = {}

@@ -1,12 +1,14 @@
-"""Parallel DSE orchestration with persistent caching and checkpointing.
+"""Persistence and telemetry under the DSE, search and serve tiers.
 
-The headline results all funnel through one search driver
-(:func:`repro.search.run_search`, the annealer by default); this package
-turns those searches into *jobs*: one study per seed, run in parallel
-across seeds with per-worker fault isolation, answered from a
-content-addressed on-disk artifact store when the inputs are unchanged,
-resumable from the per-seed studies kept in that same store, and
-instrumented with a structured metrics stream.
+* :mod:`~repro.engine.hashing` — content hashes of workloads, configs and
+  jobs (the store keys);
+* :mod:`~repro.engine.store` — the content-addressed on-disk
+  :class:`ArtifactStore` and the memory → disk :class:`TieredCache`;
+* :mod:`~repro.engine.registry` — named, versioned overlays on that store;
+* :mod:`~repro.engine.metrics` — the structured event stream.
+
+The multi-seed DSE driver built on them is
+:class:`repro.search.DseEngine`.
 """
 
 from .hashing import (
@@ -18,13 +20,5 @@ from .hashing import (
     workload_fingerprint,
 )
 from .metrics import EngineStats, MetricsLogger, RunMetrics
-from .orchestrator import (
-    DEFAULT_CHECKPOINT_EVERY,
-    DseEngine,
-    EngineError,
-    EngineResult,
-    SeedJob,
-    SeedOutcome,
-    run_seed_job,
-)
+from .registry import OverlayRegistry, RegistryError, split_spec, version_key
 from .store import ArtifactStore, StoreStats, TieredCache

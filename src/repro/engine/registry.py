@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..engine.hashing import fingerprint
-from ..engine.store import ArtifactStore
+from .hashing import fingerprint
+from .store import ArtifactStore
 
 #: How long a lock file may sit before another process breaks it.
 LOCK_STALE_S = 10.0

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Dict, List, Optional, Tuple
 
-from ..adg import SysADG, general_overlay
+from ..adg import SysADG, SystemParams, general_overlay, seed_for_workloads
 from ..compiler import generate_variants
 from ..dse import DseConfig, DseResult, max_tiles_that_fit
-from ..engine import DseEngine, TieredCache
+from ..engine import TieredCache
 from ..hls import AutoDseResult, KERNEL_INFO, run_autodse
 from ..model.resource import (
     CATEGORIES,
@@ -30,12 +30,20 @@ from ..model.resource import (
     XCVU9P,
     usable_budget,
 )
-from ..rtl import estimated_frequency, floorplan
+from ..ir import Op
+from ..rtl import (
+    build_design,
+    design_stats,
+    estimated_frequency,
+    floorplan,
+    get_backend,
+)
 from ..scheduler import Schedule, engine_violations, schedule_workload
+from ..search import DseEngine
 from ..sim import EngineSim, PortFifo, SimResult, StreamState
 from ..sim import reconfiguration_cycles, simulate_schedule
 from ..sim.multiplex import FPGA_REFLASH_SECONDS
-from ..workloads import PAPER_SUITE_NAMES, get_suite, get_workload
+from ..workloads import PAPER_SUITE_NAMES, SUITE_NAMES, get_suite, get_workload
 from . import paper
 from .tables import geomean
 
@@ -651,8 +659,6 @@ def legality_audit() -> Tuple[List[AuditRow], int, int]:
 # ----------------------------------------------------------------------
 def table2_workload_specs() -> List[Dict]:
     """Table II: size/dtype plus the best DFG's port/array/op statistics."""
-    from ..ir import Op
-
     rows = []
     for w in paper_workloads():
         best = generate_variants(w).best
@@ -777,16 +783,6 @@ def families_end_to_end() -> List[Dict]:
     both RTL backends and floorplanned.  Returns one row per workload
     with the family-level RTL/floorplan columns repeated.
     """
-    from ..adg import SystemParams, seed_for_workloads
-    from ..rtl import (
-        build_design,
-        design_stats,
-        estimated_frequency,
-        get_backend,
-    )
-    from ..rtl import floorplan as make_floorplan
-    from ..workloads import SUITE_NAMES
-
     rows: List[Dict] = []
     sysadg = general_sysadg()
     for suite in SUITE_NAMES:
@@ -804,7 +800,7 @@ def families_end_to_end() -> List[Dict]:
             name: len(get_backend(name).render_design(design).splitlines())
             for name in ("verilog", "migen")
         }
-        plan = make_floorplan(seed)
+        plan = floorplan(seed)
         for w in workloads:
             variants = generate_variants(w)
             schedule = schedule_workload(variants, sysadg.adg, sysadg.params)

@@ -11,14 +11,23 @@ tables did not move.
 
 from __future__ import annotations
 
+import asyncio
 import os
+import tempfile
 from collections import Counter
 
+from ..adg import sysadg_to_dict
+from ..cluster import BackendSpec, ClusterRouter, RouterConfig
+from ..dse import DseConfig
 from ..dse.explorer import MOVE_OUTCOMES
+from ..engine import MetricsLogger, OverlayRegistry
 from ..model.resource.dataset import TABLE1_COUNTS
 from ..model.resource.mlp import MlEstimator
 from ..rtl import estimated_frequency, floorplan
-from ..workloads import PAPER_SUITE_NAMES
+from ..search import Axis, SearchSettings, frontier_doc, run_search
+from ..serve import OverlayServer, ServeClient, ServeConfig, run_load
+from ..validate import CampaignConfig, ToleranceBands, fuzz_run, soak_run
+from ..workloads import PAPER_SUITE_NAMES, get_suite, get_workload
 from . import experiments as ex
 from . import paper
 from .paper import claim
@@ -204,10 +213,6 @@ def _pareto_section(trials: int = 24, seed: int = 3) -> str:
     below is the set of designs no other evaluated overlay beats on
     both axes at once.
     """
-    from ..dse import DseConfig
-    from ..search import Axis, SearchSettings, frontier_doc, run_search
-    from ..workloads import get_workload
-
     names = ["fir", "vecmax", "bgr2grey"]
     outcome = run_search(
         [get_workload(n) for n in names],
@@ -541,8 +546,6 @@ def _model_fidelity_section(budget: int = 60, seed: int = 0) -> str:
     class (Section VI of the paper validates the bottleneck model the
     same way, workload by workload).
     """
-    from ..validate import fuzz_run
-
     stats = fuzz_run(budget=budget, seed=seed)
     return "\n\n".join([
         "## Model fidelity — differential fuzzing",
@@ -575,9 +578,6 @@ def _soak_section(budget: int = 48, seed: int = 3, shards: int = 4) -> str:
     dedup to one minimal repro per failure signature, and a triage
     report whose bytes do not depend on the shard split.
     """
-    from ..validate import ToleranceBands
-    from ..validate.soak import CampaignConfig, soak_run
-
     config = CampaignConfig(
         budget=budget,
         seed=seed,
@@ -616,16 +616,6 @@ def _serve_section(requests: int = 128, concurrency: int = 32) -> str:
     an in-process 2-shard :class:`~repro.cluster.router.ClusterRouter`;
     only counts that do not depend on timing are printed.
     """
-    import asyncio
-    import tempfile
-
-    from ..adg import sysadg_to_dict
-    from ..cluster import BackendSpec, OverlayRegistry, RouterConfig
-    from ..cluster.router import ClusterRouter
-    from ..engine import MetricsLogger
-    from ..serve import OverlayServer, ServeClient, ServeConfig, run_load
-    from ..workloads import get_suite
-
     suite = "dsp"
     sysadg = ex.suite_overlay(suite).sysadg
     workloads = tuple(w.name for w in get_suite(suite))[:3]

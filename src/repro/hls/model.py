@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from ..ir import Op, Workload
 from ..model.resource import Resources
+from ..model.resource.analytic import _FP_COSTS, _FP_SHARED
 from .kernels import HlsKernelInfo, kernel_info
 
 #: Achievable clock of Merlin-generated fixed-function pipelines (MHz).
@@ -83,8 +84,6 @@ def _dram_bytes(workload: Workload, info: HlsKernelInfo, tuned: bool) -> float:
 
 def _lane_resources(workload: Workload) -> Resources:
     """Datapath cost of one unrolled lane of the kernel's pipeline."""
-    from ..model.resource.analytic import _FP_COSTS, _FP_SHARED
-
     lut = 0.0
     dsp = 0.0
     bits = workload.dtype.scalar_bits

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from .dtypes import DType
 from .expr import (
     Affine,
+    BinOp,
     Expr,
     IndexExpr,
     IndirectIndex,
@@ -301,8 +302,6 @@ class WorkloadBuilder:
         elif op is Op.MUL:
             combined = reads_target * as_expr(expr)
         elif op in (Op.MAX, Op.MIN):
-            from .expr import BinOp
-
             combined = BinOp(op, reads_target, as_expr(expr))
         else:
             raise WorkloadError(f"unsupported reduction op {op}")

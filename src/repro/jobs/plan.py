@@ -24,29 +24,9 @@ shard counts are clamped to at least 1; empty trailing shards (when
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple, TypeVar
+from typing import List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One contiguous slice of the global index range."""
-
-    index: int
-    start: int
-    count: int
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.count
-
-    def indices(self) -> range:
-        """The global indices this shard owns."""
-        return range(self.start, self.stop)
-
-    def __contains__(self, index: int) -> bool:
-        return self.start <= index < self.stop
 
 
 @dataclass(frozen=True)
@@ -77,16 +57,6 @@ class ShardPlan:
             start += count
         return ranges
 
-    def slices(self) -> List[Shard]:
-        """The same split as :meth:`ranges`, as :class:`Shard` objects."""
-        return [
-            Shard(index=i, start=start, count=count)
-            for i, (start, count) in enumerate(self.ranges())
-        ]
-
-    def __iter__(self) -> Iterator[Shard]:
-        return iter(self.slices())
-
     def shard_of(self, index: int) -> int:
         """Which shard owns global item ``index``."""
         if not 0 <= index < self.total:
@@ -103,4 +73,4 @@ class ShardPlan:
             raise ValueError(
                 f"plan covers {self.total} items, got {len(items)}"
             )
-        return [items[s.start:s.stop] for s in self.slices()]
+        return [items[start:start + count] for start, count in self.ranges()]

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..adg import ADG, SystemParams
+from ..compiler import VariantSet, generate_variants
 from ..dfg import MDFG
 from ..ir import Workload
-from ..scheduler import ScheduleError, attempt_schedule, bind_engines
-from .variants import VariantSet, generate_variants
+from ..model.perf import MemoryBinding, estimate_ipc, ipc_ceiling
+from .binder import bind_engines
+from .schedule import ScheduleError
+from .spatial import attempt_schedule
 
 #: Recommend re-running the DSE when the best *unmappable* variant promises
 #: at least this much more instruction bandwidth than the best mapped one.
@@ -79,8 +82,6 @@ def _try_variant(mdfg: MDFG, adg: ADG, params: SystemParams) -> VariantVerdict:
     deliver on an overlay generous enough to host it.  The gap between
     that and the best mapped variant is the re-DSE signal.
     """
-    from ..model.perf import MemoryBinding, estimate_ipc, ipc_ceiling
-
     attempt = attempt_schedule(mdfg, adg, params)
     if not attempt.ok:
         try:

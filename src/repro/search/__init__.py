@@ -20,6 +20,8 @@ self-contained HTML report.  Proposals fan out through
 :mod:`repro.jobs`, so pool and serial runs produce identical studies.
 :func:`~repro.search.runner.shootout` runs every strategy on one trial
 budget: the deterministic ``repro bench`` report, ``BENCH_search.json``.
+:class:`~repro.search.seeds.DseEngine` runs one study per seed in
+parallel, cached in the engine store (``repro dse``).
 """
 
 from .pareto import (
@@ -62,3 +64,4 @@ from .bottleneck import BottleneckStrategy
 from .evolutionary import EvolutionaryStrategy
 from .tpe import TpeStrategy
 from .runner import SearchOutcome, SearchSettings, run_search, shootout
+from .seeds import DseEngine, EngineError

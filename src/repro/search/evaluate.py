@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..adg import ADG, AdgError, SystemParams, seed_for_workloads
+from ..adg import ADG, AdgError, SystemParams, adg_to_dict, seed_for_workloads
 from ..compiler import VariantSet, generate_variants
 from ..dse import DseConfig
 from ..dse.explorer import sweep_candidate
@@ -156,8 +156,6 @@ def evaluate_proposal(
     modeled = cfg.time_model.reschedule(total_variants) + cfg.time_model.sweep()
     out = _out(index, choice, modeled_seconds=modeled)
     if shard.include_adg and choice is not None:
-        from ..adg import adg_to_dict
-
         out.adg_doc = adg_to_dict(adg)
     return out
 

@@ -1,7 +1,7 @@
 """The study runner: ask -> evaluate (via repro.jobs) -> tell -> persist.
 
 One loop drives every strategy, and it is the one DSE driver:
-:class:`repro.engine.DseEngine` runs one :func:`run_search` per seed.
+:class:`~repro.search.seeds.DseEngine` runs one :func:`run_search` per seed.
 Proposals fan out through a :class:`~repro.jobs.ShardPlan` and
 :func:`~repro.jobs.run_jobs` — zero new executor code; a failed
 evaluation job is a :class:`SearchError` naming its first proposal — and

@@ -31,17 +31,15 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from time import perf_counter, sleep
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dse import DseConfig, DseResult
-from ..jobs import JobOutcome, run_jobs
+from ..engine.hashing import CODE_SCHEMA_VERSION, job_key
+from ..engine.metrics import EngineStats, MetricsLogger, RunMetrics
+from ..engine.store import ArtifactStore, TieredCache
 from ..ir import Workload
-from .hashing import CODE_SCHEMA_VERSION, job_key
-from .metrics import EngineStats, MetricsLogger, RunMetrics
-from .store import ArtifactStore, TieredCache
-
-if TYPE_CHECKING:  # repro.search sits on this package; import it lazily
-    from ..search import SearchOutcome, SearchSettings
+from ..jobs import JobOutcome, run_jobs
+from .runner import SearchOutcome, SearchSettings, run_search
 
 #: Default checkpoint cadence (trials between saves of a seed's study).
 DEFAULT_CHECKPOINT_EVERY = 25
@@ -59,7 +57,7 @@ class SeedJob:
     config: DseConfig
     name: str
     seed: int
-    settings: "SearchSettings"
+    settings: SearchSettings
     store_dir: Optional[str] = None        # ArtifactStore root, or None
     checkpoint_every: int = 0
     resume: bool = False
@@ -71,15 +69,13 @@ class SeedJob:
 @dataclass
 class SeedOutcome:
     seed: int
-    outcome: Optional["SearchOutcome"]       # None: crashed or timed out
+    outcome: Optional[SearchOutcome]       # None: crashed or timed out
     error: Optional[str] = None
     timed_out: bool = False
 
 
-def run_seed_job(job: SeedJob) -> "SearchOutcome":
+def run_seed_job(job: SeedJob) -> SearchOutcome:
     """Run one seed's study (module-level so it pickles to workers)."""
-    from ..search import run_search
-
     if job.inject_hang_s:
         sleep(job.inject_hang_s)
     if job.inject_crash:
@@ -98,7 +94,7 @@ def run_seed_job(job: SeedJob) -> "SearchOutcome":
         )
 
 
-def _progress(outcome: "SearchOutcome") -> Tuple[int, int, float]:
+def _progress(outcome: SearchOutcome) -> Tuple[int, int, float]:
     """``(iterations, accepted, modeled seconds)`` of one seed's study:
     the strategy's own accounting when it returns a ``DseResult``, else
     trials evaluated / feasible / their summed modeled cost."""
@@ -119,7 +115,7 @@ def _progress(outcome: "SearchOutcome") -> Tuple[int, int, float]:
 class EngineResult:
     """Best-of-seeds outcome of one engine job."""
 
-    outcome: "SearchOutcome"     # the best seed's study, design and all
+    outcome: SearchOutcome     # the best seed's study, design and all
     key: str
     from_cache: bool
     metrics: RunMetrics
@@ -170,7 +166,7 @@ class DseEngine:
         name: str = "overlay",
         seeds: Optional[Sequence[int]] = None,
         resume: bool = False,
-        settings: Optional["SearchSettings"] = None,
+        settings: Optional[SearchSettings] = None,
         inject_crash_seeds: Sequence[int] = (),
         inject_hang: Optional[Dict[int, float]] = None,
     ) -> EngineResult:
@@ -180,8 +176,6 @@ class DseEngine:
         ``seed`` / ``workers`` are set per seed job); default: the
         annealer for ``config.iterations`` trials.
         """
-        from ..search import SearchSettings
-
         config = config or DseConfig()
         settings = settings or SearchSettings(trials=config.iterations)
         seed_list = sorted(set(seeds)) if seeds else [config.seed]
@@ -278,7 +272,7 @@ class DseEngine:
         name: str,
         seeds: Sequence[int],
         resume: bool,
-        settings: "SearchSettings",
+        settings: SearchSettings,
         crash_seeds: set,
         hang_seeds: Dict[int, float],
     ) -> List[SeedOutcome]:

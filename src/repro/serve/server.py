@@ -60,8 +60,8 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..adg import SysADG, sysadg_from_dict, sysadg_to_dict
-from ..cluster.registry import OverlayRegistry, RegistryError
 from ..engine.metrics import MetricsLogger
+from ..engine.registry import OverlayRegistry, RegistryError
 from ..engine.store import ArtifactStore, TieredCache
 from ..jobs.loop_worker import LoopWorker
 from ..profile import tracer

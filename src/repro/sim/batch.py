@@ -1,4 +1,5 @@
-"""``simulate_batch``: the simulator's one stepping driver.
+"""``simulate_batch``: the simulator's one stepping driver, and
+``simulate_schedule``, its batch of one.
 
 This is the shape the layers above the simulator actually consume:
 ``repro.serve``'s simulate op answers per-overlay workload sets, soak
@@ -30,7 +31,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..adg import SysADG
 from ..profile.tracer import add_counter, span
+from ..scheduler import Schedule
 from .ckernel import STATUS_DEADLOCK, STATUS_HARD_CAP, STATUS_STUCK, load_error
 from .simulator import Region, SimResult, SimulationError, _resolve_core
 from .vector import pack_batch, packable, step_batch, vector_core_available
@@ -178,3 +181,16 @@ def simulate_batch(
     add_counter("sim.regions", len(regions))
     add_counter("sim.cycles_stepped", sum(r.now for r in regions))
     return [results[slot] for slot in slots]
+
+
+def simulate_schedule(
+    schedule: Schedule, sysadg: SysADG, **options: Any
+) -> SimResult:
+    """Simulate one scheduled region on the overlay; returns cycles/IPC.
+
+    The batch of one: ``options`` are :func:`simulate_batch`'s keywords
+    (``onehot_bypass``, ``exact``, ``max_exact_cycles``,
+    ``measure_window``, ``core``) and its defaults are the only
+    defaults.
+    """
+    return simulate_batch([(schedule, sysadg)], dedupe=False, **options)[0]

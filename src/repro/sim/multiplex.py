@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..adg import SysADG
 from ..scheduler import Schedule
+from .batch import simulate_batch
 from .simulator import SimResult
 
 #: Cycles to drain the fabric and reload a configuration through the
@@ -79,8 +80,6 @@ def run_sequence(
     sequence are stepped as one :func:`~repro.sim.batch.simulate_batch`
     pass (first-appearance order): one kernel call for the whole sequence.
     """
-    from .batch import simulate_batch
-
     if not schedules:
         raise ValueError("need at least one schedule")
     unique: Dict[str, Schedule] = {}

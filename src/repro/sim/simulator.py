@@ -10,8 +10,7 @@ full-system behavior at a fraction of the cost.
 This module owns everything about *one* region: building it
 (:func:`build_tile`), the reference per-cycle loop
 (:meth:`Region.step_object`) and result assembly (:meth:`Region.result`).
-Stepping is always driven by :func:`repro.sim.batch.simulate_batch`;
-:func:`simulate_schedule` is that call with a batch of one.
+Stepping is always driven by :func:`repro.sim.batch.simulate_batch`.
 
 Modeling notes (substitutions documented in DESIGN.md):
 
@@ -27,7 +26,7 @@ Modeling notes (substitutions documented in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..adg import NodeKind, SysADG
 from ..dfg import ComputeNode, MDFG, OutputPortNode, StreamKind, StreamNode
@@ -429,18 +428,3 @@ class Region:
             fabric_stalls=fabric.stall_cycles,
         )
 
-
-def simulate_schedule(
-    schedule: Schedule, sysadg: SysADG, **options: Any
-) -> SimResult:
-    """Simulate one scheduled region on the overlay; returns cycles/IPC.
-
-    The batch of one: ``options`` are
-    :func:`~repro.sim.batch.simulate_batch`'s keywords
-    (``onehot_bypass``, ``exact``, ``max_exact_cycles``,
-    ``measure_window``, ``core``) and its defaults are the only
-    defaults.
-    """
-    from .batch import simulate_batch
-
-    return simulate_batch([(schedule, sysadg)], dedupe=False, **options)[0]

@@ -10,18 +10,23 @@ one-off validation into a regression-tested property:
 * :mod:`oracle` — the model-vs-simulator differential comparison with
   per-bottleneck-class tolerance bands,
 * :mod:`shrinker` — greedy minimization of failing cases,
+* :mod:`runner` — the pure shard body (``fuzz_run``),
 * :mod:`corpus` — the one repro store: a JSON document per minimal repro
   (case + the bands it failed under), its smallest-witness order, its
-  replay,
-* :mod:`runner` — the pure shard body (``fuzz_run``) and the ``repro
-  validate`` driver,
+  replay, and the ``repro validate`` driver (``validate_run``) over it,
 * :mod:`soak` — the one campaign loop: sharded, resumable (``repro soak``;
   ``repro fuzz`` is its one-shard, stateless case),
 * :mod:`promote` — the store plus a generated pytest module
   (``--promote``).
 """
 
-from .corpus import DivergenceCorpus, case_key, replay_promoted
+from .corpus import (
+    DivergenceCorpus,
+    ValidateReport,
+    case_key,
+    replay_promoted,
+    validate_run,
+)
 from .generators import (
     PROGRAM_FAMILIES,
     FuzzCase,
@@ -52,11 +57,9 @@ from .runner import (
     CaseRecord,
     Failure,
     FuzzStats,
-    ValidateReport,
     failure_key_of,
     fuzz_run,
     make_failure_key,
-    validate_run,
 )
 from .shrinker import ShrinkResult, shrink
 from .soak import CampaignConfig, SoakError, SoakReport, soak_run

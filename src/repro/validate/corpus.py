@@ -16,6 +16,11 @@ indented JSON with no timestamps, so:
 
 The file name embeds the failure key and the case fingerprint only, so
 the same case recorded again under other bands replaces its document.
+
+:func:`validate_run` is the ``repro validate`` driver: structural
+invariants over the built-in workload suite mapped on the shared
+overlay, plus the store's replay of every minimal repro under its
+recorded bands.
 """
 
 from __future__ import annotations
@@ -23,12 +28,24 @@ from __future__ import annotations
 import json
 import os
 import re
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..adg import general_overlay
+from ..compiler import generate_variants
 from ..engine.hashing import fingerprint
+from ..scheduler import schedule_workload
+from ..workloads import all_workloads
 from .generators import FuzzCase, case_size
+from .invariants import check_case, check_schedule
 from .oracle import ToleranceBands
-from .runner import Failure, ReplayRow, make_failure_key
+from .runner import Failure, make_failure_key
+
+#: One replay verdict of the repro store, ``(file name, expected,
+#: actual)``.  ``expected`` is None for a file that could not be read
+#: (``actual`` then says why); otherwise the repro still reproduces iff
+#: ``actual == expected``.
+ReplayRow = Tuple[str, Optional[str], Optional[str]]
 
 #: Bump when the stored document layout changes.
 PROMOTED_VERSION = 1
@@ -159,9 +176,77 @@ class DivergenceCorpus:
         return name, True
 
     def replay(self) -> List[ReplayRow]:
-        """Replay every stored repro (rows as :data:`runner.ReplayRow`)."""
+        """Replay every stored repro (rows as :data:`ReplayRow`)."""
         return [
             (name, None, error) if doc is None
             else (name, doc["expected"], replay_promoted(doc))
             for name, doc, error in self.entries()
         ]
+
+
+@dataclass
+class ValidateReport:
+    workloads_checked: int = 0
+    schedules_checked: int = 0
+    invariant_violations: List[str] = field(default_factory=list)
+    replay: List[ReplayRow] = field(default_factory=list)
+
+    @property
+    def changed(self) -> List[ReplayRow]:
+        """Repros that no longer yield their recorded key, and files
+        that could not be read."""
+        return [
+            row for row in self.replay if row[1] is None or row[1] != row[2]
+        ]
+
+    @property
+    def ok(self) -> bool:
+        return not self.invariant_violations and not self.changed
+
+    def render(self) -> str:
+        lines = [
+            f"validate: {self.workloads_checked} workloads, "
+            f"{self.schedules_checked} schedules checked",
+            f"invariant violations: {len(self.invariant_violations)}",
+        ]
+        lines += [f"  {v}" for v in self.invariant_violations[:20]]
+        if self.replay:
+            lines.append(
+                f"corpus replay: {len(self.replay) - len(self.changed)}/"
+                f"{len(self.replay)} minimal repros still reproduce"
+            )
+            for name, expected, actual in self.changed:
+                lines.append(
+                    f"  UNREADABLE {name}: {actual}" if expected is None
+                    else f"  CHANGED {name}: expected {expected!r}, "
+                         f"got {actual!r}"
+                )
+        else:
+            lines.append("corpus replay: no corpus entries")
+        return "\n".join(lines)
+
+
+def validate_run(corpus_dir: Optional[str] = None) -> ValidateReport:
+    """Structural invariants on the built-in suite + corpus replay."""
+    report = ValidateReport()
+    overlay = general_overlay()
+    report.invariant_violations += [
+        str(v)
+        for v in check_case(overlay.adg)
+    ]
+    for workload in all_workloads():
+        report.workloads_checked += 1
+        schedule = schedule_workload(
+            generate_variants(workload), overlay.adg, overlay.params
+        )
+        if schedule is None:
+            continue
+        report.schedules_checked += 1
+        report.invariant_violations += [
+            f"{workload.name}: {v}"
+            for v in check_schedule(schedule, overlay.adg)
+        ]
+
+    if corpus_dir:
+        report.replay = DivergenceCorpus(corpus_dir).replay()
+    return report

@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..adg import ADG, AdgError, SystemParams, adg_from_dict, adg_to_dict
 from ..adg.builders import seed_for_workloads
+from ..compiler import LoweringError, generate_variants
 from ..dse.transforms import TransformFailed, apply_random_transform
 from ..ir import (
     Affine,
@@ -537,8 +538,6 @@ def random_case(
     least compilable.  ``family`` pins the program's scenario family; by
     default each redraw picks its own.
     """
-    from ..compiler import LoweringError, generate_variants
-
     rng = random.Random(seed)
     for _ in range(16):
         program = random_program(rng, name=name, family=family)

@@ -1,4 +1,4 @@
-"""The shard body of a fuzz campaign, and the ``repro validate`` driver.
+"""The shard body of a fuzz campaign.
 
 :func:`fuzz_run` draws ``budget`` cases from a seed, pushes each through
 the differential oracle and the invariant checkers, shrinks every failure
@@ -8,21 +8,17 @@ events: :mod:`repro.validate.soak` runs it once per shard (``repro fuzz``
 is the one-shard campaign), merges, and records.  All randomness derives
 from the seed and nothing it returns holds a wall-clock value, so
 identical seeds reproduce identical reports byte for byte.
-
-:func:`validate_run` is the regression side: structural invariants over
-the built-in workload suite mapped on the shared overlay, plus the
-store's replay of every minimal repro under its recorded bands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..profile.tracer import span
 from .generators import FuzzCase, GeneratorError, random_case
-from .invariants import Violation, check_case, check_schedule
+from .invariants import Violation, check_case
 from .oracle import OracleResult, ToleranceBands, run_oracle
 from .shrinker import shrink
 
@@ -251,87 +247,3 @@ def fuzz_run(
             )
         )
     return stats
-
-
-# ----------------------------------------------------------------------
-# Validation driver (invariants + corpus replay)
-# ----------------------------------------------------------------------
-#: One replay verdict of the repro store, ``(file name, expected,
-#: actual)``.  ``expected`` is None for a file that could not be read
-#: (``actual`` then says why); otherwise the repro still reproduces iff
-#: ``actual == expected``.
-ReplayRow = Tuple[str, Optional[str], Optional[str]]
-
-
-@dataclass
-class ValidateReport:
-    workloads_checked: int = 0
-    schedules_checked: int = 0
-    invariant_violations: List[str] = field(default_factory=list)
-    replay: List[ReplayRow] = field(default_factory=list)
-
-    @property
-    def changed(self) -> List[ReplayRow]:
-        """Repros that no longer yield their recorded key, and files
-        that could not be read."""
-        return [
-            row for row in self.replay if row[1] is None or row[1] != row[2]
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return not self.invariant_violations and not self.changed
-
-    def render(self) -> str:
-        lines = [
-            f"validate: {self.workloads_checked} workloads, "
-            f"{self.schedules_checked} schedules checked",
-            f"invariant violations: {len(self.invariant_violations)}",
-        ]
-        lines += [f"  {v}" for v in self.invariant_violations[:20]]
-        if self.replay:
-            lines.append(
-                f"corpus replay: {len(self.replay) - len(self.changed)}/"
-                f"{len(self.replay)} minimal repros still reproduce"
-            )
-            for name, expected, actual in self.changed:
-                lines.append(
-                    f"  UNREADABLE {name}: {actual}" if expected is None
-                    else f"  CHANGED {name}: expected {expected!r}, "
-                         f"got {actual!r}"
-                )
-        else:
-            lines.append("corpus replay: no corpus entries")
-        return "\n".join(lines)
-
-
-def validate_run(corpus_dir: Optional[str] = None) -> ValidateReport:
-    """Structural invariants on the built-in suite + corpus replay."""
-    from ..adg import general_overlay
-    from ..compiler import generate_variants
-    from ..scheduler import schedule_workload
-    from ..workloads import all_workloads
-    from .corpus import DivergenceCorpus    # corpus imports this module
-
-    report = ValidateReport()
-    overlay = general_overlay()
-    report.invariant_violations += [
-        str(v)
-        for v in check_case(overlay.adg)
-    ]
-    for workload in all_workloads():
-        report.workloads_checked += 1
-        schedule = schedule_workload(
-            generate_variants(workload), overlay.adg, overlay.params
-        )
-        if schedule is None:
-            continue
-        report.schedules_checked += 1
-        report.invariant_violations += [
-            f"{workload.name}: {v}"
-            for v in check_schedule(schedule, overlay.adg)
-        ]
-
-    if corpus_dir:
-        report.replay = DivergenceCorpus(corpus_dir).replay()
-    return report

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.adg import general_overlay, mesh_adg, caps_for_dtype
-from repro.compiler import REDSE_GAIN_THRESHOLD, advise, generate_variants
-from repro.ir import F64, I16, I64, Op
+from repro.compiler import generate_variants
+from repro.ir import I16, I64, Op
 from repro.model.perf import ipc_ceiling
+from repro.scheduler import REDSE_GAIN_THRESHOLD, advise
 from repro.workloads import get_workload
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import (
+from repro.engine import (
     OverlayRegistry,
     RegistryError,
     split_spec,
@@ -124,7 +124,7 @@ class TestTornState:
 _PUBLISH_SCRIPT = """
 import json, sys
 sys.path.insert(0, {src!r})
-from repro.cluster import OverlayRegistry
+from repro.engine import OverlayRegistry
 
 reg = OverlayRegistry({root!r})
 specs = []
@@ -137,7 +137,7 @@ print(json.dumps(specs))
 _RESOLVE_SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.cluster import OverlayRegistry
+from repro.engine import OverlayRegistry
 from repro.serve import canonical_dumps
 
 resolved = OverlayRegistry({root!r}).resolve({spec!r})

@@ -18,15 +18,14 @@ from repro.adg import sysadg_from_dict, sysadg_to_dict
 from repro.cluster import (
     SLOTS,
     BackendSpec,
-    OverlayRegistry,
+    ClusterRouter,
     RouterConfig,
     route_shard,
     route_slot,
     shard_of_slot,
 )
-from repro.cluster.router import ClusterRouter
 from repro.dse import DseConfig, explore
-from repro.engine import MetricsLogger
+from repro.engine import MetricsLogger, OverlayRegistry
 from repro.engine.hashing import fingerprint
 from repro.serve import (
     OverlayServer,

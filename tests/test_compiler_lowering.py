@@ -20,7 +20,7 @@ from repro.compiler import (
 )
 from repro.compiler.lowering import _lower
 from repro.compiler.variants import VARIANT_MEMO_SIZE, _same_structure
-from repro.dfg import ArrayPlacement, ComputeNode, StreamKind
+from repro.dfg import ArrayPlacement, StreamKind
 from repro.ir import F64, I16, Const, Op, WorkloadBuilder
 from repro.profile.tracer import Tracer, tracing
 from repro.validate.generators import random_case

@@ -11,7 +11,7 @@ from repro.compiler import (
     find_recurrence,
     stationary_factor,
 )
-from repro.ir import Affine, F64, IndirectIndex, WorkloadBuilder
+from repro.ir import Affine, F64, WorkloadBuilder
 from repro.workloads import get_workload
 
 

@@ -5,14 +5,13 @@ import pickle
 import pytest
 
 from repro.dfg import (
-    ArrayPlacement,
     ComputeNode,
     InputPortNode,
     MDFG,
     MdfgError,
     StreamKind,
 )
-from repro.ir import F64, I64, Op
+from repro.ir import F64, Op
 
 
 def empty_mdfg():

@@ -50,7 +50,7 @@ def result_digest(names, run=explore) -> str:
 
 
 def through_engine(workloads, config):
-    from repro.engine import DseEngine
+    from repro.search import DseEngine
 
     return DseEngine().explore(workloads, config).result
 

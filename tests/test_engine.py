@@ -12,13 +12,12 @@ import pytest
 from repro.dse import DseConfig, TimeModel, explore
 from repro.engine import (
     ArtifactStore,
-    DseEngine,
-    EngineError,
     MetricsLogger,
     fingerprint,
     job_key,
     workload_fingerprint,
 )
+from repro.search import DseEngine, EngineError
 from repro.workloads import get_suite, get_workload
 
 

@@ -14,8 +14,10 @@ import pytest
 
 from repro.adg import adg_to_dict
 from repro.dse import DseConfig, Explorer
-from repro.engine import ArtifactStore, DseEngine, EngineError, MetricsLogger
+from repro.engine import ArtifactStore, MetricsLogger
 from repro.search import (
+    DseEngine,
+    EngineError,
     SearchSettings,
     Study,
     export_study,

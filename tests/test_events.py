@@ -41,7 +41,7 @@ EVENT_FIELDS = {
         "runner", "jobs", "ok", "failed", "mode", "wall_s", "execute_s",
         "schedule_s",
     },
-    # repro.engine.orchestrator
+    # repro.search.seeds
     "cache_hit": {"key", "name", "tier", "objective"},
     "run_start": {
         "key", "name", "seeds", "jobs", "iterations", "strategy", "trials",

@@ -4,7 +4,6 @@ import pytest
 
 from repro.hls import (
     HLS_FREQUENCY_MHZ,
-    KERNEL_INFO,
     design_resources,
     evaluate_design,
     hls_dram_bytes_per_cycle,

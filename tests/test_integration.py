@@ -20,9 +20,9 @@ from repro import (
     simulate_schedule,
 )
 from repro.adg import sysadg_from_dict, sysadg_to_dict
-from repro.model.resource import XCVU9P, AnalyticEstimator, usable_budget
+from repro.model.resource import AnalyticEstimator, usable_budget
 from repro.rtl import emit_system, floorplan, rtl_stats
-from repro.scheduler import hardware_violations, schedule_mdfg
+from repro.scheduler import hardware_violations
 from repro.sim import simulate_schedule as sim
 
 

@@ -12,7 +12,6 @@ from repro.ir import (
     Load,
     LoopVar,
     Op,
-    UnOp,
     as_affine,
     as_expr,
     count_ops,

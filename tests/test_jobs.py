@@ -129,9 +129,9 @@ class TestShardPlan:
     def test_shard_of_matches_owning_slice(self):
         for total, shards in [(12, 5), (7, 3), (9, 9), (100, 7)]:
             plan = ShardPlan(total, shards)
-            for shard in plan:
-                for index in shard.indices():
-                    assert plan.shard_of(index) == shard.index
+            for number, (start, count) in enumerate(plan.ranges()):
+                for index in range(start, start + count):
+                    assert plan.shard_of(index) == number
         with pytest.raises(IndexError):
             ShardPlan(5, 2).shard_of(5)
 
@@ -402,7 +402,7 @@ class TestConsumerGoldens:
     def test_engine_result_identical_serial_vs_pool(self):
         from repro.adg import sysadg_to_dict
         from repro.dse import DseConfig
-        from repro.engine import DseEngine
+        from repro.search import DseEngine
         from repro.serve import canonical_dumps
         from repro.workloads import get_workload
 

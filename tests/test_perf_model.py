@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adg import SystemParams, general_overlay
+from repro.adg import general_overlay
 from repro.compiler import lower
 from repro.model import (
     estimate_cycles,

@@ -6,11 +6,8 @@ compiler-facing form.  These tests run a ReLU-style conditional kernel
 through the whole stack.
 """
 
-import pytest
-
 from repro.adg import general_overlay, mesh_adg, caps_for_dtype
 from repro.compiler import generate_variants, lower
-from repro.dfg import ComputeNode
 from repro.ir import (
     F32,
     I16,

@@ -19,13 +19,12 @@ from hypothesis import strategies as st
 
 from repro.adg import (
     NodeKind,
-    SystemParams,
     general_overlay,
     mesh_adg,
     universal_caps,
 )
 from repro.compiler import affine_span, generate_variants, lower
-from repro.ir import Affine, F64, I16, WorkloadBuilder
+from repro.ir import Affine, F64, WorkloadBuilder
 from repro.model.perf import MemoryBinding, estimate_ipc
 from repro.scheduler import (
     RoutingState,

@@ -7,8 +7,6 @@ import pytest
 
 from repro.adg import (
     FuCap,
-    InputPortHW,
-    OutputPortHW,
     ProcessingElement,
     Switch,
     general_overlay,

@@ -18,7 +18,7 @@ from repro.adg import (
     seed_for_workloads,
 )
 from repro.compiler import VariantSet, generate_variants, lower
-from repro.dfg import ArrayNode, ComputeNode, InputPortNode, StreamKind
+from repro.dfg import InputPortNode
 from repro.dse.transforms import (
     TransformFailed,
     apply_random_transform,

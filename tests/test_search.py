@@ -14,9 +14,9 @@ import pytest
 
 import repro
 from repro.dse import DseConfig, Explorer
-from repro.engine import DseEngine
 from repro.engine.store import ArtifactStore
 from repro.search import (
+    DseEngine,
     SearchContext,
     SearchError,
     SearchSettings,

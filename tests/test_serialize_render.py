@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from repro.adg import (
     ADG,
     SerializationError,
-    SysADG,
-    SystemParams,
     adg_from_dict,
     adg_to_dict,
     caps_for_dtype,
@@ -20,12 +18,10 @@ from repro.adg import (
     render_adg,
     render_sysadg,
     save_sysadg,
-    seed_for_workloads,
     sysadg_from_dict,
     sysadg_to_dict,
 )
 from repro.ir import F64, I16, I64, Op
-from repro.workloads import get_suite
 
 
 def _structurally_equal(a: ADG, b: ADG) -> bool:

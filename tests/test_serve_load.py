@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-from repro.adg import save_sysadg
 from repro.cli import main
 from repro.dse import DseConfig, explore
 from repro.engine import MetricsLogger

@@ -14,9 +14,8 @@ import threading
 import pytest
 
 from repro.adg import sysadg_to_dict
-from repro.cluster import OverlayRegistry
 from repro.dse import DseConfig, explore
-from repro.engine import MetricsLogger
+from repro.engine import MetricsLogger, OverlayRegistry
 from repro.serve import (
     OverlayServer,
     ServeClient,

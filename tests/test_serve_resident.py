@@ -24,9 +24,8 @@ import pytest
 
 from repro.adg import general_overlay, save_sysadg, sysadg_to_dict
 from repro.adg.builders import seed_for_workloads
-from repro.cluster import OverlayRegistry
 from repro.compiler import generate_variants
-from repro.engine import MetricsLogger
+from repro.engine import MetricsLogger, OverlayRegistry
 from repro.profile import Tracer, tracing
 from repro.serve import (
     OverlayServer,

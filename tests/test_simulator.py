@@ -1,7 +1,7 @@
 """Tests for the cycle-level simulator (components + whole-region runs)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.adg import SysADG, SystemParams, general_overlay, seed_for_workloads

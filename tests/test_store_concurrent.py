@@ -8,7 +8,6 @@ value — never a torn file — and ``discard`` races must be tolerated.
 
 import json
 import os
-import pickle
 import subprocess
 import sys
 import threading
